@@ -96,11 +96,7 @@ def classify(x: ProjectivePoint, tol: Tolerances = TOL) -> str:
 
     The zero band is scale invariant: |<x,x>| < null_band * ||x||^2.
     """
-    s = x.self_form()
-    band = tol.null_band * float(np.linalg.norm(x.v)) ** 2
-    if abs(s) < band:
-        return NULL
-    return NEGATIVE if s < 0 else POSITIVE
+    return _CLASS_NAMES[_sign_code(x.self_form(), float(np.linalg.norm(x.v)) ** 2, tol)]
 
 
 def tance(x: ProjectivePoint, y: ProjectivePoint, tol: Tolerances = TOL) -> float:
@@ -120,14 +116,81 @@ def distance(x: ProjectivePoint, y: ProjectivePoint, tol: Tolerances = TOL) -> f
     for p in (x, y):
         if classify(p, tol) != NEGATIVE:
             raise ClassError("distance requires two negative points")
-    ta = tance(x, y, tol)
-    if ta < 1.0 - 1e-9:
-        raise GeometryDomainError(f"tance {ta} below 1 beyond numerical noise")
-    return float(np.arccosh(np.sqrt(max(ta, 1.0))))
+    return float(_distance_from_tance(tance(x, y, tol)))
 
 
 class GeometryDomainError(ClassError):
     """tance fell below 1 for a pair of supposedly negative points."""
+
+
+# --- array kernels on (N,3) complex stacks ----------------------------------
+#
+# The scalar functions above and the kernels below share their thresholds
+# through ``_sign_code`` and ``_distance_from_tance``.
+
+_CLASS_NAMES = {-1: NEGATIVE, 0: NULL, 1: POSITIVE}
+#: tance may undershoot 1 by this much for a pair of negative points.
+_TANCE_FLOOR_SLACK = 1e-9
+
+
+def _sign_code(s, sq, tol: Tolerances):
+    """-1 / 0 / +1 for a negative / null / positive self form ``s`` of a
+    vector with squared Euclidean norm ``sq``; elementwise on arrays."""
+    return (abs(s) >= tol.null_band * sq) * ((s > 0) * 2 - 1)
+
+
+def _distance_from_tance(ta):
+    """arccosh(sqrt(ta)) for tances of negative pairs, elementwise."""
+    if np.any(ta < 1.0 - _TANCE_FLOOR_SLACK):
+        raise GeometryDomainError(
+            f"tance {np.min(ta)} below 1 beyond numerical noise"
+        )
+    return np.arccosh(np.sqrt(np.maximum(ta, 1.0)))
+
+
+def gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hermitian Gram matrix G[i, j] = <x_i, y_j> = (X J Y^H)[i, j] of two stacks."""
+    return (np.asarray(x, dtype=complex) * _SIGNS) @ np.asarray(y, dtype=complex).conj().T
+
+
+def herm_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise pairings <x_i, y_i> of two stacks of equal shape."""
+    return (np.asarray(x, dtype=complex) * _SIGNS * np.conj(y)).sum(axis=-1)
+
+
+def self_norms(x: np.ndarray) -> np.ndarray:
+    """<x_i, x_i> for every row of an (N,3) stack; real."""
+    x = np.asarray(x, dtype=complex)
+    return (x.real ** 2 + x.imag ** 2) @ _SIGNS
+
+
+def sign_classes(x: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """Batch ``classify``: -1 / 0 / +1 per row for negative / null / positive."""
+    x = np.asarray(x, dtype=complex)
+    return _sign_code(self_norms(x), (x.real ** 2 + x.imag ** 2).sum(axis=1), tol)
+
+
+def tance_matrix(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """T[i, j] = ta(x_i, y_j); raises ``NullPointError`` if any row is null."""
+    if not (sign_classes(x, tol).all() and sign_classes(y, tol).all()):
+        raise NullPointError("tance is undefined for null points")
+    return _tance_values(x, y)
+
+
+def distance_matrix(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """D[i, j] = distance(x_i, y_j) between two stacks of negative points.
+
+    Raises ``ClassError`` unless every row is negative, and
+    ``GeometryDomainError`` when a tance falls below 1 beyond noise.
+    """
+    if (sign_classes(x, tol) != -1).any() or (sign_classes(y, tol) != -1).any():
+        raise ClassError("distance requires two negative points")
+    return _distance_from_tance(_tance_values(x, y))
+
+
+def _tance_values(x, y):
+    g = gram(x, y)
+    return (g.real ** 2 + g.imag ** 2) / np.outer(self_norms(x), self_norms(y))
 
 
 def polar_span(x: ProjectivePoint, y: ProjectivePoint) -> ProjectivePoint:
@@ -135,7 +198,8 @@ def polar_span(x: ProjectivePoint, y: ProjectivePoint) -> ProjectivePoint:
 
     The complex projective line through x and y is P(z^perp).
     """
-    c = np.cross(x.v, y.v)
+    # np.cross's own formula, without its axis handling (it dominates a 3-vector call)
+    c = x.v[[1, 2, 0]] * y.v[[2, 0, 1]] - x.v[[2, 0, 1]] * y.v[[1, 2, 0]]
     if np.linalg.norm(c) < 1e-12:
         raise DegenerateError("polar_span needs projectively distinct points")
     return ProjectivePoint(_SIGNS * np.conj(c))

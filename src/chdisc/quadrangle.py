@@ -20,8 +20,12 @@ from .core import (
     POSITIVE,
     ProjectivePoint,
     classify,
-    distance,
+    distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
+    distance_matrix,
+    gram,
     herm_form,
+    herm_rows,
+    self_norms,
     tance,
 )
 from .errors import ClassError, DegenerateError, NotTransversalError
@@ -30,6 +34,7 @@ from .geometry import (
     BisectorSegment,
     ComplexGeodesic,
     common_perpendicular,
+    slice_at,
     spine_point,
 )
 from .tolerances import TOL, Tolerances
@@ -150,14 +155,20 @@ class QuadrangleConfig:
 # --- bisector side functions and the K3 sub-checks --------------------------
 
 
-def _bisector_coordinates(b: Bisector):
+def _bisector_coordinates(b: Bisector) -> np.ndarray:
+    """The matrix A with A @ v = (alpha, beta, gamma), the coordinates of v
+    in the spine/polar basis (s1, s2, f) of the bisector."""
     basis = np.column_stack([b.spine.x.v, b.spine.y.v, b.unit_polar_vector()])
-    inv = np.linalg.inv(basis)
+    return np.linalg.inv(basis)
 
-    def coords(v: np.ndarray):
-        return inv @ v
 
-    return coords
+def _side_values(coords: np.ndarray) -> np.ndarray:
+    """Im(alpha conj(beta)) / (|alpha|^2 + |beta|^2) over the last axis of
+    (alpha, beta, gamma) coordinates; 0 where alpha = beta = 0."""
+    alpha, beta = coords[..., 0], coords[..., 1]
+    n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    num = (alpha * np.conj(beta)).imag
+    return np.divide(num, n, out=np.zeros_like(num), where=n > 0)
 
 
 def bisector_side_value(b: Bisector, x: ProjectivePoint) -> float:
@@ -167,89 +178,84 @@ def bisector_side_value(b: Bisector, x: ProjectivePoint) -> float:
     bisector is Im(alpha conj(beta)) = 0; the sign of that quantity
     distinguishes the two sides.
     """
-    alpha, beta, _ = _bisector_coordinates(b)(x.v)
-    n = abs(alpha) ** 2 + abs(beta) ** 2
-    return float((alpha * np.conj(beta)).imag / n) if n > 0 else 0.0
+    return float(_side_values(_bisector_coordinates(b) @ x.v))
 
 
-def _tangent_normal(b: Bisector, x: ProjectivePoint) -> np.ndarray:
-    """g-gradient (as a lift in x^perp) of the side function at x on B."""
-    coords = _bisector_coordinates(b)
-    xv = x.v / np.linalg.norm(x.v)
-    h = 1e-6
-    basis4 = _real_tangent_basis(xv)
-    grad = np.zeros(4)
-    for k, w in enumerate(basis4):
-        a1, b1, _ = coords(xv + h * w)
-        a0, b0, _ = coords(xv - h * w)
-        f1 = (a1 * np.conj(b1)).imag / (abs(a1) ** 2 + abs(b1) ** 2)
-        f0 = (a0 * np.conj(b0)).imag / (abs(a0) ** 2 + abs(b0) ** 2)
-        grad[k] = (f1 - f0) / (2.0 * h)
-    return _from_real_coords(xv, grad)
+def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Real directional derivatives of the side function, analytically.
+
+    ``a`` is a bisector coordinate matrix, ``x`` an (N,3) stack of points
+    off the bisector polar and ``dirs`` an (N,K,3) stack of directions;
+    entry [i, k] is the derivative at x_i along dirs[i, k] of
+    P / n with P = Im(alpha conj(beta)) and n = |alpha|^2 + |beta|^2.
+    """
+    c = (x @ a.T)[:, None, :]
+    dc = dirs @ a.T
+    alpha, beta, da, db = c[..., 0], c[..., 1], dc[..., 0], dc[..., 1]
+    n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    p = (alpha * np.conj(beta)).imag
+    dp = (da * np.conj(beta) + alpha * np.conj(db)).imag
+    dn = 2.0 * (da * np.conj(alpha) + db * np.conj(beta)).real
+    return (dp * n - p * dn) / n ** 2
 
 
-def _unitary_tangent_basis(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A <,>-unitary basis of x^perp for a negative unit-scaled x."""
-    seeds = np.eye(3, dtype=complex)
-    xs = xv / np.sqrt(-herm_form(xv, xv).real)
-    out = []
-    for s in seeds:
-        w = s - (herm_form(s, xs) / herm_form(xs, xs).real) * xs
-        for prev in out:
-            w = w - (herm_form(w, prev) / herm_form(prev, prev).real) * prev
-        n = herm_form(w, w).real
-        if n > 1e-12:
-            out.append(w / np.sqrt(n))
-        if len(out) == 2:
-            break
-    return out[0], out[1]
+def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
+    """A <,>-unitary basis (w1, w2) of x_i^perp for each negative row x_i.
+
+    Gram-Schmidt over the coordinate vectors e0, e1, e2 in that order,
+    skipping a seed whose remainder has form norm <= 1e-12 (e0 at the
+    origin).  Returns an (N, 2, 3) stack.
+    """
+    xs = x / np.sqrt(-self_norms(x))[:, None]
+    out = np.zeros((len(x), 2, 3), dtype=complex)
+    found = np.zeros(len(x), dtype=int)
+    for s in np.eye(3, dtype=complex):
+        w = s - (gram(s[None], xs)[0] / self_norms(xs))[:, None] * xs
+        for j in range(2):
+            prev = out[:, j]
+            pp = np.where(found > j, self_norms(prev), 1.0)
+            w = w - (herm_rows(w, prev) / pp)[:, None] * prev
+        n = self_norms(w)
+        take = (n > 1e-12) & (found < 2)
+        out[take, found[take]] = w[take] / np.sqrt(n[take])[:, None]
+        found += take
+    return out
 
 
-def _real_tangent_basis(xv: np.ndarray):
-    w1, w2 = _unitary_tangent_basis(xv)
-    return [w1, 1j * w1, w2, 1j * w2]
+def _slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius: float = 1.0):
+    """Sample points of the complex geodesics P(polar_i^perp) around points on them.
 
-
-def _from_real_coords(xv: np.ndarray, c: np.ndarray) -> np.ndarray:
-    w1, w2 = _unitary_tangent_basis(xv)
-    return c[0] * w1 + c[1] * (1j * w1) + c[2] * w2 + c[3] * (1j * w2)
-
-
-def _slice_samples(polar: ProjectivePoint, center: ProjectivePoint, n: int, radius: float = 1.0):
-    """Sample points of the complex geodesic P(polar^perp) around a point on it."""
-    f = polar.v / np.sqrt(polar.self_form())
-    x = center.v / np.sqrt(-center.self_form())
-    # direction inside the slice plane: the other basis vector of polar^perp
-    w1, w2 = _unitary_tangent_basis(x)
-    # pick the tangent direction lying inside polar^perp
-    for w in (w1, w2, w1 + w2):
-        if abs(herm_form(w, f)) < 1e-8:
-            d = w / np.sqrt(herm_form(w, w).real)
-            break
-    else:  # generic fallback: project w1 into polar^perp
-        d = w1 - (herm_form(w1, f)) * f
-        d = d / np.sqrt(herm_form(d, d).real)
-    pts = [ProjectivePoint(x)]
-    k = max(n - 1, 1)
-    rng = np.linspace(0.15, radius, max(k // 8, 1))
-    phis = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-    for r in rng:
-        for phi in phis:
-            if len(pts) >= n:
-                break
-            pts.append(ProjectivePoint(np.cosh(r) * x + np.sinh(r) * np.exp(1j * phi) * d))
-    return pts
+    For each (polar, centre) row pair: the centre, then the first n - 1
+    points of rings at distances linspace(0.15, radius, max((n-1)//8, 1))
+    with 8 equally spaced phases each (fewer when the rings hold fewer
+    points).  Returns the unit-norm rows stacked centre by centre.
+    """
+    f = polars / np.sqrt(self_norms(polars))[:, None]
+    x = centers / np.sqrt(-self_norms(centers))[:, None]
+    # direction inside the slice plane: the first of w1, w2, w1 + w2 lying
+    # in polar^perp, else w1 projected into polar^perp
+    w = _unitary_tangent_basis(x)
+    cands = np.stack([w[:, 0], w[:, 1], w[:, 0] + w[:, 1]], axis=1)
+    inside = np.abs(herm_rows(cands, f[:, None])) < 1e-8
+    d = np.where(
+        inside.any(axis=1)[:, None],
+        cands[np.arange(len(x)), inside.argmax(axis=1)],
+        w[:, 0] - herm_rows(w[:, 0], f)[:, None] * f,
+    )
+    d = d / np.sqrt(self_norms(d))[:, None]
+    r = np.linspace(0.15, radius, max(max(n - 1, 1) // 8, 1))[:, None, None]
+    phase = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))[None, :, None]
+    rings = np.cosh(r) * x[:, None, None] + (np.sinh(r) * phase) * d[:, None, None]
+    rings = rings.reshape(len(x), -1, 3)[:, : max(n - 1, 0)]
+    pts = np.concatenate([x[:, None], rings], axis=1).reshape(-1, 3)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def _segment_samples(seg: BisectorSegment, n_spine: int, n_slice: int, radius: float = 1.5):
-    from .geometry import slice_at
-
-    pts = []
-    for t in np.linspace(0.0, 1.0, n_spine):
-        x = spine_point(seg, t)
-        sl = slice_at(seg.bisector, x)
-        pts.extend(_slice_samples(sl.polar, x, n_slice, radius))
-    return pts
+    """Slice samples around n_spine equally spaced spine points, in spine order."""
+    xs = [spine_point(seg, t) for t in np.linspace(0.0, 1.0, n_spine)]
+    polars = [slice_at(seg.bisector, x).polar.v for x in xs]
+    return _slice_samples(np.array(polars), np.array([x.v for x in xs]), n_slice, radius)
 
 
 @dataclass
@@ -329,6 +335,15 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     extended bisectors along the shared slices C2 and C4, (b) the sector
     condition on C3 relative to the bisectors through C1, and (c)
     disjointness of the two pairs of non-adjacent segments.
+
+    A slice sample set has n = max(k3_samples // 8, 4) points (8 at the
+    default k3_samples = 64; ``_slice_samples`` gives the caveats for
+    larger n).  (a) takes the
+    smallest tangent-hyperplane angle over one slice sample set around the
+    foot on the shared slice; (b) takes the smallest signed side value over
+    one slice sample set of C3; (c) samples each segment at 8 spine points
+    x n slice points (64 by default) and takes the exact minimum distance
+    over all sampled pairs (4096 by default).
     """
     p1, p2, p3, p4 = q.polars
     C = [ComplexGeodesic(p) for p in q.polars]
@@ -337,40 +352,43 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     if p1.is_parallel_to(p3) or p2.is_parallel_to(p4):
         return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
 
+    perps = {}
+
+    def perp(i: int, j: int) -> BisectorSegment:
+        # ordered pair: feet[0] lies on C[i], feet[1] on C[j]
+        if (i, j) not in perps:
+            perps[i, j] = common_perpendicular(C[i], C[j], tol)
+        return perps[i, j]
+
     n_slice = max(tol.k3_samples // 8, 4)
 
     # (a) tangent-hyperplane angles along the shared slices
-    for shared, na, nb, label in (
-        (1, 0, 2, "transversal_at_C2"),
-        (3, 0, 2, "transversal_at_C4"),
-    ):
-        seg_a = common_perpendicular(C[na], C[shared], tol)
-        seg_b = common_perpendicular(C[nb], C[shared], tol)
-        ba, bb = seg_a.bisector, seg_b.bisector
-        center = seg_a.feet[1]  # foot on the shared slice
-        worst = np.inf
-        for x in _slice_samples(C[shared].polar, center, n_slice):
-            ga = _tangent_normal(ba, x)
-            gb = _tangent_normal(bb, x)
-            na_, nb_ = np.sqrt(herm_form(ga, ga).real), np.sqrt(herm_form(gb, gb).real)
-            if na_ < 1e-12 or nb_ < 1e-12:
-                worst = min(worst, 0.0)
-                continue
-            cosang = abs(herm_form(ga, gb).real) / (na_ * nb_)
-            worst = min(worst, float(np.arccos(np.clip(cosang, 0.0, 1.0))))
+    for shared, label in ((1, "transversal_at_C2"), (3, "transversal_at_C4")):
+        seg_a, seg_b = perp(0, shared), perp(2, shared)
+        # around the foot on the shared slice
+        x = _slice_samples(C[shared].polar.v[None], seg_a.feet[1].v[None], n_slice)
+        w = _unitary_tangent_basis(x)
+        dirs = np.stack([w[:, 0], 1j * w[:, 0], w[:, 1], 1j * w[:, 1]], axis=1)
+        # g-gradients of both side functions, lifted into x^perp
+        ga, gb = (
+            np.einsum("nk,nkc->nc", _side_gradients(_bisector_coordinates(b), x, dirs), dirs)
+            for b in (seg_a.bisector, seg_b.bisector)
+        )
+        na, nb = np.sqrt(self_norms(ga)), np.sqrt(self_norms(gb))
+        ok = (na >= 1e-12) & (nb >= 1e-12)
+        cosang = np.abs(herm_rows(ga, gb).real) / np.where(ok, na * nb, 1.0)
+        angles = np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0)
+        worst = float(angles.min())
         checks.append(SubCheck(label, worst >= tol.angle_floor, worst - tol.angle_floor))
 
     # (b) sector test: C3 on the inner side of both bisectors through C1
-    diag = common_perpendicular(C[1], C[3], tol)
-    ref = spine_point(diag, 0.5)  # interior reference point of the quadrangle
+    ref = spine_point(perp(1, 3), 0.5)  # interior reference point of the quadrangle
     for other, label in ((1, "sector_B_C1C2"), (3, "sector_B_C1C4")):
-        bis = common_perpendicular(C[0], C[other], tol).bisector
+        bis = perp(0, other).bisector
         side_ref = bisector_side_value(bis, ref)
-        foot3 = common_perpendicular(C[other], C[2], tol).feet[1]
-        worst = np.inf
-        for x in _slice_samples(p3, foot3, n_slice, radius=0.8):
-            s = bisector_side_value(bis, x)
-            worst = min(worst, float(np.sign(side_ref) * s))
+        coords = _bisector_coordinates(bis)
+        x = _slice_samples(p3.v[None], perp(other, 2).feet[1].v[None], n_slice, radius=0.8)
+        worst = float((np.sign(side_ref) * _side_values(x @ coords.T)).min())
         checks.append(SubCheck(label, worst > 0.0, worst, f"reference side {side_ref:+.3e}"))
 
     # (c) non-adjacent segments stay separated
@@ -378,9 +396,9 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
         ((0, 1), (2, 3), "disjoint_B12_B34"),
         ((1, 2), (3, 0), "disjoint_B23_B41"),
     ):
-        sa = _segment_samples(common_perpendicular(C[i], C[j], tol), 8, n_slice)
-        sb = _segment_samples(common_perpendicular(C[k], C[l], tol), 8, n_slice)
-        dmin = min(distance(a, b) for a in sa for b in sb)
+        sa = _segment_samples(perp(i, j), 8, n_slice)
+        sb = _segment_samples(perp(k, l), 8, n_slice)
+        dmin = float(distance_matrix(sa, sb, tol).min())
         checks.append(SubCheck(label, dmin >= tol.sep_floor, dmin - tol.sep_floor))
 
     return checks

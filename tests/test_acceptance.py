@@ -1,7 +1,6 @@
 """Acceptance suite: identity- and property-based checks on constructed
 configurations, one test per criterion, at the stated tolerances."""
 
-import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -205,14 +204,12 @@ def test_criterion_6_invariance_suite(rng):
     """tance / position / eps / validate_quadrangle invariant under 1000
     random isometries; reflections are projective involutions to 1e-12.
 
-    The certificate comparison uses a reduced K3 sampling density
-    (k3_samples=8) so the full 1000-isometry sweep stays tractable; K1/K2
-    margins are compared at 1e-10 relative, K3 booleans for stability
-    (the K3 sampling frames are deliberately not equivariant).
+    The certificates use the default tolerances, K3 sampling included;
+    K1/K2 margins are compared at 1e-10 relative, K3 booleans for
+    stability (the K3 sampling frames are deliberately not equivariant).
     """
     q, _ = _baseline_quadrangle()
-    tol = dataclasses.replace(TOL, k3_samples=8)
-    base_cert = validate_quadrangle(q, tol)
+    base_cert = validate_quadrangle(q)
     assert base_cert.passed
     ident = Isometry.identity()
 
@@ -235,9 +232,7 @@ def test_criterion_6_invariance_suite(rng):
         gr = g @ r @ g.inverse()
         assert (gr @ gr).projective_distance(ident) < 1e-12
 
-        cert = validate_quadrangle(
-            QuadrangleConfig(tuple(g(pl) for pl in q.polars)), tol
-        )
+        cert = validate_quadrangle(QuadrangleConfig(tuple(g(pl) for pl in q.polars)))
         assert cert.passed == base_cert.passed
         assert (cert.k1, cert.k2, cert.k3) == (True, True, True)
         for got, want in zip(cert.k1_margins, base_cert.k1_margins):

@@ -21,7 +21,18 @@ from chdisc import (
     reflection_about,
     tance,
 )
-from chdisc.core import NEGATIVE, NULL, POSITIVE, isometry_residual
+from chdisc.core import (
+    NEGATIVE,
+    NULL,
+    POSITIVE,
+    GeometryDomainError,
+    distance_matrix,
+    gram,
+    isometry_residual,
+    self_norms,
+    sign_classes,
+    tance_matrix,
+)
 from chdisc.disc import F0, embed
 
 from conftest import random_isometry, random_negative_point, random_positive_point
@@ -160,3 +171,73 @@ def test_reflection_fixes_and_inverts(rng):
         assert tance(r(p), p) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NullPointError):
         reflection_about(ProjectivePoint([1, 1, 0]))
+
+
+# --- array kernels -------------------------------------------------------------
+
+disc_coord = st.floats(0.0, 0.95, allow_nan=False)
+angle = st.floats(0.0, 2 * np.pi, allow_nan=False)
+scale = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+negative_vec = st.tuples(disc_coord, st.floats(0.0, 1.0), angle, angle, scale).map(
+    lambda t: t[4] * np.array([
+        1.0,
+        t[0] * np.sqrt(t[1]) * np.exp(1j * t[2]),
+        t[0] * np.sqrt(1.0 - t[1]) * np.exp(1j * t[3]),
+    ])
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(negative_vec, min_size=1, max_size=5), st.lists(negative_vec, min_size=1, max_size=5))
+def test_batch_kernels_match_scalar(xs, ys):
+    """The batch kernels equal the scalar functions elementwise to 1e-14
+    relative.  Distances are compared where tance > 1.1: arccosh(sqrt(t))
+    amplifies rounding without bound as t -> 1, for both kernels alike."""
+    x, y = np.array(xs), np.array(ys)
+    px, py = [ProjectivePoint(v) for v in xs], [ProjectivePoint(v) for v in ys]
+    assert (sign_classes(x) == -1).all() and (sign_classes(y) == -1).all()
+    np.testing.assert_allclose(self_norms(x), [herm_form(v, v).real for v in xs], rtol=1e-14)
+    np.testing.assert_allclose(
+        gram(x, y), [[herm_form(a, b) for b in ys] for a in xs], rtol=1e-14, atol=1e-14
+    )
+    ta = np.array([[tance(a, b) for b in py] for a in px])
+    np.testing.assert_allclose(tance_matrix(x, y), ta, rtol=1e-14)
+    far = ta > 1.1
+    d = np.array([[distance(a, b) if far[i, j] else 0.0 for j, b in enumerate(py)]
+                  for i, a in enumerate(px)])
+    np.testing.assert_allclose(distance_matrix(x, y)[far], d[far], rtol=1e-14)
+
+
+def test_batch_sign_classes_match_classify():
+    rows = np.array([[1, 0.2, 0.1j], [1, 1, 0], [0, 1, 1j], [1, 1 + 1e-11, 0]])
+    codes = {NEGATIVE: -1, NULL: 0, POSITIVE: 1}
+    assert sign_classes(rows).tolist() == [codes[classify(ProjectivePoint(v))] for v in rows]
+    assert sign_classes(rows).tolist() == [-1, 0, 1, 0]
+
+
+def test_distance_matrix_rejects_non_negative_rows():
+    good = np.array([embed(0.0).v, embed(0.3).v])
+    for bad in ([1, 1, 0], F0.v):  # a null row, a positive row
+        with pytest.raises(ClassError):
+            distance_matrix(good, np.array([embed(0.1).v, bad]))
+        with pytest.raises(ClassError):
+            distance_matrix(np.array([bad]), good)
+    with pytest.raises(NullPointError):
+        tance_matrix(good, np.array([[1, 1, 0]]))
+
+
+def test_tance_floor_raises_geometry_domain_error():
+    # negative points 1e-9 inside the boundary: rounding moves the tance of
+    # a point and a rescaled copy of it off 1 by ~1e-7, so some phase
+    # pushes it below 1 - 1e-9 for the batch and for the scalar kernel
+    x = ProjectivePoint([1.0, np.sqrt(1.0 - 1e-9), 0.0])
+    ys = [ProjectivePoint(np.exp(1j * psi) * x.v) for psi in np.linspace(0.1, 3.0, 30)]
+    assert classify(x) == NEGATIVE and all(classify(y) == NEGATIVE for y in ys)
+    stack = np.array([y.v for y in ys])
+    assert tance_matrix(x.v[None], stack).min() < 1.0 - 1e-9
+    with pytest.raises(GeometryDomainError):
+        distance_matrix(x.v[None], stack)
+    low = [y for y in ys if tance(x, y) < 1.0 - 1e-9]
+    assert low
+    with pytest.raises(GeometryDomainError):
+        distance(x, low[0])

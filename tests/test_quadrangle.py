@@ -15,11 +15,22 @@ from chdisc import (
     triangle_over_complex_geodesic,
     validate_quadrangle,
 )
-from chdisc.core import ProjectivePoint, polar_span
+from chdisc.core import ProjectivePoint, distance, herm_form, herm_rows, polar_span, self_norms
 from chdisc.disc import F0, embed, triangle_area_gauss_bonnet, triangle_vertices
 from chdisc.errors import ClassError, DegenerateError
+from chdisc.geometry import ComplexGeodesic, common_perpendicular, slice_at, spine_point
+from chdisc.quadrangle import (
+    _bisector_coordinates,
+    _segment_samples,
+    _side_gradients,
+    _side_values,
+    _slice_samples,
+    _unitary_tangent_basis,
+    adjacency_check,
+)
+from chdisc.tolerances import TOL
 
-from conftest import random_disc_coordinate
+from conftest import random_disc_coordinate, random_isometry
 
 
 def _fiber_polars(*zs):
@@ -135,3 +146,85 @@ def test_validate_quadrangle_k2_failure_clockwise():
     for margins in cert.k2_margins.values():
         assert margins[-1] < 0  # the ccw margin -eps1
     assert not cert.passed
+
+
+# --- K3 kernels against loop/finite-difference references ------------------------
+
+
+def _reference_slice_samples(polar, center, n, radius=1.0):
+    """One sample at a time: the reference for ``_slice_samples``."""
+    f = polar.v / np.sqrt(polar.self_form())
+    x = center.v / np.sqrt(-center.self_form())
+    xs = x / np.sqrt(-herm_form(x, x).real)
+    basis = []
+    for s in np.eye(3, dtype=complex):
+        w = s - (herm_form(s, xs) / herm_form(xs, xs).real) * xs
+        for prev in basis:
+            w = w - (herm_form(w, prev) / herm_form(prev, prev).real) * prev
+        if herm_form(w, w).real > 1e-12:
+            basis.append(w / np.sqrt(herm_form(w, w).real))
+        if len(basis) == 2:
+            break
+    w1, w2 = basis
+    for w in (w1, w2, w1 + w2):
+        if abs(herm_form(w, f)) < 1e-8:
+            d = w / np.sqrt(herm_form(w, w).real)
+            break
+    else:
+        d = w1 - herm_form(w1, f) * f
+        d = d / np.sqrt(herm_form(d, d).real)
+    pts = [ProjectivePoint(x)]
+    for r in np.linspace(0.15, radius, max(max(n - 1, 1) // 8, 1)):
+        for phi in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
+            if len(pts) < n:
+                pts.append(ProjectivePoint(np.cosh(r) * x + np.sinh(r) * np.exp(1j * phi) * d))
+    return np.array([p.v for p in pts])
+
+
+def _moved_segments(rng):
+    q = _baseline_quadrangle()
+    g = random_isometry(rng)
+    c = [ComplexGeodesic(g(p)) for p in q.polars]
+    # an untouched fiber configuration (coordinate-aligned directions) and
+    # a moved one (the generic fallback direction)
+    return [common_perpendicular(ComplexGeodesic(q.polars[0]), ComplexGeodesic(q.polars[1])),
+            common_perpendicular(c[0], c[1]), common_perpendicular(c[2], c[1])]
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 20])
+def test_slice_samples_match_reference(rng, n):
+    for seg in _moved_segments(rng):
+        polar, center = seg.end_slices[1].polar, seg.feet[1]
+        got = _slice_samples(polar.v[None], center.v[None], n, radius=0.8)
+        np.testing.assert_allclose(got, _reference_slice_samples(polar, center, n, 0.8), atol=1e-14)
+        end = spine_point(seg, 1.0)
+        ref = _reference_slice_samples(slice_at(seg.bisector, end).polar, end, n, 1.5)
+        stacked = _segment_samples(seg, 3, n)
+        assert stacked.shape == (3 * len(ref), 3)
+        np.testing.assert_allclose(stacked[-len(ref):], ref, atol=1e-14)
+
+
+def test_side_gradient_matches_central_differences(rng):
+    h = 1e-6
+    for seg in _moved_segments(rng):
+        a = _bisector_coordinates(seg.bisector)
+        x = _slice_samples(seg.end_slices[1].polar.v[None], seg.feet[1].v[None], 8)
+        w = _unitary_tangent_basis(x)
+        dirs = np.stack([w[:, 0], 1j * w[:, 0], w[:, 1], 1j * w[:, 1]], axis=1)
+        fd = (_side_values((x[:, None] + h * dirs) @ a.T)
+              - _side_values((x[:, None] - h * dirs) @ a.T)) / (2.0 * h)
+        np.testing.assert_allclose(_side_gradients(a, x, dirs), fd, rtol=0, atol=1e-8)
+        # the tangent basis is <,>-unitary and orthogonal to each sample
+        np.testing.assert_allclose(self_norms(w[:, 0]), 1.0, atol=1e-12)
+        np.testing.assert_allclose(herm_rows(w[:, 0], w[:, 1]), 0.0, atol=1e-12)
+        np.testing.assert_allclose(herm_rows(w[:, 0], x), 0.0, atol=1e-12)
+
+
+def test_k3_separation_is_min_over_sampled_pairs():
+    q = _baseline_quadrangle()
+    c = [ComplexGeodesic(p) for p in q.polars]
+    sa = _segment_samples(common_perpendicular(c[0], c[1]), 8, 8)
+    sb = _segment_samples(common_perpendicular(c[2], c[3]), 8, 8)
+    dmin = min(distance(ProjectivePoint(a), ProjectivePoint(b)) for a in sa for b in sb)
+    check = next(k for k in adjacency_check(q) if k.name == "disjoint_B12_B34")
+    assert check.margin + TOL.sep_floor == pytest.approx(dmin, abs=1e-12)
