@@ -1,8 +1,8 @@
 """Invariants of a C-Fuchsian turnover: tau, e, chi, and 3 tau = 2e + 2 chi.
 
 Builds the (3,3,4) turnover representation inside the standard complex
-geodesic, computes the Toledo number two independent ways (coned polygon
-quadrature and per-face closed forms on a section mesh), computes the
+geodesic, computes the Toledo number from two closed-form decompositions
+(the coned polygon and the faces of a section mesh), computes the
 tangent and normal bundle degrees by discrete-connection holonomy, and
 checks the identity 3 tau = 2 e + 2 chi after snapping to exact rationals.
 """

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -219,23 +218,21 @@ def cmd_scan(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tol = _tolerances(args)
 
-    def worker(key):
-        ns, bend = key
+    rows = []
+    for ns, bend in grid:
         try:
             sig = _signature(ns)
         except GeometryError as exc:
-            return {"signature": list(ns), "bend": bend, "converged": False,
-                    "certificate_passed": None, "worst_relation_residual": None,
-                    "error": f"invalid signature: {exc}"}
+            rows.append({"signature": list(ns), "bend": bend, "converged": False,
+                         "certificate_passed": None, "worst_relation_residual": None,
+                         "error": f"invalid signature: {exc}"})
+            continue
         try:
-            return run_turnover(sig, bend, args.seed, args.mesh, out_dir, tol=tol)
+            rows.append(run_turnover(sig, bend, args.seed, args.mesh, out_dir, tol=tol))
         except GeometryError as exc:
-            return {"signature": list(ns), "bend": bend, "converged": False,
-                    "certificate_passed": None, "worst_relation_residual": None,
-                    "error": str(exc)}
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(worker, grid))
+            rows.append({"signature": list(ns), "bend": bend, "converged": False,
+                         "certificate_passed": None, "worst_relation_residual": None,
+                         "error": str(exc)})
     summary = {"format": "chdisc/1", "kind": "scan_summary", "rows": rows}
     write_json(out_dir / "summary.json", summary)
     for row in rows:
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mesh", type=float, default=0.05)
     p.add_argument("--tol", type=float, help="strict-margin tolerance override")
-    p.add_argument("--jobs", type=int, default=2)
     p.add_argument("--out", default="scan_out")
     p.set_defaults(func=cmd_scan)
     return parser

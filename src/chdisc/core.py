@@ -14,7 +14,7 @@ cube root of unity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,6 +193,29 @@ def _tance_values(x, y):
     return (g.real ** 2 + g.imag ** 2) / np.outer(self_norms(x), self_norms(y))
 
 
+def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
+    """A <,>-unitary basis (w1, w2) of x_i^perp for each negative row x_i.
+
+    Gram-Schmidt over the coordinate vectors e0, e1, e2 in that order,
+    skipping a seed whose remainder has form norm <= 1e-12 (e0 at the
+    origin).  Returns an (N, 2, 3) stack.
+    """
+    xs = x / np.sqrt(-self_norms(x))[:, None]
+    out = np.zeros((len(x), 2, 3), dtype=complex)
+    found = np.zeros(len(x), dtype=int)
+    for s in np.eye(3, dtype=complex):
+        w = s - (gram(s[None], xs)[0] / self_norms(xs))[:, None] * xs
+        for j in range(2):
+            prev = out[:, j]
+            pp = np.where(found > j, self_norms(prev), 1.0)
+            w = w - (herm_rows(w, prev) / pp)[:, None] * prev
+        n = self_norms(w)
+        take = (n > 1e-12) & (found < 2)
+        out[take, found[take]] = w[take] / np.sqrt(n[take])[:, None]
+        found += take
+    return out
+
+
 def polar_span(x: ProjectivePoint, y: ProjectivePoint) -> ProjectivePoint:
     """The point orthogonal to both x and y: z = J conj(x cross y).
 
@@ -210,7 +233,6 @@ class Isometry:
     """A determinant-1 lift of a holomorphic isometry of H^2_C."""
 
     matrix: np.ndarray
-    det_normalized: bool = field(default=True)
 
     @staticmethod
     def from_matrix(m, tol: Tolerances = TOL, check: bool = True) -> "Isometry":
@@ -254,10 +276,6 @@ class Isometry:
 
     def projectively_equal(self, other: "Isometry", tol: float = 1e-10) -> bool:
         return self.projective_distance(other) < tol
-
-    def rotation_angles(self) -> np.ndarray:
-        """Eigenvalue arguments of the lift, sorted."""
-        return np.sort(np.angle(np.linalg.eigvals(self.matrix)))
 
 
 def isometry_residual(m) -> float:

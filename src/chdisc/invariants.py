@@ -33,10 +33,14 @@ from .core import (
     Isometry,
     classify,
     herm_form,
+    herm_rows,
     tance,
+    _unitary_tangent_basis,
 )
+from .disc import _gl_nodes
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
-from .geometry import geodesic_interp, _phase_align
+from .geometry import _phase_align
+from .io import _f
 from .tolerances import TOL, Tolerances
 
 COMPLEX_CLASS = "complex"
@@ -56,11 +60,6 @@ def normalized_negative(x: ProjectivePoint) -> np.ndarray:
 def tangent_project(xhat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Form-orthogonal projection of w into xhat^perp (<xhat,xhat> = -1)."""
     return w + herm_form(w, xhat) * xhat
-
-
-def metric_h(u: np.ndarray, v: np.ndarray) -> complex:
-    """Hermitian metric on x^perp vectors (x normalized to <x,x> = -1)."""
-    return herm_form(u, v)
 
 
 def omega(u: np.ndarray, v: np.ndarray) -> float:
@@ -124,27 +123,12 @@ def _real_coords(w: np.ndarray, basis) -> np.ndarray:
     return np.array([a1.real, a1.imag, a2.real, a2.imag])
 
 
-def _complex_basis(xhat: np.ndarray):
-    """A g-unitary complex basis (b1, b2) of xhat^perp, fixed deterministically."""
-    seeds = [np.array([0, 1, 0], dtype=complex), np.array([0, 0, 1], dtype=complex),
-             np.array([1, 0, 0], dtype=complex)]
-    out = []
-    for s in seeds:
-        w = tangent_project(xhat, s)
-        for b in out:
-            w = w - herm_form(w, b) * b  # complex orthogonalization
-        n = np.sqrt(abs(herm_form(w, w).real))
-        if n > 1e-6:
-            out.append(w / n)
-        if len(out) == 2:
-            return out
-    raise DegenerateError("could not build a tangent basis")
+def orientation_sign(basis, frame4) -> int:
+    """Sign of a real tangent 4-frame against the complex orientation of x^perp.
 
-
-def orientation_sign(x: ProjectivePoint, frame4) -> int:
-    """Sign of a real tangent 4-frame against the complex orientation of x^perp."""
-    xh = normalized_negative(x)
-    basis = _complex_basis(xh)
+    ``basis`` is a unitary basis (b1, b2) of x^perp, as built by
+    ``_unitary_tangent_basis``; every such basis gives the same sign.
+    """
     m = np.column_stack([_real_coords(np.asarray(w, dtype=complex), basis) for w in frame4])
     d = np.linalg.det(m)
     if abs(d) < 1e-14:
@@ -174,7 +158,7 @@ def lagrangian_frame_check(x: ProjectivePoint, u1, u2, normal_pair=None,
     else:
         v1 = tangent_project(xh, np.asarray(normal_pair[0], dtype=complex))
         v2 = tangent_project(xh, np.asarray(normal_pair[1], dtype=complex))
-    return orientation_sign(x, [e1, e2, v1, v2]) > 0
+    return orientation_sign(_unitary_tangent_basis(xh[None])[0], [e1, e2, v1, v2]) > 0
 
 
 # -- meshes ------------------------------------------------------------------
@@ -206,13 +190,15 @@ class SectionMesh:
     def cone_orders(self):
         return [n for _, n in self.cone_points]
 
+    def vertices(self) -> np.ndarray:
+        """The (V,3) stack of vertex representatives."""
+        return np.array([p.v for p in self.embedding])
+
     def snap_denominator(self) -> int:
         orders = self.cone_orders()
         return 2 * lcm(*orders) if orders else 2
 
     def to_json_dict(self) -> dict:
-        from .quadrangle import _f
-
         def vec(v):
             return [[_f(c.real), _f(c.imag)] for c in v]
 
@@ -248,53 +234,16 @@ class SectionMesh:
                     )
 
 
-def refine_triangle_lattice(corners, n):
-    """Geodesic lattice subdivision of a triangle into n^2 triangles.
-
-    Row i (0..n) holds i+1 points interpolated along the geodesic between
-    the two side points at fraction i/n, themselves interpolated from the
-    corners, so boundary points are arclength-uniform along each edge.
-    Returns (points, triangles) with ccw triangles if the corners are ccw.
-    """
-    a, b, c = corners
-    rows = []
-    for i in range(n + 1):
-        left = geodesic_interp(a, b, i / n)
-        right = geodesic_interp(a, c, i / n)
-        if i == 0:
-            rows.append([a])
-            continue
-        rows.append([geodesic_interp(left, right, j / i) for j in range(i + 1)])
-    points = []
-    index = {}
-    for i, row in enumerate(rows):
-        for j, p in enumerate(row):
-            index[(i, j)] = len(points)
-            points.append(p)
-    tris = []
-    for i in range(n):
-        for j in range(i + 1):
-            tris.append((index[(i, j)], index[(i + 1, j)], index[(i + 1, j + 1)]))
-            if j < i:
-                tris.append((index[(i, j)], index[(i + 1, j + 1)], index[(i, j + 1)]))
-    return points, tris, index
-
-
 # -- Toledo integrals --------------------------------------------------------
-
-def _gl_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
 
 def symplectic_area_triangle(x1: ProjectivePoint, x2: ProjectivePoint,
                              x3: ProjectivePoint, order: int = 24) -> float:
-    """integral of omega over the geodesic triangle (x1, x2, x3).
+    """integral of omega over the geodesic triangle (x1, x2, x3) by quadrature.
 
     The triangle is coned from x1 over the geodesic x2 -> x3; the smooth
     lift F(s,t) = slerp(x1, slerp(x2, x3, t), s) is differentiated
     analytically and Im of the pulled-back metric integrated with a tensor
-    Gauss-Legendre rule.
+    Gauss-Legendre rule.  The reference the closed form is tested against.
     """
     x1h = normalized_negative(x1)
     x2h = normalized_negative(x2)
@@ -336,6 +285,13 @@ def symplectic_area_triangle(x1: ProjectivePoint, x2: ProjectivePoint,
     return float(total)
 
 
+def _triple_products(vertices: np.ndarray, faces) -> np.ndarray:
+    """<a,b><b,c><c,a> for each face (a, b, c) of index triples into a (V,3) stack."""
+    v = vertices[np.asarray(faces)]
+    a, b, c = v[:, 0], v[:, 1], v[:, 2]
+    return herm_rows(a, b) * herm_rows(b, c) * herm_rows(c, a)
+
+
 def symplectic_area_closed_form(x1: ProjectivePoint, x2: ProjectivePoint,
                                 x3: ProjectivePoint) -> float:
     """Exact integral of omega over a geodesic triangle of negative points.
@@ -344,31 +300,29 @@ def symplectic_area_closed_form(x1: ProjectivePoint, x2: ProjectivePoint,
     (each point enters once linearly and once conjugate-linearly); agrees
     with the quadrature of :func:`symplectic_area_triangle` to rounding.
     """
-    prod = (
-        herm_form(x1.v, x2.v) * herm_form(x2.v, x3.v) * herm_form(x3.v, x1.v)
-    )
+    prod = _triple_products(np.array([x1.v, x2.v, x3.v]), [(0, 1, 2)])[0]
     return float(-np.angle(-prod) / 2.0)
 
 
-def toledo_via_mesh(m: SectionMesh, order: int = 12, tol: Tolerances = TOL) -> float:
-    """(2/pi) * integral of omega over the embedded mesh, triangle by triangle."""
+def _toledo(vertices: np.ndarray, faces) -> float:
+    """(2/pi) * the closed-form integral of omega summed over geodesic faces."""
+    areas = -np.angle(-_triple_products(vertices, faces)) / 2.0
+    # + 0.0 turns the -0.0 of a Lagrangian section into 0.0
+    return float(2.0 / np.pi * areas.sum()) + 0.0
+
+
+def toledo_via_mesh(m: SectionMesh, tol: Tolerances = TOL) -> float:
+    """(2/pi) * integral of omega over the embedded mesh, face by face."""
     m.validate(tol)
-    total = 0.0
-    for (i, j, k) in m.triangles:
-        total += symplectic_area_triangle(
-            m.embedding[i], m.embedding[j], m.embedding[k], order=order
-        )
-    return float(2.0 / np.pi * total)
+    return _toledo(m.vertices(), m.triangles)
 
 
-def toledo_via_coning(rep, fixed_points, order: int = 24, tol: Tolerances = TOL) -> float:
+def toledo_via_coning(rep, fixed_points, tol: Tolerances = TOL) -> float:
     """Toledo number from the coned fundamental polygon of a turnover.
 
-    ``fixed_points`` maps generator names to their (negative) fixed points.
-    The polygon is the triangle (x1, x2, x3) together with its mirror
-    triangle (x1, x3, g1^-1 x2); faces are coned geodesically and
-    integrated adaptively (the quadrature order is doubled once and the
-    results compared).
+    ``fixed_points`` maps generator names to their (negative) fixed points,
+    each checked against its generator.  The polygon is the triangle
+    (x1, x2, x3) together with its mirror triangle (x1, x3, g1^-1 x2).
     """
     for name, g in rep.generators.items():
         x = fixed_points[name]
@@ -376,17 +330,7 @@ def toledo_via_coning(rep, fixed_points, order: int = 24, tol: Tolerances = TOL)
             raise ConvergenceError(f"{name} does not fix its declared fixed point")
     x1, x2, x3 = (fixed_points[n] for n in ("g1", "g2", "g3"))
     x2m = rep.generators["g1"].inverse()(x2)
-    tris = [(x1, x2, x3), (x1, x3, x2m)]
-
-    def total_at(o):
-        return sum(symplectic_area_triangle(a, b, c, order=o) for a, b, c in tris)
-
-    coarse, fine = total_at(order), total_at(2 * order)
-    if not np.isfinite(fine) or abs(fine - coarse) > 1e-6 * max(1.0, abs(fine)):
-        raise ConvergenceError(
-            f"coning quadrature did not settle (gap {abs(fine - coarse):g})"
-        )
-    return float(2.0 / np.pi * fine)
+    return _toledo(np.array([x1.v, x2.v, x3.v, x2m.v]), [(0, 1, 2), (0, 2, 3)])
 
 
 # -- discrete-connection bundle degrees --------------------------------------
@@ -404,6 +348,7 @@ class FrameField:
     normal: list
 
     def validate(self, mesh: SectionMesh, tol: Tolerances = TOL) -> None:
+        bases = _unitary_tangent_basis(mesh.vertices())
         for idx, (pair_t, pair_n) in enumerate(zip(self.tangent, self.normal)):
             x = mesh.embedding[idx]
             xh = normalized_negative(x)
@@ -417,7 +362,7 @@ class FrameField:
             for v in vs:
                 if abs(herm_form(v, xh)) > 1e-8:
                     raise MeshError(f"frame at vertex {idx} is not tangent")
-            if orientation_sign(x, vs) < 0:
+            if orientation_sign(bases[idx], vs) < 0:
                 raise MeshError(f"frame at vertex {idx} has negative orientation")
 
 
@@ -437,9 +382,8 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
             if oriented[a] is None:
                 oriented[a] = (b, c)
     tangent, normal = [], []
-    for idx, x in enumerate(mesh.embedding):
+    for idx, (x, basis) in enumerate(zip(mesh.embedding, _unitary_tangent_basis(mesh.vertices()))):
         xh = normalized_negative(x)
-        basis = _complex_basis(xh)
         dirs = [log_map(x, mesh.embedding[nb]) for nb in sorted(neighbours[idx])]
         coords = np.array([_real_coords(w, basis) for w in dirs])
         if len(coords) < 2:
@@ -469,7 +413,7 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
         _, _, vt4 = np.linalg.svd(span, full_matrices=True)
         v1, v2 = (from_coords(vt4[2]), from_coords(vt4[3]))
         v1, v2 = _gram_schmidt([v1, v2], xh)
-        if orientation_sign(x, [u1, u2, v1, v2]) < 0:
+        if orientation_sign(basis, [u1, u2, v1, v2]) < 0:
             v2 = -v2
         tangent.append((u1, u2))
         normal.append((v1, v2))
@@ -503,17 +447,15 @@ def _transport_matrix(mesh, frames, i, j):
     return _rotation_part(m2)
 
 
-def _taut_phase(mesh, i, j, k) -> float:
-    """Projection-transport phase of the tautological line around a face.
+def _taut_phases(mesh) -> np.ndarray:
+    """Projection-transport phase of the tautological line around each face.
 
     Tangent vectors at [x] live in Hom(L_x, x^perp) with L_x the spanned
     line; projection transport of plain x^perp vectors misses the L_x^*
     twist, whose face holonomy is arg(-<x_i,x_j><x_j,x_k><x_k,x_i>), so
     that phase is subtracted from each face's frame holonomy.
     """
-    xi, xj, xk = (mesh.embedding[t].v for t in (i, j, k))
-    prod = herm_form(xi, xj) * herm_form(xj, xk) * herm_form(xk, xi)
-    return float(np.angle(-prod))
+    return np.angle(-_triple_products(mesh.vertices(), mesh.triangles))
 
 
 def _connection_total(mesh, frames) -> float:
@@ -525,9 +467,9 @@ def _connection_total(mesh, frames) -> float:
             cache[(i, j)] = _transport_matrix(mesh, frames, i, j)
         return cache[(i, j)]
 
-    for (i, j, k) in mesh.triangles:
+    for (i, j, k), phase in zip(mesh.triangles, _taut_phases(mesh)):
         hol = transport(k, i) @ transport(j, k) @ transport(i, j)
-        total += float(np.arctan2(hol[1, 0], hol[0, 0])) - _taut_phase(mesh, i, j, k)
+        total += float(np.arctan2(hol[1, 0], hol[0, 0])) - float(phase)
     return total / (2.0 * np.pi)
 
 
@@ -585,8 +527,6 @@ def _frac_str(x: Fraction | None) -> str | None:
 
 
 def _maybe_f(x):
-    from .quadrangle import _f
-
     return None if x is None else _f(x)
 
 
@@ -616,14 +556,12 @@ class InvariantReport:
         return kalashnikov_residual(self, signed=signed)
 
     def to_json_dict(self) -> dict:
-        from .quadrangle import _f
-
         return {
             "format": "chdisc/1",
             "kind": "invariants",
             "chi": _frac_str(self.chi),
             "euler": {
-                "raw": None if self.euler_raw is None else _f(self.euler_raw),
+                "raw": _maybe_f(self.euler_raw),
                 "snapped": _frac_str(self.euler),
             },
             "orientation_convention": self.orientation_convention,

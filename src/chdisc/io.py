@@ -15,13 +15,20 @@ import numpy as np
 
 from .core import Isometry, ProjectivePoint
 from .errors import GeometryError
-from .quadrangle import QuadrangleConfig, _f
 
 FORMAT = "chdisc/1"
 
 
 class SchemaError(GeometryError):
     """A JSON document does not match the expected chdisc/1 schema."""
+
+
+def _f(x):
+    """A number as it is written to chdisc/1 files: ints and bools as they
+    are, floats rounded through %.17g."""
+    if isinstance(x, bool) or isinstance(x, int):
+        return x
+    return float(f"{float(x):.17g}")
 
 
 def canonical_dumps(obj) -> str:
@@ -60,7 +67,7 @@ def _vector_json(v) -> list:
 
 # -- quadrangle configurations ------------------------------------------------
 
-def quadrangle_to_json_dict(q: QuadrangleConfig) -> dict:
+def quadrangle_to_json_dict(q) -> dict:
     return {
         "format": FORMAT,
         "kind": "quadrangle",
@@ -68,7 +75,9 @@ def quadrangle_to_json_dict(q: QuadrangleConfig) -> dict:
     }
 
 
-def load_quadrangle(path) -> QuadrangleConfig:
+def load_quadrangle(path):
+    from .quadrangle import QuadrangleConfig
+
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:

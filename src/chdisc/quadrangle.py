@@ -22,11 +22,11 @@ from .core import (
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
     distance_matrix,
-    gram,
     herm_form,
     herm_rows,
     self_norms,
     tance,
+    _unitary_tangent_basis,
 )
 from .errors import ClassError, DegenerateError, NotTransversalError
 from .geometry import (
@@ -37,6 +37,7 @@ from .geometry import (
     slice_at,
     spine_point,
 )
+from .io import _f
 from .tolerances import TOL, Tolerances
 
 
@@ -199,29 +200,6 @@ def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarra
     return (dp * n - p * dn) / n ** 2
 
 
-def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
-    """A <,>-unitary basis (w1, w2) of x_i^perp for each negative row x_i.
-
-    Gram-Schmidt over the coordinate vectors e0, e1, e2 in that order,
-    skipping a seed whose remainder has form norm <= 1e-12 (e0 at the
-    origin).  Returns an (N, 2, 3) stack.
-    """
-    xs = x / np.sqrt(-self_norms(x))[:, None]
-    out = np.zeros((len(x), 2, 3), dtype=complex)
-    found = np.zeros(len(x), dtype=int)
-    for s in np.eye(3, dtype=complex):
-        w = s - (gram(s[None], xs)[0] / self_norms(xs))[:, None] * xs
-        for j in range(2):
-            prev = out[:, j]
-            pp = np.where(found > j, self_norms(prev), 1.0)
-            w = w - (herm_rows(w, prev) / pp)[:, None] * prev
-        n = self_norms(w)
-        take = (n > 1e-12) & (found < 2)
-        out[take, found[take]] = w[take] / np.sqrt(n[take])[:, None]
-        found += take
-    return out
-
-
 def _slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius: float = 1.0):
     """Sample points of the complex geodesics P(polar_i^perp) around points on them.
 
@@ -303,12 +281,6 @@ class Certificate:
             "pass": self.passed,
             "tolerances": {k: _f(v) for k, v in sorted(self.tolerances.items())},
         }
-
-
-def _f(x):
-    if isinstance(x, bool) or isinstance(x, int):
-        return x
-    return float(f"{float(x):.17g}")
 
 
 def polars_digest(polars) -> str:

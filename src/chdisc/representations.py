@@ -50,6 +50,7 @@ from .core import (
     polar_span,
     reflection_about,
     tance,
+    _CUBE_ROOTS,
 )
 from .disc import F0, embed, in_plane_frame, triangle_vertices
 from .errors import (
@@ -325,13 +326,10 @@ def _bent_generators(sig, bend, params, k1, k3):
     return g1, g2, g3, ProjectivePoint(w1), ProjectivePoint(w2)
 
 
-_CUBE = np.exp(2j * np.pi * np.arange(3) / 3)
-
-
 def _order_residual_vector(g2: Isometry, n2: int) -> np.ndarray:
     m = np.linalg.matrix_power(g2.matrix, n2)
     best = None
-    for w in _CUBE:
+    for w in _CUBE_ROOTS:
         d = (m - w * np.eye(3)).ravel()
         v = np.concatenate([d.real, d.imag])
         if best is None or np.linalg.norm(v) < np.linalg.norm(best):

@@ -25,12 +25,12 @@ from chdisc import (
     toledo_via_mesh,
     turnover_section_mesh,
 )
+from chdisc.core import _unitary_tangent_basis
 from chdisc.disc import F0, embed
 from chdisc.invariants import (
     COMPLEX_CLASS,
     GENERIC_CLASS,
     LAGRANGIAN_CLASS,
-    _complex_basis,
     normalized_negative,
     tangent_project,
 )
@@ -45,7 +45,7 @@ from conftest import random_isometry, random_negative_point
 
 def test_kaehler_angle_complex_plane(rng):
     x = random_negative_point(rng)
-    b1, _ = _complex_basis(normalized_negative(x))
+    b1, _ = _unitary_tangent_basis(normalized_negative(x)[None])[0]
     val, cls = kaehler_angle(x, b1, 1j * b1)
     assert val == pytest.approx(-1.0, abs=1e-12)
     assert cls == COMPLEX_CLASS
@@ -148,6 +148,21 @@ def test_symplectic_area_lagrangian_triangle_vanishes():
     assert symplectic_area_triangle(*pts, order=8) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("orders", [(3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 3, 7)],
+                         ids=["3-3-4", "3-3-5", "3-4-4", "2-3-7"])
+def test_toledo_via_coning_matches_quadrature_oracle(orders):
+    sig = TurnoverSignature(*orders)
+    rep, _ = fuchsian_turnover(sig)
+    fixed = {name: elliptic_fixed_point(g) for name, g in rep.generators.items()}
+    x1, x2, x3 = (fixed[n] for n in ("g1", "g2", "g3"))
+    x2m = rep.generators["g1"].inverse()(x2)
+    oracle = 2.0 / np.pi * (symplectic_area_triangle(x1, x2, x3, order=24)
+                            + symplectic_area_triangle(x1, x3, x2m, order=24))
+    tau = toledo_via_coning(rep, fixed)
+    assert tau == pytest.approx(oracle, abs=1e-12)
+    assert tau == pytest.approx(float(orbifold_euler(sig)), abs=1e-12)
+
+
 def test_toledo_via_coning_checks_fixed_points():
     sig = TurnoverSignature(3, 3, 4)
     rep, _ = fuchsian_turnover(sig)
@@ -186,17 +201,24 @@ def test_mesh_validate_rejects_non_negative_vertex():
         mesh.validate()
 
 
-def test_toledo_via_mesh_matches_coning():
-    mesh = turnover_section_mesh(3, 3, 4, refinement=4)
-    tau_mesh = toledo_via_mesh(mesh, order=12)
-    # same fundamental quadrilateral as the coned polygon
-    assert tau_mesh == pytest.approx(-1.0 / 12.0, abs=1e-8)
-    # and the per-face closed forms sum to the same total
-    closed = sum(
-        symplectic_area_closed_form(*(mesh.embedding[i] for i in tri))
+@pytest.mark.parametrize("kind, arg, refinement, tau_exact", [
+    ("turnover", (3, 3, 4), 3, -1.0 / 12.0),
+    ("octagon", "complex", 2, -2.0),
+    ("octagon", "lagrangian", 2, 0.0),
+], ids=["turnover_3-3-4_r3", "octagon_complex_r2", "octagon_lagrangian_r2"])
+def test_toledo_via_mesh_matches_quadrature_oracle(kind, arg, refinement, tau_exact):
+    if kind == "turnover":
+        mesh = turnover_section_mesh(*arg, refinement=refinement)
+    else:
+        mesh = octagon_mesh(arg, refinement=refinement)
+    tau_mesh = toledo_via_mesh(mesh)
+    # the turnover mesh covers the same fundamental quadrilateral as the coned polygon
+    assert tau_mesh == pytest.approx(tau_exact, abs=1e-8)
+    oracle = sum(
+        symplectic_area_triangle(*(mesh.embedding[i] for i in tri), order=12)
         for tri in mesh.triangles
     )
-    assert 2.0 / np.pi * closed == pytest.approx(tau_mesh, abs=1e-10)
+    assert tau_mesh == pytest.approx(2.0 / np.pi * oracle, abs=1e-12)
 
 
 def test_euler_via_mesh_turnover_baseline():
@@ -222,7 +244,9 @@ def test_euler_via_mesh_lagrangian_octagon():
     degrees = euler_via_mesh(mesh)
     assert degrees.chi == Fraction(-2)
     assert degrees.euler == Fraction(2)  # Lagrangian section: e = -chi
-    assert toledo_via_mesh(mesh, order=4) == pytest.approx(0.0, abs=1e-10)
+    tau = toledo_via_mesh(mesh)
+    assert tau == pytest.approx(0.0, abs=1e-10)
+    assert not np.signbit(tau)  # prints as +0.0
 
 
 def test_octagon_mesh_rejects_unknown_kind():

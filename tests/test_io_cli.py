@@ -174,8 +174,7 @@ def test_cli_turnover_invalid_signature(capsys):
 
 def test_cli_scan_dedupes_and_summarizes(tmp_path, capsys):
     rc = main(["scan", "--n", "3", "3", "4", "--n", "3", "3", "4",
-               "--bend", "0", "--out", str(tmp_path), "--mesh", "0.2",
-               "--jobs", "1"])
+               "--bend", "0", "--out", str(tmp_path), "--mesh", "0.2"])
     assert rc == EXIT_PASS
     captured = capsys.readouterr()
     assert "duplicate grid point" in captured.err
@@ -188,7 +187,7 @@ def test_cli_scan_dedupes_and_summarizes(tmp_path, capsys):
 
 def test_cli_scan_reports_invalid_signature_rows(tmp_path, capsys):
     rc = main(["scan", "--n", "2", "2", "2", "--bend", "0",
-               "--out", str(tmp_path), "--jobs", "1"])
+               "--out", str(tmp_path)])
     assert rc == EXIT_PASS  # the scan completes; the row records the error
     summary = json.loads((tmp_path / "summary.json").read_text())
     row = summary["rows"][0]

@@ -15,7 +15,15 @@ from chdisc import (
     triangle_over_complex_geodesic,
     validate_quadrangle,
 )
-from chdisc.core import ProjectivePoint, distance, herm_form, herm_rows, polar_span, self_norms
+from chdisc.core import (
+    ProjectivePoint,
+    _unitary_tangent_basis,
+    distance,
+    herm_form,
+    herm_rows,
+    polar_span,
+    self_norms,
+)
 from chdisc.disc import F0, embed, triangle_area_gauss_bonnet, triangle_vertices
 from chdisc.errors import ClassError, DegenerateError
 from chdisc.geometry import ComplexGeodesic, common_perpendicular, slice_at, spine_point
@@ -25,7 +33,6 @@ from chdisc.quadrangle import (
     _side_gradients,
     _side_values,
     _slice_samples,
-    _unitary_tangent_basis,
     adjacency_check,
 )
 from chdisc.tolerances import TOL
