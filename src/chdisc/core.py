@@ -241,10 +241,7 @@ class Isometry:
             r = isometry_residual(m)
             if r > max(tol.isometry, 1e-9 * float(np.abs(m).max()) ** 2):
                 raise FrameError(f"matrix is not an isometry of the form (residual {r:g})")
-        d = np.linalg.det(m)
-        # principal cube root keeps the normalization deterministic
-        scale = d ** (-1.0 / 3.0)
-        return Isometry(matrix=m * scale)
+        return Isometry(matrix=_unit_det(m))
 
     @staticmethod
     def identity() -> "Isometry":
@@ -276,6 +273,11 @@ class Isometry:
 
     def projectively_equal(self, other: "Isometry", tol: float = 1e-10) -> bool:
         return self.projective_distance(other) < tol
+
+
+def _unit_det(m: np.ndarray) -> np.ndarray:
+    # principal cube root keeps the normalization deterministic
+    return m * np.linalg.det(m) ** (-1.0 / 3.0)
 
 
 def isometry_residual(m) -> float:

@@ -42,6 +42,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .core import (
+    FORM_MATRIX,
     Isometry,
     OrthogonalFrame,
     ProjectivePoint,
@@ -51,11 +52,14 @@ from .core import (
     reflection_about,
     tance,
     _CUBE_ROOTS,
+    _projector,
+    _unit_det,
 )
 from .disc import F0, embed, in_plane_frame, triangle_vertices
 from .errors import (
     ClassError,
     ConvergenceError,
+    GeometryError,
     HyperbolicityError,
     InvalidSolutionError,
 )
@@ -65,6 +69,7 @@ from .tolerances import TOL, Tolerances
 
 _E1 = np.array([0.0, 1.0, 0.0], dtype=complex)
 _E2 = np.array([0.0, 0.0, 1.0], dtype=complex)
+_CUBE_ROOT_SCALARS = [w * np.eye(3) for w in _CUBE_ROOTS]
 
 
 @dataclass(frozen=True)
@@ -200,11 +205,14 @@ def _turnover_relations(sig: TurnoverSignature) -> list:
     ]
 
 
+def _rotation_phases(n: int, k: int, bend: float) -> np.ndarray:
+    """Eigenphases (1, e^{-2pi i/n}, e^{2pi i k/n + i bend}) of a twisted rotation."""
+    return np.array([1.0, np.exp(-2j * np.pi / n), np.exp(2j * np.pi * k / n + 1j * bend)])
+
+
 def _twisted_rotation(center: complex, n: int, k: int, bend: float = 0.0) -> Isometry:
     """Rotation by -2pi/n about a disc point, polar eigenphase e^{2pi i k/n + i bend}."""
-    frame = in_plane_frame(center)
-    phases = [1.0, np.exp(-2j * np.pi / n), np.exp(2j * np.pi * k / n + 1j * bend)]
-    return elliptic_from_frame(frame, phases)
+    return elliptic_from_frame(in_plane_frame(center), _rotation_phases(n, k, bend))
 
 
 def _max_turnover_residual(g1, g2, g3, sig) -> float:
@@ -231,10 +239,11 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
     z1, z2, z3 = triangle_vertices(*sig.angles())
     best = None
     for k1 in range(sig.n1):
+        g1 = _twisted_rotation(z1, sig.n1, k1)
+        g1_inv = g1.inverse()
         for k3 in range(sig.n3):
-            g1 = _twisted_rotation(z1, sig.n1, k1)
             g3 = _twisted_rotation(z3, sig.n3, k3)
-            g2 = g3.inverse() @ g1.inverse()
+            g2 = g3.inverse() @ g1_inv
             r = _max_turnover_residual(g1, g2, g3, sig)
             key = (round(r, 12), k1, k3)
             if best is None or key < best[0]:
@@ -284,17 +293,42 @@ class SolverSeed:
     residual_target: float = 1e-9
 
 
-def _orthonormal_pair_at(x3v: np.ndarray):
-    """Positive orthonormal pair spanning the form-orthogonal complement of x3."""
+def _outside_ball(params) -> bool:
+    return params[0] * params[0] + params[1] * params[1] >= 0.98
 
-    def off(w, b):
-        return w - (herm_form(w, b) / herm_form(b, b)) * b
 
-    u = off(_E1, x3v)
+def _bent_arrays(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
+    """g3 and g2 = g3^-1 g1^-1 of ``_bent_generators`` as plain arrays.
+
+    Returns the frame vectors (x3, w1, w2) as built, g3 before its det
+    normalization, the det-1 g2, and the real residual vector of
+    g2^{n2} - w I for the cube root w nearest to it.
+    """
+    if _outside_ball(params):
+        raise ClassError("candidate fixed point left the ball model")
+    a, b, psi, phi = params
+    x3 = np.array([1.0, a, b], dtype=complex)
+
+    def off(w, c):
+        return w - (herm_form(w, c) / herm_form(c, c)) * c
+
+    u = off(_E1, x3)
     u = u / np.sqrt(herm_form(u, u).real)
-    v = off(off(_E2, x3v), u)
+    v = off(off(_E2, x3), u)
     v = v / np.sqrt(herm_form(v, v).real)
-    return u, v
+    cos, sin = np.cos(psi), np.sin(psi)
+    w1 = cos * u + sin * np.exp(1j * phi) * v
+    w2 = -sin * np.exp(-1j * phi) * u + cos * v
+    frame = (x3, w1, w2)
+    # projectors of unit representatives, as ProjectivePoint stores them
+    m3 = sum(mu * _projector(f / float(np.linalg.norm(f))) for mu, f in zip(phases, frame))
+    g3 = _unit_det(m3)
+    g2 = _unit_det(_unit_det(FORM_MATRIX @ g3.conj().T @ FORM_MATRIX) @ g1_inv)
+    power = np.linalg.matrix_power(g2, n2)
+    diffs = [(power - scalar).ravel() for scalar in _CUBE_ROOT_SCALARS]
+    # min keeps the first of equal norms and computes each norm once
+    best = min((np.concatenate([d.real, d.imag]) for d in diffs), key=np.linalg.norm)
+    return frame, m3, g2, best
 
 
 def _bent_generators(sig, bend, params, k1, k3):
@@ -305,36 +339,13 @@ def _bent_generators(sig, bend, params, k1, k3):
     geodesic and whose rotation plane is mixed by the angle psi and phase
     phi; both carry the bending phase on their last eigenvalue.
     """
-    a, b, psi, phi = params
-    if a * a + b * b >= 0.98:
-        raise ClassError("candidate fixed point left the ball model")
     g1 = _twisted_rotation(0.0 + 0.0j, sig.n1, k1, bend)
-    x3v = np.array([1.0, a, b], dtype=complex)
-    u, v = _orthonormal_pair_at(x3v)
-    w1 = np.cos(psi) * u + np.sin(psi) * np.exp(1j * phi) * v
-    w2 = -np.sin(psi) * np.exp(-1j * phi) * u + np.cos(psi) * v
-    frame = OrthogonalFrame(
-        ProjectivePoint(x3v), ProjectivePoint(w1), ProjectivePoint(w2)
+    frame, m3, g2, _ = _bent_arrays(
+        params, g1.inverse().matrix, _rotation_phases(sig.n3, k3, bend), sig.n2
     )
-    phases = [
-        1.0,
-        np.exp(-2j * np.pi / sig.n3),
-        np.exp(2j * np.pi * k3 / sig.n3 + 1j * bend),
-    ]
-    g3 = elliptic_from_frame(frame, phases)
-    g2 = g3.inverse() @ g1.inverse()
-    return g1, g2, g3, ProjectivePoint(w1), ProjectivePoint(w2)
-
-
-def _order_residual_vector(g2: Isometry, n2: int) -> np.ndarray:
-    m = np.linalg.matrix_power(g2.matrix, n2)
-    best = None
-    for w in _CUBE_ROOTS:
-        d = (m - w * np.eye(3)).ravel()
-        v = np.concatenate([d.real, d.imag])
-        if best is None or np.linalg.norm(v) < np.linalg.norm(best):
-            best = v
-    return best
+    x3, w1, w2 = (ProjectivePoint(f) for f in frame)
+    OrthogonalFrame(x3, w1, w2).validate()
+    return g1, Isometry(g2), Isometry.from_matrix(m3), w1, w2
 
 
 def _quadrangle_candidates(sig, g1, g2, g3, w1p, w2p, tol):
@@ -360,7 +371,7 @@ def _quadrangle_candidates(sig, g1, g2, g3, w1p, w2p, tol):
                 try:
                     q = QuadrangleConfig((p1, p2, p3, p4))
                     yield q, validate_quadrangle(q, tol)
-                except Exception:
+                except (GeometryError, np.linalg.LinAlgError):
                     continue
 
 
@@ -380,7 +391,9 @@ def turnover_solve(
     converged solutions the first whose quadrangle passes K1 and K2 is
     returned (K3 is reported in the certificate).  Raises
     ``ConvergenceError`` if nothing converges and ``InvalidSolutionError``
-    if solutions converge but none certifies.
+    if solutions converge but none certifies.  A start or a quadrangle
+    candidate that fails with a ``GeometryError`` or ``LinAlgError`` is
+    skipped; any other exception propagates.
     """
     if abs(bend) > seed_params.window:
         raise ConvergenceError(
@@ -396,15 +409,15 @@ def turnover_solve(
     best_invalid = None
     last_residual = np.inf
 
-    def objective(x, k1, k3):
-        try:
-            _, g2, _, _, _ = _bent_generators(sig, bend, x, k1, k3)
-        except Exception:
+    def objective(x, g1_inv, phases):
+        if _outside_ball(x):
             return np.full(18, 1e3)
-        return _order_residual_vector(g2, sig.n2)
+        return _bent_arrays(x, g1_inv, phases, sig.n2)[3]
 
     for k1 in range(sig.n1):
+        g1_inv = _twisted_rotation(0.0 + 0.0j, sig.n1, k1, bend).inverse().matrix
         for k3 in range(sig.n3):
+            phases = _rotation_phases(sig.n3, k3, bend)
             for start in range(seed_params.starts):
                 x0 = np.array(
                     [
@@ -418,13 +431,13 @@ def turnover_solve(
                     sol = least_squares(
                         objective,
                         x0,
-                        args=(k1, k3),
+                        args=(g1_inv, phases),
                         xtol=1e-15,
                         ftol=1e-15,
                         gtol=1e-15,
                         max_nfev=250,
                     )
-                except Exception:
+                except (GeometryError, np.linalg.LinAlgError):
                     continue
                 residual = float(np.linalg.norm(sol.fun))
                 last_residual = min(last_residual, residual)

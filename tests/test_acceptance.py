@@ -280,7 +280,7 @@ def test_criterion_7_kaehler_machinery(rng):
 def test_criterion_8_solver_continuation():
     """turnover_solve: bend 0 matches the baseline traces to 1e-8; bend 0.02
     for (3,3,4) converges with g2-order residual < 1e-9 and a K1/K2-passing
-    quadrangle."""
+    quadrangle, at the recorded twists (1, 0) and parameters."""
     start = time.monotonic()
     sig = TurnoverSignature(3, 3, 4)
     rep0, _ = turnover_solve(sig, 0.0)
@@ -293,6 +293,13 @@ def test_criterion_8_solver_continuation():
 
     rep, quad = turnover_solve(sig, 0.02)
     assert rep.metadata["g2_order_residual"] < 1e-9
+    # the search is deterministic: these twists and parameters are the
+    # first certifying solution of the default start sequence
+    assert rep.metadata["polar_twists"] == (1, 0)
+    assert rep.metadata["params"] == pytest.approx(
+        [0.42711219423221974, 0.8518113806893682, 0.8588864593275108, -3.141592653589793],
+        abs=1e-12,
+    )
     residuals = rep.relation_residuals()
     # g2 := g3^-1 g1^-1 makes the product relation exact; g2 has honest
     # projective order 3; g1 and g3 carry the bending phase on their polar

@@ -1,8 +1,10 @@
 """Turnover signatures, baselines, the bent solver, and the H5 builder."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from chdisc import (
     ClassError,
@@ -22,7 +24,9 @@ from chdisc import (
     triangle_from_angles,
     turnover_solve,
 )
-from chdisc.disc import F0, disc_distance, disc_rotation, embed
+from chdisc.core import OrthogonalFrame, ProjectivePoint, elliptic_from_frame, herm_form
+from chdisc.disc import F0, disc_distance, disc_rotation, embed, in_plane_frame
+from chdisc import representations
 from chdisc.representations import isometry_power
 
 from conftest import random_negative_point
@@ -159,3 +163,99 @@ def test_h5_builder(rng):
         h5_builder(F0, others[:3])
     with pytest.raises(ClassError):
         h5_builder(F0, others[:3] + [F0])
+
+
+def _object_path_objective(sig, bend, x, k1, k3):
+    """Oracle: the solver objective through ProjectivePoint, OrthogonalFrame,
+    elliptic_from_frame and det-normalized Isometry products."""
+    a, b, psi, phi = x
+    if a * a + b * b >= 0.98:
+        return np.full(18, 1e3)
+    g1 = elliptic_from_frame(
+        in_plane_frame(0.0 + 0.0j),
+        [1.0, np.exp(-2j * np.pi / sig.n1), np.exp(2j * np.pi * k1 / sig.n1 + 1j * bend)],
+    )
+    x3v = np.array([1.0, a, b], dtype=complex)
+
+    def off(w, c):
+        return w - (herm_form(w, c) / herm_form(c, c)) * c
+
+    e1, e2 = np.eye(3, dtype=complex)[1:]
+    u = off(e1, x3v)
+    u = u / np.sqrt(herm_form(u, u).real)
+    v = off(off(e2, x3v), u)
+    v = v / np.sqrt(herm_form(v, v).real)
+    w1 = np.cos(psi) * u + np.sin(psi) * np.exp(1j * phi) * v
+    w2 = -np.sin(psi) * np.exp(-1j * phi) * u + np.cos(psi) * v
+    frame = OrthogonalFrame(ProjectivePoint(x3v), ProjectivePoint(w1), ProjectivePoint(w2))
+    phases = [1.0, np.exp(-2j * np.pi / sig.n3), np.exp(2j * np.pi * k3 / sig.n3 + 1j * bend)]
+    g2 = elliptic_from_frame(frame, phases).inverse() @ g1.inverse()
+    m = np.linalg.matrix_power(g2.matrix, sig.n2)
+    best = None
+    for w in np.exp(2j * np.pi * np.arange(3) / 3):
+        d = (m - w * np.eye(3)).ravel()
+        r = np.concatenate([d.real, d.imag])
+        if best is None or np.linalg.norm(r) < np.linalg.norm(best):
+            best = r
+    return best
+
+
+@pytest.mark.parametrize("orders", [(3, 3, 4), (3, 3, 5)])
+@pytest.mark.parametrize("bend", [0.02, -0.05])
+def test_solver_objective_bit_identical_to_object_path(monkeypatch, orders, bend):
+    """The array objective turnover_solve hands to least_squares equals the
+    object-path oracle bit for bit, on every twist, including the 1e3
+    penalty outside the ball (a^2 + b^2 >= 0.98)."""
+    sig = TurnoverSignature(*orders)
+    captured = []
+
+    def record(fun, x0, args, **kwargs):
+        captured.append((fun, args))
+        return SimpleNamespace(fun=np.full(18, 1.0), x=x0)
+
+    monkeypatch.setattr(representations, "least_squares", record)
+    with pytest.raises(ConvergenceError):
+        turnover_solve(sig, bend, SolverSeed(starts=1))
+    assert len(captured) == sig.n1 * sig.n3  # one start per twist, in twist order
+
+    rng = np.random.default_rng(20)
+    outside = 0
+    for index, (fun, args) in enumerate(captured):
+        k1, k3 = divmod(index, sig.n3)
+        for _ in range(200):
+            r = 1.05 * np.sqrt(rng.uniform())
+            t = rng.uniform(-np.pi, np.pi)
+            x = np.array([r * np.cos(t), r * np.sin(t), rng.uniform(-7.0, 7.0),
+                          rng.uniform(-50.0, 50.0)])
+            outside += bool(x[0] * x[0] + x[1] * x[1] >= 0.98)
+            assert np.array_equal(fun(x, *args), _object_path_objective(sig, bend, x, k1, k3))
+    assert outside > 100
+
+
+@pytest.mark.parametrize(
+    "orders, params",
+    [
+        ((3, 3, 4), [0.33220702571602767, -0.6819404548804896, 0.18671002277092813,
+                     -1.0422550234242898e-16]),
+        ((3, 3, 5), [0.321639813434609, -0.8782020820219301, 0.4420449539098933,
+                     -5.502172041940579e-17]),
+    ],
+)
+def test_turnover_solve_pinned_solution(orders, params):
+    """At bend 0.10 the default search returns the recorded twists and
+    parameters: the start order, the least-squares trajectory and the
+    acceptance rule are unchanged."""
+    rep, quad = turnover_solve(TurnoverSignature(*orders), 0.10)
+    assert rep.metadata["polar_twists"] == (0, 0)
+    assert rep.metadata["params"] == pytest.approx(params, abs=1e-12)
+    assert quad.certificate.k1 and quad.certificate.k2
+
+
+def test_turnover_solve_propagates_unexpected_errors(monkeypatch):
+    """Only geometry and linear-algebra failures are skipped by the search."""
+    def broken(config, tol):
+        raise RuntimeError("certificate failure")
+
+    monkeypatch.setattr(representations, "validate_quadrangle", broken)
+    with pytest.raises(RuntimeError, match="certificate failure"):
+        turnover_solve(TurnoverSignature(3, 3, 5), 0.10)
