@@ -28,12 +28,13 @@ from math import lcm
 import numpy as np
 
 from .core import (
-    NEGATIVE,
+    _SIGNS,
     ProjectivePoint,
     Isometry,
-    classify,
     herm_form,
     herm_rows,
+    self_norms,
+    sign_classes,
     tance,
     _unitary_tangent_basis,
 )
@@ -73,17 +74,6 @@ def pullback_h(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
     return -(herm_form(u, v) * xx - herm_form(u, x) * herm_form(x, v)) / (xx * xx)
 
 
-def log_map(x: ProjectivePoint, y: ProjectivePoint) -> np.ndarray:
-    """Tangent vector at x pointing to y with length d(x, y)."""
-    xh = normalized_negative(x)
-    yh = _phase_align(xh, normalized_negative(y))
-    c = -herm_form(yh, xh).real
-    d = float(np.arccosh(max(c, 1.0)))
-    if d < 1e-15:
-        return np.zeros(3, dtype=complex)
-    return d * (yh - c * xh) / np.sinh(d)
-
-
 def _gram_schmidt(vectors, xhat):
     out = []
     for w in vectors:
@@ -115,25 +105,35 @@ def kaehler_angle(x: ProjectivePoint, u1, u2, tol: Tolerances = TOL):
     return val, cls
 
 
-def _real_coords(w: np.ndarray, basis) -> np.ndarray:
-    """Coordinates of a tangent vector in the real basis (b1, ib1, b2, ib2)."""
-    b1, b2 = basis
-    a1 = herm_form(w, b1)
-    a2 = herm_form(w, b2)
-    return np.array([a1.real, a1.imag, a2.real, a2.imag])
+def _real_coords(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates of tangent vectors in the real basis (b1, ib1, b2, ib2).
+
+    ``w`` is a (..., 3) stack and ``basis`` a (..., 2, 3) stack of unitary
+    pairs broadcasting against it; returns (..., 4).  The map is a
+    g-isometry, since the basis is unitary for h.
+    """
+    a = herm_rows(np.asarray(w, dtype=complex)[..., None, :], basis)
+    return np.stack([a.real, a.imag], axis=-1).reshape(*a.shape[:-1], 4)
 
 
-def orientation_sign(basis, frame4) -> int:
-    """Sign of a real tangent 4-frame against the complex orientation of x^perp.
+def _from_coords(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Inverse of ``_real_coords``: (..., 4) coordinates to (..., 3) vectors."""
+    return np.einsum("...k,...kd->...d", c[..., 0::2] + 1j * c[..., 1::2], basis)
+
+
+def orientation_sign(basis, frame4):
+    """Sign of real tangent 4-frames against the complex orientation of x^perp.
 
     ``basis`` is a unitary basis (b1, b2) of x^perp, as built by
     ``_unitary_tangent_basis``; every such basis gives the same sign.
+    Takes one (2,3) basis with four 3-vectors, or a (N,2,3) stack with a
+    (N,4,3) stack of frames; returns +1/-1 per frame.
     """
-    m = np.column_stack([_real_coords(np.asarray(w, dtype=complex), basis) for w in frame4])
-    d = np.linalg.det(m)
-    if abs(d) < 1e-14:
+    basis = np.asarray(basis)
+    d = np.linalg.det(_real_coords(frame4, basis[..., None, :, :]))
+    if np.any(abs(d) < 1e-14):
         raise DegenerateError("degenerate 4-frame")
-    return 1 if d > 0 else -1
+    return np.where(d > 0, 1, -1)
 
 
 def lagrangian_frame_check(x: ProjectivePoint, u1, u2, normal_pair=None,
@@ -158,7 +158,7 @@ def lagrangian_frame_check(x: ProjectivePoint, u1, u2, normal_pair=None,
     else:
         v1 = tangent_project(xh, np.asarray(normal_pair[0], dtype=complex))
         v2 = tangent_project(xh, np.asarray(normal_pair[1], dtype=complex))
-    return orientation_sign(_unitary_tangent_basis(xh[None])[0], [e1, e2, v1, v2]) > 0
+    return bool(orientation_sign(_unitary_tangent_basis(xh[None])[0], [e1, e2, v1, v2]) > 0)
 
 
 # -- meshes ------------------------------------------------------------------
@@ -219,19 +219,24 @@ class SectionMesh:
         }
 
     def validate(self, tol: Tolerances = TOL) -> None:
-        for i, p in enumerate(self.embedding):
-            if classify(p) != NEGATIVE:
-                raise MeshError(f"embedded vertex {i} is not a negative point")
+        x = self.vertices()
+        bad = np.flatnonzero(sign_classes(x, tol) != -1)
+        if bad.size:
+            raise MeshError(f"embedded vertex {bad[0]} is not a negative point")
         for pair in self.side_pairings:
             if len(pair.run_a) != len(pair.run_b):
                 raise MeshError("side pairing runs have different lengths")
-            for ia, ib in zip(pair.run_a, pair.run_b):
-                image = pair.isometry(self.embedding[ia])
-                gap = abs(tance(image, self.embedding[ib]) - 1.0)
-                if gap > tol.mesh:
-                    raise MeshError(
-                        f"pairing maps vertex {ia} to tance gap {gap:g} from {ib}"
-                    )
+            image = x[pair.run_a] @ pair.isometry.matrix.T
+            target = x[pair.run_b]
+            ta = abs(herm_rows(image, target)) ** 2 / (self_norms(image) * self_norms(target))
+            gap = abs(ta - 1.0)
+            bad = np.flatnonzero(gap > tol.mesh)
+            if bad.size:
+                k = bad[0]
+                raise MeshError(
+                    f"pairing maps vertex {pair.run_a[k]} to tance gap {gap[k]:g} "
+                    f"from {pair.run_b[k]}"
+                )
 
 
 # -- Toledo integrals --------------------------------------------------------
@@ -339,112 +344,98 @@ def toledo_via_coning(rep, fixed_points, tol: Tolerances = TOL) -> float:
 class FrameField:
     """Per-vertex orthonormal tangent pairs (u1, u2) and normal pairs (v1, v2).
 
-    Orthonormal for g = Re h; (u1, u2, v1, v2) is positively oriented
-    against the complex orientation of the tangent space, and (u1, u2)
-    follows the surface orientation induced by the ccw mesh triangles.
+    ``tangent`` and ``normal`` are (V,2,3) complex stacks, so
+    ``u1, u2 = frames.tangent[i]``.  Orthonormal for g = Re h;
+    (u1, u2, v1, v2) is positively oriented against the complex
+    orientation of the tangent space, and (u1, u2) follows the surface
+    orientation induced by the ccw mesh triangles.
     """
 
-    tangent: list
-    normal: list
+    tangent: np.ndarray
+    normal: np.ndarray
 
     def validate(self, mesh: SectionMesh, tol: Tolerances = TOL) -> None:
-        bases = _unitary_tangent_basis(mesh.vertices())
-        for idx, (pair_t, pair_n) in enumerate(zip(self.tangent, self.normal)):
-            x = mesh.embedding[idx]
-            xh = normalized_negative(x)
-            vs = [*pair_t, *pair_n]
-            for a in range(4):
-                for b in range(4):
-                    want = 1.0 if a == b else 0.0
-                    got = herm_form(vs[a], vs[b]).real
-                    if abs(got - want) > 1e-8:
-                        raise MeshError(f"frame at vertex {idx} is not g-orthonormal")
-            for v in vs:
-                if abs(herm_form(v, xh)) > 1e-8:
-                    raise MeshError(f"frame at vertex {idx} is not tangent")
-            if orientation_sign(bases[idx], vs) < 0:
-                raise MeshError(f"frame at vertex {idx} has negative orientation")
+        x = mesh.vertices()
+        xh = x / np.sqrt(-self_norms(x))[:, None]
+        vs = np.concatenate([self.tangent, self.normal], axis=1)
+        g = np.einsum("vad,vbd->vab", vs * _SIGNS, vs.conj()).real
+        not_orthonormal = (abs(g - np.eye(4)) > 1e-8).any(axis=(1, 2))
+        not_tangent = (abs(herm_rows(vs, xh[:, None, :])) > 1e-8).any(axis=1)
+        negative = np.zeros(len(vs), dtype=bool)
+        ok = ~(not_orthonormal | not_tangent)
+        # orthonormal frames have determinant +-1, so only they are oriented
+        negative[ok] = orientation_sign(_unitary_tangent_basis(x[ok]), vs[ok]) < 0
+        fails = np.stack([not_orthonormal, not_tangent, negative])
+        if fails.any():
+            idx = int(np.flatnonzero(fails.any(axis=0))[0])
+            what = ("is not g-orthonormal", "is not tangent",
+                    "has negative orientation")[int(np.argmax(fails[:, idx]))]
+            raise MeshError(f"frame at vertex {idx} {what}")
+
+
+def _log_directions(xh: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Tangent vectors at xh[src] pointing to xh[dst], of length d(src, dst).
+
+    ``xh`` holds representatives with <x,x> = -1; each target is phase
+    aligned so that <x, y> is real and negative, and the log map is
+    d (y - c x) / sinh d with c = cosh d.
+    """
+    x, y = xh[src], xh[dst]
+    p = herm_rows(x, y)
+    y = y * (-p / abs(p))[:, None]
+    c = -herm_rows(y, x).real
+    d = np.arccosh(np.maximum(c, 1.0))
+    scale = np.divide(d, np.sinh(d), out=np.zeros_like(d), where=d >= 1e-15)
+    return scale[:, None] * (y - c[:, None] * x)
 
 
 def build_frame_field(mesh: SectionMesh) -> FrameField:
-    """Tangent/normal frames from the embedded mesh geometry.
+    """Tangent/normal frames from the embedded mesh geometry, in one pass.
 
-    The tangent plane at a vertex is the dominant real 2-plane (principal
-    components) of the log-map directions of its mesh neighbours; exact
-    for totally geodesic sections.  Tangent orientation follows the ccw
-    triangles, normal orientation is fixed against the complex orientation.
+    At each vertex the log-map directions to its mesh neighbours are taken
+    in real coordinates of a unitary basis of x^perp (a g-isometry to R^4),
+    and the 4x4 scatter matrix sum r r^T is diagonalised.  The top two
+    eigenvectors span the tangent plane, the dominant real 2-plane of the
+    neighbour directions (exact for totally geodesic sections); the bottom
+    two span its g-orthogonal complement, the normal plane, and come out
+    g-orthonormal.  u2 is flipped so that (u1, u2) agrees with the first
+    ccw triangle at the vertex, and v2 so that (u1, u2, v1, v2) agrees with
+    the complex orientation.
     """
-    neighbours = [set() for _ in mesh.embedding]
-    oriented = [None] * len(mesh.embedding)
-    for (i, j, k) in mesh.triangles:
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            neighbours[a].update((b, c))
-            if oriented[a] is None:
-                oriented[a] = (b, c)
-    tangent, normal = [], []
-    for idx, (x, basis) in enumerate(zip(mesh.embedding, _unitary_tangent_basis(mesh.vertices()))):
-        xh = normalized_negative(x)
-        dirs = [log_map(x, mesh.embedding[nb]) for nb in sorted(neighbours[idx])]
-        coords = np.array([_real_coords(w, basis) for w in dirs])
-        if len(coords) < 2:
-            raise MeshError(f"vertex {idx} has fewer than two neighbours")
-        _, _, vt = np.linalg.svd(coords, full_matrices=True)
-        pick = vt[:2]
-
-        def from_coords(c):
-            b1, b2 = basis
-            return (c[0] + 1j * c[1]) * b1 + (c[2] + 1j * c[3]) * b2
-
-        u1, u2 = _gram_schmidt([from_coords(pick[0]), from_coords(pick[1])], xh)
-        # orient (u1, u2) with the ccw surface orientation
-        b, c = oriented[idx]
-        ea, eb = log_map(x, mesh.embedding[b]), log_map(x, mesh.embedding[c])
-        m2 = np.array(
-            [
-                [herm_form(ea, u1).real, herm_form(eb, u1).real],
-                [herm_form(ea, u2).real, herm_form(eb, u2).real],
-            ]
-        )
-        if np.linalg.det(m2) < 0:
-            u2 = -u2
-        # normal plane: g-orthogonal complement of the tangent plane inside
-        # x^perp, via the orthonormal real coordinates of the complex basis
-        span = np.array([_real_coords(u1, basis), _real_coords(u2, basis)])
-        _, _, vt4 = np.linalg.svd(span, full_matrices=True)
-        v1, v2 = (from_coords(vt4[2]), from_coords(vt4[3]))
-        v1, v2 = _gram_schmidt([v1, v2], xh)
-        if orientation_sign(basis, [u1, u2, v1, v2]) < 0:
-            v2 = -v2
-        tangent.append((u1, u2))
-        normal.append((v1, v2))
-    return FrameField(tangent=tangent, normal=normal)
+    x = mesh.vertices()
+    n = len(x)
+    tri = np.asarray(mesh.triangles).reshape(-1, 3)
+    # corners (a, b, c) in triangle order: a's neighbours are b and c
+    corners = np.stack([tri, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
+    keys = np.unique(corners[:, [0, 0]] * n + corners[:, 1:])  # directed edges a*n + b
+    src, dst = np.divmod(keys, n)
+    few = np.flatnonzero(np.bincount(src, minlength=n) < 2)
+    if few.size:
+        raise MeshError(f"vertex {few[0]} has fewer than two neighbours")
+    xh = x / np.sqrt(-self_norms(x))[:, None]
+    basis = _unitary_tangent_basis(x)
+    r = _real_coords(_log_directions(xh, src, dst), basis[src])
+    scatter = np.zeros((n, 4, 4))
+    np.add.at(scatter, src, r[:, :, None] * r[:, None, :])
+    q = np.linalg.eigh(scatter)[1].transpose(0, 2, 1)[:, ::-1]  # rows, descending
+    # orient (u1, u2) by the first ccw corner (a, b, c) at each vertex
+    _, first = np.unique(corners[:, 0], return_index=True)
+    a, b, c = corners[first].T
+    rbc = r[np.searchsorted(keys, np.stack([a * n + b, a * n + c], axis=1))]
+    q[np.linalg.det(rbc @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
+    frames = _from_coords(q, basis[:, None])
+    frames[orientation_sign(basis, frames) < 0, 3] *= -1.0
+    return FrameField(tangent=frames[:, :2], normal=frames[:, 2:])
 
 
-def _rotation_part(m2: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(m2)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u2 = u.copy()
-        u2[:, -1] *= -1.0
-        r = u2 @ vt
-    return r
+def _rotation_angle(m: np.ndarray) -> np.ndarray:
+    """Angle of the rotation nearest each real 2x2 matrix of a (..., 2, 2) stack.
 
-
-def _transport_matrix(mesh, frames, i, j):
-    """SO(2) comparison of the frame at j with the frame at i transported i->j.
-
-    Transport projects each frame vector into the tangent space at j and
-    onto the given plane (first-order Levi-Civita transport), then takes
-    the special-orthogonal part.
+    The maximiser of tr(R^T M) over SO(2) (the rotation of the polar
+    decomposition, with the sign of the smaller singular direction fixed
+    when det M < 0) is the rotation by atan2(M10 - M01, M00 + M11).
     """
-    xj = normalized_negative(mesh.embedding[j])
-    fi, fj = frames[i], frames[j]
-    m2 = np.zeros((2, 2))
-    for b in range(2):
-        w = tangent_project(xj, fi[b])
-        for a in range(2):
-            m2[a, b] = herm_form(w, fj[a]).real
-    return _rotation_part(m2)
+    return np.arctan2(m[..., 1, 0] - m[..., 0, 1], m[..., 0, 0] + m[..., 1, 1])
 
 
 def _taut_phases(mesh) -> np.ndarray:
@@ -458,19 +449,19 @@ def _taut_phases(mesh) -> np.ndarray:
     return np.angle(-_triple_products(mesh.vertices(), mesh.triangles))
 
 
-def _connection_total(mesh, frames) -> float:
-    total = 0.0
-    cache = {}
+def _connection_total(mesh, frames: np.ndarray) -> float:
+    """Total frame holonomy over the faces, minus the tautological phases, / 2 pi.
 
-    def transport(i, j):
-        if (i, j) not in cache:
-            cache[(i, j)] = _transport_matrix(mesh, frames, i, j)
-        return cache[(i, j)]
-
-    for (i, j, k), phase in zip(mesh.triangles, _taut_phases(mesh)):
-        hol = transport(k, i) @ transport(j, k) @ transport(i, j)
-        total += float(np.arctan2(hol[1, 0], hol[0, 0])) - float(phase)
-    return total / (2.0 * np.pi)
+    Along a directed face edge (i, j) the frames at i are transported by
+    projection into x_j^perp (first-order Levi-Civita transport), which
+    drops out of M[a, b] = Re <f_i[b], f_j[a]> since f_j is tangent at x_j.
+    A face's holonomy is the wrapped sum of its three edge angles.
+    """
+    tri = np.asarray(mesh.triangles).reshape(-1, 3)
+    fi, fj = frames[tri], frames[tri[:, [1, 2, 0]]]
+    m = np.einsum("...bd,...ad->...ab", fi * _SIGNS, fj.conj()).real
+    holonomy = np.angle(np.exp(1j * _rotation_angle(m).sum(axis=1)))
+    return float((holonomy - _taut_phases(mesh)).sum() / (2.0 * np.pi))
 
 
 @dataclass
@@ -481,21 +472,22 @@ class MeshDegrees:
     euler: Fraction
 
 
-def euler_via_mesh(mesh: SectionMesh, frames: FrameField | None = None,
-                   tol: Tolerances = TOL) -> MeshDegrees:
+def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
     """Tangent and normal bundle degrees by discrete-connection holonomy.
 
-    Sums the per-face SO(2) holonomy of projection transport for the
-    tangent pair (giving the orbifold Euler characteristic) and the normal
-    pair (giving the Euler number of the section's normal bundle), each
-    divided by 2 pi.  Per-face holonomy angles are invariant under vertex
-    frame changes, so side pairings enter only through the mesh geometry
-    they enforce; raw totals are snapped to rationals with denominator
-    2 * lcm(cone orders).
+    Builds the frame field of :func:`build_frame_field` and, per directed
+    face edge, the angle of the rotation nearest to the projection
+    transport of frames, atan2(M10 - M01, M00 + M11).  Each face's
+    holonomy is the wrapped sum of its three edge angles minus the
+    tautological phase; summed over faces and divided by 2 pi this gives
+    the orbifold Euler characteristic (tangent pair) and the Euler number
+    of the section's normal bundle (normal pair).  Per-face holonomy
+    angles are invariant under vertex frame changes, so side pairings
+    enter only through the mesh geometry they enforce; raw totals are
+    snapped to rationals with denominator 2 * lcm(cone orders).
     """
     mesh.validate(tol)
-    if frames is None:
-        frames = build_frame_field(mesh)
+    frames = build_frame_field(mesh)
     frames.validate(mesh, tol)
     chi_raw = _connection_total(mesh, frames.tangent)
     e_raw = _connection_total(mesh, frames.normal)

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chdisc import (
     ClassError,
+    Isometry,
     ConvergenceError,
     InvariantReport,
     MeshError,
     ProjectivePoint,
+    SectionMesh,
+    SidePairing,
+    build_frame_field,
     euler_via_mesh,
     gkl_euler,
     invariant_report,
@@ -31,6 +37,7 @@ from chdisc.invariants import (
     COMPLEX_CLASS,
     GENERIC_CLASS,
     LAGRANGIAN_CLASS,
+    _rotation_angle,
     normalized_negative,
     tangent_project,
 )
@@ -247,6 +254,104 @@ def test_euler_via_mesh_lagrangian_octagon():
     tau = toledo_via_mesh(mesh)
     assert tau == pytest.approx(0.0, abs=1e-10)
     assert not np.signbit(tau)  # prints as +0.0
+
+
+# the five meshes of the invariants benchmark, with their exact (chi, e)
+BENCH_MESHES = [
+    ("turnover", (3, 3, 4), 8, Fraction(-1, 12), Fraction(-1, 24)),
+    ("turnover", (3, 3, 5), 8, Fraction(-2, 15), Fraction(-1, 15)),
+    ("turnover", (2, 3, 7), 8, Fraction(-1, 42), Fraction(-1, 84)),
+    ("octagon", "complex", 4, Fraction(-2), Fraction(-1)),
+    ("octagon", "lagrangian", 4, Fraction(-2), Fraction(2)),
+]
+
+
+def _bench_mesh(kind, arg, refinement):
+    if kind == "turnover":
+        return turnover_section_mesh(*arg, refinement=refinement)
+    return octagon_mesh(arg, refinement=refinement)
+
+
+def _moved(mesh, g):
+    """The mesh carried by the isometry g, with side pairings conjugated by g."""
+    g_inv = g.inverse()
+    return SectionMesh(
+        embedding=[g(p) for p in mesh.embedding],
+        triangles=mesh.triangles,
+        side_pairings=[
+            SidePairing(p.run_a, p.run_b, Isometry.from_matrix(
+                g.matrix @ p.isometry.matrix @ g_inv.matrix))
+            for p in mesh.side_pairings
+        ],
+        cone_points=mesh.cone_points,
+    )
+
+
+@pytest.mark.parametrize("kind, arg, refinement, chi, e", BENCH_MESHES,
+                         ids=[f"{m[0]}_{m[1]}" for m in BENCH_MESHES])
+def test_euler_via_mesh_raw_degrees_exact_and_coordinate_free(kind, arg, refinement, chi, e,
+                                                              rng):
+    mesh = _bench_mesh(kind, arg, refinement)
+    degrees = euler_via_mesh(mesh)
+    assert abs(degrees.chi_raw - float(chi)) < 1e-12
+    assert abs(degrees.euler_raw - float(e)) < 1e-12
+    g = random_isometry(rng)
+    moved = euler_via_mesh(_moved(mesh, g))
+    assert abs(moved.chi_raw - degrees.chi_raw) < 1e-12
+    assert abs(moved.euler_raw - degrees.euler_raw) < 1e-12
+
+
+def test_frame_field_validate_rejects_bad_frames():
+    mesh = turnover_section_mesh(3, 3, 4, refinement=2)
+    ff = build_frame_field(mesh)
+    ff.validate(mesh)
+    assert ff.tangent.shape == ff.normal.shape == (len(mesh.embedding), 2, 3)
+    k = 5
+    u1, u2 = ff.tangent[k]
+    xh = normalized_negative(mesh.embedding[k])
+    a = 0.1
+    breaks = [
+        ("tangent", 0, 1.1 * u1, "is not g-orthonormal"),
+        # g-orthonormal to the rest of the frame, but not in x^perp
+        ("tangent", 0, (u1 + a * xh) / np.sqrt(1.0 - a * a), "is not tangent"),
+        ("normal", 1, -ff.normal[k, 1], "has negative orientation"),
+    ]
+    for name, slot, vector, what in breaks:
+        broken = build_frame_field(mesh)
+        getattr(broken, name)[k, slot] = vector
+        with pytest.raises(MeshError, match=f"frame at vertex {k} {what}"):
+            broken.validate(mesh)
+
+
+def _svd_rotation(m):
+    """The special-orthogonal polar factor of m by SVD, det-fixed (the oracle)."""
+    u, _, vt = np.linalg.svd(m)
+    if np.linalg.det(u @ vt) < 0:
+        u = u.copy()
+        u[:, -1] *= -1.0
+    return u @ vt
+
+
+_entry = st.floats(-10.0, 10.0, allow_nan=False)
+_general = st.lists(_entry, min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2)))
+_near_rank_one = st.tuples(
+    st.lists(_entry, min_size=2, max_size=2),
+    st.lists(_entry, min_size=2, max_size=2),
+    st.lists(st.floats(-1e-8, 1e-8), min_size=4, max_size=4),
+).map(lambda t: np.outer(t[0], t[1]) + np.reshape(t[2], (2, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_general, _near_rank_one), st.sampled_from([1.0, -1.0]))
+def test_rotation_angle_matches_svd_polar_factor(m, column_sign):
+    m = m * np.array([1.0, column_sign])  # a column flip covers det < 0
+    norm = np.linalg.norm(m)
+    assume(norm > 1e-6)
+    # the maximiser of tr(R^T m) is unique unless sigma1 - sigma2 = 0 with det < 0
+    assume(np.hypot(m[0, 0] + m[1, 1], m[1, 0] - m[0, 1]) > 1e-3 * norm)
+    t = _rotation_angle(m)
+    r = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    assert np.max(abs(r - _svd_rotation(m))) < 1e-12
 
 
 def test_octagon_mesh_rejects_unknown_kind():
