@@ -17,7 +17,13 @@ import numpy as np
 
 from .disc import disc_distance, triangle_vertices
 from .errors import ConvergenceError, GeometryError, InvalidSolutionError
-from .invariants import InvariantReport, euler_via_mesh, invariant_report, toledo_via_coning
+from .invariants import (
+    InvariantReport,
+    euler_via_mesh,
+    gkl_euler,
+    invariant_report,
+    toledo_via_coning,
+)
 from .io import (
     SchemaError,
     load_quadrangle,
@@ -155,8 +161,6 @@ def cmd_turnover(args) -> int:
 
 
 def cmd_gkl(args) -> int:
-    from .invariants import gkl_euler
-
     taus = [args.tau_abs] if args.tau_abs is not None else list(
         range(0, 2 * args.genus - 1, 2)
     )

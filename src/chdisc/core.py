@@ -32,6 +32,7 @@ FORM_MATRIX = np.diag([-1.0, 1.0, 1.0])
 
 _SIGNS = np.array([-1.0, 1.0, 1.0])
 _CUBE_ROOTS = np.exp(2j * np.pi * np.arange(3) / 3)
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def herm_form(x, y) -> complex:
@@ -216,16 +217,22 @@ def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def polar_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise ``polar_span``, unnormalized: J conj(x_i cross y_i) over (..., 3) stacks."""
+    # np.cross's own formula, without its axis handling (it dominates a 3-vector call)
+    c = np.take(x, _NEXT, -1) * np.take(y, _PREV, -1) - np.take(x, _PREV, -1) * np.take(y, _NEXT, -1)
+    return _SIGNS * np.conj(c)
+
+
 def polar_span(x: ProjectivePoint, y: ProjectivePoint) -> ProjectivePoint:
     """The point orthogonal to both x and y: z = J conj(x cross y).
 
     The complex projective line through x and y is P(z^perp).
     """
-    # np.cross's own formula, without its axis handling (it dominates a 3-vector call)
-    c = x.v[[1, 2, 0]] * y.v[[2, 0, 1]] - x.v[[2, 0, 1]] * y.v[[1, 2, 0]]
-    if np.linalg.norm(c) < 1e-12:
+    z = polar_rows(x.v, y.v)
+    if np.linalg.norm(z) < 1e-12:
         raise DegenerateError("polar_span needs projectively distinct points")
-    return ProjectivePoint(_SIGNS * np.conj(c))
+    return ProjectivePoint(z)
 
 
 @dataclass(frozen=True)

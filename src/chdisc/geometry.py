@@ -12,8 +12,13 @@ from .core import (
     ProjectivePoint,
     classify,
     distance,
+    gram,
     herm_form,
+    herm_rows,
+    polar_rows,
     polar_span,
+    self_norms,
+    sign_classes,
     tance,
 )
 from .errors import ClassError, DegenerateError, NotOnSpineError, NotUltraparallelError
@@ -52,11 +57,33 @@ def position(c1: ComplexGeodesic, c2: ComplexGeodesic, tol: Tolerances = TOL) ->
 
 
 def _phase_align(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rescale y by a unit scalar so that <x, y> is real and <= 0."""
-    p = herm_form(x, y)
-    if abs(p) < 1e-15:
-        return y
-    return y * (-p / abs(p))
+    """Rescale each row y_i by a unit scalar so that <x_i, y_i> is real and <= 0
+    (unless |<x_i, y_i>| < 1e-15)."""
+    p = herm_rows(x, y)
+    a = np.abs(p)
+    return y * np.where(a < 1e-15, 1.0, -p / np.maximum(a, 1e-300))[..., None]
+
+
+def _aligned_pair(x: np.ndarray, y: np.ndarray):
+    """(xh, yh, c, d): broadcasting stacks of negative points scaled to <,> = -1,
+    yh phase aligned so that <xh, yh> = -c = -cosh d, and their distances d."""
+    xh = x / np.sqrt(-self_norms(x))[..., None]
+    yh = _phase_align(xh, y / np.sqrt(-self_norms(y))[..., None])
+    c = -herm_rows(xh, yh).real
+    return xh, yh, c, np.arccosh(np.maximum(c, 1.0))
+
+
+def _geodesic_rows(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
+    """Points at arclength fractions t on the geodesics from x to y, over
+    broadcasting (..., 3) stacks x, y and parameters t; x where d < 1e-15.
+
+    Hyperbolic slerp: (x sinh((1-t)d) + y sinh(td)) / sinh d on the aligned pair.
+    """
+    xh, yh, _, d = _aligned_pair(x, y)
+    d, t = d[..., None], np.asarray(t)[..., None]
+    same = d < 1e-15
+    v = (np.sinh((1.0 - t) * d) * xh + np.sinh(t * d) * yh) / np.where(same, 1.0, np.sinh(d))
+    return np.where(same, x, v)
 
 
 @dataclass(frozen=True)
@@ -81,35 +108,15 @@ class Geodesic:
             raise ClassError("spanning pair does not give a -+ real plane")
         return g
 
-    def gram(self) -> np.ndarray:
-        return np.array(
-            [
-                [herm_form(self.x.v, self.x.v).real, herm_form(self.x.v, self.y.v).real],
-                [herm_form(self.y.v, self.x.v).real, herm_form(self.y.v, self.y.v).real],
-            ]
-        )
-
     def signature(self) -> tuple[int, int]:
-        ev = np.linalg.eigvalsh(self.gram())
+        xy = np.array([self.x.v, self.y.v])
+        ev = np.linalg.eigvalsh(gram(xy, xy).real)
         return tuple(int(np.sign(e)) for e in ev)
 
 
 def geodesic_interp(x: ProjectivePoint, y: ProjectivePoint, t: float) -> ProjectivePoint:
-    """Point at arclength fraction t on the geodesic from x to y.
-
-    Hyperbolic slerp: with representatives normalized to <x,x> = <y,y> = -1
-    and <x,y> = -cosh d, the combination (x sinh((1-t)d) + y sinh(td)) /
-    sinh d traces the geodesic at unit speed.
-    """
-    xv = x.v / np.sqrt(-x.self_form())
-    yv = y.v / np.sqrt(-y.self_form())
-    yv = _phase_align(xv, yv)
-    c = -herm_form(xv, yv).real
-    d = float(np.arccosh(max(c, 1.0)))
-    if d < 1e-15:
-        return x
-    v = (np.sinh((1.0 - t) * d) * xv + np.sinh(t * d) * yv) / np.sinh(d)
-    return ProjectivePoint(v)
+    """Point at arclength fraction t on the geodesic from x to y (see ``_geodesic_rows``)."""
+    return ProjectivePoint(_geodesic_rows(x.v, y.v, t))
 
 
 @dataclass(frozen=True)
@@ -174,24 +181,28 @@ def spine_point(seg: BisectorSegment, t: float) -> ProjectivePoint:
     return geodesic_interp(seg.feet[0], seg.feet[1], t)
 
 
-def _spine_residual(b: Bisector, x: ProjectivePoint) -> float:
-    """How far x is from the real spine of b (coordinate residual)."""
+def _slice_polars(b: Bisector, xs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """Polars of the slices P(C x_i + C f) through an (N,3) stack of spine points.
+
+    Raises ``ClassError`` unless every row is negative, and ``NotOnSpineError``
+    unless every row x = alpha s1 + beta s2 + gamma f has alpha, beta real up to
+    a common phase and gamma = 0, within ``tol.on_spine``.
+    """
+    if (sign_classes(xs, tol) != -1).any():
+        raise ClassError("slice points must be negative")
     basis = np.column_stack([b.spine.x.v, b.spine.y.v, b.polar_f.v])
-    alpha, beta, gamma = np.linalg.solve(basis, x.v)
-    n = abs(alpha) ** 2 + abs(beta) ** 2
-    if n < 1e-30:
-        return float(abs(gamma))
-    # alpha, beta must be real up to a common phase: Im(alpha conj(beta)) = 0
-    return float(abs((alpha * np.conj(beta)).imag) / n + abs(gamma) / np.sqrt(n))
+    alpha, beta, gamma = np.linalg.solve(basis, xs.T)
+    # n > 0: a negative row is no multiple of the positive polar f
+    n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    residual = np.abs((alpha * np.conj(beta)).imag) / n + np.abs(gamma) / np.sqrt(n)
+    if (residual > tol.on_spine).any():
+        raise NotOnSpineError("point does not lie on the real spine")
+    return polar_rows(xs, b.polar_f.v)
 
 
 def slice_at(b: Bisector, x: ProjectivePoint, tol: Tolerances = TOL) -> ComplexGeodesic:
     """The slice P(C x + C f) of the bisector through a spine point x."""
-    if classify(x, tol) != NEGATIVE:
-        raise ClassError("slice points must be negative")
-    if _spine_residual(b, x) > tol.on_spine:
-        raise NotOnSpineError("point does not lie on the real spine")
-    return ComplexGeodesic(polar_span(x, b.polar_f))
+    return ComplexGeodesic(ProjectivePoint(_slice_polars(b, x.v[None], tol)[0]))
 
 
 def real_plane_check(
@@ -206,18 +217,13 @@ def real_plane_check(
     vecs = np.column_stack([x.v, y.v, z.v])
     if abs(np.linalg.det(vecs)) < 1e-12:
         raise DegenerateError("real_plane_check needs an independent triple")
-    yv = _phase_align(x.v, y.v)
-    zv = _phase_align(x.v, z.v)
+    yv, zv = _phase_align(x.v, np.array([y.v, z.v]))
     # the x-pairings may legitimately vanish; fall back to aligning y with z
     if abs(herm_form(x.v, yv)) < 1e-13 and abs(herm_form(zv, yv)) > 1e-13:
         yv = _phase_align(zv, yv)
     cross = herm_form(yv, zv)
     if abs(cross.imag) > tol * max(1.0, abs(cross)):
         return False
-    gram = np.zeros((3, 3))
-    cols = [x.v, yv, zv]
-    for i in range(3):
-        for j in range(3):
-            gram[i, j] = herm_form(cols[i], cols[j]).real
-    ev = np.linalg.eigvalsh(gram)
+    cols = np.array([x.v, yv, zv])
+    ev = np.linalg.eigvalsh(gram(cols, cols).real)
     return bool(ev[0] < 0 < ev[1])

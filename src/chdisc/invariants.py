@@ -40,7 +40,7 @@ from .core import (
 )
 from .disc import _gl_nodes
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
-from .geometry import _phase_align
+from .geometry import _aligned_pair, _phase_align
 from .io import _f
 from .tolerances import TOL, Tolerances
 
@@ -373,18 +373,10 @@ class FrameField:
             raise MeshError(f"frame at vertex {idx} {what}")
 
 
-def _log_directions(xh: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Tangent vectors at xh[src] pointing to xh[dst], of length d(src, dst).
-
-    ``xh`` holds representatives with <x,x> = -1; each target is phase
-    aligned so that <x, y> is real and negative, and the log map is
-    d (y - c x) / sinh d with c = cosh d.
-    """
-    x, y = xh[src], xh[dst]
-    p = herm_rows(x, y)
-    y = y * (-p / abs(p))[:, None]
-    c = -herm_rows(y, x).real
-    d = np.arccosh(np.maximum(c, 1.0))
+def _log_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Log map d (y - c x) / sinh d at each x_i (scaled to <x,x> = -1) toward y_i,
+    on the aligned pair (c = cosh d)."""
+    x, y, c, d = _aligned_pair(x, y)
     scale = np.divide(d, np.sinh(d), out=np.zeros_like(d), where=d >= 1e-15)
     return scale[:, None] * (y - c[:, None] * x)
 
@@ -412,9 +404,8 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     few = np.flatnonzero(np.bincount(src, minlength=n) < 2)
     if few.size:
         raise MeshError(f"vertex {few[0]} has fewer than two neighbours")
-    xh = x / np.sqrt(-self_norms(x))[:, None]
     basis = _unitary_tangent_basis(x)
-    r = _real_coords(_log_directions(xh, src, dst), basis[src])
+    r = _real_coords(_log_directions(x[src], x[dst]), basis[src])
     scatter = np.zeros((n, 4, 4))
     np.add.at(scatter, src, r[:, :, None] * r[:, None, :])
     q = np.linalg.eigh(scatter)[1].transpose(0, 2, 1)[:, ::-1]  # rows, descending

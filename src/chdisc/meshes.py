@@ -8,9 +8,11 @@ isometries map boundary runs onto each other exactly.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
-from .core import Isometry, ProjectivePoint, herm_form, polar_span
+from .core import Isometry, ProjectivePoint, polar_rows, self_norms
 from .disc import (
     disc_isometry_two_points,
     disc_rotation,
@@ -18,8 +20,12 @@ from .disc import (
     triangle_vertices,
 )
 from .errors import DegenerateError
-from .geometry import geodesic_interp
-from .invariants import SectionMesh, SidePairing, normalized_negative
+from .geometry import (
+    _aligned_pair,
+    _geodesic_rows,
+    geodesic_interp,  # noqa: F401  (bench/tracer.py wraps chdisc.meshes.geodesic_interp)
+)
+from .invariants import SectionMesh, SidePairing
 
 
 def _fan_lattice(center: ProjectivePoint, corners, n: int, closed: bool):
@@ -29,30 +35,28 @@ def _fan_lattice(center: ProjectivePoint, corners, n: int, closed: bool):
     from corner k to corner k+1; ``radial[k]`` the run from the centre to
     corner k.  Faces are counterclockwise when the corners are.
     """
+    if n < 1:
+        raise ValueError("refinement must be a positive integer")
     m = len(corners)
-    points = [center]
-    radial = []
-    for v in corners:
-        chain = [0]
-        for i in range(1, n + 1):
-            chain.append(len(points))
-            points.append(geodesic_interp(center, v, i / n))
-        radial.append(chain)
-
     sectors = m if closed else m - 1
+    # spokes[k, i-1] is the point at i/n from the centre to corner k, as the
+    # unit representative the mesh stores
+    spokes = _geodesic_rows(center.v, np.array([v.v for v in corners])[:, None],
+                            np.arange(1, n + 1) / n)
+    spokes = spokes / np.linalg.norm(spokes, axis=-1, keepdims=True)
+    # row i of sector k: the points at j/i, 0 < j < i, between spokes k and k+1
+    i, j = (np.tile(a + 1, sectors) for a in np.tril_indices(n, -1))
+    sec = np.repeat(np.arange(sectors), n * (n - 1) // 2)
+    inner = _geodesic_rows(spokes[sec, i - 1], spokes[(sec + 1) % m, i - 1], j / i)
+    points = [center] + [ProjectivePoint(v) for v in np.concatenate([spokes.reshape(-1, 3), inner])]
+
+    radial = [[0, *range(1 + k * n, 1 + (k + 1) * n)] for k in range(m)]
+    numbers = iter(range(1 + m * n, len(points)))  # inner point indices, in build order
     faces = []
     outer = []
     for k in range(sectors):
-        ka, kb = k, (k + 1) % m
-        rows = [[0]]
-        for i in range(1, n + 1):
-            row = [radial[ka][i]]
-            a, b = points[radial[ka][i]], points[radial[kb][i]]
-            for j in range(1, i):
-                row.append(len(points))
-                points.append(geodesic_interp(a, b, j / i))
-            row.append(radial[kb][i])
-            rows.append(row)
+        rows = [[0]] + [[radial[k][i], *islice(numbers, i - 1), radial[(k + 1) % m][i]]
+                        for i in range(1, n + 1)]
         for i in range(1, n + 1):
             for j in range(i):
                 faces.append((rows[i - 1][j], rows[i][j], rows[i][j + 1]))
@@ -106,18 +110,12 @@ def real_plane_point(a: float, b: float) -> ProjectivePoint:
 
 def _real_frame(p: ProjectivePoint, q: ProjectivePoint) -> np.ndarray:
     """J-orthonormal real frame (point, tangent toward q, plane normal)."""
-    ph = normalized_negative(p).real
-    qh = normalized_negative(q).real
-    if herm_form(qh, ph).real > 0:
-        qh = -qh
-    c = -float(herm_form(qh, ph).real)
-    d = float(np.arccosh(max(c, 1.0)))
+    ph, qh, c, d = _aligned_pair(p.v, q.v)
     if d < 1e-12:
         raise DegenerateError("coincident points give no direction")
-    t = (qh - c * ph) / np.sinh(d)
-    nrm = polar_span(ProjectivePoint(ph), ProjectivePoint(t)).v.real
-    nrm = nrm / np.sqrt(float(herm_form(nrm, nrm).real))
-    return np.column_stack([ph, t, nrm])
+    ph, t = ph.real, (qh.real - c * ph.real) / np.sinh(d)
+    nrm = polar_rows(ph, t).real
+    return np.column_stack([ph, t, nrm / np.sqrt(self_norms(nrm))])
 
 
 def real_plane_isometry_two_points(

@@ -24,6 +24,7 @@ from .core import (
     distance_matrix,
     herm_form,
     herm_rows,
+    polar_span,
     self_norms,
     tance,
     _unitary_tangent_basis,
@@ -33,8 +34,9 @@ from .geometry import (
     Bisector,
     BisectorSegment,
     ComplexGeodesic,
+    _geodesic_rows,
+    _slice_polars,
     common_perpendicular,
-    slice_at,
     spine_point,
 )
 from .io import _f
@@ -123,8 +125,6 @@ def triangle_over_complex_geodesic(
     """
     if classify(f, tol) != POSITIVE:
         raise ClassError("f must be a positive point")
-    from .core import polar_span
-
     for c in (c1, c2, c3):
         if abs(herm_form(c.v, f.v)) > tol.orthogonality:
             raise ClassError("vertices must lie in the complex geodesic f^perp")
@@ -165,21 +165,15 @@ def _bisector_coordinates(b: Bisector) -> np.ndarray:
 
 def _side_values(coords: np.ndarray) -> np.ndarray:
     """Im(alpha conj(beta)) / (|alpha|^2 + |beta|^2) over the last axis of
-    (alpha, beta, gamma) coordinates; 0 where alpha = beta = 0."""
+    (alpha, beta, gamma) coordinates; 0 where alpha = beta = 0.
+
+    This is the scale-invariant signed defining function of the (extended)
+    bisector: it vanishes on the bisector and its sign tells the two sides apart.
+    """
     alpha, beta = coords[..., 0], coords[..., 1]
     n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
     num = (alpha * np.conj(beta)).imag
     return np.divide(num, n, out=np.zeros_like(num), where=n > 0)
-
-
-def bisector_side_value(b: Bisector, x: ProjectivePoint) -> float:
-    """Scale-invariant signed defining function of the (extended) bisector.
-
-    Writing x = alpha s1 + beta s2 + gamma f in the spine/polar basis, the
-    bisector is Im(alpha conj(beta)) = 0; the sign of that quantity
-    distinguishes the two sides.
-    """
-    return float(_side_values(_bisector_coordinates(b) @ x.v))
 
 
 def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -231,9 +225,8 @@ def _slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius: floa
 
 def _segment_samples(seg: BisectorSegment, n_spine: int, n_slice: int, radius: float = 1.5):
     """Slice samples around n_spine equally spaced spine points, in spine order."""
-    xs = [spine_point(seg, t) for t in np.linspace(0.0, 1.0, n_spine)]
-    polars = [slice_at(seg.bisector, x).polar.v for x in xs]
-    return _slice_samples(np.array(polars), np.array([x.v for x in xs]), n_slice, radius)
+    xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, n_spine))
+    return _slice_samples(_slice_polars(seg.bisector, xs), xs, n_slice, radius)
 
 
 @dataclass
@@ -356,9 +349,8 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     # (b) sector test: C3 on the inner side of both bisectors through C1
     ref = spine_point(perp(1, 3), 0.5)  # interior reference point of the quadrangle
     for other, label in ((1, "sector_B_C1C2"), (3, "sector_B_C1C4")):
-        bis = perp(0, other).bisector
-        side_ref = bisector_side_value(bis, ref)
-        coords = _bisector_coordinates(bis)
+        coords = _bisector_coordinates(perp(0, other).bisector)
+        side_ref = float(_side_values(coords @ ref.v))
         x = _slice_samples(p3.v[None], perp(other, 2).feet[1].v[None], n_slice, radius=0.8)
         worst = float((np.sign(side_ref) * _side_values(x @ coords.T)).min())
         checks.append(SubCheck(label, worst > 0.0, worst, f"reference side {side_ref:+.3e}"))

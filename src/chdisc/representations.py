@@ -43,9 +43,12 @@ from scipy.optimize import least_squares
 
 from .core import (
     FORM_MATRIX,
+    NEGATIVE,
+    POSITIVE,
     Isometry,
     OrthogonalFrame,
     ProjectivePoint,
+    classify,
     elliptic_from_frame,
     herm_form,
     polar_span,
@@ -498,8 +501,6 @@ def h5_builder(p1: ProjectivePoint, others, tol: Tolerances = TOL) -> Representa
     of r5 r4 r3 r2 r1 is reported in the metadata, not required to vanish:
     finding vanishing configurations is the caller's search problem.
     """
-    from .core import classify, NEGATIVE, POSITIVE
-
     if classify(p1, tol) != POSITIVE:
         raise ClassError("p1 must be a positive point")
     others = list(others)

@@ -51,3 +51,21 @@ def random_isometry(rng, radius: float = 0.8) -> Isometry:
     e2 = e2 / np.sqrt(herm_form(e2, e2).real)
     m = np.column_stack([xh, e1, e2]) @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 3)))
     return Isometry.from_matrix(m)
+
+
+def scalar_geodesic_interp(x: ProjectivePoint, y: ProjectivePoint, t: float) -> ProjectivePoint:
+    """One point at a time: the scalar slerp oracle for the geodesic kernel.
+
+    Representatives scaled to <x,x> = <y,y> = -1, y phase aligned so that
+    <x,y> = -cosh d, then (x sinh((1-t)d) + y sinh(td)) / sinh d.
+    """
+    xv = x.v / np.sqrt(-x.self_form())
+    yv = y.v / np.sqrt(-y.self_form())
+    p = herm_form(xv, yv)
+    if abs(p) >= 1e-15:
+        yv = yv * (-p / abs(p))
+    c = -herm_form(xv, yv).real
+    d = float(np.arccosh(max(c, 1.0)))
+    if d < 1e-15:
+        return x
+    return ProjectivePoint((np.sinh((1.0 - t) * d) * xv + np.sinh(t * d) * yv) / np.sinh(d))

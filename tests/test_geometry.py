@@ -22,9 +22,15 @@ from chdisc import (
     spine_point,
 )
 from chdisc.disc import F0, embed
-from chdisc.geometry import ASYMPTOTIC, CONCURRENT, ULTRAPARALLEL
+from chdisc.geometry import (
+    ASYMPTOTIC,
+    CONCURRENT,
+    ULTRAPARALLEL,
+    _geodesic_rows,
+    _slice_polars,
+)
 
-from conftest import random_negative_point
+from conftest import random_negative_point, scalar_geodesic_interp
 
 
 def _fiber(z: complex) -> ComplexGeodesic:
@@ -69,6 +75,28 @@ def test_geodesic_interp_arclength(rng):
         assert distance(x, p) == pytest.approx(t * d, abs=1e-10)
 
 
+def test_geodesic_rows_match_scalar_oracle(rng):
+    xs = [random_negative_point(rng) for _ in range(4)]
+    ys = [random_negative_point(rng) for _ in range(4)]
+    ts = np.linspace(0.0, 1.0, 7)
+    got = _geodesic_rows(np.array([x.v for x in xs])[:, None], np.array([y.v for y in ys])[:, None], ts)
+    assert got.shape == (4, 7, 3)
+    for a, (x, y) in enumerate(zip(xs, ys)):
+        for b, t in enumerate(ts):
+            np.testing.assert_allclose(
+                ProjectivePoint(got[a, b]).v, scalar_geodesic_interp(x, y, t).v, rtol=0, atol=1e-15
+            )
+
+
+def test_geodesic_rows_coincident_pair_returns_x():
+    x = np.array([2.0, 0.0, 0.0], dtype=complex)  # <x,x> = -4 exactly, so d = 0
+    got = _geodesic_rows(x, x, np.array([0.0, 0.3, 1.0]))
+    assert got.shape == (3, 3)
+    assert (got == x).all()
+    p = embed(0.3 + 0.2j)
+    assert geodesic_interp(p, p, 0.4).is_parallel_to(p, tol=1e-15)
+
+
 def test_common_perpendicular_feet():
     seg = common_perpendicular(_fiber(-0.3), _fiber(0.4))
     f1, f2 = seg.feet
@@ -109,6 +137,23 @@ def test_slice_at_rejects_off_spine_points():
     seg = common_perpendicular(_fiber(-0.3), _fiber(0.4))
     with pytest.raises(NotOnSpineError):
         slice_at(seg.bisector, embed(0.2 + 0.4j))
+
+
+def test_slice_polars_check_every_row():
+    seg = common_perpendicular(_fiber(-0.3), _fiber(0.4))
+    b = seg.bisector
+    xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, 5))
+    # each slice polar is J conj(x cross f)
+    ref = np.array([-1.0, 1.0, 1.0]) * np.conj(np.cross(xs, b.polar_f.v))
+    np.testing.assert_allclose(_slice_polars(b, xs), ref, rtol=0, atol=1e-15)
+    off = xs.copy()
+    off[3] = embed(0.2 + 0.4j).v
+    with pytest.raises(NotOnSpineError):
+        _slice_polars(b, off)
+    positive = xs.copy()
+    positive[2] = b.polar_f.v
+    with pytest.raises(ClassError):
+        _slice_polars(b, positive)
 
 
 def test_bisector_from_spine_polar():

@@ -26,7 +26,7 @@ from chdisc.core import (
 )
 from chdisc.disc import F0, embed, triangle_area_gauss_bonnet, triangle_vertices
 from chdisc.errors import ClassError, DegenerateError
-from chdisc.geometry import ComplexGeodesic, common_perpendicular, slice_at, spine_point
+from chdisc.geometry import ComplexGeodesic, common_perpendicular
 from chdisc.quadrangle import (
     _bisector_coordinates,
     _segment_samples,
@@ -37,7 +37,7 @@ from chdisc.quadrangle import (
 )
 from chdisc.tolerances import TOL
 
-from conftest import random_disc_coordinate, random_isometry
+from conftest import random_disc_coordinate, random_isometry, scalar_geodesic_interp
 
 
 def _fiber_polars(*zs):
@@ -204,8 +204,10 @@ def test_slice_samples_match_reference(rng, n):
         polar, center = seg.end_slices[1].polar, seg.feet[1]
         got = _slice_samples(polar.v[None], center.v[None], n, radius=0.8)
         np.testing.assert_allclose(got, _reference_slice_samples(polar, center, n, 0.8), atol=1e-14)
-        end = spine_point(seg, 1.0)
-        ref = _reference_slice_samples(slice_at(seg.bisector, end).polar, end, n, 1.5)
+        # the last spine point and its slice polar J conj(x cross f), one at a time
+        end = scalar_geodesic_interp(seg.feet[0], seg.feet[1], 1.0)
+        polar = ProjectivePoint(np.array([-1.0, 1.0, 1.0]) * np.conj(np.cross(end.v, seg.bisector.polar_f.v)))
+        ref = _reference_slice_samples(polar, end, n, 1.5)
         stacked = _segment_samples(seg, 3, n)
         assert stacked.shape == (3 * len(ref), 3)
         np.testing.assert_allclose(stacked[-len(ref):], ref, atol=1e-14)
