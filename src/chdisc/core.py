@@ -159,6 +159,15 @@ def herm_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (np.asarray(x, dtype=complex) * _SIGNS * np.conj(y)).sum(axis=-1)
 
 
+def dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x_i . y_i (no conjugation) over matching ``(..., n)`` stacks.
+
+    matmul's vector-vector path runs np.dot's BLAS kernel, so each row has
+    the bits of the scalar ``np.dot``; ``einsum`` and ``sum`` do not.
+    """
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def self_norms(x: np.ndarray) -> np.ndarray:
     """<x_i, x_i> for every row of an (N,3) stack; real."""
     x = np.asarray(x, dtype=complex)
@@ -283,8 +292,9 @@ class Isometry:
 
 
 def _unit_det(m: np.ndarray) -> np.ndarray:
-    # principal cube root keeps the normalization deterministic
-    return m * np.linalg.det(m) ** (-1.0 / 3.0)
+    # principal cube root keeps the normalization deterministic; m may be a
+    # (..., 3, 3) stack
+    return m * (np.linalg.det(m) ** (-1.0 / 3.0))[..., None, None]
 
 
 def isometry_residual(m) -> float:

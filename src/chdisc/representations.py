@@ -37,25 +37,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import (
     FORM_MATRIX,
+    _SIGNS,
     NEGATIVE,
     POSITIVE,
     Isometry,
     OrthogonalFrame,
     ProjectivePoint,
     classify,
+    dot_rows,
     elliptic_from_frame,
     herm_form,
     polar_span,
     reflection_about,
     tance,
     _CUBE_ROOTS,
-    _projector,
     _unit_det,
 )
 from .disc import F0, embed, in_plane_frame, triangle_vertices
@@ -67,12 +68,13 @@ from .errors import (
     InvalidSolutionError,
 )
 from .geometry import ComplexGeodesic
+from .lsq import least_squares
 from .quadrangle import Certificate, QuadrangleConfig, validate_quadrangle
 from .tolerances import TOL, Tolerances
 
 _E1 = np.array([0.0, 1.0, 0.0], dtype=complex)
 _E2 = np.array([0.0, 0.0, 1.0], dtype=complex)
-_CUBE_ROOT_SCALARS = [w * np.eye(3) for w in _CUBE_ROOTS]
+_CUBE_ROOT_SCALARS = _CUBE_ROOTS[:, None, None] * np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -300,38 +302,88 @@ def _outside_ball(params) -> bool:
     return params[0] * params[0] + params[1] * params[1] >= 0.98
 
 
-def _bent_arrays(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
-    """g3 and g2 = g3^-1 g1^-1 of ``_bent_generators`` as plain arrays.
+def _pairs(x, y):
+    """Row-wise herm_form over (..., 3) stacks, bit for bit."""
+    return dot_rows(_SIGNS * x, np.conj(y))
 
-    Returns the frame vectors (x3, w1, w2) as built, g3 before its det
-    normalization, the det-1 g2, and the real residual vector of
-    g2^{n2} - w I for the cube root w nearest to it.
+
+def _py_quotients(a, b):
+    """Elementwise a / b as CPython divides complex numbers (Smith's method).
+
+    numpy's complex division multiplies by a reciprocal, so its last bits
+    differ from the Python ``complex`` quotient of the scalar path.
     """
-    if _outside_ball(params):
-        raise ClassError("candidate fixed point left the ball model")
-    a, b, psi, phi = params
-    x3 = np.array([1.0, a, b], dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = bi / br
+        d = br + bi * r
+        re_r, im_r = (ar + ai * r) / d, (ai - ar * r) / d
+        r = br / bi
+        d = br * r + bi
+        re_i, im_i = (ar * r + ai) / d, (ai * r - ar) / d
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = np.where(by_real, re_r, re_i)
+    out.imag = np.where(by_real, im_r, im_i)
+    return out
+
+
+def _bent_rows(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
+    """g3 and g2 = g3^-1 g1^-1 of ``_bent_generators`` for a ``(k, 4)`` stack.
+
+    Returns per row the frame vectors (x3, w1, w2) as built, g3 before its
+    det normalization (m3), the det-1 g2, and the real residual vector
+    ``(k, 18)`` of g2^{n2} - w I for the cube root w nearest to it.  Rows
+    with a^2 + b^2 >= 0.98 (outside the ball) get the residual 1e3 and NaN
+    matrices.  Each row has the bits of the one-row scalar computation
+    (pairings through ``herm_form`` and Python complex quotients), sign of
+    zero included: pairings and norms go through ``dot_rows``, the
+    quotients through ``_py_quotients``.
+    """
+    params = np.asarray(params, dtype=float)
+    k = len(params)
+    frames = np.full((k, 3, 3), np.nan, dtype=complex)
+    m3 = frames.copy()
+    g2 = frames.copy()
+    res = np.full((k, 18), 1e3)
+    inside = ~_outside_ball(params.T)
+    a, b, psi, phi = params[inside].T
+    x3 = np.empty((len(a), 3), dtype=complex)
+    x3[:, 0], x3[:, 1], x3[:, 2] = 1.0, a, b
 
     def off(w, c):
-        return w - (herm_form(w, c) / herm_form(c, c)) * c
+        return w - _py_quotients(_pairs(w, c), _pairs(c, c))[:, None] * c
 
     u = off(_E1, x3)
-    u = u / np.sqrt(herm_form(u, u).real)
+    u = u / np.sqrt(_pairs(u, u).real)[:, None]
     v = off(off(_E2, x3), u)
-    v = v / np.sqrt(herm_form(v, v).real)
-    cos, sin = np.cos(psi), np.sin(psi)
-    w1 = cos * u + sin * np.exp(1j * phi) * v
-    w2 = -sin * np.exp(-1j * phi) * u + cos * v
-    frame = (x3, w1, w2)
-    # projectors of unit representatives, as ProjectivePoint stores them
-    m3 = sum(mu * _projector(f / float(np.linalg.norm(f))) for mu, f in zip(phases, frame))
-    g3 = _unit_det(m3)
-    g2 = _unit_det(_unit_det(FORM_MATRIX @ g3.conj().T @ FORM_MATRIX) @ g1_inv)
-    power = np.linalg.matrix_power(g2, n2)
-    diffs = [(power - scalar).ravel() for scalar in _CUBE_ROOT_SCALARS]
-    # min keeps the first of equal norms and computes each norm once
-    best = min((np.concatenate([d.real, d.imag]) for d in diffs), key=np.linalg.norm)
-    return frame, m3, g2, best
+    v = v / np.sqrt(_pairs(v, v).real)[:, None]
+    cos, sin = np.cos(psi)[:, None], np.sin(psi)[:, None]
+    w1 = cos * u + (sin * np.exp(1j * phi)[:, None]) * v
+    w2 = (-sin * np.exp(-1j * phi)[:, None]) * u + cos * v
+    frame = np.stack([x3, w1, w2], axis=1)
+    norms = np.sqrt(dot_rows(frame.real, frame.real) + dot_rows(frame.imag, frame.imag))
+    unit = frame / norms[..., None]  # unit representatives, as ProjectivePoint stores them
+    proj = unit[..., :, None] * (_SIGNS * np.conj(unit))[..., None, :]
+    proj = proj / _pairs(unit, unit).real[..., None, None]
+    # 0 + ... as the scalar path's sum() does, keeping the sign of zero
+    m = 0 + phases[0] * proj[:, 0]
+    m = m + phases[1] * proj[:, 1]
+    m = m + phases[2] * proj[:, 2]
+    g3_inv = FORM_MATRIX @ _unit_det(m).conj().swapaxes(-1, -2) @ FORM_MATRIX
+    g = _unit_det(_unit_det(g3_inv) @ g1_inv)
+    power = np.linalg.matrix_power(g, n2)
+    diffs = (power[:, None] - _CUBE_ROOT_SCALARS).reshape(-1, 3, 9)
+    cands = np.concatenate([diffs.real, diffs.imag], axis=-1)
+    best = np.argmin(np.sqrt(dot_rows(cands, cands)), axis=1)  # first of equal norms
+    frames[inside], m3[inside], g2[inside] = frame, m, g
+    res[inside] = cands[np.arange(len(best)), best]
+    return frames, m3, g2, res
+
+
+def _order_residuals(params, g1_inv, phases, n2):
+    """The solver objective: the residual rows of ``_bent_rows``."""
+    return _bent_rows(params, g1_inv, phases, n2)[3]
 
 
 def _bent_generators(sig, bend, params, k1, k3):
@@ -342,13 +394,18 @@ def _bent_generators(sig, bend, params, k1, k3):
     geodesic and whose rotation plane is mixed by the angle psi and phase
     phi; both carry the bending phase on their last eigenvalue.
     """
+    if _outside_ball(params):
+        raise ClassError("candidate fixed point left the ball model")
     g1 = _twisted_rotation(0.0 + 0.0j, sig.n1, k1, bend)
-    frame, m3, g2, _ = _bent_arrays(
-        params, g1.inverse().matrix, _rotation_phases(sig.n3, k3, bend), sig.n2
+    frames, m3, g2, _ = _bent_rows(
+        np.asarray(params, dtype=float)[None],
+        g1.inverse().matrix,
+        _rotation_phases(sig.n3, k3, bend),
+        sig.n2,
     )
-    x3, w1, w2 = (ProjectivePoint(f) for f in frame)
+    x3, w1, w2 = (ProjectivePoint(f) for f in frames[0])
     OrthogonalFrame(x3, w1, w2).validate()
-    return g1, Isometry(g2), Isometry.from_matrix(m3), w1, w2
+    return g1, Isometry(g2[0]), Isometry.from_matrix(m3[0]), w1, w2
 
 
 def _quadrangle_candidates(sig, g1, g2, g3, w1p, w2p, tol):
@@ -387,16 +444,20 @@ def turnover_solve(
     """Find a bent representation whose g2 has exact projective order n2.
 
     For ``bend == 0`` returns the ``fuchsian_turnover`` construction (the
-    continuation origin).  Otherwise runs a deterministic multistart
-    least-squares search over the fixed point of g3 (two coordinates) and
-    its rotation-plane mixing (angle and phase), for each choice of polar
-    twists, minimizing ||g2^{n2} - w I|| over cube roots w.  Among
-    converged solutions the first whose quadrangle passes K1 and K2 is
-    returned (K3 is reported in the certificate).  Raises
+    continuation origin).  Otherwise, for each choice of polar twists in
+    order, it draws ``seed_params.starts`` starting points over the fixed
+    point of g3 (two coordinates) and its rotation-plane mixing (angle and
+    phase), and runs them in lockstep through ``least_squares``, minimizing
+    ||g2^{n2} - w I|| over cube roots w.  Finished starts are taken in
+    start order: a start whose residual meets the target and whose
+    quadrangle passes K1 and K2 is returned (K3 is reported in the
+    certificate), and the batch stops there.  Each start follows, bit for
+    bit, the trajectory of scipy's ``least_squares`` from the same point,
+    so the answer is that of a one-start-at-a-time search.  Raises
     ``ConvergenceError`` if nothing converges and ``InvalidSolutionError``
-    if solutions converge but none certifies.  A start or a quadrangle
-    candidate that fails with a ``GeometryError`` or ``LinAlgError`` is
-    skipped; any other exception propagates.
+    if solutions converge but none certifies.  A quadrangle candidate that
+    fails with a ``GeometryError`` or ``LinAlgError`` is skipped; any other
+    exception propagates.
     """
     if abs(bend) > seed_params.window:
         raise ConvergenceError(
@@ -411,76 +472,74 @@ def turnover_solve(
     log = []
     best_invalid = None
     last_residual = np.inf
+    found = None
 
-    def objective(x, g1_inv, phases):
-        if _outside_ball(x):
-            return np.full(18, 1e3)
-        return _bent_arrays(x, g1_inv, phases, sig.n2)[3]
+    def certify(k1, k3, start, sol):
+        nonlocal best_invalid, last_residual, found
+        residual = float(np.linalg.norm(sol.fun))
+        last_residual = min(last_residual, residual)
+        if residual > seed_params.residual_target:
+            return False
+        if np.hypot(sol.x[0], sol.x[1]) < 0.05:
+            return False  # degenerate: g3 collapsed onto the fixed point of g1
+        g1, g2, g3, w1p, w2p = _bent_generators(sig, bend, sol.x, k1, k3)
+        log.append(
+            {
+                "twists": (k1, k3),
+                "start": start,
+                "params": [float(v) for v in sol.x],
+                "order_residual": residual,
+            }
+        )
+        for q, cert in _quadrangle_candidates(sig, g1, g2, g3, w1p, w2p, tol):
+            if cert.k1 and cert.k2:
+                rep = Representation(
+                    kind="turnover",
+                    generators={"g1": g1, "g2": g2, "g3": g3},
+                    relations=_turnover_relations(sig),
+                    metadata={
+                        "signature": sig.orders(),
+                        "bend": bend,
+                        "polar_twists": (k1, k3),
+                        "params": [float(v) for v in sol.x],
+                        "g2_order_residual": residual,
+                        "certificate_passed": cert.passed,
+                        "solver_log": log,
+                    },
+                )
+                found = rep, QuadrangleFromRep(
+                    rep=rep,
+                    vertices=tuple(ComplexGeodesic(p) for p in q.polars),
+                    certificate=cert,
+                )
+                return True
+            if best_invalid is None:
+                best_invalid = (sol.x, (k1, k3), residual, cert)
+        return False
 
     for k1 in range(sig.n1):
         g1_inv = _twisted_rotation(0.0 + 0.0j, sig.n1, k1, bend).inverse().matrix
         for k3 in range(sig.n3):
             phases = _rotation_phases(sig.n3, k3, bend)
-            for start in range(seed_params.starts):
-                x0 = np.array(
-                    [
-                        rng.uniform(0.1, 0.9),
-                        rng.uniform(0.0, 0.7),
-                        rng.uniform(-1.5, 1.5),
-                        rng.uniform(-np.pi, np.pi),
-                    ]
+            x0 = np.empty((seed_params.starts, 4))
+            for row in x0:  # scalar draws, start by start: the seed's start sequence
+                row[:] = (
+                    rng.uniform(0.1, 0.9),
+                    rng.uniform(0.0, 0.7),
+                    rng.uniform(-1.5, 1.5),
+                    rng.uniform(-np.pi, np.pi),
                 )
-                try:
-                    sol = least_squares(
-                        objective,
-                        x0,
-                        args=(g1_inv, phases),
-                        xtol=1e-15,
-                        ftol=1e-15,
-                        gtol=1e-15,
-                        max_nfev=250,
-                    )
-                except (GeometryError, np.linalg.LinAlgError):
-                    continue
-                residual = float(np.linalg.norm(sol.fun))
-                last_residual = min(last_residual, residual)
-                if residual > seed_params.residual_target:
-                    continue
-                if np.hypot(sol.x[0], sol.x[1]) < 0.05:
-                    continue  # degenerate: g3 collapsed onto the fixed point of g1
-                g1, g2, g3, w1p, w2p = _bent_generators(sig, bend, sol.x, k1, k3)
-                log.append(
-                    {
-                        "twists": (k1, k3),
-                        "start": start,
-                        "params": [float(v) for v in sol.x],
-                        "order_residual": residual,
-                    }
-                )
-                for q, cert in _quadrangle_candidates(sig, g1, g2, g3, w1p, w2p, tol):
-                    if cert.k1 and cert.k2:
-                        rep = Representation(
-                            kind="turnover",
-                            generators={"g1": g1, "g2": g2, "g3": g3},
-                            relations=_turnover_relations(sig),
-                            metadata={
-                                "signature": sig.orders(),
-                                "bend": bend,
-                                "polar_twists": (k1, k3),
-                                "params": [float(v) for v in sol.x],
-                                "g2_order_residual": residual,
-                                "certificate_passed": cert.passed,
-                                "solver_log": log,
-                            },
-                        )
-                        quad = QuadrangleFromRep(
-                            rep=rep,
-                            vertices=tuple(ComplexGeodesic(p) for p in q.polars),
-                            certificate=cert,
-                        )
-                        return rep, quad
-                    if best_invalid is None:
-                        best_invalid = (sol.x, (k1, k3), residual, cert)
+            least_squares(
+                partial(_order_residuals, g1_inv=g1_inv, phases=phases, n2=sig.n2),
+                x0,
+                xtol=1e-15,
+                ftol=1e-15,
+                gtol=1e-15,
+                max_nfev=250,
+                stop=partial(certify, k1, k3),
+            )
+            if found is not None:
+                return found
     if best_invalid is not None:
         raise InvalidSolutionError(
             "solver converged (g2-order residual "

@@ -1,7 +1,9 @@
 """Turnover signatures, baselines, the bent solver, and the H5 builder."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from chdisc import (
     ClassError,
     ConvergenceError,
     HyperbolicityError,
+    InvalidSolutionError,
     Isometry,
     Representation,
     SolverSeed,
@@ -24,9 +27,18 @@ from chdisc import (
     triangle_from_angles,
     turnover_solve,
 )
-from chdisc.core import OrthogonalFrame, ProjectivePoint, elliptic_from_frame, herm_form
+from chdisc.core import (
+    FORM_MATRIX,
+    OrthogonalFrame,
+    ProjectivePoint,
+    _CUBE_ROOTS,
+    _projector,
+    _unit_det,
+    elliptic_from_frame,
+    herm_form,
+)
 from chdisc.disc import F0, disc_distance, disc_rotation, embed, in_plane_frame
-from chdisc import representations
+from chdisc import lsq, representations
 from chdisc.representations import isometry_power
 
 from conftest import random_negative_point
@@ -144,6 +156,11 @@ def test_turnover_solve_rejects_out_of_window_bend():
         turnover_solve(TurnoverSignature(3, 3, 4), 5.0, SolverSeed(window=0.2))
 
 
+def test_turnover_solve_without_starts_finds_nothing():
+    with pytest.raises(ConvergenceError, match="best residual inf"):
+        turnover_solve(TurnoverSignature(3, 3, 4), 0.05, SolverSeed(starts=0))
+
+
 def test_isometry_power():
     g = disc_rotation(0.0, 2.0 * np.pi / 7.0)
     assert isometry_power(g, 7).projective_distance(Isometry.identity()) < 1e-12
@@ -203,33 +220,223 @@ def _object_path_objective(sig, bend, x, k1, k3):
 @pytest.mark.parametrize("orders", [(3, 3, 4), (3, 3, 5)])
 @pytest.mark.parametrize("bend", [0.02, -0.05])
 def test_solver_objective_bit_identical_to_object_path(monkeypatch, orders, bend):
-    """The array objective turnover_solve hands to least_squares equals the
-    object-path oracle bit for bit, on every twist, including the 1e3
-    penalty outside the ball (a^2 + b^2 >= 0.98)."""
+    """The stacked objective turnover_solve hands to least_squares equals the
+    object-path oracle bit for bit, on every twist, one row at a time and in
+    one all-rows call, including the 1e3 penalty outside the ball
+    (a^2 + b^2 >= 0.98)."""
     sig = TurnoverSignature(*orders)
     captured = []
 
-    def record(fun, x0, args, **kwargs):
-        captured.append((fun, args))
-        return SimpleNamespace(fun=np.full(18, 1.0), x=x0)
+    def record(fun, x0, **kwargs):
+        captured.append(fun)
+        return []
 
     monkeypatch.setattr(representations, "least_squares", record)
     with pytest.raises(ConvergenceError):
         turnover_solve(sig, bend, SolverSeed(starts=1))
-    assert len(captured) == sig.n1 * sig.n3  # one start per twist, in twist order
+    assert len(captured) == sig.n1 * sig.n3  # one batch per twist, in twist order
 
     rng = np.random.default_rng(20)
     outside = 0
-    for index, (fun, args) in enumerate(captured):
+    for index, fun in enumerate(captured):
         k1, k3 = divmod(index, sig.n3)
+        points, expected = [], []
         for _ in range(200):
             r = 1.05 * np.sqrt(rng.uniform())
             t = rng.uniform(-np.pi, np.pi)
             x = np.array([r * np.cos(t), r * np.sin(t), rng.uniform(-7.0, 7.0),
                           rng.uniform(-50.0, 50.0)])
             outside += bool(x[0] * x[0] + x[1] * x[1] >= 0.98)
-            assert np.array_equal(fun(x, *args), _object_path_objective(sig, bend, x, k1, k3))
+            points.append(x)
+            expected.append(_object_path_objective(sig, bend, x, k1, k3))
+            assert np.array_equal(fun(x[None])[0], expected[-1])
+        assert np.array_equal(fun(np.array(points)), np.array(expected))
     assert outside > 100
+
+
+def _bent_arrays(params, g1_inv, phases, n2):
+    """Oracle: the scalar one-row computation that _bent_rows stacks, with
+    pairings through herm_form and its Python complex quotients."""
+    a, b, psi, phi = params
+    x3 = np.array([1.0, a, b], dtype=complex)
+
+    def off(w, c):
+        return w - (herm_form(w, c) / herm_form(c, c)) * c
+
+    e1, e2 = np.eye(3, dtype=complex)[1:]
+    u = off(e1, x3)
+    u = u / np.sqrt(herm_form(u, u).real)
+    v = off(off(e2, x3), u)
+    v = v / np.sqrt(herm_form(v, v).real)
+    cos, sin = np.cos(psi), np.sin(psi)
+    w1 = cos * u + sin * np.exp(1j * phi) * v
+    w2 = -sin * np.exp(-1j * phi) * u + cos * v
+    frame = (x3, w1, w2)
+    m3 = sum(mu * _projector(f / float(np.linalg.norm(f))) for mu, f in zip(phases, frame))
+    g3 = _unit_det(m3)
+    g2 = _unit_det(_unit_det(FORM_MATRIX @ g3.conj().T @ FORM_MATRIX) @ g1_inv)
+    power = np.linalg.matrix_power(g2, n2)
+    diffs = [(power - w * np.eye(3)).ravel() for w in _CUBE_ROOTS]
+    best = min((np.concatenate([d.real, d.imag]) for d in diffs), key=np.linalg.norm)
+    return np.array(frame), m3, g2, best
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    return x.shape == y.shape and all(
+        np.array_equal(p, q) and np.array_equal(np.signbit(p), np.signbit(q))
+        for p, q in ((x.real, y.real), (x.imag, y.imag))
+    )
+
+
+@pytest.mark.parametrize("orders, bend", [((3, 3, 4), -0.05), ((2, 3, 7), 0.02)])
+def test_bent_rows_bit_identical_to_scalar_path(orders, bend):
+    """Every row of _bent_rows (frame, m3, g2 and residual) equals the scalar
+    computation bit for bit, sign of zero included; rows outside the ball
+    get the penalty."""
+    sig = TurnoverSignature(*orders)
+    rng = np.random.default_rng(5)
+    for k1 in range(sig.n1):
+        g1_inv = representations._twisted_rotation(0.0, sig.n1, k1, bend).inverse().matrix
+        for k3 in range(sig.n3):
+            phases = representations._rotation_phases(sig.n3, k3, bend)
+            r = 1.05 * np.sqrt(rng.uniform(size=40))
+            t = rng.uniform(-np.pi, np.pi, 40)
+            rows = np.column_stack([r * np.cos(t), r * np.sin(t), rng.uniform(-7.0, 7.0, 40),
+                                    rng.uniform(-50.0, 50.0, 40)])
+            frames, m3, g2, res = representations._bent_rows(rows, g1_inv, phases, sig.n2)
+            for i, x in enumerate(rows):
+                if x[0] * x[0] + x[1] * x[1] >= 0.98:
+                    assert np.array_equal(res[i], np.full(18, 1e3))
+                    continue
+                expected = _bent_arrays(x, g1_inv, phases, sig.n2)
+                for got, want in zip((frames[i], m3[i], g2[i], res[i]), expected):
+                    assert _same_bits(got, want)
+
+
+def _twist_starts(sig, twist, starts=30):
+    """The x0 rows turnover_solve draws for one twist at the default seed."""
+    rng = np.random.default_rng(SolverSeed().seed)
+    blocks = [
+        [[rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.7), rng.uniform(-1.5, 1.5),
+          rng.uniform(-np.pi, np.pi)] for _ in range(starts)]
+        for _ in range(sig.n1 * sig.n3)
+    ]
+    return np.array(blocks[twist[0] * sig.n3 + twist[1]])
+
+
+@pytest.mark.parametrize("bend, twist", [(0.04, (0, 1)), (-0.05, (0, 0))])
+def test_lockstep_least_squares_bit_identical_to_scipy(bend, twist):
+    """Each of 30 lockstep rows reproduces scipy's trf least_squares from
+    the same start: x, residuals, nfev and status, bit for bit."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    sig = TurnoverSignature(3, 3, 4)
+    g1_inv = representations._twisted_rotation(0.0, sig.n1, twist[0], bend).inverse().matrix
+    phases = representations._rotation_phases(sig.n3, twist[1], bend)
+
+    def rows(p):
+        return representations._bent_rows(p, g1_inv, phases, sig.n2)[3]
+
+    options = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=250)
+    x0 = _twist_starts(sig, twist)
+    results = lsq.least_squares(rows, x0, **options)
+    assert len(results) == len(x0)
+    for start, got in zip(x0, results):
+        ref = scipy_optimize.least_squares(lambda x: rows(x[None])[0], start, **options)
+        assert _same_bits(got.x, ref.x) and _same_bits(got.fun, ref.fun)
+        assert (got.nfev, got.status) == (ref.nfev, ref.status)
+
+
+def _walled_rows(p):
+    """arctan residuals with non-finite values for p0 < 0.3, where overshooting
+    Gauss-Newton steps from p0 > 1.5 land, so trial steps get retried."""
+    out = np.column_stack([np.arctan(p[:, 0]), np.arctan(p[:, 1]), 0.1 * p[:, 0] * p[:, 1]])
+    out[p[:, 0] < 0.3] = np.inf
+    return out
+
+
+def _rank_one_rows(p):
+    """One residual in three unknowns: fewer residuals than unknowns."""
+    return np.sin(p[:, :1]) + p[:, 1:2] * p[:, 2:3] - 0.3
+
+
+_WALLED_STARTS = np.column_stack([np.linspace(1.5, 3.0, 12), np.linspace(-0.5, 0.5, 12)])
+
+
+@pytest.mark.parametrize(
+    "fun, x0, max_nfev, statuses",
+    [
+        (_walled_rows, _WALLED_STARTS, 200, {3, 4}),
+        (_walled_rows, _WALLED_STARTS, 20, {0}),
+        (_rank_one_rows, np.column_stack([np.linspace(-1.5, 1.5, 12)] * 3) * [1.0, -0.7, 0.4],
+         300, {1}),
+    ],
+)
+def test_lockstep_least_squares_matches_scipy_on_its_other_branches(fun, x0, max_nfev, statuses):
+    """Non-finite trial residuals, the max_nfev budget (status 0), xtol and
+    ftol stops, and rank-deficient Jacobians with fewer residuals than
+    unknowns all follow scipy bit for bit."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    options = dict(xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=max_nfev)
+    results = lsq.least_squares(fun, x0, **options)
+    assert len(results) == len(x0)
+    for start, got in zip(x0, results):
+        ref = scipy_optimize.least_squares(lambda x: fun(x[None])[0], start, **options)
+        assert _same_bits(got.x, ref.x) and _same_bits(got.fun, ref.fun)
+        assert (got.nfev, got.status) == (ref.nfev, ref.status)
+    assert {r.status for r in results} == statuses
+
+
+def test_alpha_reset_takes_the_scalar_power_root():
+    """The LM-parameter reset is scipy's max(0.001 * up, (lo * up)**0.5) on
+    numpy scalars, whose C pow differs from the array sqrt on rare inputs;
+    the draw contains such inputs, so the array sqrt would fail here."""
+    rng = np.random.default_rng(11)
+    lower = rng.uniform(0.0, 1.0, 20000) * 10.0 ** rng.integers(-12, 12, 20000)
+    upper = lower * rng.uniform(1.0, 1e4, 20000)
+    assert (np.sqrt(lower * upper) != np.array([v**0.5 for v in lower * upper])).any()
+    expected = [max(0.001 * up, (lo * up) ** 0.5) for lo, up in zip(lower, upper)]
+    assert np.array_equal(lsq._alpha_reset(lower, upper), expected)
+
+
+def test_lockstep_reports_rows_in_order_and_stops_at_the_accepted_row():
+    """Rows finish out of order but are reported in row order, and a true
+    stop ends the batch: rows after the accepted one are never reported."""
+    target = np.array([1.0, -2.0])
+
+    def residuals(p):
+        return np.column_stack([p - target, 0.1 * (p[:, :1] - target[0]) ** 2])
+
+    x0 = np.array([[40.0, 30.0], [1.0, -2.0], [1.5, -2.5], [-60.0, 9.0], [1.0, -2.0]])
+    options = dict(xtol=1e-8, ftol=1e-8, gtol=1e-8, max_nfev=200)
+    full = lsq.least_squares(residuals, x0, **options)
+    assert len(full) == 5 and full[1].nfev < full[0].nfev
+    for result in full:
+        assert np.abs(result.x - target).max() < 1e-6 and result.status > 0
+    seen = []
+    reported = lsq.least_squares(residuals, x0, stop=lambda row, sol: seen.append(row) or row == 2,
+                                 **options)
+    assert seen == [0, 1, 2]
+    assert [r.nfev for r in reported] == [r.nfev for r in full[:3]]
+
+
+def test_turnover_solve_failure_path_message():
+    """(2,3,7) at bend 0.02 converges but never certifies; the error names
+    the first converged start's residual and twists, as recorded."""
+    with pytest.raises(InvalidSolutionError) as err:
+        turnover_solve(TurnoverSignature(2, 3, 7), 0.02)
+    assert str(err.value) == (
+        "solver converged (g2-order residual 4.87e-14, twists (0, 0)) but no "
+        "stable-geodesic choice passes K1 and K2"
+    )
+
+
+def test_import_does_not_load_scipy():
+    """scipy is a test-only dependency: the package and CLI never import it."""
+    code = "import sys, chdisc, chdisc.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
