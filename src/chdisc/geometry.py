@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NEGATIVE,
     POSITIVE,
     ProjectivePoint,
     classify,
@@ -16,12 +15,17 @@ from .core import (
     herm_form,
     herm_rows,
     polar_rows,
-    polar_span,
     self_norms,
     sign_classes,
     tance,
 )
-from .errors import ClassError, DegenerateError, NotOnSpineError, NotUltraparallelError
+from .errors import (
+    ClassError,
+    DegenerateError,
+    NotOnSpineError,
+    NotUltraparallelError,
+    NullPointError,
+)
 from .tolerances import TOL, Tolerances
 
 ULTRAPARALLEL = "ultraparallel"
@@ -119,6 +123,15 @@ def geodesic_interp(x: ProjectivePoint, y: ProjectivePoint, t: float) -> Project
     return ProjectivePoint(_geodesic_rows(x.v, y.v, t))
 
 
+def _bisector_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(..., 3, 3) frames with columns (s1, s2, f) of the bisectors with spines
+    through the rows of x and y: s1 = x, s2 = y phase aligned to x, and the
+    Euclidean-unit polar f = J conj(s1 x s2) / |.| of the complex spine."""
+    s2 = _phase_align(x, y)
+    f = polar_rows(x, s2)
+    return np.stack([x, s2, f / np.linalg.norm(f, axis=-1, keepdims=True)], axis=-1)
+
+
 @dataclass(frozen=True)
 class Bisector:
     """A bisector: real spine, unit polar f, complex spine P(f^perp)."""
@@ -129,16 +142,12 @@ class Bisector:
 
     @staticmethod
     def from_spine(spine: Geodesic) -> "Bisector":
-        f = polar_span(spine.x, spine.y)
-        ff = f.self_form()
-        if ff <= 0:
-            raise ClassError("spine polar is not positive")
-        fu = ProjectivePoint(f.v / np.sqrt(ff))
+        fu = ProjectivePoint(_bisector_basis(spine.x.v, spine.y.v)[:, 2])
         return Bisector(spine=spine, polar_f=fu, complex_spine=ComplexGeodesic(fu))
 
-    def unit_polar_vector(self) -> np.ndarray:
-        v = self.polar_f.v
-        return v / np.sqrt(herm_form(v, v).real)
+    def basis(self) -> np.ndarray:
+        """The 3x3 frame (s1, s2, f) of ``_bisector_basis``."""
+        return _bisector_basis(self.spine.x.v, self.spine.y.v)
 
 
 @dataclass(frozen=True)
@@ -153,24 +162,58 @@ class BisectorSegment:
         return distance(self.feet[0], self.feet[1])
 
 
+def _parallel_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise ``ProjectivePoint.is_parallel_to`` for Euclidean-unit rows."""
+    return np.abs(np.abs((x * np.conj(y)).sum(axis=-1)) - 1.0) < 1e-9
+
+
+def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
+    """(x, y, basis): common perpendiculars of P(p_i^perp) and P(q_i^perp) over
+    (K,3) stacks of Euclidean-unit positive polars.
+
+    The feet x = q - (<q,p>/<p,p>) p on P(p^perp) and y = p - (<p,q>/<q,q>) q
+    are Euclidean-unit, y not phase aligned with x; basis = ``_bisector_basis(x, y)``.
+    Raises the error of the first failing check of the first failing pair.
+    """
+    pq = herm_rows(p, q)
+    pp, qq = self_norms(p), self_norms(q)
+    # a failing pair may divide by zero here; its check below raises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = q - (np.conj(pq) / pp)[:, None] * p
+        y = p - (pq / qq)[:, None] * q
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        y = y / np.linalg.norm(y, axis=1, keepdims=True)
+        basis = _bisector_basis(x, y)
+    # per pair in this order: mutual position, feet, spine, spine polar
+    checks = [
+        (_parallel_rows(p, q), DegenerateError, "identical complex geodesics have no mutual position"),
+        ((sign_classes(p, tol) == 0) | (sign_classes(q, tol) == 0),
+         NullPointError, "tance is undefined for null points"),
+        ((pq.real ** 2 + pq.imag ** 2) / (pp * qq) - 1.0 < tol.asymptotic,
+         NotUltraparallelError, "common perpendicular needs ultraparallel geodesics"),
+        ((sign_classes(x) != -1) | (sign_classes(y) != -1),
+         ClassError, "feet of the common perpendicular are not negative points"),
+        (_parallel_rows(x, y), DegenerateError, "a geodesic needs two distinct points"),
+        (sign_classes(basis[..., 2]) != 1, ClassError, "spine polar is not positive"),
+    ]
+    fails = np.array([c[0] for c in checks])
+    if fails.any():
+        _, error, message = checks[fails[:, fails.any(axis=0).argmax()].argmax()]
+        raise error(message)
+    return x, y, basis
+
+
 def common_perpendicular(
     c1: ComplexGeodesic, c2: ComplexGeodesic, tol: Tolerances = TOL
 ) -> BisectorSegment:
     """The segment B[C1,C2] along the unique common perpendicular geodesic.
 
-    The feet are the form-orthogonal projections of each polar away from the
-    other: c1 = p2 - (<p2,p1>/<p1,p1>) p1 and symmetrically; the bisector
-    polar is the intersection point of the two projective lines.
+    One pair of ``_perpendicular_rows``: feet[0] lies on C1, feet[1] on C2,
+    and the spine runs from feet[0] to feet[1] phase aligned.
     """
-    if position(c1, c2, tol) != ULTRAPARALLEL:
-        raise NotUltraparallelError("common perpendicular needs ultraparallel geodesics")
-    p1, p2 = c1.polar, c2.polar
-    f1 = ProjectivePoint(p2.v - (herm_form(p2.v, p1.v) / p1.self_form()) * p1.v)
-    f2 = ProjectivePoint(p1.v - (herm_form(p1.v, p2.v) / p2.self_form()) * p2.v)
-    if classify(f1) != NEGATIVE or classify(f2) != NEGATIVE:
-        raise ClassError("feet of the common perpendicular are not negative points")
-    spine = Geodesic.through(f1, f2)
-    bis = Bisector.from_spine(spine)
+    x, y, basis = _perpendicular_rows(c1.polar.v[None], c2.polar.v[None], tol)
+    f1, f2, s2, fu = (ProjectivePoint(v) for v in (x[0], y[0], basis[0, :, 1], basis[0, :, 2]))
+    bis = Bisector(spine=Geodesic(f1, s2), polar_f=fu, complex_spine=ComplexGeodesic(fu))
     return BisectorSegment(bisector=bis, feet=(f1, f2), end_slices=(c1, c2))
 
 
@@ -181,28 +224,29 @@ def spine_point(seg: BisectorSegment, t: float) -> ProjectivePoint:
     return geodesic_interp(seg.feet[0], seg.feet[1], t)
 
 
-def _slice_polars(b: Bisector, xs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """Polars of the slices P(C x_i + C f) through an (N,3) stack of spine points.
+def _slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """Polars of the slices P(C x + C f) through spine points x, over a
+    (..., 3, 3) stack of bisector frames (``_bisector_basis``) and matching
+    (..., N, 3) stacks of spine points.
 
     Raises ``ClassError`` unless every row is negative, and ``NotOnSpineError``
     unless every row x = alpha s1 + beta s2 + gamma f has alpha, beta real up to
     a common phase and gamma = 0, within ``tol.on_spine``.
     """
-    if (sign_classes(xs, tol) != -1).any():
+    if (sign_classes(xs.reshape(-1, 3), tol) != -1).any():
         raise ClassError("slice points must be negative")
-    basis = np.column_stack([b.spine.x.v, b.spine.y.v, b.polar_f.v])
-    alpha, beta, gamma = np.linalg.solve(basis, xs.T)
+    alpha, beta, gamma = np.moveaxis(np.linalg.solve(basis, np.swapaxes(xs, -1, -2)), -2, 0)
     # n > 0: a negative row is no multiple of the positive polar f
     n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
     residual = np.abs((alpha * np.conj(beta)).imag) / n + np.abs(gamma) / np.sqrt(n)
     if (residual > tol.on_spine).any():
         raise NotOnSpineError("point does not lie on the real spine")
-    return polar_rows(xs, b.polar_f.v)
+    return polar_rows(xs, basis[..., None, :, 2])
 
 
 def slice_at(b: Bisector, x: ProjectivePoint, tol: Tolerances = TOL) -> ComplexGeodesic:
     """The slice P(C x + C f) of the bisector through a spine point x."""
-    return ComplexGeodesic(ProjectivePoint(_slice_polars(b, x.v[None], tol)[0]))
+    return ComplexGeodesic(ProjectivePoint(_slice_polars(b.basis(), x.v[None], tol)[0]))
 
 
 def real_plane_check(

@@ -359,8 +359,8 @@ class FrameField:
         xh = x / np.sqrt(-self_norms(x))[:, None]
         vs = np.concatenate([self.tangent, self.normal], axis=1)
         g = np.einsum("vad,vbd->vab", vs * _SIGNS, vs.conj()).real
-        not_orthonormal = (abs(g - np.eye(4)) > 1e-8).any(axis=(1, 2))
-        not_tangent = (abs(herm_rows(vs, xh[:, None, :])) > 1e-8).any(axis=1)
+        not_orthonormal = (abs(g - np.eye(4)) > tol.orthogonality).any(axis=(1, 2))
+        not_tangent = (abs(herm_rows(vs, xh[:, None, :])) > tol.orthogonality).any(axis=1)
         negative = np.zeros(len(vs), dtype=bool)
         ok = ~(not_orthonormal | not_tangent)
         # orthonormal frames have determinant +-1, so only they are oriented

@@ -31,13 +31,11 @@ from .core import (
 )
 from .errors import ClassError, DegenerateError, NotTransversalError
 from .geometry import (
-    Bisector,
-    BisectorSegment,
     ComplexGeodesic,
     _geodesic_rows,
+    _perpendicular_rows,
     _slice_polars,
-    common_perpendicular,
-    spine_point,
+    common_perpendicular,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.common_perpendicular)
 )
 from .io import _f
 from .tolerances import TOL, Tolerances
@@ -156,13 +154,6 @@ class QuadrangleConfig:
 # --- bisector side functions and the K3 sub-checks --------------------------
 
 
-def _bisector_coordinates(b: Bisector) -> np.ndarray:
-    """The matrix A with A @ v = (alpha, beta, gamma), the coordinates of v
-    in the spine/polar basis (s1, s2, f) of the bisector."""
-    basis = np.column_stack([b.spine.x.v, b.spine.y.v, b.unit_polar_vector()])
-    return np.linalg.inv(basis)
-
-
 def _side_values(coords: np.ndarray) -> np.ndarray:
     """Im(alpha conj(beta)) / (|alpha|^2 + |beta|^2) over the last axis of
     (alpha, beta, gamma) coordinates; 0 where alpha = beta = 0.
@@ -179,13 +170,15 @@ def _side_values(coords: np.ndarray) -> np.ndarray:
 def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Real directional derivatives of the side function, analytically.
 
-    ``a`` is a bisector coordinate matrix, ``x`` an (N,3) stack of points
-    off the bisector polar and ``dirs`` an (N,K,3) stack of directions;
-    entry [i, k] is the derivative at x_i along dirs[i, k] of
+    ``a`` is a (..., 3, 3) stack of side coordinate matrices (the inverse of
+    ``_bisector_basis``), ``x`` a (..., N, 3) stack of points off the
+    bisector polars and ``dirs`` a (..., N, K, 3) stack of directions;
+    entry [..., i, k] is the derivative at x_i along dirs[..., i, k] of
     P / n with P = Im(alpha conj(beta)) and n = |alpha|^2 + |beta|^2.
     """
-    c = (x @ a.T)[:, None, :]
-    dc = dirs @ a.T
+    at = np.swapaxes(a, -1, -2)
+    c = (x @ at)[..., None, :]
+    dc = dirs @ at[..., None, :, :]
     alpha, beta, da, db = c[..., 0], c[..., 1], dc[..., 0], dc[..., 1]
     n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
     p = (alpha * np.conj(beta)).imag
@@ -194,13 +187,14 @@ def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarra
     return (dp * n - p * dn) / n ** 2
 
 
-def _slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius: float = 1.0):
+def _slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius: float | np.ndarray = 1.0):
     """Sample points of the complex geodesics P(polar_i^perp) around points on them.
 
     For each (polar, centre) row pair: the centre, then the first n - 1
     points of rings at distances linspace(0.15, radius, max((n-1)//8, 1))
     with 8 equally spaced phases each (fewer when the rings hold fewer
-    points).  Returns the unit-norm rows stacked centre by centre.
+    points); ``radius`` is one value or one per row.  Returns the unit-norm
+    rows stacked centre by centre.
     """
     f = polars / np.sqrt(self_norms(polars))[:, None]
     x = centers / np.sqrt(-self_norms(centers))[:, None]
@@ -215,18 +209,13 @@ def _slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius: floa
         w[:, 0] - herm_rows(w[:, 0], f)[:, None] * f,
     )
     d = d / np.sqrt(self_norms(d))[:, None]
-    r = np.linspace(0.15, radius, max(max(n - 1, 1) // 8, 1))[:, None, None]
-    phase = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))[None, :, None]
+    r = np.linspace(0.15, np.broadcast_to(radius, len(x)), max(max(n - 1, 1) // 8, 1), axis=1)
+    r = r[:, :, None, None]
+    phase = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))[:, None]
     rings = np.cosh(r) * x[:, None, None] + (np.sinh(r) * phase) * d[:, None, None]
     rings = rings.reshape(len(x), -1, 3)[:, : max(n - 1, 0)]
     pts = np.concatenate([x[:, None], rings], axis=1).reshape(-1, 3)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def _segment_samples(seg: BisectorSegment, n_spine: int, n_slice: int, radius: float = 1.5):
-    """Slice samples around n_spine equally spaced spine points, in spine order."""
-    xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, n_spine))
-    return _slice_samples(_slice_polars(seg.bisector, xs), xs, n_slice, radius)
 
 
 @dataclass
@@ -293,6 +282,12 @@ def polars_digest(polars) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+#: The ordered polar pairs (i, j), 0-based, of the K3 common perpendiculars;
+#: x_k lies on C_i, y_k on C_j.  Rows 0, 3, 5, 7 are the segments B12, B34,
+#: B23, B41.
+_K3_PAIRS = np.array([(0, 1), (2, 1), (0, 3), (2, 3), (1, 3), (1, 2), (3, 2), (3, 0)])
+
+
 def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck]:
     """Numerical certificate of K3 (transversal adjacency) for a quadrangle.
 
@@ -303,68 +298,67 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
 
     A slice sample set has n = max(k3_samples // 8, 4) points (8 at the
     default k3_samples = 64; ``_slice_samples`` gives the caveats for
-    larger n).  (a) takes the
-    smallest tangent-hyperplane angle over one slice sample set around the
-    foot on the shared slice; (b) takes the smallest signed side value over
-    one slice sample set of C3; (c) samples each segment at 8 spine points
-    x n slice points (64 by default) and takes the exact minimum distance
-    over all sampled pairs (4096 by default).
+    larger n).  (a) takes the smallest tangent-hyperplane angle over one
+    set around the foot on the shared slice; (b) takes the smallest signed
+    side value over one set of C3, and fails when its reference point lies
+    on the bisector within ``tol.strict_margin``; (c) samples each segment
+    at 8 spine points x n slice points (64 by default) and takes the exact
+    minimum distance over all sampled pairs (4096 by default).
+
+    The (a) and (b) sets are centred on the second feet of ``_K3_PAIRS``
+    exactly as ``_perpendicular_rows`` returns them: Euclidean-unit and not
+    phase aligned.  The rings cosh(r) x + sinh(r) e^{i phi} d move with the
+    phase of the centre representative x, and so do the margins.
     """
     p1, p2, p3, p4 = q.polars
-    C = [ComplexGeodesic(p) for p in q.polars]
-    checks: list[SubCheck] = []
-
     if p1.is_parallel_to(p3) or p2.is_parallel_to(p4):
         return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
+    polars = np.array([p.v for p in q.polars])
+    x, y, basis = _perpendicular_rows(polars[_K3_PAIRS[:, 0]], polars[_K3_PAIRS[:, 1]], tol)
+    coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
+    seg = [0, 3, 5, 7]
+    spine = _geodesic_rows(x[seg, None], y[seg, None], np.linspace(0.0, 1.0, 8))
+    # sets around the feet on C2, C4 (a) and C3 (b), then the segments' spine points (c)
+    samples = _slice_samples(
+        np.concatenate([polars[[1, 3, 2, 2]], _slice_polars(basis[seg], spine, tol).reshape(-1, 3)]),
+        np.concatenate([y[[0, 2, 5, 6]], spine.reshape(-1, 3)]),
+        max(tol.k3_samples // 8, 4),
+        np.repeat([1.0, 0.8, 1.5], [2, 2, 32]),
+    ).reshape(36, -1, 3)
 
-    perps = {}
+    # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared slices
+    w = _unitary_tangent_basis(samples[:2].reshape(-1, 3)).reshape(2, -1, 2, 3)
+    dirs = np.stack([w[..., 0, :], 1j * w[..., 0, :], w[..., 1, :], 1j * w[..., 1, :]], axis=-2)
+    # g-gradients of both side functions, lifted into x^perp
+    ga, gb = (
+        np.einsum("snk,snkc->snc", _side_gradients(coords[rows], samples[:2], dirs), dirs)
+        for rows in ([0, 2], [1, 3])
+    )
+    na, nb = np.sqrt(self_norms(ga)), np.sqrt(self_norms(gb))
+    ok = (na >= 1e-12) & (nb >= 1e-12)
+    cosang = np.abs(herm_rows(ga, gb).real) / np.where(ok, na * nb, 1.0)
+    worst = np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0).min(axis=1).tolist()
+    checks = [SubCheck(label, w >= tol.angle_floor, w - tol.angle_floor)
+              for label, w in zip(("transversal_at_C2", "transversal_at_C4"), worst)]
 
-    def perp(i: int, j: int) -> BisectorSegment:
-        # ordered pair: feet[0] lies on C[i], feet[1] on C[j]
-        if (i, j) not in perps:
-            perps[i, j] = common_perpendicular(C[i], C[j], tol)
-        return perps[i, j]
-
-    n_slice = max(tol.k3_samples // 8, 4)
-
-    # (a) tangent-hyperplane angles along the shared slices
-    for shared, label in ((1, "transversal_at_C2"), (3, "transversal_at_C4")):
-        seg_a, seg_b = perp(0, shared), perp(2, shared)
-        # around the foot on the shared slice
-        x = _slice_samples(C[shared].polar.v[None], seg_a.feet[1].v[None], n_slice)
-        w = _unitary_tangent_basis(x)
-        dirs = np.stack([w[:, 0], 1j * w[:, 0], w[:, 1], 1j * w[:, 1]], axis=1)
-        # g-gradients of both side functions, lifted into x^perp
-        ga, gb = (
-            np.einsum("nk,nkc->nc", _side_gradients(_bisector_coordinates(b), x, dirs), dirs)
-            for b in (seg_a.bisector, seg_b.bisector)
-        )
-        na, nb = np.sqrt(self_norms(ga)), np.sqrt(self_norms(gb))
-        ok = (na >= 1e-12) & (nb >= 1e-12)
-        cosang = np.abs(herm_rows(ga, gb).real) / np.where(ok, na * nb, 1.0)
-        angles = np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0)
-        worst = float(angles.min())
-        checks.append(SubCheck(label, worst >= tol.angle_floor, worst - tol.angle_floor))
-
-    # (b) sector test: C3 on the inner side of both bisectors through C1
-    ref = spine_point(perp(1, 3), 0.5)  # interior reference point of the quadrangle
-    for other, label in ((1, "sector_B_C1C2"), (3, "sector_B_C1C4")):
-        coords = _bisector_coordinates(perp(0, other).bisector)
-        side_ref = float(_side_values(coords @ ref.v))
-        x = _slice_samples(p3.v[None], perp(other, 2).feet[1].v[None], n_slice, radius=0.8)
-        worst = float((np.sign(side_ref) * _side_values(x @ coords.T)).min())
-        checks.append(SubCheck(label, worst > 0.0, worst, f"reference side {side_ref:+.3e}"))
+    # (b) sector test: C3 on the inner side of both bisectors through C1, as
+    # seen from an interior reference point of the quadrangle
+    a = coords[[0, 2]]
+    side_ref = _side_values(a @ _geodesic_rows(x[4], y[4], 0.5))
+    sides = np.sign(side_ref)[:, None] * _side_values(samples[2:4] @ np.swapaxes(a, -1, -2))
+    labels = ("sector_B_C1C2", "sector_B_C1C4")
+    for label, ref, w in zip(labels, side_ref.tolist(), sides.min(axis=1).tolist()):
+        if abs(ref) <= tol.strict_margin:
+            checks.append(SubCheck(label, False, abs(ref) - tol.strict_margin,
+                                   f"degenerate reference: side {ref:+.3e} on the bisector"))
+        else:
+            checks.append(SubCheck(label, w > 0.0, w, f"reference side {ref:+.3e}"))
 
     # (c) non-adjacent segments stay separated
-    for (i, j), (k, l), label in (
-        ((0, 1), (2, 3), "disjoint_B12_B34"),
-        ((1, 2), (3, 0), "disjoint_B23_B41"),
-    ):
-        sa = _segment_samples(perp(i, j), 8, n_slice)
-        sb = _segment_samples(perp(k, l), 8, n_slice)
-        dmin = float(distance_matrix(sa, sb, tol).min())
+    segments = samples[4:].reshape(4, -1, 3)
+    for k, l, label in ((0, 1, "disjoint_B12_B34"), (2, 3, "disjoint_B23_B41")):
+        dmin = float(distance_matrix(segments[k], segments[l], tol).min())
         checks.append(SubCheck(label, dmin >= tol.sep_floor, dmin - tol.sep_floor))
-
     return checks
 
 

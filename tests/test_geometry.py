@@ -27,6 +27,7 @@ from chdisc.geometry import (
     CONCURRENT,
     ULTRAPARALLEL,
     _geodesic_rows,
+    _perpendicular_rows,
     _slice_polars,
 )
 
@@ -118,6 +119,27 @@ def test_common_perpendicular_requires_ultraparallel():
     c2 = ComplexGeodesic(ProjectivePoint([0, 1, 0]))
     with pytest.raises(NotUltraparallelError):
         common_perpendicular(c1, c2)
+    with pytest.raises(DegenerateError):
+        common_perpendicular(c1, ComplexGeodesic(ProjectivePoint([0, 0, 1j])))
+
+
+def test_perpendicular_rows_raise_for_the_first_failing_pair():
+    good = (_fiber(-0.3).polar.v, _fiber(0.4).polar.v)
+    concurrent = (np.array([0, 0, 1], dtype=complex), np.array([0, 1, 0], dtype=complex))
+    same = (good[0], 1j * good[0])
+    for pairs, error in (
+        ([good, concurrent, same], NotUltraparallelError),
+        ([good, same, concurrent], DegenerateError),
+    ):
+        p, q = (np.array(side) for side in zip(*pairs))
+        with pytest.raises(error):
+            _perpendicular_rows(p, q)
+    # a passing stack gives each pair's common_perpendicular
+    x, y, basis = _perpendicular_rows(*(np.array([v, v]) for v in good))
+    seg = common_perpendicular(_fiber(-0.3), _fiber(0.4))
+    np.testing.assert_allclose(x[1], seg.feet[0].v, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(y[1], seg.feet[1].v, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(basis[1], seg.bisector.basis(), rtol=0, atol=1e-15)
 
 
 def test_bisector_slices():
@@ -145,15 +167,23 @@ def test_slice_polars_check_every_row():
     xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, 5))
     # each slice polar is J conj(x cross f)
     ref = np.array([-1.0, 1.0, 1.0]) * np.conj(np.cross(xs, b.polar_f.v))
-    np.testing.assert_allclose(_slice_polars(b, xs), ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_slice_polars(b.basis(), xs), ref, rtol=0, atol=1e-15)
+    # a stack of two bisectors, each with its own spine points
+    other = common_perpendicular(_fiber(0.1j), _fiber(0.5)).bisector
+    ys = _geodesic_rows(other.spine.x.v, other.spine.y.v, np.linspace(0.0, 1.0, 5))
+    np.testing.assert_allclose(
+        _slice_polars(np.stack([b.basis(), other.basis()]), np.stack([xs, ys]))[1],
+        _slice_polars(other.basis(), ys), rtol=0, atol=1e-15)
     off = xs.copy()
     off[3] = embed(0.2 + 0.4j).v
     with pytest.raises(NotOnSpineError):
-        _slice_polars(b, off)
+        _slice_polars(b.basis(), off)
+    with pytest.raises(NotOnSpineError):
+        _slice_polars(np.stack([b.basis(), other.basis()]), np.stack([ys, ys]))
     positive = xs.copy()
     positive[2] = b.polar_f.v
     with pytest.raises(ClassError):
-        _slice_polars(b, positive)
+        _slice_polars(b.basis(), positive)
 
 
 def test_bisector_from_spine_polar():

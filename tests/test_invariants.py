@@ -10,6 +10,7 @@ from chdisc import (
     ClassError,
     Isometry,
     ConvergenceError,
+    Tolerances,
     InvariantReport,
     MeshError,
     ProjectivePoint,
@@ -306,6 +307,9 @@ def test_frame_field_validate_rejects_bad_frames():
     ff = build_frame_field(mesh)
     ff.validate(mesh)
     assert ff.tangent.shape == ff.normal.shape == (len(mesh.embedding), 2, 3)
+    # the thresholds follow tol.orthogonality: rounding noise fails at 1e-16
+    with pytest.raises(MeshError, match="is not g-orthonormal|is not tangent"):
+        ff.validate(mesh, Tolerances(orthogonality=1e-16))
     k = 5
     u1, u2 = ff.tangent[k]
     xh = normalized_negative(mesh.embedding[k])

@@ -19,25 +19,31 @@ from chdisc.core import (
     ProjectivePoint,
     _unitary_tangent_basis,
     distance,
+    distance_matrix,
     herm_form,
     herm_rows,
     polar_span,
     self_norms,
 )
 from chdisc.disc import F0, embed, triangle_area_gauss_bonnet, triangle_vertices
-from chdisc.errors import ClassError, DegenerateError
-from chdisc.geometry import ComplexGeodesic, common_perpendicular
+from chdisc.errors import ClassError, DegenerateError, GeometryError
+from chdisc.geometry import (
+    ComplexGeodesic,
+    _geodesic_rows,
+    _slice_polars,
+    common_perpendicular,
+    slice_at,
+    spine_point,
+)
 from chdisc.quadrangle import (
-    _bisector_coordinates,
-    _segment_samples,
     _side_gradients,
     _side_values,
     _slice_samples,
     adjacency_check,
 )
-from chdisc.tolerances import TOL
+from chdisc.tolerances import TOL, Tolerances
 
-from conftest import random_disc_coordinate, random_isometry, scalar_geodesic_interp
+from conftest import random_disc_coordinate, random_isometry
 
 
 def _fiber_polars(*zs):
@@ -96,9 +102,10 @@ def test_transversality_margins_signs():
         is_counterclockwise(thin)
 
 
-def _baseline_quadrangle():
-    z1, z2, z3 = triangle_vertices(np.pi / 3, np.pi / 3, np.pi / 4)
-    z4 = z2 * np.exp(2j * np.pi / 3)  # g1^-1 C2 for the (3,3,4) turnover
+def _baseline_quadrangle(sig=(3, 3, 4)):
+    n1, n2, n3 = sig
+    z1, z2, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
+    z4 = z2 * np.exp(2j * np.pi / n1)  # g1^-1 C2 of the turnover
     return QuadrangleConfig(_fiber_polars(z1, z2, z3, z4))
 
 
@@ -188,6 +195,65 @@ def _reference_slice_samples(polar, center, n, radius=1.0):
     return np.array([p.v for p in pts])
 
 
+def _segment_reference(seg, n_spine, n, radius=1.5):
+    """Slice samples around n_spine spine points of a segment, one sample at a time."""
+    xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, n_spine))
+    polars = _slice_polars(seg.bisector.basis(), xs)
+    return np.concatenate([_reference_slice_samples(ProjectivePoint(f), ProjectivePoint(x), n, radius)
+                           for f, x in zip(polars, xs)])
+
+
+def _side_coordinates(seg):
+    """The inverse of the basis (s1, s2, f) of a segment's bisector, f form-unit."""
+    b = seg.bisector
+    f = b.polar_f.v / np.sqrt(b.polar_f.self_form())
+    return np.linalg.inv(np.column_stack([b.spine.x.v, b.spine.y.v, f]))
+
+
+def _reference_adjacency_check(q, tol=TOL):
+    """K3 one perpendicular and one sample at a time: the reference for
+    ``adjacency_check``, built from ``common_perpendicular`` and
+    ``_reference_slice_samples``.  It has no degenerate-reference rule in (b)."""
+    p1, p2, p3, p4 = q.polars
+    c = [ComplexGeodesic(p) for p in q.polars]
+    if p1.is_parallel_to(p3) or p2.is_parallel_to(p4):
+        return [("degenerate", False, -1.0, "coincident opposite vertices")]
+    perps = {}
+
+    def perp(i, j):
+        if (i, j) not in perps:
+            perps[i, j] = common_perpendicular(c[i], c[j], tol)
+        return perps[i, j]
+
+    n = max(tol.k3_samples // 8, 4)
+    checks = []
+    for shared, label in ((1, "transversal_at_C2"), (3, "transversal_at_C4")):
+        seg_a, seg_b = perp(0, shared), perp(2, shared)
+        x = _reference_slice_samples(c[shared].polar, seg_a.feet[1], n)
+        w = _unitary_tangent_basis(x)
+        dirs = np.stack([w[:, 0], 1j * w[:, 0], w[:, 1], 1j * w[:, 1]], axis=1)
+        ga, gb = (np.einsum("nk,nkc->nc", _side_gradients(_side_coordinates(s), x, dirs), dirs)
+                  for s in (seg_a, seg_b))
+        na, nb = np.sqrt(self_norms(ga)), np.sqrt(self_norms(gb))
+        ok = (na >= 1e-12) & (nb >= 1e-12)
+        cosang = np.abs(herm_rows(ga, gb).real) / np.where(ok, na * nb, 1.0)
+        worst = float(np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0).min())
+        checks.append((label, worst >= tol.angle_floor, worst - tol.angle_floor, ""))
+    ref = spine_point(perp(1, 3), 0.5)
+    for other, label in ((1, "sector_B_C1C2"), (3, "sector_B_C1C4")):
+        a = _side_coordinates(perp(0, other))
+        side_ref = float(_side_values(a @ ref.v))
+        x = _reference_slice_samples(p3, perp(other, 2).feet[1], n, 0.8)
+        worst = float((np.sign(side_ref) * _side_values(x @ a.T)).min())
+        checks.append((label, worst > 0.0, worst, f"reference side {side_ref:+.3e}"))
+    for (i, j), (k, l), label in (((0, 1), (2, 3), "disjoint_B12_B34"),
+                                  ((1, 2), (3, 0), "disjoint_B23_B41")):
+        dmin = float(distance_matrix(_segment_reference(perp(i, j), 8, n),
+                                     _segment_reference(perp(k, l), 8, n), tol).min())
+        checks.append((label, dmin >= tol.sep_floor, dmin - tol.sep_floor, ""))
+    return checks
+
+
 def _moved_segments(rng):
     q = _baseline_quadrangle()
     g = random_isometry(rng)
@@ -201,28 +267,38 @@ def _moved_segments(rng):
 @pytest.mark.parametrize("n", [4, 8, 9, 20])
 def test_slice_samples_match_reference(rng, n):
     for seg in _moved_segments(rng):
-        polar, center = seg.end_slices[1].polar, seg.feet[1]
-        got = _slice_samples(polar.v[None], center.v[None], n, radius=0.8)
-        np.testing.assert_allclose(got, _reference_slice_samples(polar, center, n, 0.8), atol=1e-14)
-        # the last spine point and its slice polar J conj(x cross f), one at a time
-        end = scalar_geodesic_interp(seg.feet[0], seg.feet[1], 1.0)
-        polar = ProjectivePoint(np.array([-1.0, 1.0, 1.0]) * np.conj(np.cross(end.v, seg.bisector.polar_f.v)))
-        ref = _reference_slice_samples(polar, end, n, 1.5)
-        stacked = _segment_samples(seg, 3, n)
-        assert stacked.shape == (3 * len(ref), 3)
-        np.testing.assert_allclose(stacked[-len(ref):], ref, atol=1e-14)
+        # one stacked call: the foot on the second slice at radius 0.8, then
+        # three spine points at radius 1.5 with their checked slice polars
+        xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, 3))
+        got = _slice_samples(
+            np.concatenate([seg.end_slices[1].polar.v[None], _slice_polars(seg.bisector.basis(), xs)]),
+            np.concatenate([seg.feet[1].v[None], xs]), n, np.array([0.8, 1.5, 1.5, 1.5]),
+        )
+        ref = [_reference_slice_samples(seg.end_slices[1].polar, seg.feet[1], n, 0.8)]
+        for t in (0.0, 0.5, 1.0):
+            x = spine_point(seg, t)
+            ref.append(_reference_slice_samples(slice_at(seg.bisector, x).polar, x, n, 1.5))
+        np.testing.assert_allclose(got, np.concatenate(ref), atol=1e-14)
 
 
 def test_side_gradient_matches_central_differences(rng):
     h = 1e-6
-    for seg in _moved_segments(rng):
-        a = _bisector_coordinates(seg.bisector)
-        x = _slice_samples(seg.end_slices[1].polar.v[None], seg.feet[1].v[None], 8)
+    segs = _moved_segments(rng)
+    stacked_a = np.linalg.inv(np.stack([seg.bisector.basis() for seg in segs]))
+    stacked_x = np.stack([_slice_samples(seg.end_slices[1].polar.v[None], seg.feet[1].v[None], 8)
+                          for seg in segs])
+    for k, seg in enumerate(segs):
+        a, x = stacked_a[k], stacked_x[k]
         w = _unitary_tangent_basis(x)
         dirs = np.stack([w[:, 0], 1j * w[:, 0], w[:, 1], 1j * w[:, 1]], axis=1)
         fd = (_side_values((x[:, None] + h * dirs) @ a.T)
               - _side_values((x[:, None] - h * dirs) @ a.T)) / (2.0 * h)
-        np.testing.assert_allclose(_side_gradients(a, x, dirs), fd, rtol=0, atol=1e-8)
+        got = _side_gradients(a, x, dirs)
+        np.testing.assert_allclose(got, fd, rtol=0, atol=1e-8)
+        # the same rows of a stacked call over all three bisectors
+        np.testing.assert_allclose(
+            _side_gradients(stacked_a, stacked_x, np.broadcast_to(dirs, (len(segs),) + dirs.shape))[k],
+            got, rtol=0, atol=1e-15)
         # the tangent basis is <,>-unitary and orthogonal to each sample
         np.testing.assert_allclose(self_norms(w[:, 0]), 1.0, atol=1e-12)
         np.testing.assert_allclose(herm_rows(w[:, 0], w[:, 1]), 0.0, atol=1e-12)
@@ -232,8 +308,58 @@ def test_side_gradient_matches_central_differences(rng):
 def test_k3_separation_is_min_over_sampled_pairs():
     q = _baseline_quadrangle()
     c = [ComplexGeodesic(p) for p in q.polars]
-    sa = _segment_samples(common_perpendicular(c[0], c[1]), 8, 8)
-    sb = _segment_samples(common_perpendicular(c[2], c[3]), 8, 8)
+    sa = _segment_reference(common_perpendicular(c[0], c[1]), 8, 8)
+    sb = _segment_reference(common_perpendicular(c[2], c[3]), 8, 8)
     dmin = min(distance(ProjectivePoint(a), ProjectivePoint(b)) for a in sa for b in sb)
     check = next(k for k in adjacency_check(q) if k.name == "disjoint_B12_B34")
     assert check.margin + TOL.sep_floor == pytest.approx(dmin, abs=1e-12)
+
+
+@pytest.mark.parametrize("sig", [(3, 3, 4), (3, 3, 5), (3, 4, 4), (4, 4, 4)])
+def test_adjacency_check_matches_per_pair_reference(rng, sig):
+    q0 = _baseline_quadrangle(sig)
+    for k in range(101):
+        g = random_isometry(rng)
+        q = q0 if k == 0 else QuadrangleConfig(tuple(g(p) for p in q0.polars))
+        for samples in (64, 160):
+            tol = Tolerances(k3_samples=samples)
+            got = [(c.name, c.passed, c.margin, c.detail) for c in adjacency_check(q, tol)]
+            want = _reference_adjacency_check(q, tol)
+            assert [w[:2] for w in got] == [w[:2] for w in want]
+            assert all(type(w[1]) is bool for w in got)
+            np.testing.assert_allclose([w[2] for w in got], [w[2] for w in want], rtol=0, atol=1e-12)
+
+
+def _raised(check, q):
+    try:
+        check(q)
+    except GeometryError as e:
+        return type(e)
+    return None
+
+
+def test_adjacency_check_raises_what_the_per_pair_reference_raises():
+    p = _baseline_quadrangle().polars
+    concurrent = polar_span(embed(0.0), embed(0.3))  # the complex geodesic through C1's foot
+    cases = [
+        (p[0], ProjectivePoint(p[0].v * 1j), p[2], p[3]),  # C1 = C2: the first pair
+        (ProjectivePoint([0, 0, 1]), ProjectivePoint([0, 1, 0]), p[2], p[3]),
+        (p[0], p[1], p[2], concurrent),
+        (concurrent, p[1], p[2], p[3]),
+    ]
+    for polars in cases:
+        q = QuadrangleConfig(polars)
+        want = _raised(_reference_adjacency_check, q)
+        assert want is not None
+        assert _raised(adjacency_check, q) is want
+
+
+def test_sector_check_fails_on_a_degenerate_reference():
+    # on the (2,3,7) baseline the midpoint of B[C2,C4] lies on both
+    # bisectors through C1, so the reference side is rounding noise
+    checks = {c.name: c for c in adjacency_check(_baseline_quadrangle((2, 3, 7)))}
+    for name in ("sector_B_C1C2", "sector_B_C1C4"):
+        c = checks[name]
+        assert not c.passed
+        assert c.detail.startswith("degenerate reference")
+        assert -TOL.strict_margin <= c.margin < 0.0
