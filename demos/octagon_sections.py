@@ -20,7 +20,7 @@ def main():
         tau = toledo_via_mesh(mesh)
         degrees = euler_via_mesh(mesh)
         print(f"{kind} octagon section")
-        print(f"  vertices {len(mesh.embedding)}  faces {len(mesh.triangles)}")
+        print(f"  vertices {len(mesh.vertices)}  faces {len(mesh.triangles)}")
         print(f"  toledo        {tau:+.12f}")
         print(f"  chi degree    {degrees.chi_raw:+.12f} -> {degrees.chi}")
         print(f"  euler degree  {degrees.euler_raw:+.12f} -> {degrees.euler}")

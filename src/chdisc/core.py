@@ -211,18 +211,24 @@ def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
     origin).  Returns an (N, 2, 3) stack.
     """
     xs = x / np.sqrt(-self_norms(x))[:, None]
+    nx = self_norms(xs)
     out = np.zeros((len(x), 2, 3), dtype=complex)
     found = np.zeros(len(x), dtype=int)
-    for s in np.eye(3, dtype=complex):
-        w = s - (gram(s[None], xs)[0] / self_norms(xs))[:, None] * xs
-        for j in range(2):
-            prev = out[:, j]
-            pp = np.where(found > j, self_norms(prev), 1.0)
+    for k, s in enumerate(np.eye(3, dtype=complex)):
+        i = np.flatnonzero(found < 2)  # the rows still short of a basis vector
+        if not i.size:
+            break
+        # <s, xs> = sign_k conj(xs[:, k]), gram's value for the coordinate vector s
+        w = s - (_SIGNS[k] * xs[i, k].conj() / nx[i])[:, None] * xs[i]
+        for j in range(min(k, 2)):  # slot j is empty until seed j
+            prev = out[i, j]
+            pp = np.where(found[i] > j, self_norms(prev), 1.0)
             w = w - (herm_rows(w, prev) / pp)[:, None] * prev
         n = self_norms(w)
-        take = (n > 1e-12) & (found < 2)
-        out[take, found[take]] = w[take] / np.sqrt(n[take])[:, None]
-        found += take
+        take = n > 1e-12
+        t = i[take]
+        out[t, found[t]] = w[take] / np.sqrt(n[take])[:, None]
+        found[t] += 1
     return out
 
 

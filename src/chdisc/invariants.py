@@ -121,16 +121,19 @@ def _from_coords(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...kd->...d", c[..., 0::2] + 1j * c[..., 1::2], basis)
 
 
-def orientation_sign(basis, frame4):
-    """Sign of real tangent 4-frames against the complex orientation of x^perp.
+def orientation_sign(x, frame4):
+    """Sign of real tangent 4-frames at x against the complex orientation of x^perp.
 
-    ``basis`` is a unitary basis (b1, b2) of x^perp, as built by
-    ``_unitary_tangent_basis``; every such basis gives the same sign.
-    Takes one (2,3) basis with four 3-vectors, or a (N,2,3) stack with a
-    (N,4,3) stack of frames; returns +1/-1 per frame.
+    Takes x scaled to <x,x> = -1 with four tangent 3-vectors, or an (N,3)
+    stack with an (N,4,3) stack of frames; returns +1/-1 per frame.  Over
+    R^6 = C^3 the real determinant of (x, ix, f1, f2, f3, f4) is
+    |det_C(x, b1, b2)|^2 = 1 times the determinant of the frame's
+    coordinates in the real basis (b1, ib1, b2, ib2), for any unitary basis
+    (b1, b2) of x^perp, so no basis is built.
     """
-    basis = np.asarray(basis)
-    d = np.linalg.det(_real_coords(frame4, basis[..., None, :, :]))
+    x = np.asarray(x, dtype=complex)[..., None, :]
+    rows = np.concatenate([x, 1j * x, np.asarray(frame4, dtype=complex)], axis=-2)
+    d = np.linalg.det(rows.view(float).reshape(*rows.shape[:-2], 6, 6))
     if np.any(abs(d) < 1e-14):
         raise DegenerateError("degenerate 4-frame")
     return np.where(d > 0, 1, -1)
@@ -158,17 +161,20 @@ def lagrangian_frame_check(x: ProjectivePoint, u1, u2, normal_pair=None,
     else:
         v1 = tangent_project(xh, np.asarray(normal_pair[0], dtype=complex))
         v2 = tangent_project(xh, np.asarray(normal_pair[1], dtype=complex))
-    return bool(orientation_sign(_unitary_tangent_basis(xh[None])[0], [e1, e2, v1, v2]) > 0)
+    return bool(orientation_sign(xh, [e1, e2, v1, v2]) > 0)
 
 
 # -- meshes ------------------------------------------------------------------
 
 @dataclass
 class SidePairing:
-    """Boundary identification: isometry maps embedded run_a onto run_b."""
+    """Boundary identification: isometry maps the vertices run_a onto run_b.
 
-    run_a: list
-    run_b: list
+    The runs are 1-D integer arrays of vertex indices, matched entry by entry.
+    """
+
+    run_a: np.ndarray
+    run_b: np.ndarray
     isometry: Isometry
 
 
@@ -176,23 +182,24 @@ class SidePairing:
 class SectionMesh:
     """A triangulated polygon with an embedding into H^2_C and identifications.
 
-    ``triangles`` are index triples, counterclockwise in the abstract
-    polygon; ``embedding`` maps each vertex index to a negative projective
-    point; ``side_pairings`` identify boundary runs pointwise; cone points
-    carry their orders for orbifold bookkeeping and snapping denominators.
+    ``vertices`` is the (V,3) complex stack of negative representatives,
+    one row per vertex; ``triangles`` is an (F,3) integer array of vertex
+    indices, counterclockwise in the abstract polygon; ``side_pairings``
+    identify boundary runs pointwise; cone points carry their orders for
+    orbifold bookkeeping and snapping denominators.
     """
 
-    embedding: list
-    triangles: list
+    vertices: np.ndarray
+    triangles: np.ndarray
     side_pairings: list = field(default_factory=list)
     cone_points: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self.vertices = np.asarray(self.vertices, dtype=complex)
+        self.triangles = np.asarray(self.triangles)
+
     def cone_orders(self):
         return [n for _, n in self.cone_points]
-
-    def vertices(self) -> np.ndarray:
-        """The (V,3) stack of vertex representatives."""
-        return np.array([p.v for p in self.embedding])
 
     def snap_denominator(self) -> int:
         orders = self.cone_orders()
@@ -215,28 +222,49 @@ class SectionMesh:
                 for p in self.side_pairings
             ],
             "triangles": [[int(a), int(b), int(c)] for a, b, c in self.triangles],
-            "vertices": [vec(p.v) for p in self.embedding],
+            "vertices": [vec(v) for v in self.vertices],
         }
 
     def validate(self, tol: Tolerances = TOL) -> None:
-        x = self.vertices()
+        """Check the index arrays, the vertex classes and the side pairings.
+
+        Raises ``MeshError`` for a malformed array or an index outside
+        [0, V), a non-negative vertex, or a pairing that does not map its
+        run onto the other.
+        """
+        x, tri = self.vertices, self.triangles
+        runs = [np.asarray(r) for p in self.side_pairings for r in (p.run_a, p.run_b)]
+        if x.ndim != 2 or x.shape[1] != 3:
+            raise MeshError("vertices must be a (V,3) stack")
+        if tri.ndim != 2 or tri.shape[1] != 3 or tri.dtype.kind not in "iu":
+            raise MeshError("triangles must be an (F,3) integer array")
+        if any(r.ndim != 1 or r.dtype.kind not in "iu" for r in runs):
+            raise MeshError("side pairing runs must be 1-D integer arrays")
+        # numpy would wrap a negative index silently
+        every_run = np.concatenate([np.zeros(0, dtype=int), *runs])
+        for what, idx in (("triangles", tri), ("side pairing runs", every_run)):
+            if idx.size and (idx.min() < 0 or idx.max() >= len(x)):
+                raise MeshError(f"{what} index a vertex outside [0, {len(x)})")
         bad = np.flatnonzero(sign_classes(x, tol) != -1)
         if bad.size:
             raise MeshError(f"embedded vertex {bad[0]} is not a negative point")
-        for pair in self.side_pairings:
-            if len(pair.run_a) != len(pair.run_b):
-                raise MeshError("side pairing runs have different lengths")
-            image = x[pair.run_a] @ pair.isometry.matrix.T
-            target = x[pair.run_b]
-            ta = abs(herm_rows(image, target)) ** 2 / (self_norms(image) * self_norms(target))
-            gap = abs(ta - 1.0)
-            bad = np.flatnonzero(gap > tol.mesh)
-            if bad.size:
-                k = bad[0]
-                raise MeshError(
-                    f"pairing maps vertex {pair.run_a[k]} to tance gap {gap[k]:g} "
-                    f"from {pair.run_b[k]}"
-                )
+        if any(len(a) != len(b) for a, b in zip(runs[0::2], runs[1::2])):
+            raise MeshError("side pairing runs have different lengths")
+        if not runs:
+            return
+        # every pairing's run images, one stack
+        image = np.concatenate([x[a] @ p.isometry.matrix.T
+                                for p, a in zip(self.side_pairings, runs[0::2])])
+        run_a, run_b = np.concatenate(runs[0::2]), np.concatenate(runs[1::2])
+        target = x[run_b]
+        ta = abs(herm_rows(image, target)) ** 2 / (self_norms(image) * self_norms(target))
+        gap = abs(ta - 1.0)
+        bad = np.flatnonzero(gap > tol.mesh)
+        if bad.size:
+            k = bad[0]
+            raise MeshError(
+                f"pairing maps vertex {run_a[k]} to tance gap {gap[k]:g} from {run_b[k]}"
+            )
 
 
 # -- Toledo integrals --------------------------------------------------------
@@ -319,7 +347,7 @@ def _toledo(vertices: np.ndarray, faces) -> float:
 def toledo_via_mesh(m: SectionMesh, tol: Tolerances = TOL) -> float:
     """(2/pi) * integral of omega over the embedded mesh, face by face."""
     m.validate(tol)
-    return _toledo(m.vertices(), m.triangles)
+    return _toledo(m.vertices, m.triangles)
 
 
 def toledo_via_coning(rep, fixed_points, tol: Tolerances = TOL) -> float:
@@ -355,7 +383,7 @@ class FrameField:
     normal: np.ndarray
 
     def validate(self, mesh: SectionMesh, tol: Tolerances = TOL) -> None:
-        x = mesh.vertices()
+        x = mesh.vertices
         xh = x / np.sqrt(-self_norms(x))[:, None]
         vs = np.concatenate([self.tangent, self.normal], axis=1)
         g = np.einsum("vad,vbd->vab", vs * _SIGNS, vs.conj()).real
@@ -364,7 +392,7 @@ class FrameField:
         negative = np.zeros(len(vs), dtype=bool)
         ok = ~(not_orthonormal | not_tangent)
         # orthonormal frames have determinant +-1, so only they are oriented
-        negative[ok] = orientation_sign(_unitary_tangent_basis(x[ok]), vs[ok]) < 0
+        negative[ok] = orientation_sign(xh[ok], vs[ok]) < 0
         fails = np.stack([not_orthonormal, not_tangent, negative])
         if fails.any():
             idx = int(np.flatnonzero(fails.any(axis=0))[0])
@@ -394,20 +422,28 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     ccw triangle at the vertex, and v2 so that (u1, u2, v1, v2) agrees with
     the complex orientation.
     """
-    x = mesh.vertices()
+    x, tri = mesh.vertices, mesh.triangles
     n = len(x)
-    tri = np.asarray(mesh.triangles).reshape(-1, 3)
     # corners (a, b, c) in triangle order: a's neighbours are b and c
     corners = np.stack([tri, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
-    keys = np.unique(corners[:, [0, 0]] * n + corners[:, 1:])  # directed edges a*n + b
+    keys = np.sort(corners[:, [0, 0]] * n + corners[:, 1:], axis=None)  # directed edges a*n + b
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     src, dst = np.divmod(keys, n)
-    few = np.flatnonzero(np.bincount(src, minlength=n) < 2)
+    degree = np.bincount(src, minlength=n)
+    few = np.flatnonzero(degree < 2)
     if few.size:
         raise MeshError(f"vertex {few[0]} has fewer than two neighbours")
     basis = _unitary_tangent_basis(x)
     r = _real_coords(_log_directions(x[src], x[dst]), basis[src])
+    # each vertex sums its edges' r r^T in key order, one neighbour slot at a
+    # time (the order np.add.at takes); empty slots add the zero row at the end
+    rr = np.concatenate([r[:, :, None] * r[:, None, :], np.zeros((1, 4, 4))])
+    slot = np.arange(degree.max())
+    start = np.cumsum(degree) - degree
+    edge = np.where(slot < degree[:, None], start[:, None] + slot, len(r))
     scatter = np.zeros((n, 4, 4))
-    np.add.at(scatter, src, r[:, :, None] * r[:, None, :])
+    for j in slot:
+        scatter += rr[edge[:, j]]
     q = np.linalg.eigh(scatter)[1].transpose(0, 2, 1)[:, ::-1]  # rows, descending
     # orient (u1, u2) by the first ccw corner (a, b, c) at each vertex
     _, first = np.unique(corners[:, 0], return_index=True)
@@ -415,7 +451,8 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     rbc = r[np.searchsorted(keys, np.stack([a * n + b, a * n + c], axis=1))]
     q[np.linalg.det(rbc @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
     frames = _from_coords(q, basis[:, None])
-    frames[orientation_sign(basis, frames) < 0, 3] *= -1.0
+    # q holds coordinates in the complex-oriented real basis (b1, ib1, b2, ib2)
+    frames[np.linalg.det(q) < 0, 3] *= -1.0
     return FrameField(tangent=frames[:, :2], normal=frames[:, 2:])
 
 
@@ -429,7 +466,7 @@ def _rotation_angle(m: np.ndarray) -> np.ndarray:
     return np.arctan2(m[..., 1, 0] - m[..., 0, 1], m[..., 0, 0] + m[..., 1, 1])
 
 
-def _taut_phases(mesh) -> np.ndarray:
+def _taut_phases(mesh: SectionMesh) -> np.ndarray:
     """Projection-transport phase of the tautological line around each face.
 
     Tangent vectors at [x] live in Hom(L_x, x^perp) with L_x the spanned
@@ -437,22 +474,24 @@ def _taut_phases(mesh) -> np.ndarray:
     twist, whose face holonomy is arg(-<x_i,x_j><x_j,x_k><x_k,x_i>), so
     that phase is subtracted from each face's frame holonomy.
     """
-    return np.angle(-_triple_products(mesh.vertices(), mesh.triangles))
+    return np.angle(-_triple_products(mesh.vertices, mesh.triangles))
 
 
-def _connection_total(mesh, frames: np.ndarray) -> float:
+def _connection_total(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray) -> float:
     """Total frame holonomy over the faces, minus the tautological phases, / 2 pi.
 
     Along a directed face edge (i, j) the frames at i are transported by
     projection into x_j^perp (first-order Levi-Civita transport), which
     drops out of M[a, b] = Re <f_i[b], f_j[a]> since f_j is tangent at x_j.
-    A face's holonomy is the wrapped sum of its three edge angles.
+    A face's holonomy is the wrapped sum of its three edge angles; ``taut``
+    holds the faces' ``_taut_phases``, shared by the tangent and normal totals.
     """
-    tri = np.asarray(mesh.triangles).reshape(-1, 3)
-    fi, fj = frames[tri], frames[tri[:, [1, 2, 0]]]
-    m = np.einsum("...bd,...ad->...ab", fi * _SIGNS, fj.conj()).real
+    fi, fj = (frames[tri] * _SIGNS)[..., None, :, :], frames[tri[:, [1, 2, 0]]][..., None, :]
+    # Re <f_i[b], f_j[a]> in real arithmetic, summed over d in einsum's order
+    t = fi.real * fj.real + fi.imag * fj.imag
+    m = t[..., 0] + t[..., 1] + t[..., 2]
     holonomy = np.angle(np.exp(1j * _rotation_angle(m).sum(axis=1)))
-    return float((holonomy - _taut_phases(mesh)).sum() / (2.0 * np.pi))
+    return float((holonomy - taut).sum() / (2.0 * np.pi))
 
 
 @dataclass
@@ -480,8 +519,9 @@ def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
     mesh.validate(tol)
     frames = build_frame_field(mesh)
     frames.validate(mesh, tol)
-    chi_raw = _connection_total(mesh, frames.tangent)
-    e_raw = _connection_total(mesh, frames.normal)
+    taut = _taut_phases(mesh)
+    chi_raw = _connection_total(mesh.triangles, frames.tangent, taut)
+    e_raw = _connection_total(mesh.triangles, frames.normal, taut)
     den = mesh.snap_denominator()
     return MeshDegrees(
         chi_raw=chi_raw,

@@ -8,11 +8,9 @@ isometries map boundary runs onto each other exactly.
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
-from .core import Isometry, ProjectivePoint, polar_rows, self_norms
+from .core import Isometry, ProjectivePoint, dot_rows, polar_rows, self_norms
 from .disc import (
     disc_isometry_two_points,
     disc_rotation,
@@ -29,18 +27,20 @@ from .invariants import SectionMesh, SidePairing
 
 
 def _fan_lattice(center: ProjectivePoint, corners, n: int, closed: bool):
-    """Coned lattice over a polygon; returns (points, faces, outer, radial).
+    """Coned lattice over a polygon; returns (vertices, faces, outer, radial).
 
-    ``outer[k]`` indexes the arclength-uniform run along the polygon side
-    from corner k to corner k+1; ``radial[k]`` the run from the centre to
-    corner k.  Faces are counterclockwise when the corners are.
+    ``vertices`` is the (V,3) stack of unit representatives, centre first,
+    then the spokes corner by corner, then the inner points sector by
+    sector; ``faces`` is an (F,3) int array.  ``outer[k]`` indexes the
+    arclength-uniform run along the polygon side from corner k to corner
+    k+1; ``radial[k]`` the run from the centre to corner k.  Faces are
+    counterclockwise when the corners are.
     """
     if n < 1:
         raise ValueError("refinement must be a positive integer")
     m = len(corners)
     sectors = m if closed else m - 1
-    # spokes[k, i-1] is the point at i/n from the centre to corner k, as the
-    # unit representative the mesh stores
+    # spokes[k, i-1] is the point at i/n from the centre to corner k
     spokes = _geodesic_rows(center.v, np.array([v.v for v in corners])[:, None],
                             np.arange(1, n + 1) / n)
     spokes = spokes / np.linalg.norm(spokes, axis=-1, keepdims=True)
@@ -48,22 +48,26 @@ def _fan_lattice(center: ProjectivePoint, corners, n: int, closed: bool):
     i, j = (np.tile(a + 1, sectors) for a in np.tril_indices(n, -1))
     sec = np.repeat(np.arange(sectors), n * (n - 1) // 2)
     inner = _geodesic_rows(spokes[sec, i - 1], spokes[(sec + 1) % m, i - 1], j / i)
-    points = [center] + [ProjectivePoint(v) for v in np.concatenate([spokes.reshape(-1, 3), inner])]
+    rows = np.concatenate([spokes.reshape(-1, 3), inner])
+    # unit representatives with ProjectivePoint's bits: its norm is np.dot's
+    rows = rows / np.sqrt(dot_rows(rows.real, rows.real) + dot_rows(rows.imag, rows.imag))[:, None]
+    vertices = np.concatenate([center.v[None], rows])
 
-    radial = [[0, *range(1 + k * n, 1 + (k + 1) * n)] for k in range(m)]
-    numbers = iter(range(1 + m * n, len(points)))  # inner point indices, in build order
-    faces = []
-    outer = []
-    for k in range(sectors):
-        rows = [[0]] + [[radial[k][i], *islice(numbers, i - 1), radial[(k + 1) % m][i]]
-                        for i in range(1, n + 1)]
-        for i in range(1, n + 1):
-            for j in range(i):
-                faces.append((rows[i - 1][j], rows[i][j], rows[i][j + 1]))
-                if j < i - 1:
-                    faces.append((rows[i - 1][j], rows[i][j + 1], rows[i - 1][j + 1]))
-        outer.append(rows[n])
-    return points, faces, outer, radial
+    radial = np.zeros((m, n + 1), dtype=int)
+    radial[:, 1:] = 1 + np.arange(m * n).reshape(m, n)
+    # lat[k, i, j]: vertex at j/i along row i of sector k, for 0 <= j <= i
+    lat = np.zeros((sectors, n + 1, n + 1), dtype=int)
+    lat[:, :, 0] = radial[:sectors]
+    lat[:, np.arange(n + 1), np.arange(n + 1)] = radial[(np.arange(sectors) + 1) % m]
+    lat[sec, i, j] = 1 + m * n + np.arange(len(sec))
+    # row i holds 2i - 1 faces, alternating up (i-1,j)(i,j)(i,j+1) and
+    # down (i-1,j)(i,j+1)(i-1,j+1), j ascending
+    fi = np.repeat(np.arange(1, n + 1), 2 * np.arange(1, n + 1) - 1)
+    t = np.arange(len(fi)) - (fi - 1) ** 2
+    fj, down = t // 2, t % 2
+    faces = np.stack([lat[:, fi - 1, fj], lat[:, fi, fj + down], lat[:, fi - down, fj + 1]],
+                     axis=-1).reshape(-1, 3)
+    return vertices, faces, lat[:, n], radial
 
 
 def turnover_section_mesh(n1: int, n2: int, n3: int, refinement: int = 8) -> SectionMesh:
@@ -80,14 +84,14 @@ def turnover_section_mesh(n1: int, n2: int, n3: int, refinement: int = 8) -> Sec
     c2m = g1_inv(embed(z2))
     center = embed(z1)
     corners = [embed(z2), embed(z3), c2m]
-    points, faces, outer, radial = _fan_lattice(center, corners, refinement, closed=False)
+    vertices, faces, outer, radial = _fan_lattice(center, corners, refinement, closed=False)
     pairings = [
-        SidePairing(run_a=list(radial[0]), run_b=list(radial[2]), isometry=g1_inv),
-        SidePairing(run_a=list(reversed(outer[0])), run_b=list(outer[1]), isometry=g3),
+        SidePairing(run_a=radial[0], run_b=radial[2], isometry=g1_inv),
+        SidePairing(run_a=outer[0, ::-1], run_b=outer[1], isometry=g3),
     ]
-    cones = [(0, n1), (radial[0][-1], n2), (radial[1][-1], n3)]
+    cones = [(0, n1), (int(radial[0, -1]), n2), (int(radial[1, -1]), n3)]
     return SectionMesh(
-        embedding=points, triangles=faces, side_pairings=pairings, cone_points=cones
+        vertices=vertices, triangles=faces, side_pairings=pairings, cone_points=cones
     )
 
 
@@ -167,13 +171,9 @@ def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:
     else:
         raise ValueError("kind must be 'complex' or 'lagrangian'")
 
-    points, faces, outer, _ = _fan_lattice(center, corners, refinement, closed=True)
+    vertices, faces, outer, _ = _fan_lattice(center, corners, refinement, closed=True)
     pairings = [
-        SidePairing(
-            run_a=list(outer[k]),
-            run_b=list(reversed(outer[kp])),
-            isometry=pair_iso(k, kp),
-        )
+        SidePairing(run_a=outer[k], run_b=outer[kp, ::-1], isometry=pair_iso(k, kp))
         for k, kp in _OCTAGON_PAIRS
     ]
-    return SectionMesh(embedding=points, triangles=faces, side_pairings=pairings)
+    return SectionMesh(vertices=vertices, triangles=faces, side_pairings=pairings)

@@ -220,16 +220,6 @@ def _twisted_rotation(center: complex, n: int, k: int, bend: float = 0.0) -> Iso
     return elliptic_from_frame(in_plane_frame(center), _rotation_phases(n, k, bend))
 
 
-def _max_turnover_residual(g1, g2, g3, sig) -> float:
-    ident = Isometry.identity()
-    return max(
-        isometry_power(g1, sig.n1).projective_distance(ident),
-        isometry_power(g2, sig.n2).projective_distance(ident),
-        isometry_power(g3, sig.n3).projective_distance(ident),
-        (g3 @ g2 @ g1).projective_distance(ident),
-    )
-
-
 def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
     """The rotation construction inside the standard complex geodesic.
 
@@ -242,14 +232,20 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
     vanish.  Returns ``(Representation, QuadrangleFromRep)``.
     """
     z1, z2, z3 = triangle_vertices(*sig.angles())
+    ident = Isometry.identity()
+
+    def candidates(z, n):
+        """(g, g^-1, |g^n - 1|) for each polar twist k of the rotation about z."""
+        gs = [_twisted_rotation(z, n, k) for k in range(n)]
+        return [(g, g.inverse(), isometry_power(g, n).projective_distance(ident)) for g in gs]
+
     best = None
-    for k1 in range(sig.n1):
-        g1 = _twisted_rotation(z1, sig.n1, k1)
-        g1_inv = g1.inverse()
-        for k3 in range(sig.n3):
-            g3 = _twisted_rotation(z3, sig.n3, k3)
-            g2 = g3.inverse() @ g1_inv
-            r = _max_turnover_residual(g1, g2, g3, sig)
+    g3s = candidates(z3, sig.n3)
+    for k1, (g1, g1_inv, r1) in enumerate(candidates(z1, sig.n1)):
+        for k3, (g3, g3_inv, r3) in enumerate(g3s):
+            g2 = g3_inv @ g1_inv
+            r = max(r1, isometry_power(g2, sig.n2).projective_distance(ident), r3,
+                    (g3 @ g2 @ g1).projective_distance(ident))
             key = (round(r, 12), k1, k3)
             if best is None or key < best[0]:
                 best = (key, (k1, k3), (g1, g2, g3), r)

@@ -26,8 +26,10 @@ from chdisc.core import (
     NULL,
     POSITIVE,
     GeometryDomainError,
+    _unitary_tangent_basis,
     distance_matrix,
     gram,
+    herm_rows,
     isometry_residual,
     self_norms,
     sign_classes,
@@ -241,3 +243,35 @@ def test_tance_floor_raises_geometry_domain_error():
     assert low
     with pytest.raises(GeometryDomainError):
         distance(x, low[0])
+
+
+def _every_seed_tangent_basis(x):
+    """Gram-Schmidt over e0, e1, e2 on every row, projecting each seed against
+    both basis slots, filled or not: the reference for ``_unitary_tangent_basis``."""
+    xs = x / np.sqrt(-self_norms(x))[:, None]
+    out = np.zeros((len(x), 2, 3), dtype=complex)
+    found = np.zeros(len(x), dtype=int)
+    for s in np.eye(3, dtype=complex):
+        w = s - (gram(s[None], xs)[0] / self_norms(xs))[:, None] * xs
+        for j in range(2):
+            prev = out[:, j]
+            pp = np.where(found > j, self_norms(prev), 1.0)
+            w = w - (herm_rows(w, prev) / pp)[:, None] * prev
+        n = self_norms(w)
+        take = (n > 1e-12) & (found < 2)
+        out[take, found[take]] = w[take] / np.sqrt(n[take])[:, None]
+        found += take
+    return out
+
+
+def test_unitary_tangent_basis_matches_every_seed_loop(rng):
+    # generic points take e0 and e1; points of the complex geodesic f0^perp
+    # skip e1, and the origin skips e0
+    points = [random_negative_point(rng) for _ in range(40)]
+    points += [embed(z) for z in (0.0, 0.3, -0.2 + 0.5j)] + [ProjectivePoint([2.0, 0.0, 1e-3j])]
+    x = np.array([p.v for p in points])
+    basis = _unitary_tangent_basis(x)
+    assert basis.tobytes() == _every_seed_tangent_basis(x).tobytes()
+    g = np.einsum("nad,nbd->nab", basis * np.array([-1.0, 1.0, 1.0]), basis.conj())
+    np.testing.assert_allclose(g, np.broadcast_to(np.eye(2), g.shape), atol=1e-13)
+    np.testing.assert_allclose(herm_rows(basis, x[:, None]), 0.0, atol=1e-12)

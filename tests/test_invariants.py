@@ -10,6 +10,7 @@ from chdisc import (
     ClassError,
     Isometry,
     ConvergenceError,
+    DegenerateError,
     Tolerances,
     InvariantReport,
     MeshError,
@@ -32,7 +33,7 @@ from chdisc import (
     toledo_via_mesh,
     turnover_section_mesh,
 )
-from chdisc.core import _unitary_tangent_basis
+from chdisc.core import _unitary_tangent_basis, herm_rows
 from chdisc.disc import F0, embed
 from chdisc.invariants import (
     COMPLEX_CLASS,
@@ -40,6 +41,7 @@ from chdisc.invariants import (
     LAGRANGIAN_CLASS,
     _rotation_angle,
     normalized_negative,
+    orientation_sign,
     tangent_project,
 )
 from chdisc.meshes import real_plane_point
@@ -105,6 +107,28 @@ def test_lagrangian_frame_check():
     assert not lagrangian_frame_check(x, u2, u1, normal_pair=(1j * e2, 1j * e1))
     with pytest.raises(ClassError):
         lagrangian_frame_check(x, u1, 1j * u1)  # complex, not Lagrangian
+
+
+def _basis_orientation_sign(xh, frames):
+    """Sign of det of the frames' real coordinates in ``_unitary_tangent_basis``."""
+    basis = _unitary_tangent_basis(xh)
+    a = np.einsum("nfd,nkd->nfk", frames * np.array([-1.0, 1.0, 1.0]), basis.conj())
+    return np.where(np.linalg.det(np.stack([a.real, a.imag], -1).reshape(-1, 4, 4)) > 0, 1, -1)
+
+
+def test_orientation_sign_matches_the_tangent_basis_coordinates(rng):
+    points = [random_negative_point(rng) for _ in range(60)]
+    points += [embed(0.0), embed(0.4 - 0.2j), real_plane_point(0.3, -0.1)]
+    xh = np.array([normalized_negative(p) for p in points])
+    w = rng.normal(size=(len(xh), 4, 3)) + 1j * rng.normal(size=(len(xh), 4, 3))
+    frames = w + herm_rows(w, xh[:, None])[..., None] * xh[:, None]  # into x^perp
+    signs = orientation_sign(xh, frames)
+    assert set(signs) == {-1, 1}
+    assert np.array_equal(signs, _basis_orientation_sign(xh, frames))
+    assert orientation_sign(xh[0], frames[0]) == signs[0]
+    frames[0, 3] = frames[0, 0]
+    with pytest.raises(DegenerateError, match="degenerate 4-frame"):
+        orientation_sign(xh[:1], frames[:1])
 
 
 # -- symplectic integrals ------------------------------------------------------
@@ -191,7 +215,7 @@ def test_turnover_mesh_structure():
     assert mesh.snap_denominator() == 24
     doc = mesh.to_json_dict()
     assert doc["kind"] == "section_mesh"
-    assert len(doc["vertices"]) == len(mesh.embedding)
+    assert len(doc["vertices"]) == len(mesh.vertices)
     assert len(doc["side_pairings"]) == 2
 
 
@@ -204,9 +228,43 @@ def test_mesh_validate_rejects_broken_pairing():
 
 def test_mesh_validate_rejects_non_negative_vertex():
     mesh = turnover_section_mesh(3, 3, 4, refinement=2)
-    mesh.embedding[0] = F0
-    with pytest.raises(MeshError):
+    mesh.vertices[0] = F0.v
+    with pytest.raises(MeshError, match="embedded vertex 0 is not a negative point"):
         mesh.validate()
+
+
+def _face_index_off_by_v(mesh):
+    mesh.triangles[5, 1] = -1  # wraps to the last vertex without an index check
+
+
+def _runs_shifted_by_v(mesh):
+    for p in mesh.side_pairings:
+        p.run_a, p.run_b = p.run_a - len(mesh.vertices), p.run_b - len(mesh.vertices)
+
+
+def _float_faces(mesh):
+    mesh.triangles = mesh.triangles.astype(float)
+
+
+def _flat_faces(mesh):
+    mesh.triangles = mesh.triangles.reshape(-1)
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (_face_index_off_by_v, r"triangles index a vertex outside \[0, 16\)"),
+    (_runs_shifted_by_v, r"side pairing runs index a vertex outside \[0, 16\)"),
+    (_float_faces, r"triangles must be an \(F,3\) integer array"),
+    (_flat_faces, r"triangles must be an \(F,3\) integer array"),
+])
+def test_mesh_validate_rejects_bad_indices(breakage, message):
+    mesh = turnover_section_mesh(3, 3, 4, refinement=3)
+    breakage(mesh)
+    with pytest.raises(MeshError, match=message):
+        mesh.validate()
+    with pytest.raises(MeshError, match=message):
+        toledo_via_mesh(mesh)
+    with pytest.raises(MeshError, match=message):
+        euler_via_mesh(mesh)
 
 
 @pytest.mark.parametrize("kind, arg, refinement, tau_exact", [
@@ -223,7 +281,7 @@ def test_toledo_via_mesh_matches_quadrature_oracle(kind, arg, refinement, tau_ex
     # the turnover mesh covers the same fundamental quadrilateral as the coned polygon
     assert tau_mesh == pytest.approx(tau_exact, abs=1e-8)
     oracle = sum(
-        symplectic_area_triangle(*(mesh.embedding[i] for i in tri), order=12)
+        symplectic_area_triangle(*(ProjectivePoint(mesh.vertices[i]) for i in tri), order=12)
         for tri in mesh.triangles
     )
     assert tau_mesh == pytest.approx(2.0 / np.pi * oracle, abs=1e-12)
@@ -277,7 +335,7 @@ def _moved(mesh, g):
     """The mesh carried by the isometry g, with side pairings conjugated by g."""
     g_inv = g.inverse()
     return SectionMesh(
-        embedding=[g(p) for p in mesh.embedding],
+        vertices=mesh.vertices @ g.matrix.T,
         triangles=mesh.triangles,
         side_pairings=[
             SidePairing(p.run_a, p.run_b, Isometry.from_matrix(
@@ -306,13 +364,13 @@ def test_frame_field_validate_rejects_bad_frames():
     mesh = turnover_section_mesh(3, 3, 4, refinement=2)
     ff = build_frame_field(mesh)
     ff.validate(mesh)
-    assert ff.tangent.shape == ff.normal.shape == (len(mesh.embedding), 2, 3)
+    assert ff.tangent.shape == ff.normal.shape == (len(mesh.vertices), 2, 3)
     # the thresholds follow tol.orthogonality: rounding noise fails at 1e-16
     with pytest.raises(MeshError, match="is not g-orthonormal|is not tangent"):
         ff.validate(mesh, Tolerances(orthogonality=1e-16))
     k = 5
     u1, u2 = ff.tangent[k]
-    xh = normalized_negative(mesh.embedding[k])
+    xh = normalized_negative(ProjectivePoint(mesh.vertices[k]))
     a = 0.1
     breaks = [
         ("tangent", 0, 1.1 * u1, "is not g-orthonormal"),

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from chdisc import octagon_mesh, turnover_section_mesh
+from chdisc import ProjectivePoint, octagon_mesh, turnover_section_mesh
 from chdisc.disc import disc_rotation, embed, triangle_vertices
+from chdisc.geometry import _geodesic_rows
 from chdisc.meshes import _fan_lattice, _octagon_circumradius, real_plane_point
 
 from conftest import scalar_geodesic_interp
@@ -62,23 +63,54 @@ def _fan_inputs(kind, arg):
             [real_plane_point(s * np.cos(a), s * np.sin(a)) for a in angles], True)
 
 
-@pytest.mark.parametrize("kind, arg, n", [
+FAN_CASES = [
     ("turnover", (3, 3, 4), 1),
     ("turnover", (3, 3, 4), 8),
     ("octagon", "complex", 4),
     ("octagon", "lagrangian", 4),
-])
+]
+
+
+@pytest.mark.parametrize("kind, arg, n", FAN_CASES)
 def test_fan_lattice_matches_scalar_loop(kind, arg, n):
     center, corners, closed = _fan_inputs(kind, arg)
-    points, faces, outer, radial = _fan_lattice(center, corners, n, closed)
+    vertices, faces, outer, radial = _fan_lattice(center, corners, n, closed)
     ref_points, ref_faces, ref_outer, ref_radial = _scalar_fan_lattice(center, corners, n, closed)
-    assert (faces, outer, radial) == (ref_faces, ref_outer, ref_radial)
-    np.testing.assert_allclose(np.array([p.v for p in points]),
-                               np.array([p.v for p in ref_points]), rtol=0, atol=1e-15)
+    assert faces.dtype.kind == outer.dtype.kind == radial.dtype.kind == "i"
+    assert (faces.tolist(), outer.tolist(), radial.tolist()) == (
+        [list(f) for f in ref_faces], ref_outer, ref_radial)
+    np.testing.assert_allclose(vertices, np.array([p.v for p in ref_points]), rtol=0, atol=1e-15)
     # the inputs above are the constructor's own
     mesh = (turnover_section_mesh(*arg, refinement=n) if kind == "turnover"
             else octagon_mesh(arg, refinement=n))
-    assert np.array_equal(mesh.vertices(), np.array([p.v for p in points]))
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.triangles, faces)
+
+
+def _wrapped_fan_vertices(center, corners, n, closed):
+    """The lattice rows wrapped one at a time in ``ProjectivePoint``, as the
+    mesh stored them when it held one point object per vertex."""
+    m = len(corners)
+    sectors = m if closed else m - 1
+    spokes = _geodesic_rows(center.v, np.array([v.v for v in corners])[:, None],
+                            np.arange(1, n + 1) / n)
+    spokes = spokes / np.linalg.norm(spokes, axis=-1, keepdims=True)
+    i, j = (np.tile(a + 1, sectors) for a in np.tril_indices(n, -1))
+    sec = np.repeat(np.arange(sectors), n * (n - 1) // 2)
+    inner = _geodesic_rows(spokes[sec, i - 1], spokes[(sec + 1) % m, i - 1], j / i)
+    rows = np.concatenate([spokes.reshape(-1, 3), inner])
+    return np.array([center.v] + [ProjectivePoint(v).v for v in rows])
+
+
+@pytest.mark.parametrize("kind, arg, n", FAN_CASES)
+def test_mesh_vertices_have_projective_point_bits(kind, arg, n):
+    center, corners, closed = _fan_inputs(kind, arg)
+    mesh = (turnover_section_mesh(*arg, refinement=n) if kind == "turnover"
+            else octagon_mesh(arg, refinement=n))
+    ref = _wrapped_fan_vertices(center, corners, n, closed)
+    # tobytes also tells the two zeros apart
+    assert mesh.vertices.shape == ref.shape
+    assert mesh.vertices.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("refinement", [0, -1])

@@ -112,6 +112,19 @@ def test_fuchsian_turnover_335_exact():
     assert quad.certificate.passed
 
 
+def test_fuchsian_turnover_builds_each_candidate_rotation_once(monkeypatch):
+    built = []
+    build = representations._twisted_rotation
+
+    def counting(center, n, k, bend=0.0):
+        built.append((n, k))
+        return build(center, n, k, bend)
+
+    monkeypatch.setattr(representations, "_twisted_rotation", counting)
+    fuchsian_turnover(TurnoverSignature(3, 3, 5))
+    assert sorted(built) == [(3, k) for k in range(3)] + [(5, k) for k in range(5)]
+
+
 def test_fuchsian_turnover_334_obstruction():
     """(3,3,4) fails the lifting condition: g2^3 carries an irreducible
     residual while everything else is exact."""
