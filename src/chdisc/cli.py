@@ -66,17 +66,16 @@ def _refinement_for(sig: TurnoverSignature, h: float) -> int:
     return int(np.clip(np.ceil(side / h), 2, 24))
 
 
+def _unconverged_row(orders, bend: float, error=None) -> dict:
+    """A scan summary row for a grid point with no converged solution."""
+    return {"signature": list(orders), "bend": bend, "converged": False,
+            "certificate_passed": None, "worst_relation_residual": None, "error": error}
+
+
 def run_turnover(sig: TurnoverSignature, bend: float, seed: int, mesh_h: float,
                  out_dir: Path, tol=TOL) -> dict:
     """Full turnover pipeline; returns a summary row and writes artifacts."""
-    row = {
-        "signature": list(sig.orders()),
-        "bend": bend,
-        "converged": False,
-        "certificate_passed": None,
-        "worst_relation_residual": None,
-        "error": None,
-    }
+    row = _unconverged_row(sig.orders(), bend)
     tag = f"turnover_{sig.n1}-{sig.n2}-{sig.n3}_bend{_bend_tag(bend)}"
     try:
         if bend == 0.0:
@@ -109,7 +108,7 @@ def run_turnover(sig: TurnoverSignature, bend: float, seed: int, mesh_h: float,
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / f"{tag}.rep.json", representation_to_json_dict(rep))
-    write_json(out_dir / f"{tag}.quad.json", quadrangle_to_json_dict(quad.config()))
+    write_json(out_dir / f"{tag}.quad.json", quadrangle_to_json_dict(quad.config))
     write_json(out_dir / f"{tag}.cert.json", cert.to_json_dict())
     write_json(out_dir / f"{tag}.report.json", report.to_json_dict())
     row["toledo_raw"] = tau_raw
@@ -227,16 +226,12 @@ def cmd_scan(args) -> int:
         try:
             sig = _signature(ns)
         except GeometryError as exc:
-            rows.append({"signature": list(ns), "bend": bend, "converged": False,
-                         "certificate_passed": None, "worst_relation_residual": None,
-                         "error": f"invalid signature: {exc}"})
+            rows.append(_unconverged_row(ns, bend, f"invalid signature: {exc}"))
             continue
         try:
             rows.append(run_turnover(sig, bend, args.seed, args.mesh, out_dir, tol=tol))
         except GeometryError as exc:
-            rows.append({"signature": list(ns), "bend": bend, "converged": False,
-                         "certificate_passed": None, "worst_relation_residual": None,
-                         "error": str(exc)})
+            rows.append(_unconverged_row(ns, bend, str(exc)))
     summary = {"format": "chdisc/1", "kind": "scan_summary", "rows": rows}
     write_json(out_dir / "summary.json", summary)
     for row in rows:

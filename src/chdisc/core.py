@@ -67,7 +67,7 @@ class ProjectivePoint:
 
     __slots__ = ("v",)
 
-    def __init__(self, rep, tol: Tolerances = TOL):
+    def __init__(self, rep):
         v = np.asarray(rep, dtype=complex).reshape(3)
         n = float(np.linalg.norm(v))
         if n == 0.0 or not np.isfinite(n):
@@ -208,9 +208,14 @@ def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
 
     Gram-Schmidt over the coordinate vectors e0, e1, e2 in that order,
     skipping a seed whose remainder has form norm <= 1e-12 (e0 at the
-    origin).  Returns an (N, 2, 3) stack.
+    origin).  Returns an (N, 2, 3) stack; raises ``ClassError`` if a row is
+    not negative.
     """
-    xs = x / np.sqrt(-self_norms(x))[:, None]
+    q = self_norms(x)
+    bad = np.flatnonzero(q >= 0)
+    if bad.size:
+        raise ClassError(f"row {bad[0]} is not a negative point")
+    xs = x / np.sqrt(-q)[:, None]
     nx = self_norms(xs)
     out = np.zeros((len(x), 2, 3), dtype=complex)
     found = np.zeros(len(x), dtype=int)

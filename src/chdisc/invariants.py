@@ -41,7 +41,7 @@ from .core import (
 from .disc import _gl_nodes
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
 from .geometry import _aligned_pair, _phase_align
-from .io import _f
+from .io import _f, _vector_json
 from .tolerances import TOL, Tolerances
 
 COMPLEX_CLASS = "complex"
@@ -206,23 +206,20 @@ class SectionMesh:
         return 2 * lcm(*orders) if orders else 2
 
     def to_json_dict(self) -> dict:
-        def vec(v):
-            return [[_f(c.real), _f(c.imag)] for c in v]
-
         return {
             "format": "chdisc/1",
             "kind": "section_mesh",
             "cone_points": [[int(i), int(n)] for i, n in self.cone_points],
             "side_pairings": [
                 {
-                    "isometry": vec(p.isometry.matrix.reshape(9)),
+                    "isometry": _vector_json(p.isometry.matrix.reshape(9)),
                     "run_a": [int(i) for i in p.run_a],
                     "run_b": [int(i) for i in p.run_b],
                 }
                 for p in self.side_pairings
             ],
             "triangles": [[int(a), int(b), int(c)] for a, b, c in self.triangles],
-            "vertices": [vec(v) for v in self.vertices],
+            "vertices": [_vector_json(v) for v in self.vertices],
         }
 
     def validate(self, tol: Tolerances = TOL) -> None:
@@ -569,9 +566,6 @@ class InvariantReport:
     reliable: bool = True
     orientation_convention: str = "fiberwise-counterclockwise"
     tolerances: Tolerances = TOL
-
-    def snapped(self) -> bool:
-        return self.toledo is not None and self.euler is not None
 
     def residual(self, signed: bool = True) -> float | None:
         if self.euler is None and self.euler_raw is None:

@@ -132,19 +132,19 @@ def _jacobians_t(fun, x, f):
     return df / ((x + h) - x)[:, :, None]
 
 
-def least_squares(fun, x0, *, xtol, ftol, gtol, max_nfev, stop=None):
+def least_squares(fun, x0, *, xtol, ftol, gtol, max_nfev):
     """Minimize ``0.5 * ||fun(x)||^2`` from every row of ``x0``, in lockstep.
 
     ``fun`` maps a ``(k, n)`` stack of points to a ``(k, m)`` stack of
-    residuals, one row per point.  A row's result is reported once it and
-    every earlier row have finished: ``stop(row, result)`` is called in row
-    order, and a true return ends the whole batch, so later rows are never
-    reported.  Returns the reported ``LsqResult`` list, in row order.
+    residuals, one row per point.  A generator: it yields each row's
+    ``LsqResult`` in row order, once that row and every earlier row have
+    finished.  A caller that stops asking for rows ends the batch, so no
+    later row costs another residual call.
     """
     x = np.array(x0, dtype=float)
     k, n = x.shape
     if not k:
-        return []
+        return
     f = np.asarray(fun(x), dtype=float)
     m = f.shape[1]
     jac_t = _jacobians_t(fun, x, f)
@@ -160,21 +160,19 @@ def least_squares(fun, x0, *, xtol, ftol, gtol, max_nfev, stop=None):
     uf, s, v = np.empty((k, r)), np.empty((k, r)), np.empty((k, n, r))
     top = np.ones(k, dtype=bool)
     live = np.ones(k, dtype=bool)
-    results = []
+    reported = 0
     while True:
         # rows at the head of an outer iteration: the gtol and budget checks
         t = np.flatnonzero(top)
         status[t[np.abs(grad[t]).max(axis=1) < gtol]] = 1
         ended = t[(status[t] != _RUNNING) | (nfev[t] == max_nfev)]
         live[ended] = False
-        while len(results) < k and not live[len(results)]:
-            row = len(results)
-            results.append(LsqResult(x[row].copy(), f[row].copy(), int(nfev[row]),
-                                     max(int(status[row]), 0)))
-            if stop is not None and stop(row, results[-1]):
-                return results
-        if len(results) == k:
-            return results
+        while reported < k and not live[reported]:
+            yield LsqResult(x[reported].copy(), f[reported].copy(), int(nfev[reported]),
+                            max(int(status[reported]), 0))
+            reported += 1
+        if reported == k:
+            return
         # the rows that go on take one SVD of their new Jacobian
         t = t[live[t]]
         if len(t):

@@ -67,7 +67,6 @@ from .errors import (
     HyperbolicityError,
     InvalidSolutionError,
 )
-from .geometry import ComplexGeodesic
 from .lsq import least_squares
 from .quadrangle import Certificate, QuadrangleConfig, validate_quadrangle
 from .tolerances import TOL, Tolerances
@@ -155,14 +154,12 @@ def relation_residual(rep: Representation, word) -> float:
 
 @dataclass
 class QuadrangleFromRep:
-    """The quadrangle C1..C4 of stable complex geodesics of a representation."""
+    """The quadrangle C1..C4 of stable complex geodesics of a representation,
+    as the polar configuration the certificate was computed on."""
 
     rep: Representation
-    vertices: tuple
+    config: QuadrangleConfig
     certificate: Certificate
-
-    def config(self) -> QuadrangleConfig:
-        return QuadrangleConfig(tuple(v.polar for v in self.vertices))
 
 
 def isometry_power(g: Isometry, n: int) -> Isometry:
@@ -259,7 +256,8 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
     p1, p2, p3 = (polar_span(c, F0) for c in (c1, c2, c3))
     p4 = g1.inverse()(p2)
     c4_gap = abs(tance(p4, g3(p2)) - 1.0)
-    cert = validate_quadrangle(QuadrangleConfig((p1, p2, p3, p4)), tol)
+    config = QuadrangleConfig((p1, p2, p3, p4))
+    cert = validate_quadrangle(config, tol)
 
     rep = Representation(
         kind="turnover",
@@ -274,24 +272,21 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
             "certificate_passed": cert.passed,
         },
     )
-    quad = QuadrangleFromRep(
-        rep=rep,
-        vertices=tuple(ComplexGeodesic(p) for p in (p1, p2, p3, p4)),
-        certificate=cert,
-    )
-    return rep, quad
+    return rep, QuadrangleFromRep(rep, config, cert)
 
 
 # -- bent representations ----------------------------------------------------
 
 @dataclass(frozen=True)
 class SolverSeed:
-    """Reproducibility and search-budget knobs for turnover_solve."""
+    """Reproducibility and search-budget knobs for turnover_solve: the seed
+    of the start draws, the number of starts per polar twist, and the
+    largest |bend| searched.  The residual a start must reach is
+    ``Tolerances.solver_residual``."""
 
     seed: int = 0
     starts: int = 30
     window: float = 0.2
-    residual_target: float = 1e-9
 
 
 def _outside_ball(params) -> bool:
@@ -382,29 +377,25 @@ def _order_residuals(params, g1_inv, phases, n2):
     return _bent_rows(params, g1_inv, phases, n2)[3]
 
 
-def _bent_generators(sig, bend, params, k1, k3):
-    """Generators for a candidate bent representation.
+def _bent_generators(g1, params, phases, n2):
+    """g2, g3 and g3's rotation-plane frame (w1, w2) of a bent candidate.
 
     g1 keeps the baseline fixed point and eigenframe; g3 is an order-n3-type
-    elliptic whose fixed point (1, a, b) may leave the standard complex
-    geodesic and whose rotation plane is mixed by the angle psi and phase
-    phi; both carry the bending phase on their last eigenvalue.
+    elliptic with eigenphases ``phases`` whose fixed point (1, a, b) may
+    leave the standard complex geodesic and whose rotation plane is mixed
+    by the angle psi and phase phi; both carry the bending phase on their
+    last eigenvalue.
     """
     if _outside_ball(params):
         raise ClassError("candidate fixed point left the ball model")
-    g1 = _twisted_rotation(0.0 + 0.0j, sig.n1, k1, bend)
-    frames, m3, g2, _ = _bent_rows(
-        np.asarray(params, dtype=float)[None],
-        g1.inverse().matrix,
-        _rotation_phases(sig.n3, k3, bend),
-        sig.n2,
-    )
+    frames, m3, g2, _ = _bent_rows(np.asarray(params, dtype=float)[None],
+                                   g1.inverse().matrix, phases, n2)
     x3, w1, w2 = (ProjectivePoint(f) for f in frames[0])
     OrthogonalFrame(x3, w1, w2).validate()
-    return g1, Isometry(g2[0]), Isometry.from_matrix(m3[0]), w1, w2
+    return Isometry(g2[0]), Isometry.from_matrix(m3[0]), w1, w2
 
 
-def _quadrangle_candidates(sig, g1, g2, g3, w1p, w2p, tol):
+def _quadrangle_candidates(sig, g1, g2, w1p, w2p, tol):
     """All stable-complex-geodesic choices for (C1, C2, C3) with C4 = g1^-1 C2.
 
     Each generator stabilizes two complex geodesics through its fixed
@@ -445,15 +436,15 @@ def turnover_solve(
     point of g3 (two coordinates) and its rotation-plane mixing (angle and
     phase), and runs them in lockstep through ``least_squares``, minimizing
     ||g2^{n2} - w I|| over cube roots w.  Finished starts are taken in
-    start order: a start whose residual meets the target and whose
-    quadrangle passes K1 and K2 is returned (K3 is reported in the
-    certificate), and the batch stops there.  Each start follows, bit for
-    bit, the trajectory of scipy's ``least_squares`` from the same point,
-    so the answer is that of a one-start-at-a-time search.  Raises
-    ``ConvergenceError`` if nothing converges and ``InvalidSolutionError``
-    if solutions converge but none certifies.  A quadrangle candidate that
-    fails with a ``GeometryError`` or ``LinAlgError`` is skipped; any other
-    exception propagates.
+    start order, and the first whose residual is within
+    ``tol.solver_residual`` and whose quadrangle passes K1 and K2 is
+    returned (K3 is reported in the certificate); later starts are never
+    run to the end.  Each start follows, bit for bit, the trajectory of
+    scipy's ``least_squares`` from the same point, so the answer is that of
+    a one-start-at-a-time search.  Raises ``ConvergenceError`` if nothing
+    converges and ``InvalidSolutionError`` if solutions converge but none
+    certifies.  A quadrangle candidate that fails with a ``GeometryError``
+    or ``LinAlgError`` is skipped; any other exception propagates.
     """
     if abs(bend) > seed_params.window:
         raise ConvergenceError(
@@ -466,55 +457,11 @@ def turnover_solve(
 
     rng = np.random.default_rng(seed_params.seed)
     log = []
-    best_invalid = None
-    last_residual = np.inf
-    found = None
-
-    def certify(k1, k3, start, sol):
-        nonlocal best_invalid, last_residual, found
-        residual = float(np.linalg.norm(sol.fun))
-        last_residual = min(last_residual, residual)
-        if residual > seed_params.residual_target:
-            return False
-        if np.hypot(sol.x[0], sol.x[1]) < 0.05:
-            return False  # degenerate: g3 collapsed onto the fixed point of g1
-        g1, g2, g3, w1p, w2p = _bent_generators(sig, bend, sol.x, k1, k3)
-        log.append(
-            {
-                "twists": (k1, k3),
-                "start": start,
-                "params": [float(v) for v in sol.x],
-                "order_residual": residual,
-            }
-        )
-        for q, cert in _quadrangle_candidates(sig, g1, g2, g3, w1p, w2p, tol):
-            if cert.k1 and cert.k2:
-                rep = Representation(
-                    kind="turnover",
-                    generators={"g1": g1, "g2": g2, "g3": g3},
-                    relations=_turnover_relations(sig),
-                    metadata={
-                        "signature": sig.orders(),
-                        "bend": bend,
-                        "polar_twists": (k1, k3),
-                        "params": [float(v) for v in sol.x],
-                        "g2_order_residual": residual,
-                        "certificate_passed": cert.passed,
-                        "solver_log": log,
-                    },
-                )
-                found = rep, QuadrangleFromRep(
-                    rep=rep,
-                    vertices=tuple(ComplexGeodesic(p) for p in q.polars),
-                    certificate=cert,
-                )
-                return True
-            if best_invalid is None:
-                best_invalid = (sol.x, (k1, k3), residual, cert)
-        return False
-
+    first_invalid = None  # (twists, residual) of the first converged start that fails
+    best_residual = np.inf
     for k1 in range(sig.n1):
-        g1_inv = _twisted_rotation(0.0 + 0.0j, sig.n1, k1, bend).inverse().matrix
+        g1 = _twisted_rotation(0.0 + 0.0j, sig.n1, k1, bend)
+        g1_inv = g1.inverse().matrix
         for k3 in range(sig.n3):
             phases = _rotation_phases(sig.n3, k3, bend)
             x0 = np.empty((seed_params.starts, 4))
@@ -525,26 +472,47 @@ def turnover_solve(
                     rng.uniform(-1.5, 1.5),
                     rng.uniform(-np.pi, np.pi),
                 )
-            least_squares(
+            solutions = least_squares(
                 partial(_order_residuals, g1_inv=g1_inv, phases=phases, n2=sig.n2),
-                x0,
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=250,
-                stop=partial(certify, k1, k3),
+                x0, xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=250,
             )
-            if found is not None:
-                return found
-    if best_invalid is not None:
+            for start, sol in enumerate(solutions):
+                residual = float(np.linalg.norm(sol.fun))
+                best_residual = min(best_residual, residual)
+                # unconverged, or g3 collapsed onto the fixed point of g1
+                if residual > tol.solver_residual or np.hypot(sol.x[0], sol.x[1]) < 0.05:
+                    continue
+                g2, g3, w1p, w2p = _bent_generators(g1, sol.x, phases, sig.n2)
+                params = [float(v) for v in sol.x]
+                log.append({"twists": (k1, k3), "start": start, "params": params,
+                            "order_residual": residual})
+                for q, cert in _quadrangle_candidates(sig, g1, g2, w1p, w2p, tol):
+                    if cert.k1 and cert.k2:
+                        rep = Representation(
+                            kind="turnover",
+                            generators={"g1": g1, "g2": g2, "g3": g3},
+                            relations=_turnover_relations(sig),
+                            metadata={
+                                "signature": sig.orders(),
+                                "bend": bend,
+                                "polar_twists": (k1, k3),
+                                "params": params,
+                                "g2_order_residual": residual,
+                                "certificate_passed": cert.passed,
+                                "solver_log": log,
+                            },
+                        )
+                        return rep, QuadrangleFromRep(rep, q, cert)
+                    if first_invalid is None:
+                        first_invalid = ((k1, k3), residual)
+    if first_invalid is not None:
         raise InvalidSolutionError(
-            "solver converged (g2-order residual "
-            f"{best_invalid[2]:.2e}, twists {best_invalid[1]}) but no "
-            "stable-geodesic choice passes K1 and K2"
+            f"solver converged (g2-order residual {first_invalid[1]:.2e}, twists "
+            f"{first_invalid[0]}) but no stable-geodesic choice passes K1 and K2"
         )
     raise ConvergenceError(
         f"no order-{sig.n2} solution found at bend {bend}; "
-        f"best residual {last_residual:.2e}"
+        f"best residual {best_residual:.2e}"
     )
 
 

@@ -28,7 +28,8 @@ class Tolerances:
     sep_floor: float = 1e-8
     #: samples per slice / per segment in the K3 checks.
     k3_samples: int = 64
-    #: residual target for the turnover trace solver.
+    #: g2-order residual ||g2^n2 - w I|| within which turnover_solve takes a
+    #: start as converged.
     solver_residual: float = 1e-9
     #: residual bound for a fixed point passed to the Toledo integrator.
     fixed_point: float = 1e-8

@@ -275,3 +275,12 @@ def test_unitary_tangent_basis_matches_every_seed_loop(rng):
     g = np.einsum("nad,nbd->nab", basis * np.array([-1.0, 1.0, 1.0]), basis.conj())
     np.testing.assert_allclose(g, np.broadcast_to(np.eye(2), g.shape), atol=1e-13)
     np.testing.assert_allclose(herm_rows(basis, x[:, None]), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [[0.1, 1.0, 0.0], [1.0, 1.0, 0.0]])
+def test_unitary_tangent_basis_rejects_a_non_negative_row(bad):
+    """A positive or null row has no tangent basis: ClassError naming the
+    row, raised before any square root of a non-negative norm is taken."""
+    x = np.array([[1.0, 0.2, 0.1], bad, [1.0, 0.0, 0.3]], dtype=complex)
+    with pytest.raises(ClassError, match="row 1 is not a negative point"):
+        _unitary_tangent_basis(x)

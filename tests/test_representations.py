@@ -1,5 +1,6 @@
 """Turnover signatures, baselines, the bent solver, and the H5 builder."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -352,7 +353,7 @@ def test_lockstep_least_squares_bit_identical_to_scipy(bend, twist):
 
     options = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=250)
     x0 = _twist_starts(sig, twist)
-    results = lsq.least_squares(rows, x0, **options)
+    results = list(lsq.least_squares(rows, x0, **options))
     assert len(results) == len(x0)
     for start, got in zip(x0, results):
         ref = scipy_optimize.least_squares(lambda x: rows(x[None])[0], start, **options)
@@ -391,7 +392,7 @@ def test_lockstep_least_squares_matches_scipy_on_its_other_branches(fun, x0, max
     unknowns all follow scipy bit for bit."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
     options = dict(xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=max_nfev)
-    results = lsq.least_squares(fun, x0, **options)
+    results = list(lsq.least_squares(fun, x0, **options))
     assert len(results) == len(x0)
     for start, got in zip(x0, results):
         ref = scipy_optimize.least_squares(lambda x: fun(x[None])[0], start, **options)
@@ -412,25 +413,30 @@ def test_alpha_reset_takes_the_scalar_power_root():
     assert np.array_equal(lsq._alpha_reset(lower, upper), expected)
 
 
-def test_lockstep_reports_rows_in_order_and_stops_at_the_accepted_row():
-    """Rows finish out of order but are reported in row order, and a true
-    stop ends the batch: rows after the accepted one are never reported."""
+def test_lockstep_yields_rows_in_order_and_stops_when_the_caller_does():
+    """Rows finish out of order but are yielded in row order, and a caller
+    that takes the first three of five rows gets the full run's first three
+    rows with fewer residual calls than the full batch makes."""
     target = np.array([1.0, -2.0])
+    calls = []
 
     def residuals(p):
+        calls.append(len(p))
         return np.column_stack([p - target, 0.1 * (p[:, :1] - target[0]) ** 2])
 
     x0 = np.array([[40.0, 30.0], [1.0, -2.0], [1.5, -2.5], [-60.0, 9.0], [1.0, -2.0]])
     options = dict(xtol=1e-8, ftol=1e-8, gtol=1e-8, max_nfev=200)
-    full = lsq.least_squares(residuals, x0, **options)
+    full = list(lsq.least_squares(residuals, x0, **options))
+    full_calls = len(calls)
     assert len(full) == 5 and full[1].nfev < full[0].nfev
     for result in full:
         assert np.abs(result.x - target).max() < 1e-6 and result.status > 0
-    seen = []
-    reported = lsq.least_squares(residuals, x0, stop=lambda row, sol: seen.append(row) or row == 2,
-                                 **options)
-    assert seen == [0, 1, 2]
-    assert [r.nfev for r in reported] == [r.nfev for r in full[:3]]
+    calls.clear()
+    head = list(itertools.islice(lsq.least_squares(residuals, x0, **options), 3))
+    assert len(calls) < full_calls
+    for got, want in zip(head, full[:3], strict=True):
+        assert _same_bits(got.x, want.x) and _same_bits(got.fun, want.fun)
+        assert (got.nfev, got.status) == (want.nfev, want.status)
 
 
 def test_turnover_solve_failure_path_message():
