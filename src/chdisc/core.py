@@ -74,10 +74,6 @@ class ProjectivePoint:
             raise ZeroVectorError("projective point needs a nonzero finite representative")
         self.v = v / n
 
-    @property
-    def sign_class(self) -> str:
-        return classify(self)
-
     def herm_with(self, other: "ProjectivePoint") -> complex:
         return herm_form(self.v, other.v)
 

@@ -4,11 +4,15 @@
 ``x0`` with the trust-region-reflective method (Branch, Coleman & Li, SIAM
 J. Sci. Comput. 21, 1999), solving each trust-region subproblem exactly
 from one SVD of the Jacobian (Moré, LNM 630, 1978).  The Jacobian is the
-forward-difference one.  All rows advance together: each tick makes one
-stacked residual call for the trial steps of every live row, and one for
-the forward-difference columns of every row that accepted a step, while
-each row keeps its own trust radius, Levenberg–Marquardt parameter,
-evaluation count and termination status.
+forward-difference one.  All rows advance together, and each tick makes
+exactly one stacked residual call: it evaluates every running row's trial
+point together with the n forward-difference points around it.  A row
+that accepts its step takes its new Jacobian from that call; a row that
+rejects it discards those points.  The first call evaluates the starts
+and their forward-difference points the same way.  Each row keeps its own
+trust radius, Levenberg–Marquardt parameter, evaluation count and
+termination status, and a row that finishes leaves the state arrays.
+A row's residual bits must not depend on which rows share its call.
 
 Per row this is scipy 1.17's ``least_squares(method='trf',
 tr_solver='exact', x_scale=1, loss='linear', jac='2-point')`` step for
@@ -60,16 +64,22 @@ def _pick(first, second):
     return np.where(second > first, second, first)
 
 
+def _rows(mask):
+    # an index selecting the rows of ``mask``: a plain slice, so no copy,
+    # when that is every row
+    return slice(None) if mask.all() else mask
+
+
 def _alpha_reset(lower, upper):
     # numpy scalar ** 0.5 is C pow, which can differ from the array sqrt
     roots = np.array([v**0.5 for v in lower * upper], dtype=float)
     return _pick(0.001 * upper, roots)
 
 
-def _phi(alpha, suf, s, delta):
-    denom = s**2 + alpha[:, None]
+def _phi(alpha, suf, s2, suf2, delta):
+    denom = s2 + alpha[:, None]
     p_norm = _norms(suf / denom)
-    return p_norm - delta, -np.sum(suf**2 / denom**3, axis=1) / p_norm
+    return p_norm - delta, -np.add.reduce(suf2 / denom**3, axis=1) / p_norm
 
 
 def _tr_steps(m, uf, s, v, delta, alpha0):
@@ -82,72 +92,100 @@ def _tr_steps(m, uf, s, v, delta, alpha0):
     suf = s * uf
     full = s[:, -1] > EPS * m * s[:, 0] if m >= n else np.zeros(k, dtype=bool)
     steps, alpha = np.empty((k, n)), np.zeros(k)
+    j = _rows(full)
+    gauss_newton = -_mv(v[j], uf[j] / s[j])
+    fits = _norms(gauss_newton) <= delta[j]
     fitted = np.zeros(k, dtype=bool)
-    i = np.flatnonzero(full)
-    if len(i):
-        gauss_newton = -_mv(v[i], uf[i] / s[i])
-        fits = _norms(gauss_newton) <= delta[i]
-        steps[i[fits]] = gauss_newton[fits]
-        fitted[i[fits]] = True
+    fitted[j] = fits
+    steps[fitted] = gauss_newton[fits]
     i = np.flatnonzero(~fitted)
     if not len(i):
         return steps, alpha
-    suf_i, s_i, d_i, full_i = suf[i], s[i], delta[i], full[i]
-    upper = _norms(suf_i) / d_i
+    suf, s, d, full = suf[i], s[i], delta[i], full[i]
+    s2, suf2, phi_tol = s**2, suf**2, 0.01 * d
+    upper = _norms(suf) / d
     lower = np.zeros(len(i))
-    if full_i.any():
-        phi, dphi = _phi(np.zeros(full_i.sum()), suf_i[full_i], s_i[full_i], d_i[full_i])
-        lower[full_i] = -phi / dphi
-    a = alpha0[i].copy()
-    reset = ~full_i & (a == 0)
-    a[reset] = _alpha_reset(lower[reset], upper[reset])
-    live = np.arange(len(i))
+    if full.any():
+        j = _rows(full)
+        phi, dphi = _phi(np.zeros(np.count_nonzero(full)), suf[j], s2[j], suf2[j], d[j])
+        lower[j] = -phi / dphi
+    a = alpha0[i]
+    reset = ~full & (a == 0)
+    if reset.any():
+        a[reset] = _alpha_reset(lower[reset], upper[reset])
+    # Newton's method on phi, row by row under a mask.  A row that has
+    # converged keeps its alpha and is evaluated again at its last point,
+    # so it repeats its own arithmetic; its bounds are no longer read.
+    live = np.ones(len(i), dtype=bool)
+    at = a
     for _ in range(10):  # scipy's root-finding budget and tolerance (rtol 0.01)
-        al, lo, up, d = a[live], lower[live], upper[live], d_i[live]
-        out = (al < lo) | (al > up)
+        out = (a < lower) | (a > upper)
+        out &= live
         if out.any():
-            al[out] = _alpha_reset(lo[out], up[out])
-        phi, dphi = _phi(al, suf_i[live], s_i[live], d)
-        upper[live] = np.where(phi < 0, al, up)
+            a[out] = _alpha_reset(lower[out], upper[out])
+        at = np.where(live, a, at)
+        phi, dphi = _phi(at, suf, s2, suf2, d)
+        upper = np.where(phi < 0, at, upper)
         ratio = phi / dphi
-        lower[live] = _pick(lo, al - ratio)
-        a[live] = al - (phi + d) * ratio / d
-        live = live[~(np.abs(phi) < 0.01 * d)]
-        if not len(live):
+        lower = _pick(lower, at - ratio)
+        a = np.where(live, at - (phi + d) * ratio / d, a)
+        live &= ~(np.abs(phi) < phi_tol)
+        if not live.any():
             break
-    p = -_mv(v[i], suf_i / (s_i**2 + a[:, None]))
-    steps[i] = p * (d_i / _norms(p))[:, None]
+    p = -_mv(v[i], suf / (s2 + a[:, None]))
+    steps[i] = p * (d / _norms(p))[:, None]
     alpha[i] = a
     return steps, alpha
 
 
-def _jacobians_t(fun, x, f):
-    """Transposed forward-difference Jacobians ``(k, n, m)`` in one call."""
+def _with_columns(fun, x):
+    """``fun`` at every row of ``x`` and at its forward-difference points.
+
+    One residual call on the ``k * (1 + n)`` points: the rows of ``x``
+    first, then each row's n points shifted by ``h`` in one coordinate.
+    Returns the ``(k, m)`` residuals at ``x``, the ``(k, n, m)`` residuals at
+    the shifted points and the ``(k, n)`` divisors ``(x + h) - x``.
+    """
     k, n = x.shape
     h = _REL_STEP * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
+    x_h = x + h
     shifted = np.repeat(x[:, None, :], n, axis=1)
     cols = np.arange(n)
-    shifted[:, cols, cols] = x + h
-    df = fun(shifted.reshape(k * n, n)).reshape(k, n, -1) - f[:, None, :]
-    return df / ((x + h) - x)[:, :, None]
+    shifted[:, cols, cols] = x_h
+    out = np.asarray(fun(np.concatenate([x, shifted.reshape(k * n, n)])), dtype=float)
+    return out[:k], out[k:].reshape(k, n, -1), x_h - x
+
+
+def _jacobians_t(f, f_shifted, dx):
+    """Transposed forward-difference Jacobians ``(k, n, m)``."""
+    return (f_shifted - f[:, None, :]) / dx[:, :, None]
 
 
 def least_squares(fun, x0, *, xtol, ftol, gtol, max_nfev):
     """Minimize ``0.5 * ||fun(x)||^2`` from every row of ``x0``, in lockstep.
 
     ``fun`` maps a ``(k, n)`` stack of points to a ``(k, m)`` stack of
-    residuals, one row per point.  A generator: it yields each row's
-    ``LsqResult`` in row order, once that row and every earlier row have
-    finished.  A caller that stops asking for rows ends the batch, so no
-    later row costs another residual call.
+    residuals, one row per point.  Each call of ``fun`` evaluates ``1 + n``
+    points per running row, and a batch makes at most ``max_nfev`` calls.
+    A generator: it yields each row's ``LsqResult`` in row order, once that
+    row and every earlier row have finished.  A caller that stops asking
+    for rows ends the batch, so no later row costs another residual call.
+    Raises ``ValueError``, as scipy does, if a start's residuals are not
+    finite.
     """
     x = np.array(x0, dtype=float)
     k, n = x.shape
     if not k:
         return
-    f = np.asarray(fun(x), dtype=float)
+    f, f_shifted, dx = _with_columns(fun, x)
+    if not np.isfinite(f).all():
+        raise ValueError("residuals are not finite at a starting point")
     m = f.shape[1]
-    jac_t = _jacobians_t(fun, x, f)
+    r = min(m, n)
+    # the state of the running rows, one entry per row; a row that finishes
+    # leaves every array, and ``rows`` maps entries back to rows of x0
+    rows = np.arange(k)
+    jac_t = _jacobians_t(f, f_shifted, dx)
     cost = 0.5 * dot_rows(f, f)
     grad = _mv(jac_t, f)
     delta = _norms(x)
@@ -156,66 +194,65 @@ def least_squares(fun, x0, *, xtol, ftol, gtol, max_nfev):
     nfev = np.ones(k, dtype=int)
     status = np.full(k, _RUNNING)
     reduction = np.zeros(k)
-    r = min(m, n)
     uf, s, v = np.empty((k, r)), np.empty((k, r)), np.empty((k, n, r))
     top = np.ones(k, dtype=bool)
-    live = np.ones(k, dtype=bool)
-    reported = 0
+    finished, reported = {}, 0
     while True:
         # rows at the head of an outer iteration: the gtol and budget checks
-        t = np.flatnonzero(top)
-        status[t[np.abs(grad[t]).max(axis=1) < gtol]] = 1
-        ended = t[(status[t] != _RUNNING) | (nfev[t] == max_nfev)]
-        live[ended] = False
-        while reported < k and not live[reported]:
-            yield LsqResult(x[reported].copy(), f[reported].copy(), int(nfev[reported]),
-                            max(int(status[reported]), 0))
-            reported += 1
-        if reported == k:
-            return
+        status[top & (np.abs(grad).max(axis=1) < gtol)] = 1
+        ended = top & ((status != _RUNNING) | (nfev == max_nfev))
+        if ended.any():
+            for j in np.flatnonzero(ended):
+                finished[int(rows[j])] = LsqResult(x[j].copy(), f[j].copy(), int(nfev[j]),
+                                                   max(int(status[j]), 0))
+            going = ~ended
+            (rows, x, f, jac_t, cost, grad, delta, alpha, nfev, status, reduction, uf, s, v,
+             top) = (state[going] for state in (rows, x, f, jac_t, cost, grad, delta, alpha, nfev,
+                                                 status, reduction, uf, s, v, top))
+            while reported in finished:
+                yield finished.pop(reported)
+                reported += 1
+            if not len(rows):
+                return
         # the rows that go on take one SVD of their new Jacobian
-        t = t[live[t]]
+        t = np.flatnonzero(top)
         if len(t):
             u_t, s[t], vt = np.linalg.svd(jac_t[t].swapaxes(-1, -2), full_matrices=False)
             uf[t] = _mv(_transposed(u_t), f[t])
-            v[t] = _transposed(vt)
+            v[t] = vt.swapaxes(-1, -2)
             reduction[t] = -1.0
-        # one trial step for every live row, in one residual call
-        i = np.flatnonzero(live)
-        step, alpha[i] = _tr_steps(m, uf[i], s[i], v[i], delta[i], alpha[i])
-        js = _mv(jac_t[i].swapaxes(-1, -2), step)
-        predicted = -(0.5 * dot_rows(js, js) + dot_rows(step, grad[i]))
-        x_new = x[i] + step
-        f_new = np.asarray(fun(x_new), dtype=float)
-        nfev[i] += 1
+        # one trial step for every row, and the forward-difference points
+        # around it, in one residual call
+        step, alpha = _tr_steps(m, uf, s, v, delta, alpha)
+        js = _mv(jac_t.swapaxes(-1, -2), step)
+        predicted = -(0.5 * dot_rows(js, js) + dot_rows(step, grad))
+        x_new = x + step
+        f_new, f_shifted, dx = _with_columns(fun, x_new)
+        nfev += 1
         step_norm = _norms(step)
         finite = np.isfinite(f_new).all(axis=1)
         cost_new = 0.5 * dot_rows(f_new, f_new)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            red = cost[i] - cost_new
-            ratio = np.where(predicted > 0, red / predicted,
-                             np.where((predicted == 0) & (red == 0), 1.0, 0.0))
+        red = cost - cost_new
+        ratio = np.zeros_like(red)
+        np.divide(red, predicted, out=ratio, where=predicted > 0)
+        ratio[(predicted == 0) & (red == 0)] = 1.0
         # the radius update and termination test; a non-finite trial only
         # shrinks the radius
-        d = delta[i]
         d_new = np.where(ratio < 0.25, 0.25 * step_norm,
-                         np.where((ratio > 0.75) & (step_norm > 0.95 * d), d * 2.0, d))
-        ftol_ok = (red < ftol * cost[i]) & (ratio > 0.25)
-        xtol_ok = step_norm < xtol * (xtol + _norms(x[i]))
-        term = np.where(ftol_ok & xtol_ok, 4, np.where(ftol_ok, 2, np.where(xtol_ok, 3, _RUNNING)))
-        term[~finite] = _RUNNING
-        status[i] = term
-        going = finite & (term == _RUNNING)
-        alpha[i[going]] *= d[going] / d_new[going]
-        delta[i] = np.where(going, d_new, np.where(finite, d, 0.25 * step_norm))
-        reduction[i[finite]] = red[finite]
+                         np.where((ratio > 0.75) & (step_norm > 0.95 * delta), delta * 2.0, delta))
+        ftol_ok = (red < ftol * cost) & (ratio > 0.25)
+        xtol_ok = step_norm < xtol * (xtol + _norms(x))
+        status = np.where(ftol_ok & xtol_ok, 4, np.where(ftol_ok, 2, np.where(xtol_ok, 3, _RUNNING)))
+        status[~finite] = _RUNNING
+        going = finite & (status == _RUNNING)
+        alpha[going] *= delta[going] / d_new[going]
+        delta = np.where(going, d_new, np.where(finite, delta, 0.25 * step_norm))
+        reduction[finite] = red[finite]
         # a row retries from the same Jacobian until a step reduces the cost
-        retry = (reduction[i] <= 0) & (term == _RUNNING) & (nfev[i] < max_nfev)
-        top[:] = False
-        top[i[~retry]] = True
-        accept = ~retry & (reduction[i] > 0)
-        a = i[accept]
+        top = ~((reduction <= 0) & (status == _RUNNING) & (nfev < max_nfev))
+        a = np.flatnonzero(top & (reduction > 0))
         if len(a):
-            x[a], f[a], cost[a] = x_new[accept], f_new[accept], cost_new[accept]
-            jac_t[a] = _jacobians_t(fun, x[a], f[a])
+            x[a], f[a], cost[a] = x_new[a], f_new[a], cost_new[a]
+            # only accepted rows have finite residuals to difference against
+            jac_t[a] = _jacobians_t(f[a], f_shifted[a], dx[a])
             grad[a] = _mv(jac_t[a], f[a])

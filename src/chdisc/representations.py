@@ -73,7 +73,9 @@ from .tolerances import TOL, Tolerances
 
 _E1 = np.array([0.0, 1.0, 0.0], dtype=complex)
 _E2 = np.array([0.0, 0.0, 1.0], dtype=complex)
-_CUBE_ROOT_SCALARS = _CUBE_ROOTS[:, None, None] * np.eye(3)
+_CUBE_ROOT_SCALARS = (_CUBE_ROOTS[:, None, None] * np.eye(3)).reshape(3, 9)  # w I, flattened
+_SIGNED_E = _SIGNS * np.stack([_E1, _E2])  # _pairs(e_i, x) is dot_rows(_SIGNED_E[i], conj(x))
+_FORM_SIGNS = np.outer(_SIGNS, _SIGNS)
 
 
 @dataclass(frozen=True)
@@ -289,6 +291,14 @@ class SolverSeed:
     window: float = 0.2
 
 
+# the stopping options of every least-squares batch of turnover_solve
+SOLVER_STOPPING = {"xtol": 1e-15, "ftol": 1e-15, "gtol": 1e-15, "max_nfev": 250}
+
+# the box the starts are drawn from: a, b, psi, phi
+_START_LOW = np.array([0.1, 0.0, -1.5, -np.pi])
+_START_SPAN = np.array([0.9, 0.7, 1.5, np.pi]) - _START_LOW
+
+
 def _outside_ball(params) -> bool:
     return params[0] * params[0] + params[1] * params[1] >= 0.98
 
@@ -302,21 +312,73 @@ def _py_quotients(a, b):
     """Elementwise a / b as CPython divides complex numbers (Smith's method).
 
     numpy's complex division multiplies by a reciprocal, so its last bits
-    differ from the Python ``complex`` quotient of the scalar path.
+    differ from the Python ``complex`` quotient of the scalar path.  Where
+    |b.imag| > |b.real| (or b has a NaN part) CPython takes its other
+    branch; that branch is this one applied to a * -i and b * -i, whose
+    parts are those of a and b swapped and negated, so both give the same
+    bits.
     """
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_real = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = bi / br
-        d = br + bi * r
-        re_r, im_r = (ar + ai * r) / d, (ai - ar * r) / d
-        r = br / bi
-        d = br * r + bi
-        re_i, im_i = (ar * r + ai) / d, (ai * r - ar) / d
+    if not by_real.all():
+        ar, ai = np.where(by_real, ar, ai), np.where(by_real, ai, -ar)
+        br, bi = np.where(by_real, br, bi), np.where(by_real, bi, -br)
+    r = bi / br
+    d = br + bi * r
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = np.where(by_real, re_r, re_i)
-    out.imag = np.where(by_real, im_r, im_i)
+    out.real = (ar + ai * r) / d
+    out.imag = (ai - ar * r) / d
     return out
+
+
+def _form_adjoint(u):
+    """J u* J over a ``(k, 3, 3)`` stack, with the bits of the matmuls
+    ``FORM_MATRIX @ u* @ FORM_MATRIX``.
+
+    Each entry of the product is one entry of u* times +-1 plus terms that
+    are products with zero, so flipping signs gives the same bits wherever
+    the real and imaginary parts are finite and nonzero.  A stack with any
+    other part, whose sign of zero the matmuls may set differently, takes
+    the matmuls.
+    """
+    parts = u.view(float)
+    if not np.isfinite(parts).all() or (parts == 0).any():
+        return FORM_MATRIX @ u.conj().swapaxes(-1, -2) @ FORM_MATRIX
+    return u.conj().swapaxes(-1, -2) * _FORM_SIGNS
+
+
+def _bent_inside(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
+    """Frames, m3, g2 and residual rows of ``_bent_rows`` for a stack of
+    rows that all lie inside the ball."""
+    a, b, psi, phi = params.T
+    frame = np.empty((len(a), 3, 3), dtype=complex)  # rows x3, w1, w2
+    x3 = frame[:, 0]
+    x3[:, 0], x3[:, 1], x3[:, 2] = 1.0, a, b
+    # e1 and e2 less their x3 components, with both quotients in one call
+    q = _py_quotients(dot_rows(_SIGNED_E[:, None, :], np.conj(x3)), _pairs(x3, x3))
+    u = _E1 - q[0, :, None] * x3
+    u = u / np.sqrt(_pairs(u, u).real)[:, None]
+    v = _E2 - q[1, :, None] * x3
+    v = v - _py_quotients(_pairs(v, u), _pairs(u, u))[:, None] * u
+    v = v / np.sqrt(_pairs(v, v).real)[:, None]
+    cos, sin = np.cos(psi)[:, None], np.sin(psi)[:, None]
+    frame[:, 1] = cos * u + (sin * np.exp(1j * phi)[:, None]) * v
+    frame[:, 2] = (-sin * np.exp(-1j * phi)[:, None]) * u + cos * v
+    norms = np.sqrt(dot_rows(frame.real, frame.real) + dot_rows(frame.imag, frame.imag))
+    unit = frame / norms[..., None]  # unit representatives, as ProjectivePoint stores them
+    proj = unit[..., :, None] * (_SIGNS * np.conj(unit))[..., None, :]
+    proj = proj / _pairs(unit, unit).real[..., None, None]
+    # 0 + ... as the scalar path's sum() does, keeping the sign of zero
+    m = 0 + phases[0] * proj[:, 0]
+    m = m + phases[1] * proj[:, 1]
+    m = m + phases[2] * proj[:, 2]
+    g3_inv = _form_adjoint(_unit_det(m))
+    g = _unit_det(_unit_det(g3_inv) @ g1_inv)
+    power = np.linalg.matrix_power(g, n2)
+    diffs = power.reshape(-1, 1, 9) - _CUBE_ROOT_SCALARS
+    cands = np.concatenate([diffs.real, diffs.imag], axis=-1)
+    best = np.argmin(np.sqrt(dot_rows(cands, cands)), axis=1)  # first of equal norms
+    return frame, m, g, cands[np.arange(len(best)), best]
 
 
 def _bent_rows(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
@@ -338,58 +400,33 @@ def _bent_rows(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
     g2 = frames.copy()
     res = np.full((k, 18), 1e3)
     inside = ~_outside_ball(params.T)
-    a, b, psi, phi = params[inside].T
-    x3 = np.empty((len(a), 3), dtype=complex)
-    x3[:, 0], x3[:, 1], x3[:, 2] = 1.0, a, b
-
-    def off(w, c):
-        return w - _py_quotients(_pairs(w, c), _pairs(c, c))[:, None] * c
-
-    u = off(_E1, x3)
-    u = u / np.sqrt(_pairs(u, u).real)[:, None]
-    v = off(off(_E2, x3), u)
-    v = v / np.sqrt(_pairs(v, v).real)[:, None]
-    cos, sin = np.cos(psi)[:, None], np.sin(psi)[:, None]
-    w1 = cos * u + (sin * np.exp(1j * phi)[:, None]) * v
-    w2 = (-sin * np.exp(-1j * phi)[:, None]) * u + cos * v
-    frame = np.stack([x3, w1, w2], axis=1)
-    norms = np.sqrt(dot_rows(frame.real, frame.real) + dot_rows(frame.imag, frame.imag))
-    unit = frame / norms[..., None]  # unit representatives, as ProjectivePoint stores them
-    proj = unit[..., :, None] * (_SIGNS * np.conj(unit))[..., None, :]
-    proj = proj / _pairs(unit, unit).real[..., None, None]
-    # 0 + ... as the scalar path's sum() does, keeping the sign of zero
-    m = 0 + phases[0] * proj[:, 0]
-    m = m + phases[1] * proj[:, 1]
-    m = m + phases[2] * proj[:, 2]
-    g3_inv = FORM_MATRIX @ _unit_det(m).conj().swapaxes(-1, -2) @ FORM_MATRIX
-    g = _unit_det(_unit_det(g3_inv) @ g1_inv)
-    power = np.linalg.matrix_power(g, n2)
-    diffs = (power[:, None] - _CUBE_ROOT_SCALARS).reshape(-1, 3, 9)
-    cands = np.concatenate([diffs.real, diffs.imag], axis=-1)
-    best = np.argmin(np.sqrt(dot_rows(cands, cands)), axis=1)  # first of equal norms
-    frames[inside], m3[inside], g2[inside] = frame, m, g
-    res[inside] = cands[np.arange(len(best)), best]
+    frames[inside], m3[inside], g2[inside], res[inside] = _bent_inside(
+        params[inside], g1_inv, phases, n2)
     return frames, m3, g2, res
 
 
 def _order_residuals(params, g1_inv, phases, n2):
     """The solver objective: the residual rows of ``_bent_rows``."""
-    return _bent_rows(params, g1_inv, phases, n2)[3]
+    inside = ~_outside_ball(params.T)
+    if inside.all():
+        return _bent_inside(params, g1_inv, phases, n2)[3]
+    res = np.full((len(params), 18), 1e3)
+    res[inside] = _bent_inside(params[inside], g1_inv, phases, n2)[3]
+    return res
 
 
-def _bent_generators(g1, params, phases, n2):
+def _bent_generators(g1_inv, params, phases, n2):
     """g2, g3 and g3's rotation-plane frame (w1, w2) of a bent candidate.
 
-    g1 keeps the baseline fixed point and eigenframe; g3 is an order-n3-type
-    elliptic with eigenphases ``phases`` whose fixed point (1, a, b) may
-    leave the standard complex geodesic and whose rotation plane is mixed
-    by the angle psi and phase phi; both carry the bending phase on their
-    last eigenvalue.
+    ``g1_inv`` is the matrix of g1^-1, where g1 keeps the baseline fixed
+    point and eigenframe; g3 is an order-n3-type elliptic with eigenphases
+    ``phases`` whose fixed point (1, a, b) may leave the standard complex
+    geodesic and whose rotation plane is mixed by the angle psi and phase
+    phi; both carry the bending phase on their last eigenvalue.
     """
     if _outside_ball(params):
         raise ClassError("candidate fixed point left the ball model")
-    frames, m3, g2, _ = _bent_rows(np.asarray(params, dtype=float)[None],
-                                   g1.inverse().matrix, phases, n2)
+    frames, m3, g2, _ = _bent_rows(np.asarray(params, dtype=float)[None], g1_inv, phases, n2)
     x3, w1, w2 = (ProjectivePoint(f) for f in frames[0])
     OrthogonalFrame(x3, w1, w2).validate()
     return Isometry(g2[0]), Isometry.from_matrix(m3[0]), w1, w2
@@ -464,17 +501,12 @@ def turnover_solve(
         g1_inv = g1.inverse().matrix
         for k3 in range(sig.n3):
             phases = _rotation_phases(sig.n3, k3, bend)
-            x0 = np.empty((seed_params.starts, 4))
-            for row in x0:  # scalar draws, start by start: the seed's start sequence
-                row[:] = (
-                    rng.uniform(0.1, 0.9),
-                    rng.uniform(0.0, 0.7),
-                    rng.uniform(-1.5, 1.5),
-                    rng.uniform(-np.pi, np.pi),
-                )
+            # rng.uniform(low, high) for a, b, psi, phi, start by start: each is
+            # low + (high - low) * rng.random()
+            x0 = _START_LOW + _START_SPAN * rng.random((seed_params.starts, 4))
             solutions = least_squares(
                 partial(_order_residuals, g1_inv=g1_inv, phases=phases, n2=sig.n2),
-                x0, xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=250,
+                x0, **SOLVER_STOPPING,
             )
             for start, sol in enumerate(solutions):
                 residual = float(np.linalg.norm(sol.fun))
@@ -482,7 +514,7 @@ def turnover_solve(
                 # unconverged, or g3 collapsed onto the fixed point of g1
                 if residual > tol.solver_residual or np.hypot(sol.x[0], sol.x[1]) < 0.05:
                     continue
-                g2, g3, w1p, w2p = _bent_generators(g1, sol.x, phases, sig.n2)
+                g2, g3, w1p, w2p = _bent_generators(g1_inv, sol.x, phases, sig.n2)
                 params = [float(v) for v in sol.x]
                 log.append({"twists": (k1, k3), "start": start, "params": params,
                             "order_residual": residual})

@@ -1,9 +1,11 @@
 """Turnover signatures, baselines, the bent solver, and the H5 builder."""
 
+import functools
 import itertools
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +42,7 @@ from chdisc.core import (
 )
 from chdisc.disc import F0, disc_distance, disc_rotation, embed, in_plane_frame
 from chdisc import lsq, representations
-from chdisc.representations import isometry_power
+from chdisc.representations import SOLVER_STOPPING, isometry_power
 
 from conftest import random_negative_point
 
@@ -328,6 +330,18 @@ def test_bent_rows_bit_identical_to_scalar_path(orders, bend):
                     assert _same_bits(got, want)
 
 
+def test_form_adjoint_has_the_bits_of_the_form_matmuls():
+    """J u* J by sign flips equals FORM_MATRIX @ u* @ FORM_MATRIX bit for
+    bit, sign of zero included, on stacks with and without zero parts."""
+    rng = np.random.default_rng(8)
+    for zeros in (0, 1, 5):
+        u = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+        parts = u.view(float).reshape(-1)
+        parts[rng.choice(parts.size, zeros, replace=False)] = rng.choice([0.0, -0.0], zeros)
+        expected = FORM_MATRIX @ u.conj().swapaxes(-1, -2) @ FORM_MATRIX
+        assert _same_bits(representations._form_adjoint(u), expected)
+
+
 def _twist_starts(sig, twist, starts=30):
     """The x0 rows turnover_solve draws for one twist at the default seed."""
     rng = np.random.default_rng(SolverSeed().seed)
@@ -337,6 +351,24 @@ def _twist_starts(sig, twist, starts=30):
         for _ in range(sig.n1 * sig.n3)
     ]
     return np.array(blocks[twist[0] * sig.n3 + twist[1]])
+
+
+def test_turnover_solve_draws_the_scalar_start_sequence(monkeypatch):
+    """The starts of every twist are the seed's scalar rng.uniform draws,
+    start by start and bit for bit."""
+    sig = TurnoverSignature(3, 3, 4)
+    starts = []
+
+    def record(fun, x0, **kwargs):
+        starts.append(x0)
+        return []
+
+    monkeypatch.setattr(representations, "least_squares", record)
+    with pytest.raises(ConvergenceError):
+        turnover_solve(sig, 0.02)
+    assert len(starts) == sig.n1 * sig.n3
+    for index, x0 in enumerate(starts):
+        assert _same_bits(x0, _twist_starts(sig, divmod(index, sig.n3)))
 
 
 @pytest.mark.parametrize("bend, twist", [(0.04, (0, 1)), (-0.05, (0, 0))])
@@ -351,7 +383,7 @@ def test_lockstep_least_squares_bit_identical_to_scipy(bend, twist):
     def rows(p):
         return representations._bent_rows(p, g1_inv, phases, sig.n2)[3]
 
-    options = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=250)
+    options = SOLVER_STOPPING
     x0 = _twist_starts(sig, twist)
     results = list(lsq.least_squares(rows, x0, **options))
     assert len(results) == len(x0)
@@ -399,6 +431,60 @@ def test_lockstep_least_squares_matches_scipy_on_its_other_branches(fun, x0, max
         assert _same_bits(got.x, ref.x) and _same_bits(got.fun, ref.fun)
         assert (got.nfev, got.status) == (ref.nfev, ref.status)
     assert {r.status for r in results} == statuses
+
+
+def _bent_objective(bend, twist):
+    """The residual function turnover_solve hands to least_squares for one
+    (3,3,4) twist."""
+    sig = TurnoverSignature(3, 3, 4)
+    return functools.partial(
+        representations._order_residuals,
+        g1_inv=representations._twisted_rotation(0.0, sig.n1, twist[0], bend).inverse().matrix,
+        phases=representations._rotation_phases(sig.n3, twist[1], bend),
+        n2=sig.n2,
+    )
+
+
+@pytest.mark.parametrize(
+    "fun, x0, options",
+    [
+        (_bent_objective(0.04, (0, 1)), _twist_starts(TurnoverSignature(3, 3, 4), (0, 1)),
+         SOLVER_STOPPING),
+        (_walled_rows, _WALLED_STARTS, dict(xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=200)),
+    ],
+)
+def test_lockstep_makes_one_residual_call_per_tick(fun, x0, options):
+    """Each tick evaluates every running row's trial step together with the
+    forward-difference points around it, and the first call evaluates the
+    starts with theirs: a fully consumed batch makes as many residual calls
+    as its longest row makes evaluations.  In the walled case some trial
+    residuals are infinite, and the columns of those rejected trials are
+    discarded without a warning."""
+    calls, non_finite = [], []
+
+    def counted(p):
+        out = fun(p)
+        calls.append(len(p))
+        non_finite.append(not np.isfinite(out).all())
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = list(lsq.least_squares(counted, x0, **options))
+    assert len(results) == len(x0)
+    assert len(calls) == max(r.nfev for r in results)
+    assert calls[0] == len(x0) * (1 + x0.shape[1])
+    assert any(non_finite) == (fun is _walled_rows)
+
+
+def test_lockstep_rejects_a_start_with_non_finite_residuals():
+    """As scipy does, a start whose residuals are not finite is an error."""
+    def residuals(p):
+        return np.column_stack([p[:, 0], np.where(p[:, 1] > 0, np.inf, p[:, 1])])
+
+    with pytest.raises(ValueError, match="not finite"):
+        list(lsq.least_squares(residuals, np.array([[1.0, -1.0], [1.0, 1.0]]),
+                               xtol=1e-8, ftol=1e-8, gtol=1e-8, max_nfev=50))
 
 
 def test_alpha_reset_takes_the_scalar_power_root():
