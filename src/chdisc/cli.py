@@ -56,8 +56,10 @@ def _tolerances(args):
 
 
 def _bend_tag(bend: float) -> str:
-    s = f"{bend:.6f}".rstrip("0").rstrip(".")
-    return (s or "0").replace("-", "m").replace(".", "p")
+    """The bend in an artifact name: its shortest round-trip digits, so
+    distinct bends get distinct names, with "-" as "m" and "." as "p"."""
+    s = np.format_float_positional(bend + 0.0, trim="-")  # + 0.0 makes -0.0 into 0.0
+    return s.replace("-", "m").replace(".", "p")
 
 
 def _refinement_for(sig: TurnoverSignature, h: float) -> int:
@@ -88,7 +90,9 @@ def run_turnover(sig: TurnoverSignature, bend: float, seed: int, mesh_h: float,
     row["converged"] = True
     cert = quad.certificate
     row["certificate_passed"] = cert.passed
-    row["worst_relation_residual"] = max(rep.relation_residuals().values())
+    rep_doc = representation_to_json_dict(rep)
+    # each residual is a double written through %.17g, so it reads back exactly
+    row["worst_relation_residual"] = max(rep_doc["relation_residuals"].values())
 
     fixed = {name: elliptic_fixed_point(g) for name, g in rep.generators.items()}
     tau_raw = toledo_via_coning(rep, fixed, tol=tol)
@@ -107,7 +111,7 @@ def run_turnover(sig: TurnoverSignature, bend: float, seed: int, mesh_h: float,
                                  reliable=False, tolerances=tol)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / f"{tag}.rep.json", representation_to_json_dict(rep))
+    write_json(out_dir / f"{tag}.rep.json", rep_doc)
     write_json(out_dir / f"{tag}.quad.json", quadrangle_to_json_dict(quad.config))
     write_json(out_dir / f"{tag}.cert.json", cert.to_json_dict())
     write_json(out_dir / f"{tag}.report.json", report.to_json_dict())

@@ -343,18 +343,39 @@ def _projector(b: np.ndarray) -> np.ndarray:
     return np.outer(b, _SIGNS * np.conj(b)) / _self_norm(b)
 
 
+def _elliptic_stack(frame: OrthogonalFrame, phases, tol: Tolerances = TOL) -> np.ndarray:
+    """Det-1 matrices of the elliptics with eigenvectors ``frame``, one per row
+    of a ``(k, 3)`` stack of unit eigenvalues ``phases``.
+
+    Row i is ``phases[i, 0] P_0 + phases[i, 1] P_1 + phases[i, 2] P_2``,
+    summed from 0 as ``sum`` does, with ``P_j`` the form-orthogonal
+    projection onto the j-th frame vector.  The frame is validated once;
+    raises ``FrameError`` on a non-unit phase or for the first row that is
+    not an isometry of the form.
+    """
+    frame.validate(tol)
+    phases = np.asarray(phases, dtype=complex).reshape(-1, 3)
+    if np.abs(np.abs(phases) - 1.0).max() > 1e-12:
+        raise FrameError("eigenphases must have unit modulus")
+    m = 0
+    for mu, b in zip(phases.T, frame.vectors()):
+        m = m + mu[:, None, None] * _projector(b)
+    r = np.abs(m.conj().swapaxes(-1, -2) @ FORM_MATRIX @ m - FORM_MATRIX).max(axis=(-2, -1))
+    bad = np.flatnonzero(r > np.maximum(tol.isometry, 1e-9 * np.abs(m).max(axis=(-2, -1)) ** 2))
+    if bad.size:
+        raise FrameError(f"matrix is not an isometry of the form (residual {r[bad[0]]:g})")
+    return _unit_det(m)
+
+
 def elliptic_from_frame(frame: OrthogonalFrame, phases, tol: Tolerances = TOL) -> Isometry:
     """Elliptic isometry with eigenvectors ``frame`` and unit eigenvalues ``phases``.
 
     ``M = sum_k phases[k] * P_k`` with ``P_k`` the form-orthogonal projection
-    onto the k-th frame vector; the result is determinant-normalized.
+    onto the k-th frame vector; the result is determinant-normalized.  The
+    one-row case of ``_elliptic_stack``.
     """
-    frame.validate(tol)
-    phases = np.asarray(phases, dtype=complex).reshape(3)
-    if np.abs(np.abs(phases) - 1.0).max() > 1e-12:
-        raise FrameError("eigenphases must have unit modulus")
-    m = sum(mu * _projector(b) for mu, b in zip(phases, frame.vectors()))
-    return Isometry.from_matrix(m, tol)
+    phases = np.asarray(phases, dtype=complex).reshape(1, 3)
+    return Isometry(matrix=_elliptic_stack(frame, phases, tol)[0])
 
 
 def reflection_about(p: ProjectivePoint, tol: Tolerances = TOL) -> Isometry:

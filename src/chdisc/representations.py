@@ -57,6 +57,7 @@ from .core import (
     reflection_about,
     tance,
     _CUBE_ROOTS,
+    _elliptic_stack,
     _unit_det,
 )
 from .disc import F0, embed, in_plane_frame, triangle_vertices
@@ -73,7 +74,8 @@ from .tolerances import TOL, Tolerances
 
 _E1 = np.array([0.0, 1.0, 0.0], dtype=complex)
 _E2 = np.array([0.0, 0.0, 1.0], dtype=complex)
-_CUBE_ROOT_SCALARS = (_CUBE_ROOTS[:, None, None] * np.eye(3)).reshape(3, 9)  # w I, flattened
+_CUBE_ROOT_IDENTITIES = _CUBE_ROOTS[:, None, None] * np.eye(3)  # w I
+_CUBE_ROOT_SCALARS = _CUBE_ROOT_IDENTITIES.reshape(3, 9)
 _SIGNED_E = _SIGNS * np.stack([_E1, _E2])  # _pairs(e_i, x) is dot_rows(_SIGNED_E[i], conj(x))
 _FORM_SIGNS = np.outer(_SIGNS, _SIGNS)
 
@@ -151,7 +153,13 @@ class Representation:
 
 def relation_residual(rep: Representation, word) -> float:
     """min over cube roots of unity w of ||product - w I||_max, det-1 lift."""
-    return rep.word_product(word).projective_distance(Isometry.identity())
+    return float(_identity_distance(rep.word_product(word).matrix))
+
+
+def _identity_distance(m):
+    """``projective_distance`` to the identity over a ``(..., 3, 3)`` stack:
+    min over cube roots of unity w of max |m - w I|."""
+    return np.abs(m[..., None, :, :] - _CUBE_ROOT_IDENTITIES).max(axis=(-2, -1)).min(axis=-1)
 
 
 @dataclass
@@ -162,10 +170,6 @@ class QuadrangleFromRep:
     rep: Representation
     config: QuadrangleConfig
     certificate: Certificate
-
-
-def isometry_power(g: Isometry, n: int) -> Isometry:
-    return Isometry.from_matrix(np.linalg.matrix_power(g.matrix, n), check=False)
 
 
 def elliptic_fixed_point(g: Isometry) -> ProjectivePoint:
@@ -209,14 +213,29 @@ def _turnover_relations(sig: TurnoverSignature) -> list:
     ]
 
 
-def _rotation_phases(n: int, k: int, bend: float) -> np.ndarray:
-    """Eigenphases (1, e^{-2pi i/n}, e^{2pi i k/n + i bend}) of a twisted rotation."""
-    return np.array([1.0, np.exp(-2j * np.pi / n), np.exp(2j * np.pi * k / n + 1j * bend)])
+def _rotation_phases(n: int, k, bend: float) -> np.ndarray:
+    """Eigenphases (1, e^{-2pi i/n}, e^{2pi i k/n + i bend}) of a twisted
+    rotation; a ``(..., 3)`` stack when k is an array of twists."""
+    k = np.asarray(k)
+    phases = np.empty(k.shape + (3,), dtype=complex)
+    phases[..., 0] = 1.0
+    phases[..., 1] = np.exp(-2j * np.pi / n)
+    phases[..., 2] = np.exp(1j * (2 * np.pi * k / n + bend))
+    return phases
 
 
 def _twisted_rotation(center: complex, n: int, k: int, bend: float = 0.0) -> Isometry:
     """Rotation by -2pi/n about a disc point, polar eigenphase e^{2pi i k/n + i bend}."""
     return elliptic_from_frame(in_plane_frame(center), _rotation_phases(n, k, bend))
+
+
+def _rotation_table(center: complex, n: int):
+    """The rotations by -2pi/n about a disc point for every polar twist
+    k < n, stacked over k: g, its inverse J g* J and the distance of g^n to
+    the identity, with the bits of the ``Isometry`` operations."""
+    g = _elliptic_stack(in_plane_frame(center), _rotation_phases(n, np.arange(n), 0.0))
+    power = _unit_det(np.linalg.matrix_power(g, n))
+    return g, _unit_det(_form_adjoint(g)), _identity_distance(power)
 
 
 def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
@@ -228,27 +247,21 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
     (by exhaustive search over n-th roots of unity, preferring trivial
     phases on ties) to minimize the worst relation residual; see the module
     docstring for the signatures where the residual of g2^{n2} cannot
-    vanish.  Returns ``(Representation, QuadrangleFromRep)``.
+    vanish.  The n1 * n3 candidates are built as one table.  Returns
+    ``(Representation, QuadrangleFromRep)``.
     """
     z1, z2, z3 = triangle_vertices(*sig.angles())
-    ident = Isometry.identity()
-
-    def candidates(z, n):
-        """(g, g^-1, |g^n - 1|) for each polar twist k of the rotation about z."""
-        gs = [_twisted_rotation(z, n, k) for k in range(n)]
-        return [(g, g.inverse(), isometry_power(g, n).projective_distance(ident)) for g in gs]
-
-    best = None
-    g3s = candidates(z3, sig.n3)
-    for k1, (g1, g1_inv, r1) in enumerate(candidates(z1, sig.n1)):
-        for k3, (g3, g3_inv, r3) in enumerate(g3s):
-            g2 = g3_inv @ g1_inv
-            r = max(r1, isometry_power(g2, sig.n2).projective_distance(ident), r3,
-                    (g3 @ g2 @ g1).projective_distance(ident))
-            key = (round(r, 12), k1, k3)
-            if best is None or key < best[0]:
-                best = (key, (k1, k3), (g1, g2, g3), r)
-    (k1, k3), (g1, g2, g3), worst = best[1], best[2], best[3]
+    g1s, g1_invs, r1 = _rotation_table(z1, sig.n1)
+    g3s, g3_invs, r3 = _rotation_table(z3, sig.n3)
+    # entry [k1, k3] is the candidate with polar twists k1, k3
+    g2s = _unit_det(g3_invs[None] @ g1_invs[:, None])
+    r2 = _identity_distance(_unit_det(np.linalg.matrix_power(g2s, sig.n2)))
+    r4 = _identity_distance(_unit_det(_unit_det(g3s[None] @ g2s) @ g1s[:, None]))
+    worst = np.maximum(np.maximum(r1[:, None], r2), np.maximum(r3[None], r4)).tolist()
+    # Python's round on Python floats, not np.round: ties prefer small twists
+    _, k1, k3 = min((round(r, 12), k1, k3)
+                    for k1, row in enumerate(worst) for k3, r in enumerate(row))
+    g1, g2, g3 = Isometry(g1s[k1]), Isometry(g2s[k1, k3]), Isometry(g3s[k3])
 
     c1, c2, c3 = embed(z1), embed(z2), embed(z3)
     fixed_gap = abs(tance(g2(c2), c2) - 1.0)
@@ -256,7 +269,7 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
         raise ConvergenceError(f"g2 does not fix c2 (tance gap {fixed_gap:g})")
 
     p1, p2, p3 = (polar_span(c, F0) for c in (c1, c2, c3))
-    p4 = g1.inverse()(p2)
+    p4 = Isometry(g1_invs[k1])(p2)
     c4_gap = abs(tance(p4, g3(p2)) - 1.0)
     config = QuadrangleConfig((p1, p2, p3, p4))
     cert = validate_quadrangle(config, tol)
@@ -268,7 +281,7 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
         metadata={
             "signature": sig.orders(),
             "polar_twists": (k1, k3),
-            "worst_relation_residual": worst,
+            "worst_relation_residual": worst[k1][k3],
             "fixed_point_gap": fixed_gap,
             "c4_consistency_gap": c4_gap,
             "certificate_passed": cert.passed,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chdisc import QuadrangleConfig, polar_span, validate_quadrangle
-from chdisc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
+from chdisc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _bend_tag, main
 from chdisc.disc import F0, embed, triangle_vertices
 from chdisc.io import (
     SchemaError,
@@ -183,6 +183,25 @@ def test_cli_scan_dedupes_and_summarizes(tmp_path, capsys):
     assert len(summary["rows"]) == 1
     row = summary["rows"][0]
     assert row["converged"] is True and row["certificate_passed"] is True
+    rep_doc = json.loads((tmp_path / "turnover_3-3-4_bend0.rep.json").read_text())
+    assert row["worst_relation_residual"] == max(rep_doc["relation_residuals"].values())
+
+
+def test_bend_tags_are_distinct_and_keep_the_short_ones():
+    """An artifact name carries the bend's shortest round-trip digits, so
+    the tag reads back as the bend and distinct bends never share a name;
+    a bend with at most six decimals keeps its six-decimal tag."""
+    assert _bend_tag(0.0300001) != _bend_tag(0.0300004)
+    assert _bend_tag(1e-7) != _bend_tag(0.0)
+    assert _bend_tag(-0.0) == _bend_tag(0.0) == "0"
+    rng = np.random.default_rng(3)
+    short = [0.0, 0.02, 0.1, -0.05, 1e-6, 0.123456, 0.04, 0.08, 1.0]
+    short += [round(b, 6) for b in rng.uniform(-0.3, 0.3, 500)]
+    for bend in short:
+        six = f"{bend:.6f}".rstrip("0").rstrip(".")
+        assert _bend_tag(bend) == six.replace("-", "m").replace(".", "p")
+    for bend in rng.uniform(-0.3, 0.3, 500):
+        assert float(_bend_tag(bend).replace("m", "-").replace("p", ".")) == bend
 
 
 def test_cli_scan_reports_invalid_signature_rows(tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 from chdisc import (
     ClassError,
     ConvergenceError,
+    FrameError,
     HyperbolicityError,
     InvalidSolutionError,
     Isometry,
@@ -35,14 +36,15 @@ from chdisc.core import (
     OrthogonalFrame,
     ProjectivePoint,
     _CUBE_ROOTS,
+    _elliptic_stack,
     _projector,
     _unit_det,
     elliptic_from_frame,
     herm_form,
 )
-from chdisc.disc import F0, disc_distance, disc_rotation, embed, in_plane_frame
-from chdisc import lsq, representations
-from chdisc.representations import SOLVER_STOPPING, isometry_power
+from chdisc.disc import F0, disc_distance, disc_rotation, embed, in_plane_frame, triangle_vertices
+from chdisc import core, lsq, representations
+from chdisc.representations import SOLVER_STOPPING
 
 from conftest import random_negative_point
 
@@ -115,17 +117,69 @@ def test_fuchsian_turnover_335_exact():
     assert quad.certificate.passed
 
 
-def test_fuchsian_turnover_builds_each_candidate_rotation_once(monkeypatch):
-    built = []
-    build = representations._twisted_rotation
+def test_fuchsian_turnover_builds_one_rotation_table_per_generator(monkeypatch):
+    """The candidate search makes no one-row elliptic_from_frame call: g1
+    and g3 each come from one stacked build over all their polar twists."""
+    tables = []
+    build = representations._elliptic_stack
 
-    def counting(center, n, k, bend=0.0):
-        built.append((n, k))
-        return build(center, n, k, bend)
+    def counting(frame, phases, *rest):
+        tables.append(np.shape(phases))
+        return build(frame, phases, *rest)
 
-    monkeypatch.setattr(representations, "_twisted_rotation", counting)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fuchsian_turnover built a rotation one row at a time")
+
+    monkeypatch.setattr(representations, "_elliptic_stack", counting)
+    monkeypatch.setattr(representations, "elliptic_from_frame", forbidden)
+    monkeypatch.setattr(core, "elliptic_from_frame", forbidden)
     fuchsian_turnover(TurnoverSignature(3, 3, 5))
-    assert sorted(built) == [(3, k) for k in range(3)] + [(5, k) for k in range(5)]
+    assert tables == [(3, 3), (5, 3)]
+
+
+def isometry_power(g: Isometry, n: int) -> Isometry:
+    """g^n as a det-normalized Isometry, for the scalar oracle below."""
+    return Isometry.from_matrix(np.linalg.matrix_power(g.matrix, n), check=False)
+
+
+def _scalar_twist_search(sig):
+    """Oracle: the candidate search of fuchsian_turnover one Isometry at a
+    time, through _twisted_rotation, det-normalized products, isometry_power
+    and projective_distance.  Returns the twists, (g1, g2, g3) and the
+    worst residual."""
+    z1, _, z3 = triangle_vertices(*sig.angles())
+    ident = Isometry.identity()
+
+    def candidates(z, n):
+        gs = [representations._twisted_rotation(z, n, k) for k in range(n)]
+        return [(g, g.inverse(), isometry_power(g, n).projective_distance(ident)) for g in gs]
+
+    best = None
+    g3s = candidates(z3, sig.n3)
+    for k1, (g1, g1_inv, r1) in enumerate(candidates(z1, sig.n1)):
+        for k3, (g3, g3_inv, r3) in enumerate(g3s):
+            g2 = g3_inv @ g1_inv
+            r = max(r1, isometry_power(g2, sig.n2).projective_distance(ident), r3,
+                    (g3 @ g2 @ g1).projective_distance(ident))
+            key = (round(r, 12), k1, k3)
+            if best is None or key < best[0]:
+                best = (key, (k1, k3), (g1, g2, g3), r)
+    return best[1:]
+
+
+@pytest.mark.parametrize("orders", [(3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 3, 7), (4, 4, 4),
+                                    (2, 3, 8), (3, 3, 7), (2, 4, 5), (5, 5, 5), (2, 3, 11)])
+def test_fuchsian_turnover_candidate_table_matches_scalar_search(orders):
+    """The stacked candidate table picks the scalar search's twists and
+    gives its g1, g2, g3 and worst residual bit for bit."""
+    sig = TurnoverSignature(*orders)
+    twists, gens, worst = _scalar_twist_search(sig)
+    rep, _ = fuchsian_turnover(sig)
+    assert rep.metadata["polar_twists"] == twists
+    assert type(rep.metadata["worst_relation_residual"]) is float
+    assert rep.metadata["worst_relation_residual"] == worst
+    for name, g in zip(("g1", "g2", "g3"), gens):
+        assert rep.generators[name].matrix.tobytes() == g.matrix.tobytes()
 
 
 def test_fuchsian_turnover_334_obstruction():
@@ -175,6 +229,37 @@ def test_turnover_solve_rejects_out_of_window_bend():
 def test_turnover_solve_without_starts_finds_nothing():
     with pytest.raises(ConvergenceError, match="best residual inf"):
         turnover_solve(TurnoverSignature(3, 3, 4), 0.05, SolverSeed(starts=0))
+
+
+def test_elliptic_from_frame_has_the_bits_of_the_projector_sum(rng):
+    """The one-row elliptic_from_frame equals the det-normalized
+    sum(mu * _projector(b)) over the frame, bit for bit."""
+    for _ in range(300):
+        z = 0.95 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        frame = in_plane_frame(z)
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
+        m = sum(mu * _projector(b) for mu, b in zip(phases, frame.vectors()))
+        expected = Isometry.from_matrix(m)
+        assert elliptic_from_frame(frame, phases).matrix.tobytes() == expected.matrix.tobytes()
+        stacked = _elliptic_stack(frame, np.stack([phases, phases[::-1]]))
+        assert stacked[0].tobytes() == expected.matrix.tobytes()
+
+
+def test_elliptic_stack_keeps_the_checks_of_elliptic_from_frame():
+    """A non-unit phase in any row, a frame that fails validation, and the
+    first row whose matrix is not an isometry all raise FrameError."""
+    frame = in_plane_frame(0.2 + 0.1j)
+    with pytest.raises(FrameError, match="unit modulus"):
+        _elliptic_stack(frame, [[1.0, 1.0, 1.0], [1.0, 1.1, 1.0]])
+    skew = OrthogonalFrame(embed(0.0), ProjectivePoint([1e-6, 1.0, 0.0]), F0)
+    with pytest.raises(FrameError, match="not orthogonal"):
+        _elliptic_stack(skew, [[1.0, 1.0, 1.0]])
+    # orthogonal within tolerance: the sum stays an isometry for phases (1, -1, 1)
+    # but misses the threshold for (1, i, 1) (residual 1.27e-9) and (1, 1, 1)
+    nearly = OrthogonalFrame(embed(0.0), ProjectivePoint([9e-10, 1.0, 0.0]), F0)
+    assert _elliptic_stack(nearly, [[1.0, -1.0, 1.0]]).shape == (1, 3, 3)
+    with pytest.raises(FrameError, match=r"residual 1\.27279e-09"):
+        _elliptic_stack(nearly, [[1.0, -1.0, 1.0], [1.0, 1j, 1.0], [1.0, 1.0, 1.0]])
 
 
 def test_isometry_power():
