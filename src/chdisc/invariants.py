@@ -21,7 +21,7 @@ surface patch can be differentiated directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -166,19 +166,31 @@ def lagrangian_frame_check(x: ProjectivePoint, u1, u2, normal_pair=None,
 
 # -- meshes ------------------------------------------------------------------
 
-@dataclass
+def _read_only(a, dtype=None) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
 class SidePairing:
     """Boundary identification: isometry maps the vertices run_a onto run_b.
 
     The runs are 1-D integer arrays of vertex indices, matched entry by entry.
+    The pairing holds read-only copies of the runs and of the isometry matrix.
     """
 
     run_a: np.ndarray
     run_b: np.ndarray
     isometry: Isometry
 
+    def __post_init__(self):
+        object.__setattr__(self, "run_a", _read_only(self.run_a))
+        object.__setattr__(self, "run_b", _read_only(self.run_b))
+        object.__setattr__(self, "isometry", Isometry(_read_only(self.isometry.matrix)))
 
-@dataclass
+
+@dataclass(frozen=True)
 class SectionMesh:
     """A triangulated polygon with an embedding into H^2_C and identifications.
 
@@ -187,16 +199,25 @@ class SectionMesh:
     indices, counterclockwise in the abstract polygon; ``side_pairings``
     identify boundary runs pointwise; cone points carry their orders for
     orbifold bookkeeping and snapping denominators.
+
+    The mesh holds read-only copies of its arrays and is checked once, on
+    construction: ``MeshError`` is raised for a malformed array or an index
+    outside [0, V), a non-negative vertex, or a pairing that does not map
+    its run onto the other.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    side_pairings: list = field(default_factory=list)
-    cone_points: list = field(default_factory=list)
+    side_pairings: tuple = ()
+    cone_points: tuple = ()
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=complex)
-        self.triangles = np.asarray(self.triangles)
+        object.__setattr__(self, "vertices", _read_only(self.vertices, complex))
+        # the given dtype, so that float faces are rejected
+        object.__setattr__(self, "triangles", _read_only(self.triangles))
+        object.__setattr__(self, "side_pairings", tuple(self.side_pairings))
+        object.__setattr__(self, "cone_points", tuple(self.cone_points))
+        self._check()
 
     def cone_orders(self):
         return [n for _, n in self.cone_points]
@@ -222,15 +243,11 @@ class SectionMesh:
             "vertices": [_vector_json(v) for v in self.vertices],
         }
 
-    def validate(self, tol: Tolerances = TOL) -> None:
-        """Check the index arrays, the vertex classes and the side pairings.
-
-        Raises ``MeshError`` for a malformed array or an index outside
-        [0, V), a non-negative vertex, or a pairing that does not map its
-        run onto the other.
-        """
+    def _check(self) -> None:
+        # at TOL: it reads null_band and mesh, and callers (the CLI's --tol
+        # included) change only other fields
         x, tri = self.vertices, self.triangles
-        runs = [np.asarray(r) for p in self.side_pairings for r in (p.run_a, p.run_b)]
+        runs = [r for p in self.side_pairings for r in (p.run_a, p.run_b)]
         if x.ndim != 2 or x.shape[1] != 3:
             raise MeshError("vertices must be a (V,3) stack")
         if tri.ndim != 2 or tri.shape[1] != 3 or tri.dtype.kind not in "iu":
@@ -242,7 +259,7 @@ class SectionMesh:
         for what, idx in (("triangles", tri), ("side pairing runs", every_run)):
             if idx.size and (idx.min() < 0 or idx.max() >= len(x)):
                 raise MeshError(f"{what} index a vertex outside [0, {len(x)})")
-        bad = np.flatnonzero(sign_classes(x, tol) != -1)
+        bad = np.flatnonzero(sign_classes(x, TOL) != -1)
         if bad.size:
             raise MeshError(f"embedded vertex {bad[0]} is not a negative point")
         if any(len(a) != len(b) for a, b in zip(runs[0::2], runs[1::2])):
@@ -256,7 +273,7 @@ class SectionMesh:
         target = x[run_b]
         ta = abs(herm_rows(image, target)) ** 2 / (self_norms(image) * self_norms(target))
         gap = abs(ta - 1.0)
-        bad = np.flatnonzero(gap > tol.mesh)
+        bad = np.flatnonzero(gap > TOL.mesh)
         if bad.size:
             k = bad[0]
             raise MeshError(
@@ -341,9 +358,8 @@ def _toledo(vertices: np.ndarray, faces) -> float:
     return float(2.0 / np.pi * areas.sum()) + 0.0
 
 
-def toledo_via_mesh(m: SectionMesh, tol: Tolerances = TOL) -> float:
+def toledo_via_mesh(m: SectionMesh) -> float:
     """(2/pi) * integral of omega over the embedded mesh, face by face."""
-    m.validate(tol)
     return _toledo(m.vertices, m.triangles)
 
 
@@ -513,7 +529,6 @@ def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
     enter only through the mesh geometry they enforce; raw totals are
     snapped to rationals with denominator 2 * lcm(cone orders).
     """
-    mesh.validate(tol)
     frames = build_frame_field(mesh)
     frames.validate(mesh, tol)
     taut = _taut_phases(mesh)
@@ -654,14 +669,14 @@ def gkl_euler(genus: int, tau_abs: int):
 
 
 def pullback_scale(report: InvariantReport, degree: int) -> InvariantReport:
-    """The invariants of a degree-d smooth cover: chi, tau, e all scale by d."""
+    """The invariants of a degree-d smooth cover: chi, tau, e all scale by d;
+    every other field is kept, and a missing value stays missing."""
     if degree < 1:
         raise ValueError("degree must be a positive integer")
-    return InvariantReport(
-        chi=report.chi * degree,
-        toledo_raw=report.toledo_raw * degree,
-        euler_raw=report.euler_raw * degree,
-        toledo=None if report.toledo is None else report.toledo * degree,
-        euler=None if report.euler is None else report.euler * degree,
-        orientation_convention=report.orientation_convention,
-    )
+
+    def scaled(x):
+        return None if x is None else x * degree
+
+    return replace(report, chi=report.chi * degree, toledo_raw=report.toledo_raw * degree,
+                   euler_raw=scaled(report.euler_raw), toledo=scaled(report.toledo),
+                   euler=scaled(report.euler))

@@ -51,7 +51,7 @@ from .core import (
     ProjectivePoint,
     classify,
     dot_rows,
-    elliptic_from_frame,
+    elliptic_from_frame,  # noqa: F401  (bench/tracer.py wraps chdisc.representations.elliptic_from_frame)
     herm_form,
     polar_span,
     reflection_about,
@@ -224,18 +224,12 @@ def _rotation_phases(n: int, k, bend: float) -> np.ndarray:
     return phases
 
 
-def _twisted_rotation(center: complex, n: int, k: int, bend: float = 0.0) -> Isometry:
-    """Rotation by -2pi/n about a disc point, polar eigenphase e^{2pi i k/n + i bend}."""
-    return elliptic_from_frame(in_plane_frame(center), _rotation_phases(n, k, bend))
-
-
-def _rotation_table(center: complex, n: int):
-    """The rotations by -2pi/n about a disc point for every polar twist
-    k < n, stacked over k: g, its inverse J g* J and the distance of g^n to
-    the identity, with the bits of the ``Isometry`` operations."""
-    g = _elliptic_stack(in_plane_frame(center), _rotation_phases(n, np.arange(n), 0.0))
-    power = _unit_det(np.linalg.matrix_power(g, n))
-    return g, _unit_det(_form_adjoint(g)), _identity_distance(power)
+def _rotation_table(center: complex, n: int, bend: float, tol: Tolerances):
+    """The rotations by -2pi/n about a disc point with polar eigenphase
+    e^{2pi i k/n + i bend} for every twist k < n, stacked over k: g and its
+    inverse J g* J, with the bits of the ``Isometry`` operations."""
+    g = _elliptic_stack(in_plane_frame(center), _rotation_phases(n, np.arange(n), bend), tol)
+    return g, _unit_det(_form_adjoint(g))
 
 
 def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
@@ -251,8 +245,10 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
     ``(Representation, QuadrangleFromRep)``.
     """
     z1, z2, z3 = triangle_vertices(*sig.angles())
-    g1s, g1_invs, r1 = _rotation_table(z1, sig.n1)
-    g3s, g3_invs, r3 = _rotation_table(z3, sig.n3)
+    g1s, g1_invs = _rotation_table(z1, sig.n1, 0.0, tol)
+    g3s, g3_invs = _rotation_table(z3, sig.n3, 0.0, tol)
+    r1 = _identity_distance(_unit_det(np.linalg.matrix_power(g1s, sig.n1)))
+    r3 = _identity_distance(_unit_det(np.linalg.matrix_power(g3s, sig.n3)))
     # entry [k1, k3] is the candidate with polar twists k1, k3
     g2s = _unit_det(g3_invs[None] @ g1_invs[:, None])
     r2 = _identity_distance(_unit_det(np.linalg.matrix_power(g2s, sig.n2)))
@@ -361,8 +357,17 @@ def _form_adjoint(u):
 
 
 def _bent_inside(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
-    """Frames, m3, g2 and residual rows of ``_bent_rows`` for a stack of
-    rows that all lie inside the ball."""
+    """g3 and g2 = g3^-1 g1^-1 of ``_bent_generators`` for a ``(k, 4)`` stack
+    of rows that all lie inside the ball.
+
+    Returns per row the frame vectors (x3, w1, w2) as built, g3 before its
+    det normalization (m3), the det-1 g2, and the real residual vector
+    ``(k, 18)`` of g2^{n2} - w I for the cube root w nearest to it.  Each
+    row has the bits of the one-row scalar computation (pairings through
+    ``herm_form`` and Python complex quotients), sign of zero included:
+    pairings and norms go through ``dot_rows``, the quotients through
+    ``_py_quotients``.
+    """
     a, b, psi, phi = params.T
     frame = np.empty((len(a), 3, 3), dtype=complex)  # rows x3, w1, w2
     x3 = frame[:, 0]
@@ -394,32 +399,9 @@ def _bent_inside(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
     return frame, m, g, cands[np.arange(len(best)), best]
 
 
-def _bent_rows(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
-    """g3 and g2 = g3^-1 g1^-1 of ``_bent_generators`` for a ``(k, 4)`` stack.
-
-    Returns per row the frame vectors (x3, w1, w2) as built, g3 before its
-    det normalization (m3), the det-1 g2, and the real residual vector
-    ``(k, 18)`` of g2^{n2} - w I for the cube root w nearest to it.  Rows
-    with a^2 + b^2 >= 0.98 (outside the ball) get the residual 1e3 and NaN
-    matrices.  Each row has the bits of the one-row scalar computation
-    (pairings through ``herm_form`` and Python complex quotients), sign of
-    zero included: pairings and norms go through ``dot_rows``, the
-    quotients through ``_py_quotients``.
-    """
-    params = np.asarray(params, dtype=float)
-    k = len(params)
-    frames = np.full((k, 3, 3), np.nan, dtype=complex)
-    m3 = frames.copy()
-    g2 = frames.copy()
-    res = np.full((k, 18), 1e3)
-    inside = ~_outside_ball(params.T)
-    frames[inside], m3[inside], g2[inside], res[inside] = _bent_inside(
-        params[inside], g1_inv, phases, n2)
-    return frames, m3, g2, res
-
-
 def _order_residuals(params, g1_inv, phases, n2):
-    """The solver objective: the residual rows of ``_bent_rows``."""
+    """The solver objective: the residual rows of ``_bent_inside``, and the
+    residual 1e3 for rows with a^2 + b^2 >= 0.98 (outside the ball)."""
     inside = ~_outside_ball(params.T)
     if inside.all():
         return _bent_inside(params, g1_inv, phases, n2)[3]
@@ -428,7 +410,7 @@ def _order_residuals(params, g1_inv, phases, n2):
     return res
 
 
-def _bent_generators(g1_inv, params, phases, n2):
+def _bent_generators(g1_inv, params, phases, n2, tol: Tolerances):
     """g2, g3 and g3's rotation-plane frame (w1, w2) of a bent candidate.
 
     ``g1_inv`` is the matrix of g1^-1, where g1 keeps the baseline fixed
@@ -439,10 +421,10 @@ def _bent_generators(g1_inv, params, phases, n2):
     """
     if _outside_ball(params):
         raise ClassError("candidate fixed point left the ball model")
-    frames, m3, g2, _ = _bent_rows(np.asarray(params, dtype=float)[None], g1_inv, phases, n2)
+    frames, m3, g2, _ = _bent_inside(np.asarray(params, dtype=float)[None], g1_inv, phases, n2)
     x3, w1, w2 = (ProjectivePoint(f) for f in frames[0])
-    OrthogonalFrame(x3, w1, w2).validate()
-    return Isometry(g2[0]), Isometry.from_matrix(m3[0]), w1, w2
+    OrthogonalFrame(x3, w1, w2).validate(tol)
+    return Isometry(g2[0]), Isometry.from_matrix(m3[0], tol), w1, w2
 
 
 def _quadrangle_candidates(sig, g1, g2, w1p, w2p, tol):
@@ -509,9 +491,9 @@ def turnover_solve(
     log = []
     first_invalid = None  # (twists, residual) of the first converged start that fails
     best_residual = np.inf
+    g1s, g1_invs = _rotation_table(0j, sig.n1, bend, tol)
     for k1 in range(sig.n1):
-        g1 = _twisted_rotation(0.0 + 0.0j, sig.n1, k1, bend)
-        g1_inv = g1.inverse().matrix
+        g1, g1_inv = Isometry(g1s[k1]), g1_invs[k1]
         for k3 in range(sig.n3):
             phases = _rotation_phases(sig.n3, k3, bend)
             # rng.uniform(low, high) for a, b, psi, phi, start by start: each is
@@ -527,7 +509,7 @@ def turnover_solve(
                 # unconverged, or g3 collapsed onto the fixed point of g1
                 if residual > tol.solver_residual or np.hypot(sol.x[0], sol.x[1]) < 0.05:
                     continue
-                g2, g3, w1p, w2p = _bent_generators(g1_inv, sol.x, phases, sig.n2)
+                g2, g3, w1p, w2p = _bent_generators(g1_inv, sol.x, phases, sig.n2, tol)
                 params = [float(v) for v in sol.x]
                 log.append({"twists": (k1, k3), "start": start, "params": params,
                             "order_residual": residual})

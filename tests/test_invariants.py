@@ -1,5 +1,7 @@
 """Kaehler angles, symplectic integrals, discrete bundle degrees, identities."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -210,7 +212,7 @@ def test_toledo_via_coning_checks_fixed_points():
 
 def test_turnover_mesh_structure():
     mesh = turnover_section_mesh(3, 3, 4, refinement=3)
-    mesh.validate()
+    assert not hasattr(mesh, "validate")  # checked once, on construction
     assert mesh.cone_orders() == [3, 3, 4]
     assert mesh.snap_denominator() == 24
     doc = mesh.to_json_dict()
@@ -221,33 +223,55 @@ def test_turnover_mesh_structure():
 
 def test_mesh_validate_rejects_broken_pairing():
     mesh = turnover_section_mesh(3, 3, 4, refinement=2)
-    mesh.side_pairings[0].run_b = list(reversed(mesh.side_pairings[0].run_b))
-    with pytest.raises(MeshError):
-        mesh.validate()
+    first, second = mesh.side_pairings
+    with pytest.raises(FrozenInstanceError):
+        first.run_b = list(reversed(first.run_b))
+    broken = replace(first, run_b=list(reversed(first.run_b)))
+    with pytest.raises(MeshError, match="pairing maps vertex"):
+        replace(mesh, side_pairings=[broken, second])
 
 
 def test_mesh_validate_rejects_non_negative_vertex():
     mesh = turnover_section_mesh(3, 3, 4, refinement=2)
-    mesh.vertices[0] = F0.v
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.vertices[0] = F0.v
+    vertices = mesh.vertices.copy()
+    vertices[0] = F0.v
     with pytest.raises(MeshError, match="embedded vertex 0 is not a negative point"):
-        mesh.validate()
+        replace(mesh, vertices=vertices)
+
+
+# each breakage checks that the in-place edit it stands for is refused, and
+# returns the fields of the broken mesh
 
 
 def _face_index_off_by_v(mesh):
-    mesh.triangles[5, 1] = -1  # wraps to the last vertex without an index check
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.triangles[5, 1] = -1
+    triangles = mesh.triangles.copy()
+    triangles[5, 1] = -1  # would wrap to the last vertex without an index check
+    return {"triangles": triangles}
 
 
 def _runs_shifted_by_v(mesh):
+    v = len(mesh.vertices)
     for p in mesh.side_pairings:
-        p.run_a, p.run_b = p.run_a - len(mesh.vertices), p.run_b - len(mesh.vertices)
+        with pytest.raises(FrozenInstanceError):
+            p.run_a, p.run_b = p.run_a - v, p.run_b - v
+    return {"side_pairings": [replace(p, run_a=p.run_a - v, run_b=p.run_b - v)
+                              for p in mesh.side_pairings]}
 
 
 def _float_faces(mesh):
-    mesh.triangles = mesh.triangles.astype(float)
+    with pytest.raises(FrozenInstanceError):
+        mesh.triangles = mesh.triangles.astype(float)
+    return {"triangles": mesh.triangles.astype(float)}
 
 
 def _flat_faces(mesh):
-    mesh.triangles = mesh.triangles.reshape(-1)
+    with pytest.raises(FrozenInstanceError):
+        mesh.triangles = mesh.triangles.reshape(-1)
+    return {"triangles": mesh.triangles.reshape(-1)}
 
 
 @pytest.mark.parametrize("breakage, message", [
@@ -258,13 +282,67 @@ def _flat_faces(mesh):
 ])
 def test_mesh_validate_rejects_bad_indices(breakage, message):
     mesh = turnover_section_mesh(3, 3, 4, refinement=3)
-    breakage(mesh)
+    fields = breakage(mesh)
     with pytest.raises(MeshError, match=message):
-        mesh.validate()
-    with pytest.raises(MeshError, match=message):
+        replace(mesh, **fields)
+    # the refused edits left the mesh as built
+    assert toledo_via_mesh(mesh) == pytest.approx(-1.0 / 12.0, abs=1e-10)
+    assert euler_via_mesh(mesh).chi == Fraction(-1, 12)
+
+
+@pytest.mark.parametrize("mesh", [
+    turnover_section_mesh(3, 3, 4, refinement=3),
+    octagon_mesh("complex", refinement=2),
+    octagon_mesh("lagrangian", refinement=2),
+], ids=["turnover", "octagon_complex", "octagon_lagrangian"])
+def test_section_mesh_is_read_only(mesh):
+    arrays = [mesh.vertices, mesh.triangles] + [
+        a for p in mesh.side_pairings for a in (p.run_a, p.run_b, p.isometry.matrix)
+    ]
+    assert len(arrays) == 2 + 3 * len(mesh.side_pairings)
+    assert not any(a.flags.writeable for a in arrays)
+    assert isinstance(mesh.side_pairings, tuple) and isinstance(mesh.cone_points, tuple)
+    with pytest.raises(FrozenInstanceError):
+        mesh.vertices = mesh.vertices.copy()
+    with pytest.raises(FrozenInstanceError):
+        mesh.side_pairings = ()
+    with pytest.raises(FrozenInstanceError):
+        mesh.side_pairings[0].isometry = Isometry.identity()
+
+
+def test_section_mesh_copies_its_inputs():
+    built = turnover_section_mesh(3, 3, 4, refinement=3)
+    vertices, triangles = built.vertices.copy(), built.triangles.copy()
+    inputs = [(p.run_a.copy(), p.run_b.copy(), p.isometry.matrix.copy())
+              for p in built.side_pairings]
+    pairings = [SidePairing(a, b, Isometry(m)) for a, b, m in inputs]
+    cones = list(built.cone_points)
+    mesh = SectionMesh(vertices, triangles, pairings, cones)
+    doc = mesh.to_json_dict()
+    assert doc == built.to_json_dict()
+    for array in [vertices, triangles, *(a for row in inputs for a in row)]:
+        array[...] = 0
+    pairings.pop()
+    cones.clear()
+    assert mesh.to_json_dict() == doc
+
+
+def test_mesh_check_runs_once_on_construction(monkeypatch):
+    calls = []
+    check = SectionMesh._check
+
+    def counting(mesh):
+        calls.append(mesh)
+        check(mesh)
+
+    monkeypatch.setattr(SectionMesh, "_check", counting)
+    for build, arg in ((turnover_section_mesh, (3, 3, 4)), (octagon_mesh, ("lagrangian",))):
+        mesh = build(*arg, refinement=2)
+        assert len(calls) == 1 and calls[0] is mesh
         toledo_via_mesh(mesh)
-    with pytest.raises(MeshError, match=message):
         euler_via_mesh(mesh)
+        assert len(calls) == 1
+        calls.clear()
 
 
 @pytest.mark.parametrize("kind, arg, refinement, tau_exact", [
@@ -506,3 +584,15 @@ def test_pullback_scale():
     assert kalashnikov_residual(up) == 0
     with pytest.raises(ValueError):
         pullback_scale(report, 0)
+    # fields that do not scale are kept, and a missing degree stays missing
+    strict = Tolerances(snap=1e-6)
+    unreliable = InvariantReport(chi=Fraction(-1, 12), toledo_raw=-0.1, euler_raw=-0.05,
+                                 reliable=False, tolerances=strict)
+    up = pullback_scale(unreliable, 2)
+    assert (up.reliable, up.tolerances) == (False, strict)
+    assert (up.chi, up.toledo_raw, up.euler_raw) == (Fraction(-1, 6), -0.2, -0.1)
+    bent = InvariantReport(chi=Fraction(-1, 12), toledo_raw=-0.08, euler_raw=None)
+    up = pullback_scale(bent, 3)
+    assert (up.euler_raw, up.euler, up.toledo) == (None, None, None)
+    assert up.toledo_raw == pytest.approx(-0.24)
+    assert up.residual() is None

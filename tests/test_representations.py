@@ -20,6 +20,7 @@ from chdisc import (
     Isometry,
     Representation,
     SolverSeed,
+    Tolerances,
     TurnoverSignature,
     distance,
     elliptic_fixed_point,
@@ -117,9 +118,25 @@ def test_fuchsian_turnover_335_exact():
     assert quad.certificate.passed
 
 
+def test_generators_are_checked_at_the_callers_tolerances():
+    """fuchsian_turnover and the bent generators check their frames at the
+    tolerances they are given: the c3 frame's residual of about 1e-17 fails
+    at orthogonality 0."""
+    strict = Tolerances(orthogonality=0.0)
+    with pytest.raises(FrameError, match="not orthogonal"):
+        fuchsian_turnover(TurnoverSignature(3, 3, 4), strict)
+    g1_inv = representations._rotation_table(0j, 3, 0.02, strict)[1][0]
+    phases = representations._rotation_phases(4, 1, 0.02)
+    params = [0.3, 0.2, 0.4, 0.5]
+    representations._bent_generators(g1_inv, params, phases, 3, Tolerances())
+    with pytest.raises(FrameError, match="not orthogonal"):
+        representations._bent_generators(g1_inv, params, phases, 3, strict)
+
+
 def test_fuchsian_turnover_builds_one_rotation_table_per_generator(monkeypatch):
     """The candidate search makes no one-row elliptic_from_frame call: g1
-    and g3 each come from one stacked build over all their polar twists."""
+    and g3 each come from one stacked build over all their polar twists.
+    turnover_solve takes g1 and g1^-1 of every twist from one such build."""
     tables = []
     build = representations._elliptic_stack
 
@@ -128,13 +145,25 @@ def test_fuchsian_turnover_builds_one_rotation_table_per_generator(monkeypatch):
         return build(frame, phases, *rest)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("fuchsian_turnover built a rotation one row at a time")
+        raise AssertionError("a rotation was built one row at a time")
 
     monkeypatch.setattr(representations, "_elliptic_stack", counting)
     monkeypatch.setattr(representations, "elliptic_from_frame", forbidden)
     monkeypatch.setattr(core, "elliptic_from_frame", forbidden)
     fuchsian_turnover(TurnoverSignature(3, 3, 5))
     assert tables == [(3, 3), (5, 3)]
+    tables.clear()
+    monkeypatch.setattr(representations, "least_squares", lambda *args, **kwargs: [])
+    with pytest.raises(ConvergenceError):
+        turnover_solve(TurnoverSignature(3, 3, 4), 0.02)
+    assert tables == [(3, 3)]
+
+
+def _twisted_rotation(center, n, k, bend=0.0):
+    """Oracle: one rotation by -2pi/n about a disc point, polar eigenphase
+    e^{2pi i k/n + i bend}, from the one-row elliptic_from_frame."""
+    return elliptic_from_frame(in_plane_frame(center),
+                               representations._rotation_phases(n, k, bend))
 
 
 def isometry_power(g: Isometry, n: int) -> Isometry:
@@ -151,7 +180,7 @@ def _scalar_twist_search(sig):
     ident = Isometry.identity()
 
     def candidates(z, n):
-        gs = [representations._twisted_rotation(z, n, k) for k in range(n)]
+        gs = [_twisted_rotation(z, n, k) for k in range(n)]
         return [(g, g.inverse(), isometry_power(g, n).projective_distance(ident)) for g in gs]
 
     best = None
@@ -356,7 +385,7 @@ def test_solver_objective_bit_identical_to_object_path(monkeypatch, orders, bend
 
 
 def _bent_arrays(params, g1_inv, phases, n2):
-    """Oracle: the scalar one-row computation that _bent_rows stacks, with
+    """Oracle: the scalar one-row computation that _bent_inside stacks, with
     pairings through herm_form and its Python complex quotients."""
     a, b, psi, phi = params
     x3 = np.array([1.0, a, b], dtype=complex)
@@ -392,26 +421,27 @@ def _same_bits(x, y):
 
 @pytest.mark.parametrize("orders, bend", [((3, 3, 4), -0.05), ((2, 3, 7), 0.02)])
 def test_bent_rows_bit_identical_to_scalar_path(orders, bend):
-    """Every row of _bent_rows (frame, m3, g2 and residual) equals the scalar
-    computation bit for bit, sign of zero included; rows outside the ball
-    get the penalty."""
+    """Every row of _bent_inside (frame, m3, g2 and residual) equals the
+    scalar computation bit for bit, sign of zero included; _order_residuals
+    gives the same residual rows, and the penalty to rows outside the ball."""
     sig = TurnoverSignature(*orders)
     rng = np.random.default_rng(5)
     for k1 in range(sig.n1):
-        g1_inv = representations._twisted_rotation(0.0, sig.n1, k1, bend).inverse().matrix
+        g1_inv = _twisted_rotation(0.0, sig.n1, k1, bend).inverse().matrix
         for k3 in range(sig.n3):
             phases = representations._rotation_phases(sig.n3, k3, bend)
             r = 1.05 * np.sqrt(rng.uniform(size=40))
             t = rng.uniform(-np.pi, np.pi, 40)
             rows = np.column_stack([r * np.cos(t), r * np.sin(t), rng.uniform(-7.0, 7.0, 40),
                                     rng.uniform(-50.0, 50.0, 40)])
-            frames, m3, g2, res = representations._bent_rows(rows, g1_inv, phases, sig.n2)
-            for i, x in enumerate(rows):
-                if x[0] * x[0] + x[1] * x[1] >= 0.98:
-                    assert np.array_equal(res[i], np.full(18, 1e3))
-                    continue
+            inside = rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1] < 0.98
+            stacked = representations._bent_inside(rows[inside], g1_inv, phases, sig.n2)
+            res = representations._order_residuals(rows, g1_inv, phases, sig.n2)
+            assert np.array_equal(res[~inside], np.full(((~inside).sum(), 18), 1e3))
+            assert _same_bits(res[inside], stacked[3])
+            for i, x in enumerate(rows[inside]):
                 expected = _bent_arrays(x, g1_inv, phases, sig.n2)
-                for got, want in zip((frames[i], m3[i], g2[i], res[i]), expected):
+                for got, want in zip((part[i] for part in stacked), expected):
                     assert _same_bits(got, want)
 
 
@@ -462,11 +492,11 @@ def test_lockstep_least_squares_bit_identical_to_scipy(bend, twist):
     the same start: x, residuals, nfev and status, bit for bit."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
     sig = TurnoverSignature(3, 3, 4)
-    g1_inv = representations._twisted_rotation(0.0, sig.n1, twist[0], bend).inverse().matrix
+    g1_inv = _twisted_rotation(0.0, sig.n1, twist[0], bend).inverse().matrix
     phases = representations._rotation_phases(sig.n3, twist[1], bend)
 
     def rows(p):
-        return representations._bent_rows(p, g1_inv, phases, sig.n2)[3]
+        return representations._order_residuals(p, g1_inv, phases, sig.n2)
 
     options = SOLVER_STOPPING
     x0 = _twist_starts(sig, twist)
@@ -524,7 +554,7 @@ def _bent_objective(bend, twist):
     sig = TurnoverSignature(3, 3, 4)
     return functools.partial(
         representations._order_residuals,
-        g1_inv=representations._twisted_rotation(0.0, sig.n1, twist[0], bend).inverse().matrix,
+        g1_inv=_twisted_rotation(0.0, sig.n1, twist[0], bend).inverse().matrix,
         phases=representations._rotation_phases(sig.n3, twist[1], bend),
         n2=sig.n2,
     )
