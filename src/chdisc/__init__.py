@@ -34,18 +34,7 @@ from .errors import (
     NullPointError,
     ZeroVectorError,
 )
-from .geometry import (
-    Bisector,
-    BisectorSegment,
-    ComplexGeodesic,
-    Geodesic,
-    common_perpendicular,
-    geodesic_interp,
-    position,
-    real_plane_check,
-    slice_at,
-    spine_point,
-)
+from .geometry import ComplexGeodesic, position
 from .quadrangle import (
     Certificate,
     QuadrangleConfig,
@@ -68,7 +57,6 @@ from .representations import (
     h5_builder,
     orbifold_euler,
     relation_residual,
-    triangle_from_angles,
     turnover_solve,
 )
 from .invariants import (
@@ -87,7 +75,6 @@ from .invariants import (
     pullback_scale,
     snap_rational,
     symplectic_area_closed_form,
-    symplectic_area_triangle,
     toledo_via_coning,
     toledo_via_mesh,
 )

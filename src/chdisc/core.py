@@ -176,13 +176,6 @@ def sign_classes(x: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     return _sign_code(self_norms(x), (x.real ** 2 + x.imag ** 2).sum(axis=1), tol)
 
 
-def tance_matrix(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """T[i, j] = ta(x_i, y_j); raises ``NullPointError`` if any row is null."""
-    if not (sign_classes(x, tol).all() and sign_classes(y, tol).all()):
-        raise NullPointError("tance is undefined for null points")
-    return _tance_values(x, y)
-
-
 def distance_matrix(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """D[i, j] = distance(x_i, y_j) between two stacks of negative points.
 
@@ -284,18 +277,6 @@ class Isometry:
 
     def __call__(self, x: ProjectivePoint) -> ProjectivePoint:
         return self.apply(x)
-
-    def residual(self) -> float:
-        return isometry_residual(self.matrix)
-
-    def projective_distance(self, other: "Isometry") -> float:
-        """min over cube roots of unity w of max-norm of (self - w*other)."""
-        return min(
-            float(np.abs(self.matrix - w * other.matrix).max()) for w in _CUBE_ROOTS
-        )
-
-    def projectively_equal(self, other: "Isometry", tol: float = 1e-10) -> bool:
-        return self.projective_distance(other) < tol
 
 
 def _unit_det(m: np.ndarray) -> np.ndarray:

@@ -23,29 +23,9 @@ def embed(z: complex) -> ProjectivePoint:
     return ProjectivePoint([1.0, z, 0.0])
 
 
-def coordinate(x: ProjectivePoint, tol: float = 1e-9) -> complex:
-    """Disc coordinate of a negative point lying in f0^perp."""
-    v = x.v
-    if abs(v[2]) > tol * np.linalg.norm(v):
-        raise DegenerateError("point does not lie in the standard complex geodesic")
-    return complex(v[1] / v[0])
-
-
 def mobius(a: complex, z: complex) -> complex:
     """Disc automorphism sending a to 0: (z - a) / (1 - conj(a) z)."""
     return (z - a) / (1.0 - np.conj(a) * z)
-
-
-def mobius_inv(a: complex, w: complex) -> complex:
-    return (w + a) / (1.0 + np.conj(a) * w)
-
-
-def _mobius_inv_deriv(a: complex, w: complex) -> complex:
-    return (1.0 - abs(a) ** 2) / (1.0 + np.conj(a) * w) ** 2
-
-
-def _mobius_deriv(a: complex, z: complex) -> complex:
-    return (1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z) ** 2
 
 
 def disc_distance(z1: complex, z2: complex) -> float:
@@ -53,32 +33,9 @@ def disc_distance(z1: complex, z2: complex) -> float:
     return float(np.arctanh(abs(mobius(z1, z2))))
 
 
-def geodesic_point(z1: complex, z2: complex, t: float) -> complex:
-    """Point at arclength fraction t on the geodesic from z1 to z2."""
-    w = mobius(z1, z2)
-    r = abs(w)
-    if r == 0.0:
-        return z1
-    return mobius_inv(z1, w / r * np.tanh(t * np.arctanh(r)))
-
-
 def radius_for_distance(d: float) -> float:
     """Euclidean radius of the circle at curvature -4 distance d from 0."""
     return float(np.tanh(d))
-
-
-def disc_angle(v: complex, a: complex, b: complex) -> float:
-    """Interior angle at v between the geodesics v->a and v->b, in [0, pi].
-
-    The disc metric is conformal, so the hyperbolic angle equals the
-    Euclidean angle between the geodesics' initial directions, which after
-    moving v to the origin are straight rays.
-    """
-    wa, wb = mobius(v, a), mobius(v, b)
-    if wa == 0 or wb == 0:
-        raise DegenerateError("angle needs three distinct points")
-    ang = abs(np.angle(wb / wa))
-    return float(min(ang, 2.0 * np.pi - ang))
 
 
 # -- hyperbolic trigonometry at curvature -1 ---------------------------------
@@ -92,17 +49,6 @@ def side_from_angles(alpha: float, beta: float, gamma: float) -> float:
     num = np.cos(gamma) + np.cos(alpha) * np.cos(beta)
     den = np.sin(alpha) * np.sin(beta)
     return float(np.arccosh(num / den))
-
-
-def angles_from_sides(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Curvature -1 interior angles opposite the sides a, b, c."""
-
-    def ang(u, v, w):
-        # angle opposite u
-        r = (np.cosh(v) * np.cosh(w) - np.cosh(u)) / (np.sinh(v) * np.sinh(w))
-        return float(np.arccos(np.clip(r, -1.0, 1.0)))
-
-    return ang(a, b, c), ang(b, c, a), ang(c, a, b)
 
 
 def triangle_vertices(alpha1: float, alpha2: float, alpha3: float) -> tuple[complex, complex, complex]:
@@ -121,58 +67,6 @@ def triangle_vertices(alpha1: float, alpha2: float, alpha3: float) -> tuple[comp
     c2 = complex(radius_for_distance(s12))
     c3 = radius_for_distance(s13) * np.exp(1j * alpha1)
     return c1, c2, complex(c3)
-
-
-def triangle_area_gauss_bonnet(z1: complex, z2: complex, z3: complex) -> float:
-    """Area of the geodesic triangle at curvature -4 by angle defect.
-
-    Side lengths are doubled to curvature -1, angles recovered by the law of
-    cosines, and the curvature -1 defect pi - sum(angles) is divided by 4.
-    """
-    a = 2.0 * disc_distance(z2, z3)
-    b = 2.0 * disc_distance(z3, z1)
-    c = 2.0 * disc_distance(z1, z2)
-    if min(a, b, c) < 1e-14:
-        return 0.0
-    angs = angles_from_sides(a, b, c)
-    return float((np.pi - sum(angs)) / 4.0)
-
-
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def triangle_area_quadrature(z1: complex, z2: complex, z3: complex, order: int = 32) -> float:
-    """Area of the geodesic triangle at curvature -4 by 2D quadrature.
-
-    The triangle is parameterized by coning from z1 over the geodesic
-    z2 -> z3 and the area element dx dy / (1 - |z|^2)^2 is integrated with
-    a tensor Gauss-Legendre rule; derivatives of the cone map are evaluated
-    with the analytic Mobius chain rule.
-    """
-    s, ws = _gl_nodes(order)
-    t, wt = _gl_nodes(order)
-
-    w23 = mobius(z2, z3)
-    total = 0.0
-    for tj, wtj in zip(t, wt):
-        # gamma(t): geodesic-line parameterization from z2 to z3
-        u = tj * w23
-        g = mobius_inv(z2, u)
-        dg = _mobius_inv_deriv(z2, u) * w23
-        # cone coordinates around z1
-        w = mobius(z1, g)
-        dw = _mobius_deriv(z1, g) * dg
-        for si, wsi in zip(s, ws):
-            arg = si * w
-            finv = _mobius_inv_deriv(z1, arg)
-            fs = finv * w            # d/ds of F
-            ft = finv * si * dw      # d/dt of F
-            z = mobius_inv(z1, arg)
-            jac = (np.conj(fs) * ft).imag
-            total += wsi * wtj * jac / (1.0 - abs(z) ** 2) ** 2
-    return float(total)
 
 
 # -- isometries of the standard complex geodesic -----------------------------

@@ -10,9 +10,6 @@ from .core import (
     POSITIVE,
     ProjectivePoint,
     classify,
-    distance,
-    gram,
-    herm_form,
     herm_rows,
     polar_rows,
     self_norms,
@@ -42,9 +39,6 @@ class ComplexGeodesic:
     def __post_init__(self):
         if classify(self.polar) != POSITIVE:
             raise ClassError("the polar of a complex geodesic must be positive")
-
-    def contains(self, x: ProjectivePoint, tol: float = 1e-9) -> bool:
-        return abs(self.polar.herm_with(x)) < tol
 
 
 def position(c1: ComplexGeodesic, c2: ComplexGeodesic, tol: Tolerances = TOL) -> str:
@@ -92,34 +86,17 @@ def _geodesic_rows(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Geodesic:
-    """A geodesic, stored as two spanning points with real pairing.
-
-    The representative of ``y`` is phase-rotated so that <x, y> is real,
-    making the real span W explicit; the restricted form must have
-    signature -+.
-    """
+    """A geodesic, stored as two spanning points with real pairing: the
+    representative of ``y`` is phase-rotated so that <x, y> is real."""
 
     x: ProjectivePoint
     y: ProjectivePoint
 
-    @staticmethod
-    def through(x: ProjectivePoint, y: ProjectivePoint) -> "Geodesic":
-        if x.is_parallel_to(y):
-            raise DegenerateError("a geodesic needs two distinct points")
-        yv = _phase_align(x.v, y.v)
-        g = Geodesic(x, ProjectivePoint(yv))
-        if g.signature() != (-1, 1):
-            raise ClassError("spanning pair does not give a -+ real plane")
-        return g
-
-    def signature(self) -> tuple[int, int]:
-        xy = np.array([self.x.v, self.y.v])
-        ev = np.linalg.eigvalsh(gram(xy, xy).real)
-        return tuple(int(np.sign(e)) for e in ev)
-
 
 def geodesic_interp(x: ProjectivePoint, y: ProjectivePoint, t: float) -> ProjectivePoint:
-    """Point at arclength fraction t on the geodesic from x to y (see ``_geodesic_rows``)."""
+    """Point at arclength fraction t on the geodesic from x to y (see ``_geodesic_rows``).
+
+    No library path calls it; bench/tracer.py wraps it by this name."""
     return ProjectivePoint(_geodesic_rows(x.v, y.v, t))
 
 
@@ -140,15 +117,6 @@ class Bisector:
     polar_f: ProjectivePoint
     complex_spine: ComplexGeodesic
 
-    @staticmethod
-    def from_spine(spine: Geodesic) -> "Bisector":
-        fu = ProjectivePoint(_bisector_basis(spine.x.v, spine.y.v)[:, 2])
-        return Bisector(spine=spine, polar_f=fu, complex_spine=ComplexGeodesic(fu))
-
-    def basis(self) -> np.ndarray:
-        """The 3x3 frame (s1, s2, f) of ``_bisector_basis``."""
-        return _bisector_basis(self.spine.x.v, self.spine.y.v)
-
 
 @dataclass(frozen=True)
 class BisectorSegment:
@@ -157,9 +125,6 @@ class BisectorSegment:
     bisector: Bisector
     feet: tuple[ProjectivePoint, ProjectivePoint]
     end_slices: tuple[ComplexGeodesic, ComplexGeodesic]
-
-    def foot_distance(self) -> float:
-        return distance(self.feet[0], self.feet[1])
 
 
 def _parallel_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -209,19 +174,14 @@ def common_perpendicular(
     """The segment B[C1,C2] along the unique common perpendicular geodesic.
 
     One pair of ``_perpendicular_rows``: feet[0] lies on C1, feet[1] on C2,
-    and the spine runs from feet[0] to feet[1] phase aligned.
+    and the spine runs from feet[0] to feet[1] phase aligned.  No library
+    path calls it (K3 uses the rows directly); bench/tracer.py wraps it by
+    this name.
     """
     x, y, basis = _perpendicular_rows(c1.polar.v[None], c2.polar.v[None], tol)
     f1, f2, s2, fu = (ProjectivePoint(v) for v in (x[0], y[0], basis[0, :, 1], basis[0, :, 2]))
     bis = Bisector(spine=Geodesic(f1, s2), polar_f=fu, complex_spine=ComplexGeodesic(fu))
     return BisectorSegment(bisector=bis, feet=(f1, f2), end_slices=(c1, c2))
-
-
-def spine_point(seg: BisectorSegment, t: float) -> ProjectivePoint:
-    """Point at arclength fraction t in [0,1] along the spine, foot to foot."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("spine parameter must lie in [0, 1]")
-    return geodesic_interp(seg.feet[0], seg.feet[1], t)
 
 
 def _slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
@@ -242,32 +202,3 @@ def _slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> n
     if (residual > tol.on_spine).any():
         raise NotOnSpineError("point does not lie on the real spine")
     return polar_rows(xs, basis[..., None, :, 2])
-
-
-def slice_at(b: Bisector, x: ProjectivePoint, tol: Tolerances = TOL) -> ComplexGeodesic:
-    """The slice P(C x + C f) of the bisector through a spine point x."""
-    return ComplexGeodesic(ProjectivePoint(_slice_polars(b.basis(), x.v[None], tol)[0]))
-
-
-def real_plane_check(
-    x: ProjectivePoint, y: ProjectivePoint, z: ProjectivePoint, tol: float = 1e-9
-) -> bool:
-    """Whether the triple spans a real plane (an embedded Lagrangian H^2_R).
-
-    Representatives are phase-adjusted so <x,y> and <x,z> are real; the
-    triple spans a real plane iff the remaining pairing <y,z> then also
-    becomes real and the real 3x3 Gram matrix has signature -++.
-    """
-    vecs = np.column_stack([x.v, y.v, z.v])
-    if abs(np.linalg.det(vecs)) < 1e-12:
-        raise DegenerateError("real_plane_check needs an independent triple")
-    yv, zv = _phase_align(x.v, np.array([y.v, z.v]))
-    # the x-pairings may legitimately vanish; fall back to aligning y with z
-    if abs(herm_form(x.v, yv)) < 1e-13 and abs(herm_form(zv, yv)) > 1e-13:
-        yv = _phase_align(zv, yv)
-    cross = herm_form(yv, zv)
-    if abs(cross.imag) > tol * max(1.0, abs(cross)):
-        return False
-    cols = np.array([x.v, yv, zv])
-    ev = np.linalg.eigvalsh(gram(cols, cols).real)
-    return bool(ev[0] < 0 < ev[1])

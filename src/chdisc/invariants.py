@@ -38,7 +38,6 @@ from .core import (
     tance,
     _unitary_tangent_basis,
 )
-from .disc import _gl_nodes
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
 from .geometry import _aligned_pair, _phase_align
 from .io import _f, _vector_json
@@ -283,6 +282,12 @@ class SectionMesh:
 
 # -- Toledo integrals --------------------------------------------------------
 
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def symplectic_area_triangle(x1: ProjectivePoint, x2: ProjectivePoint,
                              x3: ProjectivePoint, order: int = 24) -> float:
     """integral of omega over the geodesic triangle (x1, x2, x3) by quadrature.
@@ -290,7 +295,8 @@ def symplectic_area_triangle(x1: ProjectivePoint, x2: ProjectivePoint,
     The triangle is coned from x1 over the geodesic x2 -> x3; the smooth
     lift F(s,t) = slerp(x1, slerp(x2, x3, t), s) is differentiated
     analytically and Im of the pulled-back metric integrated with a tensor
-    Gauss-Legendre rule.  The reference the closed form is tested against.
+    Gauss-Legendre rule.  The reference the closed form is tested against;
+    no library path calls it (bench/tracer.py wraps it by this name).
     """
     x1h = normalized_negative(x1)
     x2h = normalized_negative(x2)

@@ -54,10 +54,20 @@ def _expect(doc: dict, kind: str, fields: set) -> None:
         raise SchemaError(f"missing fields: {sorted(missing)}")
 
 
+def _real_array(rows, shape, message) -> np.ndarray:
+    """``rows`` as a float array of the given shape, else ``SchemaError(message)``:
+    a ragged list or a non-numeric entry is invalid input like a wrong shape."""
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(message) from exc
+    if arr.shape != shape:
+        raise SchemaError(message)
+    return arr
+
+
 def _vector(rows) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape != (3, 2):
-        raise SchemaError("a vector must be a list of three [re, im] pairs")
+    arr = _real_array(rows, (3, 2), "a vector must be a list of three [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -141,9 +151,8 @@ def load_representation(path):
             {"generators", "metadata", "relation_residuals", "relations", "rep_kind"})
     gens = {}
     for name, rows in doc["generators"].items():
-        arr = np.asarray(rows, dtype=float)
-        if arr.shape != (3, 3, 2):
-            raise SchemaError(f"generator {name!r} must be a 3x3 matrix of [re, im] pairs")
+        arr = _real_array(rows, (3, 3, 2),
+                          f"generator {name!r} must be a 3x3 matrix of [re, im] pairs")
         gens[name] = Isometry.from_matrix(arr[..., 0] + 1j * arr[..., 1])
     return Representation(
         kind=doc["rep_kind"],

@@ -157,7 +157,7 @@ def relation_residual(rep: Representation, word) -> float:
 
 
 def _identity_distance(m):
-    """``projective_distance`` to the identity over a ``(..., 3, 3)`` stack:
+    """Projective distance to the identity over a ``(..., 3, 3)`` stack:
     min over cube roots of unity w of max |m - w I|."""
     return np.abs(m[..., None, :, :] - _CUBE_ROOT_IDENTITIES).max(axis=(-2, -1)).min(axis=-1)
 
@@ -188,16 +188,6 @@ def elliptic_fixed_point(g: Isometry) -> ProjectivePoint:
     if best is None or best_norm > -1e-10:
         raise ClassError("isometry has no negative eigenvector (not elliptic)")
     return ProjectivePoint(best)
-
-
-def triangle_from_angles(sig: TurnoverSignature) -> tuple:
-    """Vertices of the counterclockwise (pi/n1, pi/n2, pi/n3) triangle.
-
-    The triangle lies in the standard complex geodesic (last coordinate
-    zero), c1 at the center; returned as negative projective points.
-    """
-    z1, z2, z3 = triangle_vertices(*sig.angles())
-    return embed(z1), embed(z2), embed(z3)
 
 
 def _word_power(name: str, n: int) -> str:
@@ -568,9 +558,8 @@ def h5_builder(p1: ProjectivePoint, others, tol: Tolerances = TOL) -> Representa
         metadata={},
     )
     rep.metadata["product_residual"] = relation_residual(rep, "r5 r4 r3 r2 r1")
-    # the product of five reflections should be compared against a single
-    # reflection with positive mirror as well: record the best residual
-    # against -identity conjugates, i.e. the reflection-likeness diagnostic
+    # record the sorted arguments of the product's eigenvalues, to compare
+    # with those of a single reflection (eigenvalues 1, -1, -1)
     prod = rep.word_product("r5 r4 r3 r2 r1")
     eigs = np.linalg.eigvals(prod.matrix)
     rep.metadata["product_eigenvalue_args"] = sorted(float(a) for a in np.angle(eigs))

@@ -26,6 +26,7 @@ from chdisc.core import (
     NULL,
     POSITIVE,
     GeometryDomainError,
+    _tance_values,
     _unitary_tangent_basis,
     distance_matrix,
     gram,
@@ -33,11 +34,11 @@ from chdisc.core import (
     isometry_residual,
     self_norms,
     sign_classes,
-    tance_matrix,
 )
 from chdisc.disc import F0, embed
 
 from conftest import random_isometry, random_negative_point, random_positive_point
+from oracles import projective_distance
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 vec = st.tuples(*[finite] * 6).map(
@@ -116,9 +117,9 @@ def test_isometry_rejects_non_form_preserving():
 def test_isometry_group_laws(rng):
     g, h = random_isometry(rng), random_isometry(rng)
     ident = Isometry.identity()
-    assert (g @ g.inverse()).projective_distance(ident) < 1e-12
-    assert ((g @ h).inverse()).projective_distance(h.inverse() @ g.inverse()) < 1e-12
-    assert g.residual() < 1e-12
+    assert projective_distance(g @ g.inverse(), ident) < 1e-12
+    assert projective_distance((g @ h).inverse(), h.inverse() @ g.inverse()) < 1e-12
+    assert isometry_residual(g.matrix) < 1e-12
     assert abs(np.linalg.det(g.matrix) - 1.0) < 1e-12
 
 
@@ -126,8 +127,7 @@ def test_projective_distance_cube_roots(rng):
     g = random_isometry(rng)
     w = np.exp(2j * np.pi / 3)
     h = Isometry(matrix=g.matrix * w)
-    assert g.projective_distance(h) < 1e-12
-    assert g.projectively_equal(h)
+    assert projective_distance(g, h) < 1e-12
 
 
 def test_isometry_residual_detects_drift():
@@ -169,7 +169,7 @@ def test_frame_validation_rejects_wrong_classes():
 def test_reflection_fixes_and_inverts(rng):
     for p in (random_negative_point(rng), random_positive_point(rng)):
         r = reflection_about(p)
-        assert (r @ r).projective_distance(Isometry.identity()) < 1e-12
+        assert projective_distance(r @ r, Isometry.identity()) < 1e-12
         assert tance(r(p), p) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NullPointError):
         reflection_about(ProjectivePoint([1, 1, 0]))
@@ -203,7 +203,7 @@ def test_batch_kernels_match_scalar(xs, ys):
         gram(x, y), [[herm_form(a, b) for b in ys] for a in xs], rtol=1e-14, atol=1e-14
     )
     ta = np.array([[tance(a, b) for b in py] for a in px])
-    np.testing.assert_allclose(tance_matrix(x, y), ta, rtol=1e-14)
+    np.testing.assert_allclose(_tance_values(x, y), ta, rtol=1e-14)
     far = ta > 1.1
     d = np.array([[distance(a, b) if far[i, j] else 0.0 for j, b in enumerate(py)]
                   for i, a in enumerate(px)])
@@ -224,8 +224,6 @@ def test_distance_matrix_rejects_non_negative_rows():
             distance_matrix(good, np.array([embed(0.1).v, bad]))
         with pytest.raises(ClassError):
             distance_matrix(np.array([bad]), good)
-    with pytest.raises(NullPointError):
-        tance_matrix(good, np.array([[1, 1, 0]]))
 
 
 def test_tance_floor_raises_geometry_domain_error():
@@ -236,7 +234,7 @@ def test_tance_floor_raises_geometry_domain_error():
     ys = [ProjectivePoint(np.exp(1j * psi) * x.v) for psi in np.linspace(0.1, 3.0, 30)]
     assert classify(x) == NEGATIVE and all(classify(y) == NEGATIVE for y in ys)
     stack = np.array([y.v for y in ys])
-    assert tance_matrix(x.v[None], stack).min() < 1.0 - 1e-9
+    assert _tance_values(x.v[None], stack).min() < 1.0 - 1e-9
     with pytest.raises(GeometryDomainError):
         distance_matrix(x.v[None], stack)
     low = [y for y in ys if tance(x, y) < 1.0 - 1e-9]

@@ -115,6 +115,28 @@ def test_cli_check_quadrangle_invalid_input(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vector", [[["a", 0], [0, 0], [1, 0]], [[1, 0], [0], [1, 0]]],
+                         ids=["string_entry", "ragged"])
+def test_cli_check_quadrangle_malformed_vector_is_invalid_input(tmp_path, capsys, vector):
+    doc = quadrangle_to_json_dict(_baseline_quadrangle())
+    doc["polars"][1] = vector
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-quadrangle", str(path)]) == EXIT_INVALID
+    assert "invalid input:" in capsys.readouterr().err
+    assert not (tmp_path / "quad.cert.json").exists()
+
+
+def test_load_representation_rejects_a_malformed_generator(tmp_path):
+    doc = representation_to_json_dict(fuchsian_turnover(TurnoverSignature(3, 3, 5))[0])
+    for rows in ([[["a", 0]] * 3] * 3, [[[1, 0]] * 3, [[1, 0]] * 2, [[1, 0]] * 3]):
+        doc["generators"]["g2"] = rows
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="'g2' must be a 3x3 matrix"):
+            load_representation(path)
+
+
 # -- CLI: gkl, figure ---------------------------------------------------------
 
 def test_cli_gkl_table(capsys):

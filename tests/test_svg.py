@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from chdisc.disc import geodesic_point
 from chdisc.errors import DegenerateError
 from chdisc.svg import FigureSpec, _to_svg, geodesic_arc_path, render_svg, write_svg
 
 from conftest import random_disc_coordinate
+from oracles import geodesic_point
 
 _ARC = re.compile(
     r"M (?P<ax>\S+) (?P<ay>\S+) A (?P<r>\S+) \S+ 0 0 (?P<sweep>[01]) "
