@@ -33,6 +33,7 @@ FORM_MATRIX = np.diag([-1.0, 1.0, 1.0])
 _SIGNS = np.array([-1.0, 1.0, 1.0])
 _CUBE_ROOTS = np.exp(2j * np.pi * np.arange(3) / 3)
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_SEEDS = np.eye(3, dtype=complex)
 
 
 def herm_form(x, y) -> complex:
@@ -93,7 +94,7 @@ def classify(x: ProjectivePoint, tol: Tolerances = TOL) -> str:
 
     The zero band is scale invariant: |<x,x>| < null_band * ||x||^2.
     """
-    return _CLASS_NAMES[_sign_code(x.self_form(), float(np.linalg.norm(x.v)) ** 2, tol)]
+    return _CLASS_NAMES[_sign_code(x.self_form(), float(np.linalg.norm(x.v)) ** 2, tol.null_band)]
 
 
 def tance(x: ProjectivePoint, y: ProjectivePoint, tol: Tolerances = TOL) -> float:
@@ -130,10 +131,11 @@ _CLASS_NAMES = {-1: NEGATIVE, 0: NULL, 1: POSITIVE}
 _TANCE_FLOOR_SLACK = 1e-9
 
 
-def _sign_code(s, sq, tol: Tolerances):
+def _sign_code(s, sq, null_band):
     """-1 / 0 / +1 for a negative / null / positive self form ``s`` of a
-    vector with squared Euclidean norm ``sq``; elementwise on arrays."""
-    return (abs(s) >= tol.null_band * sq) * ((s > 0) * 2 - 1)
+    vector with squared Euclidean norm ``sq``; elementwise on arrays, and
+    ``null_band`` may be one value per element."""
+    return (abs(s) >= null_band * sq) * ((s > 0) * 2 - 1)
 
 
 def _distance_from_tance(ta):
@@ -146,8 +148,10 @@ def _distance_from_tance(ta):
 
 
 def gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrix G[i, j] = <x_i, y_j> = (X J Y^H)[i, j] of two stacks."""
-    return (np.asarray(x, dtype=complex) * _SIGNS) @ np.asarray(y, dtype=complex).conj().T
+    """Hermitian Gram matrix G[..., i, j] = <x_i, y_j> = (X J Y^H)[i, j] of two
+    stacks, or of matching stacks of stacks."""
+    y = np.asarray(y, dtype=complex)
+    return (np.asarray(x, dtype=complex) * _SIGNS) @ np.swapaxes(y.conj(), -1, -2)
 
 
 def herm_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -173,7 +177,7 @@ def self_norms(x: np.ndarray) -> np.ndarray:
 def sign_classes(x: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """Batch ``classify``: -1 / 0 / +1 per row for negative / null / positive."""
     x = np.asarray(x, dtype=complex)
-    return _sign_code(self_norms(x), (x.real ** 2 + x.imag ** 2).sum(axis=1), tol)
+    return _sign_code(self_norms(x), (x.real ** 2 + x.imag ** 2).sum(axis=1), tol.null_band)
 
 
 def distance_matrix(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
@@ -187,18 +191,45 @@ def distance_matrix(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.n
     return _distance_from_tance(_tance_values(x, y))
 
 
+def min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """``distance_matrix(x[k], y[k], tol).min()`` for every k of two (K, N, 3)
+    stacks, bit for bit, and the error of the first failing k.
+
+    arccosh(sqrt(.)) is taken only of the tances within a relative 1e-12 of
+    each minimum tance: libm's few-ulp error cannot reorder entries further
+    apart than that, so the minimum distance keeps its bits.
+    """
+    rows = np.concatenate([x, y], axis=-2)
+    bad = (sign_classes(rows.reshape(-1, 3), tol) != -1).reshape(rows.shape[:-1]).any(axis=-1)
+    # a failing k may divide by a zero norm here; its check below raises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = _tance_values(x, y)
+        low = ta.min(axis=(-2, -1))
+    out = []
+    for k in range(len(ta)):
+        if bad[k]:
+            raise ClassError("distance requires two negative points")
+        out.append(_distance_from_tance(ta[k][ta[k] <= low[k] * (1.0 + 1e-12)]).min())
+    return np.array(out)
+
+
 def _tance_values(x, y):
     g = gram(x, y)
-    return (g.real ** 2 + g.imag ** 2) / np.outer(self_norms(x), self_norms(y))
+    return (g.real ** 2 + g.imag ** 2) / (self_norms(x)[..., :, None] * self_norms(y)[..., None, :])
 
 
 def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
     """A <,>-unitary basis (w1, w2) of x_i^perp for each negative row x_i.
 
     Gram-Schmidt over the coordinate vectors e0, e1, e2 in that order,
-    skipping a seed whose remainder has form norm <= 1e-12 (e0 at the
-    origin).  Returns an (N, 2, 3) stack; raises ``ClassError`` if a row is
-    not negative.
+    skipping a seed whose remainder has form norm <= 1e-12: e0 at the
+    origin, e1 on the complex line x2 = 0 (where e2 takes its slot).
+    Returns an (N, 2, 3) stack; raises ``ClassError`` if a row is not
+    negative.  Every step runs on whole columns and picks each row's seeds
+    with ``np.where``.  A row gets the bits of a masked loop over the seeds
+    that projects each remainder against both slots, filled or empty: a
+    remainder s - c x has no negative zero (negating c x and adding 1 in
+    column k alone would make some), so an empty slot changes nothing.
     """
     q = self_norms(x)
     bad = np.flatnonzero(q >= 0)
@@ -206,24 +237,27 @@ def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
         raise ClassError(f"row {bad[0]} is not a negative point")
     xs = x / np.sqrt(-q)[:, None]
     nx = self_norms(xs)
-    out = np.zeros((len(x), 2, 3), dtype=complex)
-    found = np.zeros(len(x), dtype=int)
-    for k, s in enumerate(np.eye(3, dtype=complex)):
-        i = np.flatnonzero(found < 2)  # the rows still short of a basis vector
-        if not i.size:
-            break
-        # <s, xs> = sign_k conj(xs[:, k]), gram's value for the coordinate vector s
-        w = s - (_SIGNS[k] * xs[i, k].conj() / nx[i])[:, None] * xs[i]
-        for j in range(min(k, 2)):  # slot j is empty until seed j
-            prev = out[i, j]
-            pp = np.where(found[i] > j, self_norms(prev), 1.0)
-            w = w - (herm_rows(w, prev) / pp)[:, None] * prev
-        n = self_norms(w)
-        take = n > 1e-12
-        t = i[take]
-        out[t, found[t]] = w[take] / np.sqrt(n[take])[:, None]
-        found[t] += 1
-    return out
+    w0, w1 = _seed_remainder(xs, nx, 0), _seed_remainder(xs, nx, 1)
+    # slot 0: e0, or e1 where e0 is skipped
+    skip0 = self_norms(w0) <= 1e-12
+    u = _unit_rows(np.where(skip0[:, None], w1, w0))
+    nu = self_norms(u)
+    # slot 1: the next seed with a remainder against slot 0
+    v = w1 - (herm_rows(w1, u) / nu)[:, None] * u
+    short = skip0 | (self_norms(v) <= 1e-12)
+    if short.any():
+        w2 = _seed_remainder(xs, nx, 2)
+        v = np.where(short[:, None], w2 - (herm_rows(w2, u) / nu)[:, None] * u, v)
+    return np.stack([u, _unit_rows(v)], axis=1)
+
+
+def _seed_remainder(xs: np.ndarray, nx: np.ndarray, k: int) -> np.ndarray:
+    # e_k - (<e_k, xs>/<xs, xs>) xs, with <e_k, xs> = sign_k conj(xs[:, k])
+    return _SEEDS[k] - (_SIGNS[k] * xs[:, k].conj() / nx)[:, None] * xs
+
+
+def _unit_rows(w: np.ndarray) -> np.ndarray:
+    return w / np.sqrt(self_norms(w))[:, None]
 
 
 def polar_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:

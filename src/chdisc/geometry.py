@@ -9,6 +9,7 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
+    _sign_code,
     classify,
     herm_rows,
     polar_rows,
@@ -149,17 +150,22 @@ def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
         y = y / np.linalg.norm(y, axis=1, keepdims=True)
         basis = _bisector_basis(x, y)
+    # one sign-class pass over p, q (the caller's null band) and x, y, the
+    # spine polar (the default one)
+    rows = np.concatenate([p, q, x, y, basis[..., 2]])
+    band = np.repeat([tol.null_band, TOL.null_band], [2 * len(p), 3 * len(p)])
+    cp, cq, cx, cy, cf = _sign_code(
+        self_norms(rows), (rows.real ** 2 + rows.imag ** 2).sum(axis=1), band
+    ).reshape(5, -1)
     # per pair in this order: mutual position, feet, spine, spine polar
     checks = [
         (_parallel_rows(p, q), DegenerateError, "identical complex geodesics have no mutual position"),
-        ((sign_classes(p, tol) == 0) | (sign_classes(q, tol) == 0),
-         NullPointError, "tance is undefined for null points"),
+        ((cp == 0) | (cq == 0), NullPointError, "tance is undefined for null points"),
         ((pq.real ** 2 + pq.imag ** 2) / (pp * qq) - 1.0 < tol.asymptotic,
          NotUltraparallelError, "common perpendicular needs ultraparallel geodesics"),
-        ((sign_classes(x) != -1) | (sign_classes(y) != -1),
-         ClassError, "feet of the common perpendicular are not negative points"),
+        ((cx != -1) | (cy != -1), ClassError, "feet of the common perpendicular are not negative points"),
         (_parallel_rows(x, y), DegenerateError, "a geodesic needs two distinct points"),
-        (sign_classes(basis[..., 2]) != 1, ClassError, "spine polar is not positive"),
+        (cf != 1, ClassError, "spine polar is not positive"),
     ]
     fails = np.array([c[0] for c in checks])
     if fails.any():

@@ -56,14 +56,20 @@ def _expect(doc: dict, kind: str, fields: set) -> None:
 
 def _real_array(rows, shape, message) -> np.ndarray:
     """``rows`` as a float array of the given shape, else ``SchemaError(message)``:
-    a ragged list or a non-numeric entry is invalid input like a wrong shape."""
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(message) from exc
-    if arr.shape != shape:
+    ``rows`` must be nested lists of that shape whose leaves are JSON numbers,
+    ints or floats; a boolean, a numeric string or an int beyond the float
+    range is invalid input like a wrong shape."""
+    def valid(node, dims):
+        if not dims:
+            return isinstance(node, (int, float)) and not isinstance(node, bool)
+        return isinstance(node, list) and len(node) == dims[0] and all(valid(n, dims[1:]) for n in node)
+
+    if not valid(rows, shape):
         raise SchemaError(message)
-    return arr
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError as exc:  # an int beyond the float range
+        raise SchemaError(message) from exc
 
 
 def _vector(rows) -> np.ndarray:
@@ -97,10 +103,21 @@ def load_quadrangle(path):
     if not isinstance(polars, list) or len(polars) != 4:
         raise SchemaError("'polars' must list exactly four vectors")
     try:
-        pts = tuple(ProjectivePoint(_vector(p)) for p in polars)
+        pts = tuple(_stored_point(_vector(p)) for p in polars)
     except GeometryError as exc:
         raise SchemaError(f"bad polar vector: {exc}") from exc
     return QuadrangleConfig(polars=pts)
+
+
+def _stored_point(v) -> ProjectivePoint:
+    """The point of a stored representative, keeping its bits when it is
+    Euclidean-unit up to rounding: chdisc writes unit representatives, and
+    normalizing one again can move its last bit, and with it a certificate
+    (normalizing is off 1 by at most 1.5 eps)."""
+    p = ProjectivePoint(v)
+    if abs(np.linalg.norm(v) - 1.0) <= 4 * np.finfo(float).eps:
+        p.v = v
+    return p
 
 
 # -- representations ----------------------------------------------------------

@@ -19,17 +19,20 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
+    _SIGNS,
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
-    distance_matrix,
+    dot_rows,
     herm_form,
     herm_rows,
+    min_distances,
     polar_span,
     self_norms,
+    sign_classes,
     tance,
     _unitary_tangent_basis,
 )
-from .errors import ClassError, DegenerateError, NotTransversalError
+from .errors import ClassError, DegenerateError, NotTransversalError, NullPointError
 from .geometry import (
     ComplexGeodesic,
     _geodesic_rows,
@@ -48,9 +51,13 @@ def epsilon(p1: ProjectivePoint, p2: ProjectivePoint, p3: ProjectivePoint) -> co
     positive rescaling of each argument; reversing the cyclic order
     conjugates the value.
     """
-    prod = (
-        herm_form(p1.v, p2.v) * herm_form(p2.v, p3.v) * herm_form(p3.v, p1.v)
-    )
+    return _unit_triple(herm_form(p1.v, p2.v) * herm_form(p2.v, p3.v) * herm_form(p3.v, p1.v))
+
+
+def _unit_triple(prod: complex) -> complex:
+    """prod / |prod| for a triple product of pairings, else ``DegenerateError``."""
+    # the 1e-14 floor guards the division: the product vanishes when some
+    # pair of polars is orthogonal, and then eps has no direction
     if abs(prod) < 1e-14:
         raise DegenerateError("triple product vanishes (some pair of polars orthogonal)")
     return prod / abs(prod)
@@ -133,22 +140,14 @@ def triangle_over_complex_geodesic(
 
 @dataclass(frozen=True)
 class QuadrangleConfig:
-    """Four polars C1..C4 in cyclic order, plus the two diagonal triangles."""
+    """Four positive polars C1..C4 in cyclic order; K2 reads the diagonal
+    triangles (C1, C2, C4) and (C3, C4, C2)."""
 
     polars: tuple[ProjectivePoint, ProjectivePoint, ProjectivePoint, ProjectivePoint]
 
     def __post_init__(self):
-        for p in self.polars:
-            if classify(p) != POSITIVE:
-                raise ClassError("quadrangle polars must be positive points")
-
-    def triangle_124(self) -> TriangleInvariant:
-        p1, p2, _, p4 = self.polars
-        return TriangleInvariant.from_polars(p1, p2, p4)
-
-    def triangle_342(self) -> TriangleInvariant:
-        _, p2, p3, p4 = self.polars
-        return TriangleInvariant.from_polars(p3, p4, p2)
+        if (sign_classes(np.array([p.v for p in self.polars])) != 1).any():
+            raise ClassError("quadrangle polars must be positive points")
 
 
 # --- bisector side functions and the K3 sub-checks --------------------------
@@ -187,6 +186,10 @@ def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarra
     return (dp * n - p * dn) / n ** 2
 
 
+#: The 8 equally spaced phases e^{i phi} of each ``_slice_samples`` ring.
+_RING_PHASES = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))[:, None]
+
+
 def _slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius: float | np.ndarray = 1.0):
     """Sample points of the complex geodesics P(polar_i^perp) around points on them.
 
@@ -211,8 +214,7 @@ def _slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius: floa
     d = d / np.sqrt(self_norms(d))[:, None]
     r = np.linspace(0.15, np.broadcast_to(radius, len(x)), max(max(n - 1, 1) // 8, 1), axis=1)
     r = r[:, :, None, None]
-    phase = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))[:, None]
-    rings = np.cosh(r) * x[:, None, None] + (np.sinh(r) * phase) * d[:, None, None]
+    rings = np.cosh(r) * x[:, None, None] + (np.sinh(r) * _RING_PHASES) * d[:, None, None]
     rings = rings.reshape(len(x), -1, 3)[:, : max(n - 1, 0)]
     pts = np.concatenate([x[:, None], rings], axis=1).reshape(-1, 3)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
@@ -282,6 +284,9 @@ def polars_digest(polars) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+#: Arclength fractions of the 8 spine points that sample each K3(c) segment.
+_SPINE_T = np.linspace(0.0, 1.0, 8)
+
 #: The ordered polar pairs (i, j), 0-based, of the K3 common perpendiculars;
 #: x_k lies on C_i, y_k on C_j.  Rows 0, 3, 5, 7 are the segments B12, B34,
 #: B23, B41.
@@ -303,7 +308,10 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     side value over one set of C3, and fails when its reference point lies
     on the bisector within ``tol.strict_margin``; (c) samples each segment
     at 8 spine points x n slice points (64 by default) and takes the exact
-    minimum distance over all sampled pairs (4096 by default).
+    minimum distance over all sampled pairs (4096 by default): one stacked
+    Gram of both segment pairs gives every tance, and ``min_distances``
+    takes arccosh(sqrt(.)) only of those within a relative 1e-12 of each
+    pair's minimum, which is ``distance_matrix(...).min()`` bit for bit.
 
     The (a) and (b) sets are centred on the second feet of ``_K3_PAIRS``
     exactly as ``_perpendicular_rows`` returns them: Euclidean-unit and not
@@ -317,7 +325,7 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     x, y, basis = _perpendicular_rows(polars[_K3_PAIRS[:, 0]], polars[_K3_PAIRS[:, 1]], tol)
     coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
     seg = [0, 3, 5, 7]
-    spine = _geodesic_rows(x[seg, None], y[seg, None], np.linspace(0.0, 1.0, 8))
+    spine = _geodesic_rows(x[seg, None], y[seg, None], _SPINE_T)
     # sets around the feet on C2, C4 (a) and C3 (b), then the segments' spine points (c)
     samples = _slice_samples(
         np.concatenate([polars[[1, 3, 2, 2]], _slice_polars(basis[seg], spine, tol).reshape(-1, 3)]),
@@ -356,29 +364,42 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
 
     # (c) non-adjacent segments stay separated
     segments = samples[4:].reshape(4, -1, 3)
-    for k, l, label in ((0, 1, "disjoint_B12_B34"), (2, 3, "disjoint_B23_B41")):
-        dmin = float(distance_matrix(segments[k], segments[l], tol).min())
-        checks.append(SubCheck(label, dmin >= tol.sep_floor, dmin - tol.sep_floor))
+    dmin = min_distances(segments[[0, 2]], segments[[1, 3]], tol).tolist()
+    for label, d in zip(("disjoint_B12_B34", "disjoint_B23_B41"), dmin):
+        checks.append(SubCheck(label, d >= tol.sep_floor, d - tol.sep_floor))
     return checks
+
+
+#: The six polar pairs (i, j), i < j, in K1's order.
+_K1_PAIRS = np.triu_indices(4, 1)
 
 
 def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certificate:
     """Full K1/K2/K3 certification of a quadrangle of bisectors."""
+    # every ordered pairing h[i, j] = <p_i, p_j> in one pass, with the bits
+    # of herm_form; the tances and eps below have the bits of tance and epsilon
+    polars = np.array([p.v for p in q.polars])
+    if (sign_classes(polars, tol) == 0).any():  # tance's check, for all pairs at once
+        raise NullPointError("tance is undefined for null points")
+    h = dot_rows((_SIGNS * polars)[:, None], polars.conj()[None])
+    n = h.real.diagonal()
+    # |h|^2 as tance forms it: numpy's array complex multiply may round
+    # h * conj(h) differently in the last bit
+    ta = (h.real * h.real + h.imag * h.imag) / (n[:, None] * n[None])
+
     # K1: all six pairwise tances strictly above 1
-    k1_margins = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            k1_margins.append(tance(q.polars[i], q.polars[j]) - 1.0)
+    k1_margins = (ta[_K1_PAIRS] - 1.0).tolist()
     k1 = all(m > tol.asymptotic for m in k1_margins)
 
     # K2: both diagonal triangles transversal and counterclockwise
     k2_margins = {}
     k2 = k1
     if k1:
-        for name, tri in (
-            ("triangle_124", q.triangle_124()),
-            ("triangle_342", q.triangle_342()),
-        ):
+        # Python floats and complexes, so that eps multiplies as epsilon does
+        t, pair = np.sqrt(ta).tolist(), h.tolist()
+        for name, (a, b, c) in (("triangle_124", (0, 1, 3)), ("triangle_342", (2, 3, 1))):
+            tri = TriangleInvariant(t[a][b], t[b][c], t[c][a],
+                                    _unit_triple(pair[a][b] * pair[b][c] * pair[c][a]))
             ok, margins = is_transversal(tri, tol)
             ccw = tri.eps.imag < 0.0
             k2_margins[name] = list(margins) + [-tri.eps.imag]

@@ -32,13 +32,15 @@ from chdisc.core import (
     gram,
     herm_rows,
     isometry_residual,
+    min_distances,
     self_norms,
     sign_classes,
 )
 from chdisc.disc import F0, embed
+from chdisc.tolerances import TOL
 
 from conftest import random_isometry, random_negative_point, random_positive_point
-from oracles import projective_distance
+from oracles import masked_tangent_basis, projective_distance
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 vec = st.tuples(*[finite] * 6).map(
@@ -273,6 +275,79 @@ def test_unitary_tangent_basis_matches_every_seed_loop(rng):
     g = np.einsum("nad,nbd->nab", basis * np.array([-1.0, 1.0, 1.0]), basis.conj())
     np.testing.assert_allclose(g, np.broadcast_to(np.eye(2), g.shape), atol=1e-13)
     np.testing.assert_allclose(herm_rows(basis, x[:, None]), 0.0, atol=1e-12)
+
+
+def _tangent_basis_stacks(rng):
+    """Row stacks of every seed pattern: generic rows take e0 and e1, rows on
+    the complex line x2 = 0 take e0 and e2, the origin takes e1 and e2."""
+    generic = np.array([random_negative_point(rng).v for _ in range(30)])
+    line = np.array([embed(z).v for z in (0.3, -0.2 + 0.5j, 0.7j, 1e-7)]) * np.exp(1j * rng.uniform(0, 6, (4, 1)))
+    origin = np.array([[1.0, 0.0, 0.0], [-2.5j, 0.0, 0.0]], dtype=complex)
+    mixed = np.concatenate([generic, line, origin])
+    return {
+        "origin": origin, "line": line, "generic": generic,
+        "mixed": mixed[rng.permutation(len(mixed))],
+        "one_of_each": np.array([line[0], generic[0], origin[0]]),
+    }
+
+
+def test_unitary_tangent_basis_equals_the_masked_loop(rng):
+    """Whole-column seeds give the masked loop's bits, signs of zero included."""
+    for name, x in _tangent_basis_stacks(rng).items():
+        got = _unitary_tangent_basis(x)
+        assert got.tobytes() == masked_tangent_basis(x).tobytes(), name
+        for k in range(len(x)):  # and a row's basis does not depend on its neighbours
+            assert got[k].tobytes() == _unitary_tangent_basis(x[k:k + 1])[0].tobytes(), name
+
+
+def _per_pair_min_distance(x, y, tol):
+    """distance_matrix(...).min() for each k in turn: the reference for min_distances."""
+    out = []
+    for k in range(len(x)):
+        out.append(distance_matrix(x[k], y[k], tol).min())
+    return out
+
+
+def test_min_distances_equal_distance_matrix_minima(rng):
+    # clouds of points around two centres, and near-ties: copies of one point
+    # moved by isometries, so many tances agree to the last few bits
+    for _ in range(20):
+        x = np.array([[random_negative_point(rng).v for _ in range(40)] for _ in range(3)])
+        g = random_isometry(rng)
+        y = np.array([[g(random_negative_point(rng, 0.3)).v for _ in range(40)] for _ in range(3)])
+        y[1] = x[1] @ g.matrix.T
+        # one point against one other, each under 40 phases: 1600 equal tances
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 40, 1)))
+        x[2], y[2] = phases[0] * x[2, 0], phases[1] * y[2, 0]
+        got = min_distances(x, y)
+        assert got.tolist() == _per_pair_min_distance(x, y, TOL)
+
+
+def _raised(f, *args):
+    try:
+        f(*args)
+    except Exception as e:  # noqa: BLE001  the type and message are the result
+        return type(e), str(e)
+    return None
+
+
+def test_min_distances_raise_what_distance_matrix_raises():
+    # a tance below the floor (see test_tance_floor_raises_geometry_domain_error),
+    # a null row and a positive row, in every order over two pairs
+    x = ProjectivePoint([1.0, np.sqrt(1.0 - 1e-9), 0.0])
+    low = np.array([np.exp(1j * psi) * x.v for psi in np.linspace(0.1, 3.0, 30)])
+    near = np.repeat(x.v[None], 30, axis=0)
+    good = np.array([embed(z).v for z in np.linspace(-0.5, 0.5, 30)])
+    null, pos = good.copy(), good.copy()
+    null[3], pos[7] = [1, 1, 0], F0.v
+    pairs = {"ok": (good, good[::-1]), "low": (near, low), "null": (good, null), "pos": (pos, good)}
+    for a in pairs:
+        for b in pairs:
+            x2 = np.array([pairs[a][0], pairs[b][0]])
+            y2 = np.array([pairs[a][1], pairs[b][1]])
+            want = _raised(_per_pair_min_distance, x2, y2, TOL)
+            assert _raised(min_distances, x2, y2) == want, (a, b)
+            assert (want is None) == (a == b == "ok")
 
 
 @pytest.mark.parametrize("bad", [[0.1, 1.0, 0.0], [1.0, 1.0, 0.0]])

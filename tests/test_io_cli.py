@@ -115,11 +115,20 @@ def test_cli_check_quadrangle_invalid_input(tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("vector", [[["a", 0], [0, 0], [1, 0]], [[1, 0], [0], [1, 0]]],
-                         ids=["string_entry", "ragged"])
+def _as_strings(rows):
+    return [[str(x) for x in pair] for pair in rows]
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [[["a", 0], [0, 0], [1, 0]], [[1, 0], [0], [1, 0]], "numeric_strings",
+     [[True, 0], [0, 0], [1, 0]], [[1, 0], [0, None], [1, 0]], [[1, 0], [0, 10 ** 400], [1, 0]]],
+    ids=["string_entry", "ragged", "numeric_strings", "boolean_entry", "null_entry", "huge_int"])
 def test_cli_check_quadrangle_malformed_vector_is_invalid_input(tmp_path, capsys, vector):
     doc = quadrangle_to_json_dict(_baseline_quadrangle())
-    doc["polars"][1] = vector
+    # chdisc/1 numbers are JSON numbers: the second polar written as the
+    # strings of its own values is no valid quadrangle
+    doc["polars"][1] = _as_strings(doc["polars"][1]) if vector == "numeric_strings" else vector
     path = tmp_path / "quad.json"
     path.write_text(json.dumps(doc))
     assert main(["check-quadrangle", str(path)]) == EXIT_INVALID
@@ -129,12 +138,28 @@ def test_cli_check_quadrangle_malformed_vector_is_invalid_input(tmp_path, capsys
 
 def test_load_representation_rejects_a_malformed_generator(tmp_path):
     doc = representation_to_json_dict(fuchsian_turnover(TurnoverSignature(3, 3, 5))[0])
-    for rows in ([[["a", 0]] * 3] * 3, [[[1, 0]] * 3, [[1, 0]] * 2, [[1, 0]] * 3]):
+    g2 = doc["generators"]["g2"]
+    for rows in ([[["a", 0]] * 3] * 3, [[[1, 0]] * 3, [[1, 0]] * 2, [[1, 0]] * 3],
+                 [_as_strings(row) for row in g2], [[[True, 0]] + row[1:] for row in g2]):
         doc["generators"]["g2"] = rows
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="'g2' must be a 3x3 matrix"):
             load_representation(path)
+
+
+@pytest.mark.parametrize("sig", [(3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 3, 7)],
+                         ids=lambda sig: "-".join(map(str, sig)))
+def test_certificate_is_a_function_of_its_quadrangle_file(tmp_path, sig):
+    """check-quadrangle reproduces the certificate of the quadrangle the scan
+    wrote: loading keeps the bits of a stored unit representative."""
+    _, quad = fuchsian_turnover(TurnoverSignature(*sig))
+    path = tmp_path / "quad.json"
+    write_json(path, quadrangle_to_json_dict(quad.config))
+    loaded = load_quadrangle(path)
+    assert [p.v.tobytes() for p in loaded.polars] == [p.v.tobytes() for p in quad.config.polars]
+    assert canonical_dumps(validate_quadrangle(loaded).to_json_dict()) == \
+        canonical_dumps(quad.certificate.to_json_dict())
 
 
 # -- CLI: gkl, figure ---------------------------------------------------------

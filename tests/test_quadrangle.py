@@ -22,17 +22,20 @@ from chdisc.core import (
     distance_matrix,
     herm_form,
     herm_rows,
+    min_distances,
     polar_span,
     self_norms,
+    tance,
 )
 from chdisc.disc import F0, embed, triangle_vertices
-from chdisc.errors import ClassError, DegenerateError, GeometryError
+from chdisc.errors import ClassError, DegenerateError, GeometryError, NullPointError
 from chdisc.geometry import (
     ComplexGeodesic,
     _geodesic_rows,
     _slice_polars,
     common_perpendicular,
 )
+from chdisc import quadrangle as quadrangle_module
 from chdisc.quadrangle import (
     _side_gradients,
     _side_values,
@@ -362,3 +365,84 @@ def test_sector_check_fails_on_a_degenerate_reference():
         assert not c.passed
         assert c.detail.startswith("degenerate reference")
         assert -TOL.strict_margin <= c.margin < 0.0
+
+
+# --- the stacked K1/K2 pass and K3(c) against the scalar paths --------------------
+
+
+def _certify_bases():
+    """The seven quadrangles the certify benchmark moves: four passing
+    baselines, two K2 rejects built from (3,3,4) and the (2,3,7) baseline."""
+    q = _baseline_quadrangle((3, 3, 4))
+    z3 = triangle_vertices(np.pi / 3, np.pi / 3, np.pi / 4)[2]
+    return [_baseline_quadrangle(sig) for sig in ((3, 3, 4), (3, 3, 5), (3, 4, 4), (4, 4, 4), (2, 3, 7))] + [
+        QuadrangleConfig(tuple(ProjectivePoint(np.conj(p.v)) for p in q.polars)),
+        QuadrangleConfig(q.polars[:2] + _fiber_polars(-z3) + q.polars[3:]),
+    ]
+
+
+def _moved(rng, q0, count):
+    yield q0
+    for _ in range(count):
+        g = random_isometry(rng)
+        yield QuadrangleConfig(tuple(g(p) for p in q0.polars))
+
+
+def test_k1_k2_equal_the_scalar_path(rng, monkeypatch):
+    """K1 margins are tance - 1 and K2 margins and verdicts those of
+    TriangleInvariant.from_polars and is_transversal, bit for bit."""
+    monkeypatch.setattr(quadrangle_module, "adjacency_check", lambda q, tol: [])
+    verdicts = set()
+    for q0 in _certify_bases():
+        for q in _moved(rng, q0, 100):
+            cert = validate_quadrangle(q)
+            p = q.polars
+            k1_margins = [tance(p[i], p[j]) - 1.0 for i in range(4) for j in range(i + 1, 4)]
+            assert cert.k1_margins == k1_margins
+            assert cert.k1 == all(m > TOL.asymptotic for m in k1_margins)
+            k2_margins, k2 = {}, cert.k1
+            if cert.k1:
+                for name, tri in (("triangle_124", TriangleInvariant.from_polars(p[0], p[1], p[3])),
+                                  ("triangle_342", TriangleInvariant.from_polars(p[2], p[3], p[1]))):
+                    ok, margins = is_transversal(tri)
+                    k2_margins[name] = list(margins) + [-tri.eps.imag]
+                    k2 = k2 and ok and tri.eps.imag < 0.0
+            assert cert.k2_margins == k2_margins
+            assert cert.k2 == k2
+            verdicts.add((cert.k1, cert.k2))
+    assert verdicts == {(True, True), (True, False)}
+
+
+def test_k3_separation_margins_equal_distance_matrix_minima(rng, monkeypatch):
+    seen = []
+
+    def spy(x, y, tol):
+        seen.append((x, y, tol))
+        return min_distances(x, y, tol)
+
+    monkeypatch.setattr(quadrangle_module, "min_distances", spy)
+    for q0 in _certify_bases()[:4]:
+        for q in _moved(rng, q0, 25):
+            checks = {c.name: c for c in adjacency_check(q)}
+            x, y, tol = seen.pop()
+            for k, name in enumerate(("disjoint_B12_B34", "disjoint_B23_B41")):
+                assert checks[name].margin == float(distance_matrix(x[k], y[k], tol).min()) - tol.sep_floor
+
+
+def test_null_polar_error_survives_a_k1_failure():
+    """A null band that makes the polars null raises NullPointError whether K1
+    passes (the K3 perpendicular check) or fails (the K1 pairing pass)."""
+    q = _baseline_quadrangle()
+    fails_k1 = QuadrangleConfig((F0,) + q.polars[1:])
+    assert not validate_quadrangle(fails_k1).k1
+    for quad in (fails_k1, q):
+        with pytest.raises(NullPointError):
+            validate_quadrangle(quad, Tolerances(null_band=2.0))
+
+
+def test_k2_degenerate_triple_product_raises():
+    # F0 is orthogonal to the other polars; a K1 bound below every margin
+    # lets K2 reach the vanishing triple product
+    q = _baseline_quadrangle()
+    with pytest.raises(DegenerateError, match="triple product vanishes"):
+        validate_quadrangle(QuadrangleConfig((F0,) + q.polars[1:]), Tolerances(asymptotic=-2.0))
