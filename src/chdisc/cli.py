@@ -91,7 +91,7 @@ def run_turnover(sig: TurnoverSignature, bend: float, seed: int, mesh_h: float,
     cert = quad.certificate
     row["certificate_passed"] = cert.passed
     rep_doc = representation_to_json_dict(rep)
-    # each residual is a double written through %.17g, so it reads back exactly
+    # each residual is written as its round-trip repr, so it reads back exactly
     row["worst_relation_residual"] = max(rep_doc["relation_residuals"].values())
 
     fixed = {name: elliptic_fixed_point(g) for name, g in rep.generators.items()}

@@ -75,6 +75,14 @@ class ProjectivePoint:
             raise ZeroVectorError("projective point needs a nonzero finite representative")
         self.v = v / n
 
+    @classmethod
+    def _of_unit(cls, v: np.ndarray) -> "ProjectivePoint":
+        """The point whose stored representative is ``v``, a row that
+        ``_unit_reps`` already scaled as the constructor would."""
+        p = cls.__new__(cls)
+        p.v = v
+        return p
+
     def herm_with(self, other: "ProjectivePoint") -> complex:
         return herm_form(self.v, other.v)
 
@@ -154,9 +162,25 @@ def gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (np.asarray(x, dtype=complex) * _SIGNS) @ np.swapaxes(y.conj(), -1, -2)
 
 
+def _signed(q: np.ndarray) -> np.ndarray:
+    """-q0 + q1 + q2 over the last axis, as ``(q1 - q0) + q2``.
+
+    The form's signed sum in one fixed order, with no BLAS call and no
+    reduction: a (3,) vector and every row of a stack get the same bits on
+    any machine.  It is the order numpy's ``sum`` over a length-3 axis
+    takes, and OpenBLAS's SkylakeX kernels for ``@ _SIGNS``.
+    """
+    return (q[..., 1] - q[..., 0]) + q[..., 2]
+
+
 def herm_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise pairings <x_i, y_i> of two stacks of equal shape."""
-    return (np.asarray(x, dtype=complex) * _SIGNS * np.conj(y)).sum(axis=-1)
+    """Row-wise pairings <x_i, y_i> of two stacks of broadcasting shapes.
+
+    ``np.multiply`` keeps x on the left: the ``*`` operator may reuse a
+    large temporary on the right and swap the factors, and a complex
+    product's last bits depend on their order.
+    """
+    return _signed(np.multiply(np.asarray(x, dtype=complex), np.conj(y)))
 
 
 def dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -168,16 +192,68 @@ def dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
+def _form_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise ``herm_form`` over (..., 3) stacks, bit for bit."""
+    return dot_rows(_SIGNS * x, np.conj(y))
+
+
+def _unit_reps(v: np.ndarray) -> np.ndarray:
+    """The rows of a (..., 3) stack scaled to Euclidean norm 1 as
+    ``ProjectivePoint`` scales its representative: np.linalg.norm's np.dot
+    of the real and imaginary parts."""
+    return v / np.sqrt(dot_rows(v.real, v.real) + dot_rows(v.imag, v.imag))[..., None]
+
+
+def _py_quotients(a, b):
+    """Elementwise a / b as CPython divides complex numbers (Smith's method).
+
+    numpy's complex division multiplies by a reciprocal, so its last bits
+    differ from the Python ``complex`` quotient of the scalar path.  Where
+    |b.imag| > |b.real| (or b has a NaN part) CPython takes its other
+    branch; that branch is this one applied to a * -i and b * -i, whose
+    parts are those of a and b swapped and negated, so both give the same
+    bits.  A real ``b`` divides as CPython divides a complex by a float.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    if not by_real.all():
+        ar, ai = np.where(by_real, ar, ai), np.where(by_real, ai, -ar)
+        br, bi = np.where(by_real, br, bi), np.where(by_real, bi, -br)
+    r = bi / br
+    d = br + bi * r
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = (ar + ai * r) / d
+    out.imag = (ai - ar * r) / d
+    return out
+
+
+def _py_products(a, b):
+    """Elementwise a * b as Python and numpy complex scalars multiply: each
+    part from two rounded products.  numpy's array loop fuses them (FMA),
+    so its last bits differ."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def self_norms(x: np.ndarray) -> np.ndarray:
-    """<x_i, x_i> for every row of an (N,3) stack; real."""
+    """<x_i, x_i> for every row of a (..., 3) stack; real."""
     x = np.asarray(x, dtype=complex)
-    return (x.real ** 2 + x.imag ** 2) @ _SIGNS
+    return _signed(x.real ** 2 + x.imag ** 2)
+
+
+def _norms_and_squares(x: np.ndarray):
+    """(<x_i, x_i>, |x_i|^2) for every row of a (..., 3) stack, from one |x|^2
+    pass; the Euclidean sum adds left to right, as ``sum(axis=-1)`` does."""
+    x = np.asarray(x, dtype=complex)
+    q = x.real ** 2 + x.imag ** 2
+    return _signed(q), (q[..., 0] + q[..., 1]) + q[..., 2]
 
 
 def sign_classes(x: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """Batch ``classify``: -1 / 0 / +1 per row for negative / null / positive."""
-    x = np.asarray(x, dtype=complex)
-    return _sign_code(self_norms(x), (x.real ** 2 + x.imag ** 2).sum(axis=1), tol.null_band)
+    return _sign_code(*_norms_and_squares(x), tol.null_band)
 
 
 def distance_matrix(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
@@ -237,27 +313,27 @@ def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
         raise ClassError(f"row {bad[0]} is not a negative point")
     xs = x / np.sqrt(-q)[:, None]
     nx = self_norms(xs)
-    w0, w1 = _seed_remainder(xs, nx, 0), _seed_remainder(xs, nx, 1)
+    w = _seed_remainders(xs, nx)
+    nw = self_norms(w[:, :2])
     # slot 0: e0, or e1 where e0 is skipped
-    skip0 = self_norms(w0) <= 1e-12
-    u = _unit_rows(np.where(skip0[:, None], w1, w0))
+    skip0 = nw[:, 0] <= 1e-12
+    nu0 = np.where(skip0, nw[:, 1], nw[:, 0])
+    u = np.where(skip0[:, None], w[:, 1], w[:, 0]) / np.sqrt(nu0)[:, None]
     nu = self_norms(u)
-    # slot 1: the next seed with a remainder against slot 0
-    v = w1 - (herm_rows(w1, u) / nu)[:, None] * u
-    short = skip0 | (self_norms(v) <= 1e-12)
-    if short.any():
-        w2 = _seed_remainder(xs, nx, 2)
-        v = np.where(short[:, None], w2 - (herm_rows(w2, u) / nu)[:, None] * u, v)
-    return np.stack([u, _unit_rows(v)], axis=1)
+    # slot 1: the next seed with a remainder against slot 0, from the
+    # remainders of e1 and e2 against u, both in one pass
+    v = w[:, 1:] - (herm_rows(w[:, 1:], u[:, None]) / nu[:, None])[..., None] * u[:, None]
+    nv = self_norms(v)
+    short = skip0 | (nv[:, 0] <= 1e-12)
+    v, nv = np.where(short[:, None], v[:, 1], v[:, 0]), np.where(short, nv[:, 1], nv[:, 0])
+    return np.stack([u, v / np.sqrt(nv)[:, None]], axis=1)
 
 
-def _seed_remainder(xs: np.ndarray, nx: np.ndarray, k: int) -> np.ndarray:
-    # e_k - (<e_k, xs>/<xs, xs>) xs, with <e_k, xs> = sign_k conj(xs[:, k])
-    return _SEEDS[k] - (_SIGNS[k] * xs[:, k].conj() / nx)[:, None] * xs
-
-
-def _unit_rows(w: np.ndarray) -> np.ndarray:
-    return w / np.sqrt(self_norms(w))[:, None]
+def _seed_remainders(xs: np.ndarray, nx: np.ndarray) -> np.ndarray:
+    # e_s - (<e_s, xs>/<xs, xs>) xs for the seeds s = 0, 1, 2, an (N, 3, 3)
+    # stack; <e_s, xs> = sign_s conj(xs[:, s])
+    coef = _SIGNS * xs.conj() / nx[:, None]
+    return _SEEDS - coef[:, :, None] * xs[:, None]
 
 
 def polar_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -288,9 +364,7 @@ class Isometry:
     def from_matrix(m, tol: Tolerances = TOL, check: bool = True) -> "Isometry":
         m = np.asarray(m, dtype=complex).reshape(3, 3)
         if check:
-            r = isometry_residual(m)
-            if r > max(tol.isometry, 1e-9 * float(np.abs(m).max()) ** 2):
-                raise FrameError(f"matrix is not an isometry of the form (residual {r:g})")
+            return Isometry(matrix=_isometry_stack(m[None], tol)[0])
         return Isometry(matrix=_unit_det(m))
 
     @staticmethod
@@ -319,10 +393,15 @@ def _unit_det(m: np.ndarray) -> np.ndarray:
     return m * (np.linalg.det(m) ** (-1.0 / 3.0))[..., None, None]
 
 
-def isometry_residual(m) -> float:
-    """max-norm of M* J M - J; zero exactly on U(2,1)."""
-    m = np.asarray(m, dtype=complex).reshape(3, 3)
-    return float(np.abs(m.conj().T @ FORM_MATRIX @ m - FORM_MATRIX).max())
+def _isometry_stack(m: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """Det-1 lifts of a (k, 3, 3) complex stack; raises ``FrameError`` for the
+    first matrix whose residual, the max-norm of M* J M - J (zero exactly on
+    U(2,1)), exceeds max(tol.isometry, 1e-9 * max|m|^2)."""
+    r = np.abs(m.conj().swapaxes(-1, -2) @ FORM_MATRIX @ m - FORM_MATRIX).max(axis=(-2, -1))
+    bad = np.flatnonzero(r > np.maximum(tol.isometry, 1e-9 * np.abs(m).max(axis=(-2, -1)) ** 2))
+    if bad.size:
+        raise FrameError(f"matrix is not an isometry of the form (residual {r[bad[0]]:g})")
+    return _unit_det(m)
 
 
 @dataclass(frozen=True)
@@ -338,16 +417,7 @@ class OrthogonalFrame:
     b2: ProjectivePoint
 
     def validate(self, tol: Tolerances = TOL) -> None:
-        pts = (self.b0, self.b1, self.b2)
-        want = (NEGATIVE, POSITIVE, POSITIVE)
-        for p, w in zip(pts, want):
-            if classify(p, tol) != w:
-                raise FrameError(f"frame vector has class {classify(p, tol)}, wanted {w}")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                r = abs(pts[i].herm_with(pts[j]))
-                if r > tol.orthogonality:
-                    raise FrameError(f"frame vectors {i},{j} not orthogonal (|<,>|={r:g})")
+        _check_frames(np.array(self.vectors())[None], tol)
 
     def vectors(self):
         return self.b0.v, self.b1.v, self.b2.v
@@ -358,28 +428,66 @@ def _projector(b: np.ndarray) -> np.ndarray:
     return np.outer(b, _SIGNS * np.conj(b)) / _self_norm(b)
 
 
-def _elliptic_stack(frame: OrthogonalFrame, phases, tol: Tolerances = TOL) -> np.ndarray:
-    """Det-1 matrices of the elliptics with eigenvectors ``frame``, one per row
-    of a ``(k, 3)`` stack of unit eigenvalues ``phases``.
+_FRAME_CLASSES = np.array([-1, 1, 1])
+#: the pairings <b_i, b_j> a frame check reads: the three self pairings,
+#: then the three pairs that must be orthogonal
+_FRAME_I, _FRAME_J = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]).T
+
+
+def _check_frames(frames: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """``OrthogonalFrame.validate`` for a (k, 3, 3) stack whose rows are the
+    frame vectors; returns the self pairings <b_j, b_j>, (k, 3).
+
+    Raises ``FrameError`` for the first frame with a vector of the wrong
+    sign class (wanted negative, positive, positive) or, failing that, a
+    pair with |<b_i, b_j>| > tol.orthogonality.  The pairings have
+    ``herm_form``'s bits, so a frame passes or fails as its vectors would
+    one pair at a time.
+    """
+    h = _form_pairs(frames[:, _FRAME_I], frames[:, _FRAME_J])
+    norms, r = h[:, :3].real, np.abs(h[:, 3:])
+    cls = _sign_code(norms, _norms_and_squares(frames)[1], tol.null_band)
+    wrong, skew = cls != _FRAME_CLASSES, r > tol.orthogonality
+    bad = np.flatnonzero(wrong.any(axis=1) | skew.any(axis=1))
+    if not bad.size:
+        return norms
+    k = bad[0]
+    if wrong[k].any():
+        a = wrong[k].argmax()
+        raise FrameError(f"frame vector has class {_CLASS_NAMES[cls[k, a]]}, "
+                         f"wanted {_CLASS_NAMES[_FRAME_CLASSES[a]]}")
+    a = skew[k].argmax()
+    raise FrameError(f"frame vectors {_FRAME_I[3 + a]},{_FRAME_J[3 + a]} not orthogonal "
+                     f"(|<,>|={r[k, a]:g})")
+
+
+def _elliptic_rows(frames: np.ndarray, phases, tol: Tolerances = TOL) -> np.ndarray:
+    """Det-1 matrices of elliptics from a (k, 3, 3) stack of frames (rows b0,
+    b1, b2), or one (1, 3, 3) frame for every row, and a ``(k, 3)`` stack of
+    unit eigenvalues ``phases``.
 
     Row i is ``phases[i, 0] P_0 + phases[i, 1] P_1 + phases[i, 2] P_2``,
     summed from 0 as ``sum`` does, with ``P_j`` the form-orthogonal
-    projection onto the j-th frame vector.  The frame is validated once;
-    raises ``FrameError`` on a non-unit phase or for the first row that is
-    not an isometry of the form.
+    projection (<x,b_j>/<b_j,b_j>) b_j, its pairings with ``herm_form``'s
+    bits.  The frames are checked in one pass; raises ``FrameError`` on a
+    non-unit phase or for the first row that is not an isometry of the
+    form.
     """
-    frame.validate(tol)
+    norms = _check_frames(frames, tol)
     phases = np.asarray(phases, dtype=complex).reshape(-1, 3)
     if np.abs(np.abs(phases) - 1.0).max() > 1e-12:
         raise FrameError("eigenphases must have unit modulus")
+    proj = frames[..., :, None] * (_SIGNS * np.conj(frames))[..., None, :] / norms[..., None, None]
     m = 0
-    for mu, b in zip(phases.T, frame.vectors()):
-        m = m + mu[:, None, None] * _projector(b)
-    r = np.abs(m.conj().swapaxes(-1, -2) @ FORM_MATRIX @ m - FORM_MATRIX).max(axis=(-2, -1))
-    bad = np.flatnonzero(r > np.maximum(tol.isometry, 1e-9 * np.abs(m).max(axis=(-2, -1)) ** 2))
-    if bad.size:
-        raise FrameError(f"matrix is not an isometry of the form (residual {r[bad[0]]:g})")
-    return _unit_det(m)
+    for j in range(3):
+        m = m + phases[:, j, None, None] * proj[:, j]
+    return _isometry_stack(m, tol)
+
+
+def _elliptic_stack(frame: OrthogonalFrame, phases, tol: Tolerances = TOL) -> np.ndarray:
+    """``_elliptic_rows`` of one frame for every row of ``phases``: the
+    elliptics with eigenvectors ``frame`` and those unit eigenvalues."""
+    return _elliptic_rows(np.array(frame.vectors())[None], phases, tol)
 
 
 def elliptic_from_frame(frame: OrthogonalFrame, phases, tol: Tolerances = TOL) -> Isometry:

@@ -10,10 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Isometry, OrthogonalFrame, ProjectivePoint, elliptic_from_frame, herm_form
+from .core import (
+    Isometry,
+    OrthogonalFrame,
+    ProjectivePoint,
+    _elliptic_rows,
+    _form_pairs,
+    _isometry_stack,
+    _py_products,
+    _py_quotients,
+    _unit_reps,
+)
 from .errors import DegenerateError
 
 F0 = ProjectivePoint([0.0, 0.0, 1.0])
+_E1 = np.array([0.0, 1.0, 0.0], dtype=complex)
 
 
 def embed(z: complex) -> ProjectivePoint:
@@ -24,13 +35,22 @@ def embed(z: complex) -> ProjectivePoint:
 
 
 def mobius(a: complex, z: complex) -> complex:
-    """Disc automorphism sending a to 0: (z - a) / (1 - conj(a) z)."""
-    return (z - a) / (1.0 - np.conj(a) * z)
+    """Disc automorphism sending a to 0: (z - a) / (1 - conj(a) z).
+
+    Elementwise on arrays, each entry with the bits of complex scalars.
+    """
+    return (z - a) / (1.0 - _py_products(np.conj(a), z))
+
+
+def _disc_distances(z1, z2):
+    # |.| as hypot, which complex scalars use and numpy's array abs does not
+    w = mobius(z1, z2)
+    return np.arctanh(np.hypot(w.real, w.imag))
 
 
 def disc_distance(z1: complex, z2: complex) -> float:
     """Distance at curvature -4: half the classical Poincare distance."""
-    return float(np.arctanh(abs(mobius(z1, z2))))
+    return float(_disc_distances(z1, z2))
 
 
 def radius_for_distance(d: float) -> float:
@@ -71,12 +91,35 @@ def triangle_vertices(alpha1: float, alpha2: float, alpha3: float) -> tuple[comp
 
 # -- isometries of the standard complex geodesic -----------------------------
 
+def _in_plane_frames(z) -> np.ndarray:
+    """``in_plane_frame`` at each of an array of disc points: a (k, 3, 3)
+    stack whose rows are the frame vectors, each with the bits of the
+    one-point construction (``herm_form`` pairings, a Python complex
+    quotient, ``ProjectivePoint`` normalisation)."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if (np.abs(z) >= 1.0).any():
+        raise DegenerateError("disc coordinate must satisfy |z| < 1")
+    frames = np.zeros((len(z), 3, 3), dtype=complex)
+    frames[:, 0, 0], frames[:, 0, 1] = 1.0, z
+    b0 = frames[:, 0] = _unit_reps(frames[:, 0])  # embed(z)
+    q = _py_quotients(_form_pairs(_E1, b0), _form_pairs(b0, b0).real)
+    frames[:, 1] = _unit_reps(_E1 - q[:, None] * b0)
+    frames[:, 2] = F0.v
+    return frames
+
+
 def in_plane_frame(z: complex) -> OrthogonalFrame:
     """Orthogonal frame (point, in-plane direction, polar) at a disc point."""
-    b0 = embed(z)
-    e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    b1 = ProjectivePoint(e1 - (herm_form(e1, b0.v) / b0.self_form()) * b0.v)
-    return OrthogonalFrame(b0, b1, F0)
+    return OrthogonalFrame(*(ProjectivePoint._of_unit(v) for v in _in_plane_frames(z)[0]))
+
+
+def _disc_rotations(centers, angles) -> np.ndarray:
+    """Det-1 matrices of ``disc_rotation(centers[i], angles[i])`` as a
+    (k, 3, 3) stack, with one frame check and one projector sum."""
+    angles = np.asarray(angles, dtype=float).reshape(-1)
+    phases = np.ones((len(angles), 3), dtype=complex)
+    phases[:, 1] = np.exp(1j * angles)
+    return _elliptic_rows(_in_plane_frames(centers), phases)
 
 
 def disc_rotation(center: complex, angle: float) -> Isometry:
@@ -84,10 +127,19 @@ def disc_rotation(center: complex, angle: float) -> Isometry:
 
     Positive angle rotates counterclockwise with respect to the complex
     orientation of the disc; the polar direction f0 is left untouched
-    (eigenphase 1), so the map is C-Fuchsian.
+    (eigenphase 1), so the map is C-Fuchsian.  The one-point case of
+    ``_disc_rotations``.
     """
-    frame = in_plane_frame(center)
-    return elliptic_from_frame(frame, [1.0, np.exp(1j * angle), 1.0])
+    return Isometry(matrix=_disc_rotations([center], [angle])[0])
+
+
+def _su11_stack(alpha, beta) -> np.ndarray:
+    """``su11_to_isometry`` over arrays of coefficients: a (k, 3, 3) stack."""
+    alpha, beta = (np.asarray(c, dtype=complex).reshape(-1) for c in (alpha, beta))
+    m = np.zeros((len(alpha), 3, 3), dtype=complex)
+    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = np.conj(alpha), np.conj(beta), beta, alpha
+    m[:, 2, 2] = 1.0
+    return _isometry_stack(m)
 
 
 def su11_to_isometry(alpha: complex, beta: complex) -> Isometry:
@@ -96,15 +148,29 @@ def su11_to_isometry(alpha: complex, beta: complex) -> Isometry:
     Requires |alpha|^2 - |beta|^2 = 1; acts trivially on the polar
     direction.
     """
-    m = np.array(
-        [
-            [np.conj(alpha), np.conj(beta), 0.0],
-            [beta, alpha, 0.0],
-            [0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
-    return Isometry.from_matrix(m)
+    return Isometry(matrix=_su11_stack(alpha, beta)[0])
+
+
+def _su(a, b) -> np.ndarray:
+    # the (k, 2, 2) SU(1,1) stack [[a, b], [conj(b), conj(a)]]
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.stack([np.stack([a, b], -1), np.stack([np.conj(b), np.conj(a)], -1)], -2)
+
+
+def _disc_isometries(z1, z2, w1, w2) -> np.ndarray:
+    """Det-1 matrices of ``disc_isometry_two_points`` over arrays of disc
+    points, a (k, 3, 3) stack; each has the bits of the complex-scalar
+    computation (``mobius``, hypot for |z|, libm ``pow`` for |z|^2)."""
+    z1, z2, w1, w2 = (np.asarray(v, dtype=complex).reshape(-1) for v in (z1, z2, w1, w2))
+    d1, d2 = _disc_distances(z1, z2), _disc_distances(w1, w2)
+    if (abs(d1 - d2) > 1e-9 * np.maximum(1.0, d1)).any():
+        raise DegenerateError("point pairs are not equidistant")
+    phi = np.angle(mobius(w1, w2)) - np.angle(mobius(z1, z2))
+    # g = m_{w1}^{-1} o rot(phi) o m_{z1}, assembled in SU(1,1)
+    n1 = 1.0 / np.sqrt(1.0 - np.float_power(np.hypot(z1.real, z1.imag), 2))
+    nw = 1.0 / np.sqrt(1.0 - np.float_power(np.hypot(w1.real, w1.imag), 2))
+    g = _su(nw, nw * w1) @ _su(np.exp(1j * phi / 2.0), 0.0) @ _su(n1, -n1 * z1)
+    return _su11_stack(g[:, 0, 0], g[:, 0, 1])
 
 
 def disc_isometry_two_points(z1: complex, z2: complex, w1: complex, w2: complex) -> Isometry:
@@ -112,20 +178,6 @@ def disc_isometry_two_points(z1: complex, z2: complex, w1: complex, w2: complex)
 
     The pairs must be equidistant; the map is the unique
     orientation-preserving one, returned as a C-Fuchsian isometry of H^2_C.
+    The one-pair case of ``_disc_isometries``.
     """
-    d1 = disc_distance(z1, z2)
-    d2 = disc_distance(w1, w2)
-    if abs(d1 - d2) > 1e-9 * max(1.0, d1):
-        raise DegenerateError("point pairs are not equidistant")
-    phi = np.angle(mobius(w1, w2)) - np.angle(mobius(z1, z2))
-    # g = m_{w1}^{-1} o rot(phi) o m_{z1}, assembled in SU(1,1)
-    def su(a, b):
-        return np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=complex)
-
-    n1 = 1.0 / np.sqrt(1.0 - abs(z1) ** 2)
-    m_z1 = su(n1, -n1 * z1)
-    nw = 1.0 / np.sqrt(1.0 - abs(w1) ** 2)
-    m_w1_inv = su(nw, nw * w1)
-    rot = su(np.exp(1j * phi / 2.0), 0.0)
-    g = m_w1_inv @ rot @ m_z1
-    return su11_to_isometry(g[0, 0], g[0, 1])
+    return Isometry(matrix=_disc_isometries(z1, z2, w1, w2)[0])

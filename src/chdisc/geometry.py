@@ -9,6 +9,7 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
+    _norms_and_squares,
     _sign_code,
     classify,
     herm_rows,
@@ -63,13 +64,23 @@ def _phase_align(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * np.where(a < 1e-15, 1.0, -p / np.maximum(a, 1e-300))[..., None]
 
 
+def _negative_units(x: np.ndarray) -> np.ndarray:
+    """The rows of a stack of negative points scaled to <,> = -1."""
+    return x / np.sqrt(-self_norms(x))[..., None]
+
+
 def _aligned_pair(x: np.ndarray, y: np.ndarray):
     """(xh, yh, c, d): broadcasting stacks of negative points scaled to <,> = -1,
     yh phase aligned so that <xh, yh> = -c = -cosh d, and their distances d."""
-    xh = x / np.sqrt(-self_norms(x))[..., None]
-    yh = _phase_align(xh, y / np.sqrt(-self_norms(y))[..., None])
+    xh = _negative_units(x)
+    return (xh, *_aligned_units(xh, _negative_units(y)))
+
+
+def _aligned_units(xh: np.ndarray, yh: np.ndarray):
+    """(yh, c, d) of ``_aligned_pair`` for rows already scaled to <,> = -1."""
+    yh = _phase_align(xh, yh)
     c = -herm_rows(xh, yh).real
-    return xh, yh, c, np.arccosh(np.maximum(c, 1.0))
+    return yh, c, np.arccosh(np.maximum(c, 1.0))
 
 
 def _geodesic_rows(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
@@ -154,9 +165,7 @@ def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
     # spine polar (the default one)
     rows = np.concatenate([p, q, x, y, basis[..., 2]])
     band = np.repeat([tol.null_band, TOL.null_band], [2 * len(p), 3 * len(p)])
-    cp, cq, cx, cy, cf = _sign_code(
-        self_norms(rows), (rows.real ** 2 + rows.imag ** 2).sum(axis=1), band
-    ).reshape(5, -1)
+    cp, cq, cx, cy, cf = _sign_code(*_norms_and_squares(rows), band).reshape(5, -1)
     # per pair in this order: mutual position, feet, spine, spine polar
     checks = [
         (_parallel_rows(p, q), DegenerateError, "identical complex geodesics have no mutual position"),

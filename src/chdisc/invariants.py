@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -39,7 +40,7 @@ from .core import (
     _unitary_tangent_basis,
 )
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
-from .geometry import _aligned_pair, _phase_align
+from .geometry import _aligned_units, _negative_units, _phase_align
 from .io import _f, _vector_json
 from .tolerances import TOL, Tolerances
 
@@ -218,6 +219,12 @@ class SectionMesh:
         object.__setattr__(self, "cone_points", tuple(self.cone_points))
         self._check()
 
+    @cached_property
+    def face_triples(self) -> np.ndarray:
+        """<a,b><b,c><c,a> of every face (a, b, c), read-only; computed once
+        for τ and the tautological phases of the bundle degrees."""
+        return _read_only(_triple_products(self.vertices, self.triangles))
+
     def cone_orders(self):
         return [n for _, n in self.cone_points]
 
@@ -357,16 +364,17 @@ def symplectic_area_closed_form(x1: ProjectivePoint, x2: ProjectivePoint,
     return float(-np.angle(-prod) / 2.0)
 
 
-def _toledo(vertices: np.ndarray, faces) -> float:
-    """(2/pi) * the closed-form integral of omega summed over geodesic faces."""
-    areas = -np.angle(-_triple_products(vertices, faces)) / 2.0
+def _toledo(triples: np.ndarray) -> float:
+    """(2/pi) * the closed-form integral of omega summed over geodesic faces,
+    from their ``_triple_products``."""
+    areas = -np.angle(-triples) / 2.0
     # + 0.0 turns the -0.0 of a Lagrangian section into 0.0
     return float(2.0 / np.pi * areas.sum()) + 0.0
 
 
 def toledo_via_mesh(m: SectionMesh) -> float:
     """(2/pi) * integral of omega over the embedded mesh, face by face."""
-    return _toledo(m.vertices, m.triangles)
+    return _toledo(m.face_triples)
 
 
 def toledo_via_coning(rep, fixed_points, tol: Tolerances = TOL) -> float:
@@ -382,7 +390,7 @@ def toledo_via_coning(rep, fixed_points, tol: Tolerances = TOL) -> float:
             raise ConvergenceError(f"{name} does not fix its declared fixed point")
     x1, x2, x3 = (fixed_points[n] for n in ("g1", "g2", "g3"))
     x2m = rep.generators["g1"].inverse()(x2)
-    return _toledo(np.array([x1.v, x2.v, x3.v, x2m.v]), [(0, 1, 2), (0, 2, 3)])
+    return _toledo(_triple_products(np.array([x1.v, x2.v, x3.v, x2m.v]), [(0, 1, 2), (0, 2, 3)]))
 
 
 # -- discrete-connection bundle degrees --------------------------------------
@@ -402,10 +410,9 @@ class FrameField:
     normal: np.ndarray
 
     def validate(self, mesh: SectionMesh, tol: Tolerances = TOL) -> None:
-        x = mesh.vertices
-        xh = x / np.sqrt(-self_norms(x))[:, None]
+        xh = _negative_units(mesh.vertices)
         vs = np.concatenate([self.tangent, self.normal], axis=1)
-        g = np.einsum("vad,vbd->vab", vs * _SIGNS, vs.conj()).real
+        g = herm_rows(vs[:, :, None], vs[:, None]).real
         not_orthonormal = (abs(g - np.eye(4)) > tol.orthogonality).any(axis=(1, 2))
         not_tangent = (abs(herm_rows(vs, xh[:, None, :])) > tol.orthogonality).any(axis=1)
         negative = np.zeros(len(vs), dtype=bool)
@@ -421,11 +428,29 @@ class FrameField:
 
 
 def _log_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Log map d (y - c x) / sinh d at each x_i (scaled to <x,x> = -1) toward y_i,
-    on the aligned pair (c = cosh d)."""
-    x, y, c, d = _aligned_pair(x, y)
+    """Log map d (y - c x) / sinh d at each x_i toward y_i, for rows scaled to
+    <,> = -1, on the aligned pair (c = cosh d)."""
+    y, c, d = _aligned_units(x, y)
     scale = np.divide(d, np.sinh(d), out=np.zeros_like(d), where=d >= 1e-15)
     return scale[:, None] * (y - c[:, None] * x)
+
+
+def _vertex_scatter(r: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Sum r_e r_e^T over each vertex's edges, for rows ``r`` grouped by
+    vertex (``degree[v]`` rows each), with the bits of ``np.add.at`` into
+    zeros: each vertex adds its rows left to right.
+
+    The (V, slots, 4, 4) table, padded with zero rows at the end, is summed
+    over its slot axis, which numpy adds one slot at a time while the 4x4
+    blocks are innermost.  A reduction that started from the first slot
+    would keep a sum of -0.0 entries at -0.0; + 0.0 gives it the +0.0 that
+    adding to a zero start gives.
+    """
+    rr = np.concatenate([r[:, :, None] * r[:, None, :], np.zeros((1, 4, 4))])
+    slot = np.arange(degree.max())
+    start = np.cumsum(degree) - degree
+    edge = np.where(slot < degree[:, None], start[:, None] + slot, len(r))
+    return rr[edge].sum(axis=1) + 0.0
 
 
 def build_frame_field(mesh: SectionMesh) -> FrameField:
@@ -453,17 +478,10 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     if few.size:
         raise MeshError(f"vertex {few[0]} has fewer than two neighbours")
     basis = _unitary_tangent_basis(x)
-    r = _real_coords(_log_directions(x[src], x[dst]), basis[src])
-    # each vertex sums its edges' r r^T in key order, one neighbour slot at a
-    # time (the order np.add.at takes); empty slots add the zero row at the end
-    rr = np.concatenate([r[:, :, None] * r[:, None, :], np.zeros((1, 4, 4))])
-    slot = np.arange(degree.max())
-    start = np.cumsum(degree) - degree
-    edge = np.where(slot < degree[:, None], start[:, None] + slot, len(r))
-    scatter = np.zeros((n, 4, 4))
-    for j in slot:
-        scatter += rr[edge[:, j]]
-    q = np.linalg.eigh(scatter)[1].transpose(0, 2, 1)[:, ::-1]  # rows, descending
+    xh = _negative_units(x)
+    r = _real_coords(_log_directions(xh[src], xh[dst]), basis[src])
+    # eigenvector rows, descending
+    q = np.linalg.eigh(_vertex_scatter(r, degree))[1].transpose(0, 2, 1)[:, ::-1]
     # orient (u1, u2) by the first ccw corner (a, b, c) at each vertex
     _, first = np.unique(corners[:, 0], return_index=True)
     a, b, c = corners[first].T
@@ -493,7 +511,7 @@ def _taut_phases(mesh: SectionMesh) -> np.ndarray:
     twist, whose face holonomy is arg(-<x_i,x_j><x_j,x_k><x_k,x_i>), so
     that phase is subtracted from each face's frame holonomy.
     """
-    return np.angle(-_triple_products(mesh.vertices, mesh.triangles))
+    return np.angle(-mesh.face_triples)
 
 
 def _connection_total(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray) -> float:

@@ -2,8 +2,8 @@
 
 Every file carries ``"format": "chdisc/1"`` and a ``"kind"``; unknown
 fields are rejected so certificates stay comparable byte for byte.
-Canonical dumps sort keys, use compact separators, format floats with
-%.17g, and end with a newline.
+Canonical dumps sort keys, use compact separators, write each float as
+its shortest round-trip repr, and end with a newline.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ class SchemaError(GeometryError):
 
 def _f(x):
     """A number as it is written to chdisc/1 files: ints and bools as they
-    are, floats rounded through %.17g."""
+    are, anything else as a Python float (json writes its shortest
+    round-trip digits)."""
     if isinstance(x, bool) or isinstance(x, int):
         return x
-    return float(f"{float(x):.17g}")
+    return float(x)
 
 
 def canonical_dumps(obj) -> str:

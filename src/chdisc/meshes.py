@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Isometry, ProjectivePoint, dot_rows, polar_rows, self_norms
-from .disc import (
-    disc_isometry_two_points,
-    disc_rotation,
-    embed,
-    triangle_vertices,
-)
+from .core import Isometry, ProjectivePoint, _isometry_stack, _unit_reps, polar_rows, self_norms
+from .disc import _disc_isometries, _disc_rotations, embed, triangle_vertices
 from .errors import DegenerateError
 from .geometry import (
     _aligned_pair,
@@ -48,9 +43,7 @@ def _fan_lattice(center: ProjectivePoint, corners, n: int, closed: bool):
     i, j = (np.tile(a + 1, sectors) for a in np.tril_indices(n, -1))
     sec = np.repeat(np.arange(sectors), n * (n - 1) // 2)
     inner = _geodesic_rows(spokes[sec, i - 1], spokes[(sec + 1) % m, i - 1], j / i)
-    rows = np.concatenate([spokes.reshape(-1, 3), inner])
-    # unit representatives with ProjectivePoint's bits: its norm is np.dot's
-    rows = rows / np.sqrt(dot_rows(rows.real, rows.real) + dot_rows(rows.imag, rows.imag))[:, None]
+    rows = _unit_reps(np.concatenate([spokes.reshape(-1, 3), inner]))
     vertices = np.concatenate([center.v[None], rows])
 
     radial = np.zeros((m, n + 1), dtype=int)
@@ -79,8 +72,8 @@ def turnover_section_mesh(n1: int, n2: int, n3: int, refinement: int = 8) -> Sec
     pairings: c1-c2 to c1-c2' by g1^-1 and c3-c2 to c3-c2' by g3.
     """
     z1, z2, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
-    g1_inv = disc_rotation(z1, 2.0 * np.pi / n1)
-    g3 = disc_rotation(z3, -2.0 * np.pi / n3)
+    rotations = _disc_rotations([z1, z3], [2.0 * np.pi / n1, -2.0 * np.pi / n3])
+    g1_inv, g3 = (Isometry(m) for m in rotations)
     c2m = g1_inv(embed(z2))
     center = embed(z1)
     corners = [embed(z2), embed(z3), c2m]
@@ -112,14 +105,27 @@ def real_plane_point(a: float, b: float) -> ProjectivePoint:
     return ProjectivePoint([1.0, a, b])
 
 
-def _real_frame(p: ProjectivePoint, q: ProjectivePoint) -> np.ndarray:
-    """J-orthonormal real frame (point, tangent toward q, plane normal)."""
-    ph, qh, c, d = _aligned_pair(p.v, q.v)
-    if d < 1e-12:
+def _real_frames(p: np.ndarray, q: np.ndarray):
+    """(frames, d): the J-orthonormal real frames (point, tangent toward q,
+    plane normal) as the columns of a (k, 3, 3) stack, for (k, 3) stacks of
+    real-plane points, and the distances d(p_i, q_i)."""
+    ph, qh, c, d = _aligned_pair(p, q)
+    if (d < 1e-12).any():
         raise DegenerateError("coincident points give no direction")
-    ph, t = ph.real, (qh.real - c * ph.real) / np.sinh(d)
+    ph, t = ph.real, (qh.real - c[:, None] * ph.real) / np.sinh(d)[:, None]
     nrm = polar_rows(ph, t).real
-    return np.column_stack([ph, t, nrm / np.sqrt(self_norms(nrm))])
+    return np.stack([ph, t, nrm / np.sqrt(self_norms(nrm))[:, None]], axis=-1), d
+
+
+def _real_plane_isometries(p0, p1, q0, q1) -> np.ndarray:
+    """Det-1 matrices of ``real_plane_isometry_two_points`` over (k, 3)
+    stacks of point representatives: all 2k frames in one pass, then one
+    stacked inverse, product and isometry check."""
+    k = len(p0)
+    f, d = _real_frames(np.concatenate([p0, q0]), np.concatenate([p1, q1]))
+    if (abs(d[:k] - d[k:]) > 1e-9 * np.maximum(1.0, d[:k])).any():
+        raise DegenerateError("point pairs are not equidistant")
+    return _isometry_stack((f[k:] @ np.linalg.inv(f[:k])).astype(complex))
 
 
 def real_plane_isometry_two_points(
@@ -127,12 +133,13 @@ def real_plane_isometry_two_points(
 ) -> Isometry:
     """The O(2,1) isometry of the real plane with p0 -> q0 and p1 -> q1.
 
-    The pairs must be equidistant; the map carries the frame of (p0, p1)
-    to the frame of (q0, q1) and extends complex-linearly to H^2_C.
+    The pairs must be equidistant (else ``DegenerateError``); the map
+    carries the frame of (p0, p1) to the frame of (q0, q1) and extends
+    complex-linearly to H^2_C.  The one-pair case of
+    ``_real_plane_isometries``.
     """
-    f_p = _real_frame(p0, p1)
-    f_q = _real_frame(q0, q1)
-    return Isometry.from_matrix(f_q @ np.linalg.inv(f_p))
+    rows = (np.array([p.v]) for p in (p0, p1, q0, q1))
+    return Isometry(matrix=_real_plane_isometries(*rows)[0])
 
 
 def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:
@@ -146,34 +153,27 @@ def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:
     """
     r1 = _octagon_circumradius()
     angles = [2.0 * np.pi * k / 8.0 + np.pi / 8.0 for k in range(8)]
+    # pair k maps the side (k, k+1) onto (kp+1, kp)
+    k, kp = np.array(_OCTAGON_PAIRS).T
     if kind == "complex":
         # curvature -4 disc: intrinsic distances are halved
         s = np.tanh(r1 / 2.0)
-        zs = [s * np.exp(1j * a) for a in angles]
+        zs = np.array([s * np.exp(1j * a) for a in angles])
         center = embed(0.0)
         corners = [embed(z) for z in zs]
-
-        def pair_iso(k, kp):
-            return disc_isometry_two_points(
-                zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp]
-            )
-
+        pairs = _disc_isometries(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp])
     elif kind == "lagrangian":
         s = np.tanh(r1)
         center = real_plane_point(0.0, 0.0)
         corners = [real_plane_point(s * np.cos(a), s * np.sin(a)) for a in angles]
-
-        def pair_iso(k, kp):
-            return real_plane_isometry_two_points(
-                corners[k], corners[(k + 1) % 8], corners[(kp + 1) % 8], corners[kp]
-            )
-
+        c = np.array([p.v for p in corners])
+        pairs = _real_plane_isometries(c[k], c[(k + 1) % 8], c[(kp + 1) % 8], c[kp])
     else:
         raise ValueError("kind must be 'complex' or 'lagrangian'")
 
     vertices, faces, outer, _ = _fan_lattice(center, corners, refinement, closed=True)
     pairings = [
-        SidePairing(run_a=outer[k], run_b=outer[kp, ::-1], isometry=pair_iso(k, kp))
-        for k, kp in _OCTAGON_PAIRS
+        SidePairing(run_a=outer[a], run_b=outer[b, ::-1], isometry=Isometry(m))
+        for a, b, m in zip(k, kp, pairs)
     ]
     return SectionMesh(vertices=vertices, triangles=faces, side_pairings=pairings)

@@ -269,17 +269,15 @@ class Certificate:
 
 def polars_digest(polars) -> str:
     """Hex digest of canonicalized polar representatives."""
-    rows = []
-    for p in polars:
-        v = p.v.copy()
-        # canonical phase: first component of largest modulus made real positive
-        k = int(np.argmax(np.abs(v)))
-        v = v * np.exp(-1j * np.angle(v[k]))
-        # adding 0.0 folds IEEE negative zeros into +0.0 so the JSON blob
-        # is stable for values rounding to zero from either side
-        rows.append(
-            [[round(float(c.real), 12) + 0.0, round(float(c.imag), 12) + 0.0] for c in v]
-        )
+    v = np.array([p.v for p in polars])
+    # canonical phase: first component of largest modulus made real positive
+    lead = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    v = v * np.exp(-1j * np.angle(lead))[:, None]
+    # Python's round, not np.round (whose last digits differ); adding 0.0
+    # folds IEEE negative zeros into +0.0 so the JSON blob is stable for
+    # values rounding to zero from either side
+    rows = [[[round(a, 12) + 0.0, round(b, 12) + 0.0] for a, b in zip(re, im)]
+            for re, im in zip(v.real.tolist(), v.imag.tolist())]
     blob = json.dumps(rows, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

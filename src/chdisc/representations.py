@@ -58,7 +58,10 @@ from .core import (
     tance,
     _CUBE_ROOTS,
     _elliptic_stack,
+    _form_pairs,
+    _py_quotients,
     _unit_det,
+    _unit_reps,
 )
 from .disc import F0, embed, in_plane_frame, triangle_vertices
 from .errors import (
@@ -76,7 +79,7 @@ _E1 = np.array([0.0, 1.0, 0.0], dtype=complex)
 _E2 = np.array([0.0, 0.0, 1.0], dtype=complex)
 _CUBE_ROOT_IDENTITIES = _CUBE_ROOTS[:, None, None] * np.eye(3)  # w I
 _CUBE_ROOT_SCALARS = _CUBE_ROOT_IDENTITIES.reshape(3, 9)
-_SIGNED_E = _SIGNS * np.stack([_E1, _E2])  # _pairs(e_i, x) is dot_rows(_SIGNED_E[i], conj(x))
+_SIGNED_E = _SIGNS * np.stack([_E1, _E2])  # _form_pairs(e_i, x) is dot_rows(_SIGNED_E[i], conj(x))
 _FORM_SIGNS = np.outer(_SIGNS, _SIGNS)
 
 
@@ -302,34 +305,6 @@ def _outside_ball(params) -> bool:
     return params[0] * params[0] + params[1] * params[1] >= 0.98
 
 
-def _pairs(x, y):
-    """Row-wise herm_form over (..., 3) stacks, bit for bit."""
-    return dot_rows(_SIGNS * x, np.conj(y))
-
-
-def _py_quotients(a, b):
-    """Elementwise a / b as CPython divides complex numbers (Smith's method).
-
-    numpy's complex division multiplies by a reciprocal, so its last bits
-    differ from the Python ``complex`` quotient of the scalar path.  Where
-    |b.imag| > |b.real| (or b has a NaN part) CPython takes its other
-    branch; that branch is this one applied to a * -i and b * -i, whose
-    parts are those of a and b swapped and negated, so both give the same
-    bits.
-    """
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    if not by_real.all():
-        ar, ai = np.where(by_real, ar, ai), np.where(by_real, ai, -ar)
-        br, bi = np.where(by_real, br, bi), np.where(by_real, bi, -br)
-    r = bi / br
-    d = br + bi * r
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = (ar + ai * r) / d
-    out.imag = (ai - ar * r) / d
-    return out
-
-
 def _form_adjoint(u):
     """J u* J over a ``(k, 3, 3)`` stack, with the bits of the matmuls
     ``FORM_MATRIX @ u* @ FORM_MATRIX``.
@@ -363,19 +338,18 @@ def _bent_inside(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
     x3 = frame[:, 0]
     x3[:, 0], x3[:, 1], x3[:, 2] = 1.0, a, b
     # e1 and e2 less their x3 components, with both quotients in one call
-    q = _py_quotients(dot_rows(_SIGNED_E[:, None, :], np.conj(x3)), _pairs(x3, x3))
+    q = _py_quotients(dot_rows(_SIGNED_E[:, None, :], np.conj(x3)), _form_pairs(x3, x3))
     u = _E1 - q[0, :, None] * x3
-    u = u / np.sqrt(_pairs(u, u).real)[:, None]
+    u = u / np.sqrt(_form_pairs(u, u).real)[:, None]
     v = _E2 - q[1, :, None] * x3
-    v = v - _py_quotients(_pairs(v, u), _pairs(u, u))[:, None] * u
-    v = v / np.sqrt(_pairs(v, v).real)[:, None]
+    v = v - _py_quotients(_form_pairs(v, u), _form_pairs(u, u))[:, None] * u
+    v = v / np.sqrt(_form_pairs(v, v).real)[:, None]
     cos, sin = np.cos(psi)[:, None], np.sin(psi)[:, None]
     frame[:, 1] = cos * u + (sin * np.exp(1j * phi)[:, None]) * v
     frame[:, 2] = (-sin * np.exp(-1j * phi)[:, None]) * u + cos * v
-    norms = np.sqrt(dot_rows(frame.real, frame.real) + dot_rows(frame.imag, frame.imag))
-    unit = frame / norms[..., None]  # unit representatives, as ProjectivePoint stores them
+    unit = _unit_reps(frame)
     proj = unit[..., :, None] * (_SIGNS * np.conj(unit))[..., None, :]
-    proj = proj / _pairs(unit, unit).real[..., None, None]
+    proj = proj / _form_pairs(unit, unit).real[..., None, None]
     # 0 + ... as the scalar path's sum() does, keeping the sign of zero
     m = 0 + phases[0] * proj[:, 0]
     m = m + phases[1] * proj[:, 1]

@@ -8,15 +8,31 @@ the command line, the demos or the benchmark.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 
-from chdisc.core import _CUBE_ROOTS, Isometry, ProjectivePoint, herm_rows, self_norms
-from chdisc.disc import disc_distance, mobius
+from chdisc.core import (
+    _CUBE_ROOTS,
+    _SIGNS,
+    FORM_MATRIX,
+    Isometry,
+    ProjectivePoint,
+    _projector,
+    _unit_det,
+    herm_form,
+    herm_rows,
+    polar_rows,
+    self_norms,
+)
+from chdisc.disc import F0, disc_distance, mobius
 from chdisc.errors import DegenerateError
 from chdisc.geometry import (
     Bisector,
     BisectorSegment,
     ComplexGeodesic,
+    _aligned_pair,
     _bisector_basis,
     _slice_polars,
     geodesic_interp,
@@ -26,6 +42,12 @@ from chdisc.tolerances import TOL, Tolerances
 
 
 # -- isometries ----------------------------------------------------------------
+
+def isometry_residual(m) -> float:
+    """max-norm of M* J M - J; zero exactly on U(2,1)."""
+    m = np.asarray(m, dtype=complex).reshape(3, 3)
+    return float(np.abs(m.conj().T @ FORM_MATRIX @ m - FORM_MATRIX).max())
+
 
 def projective_distance(g: Isometry, h: Isometry) -> float:
     """min over cube roots of unity w of max-norm of (g - w*h)."""
@@ -180,3 +202,92 @@ def masked_tangent_basis(x: np.ndarray) -> np.ndarray:
         out[t, found[t]] = w[take] / np.sqrt(n[take])[:, None]
         found[t] += 1
     return out
+
+
+# -- the pairing kernels as reductions -------------------------------------------
+
+def herm_rows_by_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise <x_i, y_i> as a length-3 ``sum`` of the signed products."""
+    return (np.asarray(x, dtype=complex) * _SIGNS * np.conj(y)).sum(axis=-1)
+
+
+def self_norms_by_blas(x: np.ndarray) -> np.ndarray:
+    """<x_i, x_i> as the BLAS product |x|^2 @ (-1, 1, 1)."""
+    x = np.asarray(x, dtype=complex)
+    return (x.real ** 2 + x.imag ** 2) @ _SIGNS
+
+
+# -- isometries one call at a time -----------------------------------------------
+
+def checked_isometry(m) -> np.ndarray:
+    """``Isometry.from_matrix`` for one matrix: the residual test on it alone,
+    then the det-1 lift from the scalar determinant."""
+    m = np.asarray(m, dtype=complex).reshape(3, 3)
+    r = float(np.abs(m.conj().T @ FORM_MATRIX @ m - FORM_MATRIX).max())
+    if r > max(TOL.isometry, 1e-9 * float(np.abs(m).max()) ** 2):
+        raise AssertionError(f"not an isometry (residual {r:g})")
+    return _unit_det(m)
+
+
+def disc_rotation_per_call(center: complex, angle: float) -> np.ndarray:
+    """The matrix of ``disc_rotation`` from ``ProjectivePoint`` objects and the
+    one-frame projector sum."""
+    b0 = ProjectivePoint([1.0, center, 0.0])
+    e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
+    b1 = ProjectivePoint(e1 - (herm_form(e1, b0.v) / b0.self_form()) * b0.v)
+    phases = np.asarray([1.0, np.exp(1j * angle), 1.0], dtype=complex).reshape(1, 3)
+    m = 0
+    for mu, b in zip(phases.T, (b0.v, b1.v, F0.v)):
+        m = m + mu[:, None, None] * _projector(b)
+    return _unit_det(m)[0]
+
+
+def disc_isometry_per_call(z1: complex, z2: complex, w1: complex, w2: complex) -> np.ndarray:
+    """The matrix of ``disc_isometry_two_points`` in complex scalars."""
+    def scalar_mobius(a, z):
+        return (z - a) / (1.0 - np.conj(a) * z)
+
+    d1 = float(np.arctanh(abs(scalar_mobius(z1, z2))))
+    d2 = float(np.arctanh(abs(scalar_mobius(w1, w2))))
+    if abs(d1 - d2) > 1e-9 * max(1.0, d1):
+        raise DegenerateError("point pairs are not equidistant")
+    phi = np.angle(scalar_mobius(w1, w2)) - np.angle(scalar_mobius(z1, z2))
+
+    def su(a, b):
+        return np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=complex)
+
+    n1 = 1.0 / np.sqrt(1.0 - abs(z1) ** 2)
+    nw = 1.0 / np.sqrt(1.0 - abs(w1) ** 2)
+    g = su(nw, nw * w1) @ su(np.exp(1j * phi / 2.0), 0.0) @ su(n1, -n1 * z1)
+    a, b = g[0, 0], g[0, 1]
+    return checked_isometry([[np.conj(a), np.conj(b), 0.0], [b, a, 0.0], [0.0, 0.0, 1.0]])
+
+
+def real_frame(p: ProjectivePoint, q: ProjectivePoint) -> np.ndarray:
+    """J-orthonormal real frame (point, tangent toward q, plane normal) of one pair."""
+    ph, qh, c, d = _aligned_pair(p.v, q.v)
+    ph, t = ph.real, (qh.real - c * ph.real) / np.sinh(d)
+    nrm = polar_rows(ph, t).real
+    return np.column_stack([ph, t, nrm / np.sqrt(self_norms_by_blas(nrm))])
+
+
+def real_plane_isometry_per_pair(p0, p1, q0, q1) -> np.ndarray:
+    """The matrix of ``real_plane_isometry_two_points`` from two
+    ``real_frame`` calls, without the equidistance check."""
+    return checked_isometry(real_frame(q0, q1) @ np.linalg.inv(real_frame(p0, p1)))
+
+
+# -- certificate digests ---------------------------------------------------------
+
+def polars_digest_per_component(polars) -> str:
+    """``polars_digest`` as a loop over polars and their components."""
+    rows = []
+    for p in polars:
+        v = p.v.copy()
+        k = int(np.argmax(np.abs(v)))
+        v = v * np.exp(-1j * np.angle(v[k]))
+        rows.append(
+            [[round(float(c.real), 12) + 0.0, round(float(c.imag), 12) + 0.0] for c in v]
+        )
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()

@@ -31,7 +31,6 @@ from chdisc.core import (
     distance_matrix,
     gram,
     herm_rows,
-    isometry_residual,
     min_distances,
     self_norms,
     sign_classes,
@@ -40,7 +39,13 @@ from chdisc.disc import F0, embed
 from chdisc.tolerances import TOL
 
 from conftest import random_isometry, random_negative_point, random_positive_point
-from oracles import masked_tangent_basis, projective_distance
+from oracles import (
+    herm_rows_by_sum,
+    isometry_residual,
+    masked_tangent_basis,
+    projective_distance,
+    self_norms_by_blas,
+)
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 vec = st.tuples(*[finite] * 6).map(
@@ -357,3 +362,65 @@ def test_unitary_tangent_basis_rejects_a_non_negative_row(bad):
     x = np.array([[1.0, 0.2, 0.1], bad, [1.0, 0.0, 0.3]], dtype=complex)
     with pytest.raises(ClassError, match="row 1 is not a negative point"):
         _unitary_tangent_basis(x)
+
+
+# -- the signed sums against the reductions they replace ---------------------------
+
+def _blas_sums_in_order() -> bool:
+    """Whether BLAS computes |x|^2 @ (-1, 1, 1) as (q1 - q0) + q2, the order
+    of ``self_norms``, for a vector and for stacks.
+
+    The probe's squares are exact, and every other association of its sum
+    rounds differently.  OpenBLAS's SkylakeX kernels sum in this order;
+    others (``OPENBLAS_CORETYPE=Prescott``) need not.
+    """
+    x = np.array([1.0, 1.0 + 2.0 ** -26, 2.0 ** -30])
+    want = (2.0 ** -25 + 2.0 ** -52) + 2.0 ** -60
+    return all((self_norms_by_blas(np.tile(x, (k, 1))) == want).all() for k in (1, 2, 8, 1000)) \
+        and self_norms_by_blas(x) == want
+
+
+def _rows_with_zero_parts(rng, shape):
+    """Complex rows spanning many magnitudes, with +-0 real and imaginary parts."""
+    x = rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape)) + 1j * rng.normal(size=shape)
+    for part, zero in ((x.real, 0.0), (x.imag, -0.0), (x.real, -0.0), (x.imag, 0.0)):
+        part[rng.random(shape) < 0.15] = zero
+    return x
+
+
+KERNEL_SHAPES = [(3,), (1, 3), (2, 8, 3), (1000, 3)]
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_herm_rows_has_the_bits_of_the_length_3_sum(rng, shape):
+    """(p1 - p0) + p2 is the order numpy's sum over a length-3 axis takes.
+    ``==`` equal (equal doubles have equal bits, but for the sign of a zero
+    part, which the sum sets by its own order of signed zeros)."""
+    for _ in range(5):
+        x, y = _rows_with_zero_parts(rng, shape), _rows_with_zero_parts(rng, shape)
+        assert np.array_equal(herm_rows(x, y), herm_rows_by_sum(x, y))
+        assert np.array_equal(herm_rows(x, y.real), herm_rows_by_sum(x, y.real))
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_self_norms_has_the_bits_of_the_blas_product(rng, shape):
+    """Bit for bit where BLAS sums in ``self_norms``'s order; elsewhere the
+    two differ by the rounding of one other association."""
+    for _ in range(5):
+        x = _rows_with_zero_parts(rng, shape)
+        ours, blas = self_norms(x), self_norms_by_blas(x)
+        if _blas_sums_in_order():
+            assert np.array_equal(ours, blas)
+        else:
+            scale = np.abs(x) ** 2
+            np.testing.assert_allclose(ours, blas, rtol=0, atol=4e-16 * scale.max())
+
+
+def test_signed_sums_do_not_depend_on_the_stack_shape(rng):
+    """A (3,) vector and every row of a stack get the same bits, which BLAS
+    dot and gemv do not promise."""
+    x, y = _rows_with_zero_parts(rng, (64, 3)), _rows_with_zero_parts(rng, (64, 3))
+    stacked_h, stacked_n = herm_rows(x, y), self_norms(x)
+    assert np.array([herm_rows(a, b) for a, b in zip(x, y)]).tobytes() == stacked_h.tobytes()
+    assert np.array([self_norms(a) for a in x]).tobytes() == stacked_n.tobytes()
+    assert herm_rows(x.reshape(8, 8, 3), y.reshape(8, 8, 3)).tobytes() == stacked_h.tobytes()

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chdisc import DegenerateError, tance
-from chdisc.core import isometry_residual
 from chdisc.disc import (
     F0,
+    _disc_isometries,
+    _disc_rotations,
     disc_distance,
     disc_isometry_two_points,
     disc_rotation,
@@ -22,6 +23,9 @@ from chdisc.disc import (
 from conftest import random_disc_coordinate
 from oracles import (
     angles_from_sides,
+    disc_isometry_per_call,
+    disc_rotation_per_call,
+    isometry_residual,
     coordinate,
     disc_angle,
     geodesic_point,
@@ -141,3 +145,45 @@ def test_disc_isometry_two_points(rng):
     assert isometry_residual(g.matrix) < 1e-12
     with pytest.raises(DegenerateError):
         disc_isometry_two_points(0.0, 0.5, 0.0, 0.9)
+
+
+def test_disc_rotations_have_the_bits_of_one_call_each(rng):
+    """The stacked rotations and ``disc_rotation`` give each matrix the bits
+    of the one-frame construction from ``ProjectivePoint`` objects."""
+    centers = [random_disc_coordinate(rng) for _ in range(50)] + [0.0, 0.3, -0.2j]
+    angles = rng.uniform(-7.0, 7.0, len(centers))
+    stacked = _disc_rotations(centers, angles)
+    for c, a, m in zip(centers, angles, stacked):
+        expected = disc_rotation_per_call(c, a)
+        assert m.tobytes() == expected.tobytes()
+        assert disc_rotation(c, a).matrix.tobytes() == expected.tobytes()
+    # the turnover centres, as numpy scalars
+    for n1, n2, n3 in [(3, 3, 4), (3, 3, 5), (2, 3, 7), (3, 4, 4)]:
+        z1, _, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
+        g1_inv, g3 = _disc_rotations([z1, z3], [2.0 * np.pi / n1, -2.0 * np.pi / n3])
+        assert g1_inv.tobytes() == disc_rotation_per_call(z1, 2.0 * np.pi / n1).tobytes()
+        assert g3.tobytes() == disc_rotation_per_call(z3, -2.0 * np.pi / n3).tobytes()
+
+
+def test_disc_isometries_have_the_bits_of_complex_scalars(rng):
+    """The stacked two-point maps keep the bits of the scalar path, whose
+    products, |z| and |z|^2 numpy's array loops round differently."""
+    rows = []
+    while len(rows) < 60:
+        z1, z2, w1 = (random_disc_coordinate(rng) for _ in range(3))
+        d = disc_distance(z1, z2)
+        w2 = mobius_inv(w1, radius_for_distance(d) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        try:
+            disc_isometry_per_call(z1, z2, w1, w2)
+        except DegenerateError:  # the round trip through w2 missed the bound
+            continue
+        rows.append((z1, z2, w1, w2))
+    stacked = _disc_isometries(*np.array(rows).T)
+    for row, m in zip(rows, stacked):
+        for cast in (complex, np.complex128):
+            z = [cast(v) for v in row]
+            expected = disc_isometry_per_call(*z)
+            assert m.tobytes() == expected.tobytes()
+            assert disc_isometry_two_points(*z).matrix.tobytes() == expected.tobytes()
+    with pytest.raises(DegenerateError, match="not equidistant"):
+        _disc_isometries([0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.5, 0.9])

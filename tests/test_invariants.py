@@ -1,6 +1,6 @@
 """Kaehler angles, symplectic integrals, discrete bundle degrees, identities."""
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -36,11 +36,13 @@ from chdisc import (
 )
 from chdisc.core import _unitary_tangent_basis, herm_rows
 from chdisc.disc import F0, embed
+from chdisc import invariants as invariants_module
 from chdisc.invariants import (
     COMPLEX_CLASS,
     GENERIC_CLASS,
     LAGRANGIAN_CLASS,
     _rotation_angle,
+    _vertex_scatter,
     normalized_negative,
     orientation_sign,
     symplectic_area_triangle,
@@ -597,3 +599,39 @@ def test_pullback_scale():
     assert (up.euler_raw, up.euler, up.toledo) == (None, None, None)
     assert up.toledo_raw == pytest.approx(-0.24)
     assert up.residual() is None
+
+
+# -- work shared across an invariants item ------------------------------------------
+
+def test_face_triples_are_computed_once_for_tau_and_the_bundle_degrees(monkeypatch):
+    mesh = turnover_section_mesh(3, 3, 4, refinement=4)
+    calls = []
+    original = invariants_module._triple_products
+    monkeypatch.setattr(invariants_module, "_triple_products",
+                        lambda *args: calls.append(1) or original(*args))
+    tau = toledo_via_mesh(mesh)
+    degrees = euler_via_mesh(mesh)
+    assert len(calls) == 1
+    triples = mesh.face_triples
+    assert triples is mesh.face_triples and not triples.flags.writeable
+    assert triples.tobytes() == original(mesh.vertices, mesh.triangles).tobytes()
+    # the cache is no dataclass field, so it is not serialised either
+    assert "face_triples" not in {f.name for f in fields(mesh)}
+    assert "face_triples" not in mesh.to_json_dict()
+    fresh = turnover_section_mesh(3, 3, 4, refinement=4)
+    assert (toledo_via_mesh(fresh), euler_via_mesh(fresh)) == (tau, degrees)
+
+
+def test_vertex_scatter_has_the_bits_of_add_at(rng):
+    """Each vertex adds its edges' r r^T left to right from zero, as
+    ``np.add.at`` does, signed zeros included."""
+    degree = rng.integers(2, 9, size=60)
+    degree[0] = degree.max()
+    r = rng.normal(size=(degree.sum(), 4)) * np.exp(4.0 * rng.normal(size=(degree.sum(), 4)))
+    r[rng.random(r.shape) < 0.2] = -0.0
+    r[rng.random(r.shape) < 0.1] = 0.0
+    # vertex 0 has no padding, and its entry (0, 1) sums only -0.0 products
+    r[:degree[0], 0], r[:degree[0], 1] = -0.0, np.abs(r[:degree[0], 1]) + 1.0
+    expected = np.zeros((len(degree), 4, 4))
+    np.add.at(expected, np.repeat(np.arange(len(degree)), degree), r[:, :, None] * r[:, None, :])
+    assert _vertex_scatter(r, degree).tobytes() == expected.tobytes()

@@ -8,8 +8,12 @@ import pytest
 from chdisc import QuadrangleConfig, polar_span, validate_quadrangle
 from chdisc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _bend_tag, main
 from chdisc.disc import F0, embed, triangle_vertices
+from chdisc import invariants as invariants_module
+from chdisc import io as io_module
+from chdisc import quadrangle as quadrangle_module
 from chdisc.io import (
     SchemaError,
+    _f,
     canonical_dumps,
     load_quadrangle,
     load_representation,
@@ -259,3 +263,43 @@ def test_cli_scan_reports_invalid_signature_rows(tmp_path, capsys):
     row = summary["rows"][0]
     assert row["converged"] is False
     assert "invalid signature" in row["error"]
+
+
+def _f_through_17_digits(x):
+    """The number writer as it was: every float through %.17g and back."""
+    if isinstance(x, bool) or isinstance(x, int):
+        return x
+    return float(f"{float(x):.17g}")
+
+
+def test_number_writer_keeps_every_float_bit_for_bit():
+    """17 significant digits round-trip every double, so the %.17g pass
+    returned each float unchanged; ``float(x)`` is the same map."""
+    rng = np.random.default_rng(11)
+    tiny = np.finfo(float).tiny
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 7, tiny, 1e308, -1e308,
+               np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0, 0.1, 1 / 3]
+    bits = rng.integers(0, 2 ** 63, size=20000, dtype=np.int64)
+    randoms = [v for v in bits.view(float) if np.isfinite(v)]
+    randoms += list(rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, size=2000))
+    for x in special + randoms:
+        for value in (x, np.float64(x), -x):
+            got = _f(value)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(value).tobytes()
+            assert got == _f_through_17_digits(value) or np.isnan(got)
+    for value in (True, False, 0, -3, 2 ** 70):
+        assert _f(value) is value
+
+
+def test_scan_artifacts_are_unchanged_by_the_number_writer(tmp_path, monkeypatch):
+    args = ["scan", "--n", "3", "3", "4", "--n", "2", "3", "7", "--bend", "0", "--mesh", "0.2"]
+    assert main(args + ["--out", str(tmp_path / "now")]) == EXIT_PASS
+    for module in (io_module, invariants_module, quadrangle_module):
+        monkeypatch.setattr(module, "_f", _f_through_17_digits)
+    assert main(args + ["--out", str(tmp_path / "then")]) == EXIT_PASS
+    names = sorted(p.name for p in (tmp_path / "now").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "then").iterdir())
+    assert any(n.endswith(".cert.json") for n in names)
+    for name in names:
+        assert (tmp_path / "now" / name).read_bytes() == (tmp_path / "then" / name).read_bytes()

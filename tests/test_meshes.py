@@ -1,14 +1,36 @@
 """Section-mesh constructors: the geodesic-fan lattice and its arguments."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from chdisc import ProjectivePoint, octagon_mesh, turnover_section_mesh
+from chdisc import DegenerateError, ProjectivePoint, octagon_mesh, tance, turnover_section_mesh
+from chdisc.cli import _refinement_for
+from chdisc.core import Isometry
 from chdisc.disc import disc_rotation, embed, triangle_vertices
 from chdisc.geometry import _geodesic_rows
-from chdisc.meshes import _fan_lattice, _octagon_circumradius, real_plane_point
+from chdisc.invariants import SidePairing, euler_via_mesh, toledo_via_mesh
+from chdisc.io import canonical_dumps
+from chdisc.meshes import (
+    _OCTAGON_PAIRS,
+    _fan_lattice,
+    _octagon_circumradius,
+    real_plane_isometry_two_points,
+    real_plane_point,
+)
+from chdisc.representations import TurnoverSignature
 
 from conftest import scalar_geodesic_interp
+from oracles import (
+    disc_isometry_per_call,
+    disc_rotation_per_call,
+    herm_rows_by_sum,
+    real_plane_isometry_per_pair,
+    self_norms_by_blas,
+)
+from test_core import _blas_sums_in_order
 
 
 def _scalar_fan_lattice(center, corners, n, closed):
@@ -119,3 +141,87 @@ def test_mesh_constructors_reject_bad_refinement(refinement):
         turnover_section_mesh(3, 3, 4, refinement=refinement)
     with pytest.raises(ValueError, match="refinement must be a positive integer"):
         octagon_mesh("complex", refinement)
+
+
+# -- side pairings and invariants against the one-pair paths -----------------------
+
+#: the invariants benchmark's meshes, then the scan's four turnovers at the
+#: refinement ``chdisc scan`` gives them
+BIT_CASES = [
+    ("turnover", (3, 3, 4), 8),
+    ("turnover", (3, 3, 5), 8),
+    ("turnover", (2, 3, 7), 8),
+    ("octagon", "complex", 4),
+    ("octagon", "lagrangian", 4),
+] + [("turnover", sig, _refinement_for(TurnoverSignature(*sig), 0.05))
+     for sig in [(3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 3, 7)]]
+
+
+def _mesh(kind, arg, n):
+    return (turnover_section_mesh(*arg, refinement=n) if kind == "turnover"
+            else octagon_mesh(arg, refinement=n))
+
+
+def _per_pair_isometries(kind, arg):
+    """The side-pairing matrices, each from its own one-pair construction."""
+    if kind == "turnover":
+        n1, n2, n3 = arg
+        z1, _, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
+        return [disc_rotation_per_call(z1, 2.0 * np.pi / n1),
+                disc_rotation_per_call(z3, -2.0 * np.pi / n3)]
+    _, corners, _ = _fan_inputs(kind, arg)
+    if arg == "complex":
+        r1 = _octagon_circumradius()
+        zs = [np.tanh(r1 / 2.0) * np.exp(1j * (2.0 * np.pi * k / 8.0 + np.pi / 8.0)) for k in range(8)]
+        return [disc_isometry_per_call(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp])
+                for k, kp in _OCTAGON_PAIRS]
+    return [real_plane_isometry_per_pair(corners[k], corners[(k + 1) % 8],
+                                         corners[(kp + 1) % 8], corners[kp])
+            for k, kp in _OCTAGON_PAIRS]
+
+
+@pytest.mark.parametrize("kind, arg, n", BIT_CASES)
+def test_side_pairings_and_mesh_json_have_the_bits_of_the_per_pair_constructors(kind, arg, n):
+    mesh = _mesh(kind, arg, n)
+    expected = _per_pair_isometries(kind, arg)
+    assert [p.isometry.matrix.tobytes() for p in mesh.side_pairings] == [m.tobytes() for m in expected]
+    per_pair = replace(mesh, side_pairings=[
+        SidePairing(run_a=p.run_a, run_b=p.run_b, isometry=Isometry(m))
+        for p, m in zip(mesh.side_pairings, expected)])
+    assert canonical_dumps(mesh.to_json_dict()) == canonical_dumps(per_pair.to_json_dict())
+
+
+def _invariants(mesh):
+    degrees = euler_via_mesh(mesh)
+    return toledo_via_mesh(mesh), degrees.chi_raw, degrees.euler_raw
+
+
+@pytest.mark.parametrize("kind, arg, n", BIT_CASES)
+def test_raw_invariants_have_the_bits_of_the_reduction_kernels(monkeypatch, kind, arg, n):
+    """tau, chi and e, raw, are the same doubles when every module pairs rows
+    through the length-3 sum and the BLAS product that the signed sums
+    replaced (to rounding where BLAS sums in another order)."""
+    mesh = _mesh(kind, arg, n)
+    ours = _invariants(mesh)
+    for name in ("core", "geometry", "invariants", "meshes", "quadrangle"):
+        module = importlib.import_module(f"chdisc.{name}")
+        for attr, oracle in (("herm_rows", herm_rows_by_sum), ("self_norms", self_norms_by_blas)):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, oracle)
+    reference = _invariants(replace(mesh))
+    if _blas_sums_in_order():
+        assert ours == reference
+    else:
+        np.testing.assert_allclose(ours, reference, rtol=0, atol=1e-12)
+
+
+def test_real_plane_isometry_rejects_pairs_that_are_not_equidistant():
+    origin = real_plane_point(0.0, 0.0)
+    with pytest.raises(DegenerateError, match="point pairs are not equidistant"):
+        real_plane_isometry_two_points(origin, real_plane_point(0.3, 0.0),
+                                       origin, real_plane_point(0.0, 0.6))
+    # the same distance in another direction is a rotation about the origin
+    p1, q1 = real_plane_point(0.3, 0.0), real_plane_point(0.0, 0.3)
+    g = real_plane_isometry_two_points(origin, p1, origin, q1)
+    assert tance(g(p1), q1) == pytest.approx(1.0, abs=1e-12)
+    assert tance(g(origin), origin) == pytest.approx(1.0, abs=1e-12)

@@ -45,7 +45,13 @@ from chdisc.quadrangle import (
 from chdisc.tolerances import TOL, Tolerances
 
 from conftest import random_disc_coordinate, random_isometry
-from oracles import bisector_basis, slice_at, spine_point, triangle_area_gauss_bonnet
+from oracles import (
+    bisector_basis,
+    polars_digest_per_component,
+    slice_at,
+    spine_point,
+    triangle_area_gauss_bonnet,
+)
 
 
 def _fiber_polars(*zs):
@@ -122,6 +128,29 @@ def test_validate_quadrangle_baseline_passes():
     assert doc["kind"] == "certificate"
     assert doc["pass"] is True
     assert doc["input_digest"] == polars_digest(_baseline_quadrangle().polars)
+
+
+def _certify_bases():
+    """The certify benchmark's seven quadrangles: four baselines, the
+    conjugated and the wrong-side (3,3,4) polars, and the (2,3,7) baseline."""
+    q = _baseline_quadrangle()
+    z3 = triangle_vertices(np.pi / 3, np.pi / 3, np.pi / 4)[2]
+    return [_baseline_quadrangle(sig) for sig in [(3, 3, 4), (3, 3, 5), (3, 4, 4), (4, 4, 4), (2, 3, 7)]] + [
+        QuadrangleConfig(tuple(ProjectivePoint(np.conj(p.v)) for p in q.polars)),
+        QuadrangleConfig(q.polars[:2] + (polar_span(embed(-z3), F0),) + q.polars[3:]),
+    ]
+
+
+def test_polars_digest_matches_the_per_component_loop():
+    """The stacked phase normalisation keeps the digest of the loop over
+    polars and components, on each base moved by 120 seeded isometries."""
+    rng = np.random.default_rng(7)
+    for q in _certify_bases():
+        assert polars_digest(q.polars) == polars_digest_per_component(q.polars)
+        for _ in range(120):
+            g = random_isometry(rng)
+            moved = tuple(g(p) for p in q.polars)
+            assert polars_digest(moved) == polars_digest_per_component(moved)
 
 
 def test_quadrangle_rejects_negative_polars():
