@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -60,6 +61,21 @@ def _bend_tag(bend: float) -> str:
     distinct bends get distinct names, with "-" as "m" and "." as "p"."""
     s = np.format_float_positional(bend + 0.0, trim="-")  # + 0.0 makes -0.0 into 0.0
     return s.replace("-", "m").replace(".", "p")
+
+
+def _number_error(mesh: float, bends) -> str | None:
+    """Why a ``--mesh`` edge length or a ``--bend`` cannot be run, or None.
+
+    The edge length must be positive and finite: 0 divides by zero, NaN
+    has no refinement, and a negative or infinite length would be clipped
+    to an arbitrary one.  A bend must be finite.
+    """
+    if not (math.isfinite(mesh) and mesh > 0.0):
+        return f"--mesh must be a positive finite edge length, got {mesh}"
+    for bend in bends:
+        if not math.isfinite(bend):
+            return f"--bend must be finite, got {bend}"
+    return None
 
 
 def _refinement_for(sig: TurnoverSignature, h: float) -> int:
@@ -141,6 +157,10 @@ def _signature(ns) -> TurnoverSignature:
 
 
 def cmd_turnover(args) -> int:
+    error = _number_error(args.mesh, [args.bend])
+    if error:
+        print(f"invalid input: {error}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         sig = _signature(args.n)
     except GeometryError as exc:
@@ -203,6 +223,10 @@ def cmd_figure(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    error = _number_error(args.mesh, args.bend)
+    if error:
+        print(f"invalid input: {error}", file=sys.stderr)
+        return EXIT_INVALID
     grid = []
     seen = set()
     for ns in args.n:

@@ -214,6 +214,14 @@ def _py_quotients(a, b):
     parts are those of a and b swapped and negated, so both give the same
     bits.  A real ``b`` divides as CPython divides a complex by a float.
     """
+    if not np.iscomplexobj(b):
+        # CPython divides by complex(b, 0.0): the branch below with bi = 0
+        r = 0.0 / b
+        d = b + 0.0 * r
+        out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+        out.real = (a.real + a.imag * r) / d
+        out.imag = (a.imag - a.real * r) / d
+        return out
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_real = np.abs(br) >= np.abs(bi)
     if not by_real.all():
@@ -396,11 +404,22 @@ def _unit_det(m: np.ndarray) -> np.ndarray:
 def _isometry_stack(m: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """Det-1 lifts of a (k, 3, 3) complex stack; raises ``FrameError`` for the
     first matrix whose residual, the max-norm of M* J M - J (zero exactly on
-    U(2,1)), exceeds max(tol.isometry, 1e-9 * max|m|^2)."""
-    r = np.abs(m.conj().swapaxes(-1, -2) @ FORM_MATRIX @ m - FORM_MATRIX).max(axis=(-2, -1))
-    bad = np.flatnonzero(r > np.maximum(tol.isometry, 1e-9 * np.abs(m).max(axis=(-2, -1)) ** 2))
-    if bad.size:
-        raise FrameError(f"matrix is not an isometry of the form (residual {r[bad[0]]:g})")
+    U(2,1)), exceeds max(tol.isometry, 1e-9 * max|m|^2).  The relative
+    1e-9 lets a lift with large entries, whose residual grows with |m|^2,
+    pass at the precision its entries carry; it decides the verdict, and is
+    not a ``Tolerances`` field because every field is written into each
+    invariants report, whose bytes a new field would change.
+
+    M* J is M* with its columns signed, so the residual takes one product.
+    Each bound is at least tol.isometry, so the per-matrix bounds are
+    formed only when some residual exceeds it.
+    """
+    r = np.abs((m.conj().swapaxes(-1, -2) * _SIGNS) @ m - FORM_MATRIX)
+    if not r.max(initial=0.0) <= tol.isometry:
+        r = r.max(axis=(-2, -1))
+        bad = np.flatnonzero(r > np.maximum(tol.isometry, 1e-9 * np.abs(m).max(axis=(-2, -1)) ** 2))
+        if bad.size:
+            raise FrameError(f"matrix is not an isometry of the form (residual {r[bad[0]]:g})")
     return _unit_det(m)
 
 
@@ -446,7 +465,13 @@ def _check_frames(frames: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """
     h = _form_pairs(frames[:, _FRAME_I], frames[:, _FRAME_J])
     norms, r = h[:, :3].real, np.abs(h[:, 3:])
-    cls = _sign_code(norms, _norms_and_squares(frames)[1], tol.null_band)
+    q = frames.real ** 2 + frames.imag ** 2
+    sq = (q[..., 0] + q[..., 1]) + q[..., 2]  # _norms_and_squares' Euclidean sum
+    # a signed norm strictly beyond its band has the wanted class: the stack
+    # passes at once, and only a stack that may fail is classified
+    if (norms * _FRAME_CLASSES > tol.null_band * sq).all() and (r <= tol.orthogonality).all():
+        return norms
+    cls = _sign_code(norms, sq, tol.null_band)
     wrong, skew = cls != _FRAME_CLASSES, r > tol.orthogonality
     bad = np.flatnonzero(wrong.any(axis=1) | skew.any(axis=1))
     if not bad.size:
@@ -475,13 +500,13 @@ def _elliptic_rows(frames: np.ndarray, phases, tol: Tolerances = TOL) -> np.ndar
     """
     norms = _check_frames(frames, tol)
     phases = np.asarray(phases, dtype=complex).reshape(-1, 3)
+    # 1e-12 decides the verdict on a phase; not a Tolerances field, since
+    # every field is written into each invariants report
     if np.abs(np.abs(phases) - 1.0).max() > 1e-12:
         raise FrameError("eigenphases must have unit modulus")
     proj = frames[..., :, None] * (_SIGNS * np.conj(frames))[..., None, :] / norms[..., None, None]
-    m = 0
-    for j in range(3):
-        m = m + phases[:, j, None, None] * proj[:, j]
-    return _isometry_stack(m, tol)
+    terms = phases[..., None, None] * proj
+    return _isometry_stack(((0 + terms[:, 0]) + terms[:, 1]) + terms[:, 2], tol)
 
 
 def _elliptic_stack(frame: OrthogonalFrame, phases, tol: Tolerances = TOL) -> np.ndarray:

@@ -100,11 +100,13 @@ def _in_plane_frames(z) -> np.ndarray:
     if (np.abs(z) >= 1.0).any():
         raise DegenerateError("disc coordinate must satisfy |z| < 1")
     frames = np.zeros((len(z), 3, 3), dtype=complex)
-    frames[:, 0, 0], frames[:, 0, 1] = 1.0, z
+    # rows (1, z, 0), e1 and F0
+    frames[:, 0, 0], frames[:, 0, 1], frames[:, 1, 1], frames[:, 2, 2] = 1.0, z, 1.0, 1.0
     b0 = frames[:, 0] = _unit_reps(frames[:, 0])  # embed(z)
-    q = _py_quotients(_form_pairs(_E1, b0), _form_pairs(b0, b0).real)
+    # <b0, b0> and <e1, b0> from one pass, while row 1 still holds e1
+    pairs = _form_pairs(frames[:, :2], b0[:, None])
+    q = _py_quotients(pairs[:, 1], pairs[:, 0].real)
     frames[:, 1] = _unit_reps(_E1 - q[:, None] * b0)
-    frames[:, 2] = F0.v
     return frames
 
 
@@ -151,25 +153,32 @@ def su11_to_isometry(alpha: complex, beta: complex) -> Isometry:
     return Isometry(matrix=_su11_stack(alpha, beta)[0])
 
 
-def _su(a, b) -> np.ndarray:
-    # the (k, 2, 2) SU(1,1) stack [[a, b], [conj(b), conj(a)]]
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    return np.stack([np.stack([a, b], -1), np.stack([np.conj(b), np.conj(a)], -1)], -2)
-
-
 def _disc_isometries(z1, z2, w1, w2) -> np.ndarray:
     """Det-1 matrices of ``disc_isometry_two_points`` over arrays of disc
     points, a (k, 3, 3) stack; each has the bits of the complex-scalar
     computation (``mobius``, hypot for |z|, libm ``pow`` for |z|^2)."""
     z1, z2, w1, w2 = (np.asarray(v, dtype=complex).reshape(-1) for v in (z1, z2, w1, w2))
-    d1, d2 = _disc_distances(z1, z2), _disc_distances(w1, w2)
-    if (abs(d1 - d2) > 1e-9 * np.maximum(1.0, d1)).any():
+    k = len(z1)
+    # both pairs in one pass: rows [:k] are (z1, z2), rows [k:] are (w1, w2)
+    a = np.concatenate([z1, w1])
+    m = mobius(a, np.concatenate([z2, w2]))
+    d = np.arctanh(np.hypot(m.real, m.imag))  # _disc_distances
+    # the relative 1e-9 (equal distances up to rounding) decides the
+    # verdict; not a Tolerances field, since every field is written into
+    # each invariants report
+    if (abs(d[:k] - d[k:]) > 1e-9 * np.maximum(1.0, d[:k])).any():
         raise DegenerateError("point pairs are not equidistant")
-    phi = np.angle(mobius(w1, w2)) - np.angle(mobius(z1, z2))
-    # g = m_{w1}^{-1} o rot(phi) o m_{z1}, assembled in SU(1,1)
-    n1 = 1.0 / np.sqrt(1.0 - np.float_power(np.hypot(z1.real, z1.imag), 2))
-    nw = 1.0 / np.sqrt(1.0 - np.float_power(np.hypot(w1.real, w1.imag), 2))
-    g = _su(nw, nw * w1) @ _su(np.exp(1j * phi / 2.0), 0.0) @ _su(n1, -n1 * z1)
+    angle = np.angle(m)
+    n = 1.0 / np.sqrt(1.0 - np.float_power(np.hypot(a.real, a.imag), 2))
+    # g = m_{w1}^{-1} o rot(phi) o m_{z1}, assembled in SU(1,1): factor i of
+    # the (3, k, 2, 2) stack is [[alpha_i, beta_i], [conj(beta_i), conj(alpha_i)]]
+    alpha = np.array([n[k:], np.exp(1j * (angle[k:] - angle[:k]) / 2.0), n[:k]], dtype=complex)
+    beta = np.zeros((3, k), dtype=complex)
+    beta[0], beta[2] = n[k:] * w1, -n[:k] * z1
+    su = np.empty((3, k, 2, 2), dtype=complex)
+    su[..., 0, 0], su[..., 0, 1] = alpha, beta
+    su[..., 1, 0], su[..., 1, 1] = beta.conj(), alpha.conj()
+    g = su[0] @ su[1] @ su[2]
     return _su11_stack(g[:, 0, 0], g[:, 0, 1])
 
 

@@ -61,6 +61,7 @@ def _phase_align(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     (unless |<x_i, y_i>| < 1e-15)."""
     p = herm_rows(x, y)
     a = np.abs(p)
+    # 1e-15 and 1e-300 guard the division by |p|; they decide no verdict
     return y * np.where(a < 1e-15, 1.0, -p / np.maximum(a, 1e-300))[..., None]
 
 
@@ -89,11 +90,20 @@ def _geodesic_rows(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
 
     Hyperbolic slerp: (x sinh((1-t)d) + y sinh(td)) / sinh d on the aligned pair.
     """
-    xh, yh, _, d = _aligned_pair(x, y)
+    return _slerp_units(x, _negative_units(x), _negative_units(y), t)
+
+
+def _slerp_units(x: np.ndarray, xh: np.ndarray, yh: np.ndarray, t) -> np.ndarray:
+    """``_geodesic_rows(x, y, t)`` from the rows xh, yh of x and y already
+    scaled to <,> = -1 (``_negative_units``), so that a caller can scale a
+    stack once and pair its rows in many ways."""
+    yh, _, d = _aligned_units(xh, yh)
     d, t = d[..., None], np.asarray(t)[..., None]
-    same = d < 1e-15
-    v = (np.sinh((1.0 - t) * d) * xh + np.sinh(t * d) * yh) / np.where(same, 1.0, np.sinh(d))
-    return np.where(same, x, v)
+    v = np.sinh((1.0 - t) * d) * xh + np.sinh(t * d) * yh
+    same = d < 1e-15  # guards the division by sinh d; it decides no verdict
+    if not same.any():  # no coincident pair: nothing to divide around or replace
+        return v / np.sinh(d)
+    return np.where(same, x, v / np.where(same, 1.0, np.sinh(d)))
 
 
 @dataclass(frozen=True)

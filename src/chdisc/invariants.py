@@ -35,8 +35,9 @@ from .core import (
     herm_form,
     herm_rows,
     self_norms,
-    sign_classes,
     tance,
+    _norms_and_squares,
+    _sign_code,
     _unitary_tangent_basis,
 )
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
@@ -121,6 +122,13 @@ def _from_coords(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...kd->...d", c[..., 0::2] + 1j * c[..., 1::2], basis)
 
 
+#: |orientation determinant| below which a 4-frame is degenerate: it decides
+#: the DegenerateError verdict, as the determinant is +-1 for an orthonormal
+#: frame and rounding noise for a dependent one.  Not a Tolerances field,
+#: since every field is written into each invariants report.
+_DEGENERATE_FRAME = 1e-14
+
+
 def orientation_sign(x, frame4):
     """Sign of real tangent 4-frames at x against the complex orientation of x^perp.
 
@@ -134,7 +142,7 @@ def orientation_sign(x, frame4):
     x = np.asarray(x, dtype=complex)[..., None, :]
     rows = np.concatenate([x, 1j * x, np.asarray(frame4, dtype=complex)], axis=-2)
     d = np.linalg.det(rows.view(float).reshape(*rows.shape[:-2], 6, 6))
-    if np.any(abs(d) < 1e-14):
+    if np.any(abs(d) < _DEGENERATE_FRAME):
         raise DegenerateError("degenerate 4-frame")
     return np.where(d > 0, 1, -1)
 
@@ -260,14 +268,20 @@ class SectionMesh:
             raise MeshError("triangles must be an (F,3) integer array")
         if any(r.ndim != 1 or r.dtype.kind not in "iu" for r in runs):
             raise MeshError("side pairing runs must be 1-D integer arrays")
-        # numpy would wrap a negative index silently
-        every_run = np.concatenate([np.zeros(0, dtype=int), *runs])
-        for what, idx in (("triangles", tri), ("side pairing runs", every_run)):
-            if idx.size and (idx.min() < 0 or idx.max() >= len(x)):
-                raise MeshError(f"{what} index a vertex outside [0, {len(x)})")
-        bad = np.flatnonzero(sign_classes(x, TOL) != -1)
-        if bad.size:
-            raise MeshError(f"embedded vertex {bad[0]} is not a negative point")
+        # numpy would wrap a negative index silently; every index is checked
+        # at once, and the failing array is named only when one is out of range
+        every = np.concatenate([tri.ravel(), *runs])
+        if every.size and (every.min() < 0 or every.max() >= len(x)):
+            for what, idx in (("triangles", tri), ("side pairing runs", every[tri.size:])):
+                if idx.size and (idx.min() < 0 or idx.max() >= len(x)):
+                    raise MeshError(f"{what} index a vertex outside [0, {len(x)})")
+        norms, squares = _norms_and_squares(x)
+        # a norm strictly below its null band is negative; only a stack that
+        # may hold another class is classified
+        if not (-norms > TOL.null_band * squares).all():
+            bad = np.flatnonzero(_sign_code(norms, squares, TOL.null_band) != -1)
+            if bad.size:
+                raise MeshError(f"embedded vertex {bad[0]} is not a negative point")
         if any(len(a) != len(b) for a, b in zip(runs[0::2], runs[1::2])):
             raise MeshError("side pairing runs have different lengths")
         if not runs:
@@ -275,16 +289,15 @@ class SectionMesh:
         # every pairing's run images, one stack
         image = np.concatenate([x[a] @ p.isometry.matrix.T
                                 for p, a in zip(self.side_pairings, runs[0::2])])
-        run_a, run_b = np.concatenate(runs[0::2]), np.concatenate(runs[1::2])
-        target = x[run_b]
-        ta = abs(herm_rows(image, target)) ** 2 / (self_norms(image) * self_norms(target))
+        run_b = np.concatenate(runs[1::2])
+        ta = abs(herm_rows(image, x[run_b])) ** 2 / (self_norms(image) * norms[run_b])
         gap = abs(ta - 1.0)
-        bad = np.flatnonzero(gap > TOL.mesh)
-        if bad.size:
-            k = bad[0]
-            raise MeshError(
-                f"pairing maps vertex {run_a[k]} to tance gap {gap[k]:g} from {run_b[k]}"
-            )
+        if not (gap <= TOL.mesh).all():
+            bad = np.flatnonzero(gap > TOL.mesh)
+            if bad.size:
+                k = bad[0]
+                raise MeshError(f"pairing maps vertex {np.concatenate(runs[0::2])[k]} "
+                                f"to tance gap {gap[k]:g} from {run_b[k]}")
 
 
 # -- Toledo integrals --------------------------------------------------------
@@ -410,21 +423,48 @@ class FrameField:
     normal: np.ndarray
 
     def validate(self, mesh: SectionMesh, tol: Tolerances = TOL) -> None:
+        """Raise ``MeshError`` for the first vertex whose frame is not
+        g-orthonormal, not tangent, or negatively oriented.
+
+        The orientation comes from the Gram matrices the orthonormality
+        check forms, through ``_gram_pfaffians``: no basis and no
+        determinant per vertex.  As in ``orientation_sign``, an orthonormal
+        tangent frame whose determinant is below ``_DEGENERATE_FRAME`` raises
+        ``DegenerateError``.
+        """
         xh = _negative_units(mesh.vertices)
         vs = np.concatenate([self.tangent, self.normal], axis=1)
-        g = herm_rows(vs[:, :, None], vs[:, None]).real
-        not_orthonormal = (abs(g - np.eye(4)) > tol.orthogonality).any(axis=(1, 2))
-        not_tangent = (abs(herm_rows(vs, xh[:, None, :])) > tol.orthogonality).any(axis=1)
-        negative = np.zeros(len(vs), dtype=bool)
+        g = herm_rows(vs[:, :, None], vs[:, None])
+        off = abs(g.real - np.eye(4)) > tol.orthogonality
+        not_tangent = abs(herm_rows(vs, xh[:, None, :])) > tol.orthogonality
+        pf = _gram_pfaffians(g)
+        if not (off.any() or not_tangent.any() or not (pf >= _DEGENERATE_FRAME).all()):
+            return
+        not_orthonormal, not_tangent = off.any(axis=(1, 2)), not_tangent.any(axis=1)
+        # orthonormal tangent frames have determinant +-1, so only they are oriented
         ok = ~(not_orthonormal | not_tangent)
-        # orthonormal frames have determinant +-1, so only they are oriented
-        negative[ok] = orientation_sign(xh[ok], vs[ok]) < 0
+        if (ok & (abs(pf) < _DEGENERATE_FRAME)).any():
+            raise DegenerateError("degenerate 4-frame")
+        negative = ok & ~(pf > 0)
         fails = np.stack([not_orthonormal, not_tangent, negative])
-        if fails.any():
-            idx = int(np.flatnonzero(fails.any(axis=0))[0])
-            what = ("is not g-orthonormal", "is not tangent",
-                    "has negative orientation")[int(np.argmax(fails[:, idx]))]
-            raise MeshError(f"frame at vertex {idx} {what}")
+        idx = int(np.flatnonzero(fails.any(axis=0))[0])
+        what = ("is not g-orthonormal", "is not tangent",
+                "has negative orientation")[int(np.argmax(fails[:, idx]))]
+        raise MeshError(f"frame at vertex {idx} {what}")
+
+
+def _gram_pfaffians(g: np.ndarray) -> np.ndarray:
+    """Pfaffians of Im g for a (..., 4, 4) stack of Gram matrices
+    g[a, b] = <f_a, f_b> of tangent 4-frames.
+
+    Each is the determinant of its frame's real coordinates in a unitary
+    basis (b1, ib1, b2, ib2) of the tangent space, whose orientation is the
+    complex one: Im <,> is a real 2-form, its matrix in that basis has
+    Pfaffian 1 (Im <b, ib> = -1 for each b), and the Pfaffian of E^T W E is
+    det(E) Pf(W).
+    """
+    w = g.imag
+    return (w[..., 0, 1] * w[..., 2, 3] - w[..., 0, 2] * w[..., 1, 3]) + w[..., 0, 3] * w[..., 1, 2]
 
 
 def _log_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:

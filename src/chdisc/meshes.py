@@ -11,56 +11,72 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Isometry, ProjectivePoint, _isometry_stack, _unit_reps, polar_rows, self_norms
-from .disc import _disc_isometries, _disc_rotations, embed, triangle_vertices
+from .disc import _disc_isometries, _disc_rotations, triangle_vertices
 from .errors import DegenerateError
 from .geometry import (
     _aligned_pair,
     _geodesic_rows,
+    _negative_units,
+    _slerp_units,
     geodesic_interp,  # noqa: F401  (bench/tracer.py wraps chdisc.meshes.geodesic_interp)
 )
 from .invariants import SectionMesh, SidePairing
 
 
-def _fan_lattice(center: ProjectivePoint, corners, n: int, closed: bool):
+def _fan_lattice(center: np.ndarray, corners: np.ndarray, n: int, closed: bool):
     """Coned lattice over a polygon; returns (vertices, faces, outer, radial).
 
-    ``vertices`` is the (V,3) stack of unit representatives, centre first,
-    then the spokes corner by corner, then the inner points sector by
-    sector; ``faces`` is an (F,3) int array.  ``outer[k]`` indexes the
-    arclength-uniform run along the polygon side from corner k to corner
-    k+1; ``radial[k]`` the run from the centre to corner k.  Faces are
-    counterclockwise when the corners are.
+    ``center`` is a (3,) and ``corners`` an (m, 3) stack of Euclidean-unit
+    representatives (as ``ProjectivePoint`` stores them).  ``vertices`` is
+    the (V,3) stack of unit representatives, centre first, then the spokes
+    corner by corner, then the inner points sector by sector; ``faces`` is
+    an (F,3) int array.  ``outer[k]`` indexes the arclength-uniform run
+    along the polygon side from corner k to corner k+1; ``radial[k]`` the
+    run from the centre to corner k.  Faces are counterclockwise when the
+    corners are.
     """
     if n < 1:
         raise ValueError("refinement must be a positive integer")
     m = len(corners)
     sectors = m if closed else m - 1
+    per = n * (n - 1) // 2  # inner points per sector
+    w = n + 1
+    col = np.arange(w)
     # spokes[k, i-1] is the point at i/n from the centre to corner k
-    spokes = _geodesic_rows(center.v, np.array([v.v for v in corners])[:, None],
-                            np.arange(1, n + 1) / n)
-    spokes = spokes / np.linalg.norm(spokes, axis=-1, keepdims=True)
-    # row i of sector k: the points at j/i, 0 < j < i, between spokes k and k+1
-    i, j = (np.tile(a + 1, sectors) for a in np.tril_indices(n, -1))
-    sec = np.repeat(np.arange(sectors), n * (n - 1) // 2)
-    inner = _geodesic_rows(spokes[sec, i - 1], spokes[(sec + 1) % m, i - 1], j / i)
-    rows = _unit_reps(np.concatenate([spokes.reshape(-1, 3), inner]))
-    vertices = np.concatenate([center.v[None], rows])
+    spokes = _geodesic_rows(center, corners[:, None], col[1:] / n)
+    spokes = (spokes / np.linalg.norm(spokes, axis=-1, keepdims=True)).reshape(-1, 3)
+    # the inner points of a sector, at j/i along row i for 0 < j < i, rows
+    # ascending; row i of sector k runs from spoke k to spoke k+1 (spoke 0
+    # after the last)
+    i, j = np.nonzero((col > 0) & (col < col[:, None]))
+    ends = (np.arange(sectors + 1) % m * n)[:, None] + (i - 1)
+    units = _negative_units(spokes)
+    inner = _slerp_units(spokes[ends[:-1]], units[ends[:-1]], units[ends[1:]], j / i)
+    vertices = np.empty((1 + m * n + sectors * per, 3), dtype=complex)
+    vertices[0] = center
+    vertices[1:1 + m * n], vertices[1 + m * n:] = spokes, inner.reshape(-1, 3)
+    vertices[1:] = _unit_reps(vertices[1:])
 
-    radial = np.zeros((m, n + 1), dtype=int)
-    radial[:, 1:] = 1 + np.arange(m * n).reshape(m, n)
-    # lat[k, i, j]: vertex at j/i along row i of sector k, for 0 <= j <= i
-    lat = np.zeros((sectors, n + 1, n + 1), dtype=int)
+    # lat[k, i, j], 0 <= j <= i <= n: the vertex at j/i along row i of
+    # sector k.  The inner numbering is written over every entry, then the
+    # spokes over columns j = 0 and j = i (spoke k+1 ends the row).
+    lat = np.empty((sectors, w, w), dtype=int)
+    sector0 = m * n + ((col - 1) * (col - 2) // 2)[:, None] + col
+    lat[:] = sector0 + per * np.arange(sectors)[:, None, None]
+    radial = np.arange(m)[:, None] * n + col
+    radial[:, 0] = 0
     lat[:, :, 0] = radial[:sectors]
-    lat[:, np.arange(n + 1), np.arange(n + 1)] = radial[(np.arange(sectors) + 1) % m]
-    lat[sec, i, j] = 1 + m * n + np.arange(len(sec))
-    # row i holds 2i - 1 faces, alternating up (i-1,j)(i,j)(i,j+1) and
-    # down (i-1,j)(i,j+1)(i-1,j+1), j ascending
-    fi = np.repeat(np.arange(1, n + 1), 2 * np.arange(1, n + 1) - 1)
-    t = np.arange(len(fi)) - (fi - 1) ** 2
-    fj, down = t // 2, t % 2
-    faces = np.stack([lat[:, fi - 1, fj], lat[:, fi, fj + down], lat[:, fi - down, fj + 1]],
-                     axis=-1).reshape(-1, 3)
-    return vertices, faces, lat[:, n], radial
+    lat.reshape(sectors, -1)[:, ::w + 1] = radial[np.arange(1, sectors + 1) % m]
+    # row i holds faces (i-1)^2 .. i^2 - 1, alternating up (i-1,j)(i,j)(i,j+1)
+    # and down (i-1,j)(i,j+1)(i-1,j+1), j ascending: corners at offsets
+    # (0, w, w+1) or (0, w+1, 1) from lat[k, i-1, j]
+    f = np.arange(n * n)
+    above = np.sqrt(f).astype(int)  # i - 1
+    t = f - above * above
+    corner = (above * w + (t >> 1))[:, None] + np.array([[0, w, w + 1], [0, w + 1, 1]])[t & 1]
+    faces = lat.reshape(sectors, -1)[:, corner].reshape(-1, 3)
+    outer = lat[:, n]
+    return vertices, faces, outer, radial
 
 
 def turnover_section_mesh(n1: int, n2: int, n3: int, refinement: int = 8) -> SectionMesh:
@@ -74,10 +90,12 @@ def turnover_section_mesh(n1: int, n2: int, n3: int, refinement: int = 8) -> Sec
     z1, z2, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
     rotations = _disc_rotations([z1, z3], [2.0 * np.pi / n1, -2.0 * np.pi / n3])
     g1_inv, g3 = (Isometry(m) for m in rotations)
-    c2m = g1_inv(embed(z2))
-    center = embed(z1)
-    corners = [embed(z2), embed(z3), c2m]
-    vertices, faces, outer, radial = _fan_lattice(center, corners, refinement, closed=False)
+    # embed(z1), embed(z2), embed(z3), then c2' = g1^-1 c2 as Isometry.__call__ maps it
+    points = np.zeros((4, 3), dtype=complex)
+    points[:3, 0], points[:3, 1] = 1.0, (z1, z2, z3)
+    points[:3] = _unit_reps(points[:3])
+    points[3] = _unit_reps(rotations[0] @ points[1])
+    vertices, faces, outer, radial = _fan_lattice(points[0], points[1:], refinement, closed=False)
     pairings = [
         SidePairing(run_a=radial[0], run_b=radial[2], isometry=g1_inv),
         SidePairing(run_a=outer[0, ::-1], run_b=outer[1], isometry=g3),
@@ -91,6 +109,8 @@ def turnover_section_mesh(n1: int, n2: int, n3: int, refinement: int = 8) -> Sec
 # -- genus-2 octagon meshes --------------------------------------------------
 
 _OCTAGON_PAIRS = [(0, 2), (1, 3), (4, 6), (5, 7)]
+#: the unit representative of embed(0) and real_plane_point(0, 0)
+_ORIGIN = np.array([1.0, 0.0, 0.0], dtype=complex)
 
 
 def _octagon_circumradius() -> float:
@@ -110,11 +130,17 @@ def _real_frames(p: np.ndarray, q: np.ndarray):
     plane normal) as the columns of a (k, 3, 3) stack, for (k, 3) stacks of
     real-plane points, and the distances d(p_i, q_i)."""
     ph, qh, c, d = _aligned_pair(p, q)
+    # 1e-12 guards the division by sinh d and decides the verdict on a
+    # coincident pair; not a Tolerances field, since every field is written
+    # into each invariants report
     if (d < 1e-12).any():
         raise DegenerateError("coincident points give no direction")
-    ph, t = ph.real, (qh.real - c[:, None] * ph.real) / np.sinh(d)[:, None]
+    f = np.empty((len(d), 3, 3))
+    ph = f[..., 0] = ph.real
+    t = f[..., 1] = (qh.real - c[:, None] * ph) / np.sinh(d)[:, None]
     nrm = polar_rows(ph, t).real
-    return np.stack([ph, t, nrm / np.sqrt(self_norms(nrm))[:, None]], axis=-1), d
+    f[..., 2] = nrm / np.sqrt(self_norms(nrm))[:, None]
+    return f, d
 
 
 def _real_plane_isometries(p0, p1, q0, q1) -> np.ndarray:
@@ -123,6 +149,7 @@ def _real_plane_isometries(p0, p1, q0, q1) -> np.ndarray:
     stacked inverse, product and isometry check."""
     k = len(p0)
     f, d = _real_frames(np.concatenate([p0, q0]), np.concatenate([p1, q1]))
+    # the relative 1e-9 is that of _disc_isometries
     if (abs(d[:k] - d[k:]) > 1e-9 * np.maximum(1.0, d[:k])).any():
         raise DegenerateError("point pairs are not equidistant")
     return _isometry_stack((f[k:] @ np.linalg.inv(f[:k])).astype(complex))
@@ -155,23 +182,24 @@ def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:
     angles = [2.0 * np.pi * k / 8.0 + np.pi / 8.0 for k in range(8)]
     # pair k maps the side (k, k+1) onto (kp+1, kp)
     k, kp = np.array(_OCTAGON_PAIRS).T
+    corners = np.zeros((8, 3), dtype=complex)
+    corners[:, 0] = 1.0
     if kind == "complex":
         # curvature -4 disc: intrinsic distances are halved
         s = np.tanh(r1 / 2.0)
         zs = np.array([s * np.exp(1j * a) for a in angles])
-        center = embed(0.0)
-        corners = [embed(z) for z in zs]
+        corners[:, 1] = zs
+        corners = _unit_reps(corners)  # embed(z)
         pairs = _disc_isometries(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp])
     elif kind == "lagrangian":
         s = np.tanh(r1)
-        center = real_plane_point(0.0, 0.0)
-        corners = [real_plane_point(s * np.cos(a), s * np.sin(a)) for a in angles]
-        c = np.array([p.v for p in corners])
+        corners[:, 1:] = [(s * np.cos(a), s * np.sin(a)) for a in angles]
+        c = corners = _unit_reps(corners)  # real_plane_point(a, b)
         pairs = _real_plane_isometries(c[k], c[(k + 1) % 8], c[(kp + 1) % 8], c[kp])
     else:
         raise ValueError("kind must be 'complex' or 'lagrangian'")
 
-    vertices, faces, outer, _ = _fan_lattice(center, corners, refinement, closed=True)
+    vertices, faces, outer, _ = _fan_lattice(_ORIGIN, corners, refinement, closed=True)
     pairings = [
         SidePairing(run_a=outer[a], run_b=outer[b, ::-1], isometry=Isometry(m))
         for a, b, m in zip(k, kp, pairs)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chdisc import Isometry, ProjectivePoint, herm_form, polar_span
+from chdisc.core import herm_rows, self_norms
 
 
 @pytest.fixture
@@ -53,19 +54,32 @@ def random_isometry(rng, radius: float = 0.8) -> Isometry:
     return Isometry.from_matrix(m)
 
 
-def scalar_geodesic_interp(x: ProjectivePoint, y: ProjectivePoint, t: float) -> ProjectivePoint:
-    """One point at a time: the scalar slerp oracle for the geodesic kernel.
+def scalar_slerp(x: np.ndarray, y: np.ndarray, t: float):
+    """One point at a time: the unnormalised slerp of two representatives,
+    or None where they are closer than 1e-15.
 
     Representatives scaled to <x,x> = <y,y> = -1, y phase aligned so that
-    <x,y> = -cosh d, then (x sinh((1-t)d) + y sinh(td)) / sinh d.
+    <x,y> = -cosh d, then (x sinh((1-t)d) + y sinh(td)) / sinh d.  The
+    pairings are the one-vector case of the library's signed sums
+    (``herm_rows``, ``self_norms``), not ``herm_form``'s BLAS dot, whose
+    summation order depends on the BLAS kernel, and the phase is divided in
+    numpy, not as a Python complex: the oracle and the kernel then reduce
+    alike on every machine.
     """
-    xv = x.v / np.sqrt(-x.self_form())
-    yv = y.v / np.sqrt(-y.self_form())
-    p = herm_form(xv, yv)
-    if abs(p) >= 1e-15:
-        yv = yv * (-p / abs(p))
-    c = -herm_form(xv, yv).real
+    xv = x / np.sqrt(-self_norms(x))
+    yv = y / np.sqrt(-self_norms(y))
+    p = herm_rows(xv, yv)
+    if np.abs(p) >= 1e-15:
+        yv = yv * (-p / np.abs(p))
+    c = -herm_rows(xv, yv).real
     d = float(np.arccosh(max(c, 1.0)))
     if d < 1e-15:
-        return x
-    return ProjectivePoint((np.sinh((1.0 - t) * d) * xv + np.sinh(t * d) * yv) / np.sinh(d))
+        return None
+    return (np.sinh((1.0 - t) * d) * xv + np.sinh(t * d) * yv) / np.sinh(d)
+
+
+def scalar_geodesic_interp(x: ProjectivePoint, y: ProjectivePoint, t: float) -> ProjectivePoint:
+    """The scalar slerp oracle for the geodesic kernel: ``scalar_slerp`` of
+    the stored representatives as a point, x where they coincide."""
+    v = scalar_slerp(x.v, y.v, t)
+    return x if v is None else ProjectivePoint(v)

@@ -135,6 +135,24 @@ def test_orientation_sign_matches_the_tangent_basis_coordinates(rng):
         orientation_sign(xh[:1], frames[:1])
 
 
+def test_gram_pfaffians_have_the_sign_and_size_of_the_orientation_determinant(rng):
+    """The Pfaffian of Im <f_a, f_b> that FrameField.validate reads is the
+    determinant of the frame's real coordinates in a unitary tangent basis:
+    it has the sign of orientation_sign's 6x6 determinant for any tangent
+    4-frame, and the same value to rounding."""
+    points = [random_negative_point(rng) for _ in range(60)]
+    points += [embed(0.0), embed(0.4 - 0.2j), real_plane_point(0.3, -0.1)]
+    xh = np.array([normalized_negative(p) for p in points])
+    w = rng.normal(size=(len(xh), 4, 3)) + 1j * rng.normal(size=(len(xh), 4, 3))
+    frames = w + herm_rows(w, xh[:, None])[..., None] * xh[:, None]  # into x^perp
+    pf = invariants_module._gram_pfaffians(herm_rows(frames[:, :, None], frames[:, None]))
+    assert np.array_equal(np.where(pf > 0, 1, -1), orientation_sign(xh, frames))
+    basis = _unitary_tangent_basis(xh)
+    a = np.einsum("nfd,nkd->nfk", frames * np.array([-1.0, 1.0, 1.0]), basis.conj())
+    det = np.linalg.det(np.stack([a.real, a.imag], -1).reshape(-1, 4, 4))
+    np.testing.assert_allclose(pf, det, rtol=1e-9)
+
+
 # -- symplectic integrals ------------------------------------------------------
 
 def test_symplectic_area_closed_form_vs_quadrature(rng):
@@ -464,6 +482,84 @@ def test_frame_field_validate_rejects_bad_frames():
         getattr(broken, name)[k, slot] = vector
         with pytest.raises(MeshError, match=f"frame at vertex {k} {what}"):
             broken.validate(mesh)
+
+
+_CORRUPTED_MESHES = {
+    "turnover": lambda: turnover_section_mesh(3, 3, 4, refinement=4),
+    "complex": lambda: octagon_mesh("complex", refinement=3),
+    "lagrangian": lambda: octagon_mesh("lagrangian", refinement=3),
+}
+
+
+def _corrupt_frames(ff, xh, k, how):
+    if how == "flipped v2":
+        ff.normal[k, 1] *= -1.0
+    elif how == "flipped u2":
+        ff.tangent[k, 1] *= -1.0
+    elif how == "stretched":
+        ff.normal[k, 0] *= 1.0 + 1e-6
+    elif how == "skewed":
+        ff.tangent[k, 1] += 1e-6 * ff.tangent[k, 0]
+    else:  # off-tangent by 1e-6, still g-orthonormal to 1e-12
+        ff.normal[k, 0] += 1e-6 * xh[k]
+
+
+@pytest.mark.parametrize("kind", sorted(_CORRUPTED_MESHES))
+@pytest.mark.parametrize("how, what", [
+    ("flipped v2", "has negative orientation"),
+    ("flipped u2", "has negative orientation"),
+    ("stretched", "is not g-orthonormal"),
+    ("skewed", "is not g-orthonormal"),
+    ("off-tangent", "is not tangent"),
+])
+def test_frame_field_validate_names_the_first_corrupted_vertex(kind, how, what):
+    """Frames corrupted at vertices 7 and 3 fail at vertex 3, the first,
+    and the message names the check that failed there."""
+    mesh = _CORRUPTED_MESHES[kind]()
+    ff = build_frame_field(mesh)
+    ff.validate(mesh)
+    xh = np.array([normalized_negative(ProjectivePoint(v)) for v in mesh.vertices])
+    for k in (7, 3):
+        _corrupt_frames(ff, xh, k, how)
+    with pytest.raises(MeshError) as info:
+        ff.validate(mesh)
+    assert str(info.value) == f"frame at vertex 3 {what}"
+
+
+def test_frame_field_validate_keeps_the_degenerate_frame_verdict():
+    """A frame with u2 = u1 is not g-orthonormal at the default tolerances;
+    at an orthogonality bound loose enough to pass it, its vanishing
+    orientation determinant raises DegenerateError."""
+    mesh = _CORRUPTED_MESHES["turnover"]()
+    ff = build_frame_field(mesh)
+    ff.tangent[3, 1] = ff.tangent[3, 0]
+    with pytest.raises(MeshError, match="^frame at vertex 3 is not g-orthonormal$"):
+        ff.validate(mesh)
+    with pytest.raises(DegenerateError, match="^degenerate 4-frame$"):
+        ff.validate(mesh, Tolerances(orthogonality=10.0))
+
+
+@pytest.mark.parametrize("kind, pairing_error", [
+    ("turnover", "pairing maps vertex 8 to tance gap 0.196923 from 12"),
+    ("complex", "pairing maps vertex 18 to tance gap 4.82843 from 24"),
+    ("lagrangian", "pairing maps vertex 18 to tance gap 112.569 from 24"),
+])
+def test_section_mesh_check_names_a_missed_run_and_the_first_bad_vertex(kind, pairing_error):
+    """A last pairing whose run_b is rolled by one misses its run, and the
+    message names the first vertex it misses and by how much; positive
+    vertices at 9 and 5 fail at 5, and a null vertex at 4 fails."""
+    mesh = _CORRUPTED_MESHES[kind]()
+    last = mesh.side_pairings[-1]
+    with pytest.raises(MeshError) as info:
+        replace(mesh, side_pairings=[*mesh.side_pairings[:-1],
+                                     replace(last, run_b=np.roll(last.run_b, 1))])
+    assert str(info.value) == pairing_error
+    for rows, point in (([9, 5], F0.v), ([4], [1.0, 1.0, 0.0])):
+        vertices = mesh.vertices.copy()
+        vertices[rows] = point
+        with pytest.raises(MeshError) as info:
+            replace(mesh, vertices=vertices)
+        assert str(info.value) == f"embedded vertex {min(rows)} is not a negative point"
 
 
 def _svd_rotation(m):

@@ -223,6 +223,24 @@ def test_cli_turnover_invalid_signature(capsys):
     assert "invalid signature" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["turnover", "scan"])
+@pytest.mark.parametrize("flags, message", [
+    (["--mesh", "0"], "--mesh must be a positive finite edge length, got 0.0"),
+    (["--mesh", "nan"], "--mesh must be a positive finite edge length, got nan"),
+    (["--mesh", "-1"], "--mesh must be a positive finite edge length, got -1.0"),
+    (["--mesh", "inf"], "--mesh must be a positive finite edge length, got inf"),
+    (["--bend", "nan"], "--bend must be finite, got nan"),
+])
+def test_cli_rejects_mesh_lengths_and_bends_it_cannot_run(tmp_path, capsys, command, flags, message):
+    """A zero, NaN, negative or infinite --mesh and a NaN --bend are invalid
+    input (exit 3), not a traceback or a silently clipped refinement; no
+    artifact is written."""
+    out = tmp_path / "out"
+    assert main([command, "--n", "3", "3", "4", *flags, "--out", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_scan_dedupes_and_summarizes(tmp_path, capsys):
     rc = main(["scan", "--n", "3", "3", "4", "--n", "3", "3", "4",
                "--bend", "0", "--out", str(tmp_path), "--mesh", "0.2"])

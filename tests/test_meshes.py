@@ -22,7 +22,7 @@ from chdisc.meshes import (
 )
 from chdisc.representations import TurnoverSignature
 
-from conftest import scalar_geodesic_interp
+from conftest import scalar_slerp
 from oracles import (
     disc_isometry_per_call,
     disc_rotation_per_call,
@@ -33,16 +33,34 @@ from oracles import (
 from test_core import _blas_sums_in_order
 
 
-def _scalar_fan_lattice(center, corners, n, closed):
-    """One point at a time: the reference for ``_fan_lattice``."""
+def _scalar_fan_lattice(center, corners, n, closed, geometry=True):
+    """One point at a time: the reference for ``_fan_lattice``.  Without
+    ``geometry`` the points list holds the vertex numbers alone.
+
+    Each point is reduced as the lattice reduces it: a spoke point is
+    scaled by ``np.linalg.norm`` along its axis and the rows between spokes
+    start from those scaled spokes; every stored point then gets the
+    ``ProjectivePoint`` scaling."""
     m = len(corners)
     points = [center]
     radial = []
+    spokes = {}  # vertex number -> the scaled spoke row the inner rows start from
+
+    def spoke(v, t):
+        if not geometry:
+            return len(points)
+        row = scalar_slerp(center.v, v.v, t)
+        spokes[len(points)] = row = row / np.linalg.norm(row, axis=-1)
+        return ProjectivePoint(row)
+
+    def point(a, b, t):
+        return ProjectivePoint(scalar_slerp(spokes[a], spokes[b], t)) if geometry else len(points)
+
     for v in corners:
         chain = [0]
         for i in range(1, n + 1):
             chain.append(len(points))
-            points.append(scalar_geodesic_interp(center, v, i / n))
+            points.append(spoke(v, i / n))
         radial.append(chain)
 
     sectors = m if closed else m - 1
@@ -53,10 +71,10 @@ def _scalar_fan_lattice(center, corners, n, closed):
         rows = [[0]]
         for i in range(1, n + 1):
             row = [radial[ka][i]]
-            a, b = points[radial[ka][i]], points[radial[kb][i]]
+            a, b = radial[ka][i], radial[kb][i]
             for j in range(1, i):
                 row.append(len(points))
-                points.append(scalar_geodesic_interp(a, b, j / i))
+                points.append(point(a, b, j / i))
             row.append(radial[kb][i])
             rows.append(row)
         for i in range(1, n + 1):
@@ -66,6 +84,11 @@ def _scalar_fan_lattice(center, corners, n, closed):
                     faces.append((rows[i - 1][j], rows[i][j + 1], rows[i - 1][j + 1]))
         outer.append(rows[n])
     return points, faces, outer, radial
+
+
+def _rows(center, corners):
+    """The (3,) centre and (m, 3) corner stack ``_fan_lattice`` takes."""
+    return center.v, np.array([p.v for p in corners])
 
 
 def _fan_inputs(kind, arg):
@@ -96,7 +119,7 @@ FAN_CASES = [
 @pytest.mark.parametrize("kind, arg, n", FAN_CASES)
 def test_fan_lattice_matches_scalar_loop(kind, arg, n):
     center, corners, closed = _fan_inputs(kind, arg)
-    vertices, faces, outer, radial = _fan_lattice(center, corners, n, closed)
+    vertices, faces, outer, radial = _fan_lattice(*_rows(center, corners), n, closed)
     ref_points, ref_faces, ref_outer, ref_radial = _scalar_fan_lattice(center, corners, n, closed)
     assert faces.dtype.kind == outer.dtype.kind == radial.dtype.kind == "i"
     assert (faces.tolist(), outer.tolist(), radial.tolist()) == (
@@ -107,6 +130,23 @@ def test_fan_lattice_matches_scalar_loop(kind, arg, n):
             else octagon_mesh(arg, refinement=n))
     assert np.array_equal(mesh.vertices, vertices)
     assert np.array_equal(mesh.triangles, faces)
+
+
+@pytest.mark.parametrize("kind, arg", [("turnover", (3, 3, 4)), ("octagon", "complex")])
+@pytest.mark.parametrize("n", range(1, 25))
+def test_fan_lattice_topology_matches_the_scalar_loop_at_every_refinement(kind, arg, n):
+    """faces, outer and radial equal the loop's vertex numbers for open
+    (m = 3) and closed (m = 8) polygons at every refinement the CLI uses."""
+    center, corners, closed = _fan_inputs(kind, arg)
+    _, faces, outer, radial = _fan_lattice(*_rows(center, corners), n, closed)
+    _, ref_faces, ref_outer, ref_radial = _scalar_fan_lattice(center, corners, n, closed,
+                                                              geometry=False)
+    assert len(corners) == (3 if kind == "turnover" else 8)
+    assert faces.dtype.kind == outer.dtype.kind == radial.dtype.kind == "i"
+    assert faces.shape == (len(ref_faces), 3)
+    assert (faces == np.array(ref_faces)).all()
+    assert (outer == np.array(ref_outer)).all()
+    assert (radial == np.array(ref_radial)).all()
 
 
 def _wrapped_fan_vertices(center, corners, n, closed):
