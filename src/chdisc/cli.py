@@ -78,6 +78,18 @@ def _number_error(mesh: float, bends) -> str | None:
     return None
 
 
+def _tol_error(tol: float | None) -> str | None:
+    """Why a ``--tol`` strict margin cannot be run, or None.
+
+    The margin must be finite and >= 0: NaN or infinity cannot be written
+    into a certificate's JSON, and a negative margin would pass a strict
+    inequality by a slack it does not have.
+    """
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        return f"--tol must be a finite strict margin >= 0, got {tol}"
+    return None
+
+
 def _refinement_for(sig: TurnoverSignature, h: float) -> int:
     z1, z2, z3 = triangle_vertices(*sig.angles())
     side = max(disc_distance(z1, z2), disc_distance(z2, z3), disc_distance(z3, z1))
@@ -137,6 +149,10 @@ def run_turnover(sig: TurnoverSignature, bend: float, seed: int, mesh_h: float,
 
 
 def cmd_check_quadrangle(args) -> int:
+    error = _tol_error(args.tol)
+    if error:
+        print(f"invalid input: {error}", file=sys.stderr)
+        return EXIT_INVALID
     config = load_quadrangle(args.input)
     cert = validate_quadrangle(config, tol=_tolerances(args))
     out_dir = Path(args.out) if args.out else Path(args.input).parent
@@ -157,7 +173,7 @@ def _signature(ns) -> TurnoverSignature:
 
 
 def cmd_turnover(args) -> int:
-    error = _number_error(args.mesh, [args.bend])
+    error = _number_error(args.mesh, [args.bend]) or _tol_error(args.tol)
     if error:
         print(f"invalid input: {error}", file=sys.stderr)
         return EXIT_INVALID
@@ -223,7 +239,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    error = _number_error(args.mesh, args.bend)
+    error = _number_error(args.mesh, args.bend) or _tol_error(args.tol)
     if error:
         print(f"invalid input: {error}", file=sys.stderr)
         return EXIT_INVALID

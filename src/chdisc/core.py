@@ -32,7 +32,7 @@ FORM_MATRIX = np.diag([-1.0, 1.0, 1.0])
 
 _SIGNS = np.array([-1.0, 1.0, 1.0])
 _CUBE_ROOTS = np.exp(2j * np.pi * np.arange(3) / 3)
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_NEXT_PREV, _PREV_NEXT = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 _SEEDS = np.eye(3, dtype=complex)
 
 
@@ -204,6 +204,12 @@ def _unit_reps(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(dot_rows(v.real, v.real) + dot_rows(v.imag, v.imag))[..., None]
 
 
+def _euclidean_units(x: np.ndarray) -> np.ndarray:
+    """x / np.linalg.norm(x, axis=-1, keepdims=True) over a (..., n) stack:
+    that function's own formula, bit for bit, without its argument handling."""
+    return x / np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1, keepdims=True))
+
+
 def _py_quotients(a, b):
     """Elementwise a / b as CPython divides complex numbers (Smith's method).
 
@@ -248,14 +254,14 @@ def _py_products(a, b):
 def self_norms(x: np.ndarray) -> np.ndarray:
     """<x_i, x_i> for every row of a (..., 3) stack; real."""
     x = np.asarray(x, dtype=complex)
-    return _signed(x.real ** 2 + x.imag ** 2)
+    return _signed(np.square(x.real) + np.square(x.imag))
 
 
 def _norms_and_squares(x: np.ndarray):
     """(<x_i, x_i>, |x_i|^2) for every row of a (..., 3) stack, from one |x|^2
     pass; the Euclidean sum adds left to right, as ``sum(axis=-1)`` does."""
     x = np.asarray(x, dtype=complex)
-    q = x.real ** 2 + x.imag ** 2
+    q = np.square(x.real) + np.square(x.imag)
     return _signed(q), (q[..., 0] + q[..., 1]) + q[..., 2]
 
 
@@ -281,13 +287,28 @@ def min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.nda
 
     arccosh(sqrt(.)) is taken only of the tances within a relative 1e-12 of
     each minimum tance: libm's few-ulp error cannot reorder entries further
-    apart than that, so the minimum distance keeps its bits.
+    apart than that, so the minimum distance keeps its bits.  A stack whose
+    rows are all strictly negative and whose minimum tances all clear the
+    floor takes every masked minimum in one pass; any other stack is
+    diagnosed k by k, so that the first failing k raises.
     """
-    rows = np.concatenate([x, y], axis=-2)
-    bad = (sign_classes(rows.reshape(-1, 3), tol) != -1).reshape(rows.shape[:-1]).any(axis=-1)
+    n = x.shape[-2]
+    s, sq = _norms_and_squares(np.concatenate([x, y], axis=-2))
+    # a norm strictly beyond the band is negative in any band: no zero to divide by
+    if (s < -abs(tol.null_band) * sq).all():
+        ta = _gram_tances(gram(x, y), s[..., :n], s[..., n:])
+        low = ta.min(axis=(-2, -1))
+        if low.min() >= 1.0 - _TANCE_FLOOR_SLACK:
+            near = ta <= low[..., None, None] * (1.0 + 1e-12)
+            d = np.arccosh(np.sqrt(np.maximum(ta[near], 1.0)))  # k by k, in order
+            if len(d) == len(low):  # each minimum stands alone
+                return d
+            counts = near.sum(axis=(-2, -1))
+            return np.minimum.reduceat(d, counts.cumsum() - counts)
+    bad = (_sign_code(s, sq, tol.null_band) != -1).any(axis=-1)
     # a failing k may divide by a zero norm here; its check below raises
     with np.errstate(divide="ignore", invalid="ignore"):
-        ta = _tance_values(x, y)
+        ta = _gram_tances(gram(x, y), s[..., :n], s[..., n:])
         low = ta.min(axis=(-2, -1))
     out = []
     for k in range(len(ta)):
@@ -298,8 +319,15 @@ def min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.nda
 
 
 def _tance_values(x, y):
-    g = gram(x, y)
-    return (g.real ** 2 + g.imag ** 2) / (self_norms(x)[..., :, None] * self_norms(y)[..., None, :])
+    return _gram_tances(gram(x, y), self_norms(x), self_norms(y))
+
+
+def _gram_tances(g, nx, ny):
+    """Tances ta(x_i, y_j) from ``gram(x, y)`` and the self norms of x and y."""
+    ta = np.square(g.real)
+    ta += np.square(g.imag)
+    ta /= nx[..., :, None] * ny[..., None, :]
+    return ta
 
 
 def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
@@ -309,32 +337,45 @@ def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
     skipping a seed whose remainder has form norm <= 1e-12: e0 at the
     origin, e1 on the complex line x2 = 0 (where e2 takes its slot).
     Returns an (N, 2, 3) stack; raises ``ClassError`` if a row is not
-    negative.  Every step runs on whole columns and picks each row's seeds
-    with ``np.where``.  A row gets the bits of a masked loop over the seeds
-    that projects each remainder against both slots, filled or empty: a
-    remainder s - c x has no negative zero (negating c x and adding 1 in
-    column k alone would make some), so an empty slot changes nothing.
+    negative.  Every step runs on whole columns; where some row skips a
+    seed, each row's seeds are picked with ``np.where``.  A row gets the
+    bits of a masked loop over the seeds that projects each remainder
+    against both slots, filled or empty: a remainder s - c x has no negative
+    zero (negating c x and adding 1 in column k alone would make some), so
+    an empty slot changes nothing.
     """
     q = self_norms(x)
-    bad = np.flatnonzero(q >= 0)
-    if bad.size:
-        raise ClassError(f"row {bad[0]} is not a negative point")
+    if (q >= 0).any():
+        raise ClassError(f"row {np.flatnonzero(q >= 0)[0]} is not a negative point")
     xs = x / np.sqrt(-q)[:, None]
     nx = self_norms(xs)
     w = _seed_remainders(xs, nx)
     nw = self_norms(w[:, :2])
-    # slot 0: e0, or e1 where e0 is skipped
+    out = np.empty((len(x), 2, 3), dtype=complex)
+    # slot 0: e0, or e1 where e0 is skipped (np.where only if some row skips)
     skip0 = nw[:, 0] <= 1e-12
-    nu0 = np.where(skip0, nw[:, 1], nw[:, 0])
-    u = np.where(skip0[:, None], w[:, 1], w[:, 0]) / np.sqrt(nu0)[:, None]
+    if skip0.any():
+        nu0 = np.where(skip0, nw[:, 1], nw[:, 0])
+        np.divide(np.where(skip0[:, None], w[:, 1], w[:, 0]), np.sqrt(nu0)[:, None], out=out[:, 0])
+    else:
+        np.divide(w[:, 0], np.sqrt(nw[:, 0])[:, None], out=out[:, 0])
+    u = out[:, 0]
     nu = self_norms(u)
-    # slot 1: the next seed with a remainder against slot 0, from the
-    # remainders of e1 and e2 against u, both in one pass
-    v = w[:, 1:] - (herm_rows(w[:, 1:], u[:, None]) / nu[:, None])[..., None] * u[:, None]
+    # slot 1: the next seed with a remainder against slot 0: e1's, or e2's
+    # where e0 or e1 is skipped (formed only if some row skips one)
+    v = _remainders(w[:, 1], u, nu)
     nv = self_norms(v)
-    short = skip0 | (nv[:, 0] <= 1e-12)
-    v, nv = np.where(short[:, None], v[:, 1], v[:, 0]), np.where(short, nv[:, 1], nv[:, 0])
-    return np.stack([u, v / np.sqrt(nv)[:, None]], axis=1)
+    short = skip0 | (nv <= 1e-12)
+    if short.any():
+        v2 = _remainders(w[:, 2], u, nu)
+        v, nv = np.where(short[:, None], v2, v), np.where(short, self_norms(v2), nv)
+    np.divide(v, np.sqrt(nv)[:, None], out=out[:, 1])
+    return out
+
+
+def _remainders(w: np.ndarray, u: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    # w - (<w, u>/<u, u>) u row by row, <u, u> = nu given
+    return w - (herm_rows(w, u) / nu)[:, None] * u
 
 
 def _seed_remainders(xs: np.ndarray, nx: np.ndarray) -> np.ndarray:
@@ -346,9 +387,10 @@ def _seed_remainders(xs: np.ndarray, nx: np.ndarray) -> np.ndarray:
 
 def polar_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise ``polar_span``, unnormalized: J conj(x_i cross y_i) over (..., 3) stacks."""
-    # np.cross's own formula, without its axis handling (it dominates a 3-vector call)
-    c = np.take(x, _NEXT, -1) * np.take(y, _PREV, -1) - np.take(x, _PREV, -1) * np.take(y, _NEXT, -1)
-    return _SIGNS * np.conj(c)
+    # np.cross's own formula, without its axis handling (it dominates a
+    # 3-vector call): both products x[next] y[prev] and x[prev] y[next] in one
+    c = np.take(x, _NEXT_PREV, -1) * np.take(y, _PREV_NEXT, -1)
+    return _SIGNS * np.conj(c[..., :3] - c[..., 3:])
 
 
 def polar_span(x: ProjectivePoint, y: ProjectivePoint) -> ProjectivePoint:

@@ -9,13 +9,13 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
+    _euclidean_units,
     _norms_and_squares,
     _sign_code,
     classify,
     herm_rows,
     polar_rows,
     self_norms,
-    sign_classes,
     tance,
 )
 from .errors import (
@@ -62,7 +62,9 @@ def _phase_align(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     p = herm_rows(x, y)
     a = np.abs(p)
     # 1e-15 and 1e-300 guard the division by |p|; they decide no verdict
-    return y * np.where(a < 1e-15, 1.0, -p / np.maximum(a, 1e-300))[..., None]
+    if (a < 1e-15).any():
+        return y * np.where(a < 1e-15, 1.0, -p / np.maximum(a, 1e-300))[..., None]
+    return y * (-p / a)[..., None]
 
 
 def _negative_units(x: np.ndarray) -> np.ndarray:
@@ -128,7 +130,7 @@ def _bisector_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Euclidean-unit polar f = J conj(s1 x s2) / |.| of the complex spine."""
     s2 = _phase_align(x, y)
     f = polar_rows(x, s2)
-    return np.stack([x, s2, f / np.linalg.norm(f, axis=-1, keepdims=True)], axis=-1)
+    return np.stack([x, s2, _euclidean_units(f)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -149,48 +151,70 @@ class BisectorSegment:
     end_slices: tuple[ComplexGeodesic, ComplexGeodesic]
 
 
-def _parallel_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise ``ProjectivePoint.is_parallel_to`` for Euclidean-unit rows."""
-    return np.abs(np.abs((x * np.conj(y)).sum(axis=-1)) - 1.0) < 1e-9
+#: The classes wanted of the feet x, y and the spine polar: -1, -1, +1.
+_FOOT_FOOT_POLAR = np.array([-1.0, -1.0, 1.0])[:, None]
 
 
 def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
-    """(x, y, basis): common perpendiculars of P(p_i^perp) and P(q_i^perp) over
+    """(feet, basis): common perpendiculars of P(p_i^perp) and P(q_i^perp) over
     (K,3) stacks of Euclidean-unit positive polars.
 
-    The feet x = q - (<q,p>/<p,p>) p on P(p^perp) and y = p - (<p,q>/<q,q>) q
-    are Euclidean-unit, y not phase aligned with x; basis = ``_bisector_basis(x, y)``.
+    feet is the (2, K, 3) stack of the feet x = q - (<q,p>/<p,p>) p on
+    P(p^perp) and y = p - (<p,q>/<q,q>) q, Euclidean-unit, y not phase
+    aligned with x; basis = ``_bisector_basis(x, y)``.
     Raises the error of the first failing check of the first failing pair.
+    One strict test accepts a stack on which no check can fail; only a stack
+    that fails it is diagnosed pair by pair.
     """
+    k = len(p)
+    rows = np.empty((5, k, 3), dtype=complex)  # p, q, x, y and the spine polar
+    rows[0], rows[1] = p, q
     pq = herm_rows(p, q)
-    pp, qq = self_norms(p), self_norms(q)
+    s, sq = _norms_and_squares(rows[:2])
+    coef = np.empty((2, k), dtype=complex)
+    coef[0], coef[1] = np.conj(pq), pq
     # a failing pair may divide by zero here; its check below raises
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = q - (np.conj(pq) / pp)[:, None] * p
-        y = p - (pq / qq)[:, None] * q
-        x = x / np.linalg.norm(x, axis=1, keepdims=True)
-        y = y / np.linalg.norm(y, axis=1, keepdims=True)
-        basis = _bisector_basis(x, y)
+        coef /= s
+        # x = q - (<q,p>/<p,p>) p and y = p - (<p,q>/<q,q>) q, both in one pass
+        rows[2:4] = _euclidean_units(rows[1::-1] - coef[..., None] * rows[:2])
+        feet = rows[2:4]
+        basis = _bisector_basis(*feet)
+    rows[4] = basis[..., 2]
+    fs, fsq = _norms_and_squares(rows[2:])
+    # ProjectivePoint.is_parallel_to of (p, q) and of (x, y), Euclidean-unit
+    # rows: parallel when | |p . conj(q)| - 1 | < 1e-9.  The 1e-9 decides
+    # both DegenerateError verdicts; it is not a Tolerances field because
+    # InvariantReport.to_json_dict writes every field into each .report.json,
+    # whose bytes a new field would change.
+    dots = np.abs(np.abs((rows[0:3:2] * np.conj(rows[1:4:2])).sum(axis=-1)) - 1.0)
+    tances = (np.square(pq.real) + np.square(pq.imag)) / (s[0] * s[1])
+    # p and q take the null test itself; x, y and the spine polar pass when
+    # their self norm lies strictly beyond the band on the wanted side,
+    # which gives the wanted class in any band
+    if (dots.min() >= 1e-9 and (tances - 1.0).min() >= tol.asymptotic
+            and (np.abs(s) >= tol.null_band * sq).all()
+            and (fs * _FOOT_FOOT_POLAR > abs(TOL.null_band) * fsq).all()):
+        return feet, basis
     # one sign-class pass over p, q (the caller's null band) and x, y, the
     # spine polar (the default one)
-    rows = np.concatenate([p, q, x, y, basis[..., 2]])
-    band = np.repeat([tol.null_band, TOL.null_band], [2 * len(p), 3 * len(p)])
-    cp, cq, cx, cy, cf = _sign_code(*_norms_and_squares(rows), band).reshape(5, -1)
+    cp, cq = _sign_code(s, sq, tol.null_band)
+    cx, cy, cf = _sign_code(fs, fsq, TOL.null_band)
     # per pair in this order: mutual position, feet, spine, spine polar
     checks = [
-        (_parallel_rows(p, q), DegenerateError, "identical complex geodesics have no mutual position"),
+        (dots[0] < 1e-9, DegenerateError, "identical complex geodesics have no mutual position"),
         ((cp == 0) | (cq == 0), NullPointError, "tance is undefined for null points"),
-        ((pq.real ** 2 + pq.imag ** 2) / (pp * qq) - 1.0 < tol.asymptotic,
+        (tances - 1.0 < tol.asymptotic,
          NotUltraparallelError, "common perpendicular needs ultraparallel geodesics"),
         ((cx != -1) | (cy != -1), ClassError, "feet of the common perpendicular are not negative points"),
-        (_parallel_rows(x, y), DegenerateError, "a geodesic needs two distinct points"),
+        (dots[1] < 1e-9, DegenerateError, "a geodesic needs two distinct points"),
         (cf != 1, ClassError, "spine polar is not positive"),
     ]
     fails = np.array([c[0] for c in checks])
     if fails.any():
         _, error, message = checks[fails[:, fails.any(axis=0).argmax()].argmax()]
         raise error(message)
-    return x, y, basis
+    return feet, basis
 
 
 def common_perpendicular(
@@ -203,7 +227,7 @@ def common_perpendicular(
     path calls it (K3 uses the rows directly); bench/tracer.py wraps it by
     this name.
     """
-    x, y, basis = _perpendicular_rows(c1.polar.v[None], c2.polar.v[None], tol)
+    (x, y), basis = _perpendicular_rows(c1.polar.v[None], c2.polar.v[None], tol)
     f1, f2, s2, fu = (ProjectivePoint(v) for v in (x[0], y[0], basis[0, :, 1], basis[0, :, 2]))
     bis = Bisector(spine=Geodesic(f1, s2), polar_f=fu, complex_spine=ComplexGeodesic(fu))
     return BisectorSegment(bisector=bis, feet=(f1, f2), end_slices=(c1, c2))
@@ -218,9 +242,13 @@ def _slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> n
     unless every row x = alpha s1 + beta s2 + gamma f has alpha, beta real up to
     a common phase and gamma = 0, within ``tol.on_spine``.
     """
-    if (sign_classes(xs.reshape(-1, 3), tol) != -1).any():
+    s, sq = _norms_and_squares(xs)
+    # a norm strictly beyond the band is negative in any band; the classes
+    # are formed only when some row is not
+    if not (s < -abs(tol.null_band) * sq).all() and (_sign_code(s, sq, tol.null_band) != -1).any():
         raise ClassError("slice points must be negative")
-    alpha, beta, gamma = np.moveaxis(np.linalg.solve(basis, np.swapaxes(xs, -1, -2)), -2, 0)
+    coords = np.linalg.solve(basis, np.swapaxes(xs, -1, -2))
+    alpha, beta, gamma = coords[..., 0, :], coords[..., 1, :], coords[..., 2, :]
     # n > 0: a negative row is no multiple of the positive polar f
     n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
     residual = np.abs((alpha * np.conj(beta)).imag) / n + np.abs(gamma) / np.sqrt(n)

@@ -10,6 +10,7 @@ numerical sub-checks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .core import (
     POSITIVE,
     ProjectivePoint,
     _SIGNS,
+    _euclidean_units,
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
     dot_rows,
@@ -35,8 +37,9 @@ from .core import (
 from .errors import ClassError, DegenerateError, NotTransversalError, NullPointError
 from .geometry import (
     ComplexGeodesic,
-    _geodesic_rows,
+    _negative_units,
     _perpendicular_rows,
+    _slerp_units,
     _slice_polars,
     common_perpendicular,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.common_perpendicular)
 )
@@ -161,8 +164,10 @@ def _side_values(coords: np.ndarray) -> np.ndarray:
     bisector: it vanishes on the bisector and its sign tells the two sides apart.
     """
     alpha, beta = coords[..., 0], coords[..., 1]
-    n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    n = np.square(np.abs(alpha)) + np.square(np.abs(beta))
     num = (alpha * np.conj(beta)).imag
+    if n.min() > 0:  # no zero to divide around
+        return num / n
     return np.divide(num, n, out=np.zeros_like(num), where=n > 0)
 
 
@@ -186,38 +191,66 @@ def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarra
     return (dp * n - p * dn) / n ** 2
 
 
+#: The signs of <f, f> and <x, x> for a (polar, centre) pair of ``_slice_samples``.
+_POLAR_CENTRE = np.array([1.0, -1.0])[:, None]
+
 #: The 8 equally spaced phases e^{i phi} of each ``_slice_samples`` ring.
 _RING_PHASES = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))[:, None]
 
 
-def _slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius: float | np.ndarray = 1.0):
+@functools.lru_cache(maxsize=8)
+def _ring_table(n: int, radii: tuple):
+    """(cosh r, sinh r e^{i phi}) of the n - 1 ring points that
+    ``_slice_samples`` places around each centre, for one radius per row.
+
+    The rings lie at distances linspace(0.15, radius, max((n-1)//8, 1)) with
+    8 equally spaced phases each; a set takes their first n - 1 points, or
+    all of them when they hold fewer (n = 10 and n = 20 take 8 and 16).
+    Both arrays are (len(radii), points, 1) and read-only; they depend on n
+    and the radii alone, so a K3 check reads them from this cache instead of
+    forming them.
+    """
+    r = np.linspace(0.15, np.array(radii), max(max(n - 1, 1) // 8, 1), axis=1)[:, :, None, None]
+    shape = (len(radii), -1, 1)
+    ch = np.broadcast_to(np.cosh(r), r.shape[:2] + _RING_PHASES.shape).reshape(shape)
+    sh = (np.sinh(r) * _RING_PHASES).reshape(shape)
+    table = tuple(np.ascontiguousarray(c[:, : max(n - 1, 0)]) for c in (ch, sh))
+    for c in table:
+        c.flags.writeable = False
+    return table
+
+
+def _slice_samples(sets: np.ndarray, rings) -> np.ndarray:
     """Sample points of the complex geodesics P(polar_i^perp) around points on them.
 
-    For each (polar, centre) row pair: the centre, then the first n - 1
-    points of rings at distances linspace(0.15, radius, max((n-1)//8, 1))
-    with 8 equally spaced phases each (fewer when the rings hold fewer
-    points); ``radius`` is one value or one per row.  Returns the unit-norm
-    rows stacked centre by centre.
+    ``sets`` is a (2, K, 3) stack of K positive polars and K negative
+    centres, one on each polar's complex geodesic.  For each set: the
+    centre, then its ring points cosh(r) x + sinh(r) e^{i phi} d, with x the
+    centre and d a unit direction in the slice, from the ``_ring_table``
+    ``rings`` of matching rows.  Returns the unit-norm rows stacked centre
+    by centre.
     """
-    f = polars / np.sqrt(self_norms(polars))[:, None]
-    x = centers / np.sqrt(-self_norms(centers))[:, None]
+    ch, sh = rings
+    # polars scaled to <,> = 1 and centres to <,> = -1, in one pass
+    f, x = sets / np.sqrt(self_norms(sets) * _POLAR_CENTRE)[..., None]
     # direction inside the slice plane: the first of w1, w2, w1 + w2 lying
-    # in polar^perp, else w1 projected into polar^perp
+    # in polar^perp, else w1 projected into polar^perp.  The 1e-8 decides
+    # which direction the rings take, so it moves the K3 margins; it is not
+    # a Tolerances field because InvariantReport.to_json_dict writes every
+    # field into each .report.json, whose bytes a new field would change.
     w = _unitary_tangent_basis(x)
-    cands = np.stack([w[:, 0], w[:, 1], w[:, 0] + w[:, 1]], axis=1)
-    inside = np.abs(herm_rows(cands, f[:, None])) < 1e-8
-    d = np.where(
-        inside.any(axis=1)[:, None],
-        cands[np.arange(len(x)), inside.argmax(axis=1)],
-        w[:, 0] - herm_rows(w[:, 0], f)[:, None] * f,
-    )
+    cands = np.concatenate([w, (w[:, 0] + w[:, 1])[:, None]], axis=1)
+    h = herm_rows(cands, f[:, None])
+    d = w[:, 0] - h[:, :1] * f
+    inside = np.abs(h) < 1e-8
+    if inside.any():  # the candidates are taken only where some lies inside
+        d = np.where(inside.any(axis=1)[:, None], cands[np.arange(len(x)), inside.argmax(axis=1)], d)
     d = d / np.sqrt(self_norms(d))[:, None]
-    r = np.linspace(0.15, np.broadcast_to(radius, len(x)), max(max(n - 1, 1) // 8, 1), axis=1)
-    r = r[:, :, None, None]
-    rings = np.cosh(r) * x[:, None, None] + (np.sinh(r) * _RING_PHASES) * d[:, None, None]
-    rings = rings.reshape(len(x), -1, 3)[:, : max(n - 1, 0)]
-    pts = np.concatenate([x[:, None], rings], axis=1).reshape(-1, 3)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.empty((len(x), 1 + ch.shape[1], 3), dtype=complex)
+    pts[:, 0] = x
+    np.add(ch * x[:, None], sh * d[:, None], out=pts[:, 1:])
+    pts = pts.reshape(-1, 3)
+    return _euclidean_units(pts)
 
 
 @dataclass
@@ -282,13 +315,24 @@ def polars_digest(polars) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-#: Arclength fractions of the 8 spine points that sample each K3(c) segment.
-_SPINE_T = np.linspace(0.0, 1.0, 8)
-
 #: The ordered polar pairs (i, j), 0-based, of the K3 common perpendiculars;
 #: x_k lies on C_i, y_k on C_j.  Rows 0, 3, 5, 7 are the segments B12, B34,
 #: B23, B41.
 _K3_PAIRS = np.array([(0, 1), (2, 1), (0, 3), (2, 3), (1, 3), (1, 2), (3, 2), (3, 0)])
+
+#: The geodesics of one slerp pass: the spines of the segments B12, B34, B23
+#: and B41 at 8 arclength fractions each, which K3(c) samples, and the spine
+#: of B[C2,C4] at its midpoint, K3(b)'s reference point.
+_SLERP_PAIRS = [0, 3, 5, 7, 4]
+_SLERP_T = np.array([np.linspace(0.0, 1.0, 8)] * 4 + [[0.5] * 8])
+
+#: The ring radii of the 36 K3 slice sample sets: (a) around the feet on C2
+#: and C4, (b) two sets on C3, (c) the 32 spine points.
+_K3_RADII = (1.0, 1.0, 0.8, 0.8) + (1.5,) * 32
+
+#: The side coordinates of K3(a), one row per side function: B[C1,Ck] and
+#: B[C3,Ck] for the shared slices k = 2, 4.
+_K3_A_SIDES = np.array([[0, 2], [1, 3]])
 
 
 def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck]:
@@ -299,13 +343,26 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     condition on C3 relative to the bisectors through C1, and (c)
     disjointness of the two pairs of non-adjacent segments.
 
+    The stages run in this order, each on one stack:
+      1. the 8 common perpendiculars of ``_K3_PAIRS`` (``_perpendicular_rows``);
+      2. one slerp pass over the four segment spines at 8 points each and
+         the spine of B[C2,C4] at its midpoint (``_slerp_units``);
+      3. the slice polars through the 32 spine points (``_slice_polars``);
+      4. the 36 slice sample sets (``_slice_samples``), their rings read
+         from ``_ring_table``;
+      5. (a), (b) and (c) on those sets, in that order.
+    A kernel that checks its input tests the whole stack once and returns
+    at once when no check can fail; only a stack that fails that test is
+    diagnosed row by row, which raises the error the row-by-row checks
+    raise, in the same order.
+
     A slice sample set has n = max(k3_samples // 8, 4) points (8 at the
-    default k3_samples = 64; ``_slice_samples`` gives the caveats for
-    larger n).  (a) takes the smallest tangent-hyperplane angle over one
-    set around the foot on the shared slice; (b) takes the smallest signed
-    side value over one set of C3, and fails when its reference point lies
-    on the bisector within ``tol.strict_margin``; (c) samples each segment
-    at 8 spine points x n slice points (64 by default) and takes the exact
+    default k3_samples = 64; ``_ring_table`` gives the caveats for larger
+    n).  (a) takes the smallest tangent-hyperplane angle over one set
+    around the foot on the shared slice; (b) takes the smallest signed side
+    value over one set of C3, and fails when its reference point lies on
+    the bisector within ``tol.strict_margin``; (c) samples each segment at
+    8 spine points x n slice points (64 by default) and takes the exact
     minimum distance over all sampled pairs (4096 by default): one stacked
     Gram of both segment pairs gives every tance, and ``min_distances``
     takes arccosh(sqrt(.)) only of those within a relative 1e-12 of each
@@ -320,38 +377,47 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     if p1.is_parallel_to(p3) or p2.is_parallel_to(p4):
         return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
     polars = np.array([p.v for p in q.polars])
-    x, y, basis = _perpendicular_rows(polars[_K3_PAIRS[:, 0]], polars[_K3_PAIRS[:, 1]], tol)
+    feet, basis = _perpendicular_rows(*polars[_K3_PAIRS.T], tol)
     coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
-    seg = [0, 3, 5, 7]
-    spine = _geodesic_rows(x[seg, None], y[seg, None], _SPINE_T)
-    # sets around the feet on C2, C4 (a) and C3 (b), then the segments' spine points (c)
-    samples = _slice_samples(
-        np.concatenate([polars[[1, 3, 2, 2]], _slice_polars(basis[seg], spine, tol).reshape(-1, 3)]),
-        np.concatenate([y[[0, 2, 5, 6]], spine.reshape(-1, 3)]),
-        max(tol.k3_samples // 8, 4),
-        np.repeat([1.0, 0.8, 1.5], [2, 2, 32]),
-    ).reshape(36, -1, 3)
+    ends = feet[:, _SLERP_PAIRS, None]
+    spine = _slerp_units(ends[0], *_negative_units(ends), _SLERP_T)
+    mid, spine = spine[4, 0], spine[:4]
+    # polars and centres of the sets around the feet on C2, C4 (a) and on
+    # C3 (b), then of the sets around the segments' spine points (c)
+    sets = np.empty((2, 36, 3), dtype=complex)
+    sets[0, :4], sets[1, :4] = polars[[1, 3, 2, 2]], feet[1, [0, 2, 5, 6]]
+    sets[0, 4:] = _slice_polars(basis[[0, 3, 5, 7]], spine, tol).reshape(-1, 3)
+    sets[1, 4:] = spine.reshape(-1, 3)
+    samples = _slice_samples(sets, _ring_table(max(tol.k3_samples // 8, 4), _K3_RADII)).reshape(36, -1, 3)
 
     # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared slices
     w = _unitary_tangent_basis(samples[:2].reshape(-1, 3)).reshape(2, -1, 2, 3)
-    dirs = np.stack([w[..., 0, :], 1j * w[..., 0, :], w[..., 1, :], 1j * w[..., 1, :]], axis=-2)
-    # g-gradients of both side functions, lifted into x^perp
-    ga, gb = (
-        np.einsum("snk,snkc->snc", _side_gradients(coords[rows], samples[:2], dirs), dirs)
-        for rows in ([0, 2], [1, 3])
-    )
-    na, nb = np.sqrt(self_norms(ga)), np.sqrt(self_norms(gb))
-    ok = (na >= 1e-12) & (nb >= 1e-12)
-    cosang = np.abs(herm_rows(ga, gb).real) / np.where(ok, na * nb, 1.0)
-    worst = np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0).min(axis=1).tolist()
+    dirs = np.empty(w.shape[:2] + (4, 3), dtype=complex)  # w1, i w1, w2, i w2
+    dirs[:, :, 0::2] = w
+    np.multiply(1j, w, out=dirs[:, :, 1::2])
+    # g-gradients of both side functions in one pass, lifted into x^perp
+    g = np.einsum("psnk,snkc->psnc", _side_gradients(coords[_K3_A_SIDES], samples[:2], dirs), dirs)
+    norms = np.sqrt(self_norms(g))
+    cosang = np.abs(herm_rows(g[0], g[1]).real)
+    # a gradient with norm below 1e-12 has no direction: its angle counts as
+    # 0 and fails the check.  The floor decides that verdict; it is not a
+    # Tolerances field because InvariantReport.to_json_dict writes every field
+    # into each .report.json, whose bytes a new field would change.
+    if norms.min() >= 1e-12:
+        angles = np.arccos(np.clip(cosang / (norms[0] * norms[1]), 0.0, 1.0))
+    else:
+        ok = (norms[0] >= 1e-12) & (norms[1] >= 1e-12)
+        cosang = cosang / np.where(ok, norms[0] * norms[1], 1.0)
+        angles = np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0)
     checks = [SubCheck(label, w >= tol.angle_floor, w - tol.angle_floor)
-              for label, w in zip(("transversal_at_C2", "transversal_at_C4"), worst)]
+              for label, w in zip(("transversal_at_C2", "transversal_at_C4"), angles.min(axis=1).tolist())]
 
     # (b) sector test: C3 on the inner side of both bisectors through C1, as
     # seen from an interior reference point of the quadrangle
     a = coords[[0, 2]]
-    side_ref = _side_values(a @ _geodesic_rows(x[4], y[4], 0.5))
-    sides = np.sign(side_ref)[:, None] * _side_values(samples[2:4] @ np.swapaxes(a, -1, -2))
+    sides = _side_values(np.concatenate([(a @ mid)[:, None], samples[2:4] @ np.swapaxes(a, -1, -2)], axis=1))
+    side_ref = sides[:, 0]
+    sides = np.sign(side_ref)[:, None] * sides[:, 1:]
     labels = ("sector_B_C1C2", "sector_B_C1C4")
     for label, ref, w in zip(labels, side_ref.tolist(), sides.min(axis=1).tolist()):
         if abs(ref) <= tol.strict_margin:
@@ -362,7 +428,7 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
 
     # (c) non-adjacent segments stay separated
     segments = samples[4:].reshape(4, -1, 3)
-    dmin = min_distances(segments[[0, 2]], segments[[1, 3]], tol).tolist()
+    dmin = min_distances(segments[0::2], segments[1::2], tol).tolist()
     for label, d in zip(("disjoint_B12_B34", "disjoint_B23_B41"), dmin):
         checks.append(SubCheck(label, d >= tol.sep_floor, d - tol.sep_floor))
     return checks

@@ -19,25 +19,39 @@ from chdisc.core import (
     FORM_MATRIX,
     Isometry,
     ProjectivePoint,
+    _distance_from_tance,
+    _norms_and_squares,
     _projector,
+    _sign_code,
+    _tance_values,
     _unit_det,
+    _unitary_tangent_basis,
     herm_form,
     herm_rows,
     polar_rows,
     self_norms,
+    sign_classes,
 )
 from chdisc.disc import F0, disc_distance, mobius
-from chdisc.errors import DegenerateError
+from chdisc.errors import (
+    ClassError,
+    DegenerateError,
+    NotOnSpineError,
+    NotUltraparallelError,
+    NullPointError,
+)
 from chdisc.geometry import (
     Bisector,
     BisectorSegment,
     ComplexGeodesic,
     _aligned_pair,
     _bisector_basis,
+    _geodesic_rows,
     _slice_polars,
     geodesic_interp,
 )
 from chdisc.invariants import _gl_nodes
+from chdisc.quadrangle import SubCheck, _side_gradients, _side_values
 from chdisc.tolerances import TOL, Tolerances
 
 
@@ -291,3 +305,166 @@ def polars_digest_per_component(polars) -> str:
         )
     blob = json.dumps(rows, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+# -- K3 stage by stage ------------------------------------------------------------
+#
+# ``adjacency_check`` and the kernels whose code its lean rewrite replaced, as
+# they were before it: about ten stages of numpy calls, each check diagnosed
+# on every call.  The reference for the certificate's bits and errors.
+
+def _parallel_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise ``ProjectivePoint.is_parallel_to`` for Euclidean-unit rows."""
+    return np.abs(np.abs((x * np.conj(y)).sum(axis=-1)) - 1.0) < 1e-9
+
+
+def staged_perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
+    """``_perpendicular_rows`` with every check formed for every pair."""
+    pq = herm_rows(p, q)
+    pp, qq = self_norms(p), self_norms(q)
+    # a failing pair may divide by zero here; its check below raises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = q - (np.conj(pq) / pp)[:, None] * p
+        y = p - (pq / qq)[:, None] * q
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        y = y / np.linalg.norm(y, axis=1, keepdims=True)
+        basis = _bisector_basis(x, y)
+    # one sign-class pass over p, q (the caller's null band) and x, y, the
+    # spine polar (the default one)
+    rows = np.concatenate([p, q, x, y, basis[..., 2]])
+    band = np.repeat([tol.null_band, TOL.null_band], [2 * len(p), 3 * len(p)])
+    cp, cq, cx, cy, cf = _sign_code(*_norms_and_squares(rows), band).reshape(5, -1)
+    # per pair in this order: mutual position, feet, spine, spine polar
+    checks = [
+        (_parallel_rows(p, q), DegenerateError, "identical complex geodesics have no mutual position"),
+        ((cp == 0) | (cq == 0), NullPointError, "tance is undefined for null points"),
+        ((pq.real ** 2 + pq.imag ** 2) / (pp * qq) - 1.0 < tol.asymptotic,
+         NotUltraparallelError, "common perpendicular needs ultraparallel geodesics"),
+        ((cx != -1) | (cy != -1), ClassError, "feet of the common perpendicular are not negative points"),
+        (_parallel_rows(x, y), DegenerateError, "a geodesic needs two distinct points"),
+        (cf != 1, ClassError, "spine polar is not positive"),
+    ]
+    fails = np.array([c[0] for c in checks])
+    if fails.any():
+        _, error, message = checks[fails[:, fails.any(axis=0).argmax()].argmax()]
+        raise error(message)
+    return x, y, basis
+
+
+def staged_slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """``_slice_polars`` with the class of every row formed on every call."""
+    if (sign_classes(xs.reshape(-1, 3), tol) != -1).any():
+        raise ClassError("slice points must be negative")
+    alpha, beta, gamma = np.moveaxis(np.linalg.solve(basis, np.swapaxes(xs, -1, -2)), -2, 0)
+    # n > 0: a negative row is no multiple of the positive polar f
+    n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    residual = np.abs((alpha * np.conj(beta)).imag) / n + np.abs(gamma) / np.sqrt(n)
+    if (residual > tol.on_spine).any():
+        raise NotOnSpineError("point does not lie on the real spine")
+    return polar_rows(xs, basis[..., None, :, 2])
+
+
+#: The 8 equally spaced phases e^{i phi} of each ``staged_slice_samples`` ring.
+_RING_PHASES = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))[:, None]
+
+
+def staged_slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius=1.0):
+    """``_slice_samples`` with the rings' cosh r and sinh r e^{i phi} formed on
+    every call from one radius or one radius per row."""
+    f = polars / np.sqrt(self_norms(polars))[:, None]
+    x = centers / np.sqrt(-self_norms(centers))[:, None]
+    # direction inside the slice plane: the first of w1, w2, w1 + w2 lying
+    # in polar^perp, else w1 projected into polar^perp
+    w = _unitary_tangent_basis(x)
+    cands = np.stack([w[:, 0], w[:, 1], w[:, 0] + w[:, 1]], axis=1)
+    inside = np.abs(herm_rows(cands, f[:, None])) < 1e-8
+    d = np.where(
+        inside.any(axis=1)[:, None],
+        cands[np.arange(len(x)), inside.argmax(axis=1)],
+        w[:, 0] - herm_rows(w[:, 0], f)[:, None] * f,
+    )
+    d = d / np.sqrt(self_norms(d))[:, None]
+    r = np.linspace(0.15, np.broadcast_to(radius, len(x)), max(max(n - 1, 1) // 8, 1), axis=1)
+    r = r[:, :, None, None]
+    rings = np.cosh(r) * x[:, None, None] + (np.sinh(r) * _RING_PHASES) * d[:, None, None]
+    rings = rings.reshape(len(x), -1, 3)[:, : max(n - 1, 0)]
+    pts = np.concatenate([x[:, None], rings], axis=1).reshape(-1, 3)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def staged_min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """``min_distances`` with one masked minimum per k in a Python loop."""
+    rows = np.concatenate([x, y], axis=-2)
+    bad = (sign_classes(rows.reshape(-1, 3), tol) != -1).reshape(rows.shape[:-1]).any(axis=-1)
+    # a failing k may divide by a zero norm here; its check below raises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = _tance_values(x, y)
+        low = ta.min(axis=(-2, -1))
+    out = []
+    for k in range(len(ta)):
+        if bad[k]:
+            raise ClassError("distance requires two negative points")
+        out.append(_distance_from_tance(ta[k][ta[k] <= low[k] * (1.0 + 1e-12)]).min())
+    return np.array(out)
+
+
+#: Arclength fractions of the 8 spine points that sample each K3(c) segment.
+_SPINE_T = np.linspace(0.0, 1.0, 8)
+
+#: The ordered polar pairs (i, j), 0-based, of the K3 common perpendiculars.
+_K3_PAIRS = np.array([(0, 1), (2, 1), (0, 3), (2, 3), (1, 3), (1, 2), (3, 2), (3, 0)])
+
+
+def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
+    """``adjacency_check`` stage by stage, as it was before the lean kernels:
+    the same sub-checks, margins and details, bit for bit."""
+    p1, p2, p3, p4 = q.polars
+    if p1.is_parallel_to(p3) or p2.is_parallel_to(p4):
+        return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
+    polars = np.array([p.v for p in q.polars])
+    x, y, basis = staged_perpendicular_rows(polars[_K3_PAIRS[:, 0]], polars[_K3_PAIRS[:, 1]], tol)
+    coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
+    seg = [0, 3, 5, 7]
+    spine = _geodesic_rows(x[seg, None], y[seg, None], _SPINE_T)
+    # sets around the feet on C2, C4 (a) and C3 (b), then the segments' spine points (c)
+    samples = staged_slice_samples(
+        np.concatenate([polars[[1, 3, 2, 2]], staged_slice_polars(basis[seg], spine, tol).reshape(-1, 3)]),
+        np.concatenate([y[[0, 2, 5, 6]], spine.reshape(-1, 3)]),
+        max(tol.k3_samples // 8, 4),
+        np.repeat([1.0, 0.8, 1.5], [2, 2, 32]),
+    ).reshape(36, -1, 3)
+
+    # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared slices
+    w = _unitary_tangent_basis(samples[:2].reshape(-1, 3)).reshape(2, -1, 2, 3)
+    dirs = np.stack([w[..., 0, :], 1j * w[..., 0, :], w[..., 1, :], 1j * w[..., 1, :]], axis=-2)
+    # g-gradients of both side functions, lifted into x^perp
+    ga, gb = (
+        np.einsum("snk,snkc->snc", _side_gradients(coords[rows], samples[:2], dirs), dirs)
+        for rows in ([0, 2], [1, 3])
+    )
+    na, nb = np.sqrt(self_norms(ga)), np.sqrt(self_norms(gb))
+    ok = (na >= 1e-12) & (nb >= 1e-12)
+    cosang = np.abs(herm_rows(ga, gb).real) / np.where(ok, na * nb, 1.0)
+    worst = np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0).min(axis=1).tolist()
+    checks = [SubCheck(label, w >= tol.angle_floor, w - tol.angle_floor)
+              for label, w in zip(("transversal_at_C2", "transversal_at_C4"), worst)]
+
+    # (b) sector test: C3 on the inner side of both bisectors through C1, as
+    # seen from an interior reference point of the quadrangle
+    a = coords[[0, 2]]
+    side_ref = _side_values(a @ _geodesic_rows(x[4], y[4], 0.5))
+    sides = np.sign(side_ref)[:, None] * _side_values(samples[2:4] @ np.swapaxes(a, -1, -2))
+    labels = ("sector_B_C1C2", "sector_B_C1C4")
+    for label, ref, w in zip(labels, side_ref.tolist(), sides.min(axis=1).tolist()):
+        if abs(ref) <= tol.strict_margin:
+            checks.append(SubCheck(label, False, abs(ref) - tol.strict_margin,
+                                   f"degenerate reference: side {ref:+.3e} on the bisector"))
+        else:
+            checks.append(SubCheck(label, w > 0.0, w, f"reference side {ref:+.3e}"))
+
+    # (c) non-adjacent segments stay separated
+    segments = samples[4:].reshape(4, -1, 3)
+    dmin = staged_min_distances(segments[[0, 2]], segments[[1, 3]], tol).tolist()
+    for label, d in zip(("disjoint_B12_B34", "disjoint_B23_B41"), dmin):
+        checks.append(SubCheck(label, d >= tol.sep_floor, d - tol.sep_floor))
+    return checks

@@ -5,6 +5,7 @@ import pytest
 
 from chdisc import (
     ClassError,
+    GeometryError,
     ComplexGeodesic,
     DegenerateError,
     NotOnSpineError,
@@ -15,6 +16,7 @@ from chdisc import (
     position,
 )
 from chdisc.disc import F0, embed
+from chdisc.tolerances import Tolerances
 from chdisc.geometry import (
     ASYMPTOTIC,
     CONCURRENT,
@@ -27,7 +29,7 @@ from chdisc.geometry import (
 )
 
 from conftest import random_negative_point, scalar_geodesic_interp
-from oracles import bisector_basis, slice_at, spine_point
+from oracles import bisector_basis, slice_at, spine_point, staged_perpendicular_rows, staged_slice_polars
 
 
 def _fiber(z: complex) -> ComplexGeodesic:
@@ -119,11 +121,58 @@ def test_perpendicular_rows_raise_for_the_first_failing_pair():
         with pytest.raises(error):
             _perpendicular_rows(p, q)
     # a passing stack gives each pair's common_perpendicular
-    x, y, basis = _perpendicular_rows(*(np.array([v, v]) for v in good))
+    (x, y), basis = _perpendicular_rows(*(np.array([v, v]) for v in good))
     seg = common_perpendicular(_fiber(-0.3), _fiber(0.4))
     np.testing.assert_allclose(x[1], seg.feet[0].v, rtol=0, atol=1e-15)
     np.testing.assert_allclose(y[1], seg.feet[1].v, rtol=0, atol=1e-15)
     np.testing.assert_allclose(basis[1], bisector_basis(seg.bisector), rtol=0, atol=1e-15)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except GeometryError as e:
+        return type(e), str(e)
+
+
+def test_perpendicular_and_slice_rows_equal_the_staged_kernels():
+    """The lean kernels return the staged kernels' bits on stacks that pass
+    and raise their error on stacks that fail: a failing pair first, last or
+    alone, a null band that makes the polars null, and bounds that pass
+    pairs the default tolerances reject."""
+    good = [(_fiber(a).polar.v, _fiber(b).polar.v) for a, b in ((-0.3, 0.4), (0.1j, 0.5), (0.2, -0.6j))]
+    concurrent = (np.array([0, 0, 1], dtype=complex), np.array([0, 1, 0], dtype=complex))
+    asymptotic = (np.array([0, 0, 1], dtype=complex), np.array([1, 1, 1], dtype=complex) / np.sqrt(3))
+    same = (good[0][0], 1j * good[0][0])
+    stacks = [good, good + [concurrent], [same] + good, [asymptotic], good[:1] + [same, concurrent]]
+    tols = [Tolerances(), Tolerances(null_band=2.0), Tolerances(asymptotic=-2.0), Tolerances(null_band=-1.0)]
+    outcomes = set()
+    for pairs in stacks:
+        p, q = (np.array(side) for side in zip(*pairs))
+        for tol in tols:
+            want = _outcome(staged_perpendicular_rows, p, q, tol)
+            got = _outcome(_perpendicular_rows, p, q, tol)
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                assert got == want
+                outcomes.add(want[0].__name__)
+                continue
+            (x, y), basis = got
+            assert [a.tobytes() for a in (x, y, basis)] == [a.tobytes() for a in want]
+            outcomes.add("pass")
+            spine = _geodesic_rows(x[:, None], y[:, None], np.linspace(0.0, 1.0, 5))
+            off, positive = spine.copy(), spine.copy()
+            off[-1, 2] = embed(0.2 + 0.4j).v
+            positive[0, 1] = basis[0, :, 2]
+            for xs in (spine, off, positive):
+                want = _outcome(staged_slice_polars, basis, xs, tol)
+                got = _outcome(_slice_polars, basis, xs, tol)
+                if isinstance(want, tuple):
+                    assert got == want
+                    outcomes.add(want[0].__name__)
+                else:
+                    assert got.tobytes() == want.tobytes()
+    assert outcomes == {"pass", "ClassError", "DegenerateError", "NotOnSpineError",
+                        "NotUltraparallelError", "NullPointError"}
 
 
 def test_bisector_slices():

@@ -241,6 +241,33 @@ def test_cli_rejects_mesh_lengths_and_bends_it_cannot_run(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["turnover", "scan", "check-quadrangle"])
+@pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("-1", "-1.0")])
+def test_cli_rejects_a_tol_that_is_not_a_finite_margin(tmp_path, capsys, command, tol, shown):
+    """A NaN, infinite or negative --tol is invalid input (exit 3) before
+    anything is written: NaN and infinity used to end in a JSON traceback
+    after the representation and quadrangle were written, and -1 passed
+    every strict inequality by a slack it does not have."""
+    out = tmp_path / "out"
+    if command == "check-quadrangle":
+        path = tmp_path / "quad.json"
+        write_json(path, quadrangle_to_json_dict(_baseline_quadrangle()))
+        argv = [command, str(path), "--out", str(out)]
+    else:
+        argv = [command, "--n", "3", "3", "4", "--out", str(out)]
+    assert main([*argv, f"--tol={tol}"]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"invalid input: --tol must be a finite strict margin >= 0, got {shown}\n"
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["quad.json"] if command == "check-quadrangle" else [])
+
+
+def test_cli_takes_a_zero_tol(tmp_path, capsys):
+    path = tmp_path / "quad.json"
+    write_json(path, quadrangle_to_json_dict(_baseline_quadrangle()))
+    assert main(["check-quadrangle", str(path), "--tol", "0"]) == EXIT_PASS
+    assert json.loads((tmp_path / "quad.cert.json").read_text())["tolerances"]["strict_margin"] == 0.0
+
+
 def test_cli_scan_dedupes_and_summarizes(tmp_path, capsys):
     rc = main(["scan", "--n", "3", "3", "4", "--n", "3", "3", "4",
                "--bend", "0", "--out", str(tmp_path), "--mesh", "0.2"])

@@ -38,6 +38,7 @@ from chdisc.geometry import (
 from chdisc import quadrangle as quadrangle_module
 from chdisc.quadrangle import (
     _side_gradients,
+    _ring_table,
     _side_values,
     _slice_samples,
     adjacency_check,
@@ -47,6 +48,7 @@ from chdisc.tolerances import TOL, Tolerances
 from conftest import random_disc_coordinate, random_isometry
 from oracles import (
     bisector_basis,
+    staged_adjacency_check,
     polars_digest_per_component,
     slice_at,
     spine_point,
@@ -128,17 +130,6 @@ def test_validate_quadrangle_baseline_passes():
     assert doc["kind"] == "certificate"
     assert doc["pass"] is True
     assert doc["input_digest"] == polars_digest(_baseline_quadrangle().polars)
-
-
-def _certify_bases():
-    """The certify benchmark's seven quadrangles: four baselines, the
-    conjugated and the wrong-side (3,3,4) polars, and the (2,3,7) baseline."""
-    q = _baseline_quadrangle()
-    z3 = triangle_vertices(np.pi / 3, np.pi / 3, np.pi / 4)[2]
-    return [_baseline_quadrangle(sig) for sig in [(3, 3, 4), (3, 3, 5), (3, 4, 4), (4, 4, 4), (2, 3, 7)]] + [
-        QuadrangleConfig(tuple(ProjectivePoint(np.conj(p.v)) for p in q.polars)),
-        QuadrangleConfig(q.polars[:2] + (polar_span(embed(-z3), F0),) + q.polars[3:]),
-    ]
 
 
 def test_polars_digest_matches_the_per_component_loop():
@@ -301,10 +292,10 @@ def test_slice_samples_match_reference(rng, n):
         # one stacked call: the foot on the second slice at radius 0.8, then
         # three spine points at radius 1.5 with their checked slice polars
         xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, 3))
-        got = _slice_samples(
+        got = _slice_samples(np.array([
             np.concatenate([seg.end_slices[1].polar.v[None], _slice_polars(bisector_basis(seg.bisector), xs)]),
-            np.concatenate([seg.feet[1].v[None], xs]), n, np.array([0.8, 1.5, 1.5, 1.5]),
-        )
+            np.concatenate([seg.feet[1].v[None], xs]),
+        ]), _ring_table(n, (0.8, 1.5, 1.5, 1.5)))
         ref = [_reference_slice_samples(seg.end_slices[1].polar, seg.feet[1], n, 0.8)]
         for t in (0.0, 0.5, 1.0):
             x = spine_point(seg, t)
@@ -316,7 +307,7 @@ def test_side_gradient_matches_central_differences(rng):
     h = 1e-6
     segs = _moved_segments(rng)
     stacked_a = np.linalg.inv(np.stack([bisector_basis(seg.bisector) for seg in segs]))
-    stacked_x = np.stack([_slice_samples(seg.end_slices[1].polar.v[None], seg.feet[1].v[None], 8)
+    stacked_x = np.stack([_slice_samples(np.array([[seg.end_slices[1].polar.v], [seg.feet[1].v]]), _ring_table(8, (1.0,)))
                           for seg in segs])
     for k, seg in enumerate(segs):
         a, x = stacked_a[k], stacked_x[k]
@@ -369,6 +360,14 @@ def _raised(check, q):
     return None
 
 
+def _raised_message(check, q, tol):
+    try:
+        check(q, tol)
+    except GeometryError as e:
+        return type(e), str(e)
+    return None
+
+
 def test_adjacency_check_raises_what_the_per_pair_reference_raises():
     p = _baseline_quadrangle().polars
     concurrent = polar_span(embed(0.0), embed(0.3))  # the complex geodesic through C1's foot
@@ -383,6 +382,12 @@ def test_adjacency_check_raises_what_the_per_pair_reference_raises():
         want = _raised(_reference_adjacency_check, q)
         assert want is not None
         assert _raised(adjacency_check, q) is want
+        # and the staged K3 raises the same error with the same message
+        for samples in (8, 64, 80, 160):
+            tol = Tolerances(k3_samples=samples)
+            staged = _raised_message(staged_adjacency_check, q, tol)
+            assert staged[0] is want
+            assert _raised_message(adjacency_check, q, tol) == staged
 
 
 def test_sector_check_fails_on_a_degenerate_reference():
@@ -415,6 +420,41 @@ def _moved(rng, q0, count):
     for _ in range(count):
         g = random_isometry(rng)
         yield QuadrangleConfig(tuple(g(p) for p in q0.polars))
+
+
+def _k3_bits(checks):
+    """Every field of each K3 sub-check, the margin as its exact bits."""
+    assert all(type(c.passed) is bool and type(c.margin) is float for c in checks)
+    return [(c.name, c.passed, c.margin.hex(), c.detail) for c in checks]
+
+
+@pytest.mark.parametrize("samples", [8, 64, 80, 160])
+def test_adjacency_check_equals_the_staged_reference_bit_for_bit(samples):
+    """The one-stack kernels keep every bit of the staged K3
+    (``oracles.staged_adjacency_check``): names, verdicts, margins and
+    details, on the seven certify quadrangles, each unmoved and under 100
+    seeded isometries.  At 80 and 160 samples a set wants 9 and 19 ring
+    points, more than its rings hold."""
+    rng = np.random.default_rng(1800 + samples)
+    tol = Tolerances(k3_samples=samples)
+    verdicts = set()
+    for q0 in _certify_bases():
+        for q in _moved(rng, q0, 100):
+            got = _k3_bits(adjacency_check(q, tol))
+            assert got == _k3_bits(staged_adjacency_check(q, tol))
+            verdicts.add(all(c[1] for c in got))
+    assert verdicts == {True, False}
+
+
+def test_degenerate_sector_reference_equals_the_staged_reference():
+    """On the (2,3,7) baseline both sector checks fail on a degenerate
+    reference, with the staged check's margins and details bit for bit."""
+    q = _baseline_quadrangle((2, 3, 7))
+    for samples in (8, 64, 80, 160):
+        tol = Tolerances(k3_samples=samples)
+        got = _k3_bits(adjacency_check(q, tol))
+        assert got == _k3_bits(staged_adjacency_check(q, tol))
+        assert [c[3].startswith("degenerate reference") for c in got[2:4]] == [True, True]
 
 
 def test_k1_k2_equal_the_scalar_path(rng, monkeypatch):
