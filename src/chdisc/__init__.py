@@ -29,7 +29,6 @@ from .errors import (
     InvalidSolutionError,
     MeshError,
     NotOnSpineError,
-    NotTransversalError,
     NotUltraparallelError,
     NullPointError,
     ZeroVectorError,
@@ -40,7 +39,6 @@ from .quadrangle import (
     QuadrangleConfig,
     TriangleInvariant,
     epsilon,
-    is_counterclockwise,
     is_transversal,
     polars_digest,
     transversality_margins,
@@ -72,15 +70,12 @@ from .invariants import (
     kaehler_angle,
     kalashnikov_residual,
     lagrangian_frame_check,
-    pullback_scale,
     snap_rational,
-    symplectic_area_closed_form,
     toledo_via_coning,
     toledo_via_mesh,
 )
 from .meshes import (
     octagon_mesh,
-    real_plane_isometry_two_points,
     real_plane_point,
     turnover_section_mesh,
 )

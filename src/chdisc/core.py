@@ -47,11 +47,6 @@ def herm_form(x, y) -> complex:
     return complex(np.dot(_SIGNS * x, np.conj(y)))
 
 
-def _self_norm(x) -> float:
-    # <x,x> is real for any x.
-    return herm_form(x, x).real
-
-
 NEGATIVE = "negative"
 NULL = "null"
 POSITIVE = "positive"
@@ -75,26 +70,15 @@ class ProjectivePoint:
             raise ZeroVectorError("projective point needs a nonzero finite representative")
         self.v = v / n
 
-    @classmethod
-    def _of_unit(cls, v: np.ndarray) -> "ProjectivePoint":
-        """The point whose stored representative is ``v``, a row that
-        ``_unit_reps`` already scaled as the constructor would."""
-        p = cls.__new__(cls)
-        p.v = v
-        return p
-
     def herm_with(self, other: "ProjectivePoint") -> complex:
         return herm_form(self.v, other.v)
 
     def self_form(self) -> float:
-        return _self_norm(self.v)
+        return herm_form(self.v, self.v).real  # <x,x> is real for any x
 
     def is_parallel_to(self, other: "ProjectivePoint", tol: float = 1e-9) -> bool:
         # |<v, w>_euclid| == |v||w| iff parallel; representatives are unit.
         return abs(abs(np.vdot(other.v, self.v)) - 1.0) < tol
-
-    def __repr__(self):
-        return f"ProjectivePoint({np.array2string(self.v, precision=6)})"
 
 
 def classify(x: ProjectivePoint, tol: Tolerances = TOL) -> str:
@@ -270,20 +254,11 @@ def sign_classes(x: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     return _sign_code(*_norms_and_squares(x), tol.null_band)
 
 
-def distance_matrix(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """D[i, j] = distance(x_i, y_j) between two stacks of negative points.
-
-    Raises ``ClassError`` unless every row is negative, and
-    ``GeometryDomainError`` when a tance falls below 1 beyond noise.
-    """
-    if (sign_classes(x, tol) != -1).any() or (sign_classes(y, tol) != -1).any():
-        raise ClassError("distance requires two negative points")
-    return _distance_from_tance(_tance_values(x, y))
-
-
 def min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """``distance_matrix(x[k], y[k], tol).min()`` for every k of two (K, N, 3)
-    stacks, bit for bit, and the error of the first failing k.
+    """The minimum distance between the rows of x[k] and those of y[k] for
+    every k of two (K, N, 3) stacks, and the error of the first failing k:
+    ``ClassError`` unless every row is negative, ``GeometryDomainError`` when
+    a minimum tance falls below 1 beyond noise.
 
     arccosh(sqrt(.)) is taken only of the tances within a relative 1e-12 of
     each minimum tance: libm's few-ulp error cannot reorder entries further
@@ -316,10 +291,6 @@ def min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.nda
             raise ClassError("distance requires two negative points")
         out.append(_distance_from_tance(ta[k][ta[k] <= low[k] * (1.0 + 1e-12)]).min())
     return np.array(out)
-
-
-def _tance_values(x, y):
-    return _gram_tances(gram(x, y), self_norms(x), self_norms(y))
 
 
 def _gram_tances(g, nx, ny):
@@ -411,24 +382,22 @@ class Isometry:
     matrix: np.ndarray
 
     @staticmethod
-    def from_matrix(m, tol: Tolerances = TOL, check: bool = True) -> "Isometry":
+    def from_matrix(m, tol: Tolerances = TOL) -> "Isometry":
+        """The det-1 lift of ``m``; raises ``FrameError`` unless ``m`` is an
+        isometry of the form (see ``_isometry_stack``)."""
         m = np.asarray(m, dtype=complex).reshape(3, 3)
-        if check:
-            return Isometry(matrix=_isometry_stack(m[None], tol)[0])
-        return Isometry(matrix=_unit_det(m))
+        return Isometry(matrix=_isometry_stack(m[None], tol)[0])
 
     @staticmethod
     def identity() -> "Isometry":
         return Isometry(matrix=np.eye(3, dtype=complex))
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
-        return Isometry.from_matrix(self.matrix @ other.matrix, check=False)
+        return Isometry(_unit_det(self.matrix @ other.matrix))
 
     def inverse(self) -> "Isometry":
         # form-preserving inverse: M^-1 = J M* J
-        return Isometry.from_matrix(
-            FORM_MATRIX @ self.matrix.conj().T @ FORM_MATRIX, check=False
-        )
+        return Isometry(_unit_det(FORM_MATRIX @ self.matrix.conj().T @ FORM_MATRIX))
 
     def apply(self, x: ProjectivePoint) -> ProjectivePoint:
         return ProjectivePoint(self.matrix @ x.v)
@@ -484,11 +453,6 @@ class OrthogonalFrame:
         return self.b0.v, self.b1.v, self.b2.v
 
 
-def _projector(b: np.ndarray) -> np.ndarray:
-    # form-orthogonal projection onto C b:  P(x) = (<x,b>/<b,b>) b
-    return np.outer(b, _SIGNS * np.conj(b)) / _self_norm(b)
-
-
 _FRAME_CLASSES = np.array([-1, 1, 1])
 #: the pairings <b_i, b_j> a frame check reads: the three self pairings,
 #: then the three pairs that must be orthogonal
@@ -511,7 +475,7 @@ def _check_frames(frames: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     sq = (q[..., 0] + q[..., 1]) + q[..., 2]  # _norms_and_squares' Euclidean sum
     # a signed norm strictly beyond its band has the wanted class: the stack
     # passes at once, and only a stack that may fail is classified
-    if (norms * _FRAME_CLASSES > tol.null_band * sq).all() and (r <= tol.orthogonality).all():
+    if (norms * _FRAME_CLASSES > abs(tol.null_band) * sq).all() and (r <= tol.orthogonality).all():
         return norms
     cls = _sign_code(norms, sq, tol.null_band)
     wrong, skew = cls != _FRAME_CLASSES, r > tol.orthogonality
@@ -551,21 +515,15 @@ def _elliptic_rows(frames: np.ndarray, phases, tol: Tolerances = TOL) -> np.ndar
     return _isometry_stack(((0 + terms[:, 0]) + terms[:, 1]) + terms[:, 2], tol)
 
 
-def _elliptic_stack(frame: OrthogonalFrame, phases, tol: Tolerances = TOL) -> np.ndarray:
-    """``_elliptic_rows`` of one frame for every row of ``phases``: the
-    elliptics with eigenvectors ``frame`` and those unit eigenvalues."""
-    return _elliptic_rows(np.array(frame.vectors())[None], phases, tol)
-
-
 def elliptic_from_frame(frame: OrthogonalFrame, phases, tol: Tolerances = TOL) -> Isometry:
     """Elliptic isometry with eigenvectors ``frame`` and unit eigenvalues ``phases``.
 
     ``M = sum_k phases[k] * P_k`` with ``P_k`` the form-orthogonal projection
     onto the k-th frame vector; the result is determinant-normalized.  The
-    one-row case of ``_elliptic_stack``.
+    one-row case of ``_elliptic_rows``.
     """
     phases = np.asarray(phases, dtype=complex).reshape(1, 3)
-    return Isometry(matrix=_elliptic_stack(frame, phases, tol)[0])
+    return Isometry(matrix=_elliptic_rows(np.array(frame.vectors())[None], phases, tol)[0])
 
 
 def reflection_about(p: ProjectivePoint, tol: Tolerances = TOL) -> Isometry:
@@ -576,5 +534,6 @@ def reflection_about(p: ProjectivePoint, tol: Tolerances = TOL) -> Isometry:
     """
     if classify(p, tol) == NULL:
         raise NullPointError("reflection needs a non-null point")
-    m = -np.eye(3, dtype=complex) + 2.0 * _projector(p.v)
+    # 2 P - I with P the form-orthogonal projection (<x,p>/<p,p>) p
+    m = -np.eye(3, dtype=complex) + 2.0 * (np.outer(p.v, _SIGNS * np.conj(p.v)) / p.self_form())
     return Isometry.from_matrix(m, tol)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    Isometry,
-    OrthogonalFrame,
     ProjectivePoint,
     _elliptic_rows,
     _form_pairs,
@@ -92,10 +90,11 @@ def triangle_vertices(alpha1: float, alpha2: float, alpha3: float) -> tuple[comp
 # -- isometries of the standard complex geodesic -----------------------------
 
 def _in_plane_frames(z) -> np.ndarray:
-    """``in_plane_frame`` at each of an array of disc points: a (k, 3, 3)
-    stack whose rows are the frame vectors, each with the bits of the
-    one-point construction (``herm_form`` pairings, a Python complex
-    quotient, ``ProjectivePoint`` normalisation)."""
+    """Orthogonal frames (point, in-plane direction, polar) at each of an
+    array of disc points: a (k, 3, 3) stack whose rows are the frame
+    vectors, each with the bits of the one-point construction
+    (``herm_form`` pairings, a Python complex quotient, ``ProjectivePoint``
+    normalisation)."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     if (np.abs(z) >= 1.0).any():
         raise DegenerateError("disc coordinate must satisfy |z| < 1")
@@ -110,33 +109,25 @@ def _in_plane_frames(z) -> np.ndarray:
     return frames
 
 
-def in_plane_frame(z: complex) -> OrthogonalFrame:
-    """Orthogonal frame (point, in-plane direction, polar) at a disc point."""
-    return OrthogonalFrame(*(ProjectivePoint._of_unit(v) for v in _in_plane_frames(z)[0]))
-
-
 def _disc_rotations(centers, angles) -> np.ndarray:
-    """Det-1 matrices of ``disc_rotation(centers[i], angles[i])`` as a
-    (k, 3, 3) stack, with one frame check and one projector sum."""
+    """Det-1 matrices of the rotations by ``angles[i]`` about the disc points
+    ``centers[i]``, extended to H^2_C, as a (k, 3, 3) stack, with one frame
+    check and one projector sum.
+
+    A positive angle rotates counterclockwise with respect to the complex
+    orientation of the disc; the polar direction f0 is left untouched
+    (eigenphase 1), so each map is C-Fuchsian.
+    """
     angles = np.asarray(angles, dtype=float).reshape(-1)
     phases = np.ones((len(angles), 3), dtype=complex)
     phases[:, 1] = np.exp(1j * angles)
     return _elliptic_rows(_in_plane_frames(centers), phases)
 
 
-def disc_rotation(center: complex, angle: float) -> Isometry:
-    """Rotation by ``angle`` about a disc point, extended to H^2_C.
-
-    Positive angle rotates counterclockwise with respect to the complex
-    orientation of the disc; the polar direction f0 is left untouched
-    (eigenphase 1), so the map is C-Fuchsian.  The one-point case of
-    ``_disc_rotations``.
-    """
-    return Isometry(matrix=_disc_rotations([center], [angle])[0])
-
-
 def _su11_stack(alpha, beta) -> np.ndarray:
-    """``su11_to_isometry`` over arrays of coefficients: a (k, 3, 3) stack."""
+    """The disc Mobius maps z -> (alpha z + beta)/(conj(beta) z + conj(alpha))
+    over arrays of coefficients with |alpha|^2 - |beta|^2 = 1, extended to
+    H^2_C with a trivial action on the polar direction: a (k, 3, 3) stack."""
     alpha, beta = (np.asarray(c, dtype=complex).reshape(-1) for c in (alpha, beta))
     m = np.zeros((len(alpha), 3, 3), dtype=complex)
     m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = np.conj(alpha), np.conj(beta), beta, alpha
@@ -144,19 +135,15 @@ def _su11_stack(alpha, beta) -> np.ndarray:
     return _isometry_stack(m)
 
 
-def su11_to_isometry(alpha: complex, beta: complex) -> Isometry:
-    """Extend the disc Mobius map z -> (alpha z + beta)/(conj(beta) z + conj(alpha)).
-
-    Requires |alpha|^2 - |beta|^2 = 1; acts trivially on the polar
-    direction.
-    """
-    return Isometry(matrix=_su11_stack(alpha, beta)[0])
-
-
 def _disc_isometries(z1, z2, w1, w2) -> np.ndarray:
-    """Det-1 matrices of ``disc_isometry_two_points`` over arrays of disc
-    points, a (k, 3, 3) stack; each has the bits of the complex-scalar
-    computation (``mobius``, hypot for |z|, libm ``pow`` for |z|^2)."""
+    """Det-1 matrices of the disc automorphisms with z1[i] -> w1[i] and
+    z2[i] -> w2[i] over arrays of disc points, a (k, 3, 3) stack.
+
+    The pairs must be equidistant (else ``DegenerateError``); each map is
+    the unique orientation-preserving one, a C-Fuchsian isometry of H^2_C,
+    with the bits of the complex-scalar computation (``mobius``, hypot for
+    |z|, libm ``pow`` for |z|^2).
+    """
     z1, z2, w1, w2 = (np.asarray(v, dtype=complex).reshape(-1) for v in (z1, z2, w1, w2))
     k = len(z1)
     # both pairs in one pass: rows [:k] are (z1, z2), rows [k:] are (w1, w2)
@@ -180,13 +167,3 @@ def _disc_isometries(z1, z2, w1, w2) -> np.ndarray:
     su[..., 1, 0], su[..., 1, 1] = beta.conj(), alpha.conj()
     g = su[0] @ su[1] @ su[2]
     return _su11_stack(g[:, 0, 0], g[:, 0, 1])
-
-
-def disc_isometry_two_points(z1: complex, z2: complex, w1: complex, w2: complex) -> Isometry:
-    """The disc automorphism with z1 -> w1 and z2 -> w2.
-
-    The pairs must be equidistant; the map is the unique
-    orientation-preserving one, returned as a C-Fuchsian isometry of H^2_C.
-    The one-pair case of ``_disc_isometries``.
-    """
-    return Isometry(matrix=_disc_isometries(z1, z2, w1, w2)[0])

@@ -33,10 +33,6 @@ class NotOnSpineError(GeometryError):
     """A point does not lie on the real spine of a bisector."""
 
 
-class NotTransversalError(GeometryError):
-    """A triangle of bisectors is not transversal."""
-
-
 class HyperbolicityError(GeometryError):
     """A turnover signature fails the hyperbolicity inequality."""
 

@@ -21,7 +21,7 @@ surface patch can be differentiated directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -42,7 +42,7 @@ from .core import (
 )
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
 from .geometry import _aligned_units, _negative_units, _phase_align
-from .io import _f, _vector_json
+from .io import _f
 from .tolerances import TOL, Tolerances
 
 COMPLEX_CLASS = "complex"
@@ -240,23 +240,6 @@ class SectionMesh:
         orders = self.cone_orders()
         return 2 * lcm(*orders) if orders else 2
 
-    def to_json_dict(self) -> dict:
-        return {
-            "format": "chdisc/1",
-            "kind": "section_mesh",
-            "cone_points": [[int(i), int(n)] for i, n in self.cone_points],
-            "side_pairings": [
-                {
-                    "isometry": _vector_json(p.isometry.matrix.reshape(9)),
-                    "run_a": [int(i) for i in p.run_a],
-                    "run_b": [int(i) for i in p.run_b],
-                }
-                for p in self.side_pairings
-            ],
-            "triangles": [[int(a), int(b), int(c)] for a, b, c in self.triangles],
-            "vertices": [_vector_json(v) for v in self.vertices],
-        }
-
     def _check(self) -> None:
         # at TOL: it reads null_band and mesh, and callers (the CLI's --tol
         # included) change only other fields
@@ -365,21 +348,15 @@ def _triple_products(vertices: np.ndarray, faces) -> np.ndarray:
     return herm_rows(a, b) * herm_rows(b, c) * herm_rows(c, a)
 
 
-def symplectic_area_closed_form(x1: ProjectivePoint, x2: ProjectivePoint,
-                                x3: ProjectivePoint) -> float:
-    """Exact integral of omega over a geodesic triangle of negative points.
+def _toledo(triples: np.ndarray) -> float:
+    """(2/pi) * the integral of omega summed over geodesic faces, from their
+    ``_triple_products``.
 
-    Equals -arg(-<x1,x2><x2,x3><x3,x1>) / 2, independent of representatives
-    (each point enters once linearly and once conjugate-linearly); agrees
+    Over a geodesic triangle (x1, x2, x3) of negative points the integral is
+    exactly -arg(-<x1,x2><x2,x3><x3,x1>) / 2, independent of representatives
+    (each point enters once linearly and once conjugate-linearly); it agrees
     with the quadrature of :func:`symplectic_area_triangle` to rounding.
     """
-    prod = _triple_products(np.array([x1.v, x2.v, x3.v]), [(0, 1, 2)])[0]
-    return float(-np.angle(-prod) / 2.0)
-
-
-def _toledo(triples: np.ndarray) -> float:
-    """(2/pi) * the closed-form integral of omega summed over geodesic faces,
-    from their ``_triple_products``."""
     areas = -np.angle(-triples) / 2.0
     # + 0.0 turns the -0.0 of a Lagrangian section into 0.0
     return float(2.0 / np.pi * areas.sum()) + 0.0
@@ -730,17 +707,3 @@ def gkl_euler(genus: int, tau_abs: int):
     e = -g1 + 2 * g2
     assert -3 * tau_abs == 2 * e + 2 * (2 - 2 * genus)
     return e, chi1, chi2, t
-
-
-def pullback_scale(report: InvariantReport, degree: int) -> InvariantReport:
-    """The invariants of a degree-d smooth cover: chi, tau, e all scale by d;
-    every other field is kept, and a missing value stays missing."""
-    if degree < 1:
-        raise ValueError("degree must be a positive integer")
-
-    def scaled(x):
-        return None if x is None else x * degree
-
-    return replace(report, chi=report.chi * degree, toledo_raw=report.toledo_raw * degree,
-                   euler_raw=scaled(report.euler_raw), toledo=scaled(report.toledo),
-                   euler=scaled(report.euler))

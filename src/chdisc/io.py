@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Isometry, ProjectivePoint
+from .core import ProjectivePoint
 from .errors import GeometryError
 
 FORMAT = "chdisc/1"
@@ -55,26 +55,21 @@ def _expect(doc: dict, kind: str, fields: set) -> None:
         raise SchemaError(f"missing fields: {sorted(missing)}")
 
 
-def _real_array(rows, shape, message) -> np.ndarray:
-    """``rows`` as a float array of the given shape, else ``SchemaError(message)``:
-    ``rows`` must be nested lists of that shape whose leaves are JSON numbers,
-    ints or floats; a boolean, a numeric string or an int beyond the float
-    range is invalid input like a wrong shape."""
-    def valid(node, dims):
-        if not dims:
-            return isinstance(node, (int, float)) and not isinstance(node, bool)
-        return isinstance(node, list) and len(node) == dims[0] and all(valid(n, dims[1:]) for n in node)
-
-    if not valid(rows, shape):
+def _vector(rows) -> np.ndarray:
+    """A stored vector as a complex (3,) array, else ``SchemaError``: ``rows``
+    must be three [re, im] pairs of JSON numbers, ints or floats; a boolean,
+    a numeric string or an int beyond the float range is invalid input like
+    a wrong shape."""
+    message = "a vector must be a list of three [re, im] pairs"
+    if not (isinstance(rows, list) and len(rows) == 3 and all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+            for pair in rows)):
         raise SchemaError(message)
     try:
-        return np.array(rows, dtype=float)
+        arr = np.array(rows, dtype=float)
     except OverflowError as exc:  # an int beyond the float range
         raise SchemaError(message) from exc
-
-
-def _vector(rows) -> np.ndarray:
-    arr = _real_array(rows, (3, 2), "a vector must be a list of three [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -156,25 +151,3 @@ def representation_to_json_dict(rep) -> dict:
         "relations": list(rep.relations),
         "rep_kind": rep.kind,
     }
-
-
-def load_representation(path):
-    from .representations import Representation
-
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read representation file: {exc}") from exc
-    _expect(doc, "representation",
-            {"generators", "metadata", "relation_residuals", "relations", "rep_kind"})
-    gens = {}
-    for name, rows in doc["generators"].items():
-        arr = _real_array(rows, (3, 3, 2),
-                          f"generator {name!r} must be a 3x3 matrix of [re, im] pairs")
-        gens[name] = Isometry.from_matrix(arr[..., 0] + 1j * arr[..., 1])
-    return Representation(
-        kind=doc["rep_kind"],
-        generators=gens,
-        relations=list(doc["relations"]),
-        metadata=dict(doc["metadata"]),
-    )

@@ -144,29 +144,21 @@ def _real_frames(p: np.ndarray, q: np.ndarray):
 
 
 def _real_plane_isometries(p0, p1, q0, q1) -> np.ndarray:
-    """Det-1 matrices of ``real_plane_isometry_two_points`` over (k, 3)
-    stacks of point representatives: all 2k frames in one pass, then one
-    stacked inverse, product and isometry check."""
+    """Det-1 matrices of the O(2,1) isometries of the real plane with
+    p0[i] -> q0[i] and p1[i] -> q1[i], over (k, 3) stacks of point
+    representatives.
+
+    The pairs must be equidistant (else ``DegenerateError``); each map
+    carries the frame of (p0, p1) to the frame of (q0, q1) and extends
+    complex-linearly to H^2_C.  All 2k frames come from one pass, then one
+    stacked inverse, product and isometry check.
+    """
     k = len(p0)
     f, d = _real_frames(np.concatenate([p0, q0]), np.concatenate([p1, q1]))
     # the relative 1e-9 is that of _disc_isometries
     if (abs(d[:k] - d[k:]) > 1e-9 * np.maximum(1.0, d[:k])).any():
         raise DegenerateError("point pairs are not equidistant")
     return _isometry_stack((f[k:] @ np.linalg.inv(f[:k])).astype(complex))
-
-
-def real_plane_isometry_two_points(
-    p0: ProjectivePoint, p1: ProjectivePoint, q0: ProjectivePoint, q1: ProjectivePoint
-) -> Isometry:
-    """The O(2,1) isometry of the real plane with p0 -> q0 and p1 -> q1.
-
-    The pairs must be equidistant (else ``DegenerateError``); the map
-    carries the frame of (p0, p1) to the frame of (q0, q1) and extends
-    complex-linearly to H^2_C.  The one-pair case of
-    ``_real_plane_isometries``.
-    """
-    rows = (np.array([p.v]) for p in (p0, p1, q0, q1))
-    return Isometry(matrix=_real_plane_isometries(*rows)[0])
 
 
 def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:

@@ -34,7 +34,7 @@ from .core import (
     tance,
     _unitary_tangent_basis,
 )
-from .errors import ClassError, DegenerateError, NotTransversalError, NullPointError
+from .errors import ClassError, DegenerateError, NullPointError
 from .geometry import (
     ComplexGeodesic,
     _negative_units,
@@ -108,14 +108,6 @@ def is_transversal(tri: TriangleInvariant, tol: Tolerances = TOL) -> tuple[bool,
     """Whether the triangle of bisectors is transversal, with margins."""
     margins = transversality_margins(tri)
     return all(m > tol.strict_margin for m in margins), margins
-
-
-def is_counterclockwise(tri: TriangleInvariant, tol: Tolerances = TOL) -> bool:
-    """eps1 < 0 for a transversal triangle."""
-    ok, margins = is_transversal(tri, tol)
-    if not ok:
-        raise NotTransversalError(f"triangle is not transversal (margins {margins})")
-    return tri.eps.imag < 0.0
 
 
 def triangle_over_complex_geodesic(
@@ -366,7 +358,8 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     minimum distance over all sampled pairs (4096 by default): one stacked
     Gram of both segment pairs gives every tance, and ``min_distances``
     takes arccosh(sqrt(.)) only of those within a relative 1e-12 of each
-    pair's minimum, which is ``distance_matrix(...).min()`` bit for bit.
+    pair's minimum, which keeps the bits of the minimum over all the pair's
+    distances.
 
     The (a) and (b) sets are centred on the second feet of ``_K3_PAIRS``
     exactly as ``_perpendicular_rows`` returns them: Euclidean-unit and not

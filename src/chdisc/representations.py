@@ -57,13 +57,13 @@ from .core import (
     reflection_about,
     tance,
     _CUBE_ROOTS,
-    _elliptic_stack,
+    _elliptic_rows,
     _form_pairs,
     _py_quotients,
     _unit_det,
     _unit_reps,
 )
-from .disc import F0, embed, in_plane_frame, triangle_vertices
+from .disc import F0, _in_plane_frames, embed, triangle_vertices
 from .errors import (
     ClassError,
     ConvergenceError,
@@ -221,7 +221,7 @@ def _rotation_table(center: complex, n: int, bend: float, tol: Tolerances):
     """The rotations by -2pi/n about a disc point with polar eigenphase
     e^{2pi i k/n + i bend} for every twist k < n, stacked over k: g and its
     inverse J g* J, with the bits of the ``Isometry`` operations."""
-    g = _elliptic_stack(in_plane_frame(center), _rotation_phases(n, np.arange(n), bend), tol)
+    g = _elliptic_rows(_in_plane_frames(center), _rotation_phases(n, np.arange(n), bend), tol)
     return g, _unit_det(_form_adjoint(g))
 
 

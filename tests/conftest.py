@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chdisc import Isometry, ProjectivePoint, herm_form, polar_span
 from chdisc.core import herm_rows, self_norms
 
+_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def tracer_wrap_sites():
+    """``WRAP_SITES`` of ``bench/tracer.py``: the (module, attribute, metric)
+    triples by which the benchmark tracer wraps chdisc functions, read from
+    the file without importing the benchmark package."""
+    spec = importlib.util.spec_from_file_location("_bench_tracer", _TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.WRAP_SITES
 
 
 def random_disc_coordinate(rng, radius: float = 0.8) -> complex:

@@ -18,14 +18,15 @@ from chdisc.core import (
     _SIGNS,
     FORM_MATRIX,
     Isometry,
+    OrthogonalFrame,
     ProjectivePoint,
     _distance_from_tance,
+    _gram_tances,
     _norms_and_squares,
-    _projector,
     _sign_code,
-    _tance_values,
     _unit_det,
     _unitary_tangent_basis,
+    gram,
     herm_form,
     herm_rows,
     polar_rows,
@@ -50,7 +51,8 @@ from chdisc.geometry import (
     _slice_polars,
     geodesic_interp,
 )
-from chdisc.invariants import _gl_nodes
+from chdisc.invariants import _gl_nodes, _triple_products
+from chdisc.io import _vector_json
 from chdisc.quadrangle import SubCheck, _side_gradients, _side_values
 from chdisc.tolerances import TOL, Tolerances
 
@@ -66,6 +68,30 @@ def isometry_residual(m) -> float:
 def projective_distance(g: Isometry, h: Isometry) -> float:
     """min over cube roots of unity w of max-norm of (g - w*h)."""
     return min(float(np.abs(g.matrix - w * h.matrix).max()) for w in _CUBE_ROOTS)
+
+
+def projector(b: np.ndarray) -> np.ndarray:
+    """The form-orthogonal projection onto C b, P(x) = (<x,b>/<b,b>) b."""
+    return np.outer(b, _SIGNS * np.conj(b)) / herm_form(b, b).real
+
+
+# -- distances between stacks -----------------------------------------------------
+
+def tance_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """T[i, j] = ta(x_i, y_j) between two stacks, from one Gram matrix."""
+    return _gram_tances(gram(x, y), self_norms(x), self_norms(y))
+
+
+def distance_matrix(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """D[i, j] = distance(x_i, y_j) between two stacks of negative points, the
+    reference for ``min_distances``.
+
+    Raises ``ClassError`` unless every row is negative, and
+    ``GeometryDomainError`` when a tance falls below 1 beyond noise.
+    """
+    if (sign_classes(x, tol) != -1).any() or (sign_classes(y, tol) != -1).any():
+        raise ClassError("distance requires two negative points")
+    return _distance_from_tance(tance_values(x, y))
 
 
 # -- the standard complex geodesic as a disc ------------------------------------
@@ -171,6 +197,34 @@ def triangle_area_quadrature(z1: complex, z2: complex, z3: complex, order: int =
     return float(total)
 
 
+def symplectic_area_closed_form(x1: ProjectivePoint, x2: ProjectivePoint,
+                                x3: ProjectivePoint) -> float:
+    """The integral of omega over one geodesic triangle of negative points in
+    the closed form the Toledo numbers sum, -arg(-<x1,x2><x2,x3><x3,x1>) / 2."""
+    prod = _triple_products(np.array([x1.v, x2.v, x3.v]), [(0, 1, 2)])[0]
+    return float(-np.angle(-prod) / 2.0)
+
+
+# -- section meshes ----------------------------------------------------------------
+
+def mesh_json(mesh) -> dict:
+    """A section mesh as chdisc/1 JSON numbers: every array it holds, the
+    side pairings' runs and isometries included, for byte comparisons."""
+    return {
+        "cone_points": [[int(i), int(n)] for i, n in mesh.cone_points],
+        "side_pairings": [
+            {
+                "isometry": _vector_json(p.isometry.matrix.reshape(9)),
+                "run_a": [int(i) for i in p.run_a],
+                "run_b": [int(i) for i in p.run_b],
+            }
+            for p in mesh.side_pairings
+        ],
+        "triangles": [[int(a), int(b), int(c)] for a, b, c in mesh.triangles],
+        "vertices": [_vector_json(v) for v in mesh.vertices],
+    }
+
+
 # -- bisectors one point at a time ----------------------------------------------
 
 def bisector_basis(b: Bisector) -> np.ndarray:
@@ -243,21 +297,26 @@ def checked_isometry(m) -> np.ndarray:
     return _unit_det(m)
 
 
-def disc_rotation_per_call(center: complex, angle: float) -> np.ndarray:
-    """The matrix of ``disc_rotation`` from ``ProjectivePoint`` objects and the
-    one-frame projector sum."""
+def in_plane_frame(center: complex) -> OrthogonalFrame:
+    """The frame (point, in-plane direction, polar) at a disc point that
+    ``_in_plane_frames`` stacks, from ``ProjectivePoint`` objects."""
     b0 = ProjectivePoint([1.0, center, 0.0])
     e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    b1 = ProjectivePoint(e1 - (herm_form(e1, b0.v) / b0.self_form()) * b0.v)
+    return OrthogonalFrame(b0, ProjectivePoint(e1 - (herm_form(e1, b0.v) / b0.self_form()) * b0.v), F0)
+
+
+def disc_rotation_per_call(center: complex, angle: float) -> np.ndarray:
+    """The matrix of one rotation of ``_disc_rotations`` from
+    ``in_plane_frame`` and the one-frame projector sum."""
     phases = np.asarray([1.0, np.exp(1j * angle), 1.0], dtype=complex).reshape(1, 3)
     m = 0
-    for mu, b in zip(phases.T, (b0.v, b1.v, F0.v)):
-        m = m + mu[:, None, None] * _projector(b)
+    for mu, b in zip(phases.T, in_plane_frame(center).vectors()):
+        m = m + mu[:, None, None] * projector(b)
     return _unit_det(m)[0]
 
 
 def disc_isometry_per_call(z1: complex, z2: complex, w1: complex, w2: complex) -> np.ndarray:
-    """The matrix of ``disc_isometry_two_points`` in complex scalars."""
+    """The matrix of one map of ``_disc_isometries`` in complex scalars."""
     def scalar_mobius(a, z):
         return (z - a) / (1.0 - np.conj(a) * z)
 
@@ -286,7 +345,7 @@ def real_frame(p: ProjectivePoint, q: ProjectivePoint) -> np.ndarray:
 
 
 def real_plane_isometry_per_pair(p0, p1, q0, q1) -> np.ndarray:
-    """The matrix of ``real_plane_isometry_two_points`` from two
+    """The matrix of one map of ``_real_plane_isometries`` from two
     ``real_frame`` calls, without the equidistance check."""
     return checked_isometry(real_frame(q0, q1) @ np.linalg.inv(real_frame(p0, p1)))
 
@@ -398,7 +457,7 @@ def staged_min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) ->
     bad = (sign_classes(rows.reshape(-1, 3), tol) != -1).reshape(rows.shape[:-1]).any(axis=-1)
     # a failing k may divide by a zero norm here; its check below raises
     with np.errstate(divide="ignore", invalid="ignore"):
-        ta = _tance_values(x, y)
+        ta = tance_values(x, y)
         low = ta.min(axis=(-2, -1))
     out = []
     for k in range(len(ta)):

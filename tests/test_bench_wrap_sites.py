@@ -6,21 +6,12 @@ without running the benchmark.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from conftest import tracer_wrap_sites
 
 
-def _wrap_sites():
-    spec = importlib.util.spec_from_file_location("_bench_tracer", _TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.WRAP_SITES
-
-
-@pytest.mark.parametrize("module, attr", [site[:2] for site in _wrap_sites()])
+@pytest.mark.parametrize("module, attr", [site[:2] for site in tracer_wrap_sites()])
 def test_tracer_wrap_site_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))

@@ -1,5 +1,7 @@
 """Form, projective points, and isometries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,8 @@ from chdisc.core import (
     NULL,
     POSITIVE,
     GeometryDomainError,
-    _tance_values,
+    _check_frames,
     _unitary_tangent_basis,
-    distance_matrix,
     gram,
     herm_rows,
     min_distances,
@@ -40,11 +41,13 @@ from chdisc.tolerances import TOL
 
 from conftest import random_isometry, random_negative_point, random_positive_point
 from oracles import (
+    distance_matrix,
     herm_rows_by_sum,
     isometry_residual,
     masked_tangent_basis,
     projective_distance,
     self_norms_by_blas,
+    tance_values,
 )
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -173,6 +176,19 @@ def test_frame_validation_rejects_wrong_classes():
         bad.validate()
 
 
+@pytest.mark.parametrize("band", [TOL.null_band, -2.0])
+def test_frame_check_rejects_wrong_classes_in_any_null_band(band):
+    """A frame of the wrong classes fails in any null band: a negative band,
+    like a positive one, only moves the null class, so the accept test reads
+    its size, as ``min_distances`` and ``_slice_polars`` do."""
+    frame = np.array([[[0, 0, 1], [1, 0, 0], [0, 1, 0]]], dtype=complex)
+    tol = replace(TOL, null_band=band)
+    with pytest.raises(FrameError, match="has class positive, wanted negative"):
+        _check_frames(frame, tol)
+    good = frame[:, [1, 0, 2]]
+    assert _check_frames(good, tol).tolist() == [[-1.0, 1.0, 1.0]]
+
+
 def test_reflection_fixes_and_inverts(rng):
     for p in (random_negative_point(rng), random_positive_point(rng)):
         r = reflection_about(p)
@@ -210,7 +226,7 @@ def test_batch_kernels_match_scalar(xs, ys):
         gram(x, y), [[herm_form(a, b) for b in ys] for a in xs], rtol=1e-14, atol=1e-14
     )
     ta = np.array([[tance(a, b) for b in py] for a in px])
-    np.testing.assert_allclose(_tance_values(x, y), ta, rtol=1e-14)
+    np.testing.assert_allclose(tance_values(x, y), ta, rtol=1e-14)
     far = ta > 1.1
     d = np.array([[distance(a, b) if far[i, j] else 0.0 for j, b in enumerate(py)]
                   for i, a in enumerate(px)])
@@ -241,7 +257,7 @@ def test_tance_floor_raises_geometry_domain_error():
     ys = [ProjectivePoint(np.exp(1j * psi) * x.v) for psi in np.linspace(0.1, 3.0, 30)]
     assert classify(x) == NEGATIVE and all(classify(y) == NEGATIVE for y in ys)
     stack = np.array([y.v for y in ys])
-    assert _tance_values(x.v[None], stack).min() < 1.0 - 1e-9
+    assert tance_values(x.v[None], stack).min() < 1.0 - 1e-9
     with pytest.raises(GeometryDomainError):
         distance_matrix(x.v[None], stack)
     low = [y for y in ys if tance(x, y) < 1.0 - 1e-9]

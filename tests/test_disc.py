@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chdisc import DegenerateError, tance
+from chdisc import DegenerateError, Isometry, tance
 from chdisc.disc import (
     F0,
     _disc_isometries,
     _disc_rotations,
     disc_distance,
-    disc_isometry_two_points,
-    disc_rotation,
     embed,
     mobius,
     radius_for_distance,
@@ -119,7 +117,7 @@ def test_triangle_area_angle_defect_oracle():
 
 def test_disc_rotation_is_c_fuchsian(rng):
     center = random_disc_coordinate(rng)
-    g = disc_rotation(center, 2.0 * np.pi / 5.0)
+    g = Isometry(_disc_rotations([center], [2.0 * np.pi / 5.0])[0])
     assert tance(g(F0), F0) == pytest.approx(1.0, abs=1e-12)
     assert tance(g(embed(center)), embed(center)) == pytest.approx(1.0, abs=1e-12)
     z = random_disc_coordinate(rng)
@@ -139,24 +137,24 @@ def test_disc_isometry_two_points(rng):
     # move the target pair to the same distance
     d = disc_distance(z1, z2)
     w2 = mobius_inv(w1, radius_for_distance(d) * np.exp(0.3j))
-    g = disc_isometry_two_points(z1, z2, w1, w2)
+    g = Isometry(_disc_isometries(z1, z2, w1, w2)[0])
     assert coordinate(g(embed(z1))) == pytest.approx(w1, abs=1e-10)
     assert coordinate(g(embed(z2))) == pytest.approx(w2, abs=1e-10)
     assert isometry_residual(g.matrix) < 1e-12
     with pytest.raises(DegenerateError):
-        disc_isometry_two_points(0.0, 0.5, 0.0, 0.9)
+        _disc_isometries(0.0, 0.5, 0.0, 0.9)
 
 
 def test_disc_rotations_have_the_bits_of_one_call_each(rng):
-    """The stacked rotations and ``disc_rotation`` give each matrix the bits
-    of the one-frame construction from ``ProjectivePoint`` objects."""
+    """The stacked rotations, of many centres or of one, give each matrix the
+    bits of the one-frame construction from ``ProjectivePoint`` objects."""
     centers = [random_disc_coordinate(rng) for _ in range(50)] + [0.0, 0.3, -0.2j]
     angles = rng.uniform(-7.0, 7.0, len(centers))
     stacked = _disc_rotations(centers, angles)
     for c, a, m in zip(centers, angles, stacked):
         expected = disc_rotation_per_call(c, a)
         assert m.tobytes() == expected.tobytes()
-        assert disc_rotation(c, a).matrix.tobytes() == expected.tobytes()
+        assert _disc_rotations([c], [a])[0].tobytes() == expected.tobytes()
     # the turnover centres, as numpy scalars
     for n1, n2, n3 in [(3, 3, 4), (3, 3, 5), (2, 3, 7), (3, 4, 4)]:
         z1, _, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
@@ -184,6 +182,6 @@ def test_disc_isometries_have_the_bits_of_complex_scalars(rng):
             z = [cast(v) for v in row]
             expected = disc_isometry_per_call(*z)
             assert m.tobytes() == expected.tobytes()
-            assert disc_isometry_two_points(*z).matrix.tobytes() == expected.tobytes()
+            assert _disc_isometries(*z)[0].tobytes() == expected.tobytes()
     with pytest.raises(DegenerateError, match="not equidistant"):
         _disc_isometries([0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.5, 0.9])

@@ -27,9 +27,7 @@ from chdisc import (
     kalashnikov_residual,
     lagrangian_frame_check,
     octagon_mesh,
-    pullback_scale,
     snap_rational,
-    symplectic_area_closed_form,
     toledo_via_coning,
     toledo_via_mesh,
     turnover_section_mesh,
@@ -53,6 +51,7 @@ from chdisc.representations import TurnoverSignature, fuchsian_turnover, orbifol
 from chdisc.representations import elliptic_fixed_point
 
 from conftest import random_isometry, random_negative_point
+from oracles import mesh_json, symplectic_area_closed_form
 
 
 # -- Kaehler angle and Lagrangian frames --------------------------------------
@@ -236,10 +235,7 @@ def test_turnover_mesh_structure():
     assert not hasattr(mesh, "validate")  # checked once, on construction
     assert mesh.cone_orders() == [3, 3, 4]
     assert mesh.snap_denominator() == 24
-    doc = mesh.to_json_dict()
-    assert doc["kind"] == "section_mesh"
-    assert len(doc["vertices"]) == len(mesh.vertices)
-    assert len(doc["side_pairings"]) == 2
+    assert len(mesh.side_pairings) == 2
 
 
 def test_mesh_validate_rejects_broken_pairing():
@@ -339,13 +335,13 @@ def test_section_mesh_copies_its_inputs():
     pairings = [SidePairing(a, b, Isometry(m)) for a, b, m in inputs]
     cones = list(built.cone_points)
     mesh = SectionMesh(vertices, triangles, pairings, cones)
-    doc = mesh.to_json_dict()
-    assert doc == built.to_json_dict()
+    doc = mesh_json(mesh)
+    assert doc == mesh_json(built)
     for array in [vertices, triangles, *(a for row in inputs for a in row)]:
         array[...] = 0
     pairings.pop()
     cones.clear()
-    assert mesh.to_json_dict() == doc
+    assert mesh_json(mesh) == doc
 
 
 def test_mesh_check_runs_once_on_construction(monkeypatch):
@@ -674,29 +670,6 @@ def test_gkl_euler_values_and_errors():
         gkl_euler(3, 6)  # beyond rigidity
 
 
-def test_pullback_scale():
-    report = invariant_report(Fraction(-1, 12), -1.0 / 12.0, -1.0 / 24.0, 24)
-    up = pullback_scale(report, 24)
-    assert up.chi == Fraction(-2)
-    assert up.toledo == Fraction(-2)
-    assert up.euler == Fraction(-1)
-    assert kalashnikov_residual(up) == 0
-    with pytest.raises(ValueError):
-        pullback_scale(report, 0)
-    # fields that do not scale are kept, and a missing degree stays missing
-    strict = Tolerances(snap=1e-6)
-    unreliable = InvariantReport(chi=Fraction(-1, 12), toledo_raw=-0.1, euler_raw=-0.05,
-                                 reliable=False, tolerances=strict)
-    up = pullback_scale(unreliable, 2)
-    assert (up.reliable, up.tolerances) == (False, strict)
-    assert (up.chi, up.toledo_raw, up.euler_raw) == (Fraction(-1, 6), -0.2, -0.1)
-    bent = InvariantReport(chi=Fraction(-1, 12), toledo_raw=-0.08, euler_raw=None)
-    up = pullback_scale(bent, 3)
-    assert (up.euler_raw, up.euler, up.toledo) == (None, None, None)
-    assert up.toledo_raw == pytest.approx(-0.24)
-    assert up.residual() is None
-
-
 # -- work shared across an invariants item ------------------------------------------
 
 def test_face_triples_are_computed_once_for_tau_and_the_bundle_degrees(monkeypatch):
@@ -711,9 +684,8 @@ def test_face_triples_are_computed_once_for_tau_and_the_bundle_degrees(monkeypat
     triples = mesh.face_triples
     assert triples is mesh.face_triples and not triples.flags.writeable
     assert triples.tobytes() == original(mesh.vertices, mesh.triangles).tobytes()
-    # the cache is no dataclass field, so it is not serialised either
+    # the cache is no dataclass field
     assert "face_triples" not in {f.name for f in fields(mesh)}
-    assert "face_triples" not in mesh.to_json_dict()
     fresh = turnover_section_mesh(3, 3, 4, refinement=4)
     assert (toledo_via_mesh(fresh), euler_via_mesh(fresh)) == (tau, degrees)
 

@@ -9,7 +9,7 @@ import pytest
 from chdisc import DegenerateError, ProjectivePoint, octagon_mesh, tance, turnover_section_mesh
 from chdisc.cli import _refinement_for
 from chdisc.core import Isometry
-from chdisc.disc import disc_rotation, embed, triangle_vertices
+from chdisc.disc import _disc_rotations, embed, triangle_vertices
 from chdisc.geometry import _geodesic_rows
 from chdisc.invariants import SidePairing, euler_via_mesh, toledo_via_mesh
 from chdisc.io import canonical_dumps
@@ -17,7 +17,7 @@ from chdisc.meshes import (
     _OCTAGON_PAIRS,
     _fan_lattice,
     _octagon_circumradius,
-    real_plane_isometry_two_points,
+    _real_plane_isometries,
     real_plane_point,
 )
 from chdisc.representations import TurnoverSignature
@@ -27,6 +27,7 @@ from oracles import (
     disc_isometry_per_call,
     disc_rotation_per_call,
     herm_rows_by_sum,
+    mesh_json,
     real_plane_isometry_per_pair,
     self_norms_by_blas,
 )
@@ -96,7 +97,7 @@ def _fan_inputs(kind, arg):
     if kind == "turnover":
         n1, n2, n3 = arg
         z1, z2, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
-        c2m = disc_rotation(z1, 2.0 * np.pi / n1)(embed(z2))
+        c2m = Isometry(_disc_rotations([z1], [2.0 * np.pi / n1])[0])(embed(z2))
         return embed(z1), [embed(z2), embed(z3), c2m], False
     r1 = _octagon_circumradius()
     angles = [2.0 * np.pi * k / 8.0 + np.pi / 8.0 for k in range(8)]
@@ -228,7 +229,7 @@ def test_side_pairings_and_mesh_json_have_the_bits_of_the_per_pair_constructors(
     per_pair = replace(mesh, side_pairings=[
         SidePairing(run_a=p.run_a, run_b=p.run_b, isometry=Isometry(m))
         for p, m in zip(mesh.side_pairings, expected)])
-    assert canonical_dumps(mesh.to_json_dict()) == canonical_dumps(per_pair.to_json_dict())
+    assert canonical_dumps(mesh_json(mesh)) == canonical_dumps(mesh_json(per_pair))
 
 
 def _invariants(mesh):
@@ -255,13 +256,17 @@ def test_raw_invariants_have_the_bits_of_the_reduction_kernels(monkeypatch, kind
         np.testing.assert_allclose(ours, reference, rtol=0, atol=1e-12)
 
 
+def _real_plane_isometry(p0, p1, q0, q1) -> Isometry:
+    """The one-pair map of ``_real_plane_isometries``: p0 -> q0, p1 -> q1."""
+    return Isometry(_real_plane_isometries(*(p.v[None] for p in (p0, p1, q0, q1)))[0])
+
+
 def test_real_plane_isometry_rejects_pairs_that_are_not_equidistant():
     origin = real_plane_point(0.0, 0.0)
     with pytest.raises(DegenerateError, match="point pairs are not equidistant"):
-        real_plane_isometry_two_points(origin, real_plane_point(0.3, 0.0),
-                                       origin, real_plane_point(0.0, 0.6))
+        _real_plane_isometry(origin, real_plane_point(0.3, 0.0), origin, real_plane_point(0.0, 0.6))
     # the same distance in another direction is a rotation about the origin
     p1, q1 = real_plane_point(0.3, 0.0), real_plane_point(0.0, 0.3)
-    g = real_plane_isometry_two_points(origin, p1, origin, q1)
+    g = _real_plane_isometry(origin, p1, origin, q1)
     assert tance(g(p1), q1) == pytest.approx(1.0, abs=1e-12)
     assert tance(g(origin), origin) == pytest.approx(1.0, abs=1e-12)

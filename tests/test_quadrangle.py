@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from chdisc import (
-    NotTransversalError,
     QuadrangleConfig,
     TriangleInvariant,
     epsilon,
-    is_counterclockwise,
     is_transversal,
     polars_digest,
     transversality_margins,
@@ -19,7 +17,6 @@ from chdisc.core import (
     ProjectivePoint,
     _unitary_tangent_basis,
     distance,
-    distance_matrix,
     herm_form,
     herm_rows,
     min_distances,
@@ -48,6 +45,7 @@ from chdisc.tolerances import TOL, Tolerances
 from conftest import random_disc_coordinate, random_isometry
 from oracles import (
     bisector_basis,
+    distance_matrix,
     staged_adjacency_check,
     polars_digest_per_component,
     slice_at,
@@ -87,7 +85,7 @@ def test_eps_area_law_fiber_triangle():
     assert np.angle(tri.eps) == pytest.approx(-2.0 * area, abs=1e-10)
     ok, _ = is_transversal(tri)
     assert ok
-    assert is_counterclockwise(tri)
+    assert tri.eps.imag < 0.0  # counterclockwise
 
 
 def test_triangle_over_complex_geodesic_rejects_bad_input():
@@ -108,8 +106,6 @@ def test_transversality_margins_signs():
     # an almost-degenerate thin triangle loses transversality
     thin = TriangleInvariant(t12=5.0, t23=5.0, t31=1.0, eps=complex(-1.0, 0.0))
     assert not is_transversal(thin)[0]
-    with pytest.raises(NotTransversalError):
-        is_counterclockwise(thin)
 
 
 def _baseline_quadrangle(sig=(3, 3, 4)):

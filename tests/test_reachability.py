@@ -1,0 +1,231 @@
+"""Every function in the package is reached by a command, a demo or the
+README tour, or is declared.
+
+The roots run in process under the stdlib ``trace`` module, counting lines
+outside the interpreter's and numpy's directories: the CLI runs of the CI's
+reproducible-artifacts step (``turnover`` at bend 0.1, ``scan`` of four
+signatures at bend 0 and of (3,3,4) at bend 0.02, ``check-quadrangle`` on
+every quadrangle they write), ``gkl``, ``figure``, the four demos and the
+README library tour.  A function or method counts as entered when a line of
+its body ran.  Two declared sets stand in for callers the roots lack:
+
+* the benchmark tracer's wrap sites (``WRAP_SITES`` in ``bench/tracer.py``),
+  together with every package function, method or constructor that they
+  name, transitively;
+* ``PAPER_API`` below: paper-level functions that only the acceptance suite
+  calls.
+
+To keep a function that no root reaches, add it to ``PAPER_API`` with the
+statement of the paper it implements.  A name belongs there only if
+``tests/test_acceptance.py`` calls it, directly or through another declared
+name, and only while the roots do not reach it: a declared name that they
+reach fails the gate, so the list stays minimal.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+import runpy
+import sys
+import trace
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chdisc
+from chdisc.cli import EXIT_FAIL, EXIT_PASS, main
+
+from conftest import tracer_wrap_sites
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(chdisc.__file__).resolve().parent
+
+#: Paper-level API that only ``tests/test_acceptance.py`` calls, with the
+#: statement each name implements and the acceptance criterion checking it.
+PAPER_API = {
+    "chdisc.quadrangle.epsilon":
+        "the unit invariant eps = <p1,p2><p2,p3><p3,p1> / |.| of a polar triple, "
+        "invariant under isometries (criteria 1 and 6)",
+    "chdisc.quadrangle.TriangleInvariant.from_polars":
+        "a triangle of bisectors as its sides t_ij = sqrt(ta(p_i, p_j)) and eps (criterion 1)",
+    "chdisc.quadrangle.triangle_over_complex_geodesic":
+        "a counterclockwise triangle of bisectors over a complex geodesic has "
+        "arg eps = -2 area (criterion 1)",
+    "chdisc.geometry.position":
+        "two complex geodesics are ultraparallel, asymptotic or concurrent as the "
+        "tance of their polars is > 1, = 1 or < 1 (criterion 6)",
+    "chdisc.core.reflection_about":
+        "the reflection x -> -x + 2 <x,p>/<p,p> p in a point or a complex geodesic, "
+        "a projective involution (criteria 5 and 6)",
+    "chdisc.representations.h5_builder":
+        "five reflections generating a hyperelliptic-group candidate (criterion 5)",
+    "chdisc.invariants.kaehler_angle":
+        "the Kaehler angle of a tangent plane: +-1 on complex planes, 0 on "
+        "Lagrangian ones (criterion 7)",
+    "chdisc.invariants.lagrangian_frame_check":
+        "the normal frame (i u2, i u1) of a Lagrangian plane (u1, u2) agrees with the "
+        "complex orientation (criterion 7)",
+    "chdisc.invariants.orientation_sign":
+        "the orientation of a real tangent 4-frame against the complex one (criterion 7)",
+    "chdisc.invariants._gram_schmidt":
+        "a g-orthonormal tangent pair from two tangent vectors (criterion 7)",
+    "chdisc.invariants.omega": "the symplectic form omega = Im h (criterion 7)",
+    "chdisc.invariants.tangent_project":
+        "the form-orthogonal projection into the tangent space x^perp (criterion 7)",
+    "chdisc.meshes.real_plane_point":
+        "the point (1, a, b) of the standard real (Lagrangian) plane (criterion 7)",
+}
+
+
+@dataclass(frozen=True)
+class _Function:
+    module: str
+    node: ast.FunctionDef
+    path: Path
+
+    def body_lines(self) -> set:
+        """The lines of the body after its docstring, which runs no line."""
+        body = self.node.body
+        if ast.get_docstring(self.node) is not None:
+            body = body[1:]
+        return {n for stmt in body for n in range(stmt.lineno, stmt.end_lineno + 1)}
+
+
+def _package_functions() -> dict:
+    """{"chdisc.module.qualname": _Function} for every module-level function
+    and every method in the package."""
+    out = {}
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        module = f"chdisc.{info.name}"
+        path = PACKAGE / f"{info.name}.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                out[f"{module}.{node.name}"] = _Function(module, node, path)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        out[f"{module}.{node.name}.{item.name}"] = _Function(module, item, path)
+    return out
+
+
+def _key(obj) -> str:
+    return f"{obj.__module__}.{obj.__qualname__}"
+
+
+def _named_closure(objects, functions) -> set:
+    """The keys of the package functions among ``objects`` and of every
+    package function, method or constructor their bodies name, transitively.
+
+    A name resolves through the module globals of the function naming it; a
+    class stands for its ``__init__`` and ``__post_init__``, and
+    ``Class.attr`` for that attribute of a package class.
+    """
+    reached, todo = set(), list(objects)
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, type):
+            todo += [vars(obj)[k] for k in ("__init__", "__post_init__") if k in vars(obj)]
+            continue
+        obj = getattr(obj, "__func__", obj)  # a staticmethod or classmethod
+        if not hasattr(obj, "__code__") or _key(obj) not in functions or _key(obj) in reached:
+            continue
+        reached.add(_key(obj))
+        scope = obj.__globals__
+        for node in ast.walk(functions[_key(obj)].node):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                todo.append(scope.get(node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                owner = scope.get(node.value.id)
+                if isinstance(owner, type) and owner.__module__.startswith("chdisc."):
+                    todo.append(vars(owner).get(node.attr))
+    return reached
+
+
+def _readme_tour() -> str:
+    """The first python block of README.md, the library tour CI runs."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def _run_roots(out: Path) -> list:
+    """Run every root once; returns the CLI exit codes, check-quadrangle's last."""
+    commands = [
+        ["turnover", "--n", "3", "3", "4", "--bend", "0.1", "--out", out / "bent"],
+        ["scan", "--n", "3", "3", "4", "--n", "3", "3", "5", "--n", "3", "4", "4",
+         "--n", "2", "3", "7", "--out", out / "scan"],
+        ["scan", "--n", "3", "3", "4", "--bend", "0.02", "--out", out / "drift"],
+        ["gkl", "--genus", "3"],
+        ["figure", "--n", "3", "3", "4", "--draw", "polygon", "quadrangle",
+         "--out", out / "figure.svg"],
+    ]
+    codes = [main([str(a) for a in argv]) for argv in commands]
+    for quad in sorted(out.rglob("*.quad.json")):
+        codes.append(main(["check-quadrangle", str(quad), "--out", str(out / "check")]))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+    exec(compile(_readme_tour(), str(ROOT / "README.md"), "exec"), {"__name__": "__main__"})
+    return codes
+
+
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    """(functions, entered keys, wrap-site closure keys, CLI exit codes)."""
+    functions = _package_functions()
+    for name in {f.module for f in functions.values()}:
+        for obj in vars(importlib.import_module(name)).values():
+            if hasattr(obj, "cache_clear"):  # a cached body must run under the trace
+                obj.cache_clear()
+    library = {sys.prefix, sys.exec_prefix, sys.base_prefix, str(Path(np.__file__).parents[1])}
+    tracer = trace.Trace(count=1, trace=0,
+                         ignoredirs=[d for d in library if not PACKAGE.is_relative_to(Path(d).resolve())])
+    codes = tracer.runfunc(_run_roots, tmp_path_factory.mktemp("roots"))
+    lines = {}
+    for filename, line in tracer.results().counts:
+        lines.setdefault(Path(filename).resolve(), set()).add(line)
+    entered = {key for key, f in functions.items() if f.body_lines() & lines.get(f.path, set())}
+    sites = [getattr(importlib.import_module(m), attr) for m, attr, _ in tracer_wrap_sites()]
+    return functions, entered, _named_closure(sites, functions), codes
+
+
+def test_the_roots_run(reach):
+    codes = reach[3]
+    assert codes[:5] == [EXIT_PASS] * 5
+    assert len(codes) > 5 and set(codes[5:]) <= {EXIT_PASS, EXIT_FAIL}
+
+
+def test_every_function_is_reached_or_declared(reach):
+    functions, entered, wrapped, _ = reach
+    unreached = sorted(set(functions) - entered - wrapped - set(PAPER_API))
+    assert not unreached, (
+        "no command, demo or README tour reaches these, and they are not declared "
+        f"(delete them, or see the module docstring): {unreached}"
+    )
+
+
+def test_declared_names_exist_and_are_otherwise_unreached(reach):
+    functions, entered, wrapped, _ = reach
+    assert sorted(set(PAPER_API) - set(functions)) == []
+    assert sorted(set(PAPER_API) & entered) == [], "reached by a root: drop from PAPER_API"
+    assert sorted(set(PAPER_API) & wrapped) == [], "reached by a wrap site: drop from PAPER_API"
+
+
+def test_declared_names_are_called_by_the_acceptance_suite():
+    """Each ``PAPER_API`` name is named in the acceptance suite, or is
+    named by the body of one that is, transitively."""
+    functions = _package_functions()
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+    def resolve(key):
+        obj = importlib.import_module(functions[key].module)
+        for part in key[len(functions[key].module) + 1:].split("."):
+            obj = getattr(obj, part)
+        return obj
+
+    direct = [resolve(k) for k in PAPER_API if k.rsplit(".", 1)[1] in named]
+    assert sorted(set(PAPER_API) - _named_closure(direct, functions)) == []

@@ -36,18 +36,17 @@ from chdisc.core import (
     OrthogonalFrame,
     ProjectivePoint,
     _CUBE_ROOTS,
-    _elliptic_stack,
-    _projector,
+    _elliptic_rows,
     _unit_det,
     elliptic_from_frame,
     herm_form,
 )
-from chdisc.disc import F0, disc_distance, disc_rotation, embed, in_plane_frame, triangle_vertices
+from chdisc.disc import F0, _disc_rotations, _su11_stack, disc_distance, embed, triangle_vertices
 from chdisc import core, lsq, representations
 from chdisc.representations import SOLVER_STOPPING
 
 from conftest import random_negative_point
-from oracles import projective_distance
+from oracles import in_plane_frame, projective_distance, projector
 
 
 def test_signature_validation():
@@ -82,7 +81,7 @@ def test_triangle_from_angles_geometry():
 
 
 def test_relation_residual_word_algebra():
-    g = disc_rotation(0.1 + 0.2j, 0.7)
+    g = Isometry(_disc_rotations([0.1 + 0.2j], [0.7])[0])
     rep = Representation(kind="test", generators={"g": g}, relations=[])
     assert relation_residual(rep, "g g^-1") < 1e-12
     assert relation_residual(rep, "g") > 1e-3
@@ -92,15 +91,13 @@ def test_relation_residual_word_algebra():
 
 def test_elliptic_fixed_point():
     center = 0.3 - 0.1j
-    g = disc_rotation(center, 2.0 * np.pi / 5.0)
+    g = Isometry(_disc_rotations([center], [2.0 * np.pi / 5.0])[0])
     x = elliptic_fixed_point(g)
     assert tance(x, embed(center)) == pytest.approx(1.0, abs=1e-10)
     # a loxodromic-free check: translations along a geodesic have no
     # negative eigenvector
-    from chdisc.disc import su11_to_isometry
-
     t = 0.8
-    lox = su11_to_isometry(np.cosh(t), np.sinh(t))
+    lox = Isometry(_su11_stack(np.cosh(t), np.sinh(t))[0])
     with pytest.raises(ClassError):
         elliptic_fixed_point(lox)
 
@@ -136,16 +133,16 @@ def test_fuchsian_turnover_builds_one_rotation_table_per_generator(monkeypatch):
     and g3 each come from one stacked build over all their polar twists.
     turnover_solve takes g1 and g1^-1 of every twist from one such build."""
     tables = []
-    build = representations._elliptic_stack
+    build = representations._elliptic_rows
 
-    def counting(frame, phases, *rest):
+    def counting(frames, phases, *rest):
         tables.append(np.shape(phases))
-        return build(frame, phases, *rest)
+        return build(frames, phases, *rest)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a rotation was built one row at a time")
 
-    monkeypatch.setattr(representations, "_elliptic_stack", counting)
+    monkeypatch.setattr(representations, "_elliptic_rows", counting)
     monkeypatch.setattr(representations, "elliptic_from_frame", forbidden)
     monkeypatch.setattr(core, "elliptic_from_frame", forbidden)
     fuchsian_turnover(TurnoverSignature(3, 3, 5))
@@ -166,7 +163,7 @@ def _twisted_rotation(center, n, k, bend=0.0):
 
 def isometry_power(g: Isometry, n: int) -> Isometry:
     """g^n as a det-normalized Isometry, for the scalar oracle below."""
-    return Isometry.from_matrix(np.linalg.matrix_power(g.matrix, n), check=False)
+    return Isometry(_unit_det(np.linalg.matrix_power(g.matrix, n)))
 
 
 def _scalar_twist_search(sig):
@@ -258,39 +255,44 @@ def test_turnover_solve_without_starts_finds_nothing():
         turnover_solve(TurnoverSignature(3, 3, 4), 0.05, SolverSeed(starts=0))
 
 
+def _one_frame_rows(frame, phases):
+    """``_elliptic_rows`` of one frame for every row of ``phases``."""
+    return _elliptic_rows(np.array(frame.vectors())[None], phases)
+
+
 def test_elliptic_from_frame_has_the_bits_of_the_projector_sum(rng):
-    """The one-row elliptic_from_frame equals the det-normalized
-    sum(mu * _projector(b)) over the frame, bit for bit."""
+    """The one-row elliptic_from_frame, and each row of a stack, equals the
+    det-normalized sum(mu * projector(b)) over the frame, bit for bit."""
     for _ in range(300):
         z = 0.95 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(-np.pi, np.pi))
         frame = in_plane_frame(z)
         phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
-        m = sum(mu * _projector(b) for mu, b in zip(phases, frame.vectors()))
+        m = sum(mu * projector(b) for mu, b in zip(phases, frame.vectors()))
         expected = Isometry.from_matrix(m)
         assert elliptic_from_frame(frame, phases).matrix.tobytes() == expected.matrix.tobytes()
-        stacked = _elliptic_stack(frame, np.stack([phases, phases[::-1]]))
+        stacked = _one_frame_rows(frame, np.stack([phases, phases[::-1]]))
         assert stacked[0].tobytes() == expected.matrix.tobytes()
 
 
-def test_elliptic_stack_keeps_the_checks_of_elliptic_from_frame():
+def test_elliptic_rows_keep_the_checks_of_elliptic_from_frame():
     """A non-unit phase in any row, a frame that fails validation, and the
     first row whose matrix is not an isometry all raise FrameError."""
     frame = in_plane_frame(0.2 + 0.1j)
     with pytest.raises(FrameError, match="unit modulus"):
-        _elliptic_stack(frame, [[1.0, 1.0, 1.0], [1.0, 1.1, 1.0]])
+        _one_frame_rows(frame, [[1.0, 1.0, 1.0], [1.0, 1.1, 1.0]])
     skew = OrthogonalFrame(embed(0.0), ProjectivePoint([1e-6, 1.0, 0.0]), F0)
     with pytest.raises(FrameError, match="not orthogonal"):
-        _elliptic_stack(skew, [[1.0, 1.0, 1.0]])
+        _one_frame_rows(skew, [[1.0, 1.0, 1.0]])
     # orthogonal within tolerance: the sum stays an isometry for phases (1, -1, 1)
     # but misses the threshold for (1, i, 1) (residual 1.27e-9) and (1, 1, 1)
     nearly = OrthogonalFrame(embed(0.0), ProjectivePoint([9e-10, 1.0, 0.0]), F0)
-    assert _elliptic_stack(nearly, [[1.0, -1.0, 1.0]]).shape == (1, 3, 3)
+    assert _one_frame_rows(nearly, [[1.0, -1.0, 1.0]]).shape == (1, 3, 3)
     with pytest.raises(FrameError, match=r"residual 1\.27279e-09"):
-        _elliptic_stack(nearly, [[1.0, -1.0, 1.0], [1.0, 1j, 1.0], [1.0, 1.0, 1.0]])
+        _one_frame_rows(nearly, [[1.0, -1.0, 1.0], [1.0, 1j, 1.0], [1.0, 1.0, 1.0]])
 
 
 def test_isometry_power():
-    g = disc_rotation(0.0, 2.0 * np.pi / 7.0)
+    g = Isometry(_disc_rotations([0.0], [2.0 * np.pi / 7.0])[0])
     assert projective_distance(isometry_power(g, 7), Isometry.identity()) < 1e-12
 
 
@@ -400,7 +402,7 @@ def _bent_arrays(params, g1_inv, phases, n2):
     w1 = cos * u + sin * np.exp(1j * phi) * v
     w2 = -sin * np.exp(-1j * phi) * u + cos * v
     frame = (x3, w1, w2)
-    m3 = sum(mu * _projector(f / float(np.linalg.norm(f))) for mu, f in zip(phases, frame))
+    m3 = sum(mu * projector(f / float(np.linalg.norm(f))) for mu, f in zip(phases, frame))
     g3 = _unit_det(m3)
     g2 = _unit_det(_unit_det(FORM_MATRIX @ g3.conj().T @ FORM_MATRIX) @ g1_inv)
     power = np.linalg.matrix_power(g2, n2)
