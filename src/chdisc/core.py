@@ -34,6 +34,12 @@ _SIGNS = np.array([-1.0, 1.0, 1.0])
 _CUBE_ROOTS = np.exp(2j * np.pi * np.arange(3) / 3)
 _NEXT_PREV, _PREV_NEXT = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 _SEEDS = np.eye(3, dtype=complex)
+#: Two Euclidean-unit representatives span one point (one complex geodesic,
+#: for polars) when | |v . conj(w)| - 1 | falls below this.  It decides the
+#: DegenerateError verdicts on identical geodesics; it is not a Tolerances
+#: field because every field is written into each invariants report, whose
+#: bytes a new field would change.
+_PARALLEL = 1e-9
 
 
 def herm_form(x, y) -> complex:
@@ -76,7 +82,7 @@ class ProjectivePoint:
     def self_form(self) -> float:
         return herm_form(self.v, self.v).real  # <x,x> is real for any x
 
-    def is_parallel_to(self, other: "ProjectivePoint", tol: float = 1e-9) -> bool:
+    def is_parallel_to(self, other: "ProjectivePoint", tol: float = _PARALLEL) -> bool:
         # |<v, w>_euclid| == |v||w| iff parallel; representatives are unit.
         return abs(abs(np.vdot(other.v, self.v)) - 1.0) < tol
 

@@ -135,14 +135,39 @@ def _su11_stack(alpha, beta) -> np.ndarray:
     return _isometry_stack(m)
 
 
-def _disc_isometries(z1, z2, w1, w2) -> np.ndarray:
-    """Det-1 matrices of the disc automorphisms with z1[i] -> w1[i] and
-    z2[i] -> w2[i] over arrays of disc points, a (k, 3, 3) stack.
+def _so21_stack(alpha, beta) -> np.ndarray:
+    """The same disc Mobius maps, for length-k arrays of coefficients,
+    acting on the standard real plane, whose point (1, a, b) is the disc
+    point z with a + ib = 2z / (1 + |z|^2) (Klein coordinates): a (k, 3, 3)
+    stack of real matrices, extended complex-linearly to H^2_C.
+
+    Row by row the adjoint action of SU(1,1) on (1, a, b) is
+    [|alpha|^2 + |beta|^2, 2 Re(alpha conj(beta)), -2 Im(alpha conj(beta))],
+    [2 Re(alpha beta), Re(alpha^2 + beta^2), -Im(alpha^2 - beta^2)],
+    [2 Im(alpha beta), Im(alpha^2 + beta^2), Re(alpha^2 - beta^2)],
+    each entry formed elementwise from the real parts, so that a stack and
+    one pair at a time get the same bits under any BLAS kernel.
+    """
+    ar, ai, br, bi = alpha.real, alpha.imag, beta.real, beta.imag
+    a2, b2 = ar * ar - ai * ai, br * br - bi * bi  # Re alpha^2, Re beta^2
+    rows = [
+        [(ar * ar + ai * ai) + (br * br + bi * bi), 2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br)],
+        [2.0 * (ar * br - ai * bi), a2 + b2, 2.0 * (br * bi - ar * ai)],
+        [2.0 * (ar * bi + ai * br), 2.0 * (ar * ai + br * bi), a2 - b2],
+    ]
+    return _isometry_stack(np.moveaxis(np.array(rows, dtype=complex), -1, 0))
+
+
+def _disc_automorphisms(z1, z2, w1, w2):
+    """SU(1,1) coefficients (alpha, beta) of the disc automorphisms with
+    z1[i] -> w1[i] and z2[i] -> w2[i] over arrays of disc points, two
+    length-k arrays; ``_su11_stack`` lifts them to C-Fuchsian and
+    ``_so21_stack`` to R-Fuchsian isometries of H^2_C.
 
     The pairs must be equidistant (else ``DegenerateError``); each map is
-    the unique orientation-preserving one, a C-Fuchsian isometry of H^2_C,
-    with the bits of the complex-scalar computation (``mobius``, hypot for
-    |z|, libm ``pow`` for |z|^2).
+    the unique orientation-preserving one, with the bits of the
+    complex-scalar computation (``mobius``, hypot for |z|, libm ``pow`` for
+    |z|^2).
     """
     z1, z2, w1, w2 = (np.asarray(v, dtype=complex).reshape(-1) for v in (z1, z2, w1, w2))
     k = len(z1)
@@ -166,4 +191,4 @@ def _disc_isometries(z1, z2, w1, w2) -> np.ndarray:
     su[..., 0, 0], su[..., 0, 1] = alpha, beta
     su[..., 1, 0], su[..., 1, 1] = beta.conj(), alpha.conj()
     g = su[0] @ su[1] @ su[2]
-    return _su11_stack(g[:, 0, 0], g[:, 0, 1])
+    return g[:, 0, 0], g[:, 0, 1]

@@ -9,6 +9,7 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
+    _PARALLEL,
     _euclidean_units,
     _norms_and_squares,
     _sign_code,
@@ -72,15 +73,10 @@ def _negative_units(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(-self_norms(x))[..., None]
 
 
-def _aligned_pair(x: np.ndarray, y: np.ndarray):
-    """(xh, yh, c, d): broadcasting stacks of negative points scaled to <,> = -1,
-    yh phase aligned so that <xh, yh> = -c = -cosh d, and their distances d."""
-    xh = _negative_units(x)
-    return (xh, *_aligned_units(xh, _negative_units(y)))
-
-
 def _aligned_units(xh: np.ndarray, yh: np.ndarray):
-    """(yh, c, d) of ``_aligned_pair`` for rows already scaled to <,> = -1."""
+    """(yh, c, d) for broadcasting stacks of negative points scaled to
+    <,> = -1: yh phase aligned so that <xh, yh> = -c = -cosh d, and their
+    distances d."""
     yh = _phase_align(xh, yh)
     c = -herm_rows(xh, yh).real
     return yh, c, np.arccosh(np.maximum(c, 1.0))
@@ -183,16 +179,13 @@ def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
     rows[4] = basis[..., 2]
     fs, fsq = _norms_and_squares(rows[2:])
     # ProjectivePoint.is_parallel_to of (p, q) and of (x, y), Euclidean-unit
-    # rows: parallel when | |p . conj(q)| - 1 | < 1e-9.  The 1e-9 decides
-    # both DegenerateError verdicts; it is not a Tolerances field because
-    # InvariantReport.to_json_dict writes every field into each .report.json,
-    # whose bytes a new field would change.
+    # rows: parallel when | |p . conj(q)| - 1 | < _PARALLEL
     dots = np.abs(np.abs((rows[0:3:2] * np.conj(rows[1:4:2])).sum(axis=-1)) - 1.0)
     tances = (np.square(pq.real) + np.square(pq.imag)) / (s[0] * s[1])
     # p and q take the null test itself; x, y and the spine polar pass when
     # their self norm lies strictly beyond the band on the wanted side,
     # which gives the wanted class in any band
-    if (dots.min() >= 1e-9 and (tances - 1.0).min() >= tol.asymptotic
+    if (dots.min() >= _PARALLEL and (tances - 1.0).min() >= tol.asymptotic
             and (np.abs(s) >= tol.null_band * sq).all()
             and (fs * _FOOT_FOOT_POLAR > abs(TOL.null_band) * fsq).all()):
         return feet, basis
@@ -202,12 +195,12 @@ def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
     cx, cy, cf = _sign_code(fs, fsq, TOL.null_band)
     # per pair in this order: mutual position, feet, spine, spine polar
     checks = [
-        (dots[0] < 1e-9, DegenerateError, "identical complex geodesics have no mutual position"),
+        (dots[0] < _PARALLEL, DegenerateError, "identical complex geodesics have no mutual position"),
         ((cp == 0) | (cq == 0), NullPointError, "tance is undefined for null points"),
         (tances - 1.0 < tol.asymptotic,
          NotUltraparallelError, "common perpendicular needs ultraparallel geodesics"),
         ((cx != -1) | (cy != -1), ClassError, "feet of the common perpendicular are not negative points"),
-        (dots[1] < 1e-9, DegenerateError, "a geodesic needs two distinct points"),
+        (dots[1] < _PARALLEL, DegenerateError, "a geodesic needs two distinct points"),
         (cf != 1, ClassError, "spine polar is not positive"),
     ]
     fails = np.array([c[0] for c in checks])

@@ -8,15 +8,7 @@ omega = Im h, so omega(u, iu) = -g(u,u): on a complex geodesic traversed
 counterclockwise the integral of omega is minus the area.  With the Toledo
 number defined as (2/pi) * integral of omega over an equivariant section,
 the counterclockwise baseline sections give tau = chi exactly (the
-``fiberwise-counterclockwise`` orientation convention carried by reports).
-
-For derivatives of curves of unnormalized representatives x(t), the
-pulled-back metric
-
-    h(u, v) = -( <u,v><x,x> - <u,x><x,v> ) / <x,x>^2
-
-projects out the radial component automatically, so any smooth lift of a
-surface patch can be differentiated directly.
+``ORIENTATION_CONVENTION`` that reports carry).
 """
 
 from __future__ import annotations
@@ -41,13 +33,16 @@ from .core import (
     _unitary_tangent_basis,
 )
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
-from .geometry import _aligned_units, _negative_units, _phase_align
+from .geometry import _aligned_units, _negative_units
 from .io import _f
 from .tolerances import TOL, Tolerances
 
 COMPLEX_CLASS = "complex"
 LAGRANGIAN_CLASS = "Lagrangian"
 GENERIC_CLASS = "generic"
+#: The orientation convention every invariants report names: tau = chi on
+#: the counterclockwise baseline sections.
+ORIENTATION_CONVENTION = "fiberwise-counterclockwise"
 
 
 # -- tangent-space utilities --------------------------------------------------
@@ -67,12 +62,6 @@ def tangent_project(xhat: np.ndarray, w: np.ndarray) -> np.ndarray:
 def omega(u: np.ndarray, v: np.ndarray) -> float:
     """The symplectic form Im h on tangent vectors at a common point."""
     return float(herm_form(u, v).imag)
-
-
-def pullback_h(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
-    """Pulled-back Hermitian metric for derivatives of an unnormalized lift."""
-    xx = herm_form(x, x)
-    return -(herm_form(u, v) * xx - herm_form(u, x) * herm_form(x, v)) / (xx * xx)
 
 
 def _gram_schmidt(vectors, xhat):
@@ -122,29 +111,29 @@ def _from_coords(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...kd->...d", c[..., 0::2] + 1j * c[..., 1::2], basis)
 
 
-#: |orientation determinant| below which a 4-frame is degenerate: it decides
-#: the DegenerateError verdict, as the determinant is +-1 for an orthonormal
-#: frame and rounding noise for a dependent one.  Not a Tolerances field,
-#: since every field is written into each invariants report.
+#: |Pfaffian| below which a tangent 4-frame is degenerate: it decides the
+#: DegenerateError verdict, as the Pfaffian is +-1 for an orthonormal frame
+#: and rounding noise for a dependent one.  Not a Tolerances field, since
+#: every field is written into each invariants report.
 _DEGENERATE_FRAME = 1e-14
 
 
 def orientation_sign(x, frame4):
     """Sign of real tangent 4-frames at x against the complex orientation of x^perp.
 
-    Takes x scaled to <x,x> = -1 with four tangent 3-vectors, or an (N,3)
-    stack with an (N,4,3) stack of frames; returns +1/-1 per frame.  Over
-    R^6 = C^3 the real determinant of (x, ix, f1, f2, f3, f4) is
-    |det_C(x, b1, b2)|^2 = 1 times the determinant of the frame's
-    coordinates in the real basis (b1, ib1, b2, ib2), for any unitary basis
-    (b1, b2) of x^perp, so no basis is built.
+    Takes a negative point x with four 3-vectors, or an (N,3) stack with an
+    (N,4,3) stack of frames; returns +1/-1 per frame.  The frame is
+    projected into x^perp and the sign is that of ``_gram_pfaffians`` of
+    its Gram matrix, the determinant of its real coordinates in any unitary
+    basis (b1, ib1, b2, ib2) of x^perp, so no basis is built.
     """
     x = np.asarray(x, dtype=complex)[..., None, :]
-    rows = np.concatenate([x, 1j * x, np.asarray(frame4, dtype=complex)], axis=-2)
-    d = np.linalg.det(rows.view(float).reshape(*rows.shape[:-2], 6, 6))
-    if np.any(abs(d) < _DEGENERATE_FRAME):
+    f = np.asarray(frame4, dtype=complex)
+    f = f - (herm_rows(f, x) / self_norms(x))[..., None] * x  # into x^perp
+    pf = _gram_pfaffians(herm_rows(f[..., :, None, :], f[..., None, :, :]))
+    if np.any(abs(pf) < _DEGENERATE_FRAME):
         raise DegenerateError("degenerate 4-frame")
-    return np.where(d > 0, 1, -1)
+    return np.where(pf > 0, 1, -1)
 
 
 def lagrangian_frame_check(x: ProjectivePoint, u1, u2, normal_pair=None,
@@ -285,60 +274,15 @@ class SectionMesh:
 
 # -- Toledo integrals --------------------------------------------------------
 
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order n on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def symplectic_area_triangle(x1: ProjectivePoint, x2: ProjectivePoint,
-                             x3: ProjectivePoint, order: int = 24) -> float:
-    """integral of omega over the geodesic triangle (x1, x2, x3) by quadrature.
+                             x3: ProjectivePoint) -> float:
+    """The integral of omega over the geodesic triangle (x1, x2, x3) of
+    negative points, the one-face term that ``_toledo`` sums.
 
-    The triangle is coned from x1 over the geodesic x2 -> x3; the smooth
-    lift F(s,t) = slerp(x1, slerp(x2, x3, t), s) is differentiated
-    analytically and Im of the pulled-back metric integrated with a tensor
-    Gauss-Legendre rule.  The reference the closed form is tested against;
-    no library path calls it (bench/tracer.py wraps it by this name).
+    No library path calls it (bench/tracer.py wraps it by this name).
     """
-    x1h = normalized_negative(x1)
-    x2h = normalized_negative(x2)
-    x3h = _phase_align(x2h, normalized_negative(x3))
-    cc = -herm_form(x3h, x2h).real
-    dd = float(np.arccosh(max(cc, 1.0)))
-    if dd < 1e-14:
-        return 0.0
-    s_nodes, s_weights = _gl_nodes(order)
-    t_nodes, t_weights = _gl_nodes(order)
-    total = 0.0
-    for tj, wtj in zip(t_nodes, t_weights):
-        c = (np.sinh((1.0 - tj) * dd) * x2h + np.sinh(tj * dd) * x3h) / np.sinh(dd)
-        cdot = dd * (-np.cosh((1.0 - tj) * dd) * x2h + np.cosh(tj * dd) * x3h) / np.sinh(dd)
-        p = herm_form(x1h, c)
-        pdot = herm_form(x1h, cdot)
-        ap = abs(p)
-        if ap < 1e-14:
-            continue
-        apdot = (p.conjugate() * pdot).real / ap
-        lam = -p / ap
-        lamdot = -pdot / ap + p * apdot / (ap * ap)
-        y = lam * c
-        ydot = lamdot * c + lam * cdot
-        d = float(np.arccosh(max(ap, 1.0)))
-        if d < 1e-14:
-            continue
-        ddot = apdot / np.sinh(d)
-        sh = np.sinh(d)
-        for si, wsi in zip(s_nodes, s_weights):
-            f = (np.sinh((1.0 - si) * d) * x1h + np.sinh(si * d) * y) / sh
-            fs = d * (-np.cosh((1.0 - si) * d) * x1h + np.cosh(si * d) * y) / sh
-            ft = (
-                (1.0 - si) * ddot * np.cosh((1.0 - si) * d) * x1h
-                + si * ddot * np.cosh(si * d) * y
-                + np.sinh(si * d) * ydot
-            ) / sh - ddot * np.cosh(d) / sh * f
-            total += wsi * wtj * pullback_h(f, fs, ft).imag
-    return float(total)
+    triple = _triple_products(np.array([x1.v, x2.v, x3.v]), [(0, 1, 2)])
+    return float(_face_areas(triple)[0])
 
 
 def _triple_products(vertices: np.ndarray, faces) -> np.ndarray:
@@ -348,18 +292,21 @@ def _triple_products(vertices: np.ndarray, faces) -> np.ndarray:
     return herm_rows(a, b) * herm_rows(b, c) * herm_rows(c, a)
 
 
-def _toledo(triples: np.ndarray) -> float:
-    """(2/pi) * the integral of omega summed over geodesic faces, from their
-    ``_triple_products``.
+def _face_areas(triples: np.ndarray) -> np.ndarray:
+    """The integrals of omega over geodesic faces, from their ``_triple_products``.
 
     Over a geodesic triangle (x1, x2, x3) of negative points the integral is
     exactly -arg(-<x1,x2><x2,x3><x3,x1>) / 2, independent of representatives
-    (each point enters once linearly and once conjugate-linearly); it agrees
-    with the quadrature of :func:`symplectic_area_triangle` to rounding.
+    (each point enters once linearly and once conjugate-linearly).
     """
-    areas = -np.angle(-triples) / 2.0
+    return -np.angle(-triples) / 2.0
+
+
+def _toledo(triples: np.ndarray) -> float:
+    """(2/pi) * the integral of omega summed over geodesic faces, from their
+    ``_triple_products``."""
     # + 0.0 turns the -0.0 of a Lagrangian section into 0.0
-    return float(2.0 / np.pi * areas.sum()) + 0.0
+    return float(2.0 / np.pi * _face_areas(triples).sum()) + 0.0
 
 
 def toledo_via_mesh(m: SectionMesh) -> float:
@@ -406,7 +353,7 @@ class FrameField:
         The orientation comes from the Gram matrices the orthonormality
         check forms, through ``_gram_pfaffians``: no basis and no
         determinant per vertex.  As in ``orientation_sign``, an orthonormal
-        tangent frame whose determinant is below ``_DEGENERATE_FRAME`` raises
+        tangent frame whose Pfaffian is below ``_DEGENERATE_FRAME`` raises
         ``DegenerateError``.
         """
         xh = _negative_units(mesh.vertices)
@@ -620,7 +567,6 @@ class InvariantReport:
     toledo: Fraction | None = None
     euler: Fraction | None = None
     reliable: bool = True
-    orientation_convention: str = "fiberwise-counterclockwise"
     tolerances: Tolerances = TOL
 
     def residual(self, signed: bool = True) -> float | None:
@@ -637,7 +583,7 @@ class InvariantReport:
                 "raw": _maybe_f(self.euler_raw),
                 "snapped": _frac_str(self.euler),
             },
-            "orientation_convention": self.orientation_convention,
+            "orientation_convention": ORIENTATION_CONVENTION,
             "reliable": self.reliable,
             "residual_signed": _maybe_f(self.residual(signed=True)),
             "residual_unsigned": _maybe_f(self.residual(signed=False)),

@@ -119,6 +119,8 @@ def _stored_point(v) -> ProjectivePoint:
 # -- representations ----------------------------------------------------------
 
 def _json_safe(value):
+    """A representation's metadata as chdisc/1 JSON values, keys sorted;
+    ``TypeError`` for a type with no JSON form, rather than its ``str``."""
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, float):
@@ -133,7 +135,7 @@ def _json_safe(value):
         return int(value)
     if isinstance(value, np.floating):
         return _f(float(value))
-    return str(value)
+    raise TypeError(f"no chdisc/1 JSON form for a value of type {type(value).__name__}")
 
 
 def representation_to_json_dict(rep) -> dict:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Isometry, ProjectivePoint, _isometry_stack, _unit_reps, polar_rows, self_norms
-from .disc import _disc_isometries, _disc_rotations, triangle_vertices
+from .core import Isometry, ProjectivePoint, _unit_reps
+from .disc import _disc_automorphisms, _disc_rotations, _so21_stack, _su11_stack, triangle_vertices
 from .errors import DegenerateError
 from .geometry import (
-    _aligned_pair,
     _geodesic_rows,
     _negative_units,
     _slerp_units,
@@ -125,42 +124,6 @@ def real_plane_point(a: float, b: float) -> ProjectivePoint:
     return ProjectivePoint([1.0, a, b])
 
 
-def _real_frames(p: np.ndarray, q: np.ndarray):
-    """(frames, d): the J-orthonormal real frames (point, tangent toward q,
-    plane normal) as the columns of a (k, 3, 3) stack, for (k, 3) stacks of
-    real-plane points, and the distances d(p_i, q_i)."""
-    ph, qh, c, d = _aligned_pair(p, q)
-    # 1e-12 guards the division by sinh d and decides the verdict on a
-    # coincident pair; not a Tolerances field, since every field is written
-    # into each invariants report
-    if (d < 1e-12).any():
-        raise DegenerateError("coincident points give no direction")
-    f = np.empty((len(d), 3, 3))
-    ph = f[..., 0] = ph.real
-    t = f[..., 1] = (qh.real - c[:, None] * ph) / np.sinh(d)[:, None]
-    nrm = polar_rows(ph, t).real
-    f[..., 2] = nrm / np.sqrt(self_norms(nrm))[:, None]
-    return f, d
-
-
-def _real_plane_isometries(p0, p1, q0, q1) -> np.ndarray:
-    """Det-1 matrices of the O(2,1) isometries of the real plane with
-    p0[i] -> q0[i] and p1[i] -> q1[i], over (k, 3) stacks of point
-    representatives.
-
-    The pairs must be equidistant (else ``DegenerateError``); each map
-    carries the frame of (p0, p1) to the frame of (q0, q1) and extends
-    complex-linearly to H^2_C.  All 2k frames come from one pass, then one
-    stacked inverse, product and isometry check.
-    """
-    k = len(p0)
-    f, d = _real_frames(np.concatenate([p0, q0]), np.concatenate([p1, q1]))
-    # the relative 1e-9 is that of _disc_isometries
-    if (abs(d[:k] - d[k:]) > 1e-9 * np.maximum(1.0, d[:k])).any():
-        raise DegenerateError("point pairs are not equidistant")
-    return _isometry_stack((f[k:] @ np.linalg.inv(f[:k])).astype(complex))
-
-
 def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:
     """Closed genus-2 section mesh from the regular pi/4 octagon.
 
@@ -170,26 +133,27 @@ def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:
     lies in the standard complex geodesic at curvature -4, "lagrangian" in
     the standard real plane at curvature -1.
     """
+    if kind not in ("complex", "lagrangian"):
+        raise ValueError("kind must be 'complex' or 'lagrangian'")
     r1 = _octagon_circumradius()
     angles = [2.0 * np.pi * k / 8.0 + np.pi / 8.0 for k in range(8)]
-    # pair k maps the side (k, k+1) onto (kp+1, kp)
+    # the octagon in the curvature -4 disc, where intrinsic distances are
+    # halved; pair k maps the side (k, k+1) onto (kp+1, kp)
+    s = np.tanh(r1 / 2.0)
+    zs = np.array([s * np.exp(1j * a) for a in angles])
     k, kp = np.array(_OCTAGON_PAIRS).T
+    alpha, beta = _disc_automorphisms(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp])
     corners = np.zeros((8, 3), dtype=complex)
     corners[:, 0] = 1.0
     if kind == "complex":
-        # curvature -4 disc: intrinsic distances are halved
-        s = np.tanh(r1 / 2.0)
-        zs = np.array([s * np.exp(1j * a) for a in angles])
         corners[:, 1] = zs
-        corners = _unit_reps(corners)  # embed(z)
-        pairs = _disc_isometries(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp])
-    elif kind == "lagrangian":
+        pairs = _su11_stack(alpha, beta)
+    else:
+        # the Klein point 2z / (1 + |z|^2) of corner z, at curvature -1
         s = np.tanh(r1)
         corners[:, 1:] = [(s * np.cos(a), s * np.sin(a)) for a in angles]
-        c = corners = _unit_reps(corners)  # real_plane_point(a, b)
-        pairs = _real_plane_isometries(c[k], c[(k + 1) % 8], c[(kp + 1) % 8], c[kp])
-    else:
-        raise ValueError("kind must be 'complex' or 'lagrangian'")
+        pairs = _so21_stack(alpha, beta)
+    corners = _unit_reps(corners)  # embed(z), or real_plane_point(a, b)
 
     vertices, faces, outer, _ = _fan_lattice(_ORIGIN, corners, refinement, closed=True)
     pairings = [

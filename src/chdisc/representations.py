@@ -168,9 +168,9 @@ def _identity_distance(m):
 @dataclass
 class QuadrangleFromRep:
     """The quadrangle C1..C4 of stable complex geodesics of a representation,
-    as the polar configuration the certificate was computed on."""
+    as the polar configuration the certificate was computed on; the
+    constructors return it beside the representation."""
 
-    rep: Representation
     config: QuadrangleConfig
     certificate: Certificate
 
@@ -276,7 +276,7 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
             "certificate_passed": cert.passed,
         },
     )
-    return rep, QuadrangleFromRep(rep, config, cert)
+    return rep, QuadrangleFromRep(config, cert)
 
 
 # -- bent representations ----------------------------------------------------
@@ -493,7 +493,7 @@ def turnover_solve(
                                 "solver_log": log,
                             },
                         )
-                        return rep, QuadrangleFromRep(rep, q, cert)
+                        return rep, QuadrangleFromRep(q, cert)
                     if first_invalid is None:
                         first_invalid = ((k1, k3), residual)
     if first_invalid is not None:

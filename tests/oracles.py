@@ -45,13 +45,15 @@ from chdisc.geometry import (
     Bisector,
     BisectorSegment,
     ComplexGeodesic,
-    _aligned_pair,
+    _aligned_units,
     _bisector_basis,
     _geodesic_rows,
+    _negative_units,
+    _phase_align,
     _slice_polars,
     geodesic_interp,
 )
-from chdisc.invariants import _gl_nodes, _triple_products
+from chdisc.invariants import normalized_negative
 from chdisc.io import _vector_json
 from chdisc.quadrangle import SubCheck, _side_gradients, _side_values
 from chdisc.tolerances import TOL, Tolerances
@@ -165,6 +167,12 @@ def triangle_area_gauss_bonnet(z1: complex, z2: complex, z3: complex) -> float:
     return float((np.pi - sum(angs)) / 4.0)
 
 
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def triangle_area_quadrature(z1: complex, z2: complex, z3: complex, order: int = 32) -> float:
     """Area of the geodesic triangle at curvature -4 by 2D quadrature.
 
@@ -197,12 +205,82 @@ def triangle_area_quadrature(z1: complex, z2: complex, z3: complex, order: int =
     return float(total)
 
 
-def symplectic_area_closed_form(x1: ProjectivePoint, x2: ProjectivePoint,
-                                x3: ProjectivePoint) -> float:
-    """The integral of omega over one geodesic triangle of negative points in
-    the closed form the Toledo numbers sum, -arg(-<x1,x2><x2,x3><x3,x1>) / 2."""
-    prod = _triple_products(np.array([x1.v, x2.v, x3.v]), [(0, 1, 2)])[0]
-    return float(-np.angle(-prod) / 2.0)
+# -- the symplectic area of a geodesic triangle ---------------------------------
+
+def pullback_h(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> complex:
+    """Pulled-back Hermitian metric for derivatives of an unnormalized lift.
+
+    For derivatives of curves of unnormalized representatives x(t),
+    h(u, v) = -( <u,v><x,x> - <u,x><x,v> ) / <x,x>^2 projects out the
+    radial component, so any smooth lift of a surface patch can be
+    differentiated directly.
+    """
+    xx = herm_form(x, x)
+    return -(herm_form(u, v) * xx - herm_form(u, x) * herm_form(x, v)) / (xx * xx)
+
+
+def symplectic_area_quadrature(x1: ProjectivePoint, x2: ProjectivePoint,
+                               x3: ProjectivePoint, order: int = 24) -> float:
+    """The integral of omega over the geodesic triangle (x1, x2, x3) by quadrature.
+
+    The triangle is coned from x1 over the geodesic x2 -> x3; the smooth
+    lift F(s,t) = slerp(x1, slerp(x2, x3, t), s) is differentiated
+    analytically and Im of the pulled-back metric integrated with a tensor
+    Gauss-Legendre rule.  The reference for ``symplectic_area_triangle``.
+    """
+    x1h = normalized_negative(x1)
+    x2h = normalized_negative(x2)
+    x3h = _phase_align(x2h, normalized_negative(x3))
+    cc = -herm_form(x3h, x2h).real
+    dd = float(np.arccosh(max(cc, 1.0)))
+    if dd < 1e-14:
+        return 0.0
+    s_nodes, s_weights = _gl_nodes(order)
+    t_nodes, t_weights = _gl_nodes(order)
+    total = 0.0
+    for tj, wtj in zip(t_nodes, t_weights):
+        c = (np.sinh((1.0 - tj) * dd) * x2h + np.sinh(tj * dd) * x3h) / np.sinh(dd)
+        cdot = dd * (-np.cosh((1.0 - tj) * dd) * x2h + np.cosh(tj * dd) * x3h) / np.sinh(dd)
+        p = herm_form(x1h, c)
+        pdot = herm_form(x1h, cdot)
+        ap = abs(p)
+        if ap < 1e-14:
+            continue
+        apdot = (p.conjugate() * pdot).real / ap
+        lam = -p / ap
+        lamdot = -pdot / ap + p * apdot / (ap * ap)
+        y = lam * c
+        ydot = lamdot * c + lam * cdot
+        d = float(np.arccosh(max(ap, 1.0)))
+        if d < 1e-14:
+            continue
+        ddot = apdot / np.sinh(d)
+        sh = np.sinh(d)
+        for si, wsi in zip(s_nodes, s_weights):
+            f = (np.sinh((1.0 - si) * d) * x1h + np.sinh(si * d) * y) / sh
+            fs = d * (-np.cosh((1.0 - si) * d) * x1h + np.cosh(si * d) * y) / sh
+            ft = (
+                (1.0 - si) * ddot * np.cosh((1.0 - si) * d) * x1h
+                + si * ddot * np.cosh(si * d) * y
+                + np.sinh(si * d) * ydot
+            ) / sh - ddot * np.cosh(d) / sh * f
+            total += wsi * wtj * pullback_h(f, fs, ft).imag
+    return float(total)
+
+
+# -- orientation of tangent frames ---------------------------------------------
+
+def orientation_determinants(x, frame4) -> np.ndarray:
+    """The real 6x6 determinants of (x, ix, f1, f2, f3, f4) over R^6 = C^3,
+    for x scaled to <x,x> = -1 and a 4-frame, or for stacks of both.
+
+    Each is |det_C(x, b1, b2)|^2 = 1 times the determinant of the frame's
+    coordinates in the real basis (b1, ib1, b2, ib2), for any unitary basis
+    (b1, b2) of x^perp: the reference for ``orientation_sign``.
+    """
+    x = np.asarray(x, dtype=complex)[..., None, :]
+    rows = np.concatenate([x, 1j * x, np.asarray(frame4, dtype=complex)], axis=-2)
+    return np.linalg.det(rows.view(float).reshape(*rows.shape[:-2], 6, 6))
 
 
 # -- section meshes ----------------------------------------------------------------
@@ -315,8 +393,9 @@ def disc_rotation_per_call(center: complex, angle: float) -> np.ndarray:
     return _unit_det(m)[0]
 
 
-def disc_isometry_per_call(z1: complex, z2: complex, w1: complex, w2: complex) -> np.ndarray:
-    """The matrix of one map of ``_disc_isometries`` in complex scalars."""
+def disc_automorphism_per_call(z1: complex, z2: complex, w1: complex, w2: complex):
+    """The SU(1,1) coefficients (alpha, beta) of one map of
+    ``_disc_automorphisms`` in complex scalars."""
     def scalar_mobius(a, z):
         return (z - a) / (1.0 - np.conj(a) * z)
 
@@ -332,21 +411,41 @@ def disc_isometry_per_call(z1: complex, z2: complex, w1: complex, w2: complex) -
     n1 = 1.0 / np.sqrt(1.0 - abs(z1) ** 2)
     nw = 1.0 / np.sqrt(1.0 - abs(w1) ** 2)
     g = su(nw, nw * w1) @ su(np.exp(1j * phi / 2.0), 0.0) @ su(n1, -n1 * z1)
-    a, b = g[0, 0], g[0, 1]
+    return g[0, 0], g[0, 1]
+
+
+def disc_isometry_per_call(z1: complex, z2: complex, w1: complex, w2: complex) -> np.ndarray:
+    """The C-Fuchsian matrix of one map of ``_disc_automorphisms``, as
+    ``_su11_stack`` lifts it."""
+    a, b = disc_automorphism_per_call(z1, z2, w1, w2)
     return checked_isometry([[np.conj(a), np.conj(b), 0.0], [b, a, 0.0], [0.0, 0.0, 1.0]])
+
+
+def real_plane_lift_per_call(alpha: complex, beta: complex) -> np.ndarray:
+    """The R-Fuchsian matrix of one pair of SU(1,1) coefficients, as
+    ``_so21_stack`` lifts it, in Python floats."""
+    ar, ai, br, bi = (float(v) for v in (alpha.real, alpha.imag, beta.real, beta.imag))
+    a2, b2 = ar * ar - ai * ai, br * br - bi * bi
+    return checked_isometry([
+        [(ar * ar + ai * ai) + (br * br + bi * bi), 2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br)],
+        [2.0 * (ar * br - ai * bi), a2 + b2, 2.0 * (br * bi - ar * ai)],
+        [2.0 * (ar * bi + ai * br), 2.0 * (ar * ai + br * bi), a2 - b2],
+    ])
 
 
 def real_frame(p: ProjectivePoint, q: ProjectivePoint) -> np.ndarray:
     """J-orthonormal real frame (point, tangent toward q, plane normal) of one pair."""
-    ph, qh, c, d = _aligned_pair(p.v, q.v)
+    ph = _negative_units(p.v)
+    qh, c, d = _aligned_units(ph, _negative_units(q.v))
     ph, t = ph.real, (qh.real - c * ph.real) / np.sinh(d)
     nrm = polar_rows(ph, t).real
     return np.column_stack([ph, t, nrm / np.sqrt(self_norms_by_blas(nrm))])
 
 
 def real_plane_isometry_per_pair(p0, p1, q0, q1) -> np.ndarray:
-    """The matrix of one map of ``_real_plane_isometries`` from two
-    ``real_frame`` calls, without the equidistance check."""
+    """The O(2,1) isometry of the real plane with p0 -> q0 and p1 -> q1,
+    for equidistant pairs, from two ``real_frame`` calls: the frame map,
+    an independent reference for ``_so21_stack``."""
     return checked_isometry(real_frame(q0, q1) @ np.linalg.inv(real_frame(p0, p1)))
 
 

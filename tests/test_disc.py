@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from chdisc import DegenerateError, Isometry, tance
 from chdisc.disc import (
     F0,
-    _disc_isometries,
+    _disc_automorphisms,
     _disc_rotations,
+    _so21_stack,
+    _su11_stack,
     disc_distance,
     embed,
     mobius,
@@ -17,6 +19,8 @@ from chdisc.disc import (
     side_from_angles,
     triangle_vertices,
 )
+
+from chdisc.meshes import real_plane_point
 
 from conftest import random_disc_coordinate
 from oracles import (
@@ -131,6 +135,11 @@ def test_disc_rotation_is_c_fuchsian(rng):
     )
 
 
+def _disc_isometries(z1, z2, w1, w2):
+    """The C-Fuchsian lifts of the disc automorphisms z1 -> w1, z2 -> w2."""
+    return _su11_stack(*_disc_automorphisms(z1, z2, w1, w2))
+
+
 def test_disc_isometry_two_points(rng):
     z1, z2 = random_disc_coordinate(rng), random_disc_coordinate(rng)
     w1 = random_disc_coordinate(rng)
@@ -143,6 +152,30 @@ def test_disc_isometry_two_points(rng):
     assert isometry_residual(g.matrix) < 1e-12
     with pytest.raises(DegenerateError):
         _disc_isometries(0.0, 0.5, 0.0, 0.9)
+
+
+def test_real_plane_lift_maps_klein_points_as_the_disc_map_maps_disc_points(rng):
+    """``_so21_stack`` of a disc automorphism is a real isometry that takes
+    the real-plane point (1, a, b) with a + ib = 2z / (1 + |z|^2) to that of
+    the image of z: for the rotation about 0 taking 0.3 to 0.3i, which
+    fixes the origin, and for random two-point maps."""
+    def klein(z):
+        k = 2.0 * z / (1.0 + abs(z) ** 2)
+        return real_plane_point(k.real, k.imag)
+
+    cases = [(0.0, 0.3, 0.0, 0.3j)]
+    for _ in range(20):
+        z1, z2, w1 = (random_disc_coordinate(rng) for _ in range(3))
+        cases.append((z1, z2, w1, mobius_inv(w1, radius_for_distance(disc_distance(z1, z2)) * np.exp(0.7j))))
+    for z1, z2, w1, w2 in cases:
+        alpha, beta = _disc_automorphisms(z1, z2, w1, w2)
+        g = Isometry(_so21_stack(alpha, beta)[0])
+        assert isometry_residual(g.matrix) < 1e-10
+        assert abs(g.matrix.imag).max() == 0.0
+        z = random_disc_coordinate(rng)
+        image = (alpha[0] * z + beta[0]) / (np.conj(beta[0]) * z + np.conj(alpha[0]))
+        for a, b in ((z1, w1), (z2, w2), (z, image)):
+            assert tance(g(klein(a)), klein(b)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_disc_rotations_have_the_bits_of_one_call_each(rng):

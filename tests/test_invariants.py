@@ -51,7 +51,7 @@ from chdisc.representations import TurnoverSignature, fuchsian_turnover, orbifol
 from chdisc.representations import elliptic_fixed_point
 
 from conftest import random_isometry, random_negative_point
-from oracles import mesh_json, symplectic_area_closed_form
+from oracles import mesh_json, orientation_determinants, symplectic_area_quadrature
 
 
 # -- Kaehler angle and Lagrangian frames --------------------------------------
@@ -135,17 +135,25 @@ def test_orientation_sign_matches_the_tangent_basis_coordinates(rng):
 
 
 def test_gram_pfaffians_have_the_sign_and_size_of_the_orientation_determinant(rng):
-    """The Pfaffian of Im <f_a, f_b> that FrameField.validate reads is the
-    determinant of the frame's real coordinates in a unitary tangent basis:
-    it has the sign of orientation_sign's 6x6 determinant for any tangent
-    4-frame, and the same value to rounding."""
+    """The Pfaffian of Im <f_a, f_b> that orientation_sign and
+    FrameField.validate read is the determinant of the frame's real
+    coordinates in a unitary tangent basis: it has the sign and, to
+    rounding, the value of the 6x6 real determinant of (x, ix, f1..f4) for
+    any tangent 4-frame, and orientation_sign projects any other frame into
+    x^perp first, where that determinant does not change, from any
+    representative of x."""
     points = [random_negative_point(rng) for _ in range(60)]
     points += [embed(0.0), embed(0.4 - 0.2j), real_plane_point(0.3, -0.1)]
     xh = np.array([normalized_negative(p) for p in points])
     w = rng.normal(size=(len(xh), 4, 3)) + 1j * rng.normal(size=(len(xh), 4, 3))
     frames = w + herm_rows(w, xh[:, None])[..., None] * xh[:, None]  # into x^perp
     pf = invariants_module._gram_pfaffians(herm_rows(frames[:, :, None], frames[:, None]))
-    assert np.array_equal(np.where(pf > 0, 1, -1), orientation_sign(xh, frames))
+    det6 = orientation_determinants(xh, frames)
+    assert np.array_equal(np.sign(pf), np.sign(det6))
+    np.testing.assert_allclose(pf, det6, rtol=1e-9)
+    assert np.array_equal(orientation_sign(xh, frames), np.where(det6 > 0, 1, -1))
+    assert np.array_equal(orientation_sign(xh, w), np.where(orientation_determinants(xh, w) > 0, 1, -1))
+    assert np.array_equal(orientation_sign((0.5 - 2.0j) * xh, w), orientation_sign(xh, w))
     basis = _unitary_tangent_basis(xh)
     a = np.einsum("nfd,nkd->nfk", frames * np.array([-1.0, 1.0, 1.0]), basis.conj())
     det = np.linalg.det(np.stack([a.real, a.imag], -1).reshape(-1, 4, 4))
@@ -157,17 +165,17 @@ def test_gram_pfaffians_have_the_sign_and_size_of_the_orientation_determinant(rn
 def test_symplectic_area_closed_form_vs_quadrature(rng):
     for _ in range(8):
         x1, x2, x3 = (random_negative_point(rng) for _ in range(3))
-        q = symplectic_area_triangle(x1, x2, x3, order=24)
-        c = symplectic_area_closed_form(x1, x2, x3)
+        q = symplectic_area_quadrature(x1, x2, x3, order=24)
+        c = symplectic_area_triangle(x1, x2, x3)
         assert q == pytest.approx(c, abs=1e-10)
 
 
 def test_symplectic_area_antisymmetry_and_invariance(rng):
     x1, x2, x3 = (random_negative_point(rng) for _ in range(3))
-    c = symplectic_area_closed_form(x1, x2, x3)
-    assert symplectic_area_closed_form(x1, x3, x2) == pytest.approx(-c, abs=1e-12)
+    c = symplectic_area_triangle(x1, x2, x3)
+    assert symplectic_area_triangle(x1, x3, x2) == pytest.approx(-c, abs=1e-12)
     g = random_isometry(rng)
-    assert symplectic_area_closed_form(g(x1), g(x2), g(x3)) == pytest.approx(
+    assert symplectic_area_triangle(g(x1), g(x2), g(x3)) == pytest.approx(
         c, abs=1e-10
     )
 
@@ -177,8 +185,8 @@ def test_symplectic_area_additive_under_subdivision(rng):
 
     x1, x2, x3 = (random_negative_point(rng) for _ in range(3))
     m = geodesic_interp(x2, x3, 0.4)
-    total = symplectic_area_closed_form(x1, x2, x3)
-    parts = symplectic_area_closed_form(x1, x2, m) + symplectic_area_closed_form(
+    total = symplectic_area_triangle(x1, x2, x3)
+    parts = symplectic_area_triangle(x1, x2, m) + symplectic_area_triangle(
         x1, m, x3
     )
     assert parts == pytest.approx(total, abs=1e-10)
@@ -192,14 +200,14 @@ def test_symplectic_area_complex_geodesic_triangle():
 
     z1, z2, z3 = triangle_vertices(np.pi / 3, np.pi / 4, np.pi / 5)
     area = triangle_area_gauss_bonnet(z1, z2, z3)
-    got = symplectic_area_closed_form(embed(z1), embed(z2), embed(z3))
+    got = symplectic_area_triangle(embed(z1), embed(z2), embed(z3))
     assert got == pytest.approx(-area, abs=1e-12)
 
 
 def test_symplectic_area_lagrangian_triangle_vanishes():
     pts = [real_plane_point(0.0, 0.0), real_plane_point(0.5, 0.1), real_plane_point(-0.2, 0.4)]
-    assert symplectic_area_closed_form(*pts) == 0.0
-    assert symplectic_area_triangle(*pts, order=8) == pytest.approx(0.0, abs=1e-12)
+    assert symplectic_area_triangle(*pts) == 0.0
+    assert symplectic_area_quadrature(*pts, order=8) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("orders", [(3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 3, 7)],
@@ -210,8 +218,8 @@ def test_toledo_via_coning_matches_quadrature_oracle(orders):
     fixed = {name: elliptic_fixed_point(g) for name, g in rep.generators.items()}
     x1, x2, x3 = (fixed[n] for n in ("g1", "g2", "g3"))
     x2m = rep.generators["g1"].inverse()(x2)
-    oracle = 2.0 / np.pi * (symplectic_area_triangle(x1, x2, x3, order=24)
-                            + symplectic_area_triangle(x1, x3, x2m, order=24))
+    oracle = 2.0 / np.pi * (symplectic_area_quadrature(x1, x2, x3, order=24)
+                            + symplectic_area_quadrature(x1, x3, x2m, order=24))
     tau = toledo_via_coning(rep, fixed)
     assert tau == pytest.approx(oracle, abs=1e-12)
     assert tau == pytest.approx(float(orbifold_euler(sig)), abs=1e-12)
@@ -376,7 +384,7 @@ def test_toledo_via_mesh_matches_quadrature_oracle(kind, arg, refinement, tau_ex
     # the turnover mesh covers the same fundamental quadrilateral as the coned polygon
     assert tau_mesh == pytest.approx(tau_exact, abs=1e-8)
     oracle = sum(
-        symplectic_area_triangle(*(ProjectivePoint(mesh.vertices[i]) for i in tri), order=12)
+        symplectic_area_quadrature(*(ProjectivePoint(mesh.vertices[i]) for i in tri), order=12)
         for tri in mesh.triangles
     )
     assert tau_mesh == pytest.approx(2.0 / np.pi * oracle, abs=1e-12)

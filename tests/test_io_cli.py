@@ -1,6 +1,7 @@
 """JSON schemas, canonical serialization, and the CLI exit-code contract."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ def test_representation_roundtrip(tmp_path):
         assert np.allclose(loaded.generators[name].matrix, g.matrix, atol=1e-12)
     assert max(loaded.relation_residuals().values()) < 1e-9
     assert loaded.metadata["signature"] == [3, 3, 5]
+
+
+def test_representation_metadata_of_an_unknown_type_is_refused():
+    """Metadata is written only in the JSON forms chdisc/1 defines: a value
+    of any other type raises TypeError naming it, instead of being written
+    as its str."""
+    rep, _ = fuchsian_turnover(TurnoverSignature(3, 3, 5))
+    for value in (np.arange(3), {1, 2}, Fraction(1, 2)):
+        bad = Representation(rep.kind, rep.generators, rep.relations,
+                             {**rep.metadata, "solver_log": [{"extra": value}]})
+        with pytest.raises(TypeError, match=type(value).__name__):
+            representation_to_json_dict(bad)
 
 
 # -- CLI: check-quadrangle ----------------------------------------------------

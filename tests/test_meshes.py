@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chdisc import DegenerateError, ProjectivePoint, octagon_mesh, tance, turnover_section_mesh
+from chdisc import ProjectivePoint, octagon_mesh, turnover_section_mesh
 from chdisc.cli import _refinement_for
 from chdisc.core import Isometry
 from chdisc.disc import _disc_rotations, embed, triangle_vertices
@@ -17,18 +17,20 @@ from chdisc.meshes import (
     _OCTAGON_PAIRS,
     _fan_lattice,
     _octagon_circumradius,
-    _real_plane_isometries,
     real_plane_point,
 )
 from chdisc.representations import TurnoverSignature
 
 from conftest import scalar_slerp
 from oracles import (
+    disc_automorphism_per_call,
     disc_isometry_per_call,
     disc_rotation_per_call,
     herm_rows_by_sum,
     mesh_json,
+    projective_distance,
     real_plane_isometry_per_pair,
+    real_plane_lift_per_call,
     self_norms_by_blas,
 )
 from test_core import _blas_sums_in_order
@@ -203,6 +205,12 @@ def _mesh(kind, arg, n):
             else octagon_mesh(arg, refinement=n))
 
 
+def _octagon_disc_corners():
+    """The octagon's corners in the curvature -4 disc, one complex scalar each."""
+    r1 = _octagon_circumradius()
+    return [np.tanh(r1 / 2.0) * np.exp(1j * (2.0 * np.pi * k / 8.0 + np.pi / 8.0)) for k in range(8)]
+
+
 def _per_pair_isometries(kind, arg):
     """The side-pairing matrices, each from its own one-pair construction."""
     if kind == "turnover":
@@ -210,15 +218,11 @@ def _per_pair_isometries(kind, arg):
         z1, _, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
         return [disc_rotation_per_call(z1, 2.0 * np.pi / n1),
                 disc_rotation_per_call(z3, -2.0 * np.pi / n3)]
-    _, corners, _ = _fan_inputs(kind, arg)
+    zs = _octagon_disc_corners()
+    ends = [(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp]) for k, kp in _OCTAGON_PAIRS]
     if arg == "complex":
-        r1 = _octagon_circumradius()
-        zs = [np.tanh(r1 / 2.0) * np.exp(1j * (2.0 * np.pi * k / 8.0 + np.pi / 8.0)) for k in range(8)]
-        return [disc_isometry_per_call(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp])
-                for k, kp in _OCTAGON_PAIRS]
-    return [real_plane_isometry_per_pair(corners[k], corners[(k + 1) % 8],
-                                         corners[(kp + 1) % 8], corners[kp])
-            for k, kp in _OCTAGON_PAIRS]
+        return [disc_isometry_per_call(*z) for z in ends]
+    return [real_plane_lift_per_call(*disc_automorphism_per_call(*z)) for z in ends]
 
 
 @pytest.mark.parametrize("kind, arg, n", BIT_CASES)
@@ -256,17 +260,14 @@ def test_raw_invariants_have_the_bits_of_the_reduction_kernels(monkeypatch, kind
         np.testing.assert_allclose(ours, reference, rtol=0, atol=1e-12)
 
 
-def _real_plane_isometry(p0, p1, q0, q1) -> Isometry:
-    """The one-pair map of ``_real_plane_isometries``: p0 -> q0, p1 -> q1."""
-    return Isometry(_real_plane_isometries(*(p.v[None] for p in (p0, p1, q0, q1)))[0])
+def test_lagrangian_pairings_are_the_frame_maps_of_the_corner_pairs():
+    """The lifted side pairings of the Lagrangian octagon carry each side's
+    corners onto the paired side's, as the independent frame construction
+    does: equal up to a cube root of unity, to 1e-12 absolute (entries are
+    at most ~10, and the two constructions agree to ~3e-13)."""
+    _, corners, _ = _fan_inputs("octagon", "lagrangian")
+    for (k, kp), p in zip(_OCTAGON_PAIRS, octagon_mesh("lagrangian", 2).side_pairings):
+        frame_map = real_plane_isometry_per_pair(corners[k], corners[(k + 1) % 8],
+                                                 corners[(kp + 1) % 8], corners[kp])
+        assert projective_distance(p.isometry, Isometry(frame_map)) < 1e-12
 
-
-def test_real_plane_isometry_rejects_pairs_that_are_not_equidistant():
-    origin = real_plane_point(0.0, 0.0)
-    with pytest.raises(DegenerateError, match="point pairs are not equidistant"):
-        _real_plane_isometry(origin, real_plane_point(0.3, 0.0), origin, real_plane_point(0.0, 0.6))
-    # the same distance in another direction is a rotation about the origin
-    p1, q1 = real_plane_point(0.3, 0.0), real_plane_point(0.0, 0.3)
-    g = _real_plane_isometry(origin, p1, origin, q1)
-    assert tance(g(p1), q1) == pytest.approx(1.0, abs=1e-12)
-    assert tance(g(origin), origin) == pytest.approx(1.0, abs=1e-12)

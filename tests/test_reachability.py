@@ -74,6 +74,9 @@ PAPER_API = {
     "chdisc.invariants._gram_schmidt":
         "a g-orthonormal tangent pair from two tangent vectors (criterion 7)",
     "chdisc.invariants.omega": "the symplectic form omega = Im h (criterion 7)",
+    "chdisc.invariants.normalized_negative":
+        "the representative of a negative point scaled to <x,x> = -1, at which the "
+        "tangent space x^perp carries h = <,> (criterion 7)",
     "chdisc.invariants.tangent_project":
         "the form-orthogonal projection into the tangent space x^perp (criterion 7)",
     "chdisc.meshes.real_plane_point":
