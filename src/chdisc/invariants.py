@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
@@ -151,6 +151,9 @@ def lagrangian_frame_check(x: ProjectivePoint, u1, u2, normal_pair=None,
     """
     xh = normalized_negative(x)
     e1, e2 = _gram_schmidt([u1, u2], xh)
+    # 1e-6 decides the "not Lagrangian" ClassError verdict on |omega| of the
+    # orthonormal pair; not a Tolerances field, for the reason given at
+    # _DEGENERATE_FRAME
     if abs(omega(e1, e2)) > 1e-6:
         raise ClassError("tangent pair is not Lagrangian")
     if normal_pair is None:
@@ -399,10 +402,44 @@ def _log_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return scale[:, None] * (y - c[:, None] * x)
 
 
-def _vertex_scatter(r: np.ndarray, degree: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _edge_topology(n: int, shape: tuple, dtype: str, faces: bytes):
+    """The integer part of ``build_frame_field`` for n vertices and the
+    face array with the given shape, dtype string and bytes.
+
+    Returns read-only ``(src, dst, slots, first)``: the directed mesh edges
+    a -> b sorted by (a, b); the (n, max degree) table of each vertex's
+    edge indices, padded with the edge count; and the indices of the edges
+    a -> b and a -> c of the first counterclockwise corner (a, b, c) at
+    each vertex.  Raises ``MeshError`` for a vertex with fewer than two
+    neighbours (a raise is not cached, so every call raises it).  Nothing
+    geometric enters, so meshes that share a face array share the entry.
+    """
+    tri = np.frombuffer(faces, dtype=dtype).reshape(shape)
+    # corners (a, b, c) in triangle order: a's neighbours are b and c
+    corners = np.stack([tri, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
+    keys = np.sort(corners[:, [0, 0]] * n + corners[:, 1:], axis=None)  # directed edges a*n + b
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    src, dst = np.divmod(keys, n)
+    degree = np.bincount(src, minlength=n)
+    few = np.flatnonzero(degree < 2)
+    if few.size:
+        raise MeshError(f"vertex {few[0]} has fewer than two neighbours")
+    slot = np.arange(degree.max())
+    start = np.cumsum(degree) - degree
+    slots = np.where(slot < degree[:, None], start[:, None] + slot, len(keys))
+    _, first = np.unique(corners[:, 0], return_index=True)
+    a, b, c = corners[first].T
+    table = (src, dst, slots, np.searchsorted(keys, np.stack([a * n + b, a * n + c], axis=1)))
+    for t in table:
+        t.flags.writeable = False
+    return table
+
+
+def _vertex_scatter(r: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Sum r_e r_e^T over each vertex's edges, for rows ``r`` grouped by
-    vertex (``degree[v]`` rows each), with the bits of ``np.add.at`` into
-    zeros: each vertex adds its rows left to right.
+    vertex and the ``_edge_topology`` slot table, with the bits of
+    ``np.add.at`` into zeros: each vertex adds its rows left to right.
 
     The (V, slots, 4, 4) table, padded with zero rows at the end, is summed
     over its slot axis, which numpy adds one slot at a time while the 4x4
@@ -411,10 +448,7 @@ def _vertex_scatter(r: np.ndarray, degree: np.ndarray) -> np.ndarray:
     adding to a zero start gives.
     """
     rr = np.concatenate([r[:, :, None] * r[:, None, :], np.zeros((1, 4, 4))])
-    slot = np.arange(degree.max())
-    start = np.cumsum(degree) - degree
-    edge = np.where(slot < degree[:, None], start[:, None] + slot, len(r))
-    return rr[edge].sum(axis=1) + 0.0
+    return rr[slots].sum(axis=1) + 0.0
 
 
 def build_frame_field(mesh: SectionMesh) -> FrameField:
@@ -428,29 +462,17 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     two span its g-orthogonal complement, the normal plane, and come out
     g-orthonormal.  u2 is flipped so that (u1, u2) agrees with the first
     ccw triangle at the vertex, and v2 so that (u1, u2, v1, v2) agrees with
-    the complex orientation.
+    the complex orientation.  The edges come from ``_edge_topology``.
     """
     x, tri = mesh.vertices, mesh.triangles
-    n = len(x)
-    # corners (a, b, c) in triangle order: a's neighbours are b and c
-    corners = np.stack([tri, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
-    keys = np.sort(corners[:, [0, 0]] * n + corners[:, 1:], axis=None)  # directed edges a*n + b
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    src, dst = np.divmod(keys, n)
-    degree = np.bincount(src, minlength=n)
-    few = np.flatnonzero(degree < 2)
-    if few.size:
-        raise MeshError(f"vertex {few[0]} has fewer than two neighbours")
+    src, dst, slots, first = _edge_topology(len(x), tri.shape, tri.dtype.str, tri.tobytes())
     basis = _unitary_tangent_basis(x)
     xh = _negative_units(x)
     r = _real_coords(_log_directions(xh[src], xh[dst]), basis[src])
     # eigenvector rows, descending
-    q = np.linalg.eigh(_vertex_scatter(r, degree))[1].transpose(0, 2, 1)[:, ::-1]
+    q = np.linalg.eigh(_vertex_scatter(r, slots))[1].transpose(0, 2, 1)[:, ::-1]
     # orient (u1, u2) by the first ccw corner (a, b, c) at each vertex
-    _, first = np.unique(corners[:, 0], return_index=True)
-    a, b, c = corners[first].T
-    rbc = r[np.searchsorted(keys, np.stack([a * n + b, a * n + c], axis=1))]
-    q[np.linalg.det(rbc @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
+    q[np.linalg.det(r[first] @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
     frames = _from_coords(q, basis[:, None])
     # q holds coordinates in the complex-oriented real basis (b1, ib1, b2, ib2)
     frames[np.linalg.det(q) < 0, 3] *= -1.0
@@ -478,21 +500,28 @@ def _taut_phases(mesh: SectionMesh) -> np.ndarray:
     return np.angle(-mesh.face_triples)
 
 
-def _connection_total(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray) -> float:
-    """Total frame holonomy over the faces, minus the tautological phases, / 2 pi.
+def _connection_totals(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray):
+    """Total frame holonomy over the faces, minus the tautological phases, / 2 pi,
+    for each row of a C-contiguous (k, V, 2, 3) stack of frame pairs, in one pass.
 
     Along a directed face edge (i, j) the frames at i are transported by
     projection into x_j^perp (first-order Levi-Civita transport), which
     drops out of M[a, b] = Re <f_i[b], f_j[a]> since f_j is tangent at x_j.
     A face's holonomy is the wrapped sum of its three edge angles; ``taut``
-    holds the faces' ``_taut_phases``, shared by the tangent and normal totals.
+    holds the faces' ``_taut_phases``, shared by every row.  Each row's
+    faces are summed on their own, as a (k, F) sum over the last axis would
+    add them in another order.
     """
-    fi, fj = (frames[tri] * _SIGNS)[..., None, :, :], frames[tri[:, [1, 2, 0]]][..., None, :]
-    # Re <f_i[b], f_j[a]> in real arithmetic, summed over d in einsum's order
-    t = fi.real * fj.real + fi.imag * fj.imag
+    # the (re, im) pairs of each vector as 6 floats; the form's signs go on
+    # per vertex, before the gather, with the same complex product
+    fi = (frames * _SIGNS).view(float)[:, tri][..., None, :, :]
+    fj = frames.view(float)[:, tri[:, [1, 2, 0]]][..., None, :]
+    # Re <f_i[b], f_j[a]> = sum over d of (re re + im im), in einsum's order
+    t = fi * fj
+    t = t[..., 0::2] + t[..., 1::2]
     m = t[..., 0] + t[..., 1] + t[..., 2]
-    holonomy = np.angle(np.exp(1j * _rotation_angle(m).sum(axis=1)))
-    return float((holonomy - taut).sum() / (2.0 * np.pi))
+    holonomy = np.angle(np.exp(1j * _rotation_angle(m).sum(axis=-1)))
+    return [float(row.sum() / (2.0 * np.pi)) for row in holonomy - taut]
 
 
 @dataclass
@@ -508,7 +537,8 @@ def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
 
     Builds the frame field of :func:`build_frame_field` and, per directed
     face edge, the angle of the rotation nearest to the projection
-    transport of frames, atan2(M10 - M01, M00 + M11).  Each face's
+    transport of frames, atan2(M10 - M01, M00 + M11), for the tangent and
+    normal pairs in one ``_connection_totals`` pass.  Each face's
     holonomy is the wrapped sum of its three edge angles minus the
     tautological phase; summed over faces and divided by 2 pi this gives
     the orbifold Euler characteristic (tangent pair) and the Euler number
@@ -519,9 +549,8 @@ def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
     """
     frames = build_frame_field(mesh)
     frames.validate(mesh, tol)
-    taut = _taut_phases(mesh)
-    chi_raw = _connection_total(mesh.triangles, frames.tangent, taut)
-    e_raw = _connection_total(mesh.triangles, frames.normal, taut)
+    chi_raw, e_raw = _connection_totals(
+        mesh.triangles, np.stack([frames.tangent, frames.normal]), _taut_phases(mesh))
     den = mesh.snap_denominator()
     return MeshDegrees(
         chi_raw=chi_raw,

@@ -188,6 +188,9 @@ def elliptic_fixed_point(g: Isometry) -> ProjectivePoint:
         s = herm_form(v, v).real / float(np.linalg.norm(v)) ** 2
         if s < best_norm:
             best, best_norm = v, s
+    # -1e-10 decides the "not elliptic" ClassError verdict on the most
+    # negative eigenvector's normalised square norm (not a Tolerances field,
+    # as for _outside_ball)
     if best is None or best_norm > -1e-10:
         raise ClassError("isometry has no negative eigenvector (not elliptic)")
     return ProjectivePoint(best)
@@ -302,6 +305,10 @@ _START_SPAN = np.array([0.9, 0.7, 1.5, np.pi]) - _START_LOW
 
 
 def _outside_ball(params) -> bool:
+    # the solver's window, 0.98, decides its answer: a start that leaves it
+    # gets the 1e3 residual, so it cannot converge there, and
+    # _bent_generators refuses it.  Not a Tolerances field, since every
+    # field is written into each invariants report.
     return params[0] * params[0] + params[1] * params[1] >= 0.98
 
 
@@ -470,7 +477,9 @@ def turnover_solve(
             for start, sol in enumerate(solutions):
                 residual = float(np.linalg.norm(sol.fun))
                 best_residual = min(best_residual, residual)
-                # unconverged, or g3 collapsed onto the fixed point of g1
+                # unconverged, or g3 collapsed onto the fixed point of g1: the
+                # collapse radius 0.05 decides which converged starts may give
+                # the answer (not a Tolerances field, as for _outside_ball)
                 if residual > tol.solver_residual or np.hypot(sol.x[0], sol.x[1]) < 0.05:
                     continue
                 g2, g3, w1p, w2p = _bent_generators(g1_inv, sol.x, phases, sig.n2, tol)

@@ -53,7 +53,7 @@ from chdisc.geometry import (
     _slice_polars,
     geodesic_interp,
 )
-from chdisc.invariants import normalized_negative
+from chdisc.invariants import _rotation_angle, normalized_negative
 from chdisc.io import _vector_json
 from chdisc.quadrangle import SubCheck, _side_gradients, _side_values
 from chdisc.tolerances import TOL, Tolerances
@@ -301,6 +301,24 @@ def mesh_json(mesh) -> dict:
         "triangles": [[int(a), int(b), int(c)] for a, b, c in mesh.triangles],
         "vertices": [_vector_json(v) for v in mesh.vertices],
     }
+
+
+def connection_total(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray) -> float:
+    """Total frame holonomy over the faces, minus the tautological phases, / 2 pi,
+    for one (V, 2, 3) stack of frame pairs: the reference for each row of
+    ``_connection_totals``.
+
+    Along a directed face edge (i, j) the frames at i are transported by
+    projection into x_j^perp (first-order Levi-Civita transport), which
+    drops out of M[a, b] = Re <f_i[b], f_j[a]> since f_j is tangent at x_j.
+    A face's holonomy is the wrapped sum of its three edge angles.
+    """
+    fi, fj = (frames[tri] * _SIGNS)[..., None, :, :], frames[tri[:, [1, 2, 0]]][..., None, :]
+    # Re <f_i[b], f_j[a]> in real arithmetic, summed over d in einsum's order
+    t = fi.real * fj.real + fi.imag * fj.imag
+    m = t[..., 0] + t[..., 1] + t[..., 2]
+    holonomy = np.angle(np.exp(1j * _rotation_angle(m).sum(axis=1)))
+    return float((holonomy - taut).sum() / (2.0 * np.pi))
 
 
 # -- bisectors one point at a time ----------------------------------------------

@@ -11,11 +11,22 @@ from chdisc.cli import _refinement_for
 from chdisc.core import Isometry
 from chdisc.disc import _disc_rotations, embed, triangle_vertices
 from chdisc.geometry import _geodesic_rows
-from chdisc.invariants import SidePairing, euler_via_mesh, toledo_via_mesh
+from chdisc.errors import MeshError
+from chdisc.invariants import (
+    SectionMesh,
+    SidePairing,
+    _connection_totals,
+    _edge_topology,
+    _taut_phases,
+    build_frame_field,
+    euler_via_mesh,
+    toledo_via_mesh,
+)
 from chdisc.io import canonical_dumps
 from chdisc.meshes import (
     _OCTAGON_PAIRS,
     _fan_lattice,
+    _fan_topology,
     _octagon_circumradius,
     real_plane_point,
 )
@@ -23,6 +34,7 @@ from chdisc.representations import TurnoverSignature
 
 from conftest import scalar_slerp
 from oracles import (
+    connection_total,
     disc_automorphism_per_call,
     disc_isometry_per_call,
     disc_rotation_per_call,
@@ -178,12 +190,19 @@ def test_mesh_vertices_have_projective_point_bits(kind, arg, n):
     assert mesh.vertices.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("refinement", [0, -1])
+@pytest.mark.parametrize("refinement", [0, -1, 2.0, 2.5, True])
 def test_mesh_constructors_reject_bad_refinement(refinement):
+    """Floats and bools are refused before the shape cache, which would
+    otherwise serve 2.0 and True from the entries of 2 and 1."""
     with pytest.raises(ValueError, match="refinement must be a positive integer"):
         turnover_section_mesh(3, 3, 4, refinement=refinement)
     with pytest.raises(ValueError, match="refinement must be a positive integer"):
         octagon_mesh("complex", refinement)
+
+
+def test_mesh_constructors_take_a_numpy_integer_refinement():
+    mesh = turnover_section_mesh(3, 3, 4, refinement=np.int64(3))
+    assert mesh_json(mesh) == mesh_json(turnover_section_mesh(3, 3, 4, refinement=3))
 
 
 # -- side pairings and invariants against the one-pair paths -----------------------
@@ -271,3 +290,64 @@ def test_lagrangian_pairings_are_the_frame_maps_of_the_corner_pairs():
                                                  corners[(kp + 1) % 8], corners[kp])
         assert projective_distance(p.isometry, Isometry(frame_map)) < 1e-12
 
+
+
+# -- shape-keyed topology and the stacked connection pass ---------------------------
+
+def _mesh_bits(kind, arg, n):
+    """Every array of the mesh, its frames and raw tau, chi and e, as bytes."""
+    mesh = _mesh(kind, arg, n)
+    frames = build_frame_field(mesh)
+    return (canonical_dumps(mesh_json(mesh)), frames.tangent.tobytes(),
+            frames.normal.tobytes(), [x.hex() for x in _invariants(mesh)])
+
+
+def _clear_topology_caches():
+    _fan_topology.cache_clear()
+    _edge_topology.cache_clear()
+
+
+def test_topology_tables_are_read_only():
+    mesh = turnover_section_mesh(3, 3, 4, refinement=3)
+    tri = mesh.triangles
+    tables = _fan_topology(3, 3, False) + _edge_topology(
+        len(mesh.vertices), tri.shape, tri.dtype.str, tri.tobytes())
+    assert len(tables) == 10
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+
+
+@pytest.mark.parametrize("kind, arg, n", BIT_CASES)
+def test_topology_caches_change_no_bits(kind, arg, n):
+    """A mesh has the same bytes, frames and raw invariants cold, warm, and
+    after a different mesh has filled the caches."""
+    _clear_topology_caches()
+    cold = _mesh_bits(kind, arg, n)
+    warm = _mesh_bits(kind, arg, n)
+    _clear_topology_caches()
+    _mesh_bits(*(("octagon", "complex", 2) if kind == "turnover" else ("turnover", (2, 3, 7), 3)))
+    assert _mesh_bits(kind, arg, n) == warm == cold
+
+
+def test_a_vertex_with_one_neighbour_raises_on_every_call():
+    """A degenerate face (4, 0, 0) gives the added vertex 4 the one
+    neighbour 0; the raise is not cached, so the second call raises too."""
+    good = turnover_section_mesh(3, 3, 4, refinement=1)
+    assert len(good.vertices) == 4
+    mesh = SectionMesh(vertices=np.concatenate([good.vertices, good.vertices[:1]]),
+                       triangles=np.concatenate([good.triangles, [[4, 0, 0]]]))
+    for call in (build_frame_field, build_frame_field, euler_via_mesh):
+        with pytest.raises(MeshError, match="vertex 4 has fewer than two neighbours"):
+            call(mesh)
+
+
+@pytest.mark.parametrize("kind, arg, n", BIT_CASES)
+def test_stacked_connection_pass_has_the_bits_of_one_pass_per_bundle(kind, arg, n):
+    mesh = _mesh(kind, arg, n)
+    frames = build_frame_field(mesh)
+    taut = _taut_phases(mesh)
+    stacked = _connection_totals(mesh.triangles, np.stack([frames.tangent, frames.normal]), taut)
+    expected = [connection_total(mesh.triangles, f, taut) for f in (frames.tangent, frames.normal)]
+    assert [x.hex() for x in stacked] == [x.hex() for x in expected]
