@@ -324,11 +324,16 @@ def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
     q = self_norms(x)
     if (q >= 0).any():
         raise ClassError(f"row {np.flatnonzero(q >= 0)[0]} is not a negative point")
-    xs = x / np.sqrt(-q)[:, None]
+    return _tangent_basis_of_units(x / np.sqrt(-q)[:, None])
+
+
+def _tangent_basis_of_units(xs: np.ndarray) -> np.ndarray:
+    """``_unitary_tangent_basis`` of negative rows already scaled to
+    <,> = -1 as ``geometry._negative_units`` scales them, with its bits."""
     nx = self_norms(xs)
     w = _seed_remainders(xs, nx)
     nw = self_norms(w[:, :2])
-    out = np.empty((len(x), 2, 3), dtype=complex)
+    out = np.empty((len(xs), 2, 3), dtype=complex)
     # slot 0: e0, or e1 where e0 is skipped (np.where only if some row skips)
     skip0 = nw[:, 0] <= 1e-12
     if skip0.any():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -30,7 +30,7 @@ from .core import (
     tance,
     _norms_and_squares,
     _sign_code,
-    _unitary_tangent_basis,
+    _tangent_basis_of_units,
 )
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
 from .geometry import _aligned_units, _negative_units
@@ -225,6 +225,14 @@ class SectionMesh:
         for τ and the tautological phases of the bundle degrees."""
         return _read_only(_triple_products(self.vertices, self.triangles))
 
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The vertices scaled to <,> = -1, read-only; computed once for the
+        frame field, its tangent basis and its check."""
+        units = _negative_units(self.vertices)
+        units.setflags(write=False)
+        return units
+
     def cone_orders(self):
         return [n for _, n in self.cone_points]
 
@@ -359,7 +367,7 @@ class FrameField:
         tangent frame whose Pfaffian is below ``_DEGENERATE_FRAME`` raises
         ``DegenerateError``.
         """
-        xh = _negative_units(mesh.vertices)
+        xh = mesh.units
         vs = np.concatenate([self.tangent, self.normal], axis=1)
         g = herm_rows(vs[:, :, None], vs[:, None])
         off = abs(g.real - np.eye(4)) > tol.orthogonality
@@ -402,44 +410,41 @@ def _log_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return scale[:, None] * (y - c[:, None] * x)
 
 
-@lru_cache(maxsize=8)
-def _edge_topology(n: int, shape: tuple, dtype: str, faces: bytes):
-    """The integer part of ``build_frame_field`` for n vertices and the
-    face array with the given shape, dtype string and bytes.
+#: a face's six directed edges, as column pairs (p, q): every ordered pair of
+#: its corners, which are the edges a -> b and a -> c of its three corners (a, b, c)
+_EDGE_FROM, _EDGE_TO = np.array([[0, 0, 1, 1, 2, 2], [1, 2, 2, 0, 0, 1]])
+#: the columns of the corners that follow column k counterclockwise in a face
+_NEXT_TWO = np.array([[1, 2], [2, 0], [0, 1]])
 
-    Returns read-only ``(src, dst, slots, first)``: the directed mesh edges
-    a -> b sorted by (a, b); the (n, max degree) table of each vertex's
-    edge indices, padded with the edge count; and the indices of the edges
+
+def _mesh_edges(tri: np.ndarray, n: int):
+    """The directed edges of a mesh with n vertices and (F, 3) faces ``tri``.
+
+    Returns ``(src, dst, degree, corner)``: the edges a -> b sorted by
+    (a, b), each vertex's edge count, and the (n, 2) indices of the edges
     a -> b and a -> c of the first counterclockwise corner (a, b, c) at
-    each vertex.  Raises ``MeshError`` for a vertex with fewer than two
-    neighbours (a raise is not cached, so every call raises it).  Nothing
-    geometric enters, so meshes that share a face array share the entry.
+    each vertex a, the one at a's first place in the flat face array.
+    Raises ``MeshError`` for a vertex with fewer than two neighbours.
     """
-    tri = np.frombuffer(faces, dtype=dtype).reshape(shape)
-    # corners (a, b, c) in triangle order: a's neighbours are b and c
-    corners = np.stack([tri, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
-    keys = np.sort(corners[:, [0, 0]] * n + corners[:, 1:], axis=None)  # directed edges a*n + b
+    keys = np.sort(tri[:, _EDGE_FROM] * n + tri[:, _EDGE_TO], axis=None)  # a*n + b
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     src, dst = np.divmod(keys, n)
     degree = np.bincount(src, minlength=n)
     few = np.flatnonzero(degree < 2)
     if few.size:
         raise MeshError(f"vertex {few[0]} has fewer than two neighbours")
-    slot = np.arange(degree.max())
-    start = np.cumsum(degree) - degree
-    slots = np.where(slot < degree[:, None], start[:, None] + slot, len(keys))
-    _, first = np.unique(corners[:, 0], return_index=True)
-    a, b, c = corners[first].T
-    table = (src, dst, slots, np.searchsorted(keys, np.stack([a * n + b, a * n + c], axis=1)))
-    for t in table:
-        t.flags.writeable = False
-    return table
+    flat = tri.ravel()
+    first = np.full(n, flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    k = first % 3
+    bc = flat[(first - k)[:, None] + _NEXT_TWO[k]]
+    return src, dst, degree, np.searchsorted(keys, (np.arange(n) * n)[:, None] + bc)
 
 
-def _vertex_scatter(r: np.ndarray, slots: np.ndarray) -> np.ndarray:
+def _vertex_scatter(r: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """Sum r_e r_e^T over each vertex's edges, for rows ``r`` grouped by
-    vertex and the ``_edge_topology`` slot table, with the bits of
-    ``np.add.at`` into zeros: each vertex adds its rows left to right.
+    vertex (``degree[v]`` rows each), with the bits of ``np.add.at`` into
+    zeros: each vertex adds its rows left to right.
 
     The (V, slots, 4, 4) table, padded with zero rows at the end, is summed
     over its slot axis, which numpy adds one slot at a time while the 4x4
@@ -448,7 +453,10 @@ def _vertex_scatter(r: np.ndarray, slots: np.ndarray) -> np.ndarray:
     adding to a zero start gives.
     """
     rr = np.concatenate([r[:, :, None] * r[:, None, :], np.zeros((1, 4, 4))])
-    return rr[slots].sum(axis=1) + 0.0
+    slot = np.arange(degree.max())
+    start = np.cumsum(degree) - degree
+    edge = np.where(slot < degree[:, None], start[:, None] + slot, len(r))
+    return rr[edge].sum(axis=1) + 0.0
 
 
 def build_frame_field(mesh: SectionMesh) -> FrameField:
@@ -462,17 +470,16 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     two span its g-orthogonal complement, the normal plane, and come out
     g-orthonormal.  u2 is flipped so that (u1, u2) agrees with the first
     ccw triangle at the vertex, and v2 so that (u1, u2, v1, v2) agrees with
-    the complex orientation.  The edges come from ``_edge_topology``.
+    the complex orientation.
     """
-    x, tri = mesh.vertices, mesh.triangles
-    src, dst, slots, first = _edge_topology(len(x), tri.shape, tri.dtype.str, tri.tobytes())
-    basis = _unitary_tangent_basis(x)
-    xh = _negative_units(x)
+    xh = mesh.units
+    src, dst, degree, corner = _mesh_edges(mesh.triangles, len(xh))
+    basis = _tangent_basis_of_units(xh)
     r = _real_coords(_log_directions(xh[src], xh[dst]), basis[src])
     # eigenvector rows, descending
-    q = np.linalg.eigh(_vertex_scatter(r, slots))[1].transpose(0, 2, 1)[:, ::-1]
-    # orient (u1, u2) by the first ccw corner (a, b, c) at each vertex
-    q[np.linalg.det(r[first] @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
+    q = np.linalg.eigh(_vertex_scatter(r, degree))[1].transpose(0, 2, 1)[:, ::-1]
+    # orient (u1, u2) by the first ccw corner at each vertex
+    q[np.linalg.det(r[corner] @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
     frames = _from_coords(q, basis[:, None])
     # q holds coordinates in the complex-oriented real basis (b1, ib1, b2, ib2)
     frames[np.linalg.det(q) < 0, 3] *= -1.0

@@ -8,8 +8,7 @@ isometries map boundary runs onto each other exactly.
 
 from __future__ import annotations
 
-import functools
-import operator
+from numbers import Integral
 
 import numpy as np
 
@@ -25,26 +24,41 @@ from .geometry import (
 from .invariants import SectionMesh, SidePairing
 
 
-@functools.lru_cache(maxsize=16)
-def _fan_topology(n: int, m: int, closed: bool):
-    """The integer part of ``_fan_lattice`` for refinement n over m corners.
+def _fan_lattice(center: np.ndarray, corners: np.ndarray, n: int, closed: bool):
+    """Coned lattice over a polygon; returns (vertices, faces, outer, radial).
 
-    Returns read-only ``(faces, outer, radial, ends, along, spoke_t)``:
-    ``faces``, ``outer`` and ``radial`` as ``_fan_lattice`` returns them,
-    ``ends`` the spoke indices that each sector's inner rows run between,
-    ``along`` the fractions j / i of the inner points and ``spoke_t`` the
-    fractions i / n of the spoke points.  They depend on the shape alone,
-    so a mesh build reads them from this cache instead of forming them.
+    ``center`` is a (3,) and ``corners`` an (m, 3) stack of Euclidean-unit
+    representatives (as ``ProjectivePoint`` stores them).  ``vertices`` is
+    the (V,3) stack of unit representatives, centre first, then the spokes
+    corner by corner, then the inner points sector by sector; ``faces`` is
+    an (F,3) int array.  ``outer[k]`` indexes the arclength-uniform run
+    along the polygon side from corner k to corner k+1; ``radial[k]`` the
+    run from the centre to corner k.  Faces are counterclockwise when the
+    corners are.
     """
+    # a float or a bool would fail further on, as an IndexError (2.0) or a
+    # misleading MeshError (True); a numpy integer is an Integral
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValueError("refinement must be a positive integer")
+    m = len(corners)
     sectors = m if closed else m - 1
     per = n * (n - 1) // 2  # inner points per sector
     w = n + 1
     col = np.arange(w)
+    # spokes[k, i-1] is the point at i/n from the centre to corner k
+    spokes = _geodesic_rows(center, corners[:, None], col[1:] / n)
+    spokes = (spokes / np.linalg.norm(spokes, axis=-1, keepdims=True)).reshape(-1, 3)
     # the inner points of a sector, at j/i along row i for 0 < j < i, rows
     # ascending; row i of sector k runs from spoke k to spoke k+1 (spoke 0
     # after the last)
     i, j = np.nonzero((col > 0) & (col < col[:, None]))
     ends = (np.arange(sectors + 1) % m * n)[:, None] + (i - 1)
+    units = _negative_units(spokes)
+    inner = _slerp_units(spokes[ends[:-1]], units[ends[:-1]], units[ends[1:]], j / i)
+    vertices = np.empty((1 + m * n + sectors * per, 3), dtype=complex)
+    vertices[0] = center
+    vertices[1:1 + m * n], vertices[1 + m * n:] = spokes, inner.reshape(-1, 3)
+    vertices[1:] = _unit_reps(vertices[1:])
 
     # lat[k, i, j], 0 <= j <= i <= n: the vertex at j/i along row i of
     # sector k.  The inner numbering is written over every entry, then the
@@ -64,36 +78,7 @@ def _fan_topology(n: int, m: int, closed: bool):
     t = f - above * above
     corner = (above * w + (t >> 1))[:, None] + np.array([[0, w, w + 1], [0, w + 1, 1]])[t & 1]
     faces = lat.reshape(sectors, -1)[:, corner].reshape(-1, 3)
-    table = (faces, lat[:, n], radial, ends, j / i, col[1:] / n)
-    for a in table:
-        a.flags.writeable = False
-    return table
-
-
-def _fan_lattice(center: np.ndarray, corners: np.ndarray, n: int, closed: bool):
-    """Coned lattice over a polygon; returns (vertices, faces, outer, radial).
-
-    ``center`` is a (3,) and ``corners`` an (m, 3) stack of Euclidean-unit
-    representatives (as ``ProjectivePoint`` stores them).  ``vertices`` is
-    the (V,3) stack of unit representatives, centre first, then the spokes
-    corner by corner, then the inner points sector by sector; ``faces`` is
-    an (F,3) int array.  ``outer[k]`` indexes the arclength-uniform run
-    along the polygon side from corner k to corner k+1; ``radial[k]`` the
-    run from the centre to corner k.  Faces are counterclockwise when the
-    corners are.  The integer arrays come read-only from ``_fan_topology``.
-    """
-    # a float or bool refinement is refused before the cache, where 2.0 and
-    # True would hit the entries of 2 and 1; np.int64 is taken
-    if isinstance(n, bool) or not hasattr(n, "__index__") or n < 1:
-        raise ValueError("refinement must be a positive integer")
-    faces, outer, radial, ends, along, spoke_t = _fan_topology(operator.index(n), len(corners), closed)
-    # spokes[k, i-1] is the point at i/n from the centre to corner k
-    spokes = _geodesic_rows(center, corners[:, None], spoke_t)
-    spokes = (spokes / np.linalg.norm(spokes, axis=-1, keepdims=True)).reshape(-1, 3)
-    units = _negative_units(spokes)
-    inner = _slerp_units(spokes[ends[:-1]], units[ends[:-1]], units[ends[1:]], along)
-    vertices = np.concatenate([center[None], spokes, inner.reshape(-1, 3)])
-    vertices[1:] = _unit_reps(vertices[1:])
+    outer = lat[:, n]
     return vertices, faces, outer, radial
 
 

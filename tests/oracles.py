@@ -303,6 +303,19 @@ def mesh_json(mesh) -> dict:
     }
 
 
+def mesh_edges_by_unique(tri: np.ndarray, n: int):
+    """The directed edges of a mesh from its corner list, with ``np.unique``
+    for each vertex's first corner: the reference for ``_mesh_edges``."""
+    # corners (a, b, c) in triangle order: a's neighbours are b and c
+    corners = np.stack([tri, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
+    keys = np.unique(corners[:, [0, 0]] * n + corners[:, 1:])
+    src, dst = np.divmod(keys, n)
+    _, first = np.unique(corners[:, 0], return_index=True)
+    a, b, c = corners[first].T
+    corner = np.searchsorted(keys, np.stack([a * n + b, a * n + c], axis=1))
+    return src, dst, np.bincount(src, minlength=n), corner
+
+
 def connection_total(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray) -> float:
     """Total frame holonomy over the faces, minus the tautological phases, / 2 pi,
     for one (V, 2, 3) stack of frame pairs: the reference for each row of

@@ -16,7 +16,7 @@ from chdisc.invariants import (
     SectionMesh,
     SidePairing,
     _connection_totals,
-    _edge_topology,
+    _mesh_edges,
     _taut_phases,
     build_frame_field,
     euler_via_mesh,
@@ -26,7 +26,6 @@ from chdisc.io import canonical_dumps
 from chdisc.meshes import (
     _OCTAGON_PAIRS,
     _fan_lattice,
-    _fan_topology,
     _octagon_circumradius,
     real_plane_point,
 )
@@ -39,6 +38,7 @@ from oracles import (
     disc_isometry_per_call,
     disc_rotation_per_call,
     herm_rows_by_sum,
+    mesh_edges_by_unique,
     mesh_json,
     projective_distance,
     real_plane_isometry_per_pair,
@@ -192,8 +192,8 @@ def test_mesh_vertices_have_projective_point_bits(kind, arg, n):
 
 @pytest.mark.parametrize("refinement", [0, -1, 2.0, 2.5, True])
 def test_mesh_constructors_reject_bad_refinement(refinement):
-    """Floats and bools are refused before the shape cache, which would
-    otherwise serve 2.0 and True from the entries of 2 and 1."""
+    """Floats and bools are refused up front, not as an IndexError (2.0) or
+    a MeshError about side pairing runs (True) further on."""
     with pytest.raises(ValueError, match="refinement must be a positive integer"):
         turnover_section_mesh(3, 3, 4, refinement=refinement)
     with pytest.raises(ValueError, match="refinement must be a positive integer"):
@@ -291,54 +291,28 @@ def test_lagrangian_pairings_are_the_frame_maps_of_the_corner_pairs():
         assert projective_distance(p.isometry, Isometry(frame_map)) < 1e-12
 
 
-
-# -- shape-keyed topology and the stacked connection pass ---------------------------
-
-def _mesh_bits(kind, arg, n):
-    """Every array of the mesh, its frames and raw tau, chi and e, as bytes."""
-    mesh = _mesh(kind, arg, n)
-    frames = build_frame_field(mesh)
-    return (canonical_dumps(mesh_json(mesh)), frames.tangent.tobytes(),
-            frames.normal.tobytes(), [x.hex() for x in _invariants(mesh)])
-
-
-def _clear_topology_caches():
-    _fan_topology.cache_clear()
-    _edge_topology.cache_clear()
-
-
-def test_topology_tables_are_read_only():
-    mesh = turnover_section_mesh(3, 3, 4, refinement=3)
-    tri = mesh.triangles
-    tables = _fan_topology(3, 3, False) + _edge_topology(
-        len(mesh.vertices), tri.shape, tri.dtype.str, tri.tobytes())
-    assert len(tables) == 10
-    for table in tables:
-        assert not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table.flat[0] = 0
-
+# -- the frame field's edges and the stacked connection pass -------------------------
 
 @pytest.mark.parametrize("kind, arg, n", BIT_CASES)
-def test_topology_caches_change_no_bits(kind, arg, n):
-    """A mesh has the same bytes, frames and raw invariants cold, warm, and
-    after a different mesh has filled the caches."""
-    _clear_topology_caches()
-    cold = _mesh_bits(kind, arg, n)
-    warm = _mesh_bits(kind, arg, n)
-    _clear_topology_caches()
-    _mesh_bits(*(("octagon", "complex", 2) if kind == "turnover" else ("turnover", (2, 3, 7), 3)))
-    assert _mesh_bits(kind, arg, n) == warm == cold
+def test_mesh_edges_match_the_corner_list_derivation(kind, arg, n):
+    """On each mesh, and on its faces reordered with their columns rotated,
+    so that each vertex's first corner moves."""
+    mesh = _mesh(kind, arg, n)
+    rng = np.random.default_rng(0)
+    shuffled = np.roll(mesh.triangles[rng.permutation(len(mesh.triangles))], 1, axis=1)
+    for tri in (mesh.triangles, shuffled):
+        ours, reference = _mesh_edges(tri, len(mesh.vertices)), mesh_edges_by_unique(tri, len(mesh.vertices))
+        for got, want in zip(ours, reference):
+            np.testing.assert_array_equal(got, want)
 
 
-def test_a_vertex_with_one_neighbour_raises_on_every_call():
-    """A degenerate face (4, 0, 0) gives the added vertex 4 the one
-    neighbour 0; the raise is not cached, so the second call raises too."""
+def test_a_vertex_with_one_neighbour_raises():
+    """A degenerate face (4, 0, 0) gives the added vertex 4 the one neighbour 0."""
     good = turnover_section_mesh(3, 3, 4, refinement=1)
     assert len(good.vertices) == 4
     mesh = SectionMesh(vertices=np.concatenate([good.vertices, good.vertices[:1]]),
                        triangles=np.concatenate([good.triangles, [[4, 0, 0]]]))
-    for call in (build_frame_field, build_frame_field, euler_via_mesh):
+    for call in (build_frame_field, euler_via_mesh):
         with pytest.raises(MeshError, match="vertex 4 has fewer than two neighbours"):
             call(mesh)
 
