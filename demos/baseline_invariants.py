@@ -11,6 +11,7 @@ import numpy as np
 
 from chdisc import (
     TurnoverSignature,
+    distance,
     elliptic_fixed_point,
     euler_via_mesh,
     fuchsian_turnover,
@@ -33,7 +34,15 @@ def main():
         print(f"  {word:>14s}  {r:.3e}")
     print(f"quadrangle certificate: pass={quad.certificate.passed}")
 
+    # g2 is g3^-1 g1^-1, and the generators' fixed points span the triangle
+    # with angles pi/n1, pi/n2, pi/n3 that the polygon is coned from
+    g1, g2, g3 = (rep.generators[n] for n in ("g1", "g2", "g3"))
+    gap = np.abs((g3.inverse() @ g1.inverse()).matrix - g2.matrix).max()
+    print(f"g2 = g3^-1 g1^-1 to {gap:.1e}")
     fixed = {name: elliptic_fixed_point(g) for name, g in rep.generators.items()}
+    x1, x2, x3 = (fixed[n] for n in ("g1", "g2", "g3"))
+    print(f"fixed-point triangle sides {distance(x1, x2):.12f} "
+          f"{distance(x2, x3):.12f} {distance(x3, x1):.12f}")
     tau_coned = toledo_via_coning(rep, fixed)
 
     mesh = turnover_section_mesh(*sig.orders(), refinement=4)

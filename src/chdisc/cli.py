@@ -37,7 +37,6 @@ from .quadrangle import validate_quadrangle
 from .representations import (
     SolverSeed,
     TurnoverSignature,
-    elliptic_fixed_point,
     fuchsian_turnover,
     orbifold_euler,
     turnover_solve,
@@ -91,9 +90,17 @@ def _tol_error(tol: float | None) -> str | None:
 
 
 def _refinement_for(sig: TurnoverSignature, h: float) -> int:
+    """The section-mesh refinement for edge length h: the longest side of
+    the signature's triangle over h, rounded up, and moved into [2, 24]; a
+    one-line stderr note names a refinement so moved and the one used."""
     z1, z2, z3 = triangle_vertices(*sig.angles())
     side = max(disc_distance(z1, z2), disc_distance(z2, z3), disc_distance(z3, z1))
-    return int(np.clip(np.ceil(side / h), 2, 24))
+    wanted = np.ceil(side / h)
+    used = int(np.clip(wanted, 2, 24))
+    if used != wanted:
+        print(f"note: --mesh {h} asks refinement {wanted:.0f} for {sig.orders()}; "
+              f"using {used}, the nearest in [2, 24]", file=sys.stderr)
+    return used
 
 
 def _unconverged_row(orders, bend: float, error=None) -> dict:
@@ -122,8 +129,7 @@ def run_turnover(sig: TurnoverSignature, bend: float, seed: int, mesh_h: float,
     # each residual is written as its round-trip repr, so it reads back exactly
     row["worst_relation_residual"] = max(rep_doc["relation_residuals"].values())
 
-    fixed = {name: elliptic_fixed_point(g) for name, g in rep.generators.items()}
-    tau_raw = toledo_via_coning(rep, fixed, tol=tol)
+    tau_raw = toledo_via_coning(rep, rep.fixed_points(), tol=tol)
     chi = orbifold_euler(sig)
     if bend == 0.0:
         mesh = turnover_section_mesh(sig.n1, sig.n2, sig.n3,

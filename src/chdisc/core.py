@@ -76,9 +76,6 @@ class ProjectivePoint:
             raise ZeroVectorError("projective point needs a nonzero finite representative")
         self.v = v / n
 
-    def herm_with(self, other: "ProjectivePoint") -> complex:
-        return herm_form(self.v, other.v)
-
     def self_form(self) -> float:
         return herm_form(self.v, self.v).real  # <x,x> is real for any x
 
@@ -99,12 +96,9 @@ def tance(x: ProjectivePoint, y: ProjectivePoint, tol: Tolerances = TOL) -> floa
     """ta(x,y) = <x,y><y,x> / (<x,x><y,y>), defined for non-null points.
 
     Scale invariant and isometry invariant; equals cosh^2 of the distance
-    for a pair of negative points.
+    for a pair of negative points.  The one-pair case of ``_tance_rows``.
     """
-    if classify(x, tol) == NULL or classify(y, tol) == NULL:
-        raise NullPointError("tance is undefined for null points")
-    xy = x.herm_with(y)
-    return float((xy * np.conj(xy)).real / (x.self_form() * y.self_form()))
+    return float(_tance_rows(x.v[None], y.v[None], tol)[0])
 
 
 def distance(x: ProjectivePoint, y: ProjectivePoint, tol: Tolerances = TOL) -> float:
@@ -187,11 +181,43 @@ def _form_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return dot_rows(_SIGNS * x, np.conj(y))
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a (..., 3) complex stack, bit for bit:
+    the np.dot of its real parts plus that of its imaginary parts."""
+    return np.sqrt(dot_rows(v.real, v.real) + dot_rows(v.imag, v.imag))
+
+
 def _unit_reps(v: np.ndarray) -> np.ndarray:
     """The rows of a (..., 3) stack scaled to Euclidean norm 1 as
-    ``ProjectivePoint`` scales its representative: np.linalg.norm's np.dot
-    of the real and imaginary parts."""
-    return v / np.sqrt(dot_rows(v.real, v.real) + dot_rows(v.imag, v.imag))[..., None]
+    ``ProjectivePoint`` scales its representative."""
+    return v / _norms(v)[..., None]
+
+
+def _points_of_units(rows) -> tuple:
+    """The ``ProjectivePoint`` of each row of a (k, 3) stack of representatives
+    already scaled as ``ProjectivePoint`` scales them (``_unit_reps``), kept
+    as they are: scaling a unit row again can move its last bit."""
+    points = []
+    for row in rows:
+        p = ProjectivePoint.__new__(ProjectivePoint)
+        p.v = row
+        points.append(p)
+    return tuple(points)
+
+
+def _tance_rows(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """Row-wise ``tance`` of the points with representatives x_i and y_i, two
+    (k, 3) stacks; raises ``NullPointError`` if a row of either is null
+    (``sign_classes``).
+
+    Each row has the bits of the one-pair formula: ``herm_form``'s pairings,
+    and |<x,y>|^2 as re*re + im*im, which is how the complex-scalar product
+    <x,y> conj(<x,y>) rounds it (each product alone, no FMA).
+    """
+    if (sign_classes(np.concatenate([x, y]), tol) == 0).any():
+        raise NullPointError("tance is undefined for null points")
+    nx, ny, xy = _form_pairs(np.array([x, y, x]), np.array([x, y, y]))
+    return (xy.real * xy.real + xy.imag * xy.imag) / (nx.real * ny.real)
 
 
 def _euclidean_units(x: np.ndarray) -> np.ndarray:

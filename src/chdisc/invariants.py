@@ -9,6 +9,12 @@ counterclockwise the integral of omega is minus the area.  With the Toledo
 number defined as (2/pi) * integral of omega over an equivariant section,
 the counterclockwise baseline sections give tau = chi exactly (the
 ``ORIENTATION_CONVENTION`` that reports carry).
+
+``toledo_via_coning`` checks every generator's fixed point in one stacked
+pass (``core._tance_rows``, of which ``tance`` is the one-pair case), and
+``_connection_totals`` forms the face holonomies of both bundles in
+blocks of ``_FACE_BLOCK`` faces, so that no temporary outgrows what the
+allocator keeps.
 """
 
 from __future__ import annotations
@@ -27,10 +33,11 @@ from .core import (
     herm_form,
     herm_rows,
     self_norms,
-    tance,
     _norms_and_squares,
     _sign_code,
+    _tance_rows,
     _tangent_basis_of_units,
+    _unit_reps,
 )
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
 from .geometry import _aligned_units, _negative_units
@@ -331,14 +338,20 @@ def toledo_via_coning(rep, fixed_points, tol: Tolerances = TOL) -> float:
     ``fixed_points`` maps generator names to their (negative) fixed points,
     each checked against its generator.  The polygon is the triangle
     (x1, x2, x3) together with its mirror triangle (x1, x3, g1^-1 x2).
+
+    One stacked pass maps every fixed point by its generator, and x2 by
+    g1^-1, with the bits of ``Isometry.__call__``, and reads the gaps with
+    ``_tance_rows``; the first generator that does not fix its point raises.
     """
-    for name, g in rep.generators.items():
-        x = fixed_points[name]
-        if abs(tance(g(x), x) - 1.0) > tol.fixed_point:
-            raise ConvergenceError(f"{name} does not fix its declared fixed point")
-    x1, x2, x3 = (fixed_points[n] for n in ("g1", "g2", "g3"))
-    x2m = rep.generators["g1"].inverse()(x2)
-    return _toledo(_triple_products(np.array([x1.v, x2.v, x3.v, x2m.v]), [(0, 1, 2), (0, 2, 3)]))
+    names = list(rep.generators)
+    maps = np.array([g.matrix for g in rep.generators.values()] + [rep.generators["g1"].inverse().matrix])
+    x = np.array([fixed_points[n].v for n in names] + [fixed_points["g2"].v])
+    image = _unit_reps((maps @ x[..., None])[..., 0])
+    bad = np.flatnonzero(abs(_tance_rows(image[:-1], x[:-1], tol) - 1.0) > tol.fixed_point)
+    if bad.size:
+        raise ConvergenceError(f"{names[bad[0]]} does not fix its declared fixed point")
+    x1, x2, x3 = (fixed_points[n].v for n in ("g1", "g2", "g3"))
+    return _toledo(_triple_products(np.array([x1, x2, x3, image[-1]]), [(0, 1, 2), (0, 2, 3)]))
 
 
 # -- discrete-connection bundle degrees --------------------------------------
@@ -507,6 +520,18 @@ def _taut_phases(mesh: SectionMesh) -> np.ndarray:
     return np.angle(-mesh.face_triples)
 
 
+#: faces per block of the connection pass, chosen from minor-fault counts
+#: (``getrusage``, one fresh process per mesh, per call after the first).
+#: Its largest temporary takes 1152 bytes a face for two bundles, 187 KB
+#: at 162 faces, which the allocator serves again from its heap once the
+#: first block is freed.  One pass over all faces faulted 171, 244 and 807
+#: times per call on the (3,4,4) r12, r14 and r24 meshes and 328 on the
+#: complex octagon r8; blocks of 162 faulted 0, 60, 0 and 82 times, and
+#: blocks of 176 to 224 faces more on each.  162 faces is an r9 turnover
+#: mesh, so r8 and r9 stay one block.
+_FACE_BLOCK = 162
+
+
 def _connection_totals(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray):
     """Total frame holonomy over the faces, minus the tautological phases, / 2 pi,
     for each row of a C-contiguous (k, V, 2, 3) stack of frame pairs, in one pass.
@@ -517,17 +542,22 @@ def _connection_totals(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray):
     A face's holonomy is the wrapped sum of its three edge angles; ``taut``
     holds the faces' ``_taut_phases``, shared by every row.  Each row's
     faces are summed on their own, as a (k, F) sum over the last axis would
-    add them in another order.
+    add them in another order.  The holonomies are formed ``_FACE_BLOCK``
+    faces at a time, each face with the same operations, and summed whole.
     """
     # the (re, im) pairs of each vector as 6 floats; the form's signs go on
     # per vertex, before the gather, with the same complex product
-    fi = (frames * _SIGNS).view(float)[:, tri][..., None, :, :]
-    fj = frames.view(float)[:, tri[:, [1, 2, 0]]][..., None, :]
-    # Re <f_i[b], f_j[a]> = sum over d of (re re + im im), in einsum's order
-    t = fi * fj
-    t = t[..., 0::2] + t[..., 1::2]
-    m = t[..., 0] + t[..., 1] + t[..., 2]
-    holonomy = np.angle(np.exp(1j * _rotation_angle(m).sum(axis=-1)))
+    signed, plain = (frames * _SIGNS).view(float), frames.view(float)
+    nxt = tri[:, [1, 2, 0]]
+    holonomy = np.empty((len(frames), len(tri)))
+    for s in range(0, len(tri), _FACE_BLOCK):
+        fi = signed[:, tri[s:s + _FACE_BLOCK]][..., None, :, :]
+        fj = plain[:, nxt[s:s + _FACE_BLOCK]][..., None, :]
+        # Re <f_i[b], f_j[a]> = sum over d of (re re + im im), in einsum's order
+        t = fi * fj
+        t = t[..., 0::2] + t[..., 1::2]
+        m = t[..., 0] + t[..., 1] + t[..., 2]
+        holonomy[:, s:s + _FACE_BLOCK] = np.angle(np.exp(1j * _rotation_angle(m).sum(axis=-1)))
     return [float(row.sum() / (2.0 * np.pi)) for row in holonomy - taut]
 
 

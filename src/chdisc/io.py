@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ProjectivePoint
+from .core import _norms, _points_of_units
 from .errors import GeometryError
 
 FORMAT = "chdisc/1"
@@ -74,7 +74,8 @@ def _vector(rows) -> np.ndarray:
 
 
 def _vector_json(v) -> list:
-    return [[_f(c.real), _f(c.imag)] for c in np.asarray(v, dtype=complex)]
+    # tolist gives each part as the Python float _f would
+    return np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 # -- quadrangle configurations ------------------------------------------------
@@ -98,22 +99,16 @@ def load_quadrangle(path):
     polars = doc["polars"]
     if not isinstance(polars, list) or len(polars) != 4:
         raise SchemaError("'polars' must list exactly four vectors")
-    try:
-        pts = tuple(_stored_point(_vector(p)) for p in polars)
-    except GeometryError as exc:
-        raise SchemaError(f"bad polar vector: {exc}") from exc
-    return QuadrangleConfig(polars=pts)
-
-
-def _stored_point(v) -> ProjectivePoint:
-    """The point of a stored representative, keeping its bits when it is
-    Euclidean-unit up to rounding: chdisc writes unit representatives, and
-    normalizing one again can move its last bit, and with it a certificate
-    (normalizing is off 1 by at most 1.5 eps)."""
-    p = ProjectivePoint(v)
-    if abs(np.linalg.norm(v) - 1.0) <= 4 * np.finfo(float).eps:
-        p.v = v
-    return p
+    v = np.array([_vector(p) for p in polars])
+    n = _norms(v)
+    if not (np.isfinite(n) & (n != 0.0)).all():
+        raise SchemaError("bad polar vector: projective point needs a nonzero finite representative")
+    # a row that is Euclidean-unit up to rounding keeps its bits: chdisc
+    # writes unit representatives, and normalizing one again can move its
+    # last bit, and with it a certificate (normalizing is off 1 by at most
+    # 1.5 eps); any other row is scaled as ProjectivePoint scales it
+    unit = abs(n - 1.0) <= 4 * np.finfo(float).eps
+    return QuadrangleConfig(polars=_points_of_units(np.where(unit[:, None], v, v / n[:, None])))
 
 
 # -- representations ----------------------------------------------------------

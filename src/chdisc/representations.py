@@ -31,6 +31,15 @@ It is solvable for (3,3,5) but provably unsolvable for (3,3,4), (2,3,7) and
 For those signatures every relation except g2^{n2} still holds exactly, and
 ``turnover_solve`` finds honest order-n2 configurations away from the
 complex-geodesic locus.
+
+Stack kernels.  ``_rotation_table`` builds the twisted rotations of every
+centre it is given in one pass; ``Representation.word_products`` multiplies
+a list of words one token position at a time (``relation_residuals`` is
+its case over every relation, ``word_product`` and ``relation_residual``
+its one-word cases); ``_fixed_point_rows`` reads the fixed points of a
+stack of elliptics from one eig call (``Representation.fixed_points`` and
+the one-matrix ``elliptic_fixed_point`` are its cases).  Each row keeps
+the bits of the one-object computation.
 """
 
 from __future__ import annotations
@@ -53,17 +62,19 @@ from .core import (
     dot_rows,
     elliptic_from_frame,  # noqa: F401  (bench/tracer.py wraps chdisc.representations.elliptic_from_frame)
     herm_form,
-    polar_span,
+    polar_rows,
     reflection_about,
-    tance,
     _CUBE_ROOTS,
     _elliptic_rows,
     _form_pairs,
+    _norms,
+    _points_of_units,
     _py_quotients,
+    _tance_rows,
     _unit_det,
     _unit_reps,
 )
-from .disc import F0, _in_plane_frames, embed, triangle_vertices
+from .disc import F0, _in_plane_frames, triangle_vertices
 from .errors import (
     ClassError,
     ConvergenceError,
@@ -138,24 +149,51 @@ class Representation:
     relations: list
     metadata: dict = field(default_factory=dict)
 
-    def word_product(self, word) -> Isometry:
-        tokens = word.split() if isinstance(word, str) else list(word)
-        m = Isometry.identity()
-        for t in tokens:
-            inverse = t.endswith("^-1")
-            name = t[:-3] if inverse else t
+    def word_products(self, words) -> np.ndarray:
+        """The det-1 products of ``words`` as a (k, 3, 3) stack, in one pass
+        per token position over every word that long.
+
+        Each step is ``_unit_det(m @ g)`` from the identity, as a chain of
+        ``Isometry`` products forms it, and a ``^-1`` token multiplies by
+        ``Isometry.inverse``'s matrix, so each row has that chain's bits.
+        Raises ``KeyError`` for the first unknown generator.
+        """
+        words = [w.split() if isinstance(w, str) else list(w) for w in words]
+        factors = {}  # token -> its matrix
+        for t in (t for w in words for t in w):
+            if t in factors:
+                continue
+            name = t[:-3] if t.endswith("^-1") else t
             if name not in self.generators:
                 raise KeyError(f"unknown generator {name!r}")
             g = self.generators[name]
-            m = m @ (g.inverse() if inverse else g)
+            factors[t] = (g if t == name else g.inverse()).matrix
+        m = np.repeat(Isometry.identity().matrix[None], len(words), axis=0)
+        for step in range(max(map(len, words), default=0)):
+            live = [i for i, w in enumerate(words) if len(w) > step]
+            m[live] = _unit_det(m[live] @ np.array([factors[words[i][step]] for i in live]))
         return m
 
+    def word_product(self, word) -> Isometry:
+        """The one-word case of ``word_products``."""
+        return Isometry(self.word_products([word])[0])
+
     def relation_residuals(self) -> dict:
-        return {w: relation_residual(self, w) for w in self.relations}
+        """``relation_residual`` of every relation, from one ``word_products`` pass."""
+        return dict(zip(self.relations, _identity_distance(self.word_products(self.relations)).tolist()))
+
+    def fixed_points(self) -> dict:
+        """The fixed point of every generator, from one ``_fixed_point_rows``
+        pass, as ``elliptic_fixed_point`` gives it; the ``ClassError`` of a
+        generator that is not elliptic names it."""
+        names = list(self.generators)
+        rows = _fixed_point_rows(np.array([g.matrix for g in self.generators.values()]), names)
+        return dict(zip(names, _points_of_units(rows)))
 
 
 def relation_residual(rep: Representation, word) -> float:
-    """min over cube roots of unity w of ||product - w I||_max, det-1 lift."""
+    """min over cube roots of unity w of ||product - w I||_max, det-1 lift;
+    the one-word case of ``Representation.relation_residuals``."""
     return float(_identity_distance(rep.word_product(word).matrix))
 
 
@@ -175,25 +213,38 @@ class QuadrangleFromRep:
     certificate: Certificate
 
 
-def elliptic_fixed_point(g: Isometry) -> ProjectivePoint:
-    """The fixed point in H^2_C of an elliptic isometry.
+def _fixed_point_rows(m: np.ndarray, names) -> np.ndarray:
+    """The fixed points in H^2_C of a (k, 3, 3) stack of elliptic isometries
+    from one ``np.linalg.eig`` call, as a (k, 3) stack.
 
-    Picks the eigenvector of most negative square norm; raises when no
-    eigenvector is negative (the element is not elliptic).
+    Each is the first eigenvector of most negative square norm over its
+    squared Euclidean norm, scaled as ``ProjectivePoint`` scales it.  Raises
+    ``ClassError`` for the first matrix with no such norm below -1e-10 (not
+    elliptic), naming it by ``names`` and giving its most negative norm.
     """
-    _, vecs = np.linalg.eig(g.matrix)
-    best, best_norm = None, 0.0
-    for k in range(3):
-        v = vecs[:, k]
-        s = herm_form(v, v).real / float(np.linalg.norm(v)) ** 2
-        if s < best_norm:
-            best, best_norm = v, s
+    vecs = np.ascontiguousarray(np.linalg.eig(m)[1].swapaxes(-1, -2))  # eigenvector rows
+    norms = _norms(vecs)
+    s = _form_pairs(vecs, vecs).real / np.square(norms)
+    negative = np.where(s < 0.0, s, 0.0)
+    best = negative.argmin(axis=-1)
+    rows = np.arange(len(m))
     # -1e-10 decides the "not elliptic" ClassError verdict on the most
     # negative eigenvector's normalised square norm (not a Tolerances field,
     # as for _outside_ball)
-    if best is None or best_norm > -1e-10:
-        raise ClassError("isometry has no negative eigenvector (not elliptic)")
-    return ProjectivePoint(best)
+    bad = np.flatnonzero(negative[rows, best] > -1e-10)
+    if bad.size:
+        k = bad[0]
+        raise ClassError(f"{names[k]} has no negative eigenvector (not elliptic): its most "
+                         f"negative normalised square norm is {s[k].min():.3g}, not below -1e-10")
+    return vecs[rows, best] / norms[rows, best, None]
+
+
+def elliptic_fixed_point(g: Isometry) -> ProjectivePoint:
+    """The fixed point in H^2_C of an elliptic isometry: the eigenvector of
+    most negative square norm; raises ``ClassError`` when no eigenvector is
+    negative (the element is not elliptic).  The one-matrix case of
+    ``_fixed_point_rows``."""
+    return _points_of_units(_fixed_point_rows(g.matrix[None], ["isometry"]))[0]
 
 
 def _word_power(name: str, n: int) -> str:
@@ -220,11 +271,19 @@ def _rotation_phases(n: int, k, bend: float) -> np.ndarray:
     return phases
 
 
-def _rotation_table(center: complex, n: int, bend: float, tol: Tolerances):
-    """The rotations by -2pi/n about a disc point with polar eigenphase
-    e^{2pi i k/n + i bend} for every twist k < n, stacked over k: g and its
-    inverse J g* J, with the bits of the ``Isometry`` operations."""
-    g = _elliptic_rows(_in_plane_frames(center), _rotation_phases(n, np.arange(n), bend), tol)
+def _rotation_table(centers, orders, bend: float, tol: Tolerances):
+    """The rotations by -2pi/n about disc points with polar eigenphase
+    e^{2pi i k/n + i bend} for every twist k < n, for each centre and its
+    order n: g and its inverse J g* J, stacked over the centres in turn and
+    over k, with the bits of the ``Isometry`` operations.  A centre and an
+    order may be given alone.  Every centre shares one frame build, one
+    projector sum and one adjoint pass.
+    """
+    # Python ints: _rotation_phases divides a Python complex by n, which a
+    # numpy integer would turn into a numpy quotient with other bits
+    orders = [int(n) for n in np.atleast_1d(orders)]
+    phases = np.concatenate([_rotation_phases(n, np.arange(n), bend) for n in orders])
+    g = _elliptic_rows(np.repeat(_in_plane_frames(centers), orders, axis=0), phases, tol)
     return g, _unit_det(_form_adjoint(g))
 
 
@@ -241,8 +300,8 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
     ``(Representation, QuadrangleFromRep)``.
     """
     z1, z2, z3 = triangle_vertices(*sig.angles())
-    g1s, g1_invs = _rotation_table(z1, sig.n1, 0.0, tol)
-    g3s, g3_invs = _rotation_table(z3, sig.n3, 0.0, tol)
+    gs, g_invs = _rotation_table([z1, z3], [sig.n1, sig.n3], 0.0, tol)
+    g1s, g3s, g1_invs, g3_invs = gs[:sig.n1], gs[sig.n1:], g_invs[:sig.n1], g_invs[sig.n1:]
     r1 = _identity_distance(_unit_det(np.linalg.matrix_power(g1s, sig.n1)))
     r3 = _identity_distance(_unit_det(np.linalg.matrix_power(g3s, sig.n3)))
     # entry [k1, k3] is the candidate with polar twists k1, k3
@@ -255,15 +314,19 @@ def fuchsian_turnover(sig: TurnoverSignature, tol: Tolerances = TOL):
                     for k1, row in enumerate(worst) for k3, r in enumerate(row))
     g1, g2, g3 = Isometry(g1s[k1]), Isometry(g2s[k1, k3]), Isometry(g3s[k3])
 
-    c1, c2, c3 = embed(z1), embed(z2), embed(z3)
-    fixed_gap = abs(tance(g2(c2), c2) - 1.0)
+    # c1, c2, c3 as embed gives them and their polars with F0 as polar_span
+    # gives them (c is never parallel to F0), then g2 c2, p4 = g1^-1 p2 and
+    # g3 p2 as Isometry.__call__ maps them, and the two gaps as tance
+    c = np.zeros((3, 3), dtype=complex)
+    c[:, 0], c[:, 1] = 1.0, (z1, z2, z3)
+    c = _unit_reps(c)
+    p = _unit_reps(polar_rows(c, F0.v))
+    maps = np.array([g2.matrix, g1_invs[k1], g3.matrix])
+    image = _unit_reps((maps @ np.array([c[1], p[1], p[1]])[..., None])[..., 0])
+    fixed_gap, c4_gap = np.abs(_tance_rows(image[:2], np.array([c[1], image[2]]), tol) - 1.0).tolist()
     if fixed_gap > tol.fixed_point:
         raise ConvergenceError(f"g2 does not fix c2 (tance gap {fixed_gap:g})")
-
-    p1, p2, p3 = (polar_span(c, F0) for c in (c1, c2, c3))
-    p4 = Isometry(g1_invs[k1])(p2)
-    c4_gap = abs(tance(p4, g3(p2)) - 1.0)
-    config = QuadrangleConfig((p1, p2, p3, p4))
+    config = QuadrangleConfig(_points_of_units(np.concatenate([p, image[1:2]])))
     cert = validate_quadrangle(config, tol)
 
     rep = Representation(

@@ -17,23 +17,27 @@ from chdisc.core import (
     _CUBE_ROOTS,
     _SIGNS,
     FORM_MATRIX,
+    NULL,
     Isometry,
     OrthogonalFrame,
     ProjectivePoint,
     _distance_from_tance,
+    _elliptic_rows,
     _gram_tances,
     _norms_and_squares,
     _sign_code,
     _unit_det,
     _unitary_tangent_basis,
+    classify,
     gram,
     herm_form,
     herm_rows,
     polar_rows,
+    polar_span,
     self_norms,
     sign_classes,
 )
-from chdisc.disc import F0, disc_distance, mobius
+from chdisc.disc import F0, _in_plane_frames, disc_distance, embed, mobius, triangle_vertices
 from chdisc.errors import (
     ClassError,
     DegenerateError,
@@ -53,9 +57,10 @@ from chdisc.geometry import (
     _slice_polars,
     geodesic_interp,
 )
-from chdisc.invariants import _rotation_angle, normalized_negative
+from chdisc.invariants import _rotation_angle, _toledo, _triple_products, normalized_negative
 from chdisc.io import _vector_json
 from chdisc.quadrangle import SubCheck, _side_gradients, _side_values
+from chdisc.representations import _form_adjoint, _rotation_phases
 from chdisc.tolerances import TOL, Tolerances
 
 
@@ -314,6 +319,18 @@ def mesh_edges_by_unique(tri: np.ndarray, n: int):
     a, b, c = corners[first].T
     corner = np.searchsorted(keys, np.stack([a * n + b, a * n + c], axis=1))
     return src, dst, np.bincount(src, minlength=n), corner
+
+
+def connection_totals_one_pass(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray) -> list:
+    """``_connection_totals`` with every face in one block: the reference for
+    its face blocks."""
+    fi = (frames * _SIGNS).view(float)[:, tri][..., None, :, :]
+    fj = frames.view(float)[:, tri[:, [1, 2, 0]]][..., None, :]
+    t = fi * fj
+    t = t[..., 0::2] + t[..., 1::2]
+    m = t[..., 0] + t[..., 1] + t[..., 2]
+    holonomy = np.angle(np.exp(1j * _rotation_angle(m).sum(axis=-1)))
+    return [float(row.sum() / (2.0 * np.pi)) for row in holonomy - taut]
 
 
 def connection_total(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray) -> float:
@@ -657,3 +674,82 @@ def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
     for label, d in zip(("disjoint_B12_B34", "disjoint_B23_B41"), dmin):
         checks.append(SubCheck(label, d >= tol.sep_floor, d - tol.sep_floor))
     return checks
+
+
+# -- the bend-0 turnover path one object at a time ---------------------------------
+
+def tance_per_pair(x: ProjectivePoint, y: ProjectivePoint, tol: Tolerances = TOL) -> float:
+    """ta(x, y) from ``classify`` and Python complex scalars: the one-pair
+    reference for ``_tance_rows``."""
+    if classify(x, tol) == NULL or classify(y, tol) == NULL:
+        raise NullPointError("tance is undefined for null points")
+    xy = herm_form(x.v, y.v)
+    return float((xy * np.conj(xy)).real / (herm_form(x.v, x.v).real * herm_form(y.v, y.v).real))
+
+
+def rotation_table_per_centre(center: complex, n: int, bend: float, tol: Tolerances = TOL):
+    """The twisted rotations about one disc point and their inverses, from
+    one frame: the reference for each centre of ``_rotation_table``."""
+    g = _elliptic_rows(_in_plane_frames(center), _rotation_phases(n, np.arange(n), bend), tol)
+    return g, _unit_det(_form_adjoint(g))
+
+
+def word_product_chain(rep, word) -> Isometry:
+    """A word's product as a chain of ``Isometry`` products from the identity:
+    the reference for each row of ``Representation.word_products``."""
+    m = Isometry.identity()
+    for t in word.split():
+        name = t[:-3] if t.endswith("^-1") else t
+        g = rep.generators[name]
+        m = m @ (g.inverse() if t != name else g)
+    return m
+
+
+def fixed_point_per_call(g: Isometry) -> ProjectivePoint:
+    """The fixed point of one elliptic, its eigenvectors read one at a time:
+    the reference for each row of ``_fixed_point_rows``."""
+    _, vecs = np.linalg.eig(g.matrix)
+    best, best_norm = None, 0.0
+    for k in range(3):
+        v = vecs[:, k]
+        s = herm_form(v, v).real / float(np.linalg.norm(v)) ** 2
+        if s < best_norm:
+            best, best_norm = v, s
+    if best is None or best_norm > -1e-10:
+        raise ClassError("isometry has no negative eigenvector (not elliptic)")
+    return ProjectivePoint(best)
+
+
+def toledo_via_coning_per_generator(rep, fixed_points, tol: Tolerances = TOL) -> float:
+    """``toledo_via_coning`` checking and mapping one fixed point at a time
+    through ``Isometry.__call__`` and ``tance_per_pair``."""
+    for name, g in rep.generators.items():
+        x = fixed_points[name]
+        if abs(tance_per_pair(g(x), x, tol) - 1.0) > tol.fixed_point:
+            raise AssertionError(f"{name} does not fix its declared fixed point")
+    x1, x2, x3 = (fixed_points[n] for n in ("g1", "g2", "g3"))
+    x2m = rep.generators["g1"].inverse()(x2)
+    return _toledo(_triple_products(np.array([x1.v, x2.v, x3.v, x2m.v]), [(0, 1, 2), (0, 2, 3)]))
+
+
+def turnover_tail_per_object(sig, rep):
+    """The tail of ``fuchsian_turnover`` from ``embed``, ``polar_span``,
+    ``Isometry`` calls and ``tance_per_pair``: (fixed-point gap, C4 gap,
+    the four polars)."""
+    z1, z2, z3 = triangle_vertices(*sig.angles())
+    c1, c2, c3 = embed(z1), embed(z2), embed(z3)
+    g1, g2, g3 = (rep.generators[n] for n in ("g1", "g2", "g3"))
+    fixed_gap = abs(tance_per_pair(g2(c2), c2) - 1.0)
+    p1, p2, p3 = (polar_span(c, F0) for c in (c1, c2, c3))
+    p4 = g1.inverse()(p2)
+    return fixed_gap, abs(tance_per_pair(p4, g3(p2)) - 1.0), (p1, p2, p3, p4)
+
+
+def stored_point(v: np.ndarray) -> ProjectivePoint:
+    """The point of one stored representative, its bits kept when it is
+    Euclidean-unit up to rounding: the reference for each polar that
+    ``load_quadrangle`` reads."""
+    p = ProjectivePoint(v)
+    if abs(np.linalg.norm(v) - 1.0) <= 4 * np.finfo(float).eps:
+        p.v = v
+    return p

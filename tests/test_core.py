@@ -29,6 +29,7 @@ from chdisc.core import (
     POSITIVE,
     GeometryDomainError,
     _check_frames,
+    _tance_rows,
     _unitary_tangent_basis,
     gram,
     herm_rows,
@@ -47,6 +48,7 @@ from oracles import (
     masked_tangent_basis,
     projective_distance,
     self_norms_by_blas,
+    tance_per_pair,
     tance_values,
 )
 
@@ -104,6 +106,21 @@ def test_tance_rejects_null():
     null = ProjectivePoint([1, 1, 0])
     with pytest.raises(NullPointError):
         tance(null, embed(0.0))
+
+
+def test_tance_rows_have_the_bits_of_the_complex_scalar_formula(rng):
+    """``tance`` is the one-pair case of ``_tance_rows``; both have the bits
+    of the Python complex-scalar formula, on negative, positive and mixed
+    pairs."""
+    points = [random_negative_point(rng) for _ in range(20)] + [random_positive_point(rng) for _ in range(20)]
+    rng.shuffle(points)
+    x, y = points[:20], points[20:]
+    rows = _tance_rows(np.array([p.v for p in x]), np.array([q.v for q in y]))
+    for k, (p, q) in enumerate(zip(x, y)):
+        assert rows[k].hex() == tance(p, q).hex() == tance_per_pair(p, q).hex()
+    null = ProjectivePoint([1, 1, 0])
+    with pytest.raises(NullPointError):
+        _tance_rows(np.array([x[0].v, y[0].v]), np.array([y[1].v, null.v]))
 
 
 def test_distance_requires_negative():

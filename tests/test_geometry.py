@@ -12,6 +12,7 @@ from chdisc import (
     NotUltraparallelError,
     ProjectivePoint,
     distance,
+    herm_form,
     polar_span,
     position,
 )
@@ -96,8 +97,8 @@ def test_common_perpendicular_feet():
     )
     # the spine meets both end slices orthogonally: each foot is the
     # form-projection of the other polar, so <foot_i, polar_i> = 0
-    assert abs(seg.end_slices[0].polar.herm_with(f1)) < 1e-12
-    assert abs(seg.end_slices[1].polar.herm_with(f2)) < 1e-12
+    assert abs(herm_form(seg.end_slices[0].polar.v, f1.v)) < 1e-12
+    assert abs(herm_form(seg.end_slices[1].polar.v, f2.v)) < 1e-12
 
 
 def test_common_perpendicular_requires_ultraparallel():
@@ -180,7 +181,7 @@ def test_bisector_slices():
     b = seg.bisector
     x = spine_point(seg, 0.5)
     sl = slice_at(b, x)
-    assert abs(sl.polar.herm_with(x)) < 1e-9
+    assert abs(herm_form(sl.polar.v, x.v)) < 1e-9
     # slices at the feet recover the end complex geodesics
     sl0 = slice_at(b, seg.feet[0])
     assert sl0.polar.is_parallel_to(seg.end_slices[0].polar, tol=1e-8)

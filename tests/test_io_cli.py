@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chdisc import Isometry, QuadrangleConfig, polar_span, validate_quadrangle
-from chdisc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _bend_tag, main
+from chdisc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _bend_tag, _refinement_for, main
 from chdisc.disc import F0, embed, triangle_vertices
 from chdisc import invariants as invariants_module
 from chdisc import io as io_module
@@ -15,13 +15,16 @@ from chdisc import quadrangle as quadrangle_module
 from chdisc.io import (
     SchemaError,
     _f,
+    _vector,
     canonical_dumps,
     load_quadrangle,
     quadrangle_to_json_dict,
     representation_to_json_dict,
     write_json,
 )
-from chdisc.representations import Representation, TurnoverSignature, fuchsian_turnover
+from chdisc.representations import Representation, TurnoverSignature, fuchsian_turnover, turnover_solve
+
+from oracles import stored_point
 
 
 def _baseline_quadrangle():
@@ -50,6 +53,25 @@ def test_quadrangle_roundtrip(tmp_path):
         assert p.is_parallel_to(l, tol=1e-12)
 
 
+def test_stacked_read_back_has_the_bits_of_one_stored_point_per_polar(tmp_path):
+    """The scan's four quadrangles, a bent one, and polars scaled by 2 (with
+    int zeros) or nudged off unit by rounding, read back bit for bit as one
+    ``stored_point`` per polar reads them: both branches of the unit test."""
+    quads = [fuchsian_turnover(TurnoverSignature(*s))[1].config
+             for s in [(3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 3, 7)]]
+    quads.append(turnover_solve(TurnoverSignature(3, 3, 4), 0.1)[1].config)
+    docs = [quadrangle_to_json_dict(q) for q in quads]
+    scaled = [[[2.0 * x or 0, 2.0 * y or 0] for x, y in v] for v in docs[0]["polars"]]
+    nudged = [[[x * (1 + 3e-16), y] for x, y in v] for v in docs[1]["polars"]]
+    docs += [dict(docs[0], polars=scaled), dict(docs[1], polars=nudged)]
+    for k, doc in enumerate(docs):
+        path = tmp_path / f"q{k}.quad.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_quadrangle(path)
+        for got, rows in zip(loaded.polars, doc["polars"]):
+            assert got.v.tobytes() == stored_point(_vector(rows)).v.tobytes()
+
+
 def test_quadrangle_schema_rejections(tmp_path):
     q = quadrangle_to_json_dict(_baseline_quadrangle())
     cases = {
@@ -59,6 +81,7 @@ def test_quadrangle_schema_rejections(tmp_path):
         "wrong_kind": dict(q, kind="certificate"),
         "wrong_count": dict(q, polars=q["polars"][:3]),
         "bad_vector": dict(q, polars=[[[0, 0]]] * 4),
+        "zero_vector": dict(q, polars=q["polars"][:3] + [[[0, 0]] * 3]),
     }
     for name, doc in cases.items():
         path = tmp_path / f"{name}.json"
@@ -353,3 +376,17 @@ def test_scan_artifacts_are_unchanged_by_the_number_writer(tmp_path, monkeypatch
     assert any(n.endswith(".cert.json") for n in names)
     for name in names:
         assert (tmp_path / "now" / name).read_bytes() == (tmp_path / "then" / name).read_bytes()
+
+
+def test_a_refinement_outside_its_range_is_noted_on_stderr(capsys, tmp_path):
+    """--mesh asks a refinement by edge length; one outside [2, 24] is moved
+    into it with a one-line note naming both, and one inside gets none."""
+    sig = TurnoverSignature(3, 4, 4)
+    assert _refinement_for(sig, 0.02) == 24
+    assert capsys.readouterr().err == (
+        "note: --mesh 0.02 asks refinement 33 for (3, 4, 4); using 24, the nearest in [2, 24]\n")
+    assert _refinement_for(sig, 0.05) == 14
+    assert capsys.readouterr().err == ""
+    assert main(["turnover", "--n", "3", "4", "4", "--mesh", "5", "--out", str(tmp_path)]) == EXIT_PASS
+    assert capsys.readouterr().err == (
+        "note: --mesh 5.0 asks refinement 1 for (3, 4, 4); using 2, the nearest in [2, 24]\n")

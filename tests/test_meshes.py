@@ -15,6 +15,7 @@ from chdisc.errors import MeshError
 from chdisc.invariants import (
     SectionMesh,
     SidePairing,
+    _FACE_BLOCK,
     _connection_totals,
     _mesh_edges,
     _taut_phases,
@@ -34,6 +35,7 @@ from chdisc.representations import TurnoverSignature
 from conftest import scalar_slerp
 from oracles import (
     connection_total,
+    connection_totals_one_pass,
     disc_automorphism_per_call,
     disc_isometry_per_call,
     disc_rotation_per_call,
@@ -325,3 +327,17 @@ def test_stacked_connection_pass_has_the_bits_of_one_pass_per_bundle(kind, arg, 
     stacked = _connection_totals(mesh.triangles, np.stack([frames.tangent, frames.normal]), taut)
     expected = [connection_total(mesh.triangles, f, taut) for f in (frames.tangent, frames.normal)]
     assert [x.hex() for x in stacked] == [x.hex() for x in expected]
+
+
+@pytest.mark.parametrize("kind, arg, n", [("turnover", (3, 4, 4), r) for r in (8, 9, 12, 14, 24)]
+                         + [("octagon", kind, 8) for kind in ("complex", "lagrangian")])
+def test_blocked_connection_pass_has_the_bits_of_one_pass(kind, arg, n):
+    """The connection pass forms its holonomies a block of faces at a time;
+    r8 and r9 are one block, the rest several."""
+    mesh = _mesh(kind, arg, n)
+    assert (len(mesh.triangles) > _FACE_BLOCK) == (kind == "octagon" or n >= 12)
+    frames = build_frame_field(mesh)
+    stacked, taut = np.stack([frames.tangent, frames.normal]), _taut_phases(mesh)
+    got = _connection_totals(mesh.triangles, stacked, taut)
+    want = connection_totals_one_pass(mesh.triangles, stacked, taut)
+    assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -29,6 +29,7 @@ from chdisc import (
     orbifold_euler,
     relation_residual,
     tance,
+    toledo_via_coning,
     turnover_solve,
 )
 from chdisc.core import (
@@ -43,10 +44,19 @@ from chdisc.core import (
 )
 from chdisc.disc import F0, _disc_rotations, _su11_stack, disc_distance, embed, triangle_vertices
 from chdisc import core, lsq, representations
-from chdisc.representations import SOLVER_STOPPING
+from chdisc.representations import SOLVER_STOPPING, _identity_distance
 
 from conftest import random_negative_point
-from oracles import in_plane_frame, projective_distance, projector
+from oracles import (
+    fixed_point_per_call,
+    in_plane_frame,
+    projective_distance,
+    projector,
+    rotation_table_per_centre,
+    toledo_via_coning_per_generator,
+    turnover_tail_per_object,
+    word_product_chain,
+)
 
 
 def test_signature_validation():
@@ -74,7 +84,7 @@ def test_triangle_from_angles_geometry():
     c1, c2, c3 = (embed(z) for z in (z1, z2, z3))
     # all vertices lie in the standard complex geodesic
     for c in (c1, c2, c3):
-        assert abs(F0.herm_with(c)) < 1e-12
+        assert abs(herm_form(F0.v, c.v)) < 1e-12
     # side lengths agree with the planar construction
     assert distance(c1, c2) == pytest.approx(disc_distance(z1, z2), abs=1e-12)
     assert distance(c2, c3) == pytest.approx(disc_distance(z2, z3), abs=1e-12)
@@ -128,10 +138,11 @@ def test_generators_are_checked_at_the_callers_tolerances():
         representations._bent_generators(g1_inv, params, phases, 3, strict)
 
 
-def test_fuchsian_turnover_builds_one_rotation_table_per_generator(monkeypatch):
+def test_fuchsian_turnover_builds_both_rotation_tables_in_one_pass(monkeypatch):
     """The candidate search makes no one-row elliptic_from_frame call: g1
-    and g3 each come from one stacked build over all their polar twists.
-    turnover_solve takes g1 and g1^-1 of every twist from one such build."""
+    and g3 come from one stacked build over both centres and all their
+    polar twists.  turnover_solve takes g1 and g1^-1 of every twist from
+    one such build over its one centre."""
     tables = []
     build = representations._elliptic_rows
 
@@ -146,7 +157,7 @@ def test_fuchsian_turnover_builds_one_rotation_table_per_generator(monkeypatch):
     monkeypatch.setattr(representations, "elliptic_from_frame", forbidden)
     monkeypatch.setattr(core, "elliptic_from_frame", forbidden)
     fuchsian_turnover(TurnoverSignature(3, 3, 5))
-    assert tables == [(3, 3), (5, 3)]
+    assert tables == [(3 + 5, 3)]
     tables.clear()
     monkeypatch.setattr(representations, "least_squares", lambda *args, **kwargs: [])
     with pytest.raises(ConvergenceError):
@@ -686,3 +697,91 @@ def test_turnover_solve_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(representations, "validate_quadrangle", broken)
     with pytest.raises(RuntimeError, match="certificate failure"):
         turnover_solve(TurnoverSignature(3, 3, 5), 0.10)
+
+
+# -- the bend-0 turnover path as stacks, against the object path ---------------------
+
+SCAN_SIGNATURES = [(3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 3, 7)]
+#: the solve workload's bend ladder (``SOLVE_LADDER`` in bench/workloads.py)
+SOLVE_LADDER = [((3, 3, 4), 0.10), ((3, 3, 4), 0.08), ((3, 3, 4), 0.06), ((3, 3, 4), 0.04),
+                ((3, 3, 4), 0.03), ((3, 3, 4), -0.05), ((3, 3, 5), 0.10), ((3, 3, 5), 0.05)]
+
+
+@pytest.fixture(scope="module")
+def stack_reps():
+    """{id: representation}: the scan's four baselines, the 8 bent ladder
+    answers and an h5_builder representation."""
+    reps = {"-".join(map(str, s)): fuchsian_turnover(TurnoverSignature(*s))[0] for s in SCAN_SIGNATURES}
+    for s, bend in SOLVE_LADDER:
+        reps[f"{'-'.join(map(str, s))}@{bend}"] = turnover_solve(TurnoverSignature(*s), bend)[0]
+    rng = np.random.default_rng(5)
+    reps["h5"] = h5_builder(F0, [random_negative_point(rng) for _ in range(4)])
+    return reps
+
+
+@pytest.mark.parametrize("orders", SCAN_SIGNATURES + [(4, 4, 4), (2, 3, 11)])
+@pytest.mark.parametrize("bend", [0.0, 0.02])
+def test_merged_rotation_tables_have_the_bits_of_one_table_per_centre(orders, bend):
+    sig = TurnoverSignature(*orders)
+    z1, _, z3 = triangle_vertices(*sig.angles())
+    g, g_inv = representations._rotation_table([z1, z3], [sig.n1, sig.n3], bend, Tolerances())
+    ref = [rotation_table_per_centre(z, n, bend) for z, n in ((z1, sig.n1), (z3, sig.n3))]
+    assert g.tobytes() == np.concatenate([r[0] for r in ref]).tobytes()
+    assert g_inv.tobytes() == np.concatenate([r[1] for r in ref]).tobytes()
+    one, one_inv = representations._rotation_table(z3, sig.n3, bend, Tolerances())
+    assert (one.tobytes(), one_inv.tobytes()) == (ref[1][0].tobytes(), ref[1][1].tobytes())
+
+
+def test_stacked_word_products_have_the_bits_of_the_isometry_chain(stack_reps):
+    """Every relation, and words with inverses and of other lengths, on the
+    scan baselines, the bent ladder and an h5 representation."""
+    for rep in stack_reps.values():
+        names = list(rep.generators)
+        words = rep.relations + [f"{names[0]}^-1", f"{names[1]} {names[0]}^-1 {names[2]}^-1 {names[1]}", ""]
+        stack = rep.word_products(words)
+        for row, word in zip(stack, words):
+            assert row.tobytes() == word_product_chain(rep, word).matrix.tobytes(), word
+        residuals = rep.relation_residuals()
+        for word in rep.relations:
+            chain = float(_identity_distance(word_product_chain(rep, word).matrix))
+            assert residuals[word].hex() == chain.hex() == relation_residual(rep, word).hex()
+
+
+def test_stacked_fixed_points_and_coning_tau_have_the_bits_of_the_per_generator_path(stack_reps):
+    for key, rep in stack_reps.items():
+        if key == "h5":
+            continue
+        fixed = rep.fixed_points()
+        per_call = {name: fixed_point_per_call(g) for name, g in rep.generators.items()}
+        for name, g in rep.generators.items():
+            assert fixed[name].v.tobytes() == per_call[name].v.tobytes(), (key, name)
+            assert elliptic_fixed_point(g).v.tobytes() == per_call[name].v.tobytes()
+        tau = toledo_via_coning(rep, fixed)
+        assert tau.hex() == toledo_via_coning_per_generator(rep, per_call).hex(), key
+
+
+def test_the_fixed_point_search_names_a_generator_that_is_not_elliptic():
+    rep, _ = fuchsian_turnover(TurnoverSignature(3, 3, 4))
+    translation = Isometry(_su11_stack(np.cosh(0.8), np.sinh(0.8))[0])
+    for name in ("g2", "g3"):
+        bad = Representation(rep.kind, dict(rep.generators, **{name: translation}), rep.relations)
+        with pytest.raises(ClassError, match=rf"^{name} has no negative eigenvector \(not elliptic\): "
+                                             r"its most negative normalised square norm is \S+, "
+                                             r"not below -1e-10$") as info:
+            bad.fixed_points()
+        norm = float(str(info.value).split(" is ")[1].split(",")[0])
+        assert -1e-10 < norm < 1e-12  # the translation's null eigenvectors
+    with pytest.raises(ClassError, match="^isometry has no negative eigenvector"):
+        elliptic_fixed_point(translation)
+
+
+@pytest.mark.parametrize("orders", SCAN_SIGNATURES + [(4, 4, 4), (2, 3, 8), (5, 5, 5)])
+def test_turnover_tail_has_the_bits_of_the_object_path(orders):
+    """c1..c3, the polars p1..p4 and the fixed-point and C4 gaps."""
+    sig = TurnoverSignature(*orders)
+    rep, quad = fuchsian_turnover(sig)
+    fixed_gap, c4_gap, polars = turnover_tail_per_object(sig, rep)
+    assert rep.metadata["fixed_point_gap"].hex() == fixed_gap.hex()
+    assert rep.metadata["c4_consistency_gap"].hex() == c4_gap.hex()
+    for got, want in zip(quad.config.polars, polars):
+        assert got.v.tobytes() == want.v.tobytes()
