@@ -333,29 +333,20 @@ def _gram_tances(g, nx, ny):
     return ta
 
 
-def _unitary_tangent_basis(x: np.ndarray) -> np.ndarray:
-    """A <,>-unitary basis (w1, w2) of x_i^perp for each negative row x_i.
+def _tangent_basis_of_units(xs: np.ndarray) -> np.ndarray:
+    """A <,>-unitary basis (w1, w2) of x_i^perp for each row x_i of a stack
+    of negative points scaled to <,> = -1 (``geometry._negative_units``).
 
     Gram-Schmidt over the coordinate vectors e0, e1, e2 in that order,
     skipping a seed whose remainder has form norm <= 1e-12: e0 at the
     origin, e1 on the complex line x2 = 0 (where e2 takes its slot).
-    Returns an (N, 2, 3) stack; raises ``ClassError`` if a row is not
-    negative.  Every step runs on whole columns; where some row skips a
-    seed, each row's seeds are picked with ``np.where``.  A row gets the
-    bits of a masked loop over the seeds that projects each remainder
-    against both slots, filled or empty: a remainder s - c x has no negative
-    zero (negating c x and adding 1 in column k alone would make some), so
-    an empty slot changes nothing.
+    Returns an (N, 2, 3) stack.  Every step runs on whole columns; where
+    some row skips a seed, each row's seeds are picked with ``np.where``.  A
+    row gets the bits of a masked loop over the seeds that projects each
+    remainder against both slots, filled or empty: a remainder s - c x has
+    no negative zero (negating c x and adding 1 in column k alone would make
+    some), so an empty slot changes nothing.
     """
-    q = self_norms(x)
-    if (q >= 0).any():
-        raise ClassError(f"row {np.flatnonzero(q >= 0)[0]} is not a negative point")
-    return _tangent_basis_of_units(x / np.sqrt(-q)[:, None])
-
-
-def _tangent_basis_of_units(xs: np.ndarray) -> np.ndarray:
-    """``_unitary_tangent_basis`` of negative rows already scaled to
-    <,> = -1 as ``geometry._negative_units`` scales them, with its bits."""
     nx = self_norms(xs)
     w = _seed_remainders(xs, nx)
     nw = self_norms(w[:, :2])

@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import (
     ProjectivePoint,
+    _SEEDS,
     _elliptic_rows,
     _form_pairs,
     _isometry_stack,
@@ -22,7 +23,6 @@ from .core import (
 from .errors import DegenerateError
 
 F0 = ProjectivePoint([0.0, 0.0, 1.0])
-_E1 = np.array([0.0, 1.0, 0.0], dtype=complex)
 
 
 def embed(z: complex) -> ProjectivePoint:
@@ -105,7 +105,7 @@ def _in_plane_frames(z) -> np.ndarray:
     # <b0, b0> and <e1, b0> from one pass, while row 1 still holds e1
     pairs = _form_pairs(frames[:, :2], b0[:, None])
     q = _py_quotients(pairs[:, 1], pairs[:, 0].real)
-    frames[:, 1] = _unit_reps(_E1 - q[:, None] * b0)
+    frames[:, 1] = _unit_reps(_SEEDS[1] - q[:, None] * b0)
     return frames
 
 

@@ -122,11 +122,13 @@ def geodesic_interp(x: ProjectivePoint, y: ProjectivePoint, t: float) -> Project
 
 def _bisector_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(..., 3, 3) frames with columns (s1, s2, f) of the bisectors with spines
-    through the rows of x and y: s1 = x, s2 = y phase aligned to x, and the
-    Euclidean-unit polar f = J conj(s1 x s2) / |.| of the complex spine."""
+    through the rows of x and y: s1 = x and s2 = y phase aligned to x, both
+    scaled to <,> = -1 so that a point's side function (``quadrangle``)
+    does not depend on the representatives of x and y, and the
+    Euclidean-unit polar f = J conj(x cross s2) / |.| of the complex spine."""
     s2 = _phase_align(x, y)
     f = polar_rows(x, s2)
-    return np.stack([x, s2, _euclidean_units(f)], axis=-1)
+    return np.stack([_negative_units(x), _negative_units(s2), _euclidean_units(f)], axis=-1)
 
 
 @dataclass(frozen=True)

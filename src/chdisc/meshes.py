@@ -12,7 +12,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import Isometry, ProjectivePoint, _unit_reps
+from .core import Isometry, ProjectivePoint, _euclidean_units, _unit_reps
 from .disc import _disc_automorphisms, _disc_rotations, _so21_stack, _su11_stack, triangle_vertices
 from .errors import DegenerateError
 from .geometry import (
@@ -47,7 +47,7 @@ def _fan_lattice(center: np.ndarray, corners: np.ndarray, n: int, closed: bool):
     col = np.arange(w)
     # spokes[k, i-1] is the point at i/n from the centre to corner k
     spokes = _geodesic_rows(center, corners[:, None], col[1:] / n)
-    spokes = (spokes / np.linalg.norm(spokes, axis=-1, keepdims=True)).reshape(-1, 3)
+    spokes = _euclidean_units(spokes).reshape(-1, 3)
     # the inner points of a sector, at j/i along row i for 0 < j < i, rows
     # ascending; row i of sector k runs from spoke k to spoke k+1 (spoke 0
     # after the last)

@@ -20,24 +20,24 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
-    _SIGNS,
     _euclidean_units,
+    _form_pairs,
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
-    dot_rows,
     herm_form,
     herm_rows,
     min_distances,
+    polar_rows,
     polar_span,
     self_norms,
     sign_classes,
     tance,
-    _unitary_tangent_basis,
 )
 from .errors import ClassError, DegenerateError, NullPointError
 from .geometry import (
     ComplexGeodesic,
     _negative_units,
+    _phase_align,
     _perpendicular_rows,
     _slerp_units,
     _slice_polars,
@@ -212,31 +212,23 @@ def _ring_table(n: int, radii: tuple):
     return table
 
 
-def _slice_samples(sets: np.ndarray, rings) -> np.ndarray:
+def _slice_samples(sets: np.ndarray, rings, mid: np.ndarray) -> np.ndarray:
     """Sample points of the complex geodesics P(polar_i^perp) around points on them.
 
-    ``sets`` is a (2, K, 3) stack of K positive polars and K negative
-    centres, one on each polar's complex geodesic.  For each set: the
-    centre, then its ring points cosh(r) x + sinh(r) e^{i phi} d, with x the
-    centre and d a unit direction in the slice, from the ``_ring_table``
-    ``rings`` of matching rows.  Returns the unit-norm rows stacked centre
-    by centre.
+    ``sets`` is a (2, K, 3) stack of K positive polars f and K negative
+    centres x, one on each polar's complex geodesic.  For each set: the
+    centre, then its ring points cosh(r) x + sinh(r) e^{i phi} d, from the
+    ``_ring_table`` ``rings`` of matching rows, with x scaled to <,> = -1
+    and d = J conj(x cross f), the slice's one unit tangent at x, phased so
+    that <m, d> <= 0 for the negative point ``mid`` phase aligned to x as m
+    (unless <m, d> = 0).  d scales with x, so every sample is a function of
+    the points alone.  Returns the Euclidean-unit rows stacked centre by
+    centre.
     """
     ch, sh = rings
     # polars scaled to <,> = 1 and centres to <,> = -1, in one pass
     f, x = sets / np.sqrt(self_norms(sets) * _POLAR_CENTRE)[..., None]
-    # direction inside the slice plane: the first of w1, w2, w1 + w2 lying
-    # in polar^perp, else w1 projected into polar^perp.  The 1e-8 decides
-    # which direction the rings take, so it moves the K3 margins; it is not
-    # a Tolerances field because InvariantReport.to_json_dict writes every
-    # field into each .report.json, whose bytes a new field would change.
-    w = _unitary_tangent_basis(x)
-    cands = np.concatenate([w, (w[:, 0] + w[:, 1])[:, None]], axis=1)
-    h = herm_rows(cands, f[:, None])
-    d = w[:, 0] - h[:, :1] * f
-    inside = np.abs(h) < 1e-8
-    if inside.any():  # the candidates are taken only where some lies inside
-        d = np.where(inside.any(axis=1)[:, None], cands[np.arange(len(x)), inside.argmax(axis=1)], d)
+    d = _phase_align(_phase_align(x, mid), polar_rows(x, f))
     d = d / np.sqrt(self_norms(d))[:, None]
     pts = np.empty((len(x), 1 + ch.shape[1], 3), dtype=complex)
     pts[:, 0] = x
@@ -361,10 +353,11 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     pair's minimum, which keeps the bits of the minimum over all the pair's
     distances.
 
-    The (a) and (b) sets are centred on the second feet of ``_K3_PAIRS``
-    exactly as ``_perpendicular_rows`` returns them: Euclidean-unit and not
-    phase aligned.  The rings cosh(r) x + sinh(r) e^{i phi} d move with the
-    phase of the centre representative x, and so do the margins.
+    The (a) and (b) sets are centred on the second feet of ``_K3_PAIRS``.
+    Every ring direction is fixed by the midpoint of B[C2,C4], (b)'s
+    reference point (``_slice_samples``), and (a) takes the tangent basis
+    (J conj(s x p), p) at each sample s of the shared slice P(p^perp), so
+    no sample and no margin depends on the representatives or coordinates.
     """
     p1, p2, p3, p4 = q.polars
     if p1.is_parallel_to(p3) or p2.is_parallel_to(p4):
@@ -381,15 +374,18 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     sets[0, :4], sets[1, :4] = polars[[1, 3, 2, 2]], feet[1, [0, 2, 5, 6]]
     sets[0, 4:] = _slice_polars(basis[[0, 3, 5, 7]], spine, tol).reshape(-1, 3)
     sets[1, 4:] = spine.reshape(-1, 3)
-    samples = _slice_samples(sets, _ring_table(max(tol.k3_samples // 8, 4), _K3_RADII)).reshape(36, -1, 3)
+    samples = _slice_samples(sets, _ring_table(max(tol.k3_samples // 8, 4), _K3_RADII), mid).reshape(36, -1, 3)
 
-    # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared slices
-    w = _unitary_tangent_basis(samples[:2].reshape(-1, 3)).reshape(2, -1, 2, 3)
+    # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared
+    # slices P(p^perp): at a sample s, J conj(s x p) and p span s^perp
+    shared, p = samples[:2], np.broadcast_to(polars[[1, 3], None], samples[:2].shape)
+    w = np.stack([polar_rows(shared, p), p], axis=2)
+    w /= np.sqrt(self_norms(w))[..., None]
     dirs = np.empty(w.shape[:2] + (4, 3), dtype=complex)  # w1, i w1, w2, i w2
     dirs[:, :, 0::2] = w
     np.multiply(1j, w, out=dirs[:, :, 1::2])
     # g-gradients of both side functions in one pass, lifted into x^perp
-    g = np.einsum("psnk,snkc->psnc", _side_gradients(coords[_K3_A_SIDES], samples[:2], dirs), dirs)
+    g = np.einsum("psnk,snkc->psnc", _side_gradients(coords[_K3_A_SIDES], shared, dirs), dirs)
     norms = np.sqrt(self_norms(g))
     cosang = np.abs(herm_rows(g[0], g[1]).real)
     # a gradient with norm below 1e-12 has no direction: its angle counts as
@@ -438,7 +434,7 @@ def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certifica
     polars = np.array([p.v for p in q.polars])
     if (sign_classes(polars, tol) == 0).any():  # tance's check, for all pairs at once
         raise NullPointError("tance is undefined for null points")
-    h = dot_rows((_SIGNS * polars)[:, None], polars.conj()[None])
+    h = _form_pairs(polars[:, None], polars[None])
     n = h.real.diagonal()
     # |h|^2 as tance forms it: numpy's array complex multiply may round
     # h * conj(h) differently in the last bit

@@ -52,6 +52,7 @@ import numpy as np
 
 from .core import (
     FORM_MATRIX,
+    _SEEDS,
     _SIGNS,
     NEGATIVE,
     POSITIVE,
@@ -86,11 +87,9 @@ from .lsq import least_squares
 from .quadrangle import Certificate, QuadrangleConfig, validate_quadrangle
 from .tolerances import TOL, Tolerances
 
-_E1 = np.array([0.0, 1.0, 0.0], dtype=complex)
-_E2 = np.array([0.0, 0.0, 1.0], dtype=complex)
 _CUBE_ROOT_IDENTITIES = _CUBE_ROOTS[:, None, None] * np.eye(3)  # w I
 _CUBE_ROOT_SCALARS = _CUBE_ROOT_IDENTITIES.reshape(3, 9)
-_SIGNED_E = _SIGNS * np.stack([_E1, _E2])  # _form_pairs(e_i, x) is dot_rows(_SIGNED_E[i], conj(x))
+_SIGNED_E = _SIGNS * _SEEDS[1:]  # _form_pairs(e_i, x) is dot_rows(_SIGNED_E[i], conj(x))
 _FORM_SIGNS = np.outer(_SIGNS, _SIGNS)
 
 
@@ -409,9 +408,9 @@ def _bent_inside(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
     x3[:, 0], x3[:, 1], x3[:, 2] = 1.0, a, b
     # e1 and e2 less their x3 components, with both quotients in one call
     q = _py_quotients(dot_rows(_SIGNED_E[:, None, :], np.conj(x3)), _form_pairs(x3, x3))
-    u = _E1 - q[0, :, None] * x3
+    u = _SEEDS[1] - q[0, :, None] * x3
     u = u / np.sqrt(_form_pairs(u, u).real)[:, None]
-    v = _E2 - q[1, :, None] * x3
+    v = _SEEDS[2] - q[1, :, None] * x3
     v = v - _py_quotients(_form_pairs(v, u), _form_pairs(u, u))[:, None] * u
     v = v / np.sqrt(_form_pairs(v, v).real)[:, None]
     cos, sin = np.cos(psi)[:, None], np.sin(psi)[:, None]
@@ -476,10 +475,11 @@ def _quadrangle_candidates(sig, g1, g2, w1p, w2p, tol):
     # prefer the eigenvector pairing with the -2pi/n2 rotation of the fixed point
     tgt = np.exp(-2j * np.pi / sig.n2)
     pos.sort(key=lambda i: abs(ev[i] / ev[neg[0]] - tgt))
-    for p1 in (ProjectivePoint(_E1), ProjectivePoint(_E2)):
+    g1_inv = g1.inverse()
+    for p1 in (ProjectivePoint(_SEEDS[1]), ProjectivePoint(_SEEDS[2])):
         for i2 in pos:
             p2 = ProjectivePoint(vecs[:, i2])
-            p4 = g1.inverse()(p2)
+            p4 = g1_inv(p2)
             for p3 in (w1p, w2p):
                 try:
                     q = QuadrangleConfig((p1, p2, p3, p4))

@@ -27,7 +27,6 @@ from chdisc.core import (
     _norms_and_squares,
     _sign_code,
     _unit_det,
-    _unitary_tangent_basis,
     classify,
     gram,
     herm_form,
@@ -373,7 +372,7 @@ def slice_at(b: Bisector, x: ProjectivePoint, tol: Tolerances = TOL) -> ComplexG
 # -- tangent bases ---------------------------------------------------------------
 
 def masked_tangent_basis(x: np.ndarray) -> np.ndarray:
-    """``_unitary_tangent_basis`` as a masked loop over the seeds e0, e1, e2:
+    """``_tangent_basis_of_units(_negative_units(x))`` as a masked loop over the seeds e0, e1, e2:
     each pass runs only on the rows still short of a basis vector, and a
     seed is skipped where its remainder has form norm <= 1e-12."""
     signs = np.array([-1.0, 1.0, 1.0])
@@ -574,21 +573,13 @@ def staged_slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL
 _RING_PHASES = np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))[:, None]
 
 
-def staged_slice_samples(polars: np.ndarray, centers: np.ndarray, n: int, radius=1.0):
+def staged_slice_samples(polars: np.ndarray, centers: np.ndarray, mid: np.ndarray, n: int, radius=1.0):
     """``_slice_samples`` with the rings' cosh r and sinh r e^{i phi} formed on
     every call from one radius or one radius per row."""
     f = polars / np.sqrt(self_norms(polars))[:, None]
     x = centers / np.sqrt(-self_norms(centers))[:, None]
-    # direction inside the slice plane: the first of w1, w2, w1 + w2 lying
-    # in polar^perp, else w1 projected into polar^perp
-    w = _unitary_tangent_basis(x)
-    cands = np.stack([w[:, 0], w[:, 1], w[:, 0] + w[:, 1]], axis=1)
-    inside = np.abs(herm_rows(cands, f[:, None])) < 1e-8
-    d = np.where(
-        inside.any(axis=1)[:, None],
-        cands[np.arange(len(x)), inside.argmax(axis=1)],
-        w[:, 0] - herm_rows(w[:, 0], f)[:, None] * f,
-    )
+    # the slice's tangent J conj(x cross f), phase fixed by mid aligned to x
+    d = _phase_align(_phase_align(x, mid), polar_rows(x, f))
     d = d / np.sqrt(self_norms(d))[:, None]
     r = np.linspace(0.15, np.broadcast_to(radius, len(x)), max(max(n - 1, 1) // 8, 1), axis=1)
     r = r[:, :, None, None]
@@ -632,17 +623,23 @@ def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
     coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
     seg = [0, 3, 5, 7]
     spine = _geodesic_rows(x[seg, None], y[seg, None], _SPINE_T)
+    mid = _geodesic_rows(x[4], y[4], 0.5)  # (b)'s reference point, which fixes every ring direction
     # sets around the feet on C2, C4 (a) and C3 (b), then the segments' spine points (c)
     samples = staged_slice_samples(
         np.concatenate([polars[[1, 3, 2, 2]], staged_slice_polars(basis[seg], spine, tol).reshape(-1, 3)]),
         np.concatenate([y[[0, 2, 5, 6]], spine.reshape(-1, 3)]),
+        mid,
         max(tol.k3_samples // 8, 4),
         np.repeat([1.0, 0.8, 1.5], [2, 2, 32]),
     ).reshape(36, -1, 3)
 
-    # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared slices
-    w = _unitary_tangent_basis(samples[:2].reshape(-1, 3)).reshape(2, -1, 2, 3)
-    dirs = np.stack([w[..., 0, :], 1j * w[..., 0, :], w[..., 1, :], 1j * w[..., 1, :]], axis=-2)
+    # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared
+    # slices P(p^perp), in the unit tangent basis (J conj(s x p), p) at each sample s
+    p = polars[[1, 3], None]
+    w1 = polar_rows(samples[:2], p)
+    w1 = w1 / np.sqrt(self_norms(w1))[..., None]
+    w2 = np.broadcast_to(p / np.sqrt(self_norms(p))[..., None], w1.shape)
+    dirs = np.stack([w1, 1j * w1, w2, 1j * w2], axis=-2)
     # g-gradients of both side functions, lifted into x^perp
     ga, gb = (
         np.einsum("snk,snkc->snc", _side_gradients(coords[rows], samples[:2], dirs), dirs)
@@ -658,7 +655,7 @@ def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
     # (b) sector test: C3 on the inner side of both bisectors through C1, as
     # seen from an interior reference point of the quadrangle
     a = coords[[0, 2]]
-    side_ref = _side_values(a @ _geodesic_rows(x[4], y[4], 0.5))
+    side_ref = _side_values(a @ mid)
     sides = np.sign(side_ref)[:, None] * _side_values(samples[2:4] @ np.swapaxes(a, -1, -2))
     labels = ("sector_B_C1C2", "sector_B_C1C4")
     for label, ref, w in zip(labels, side_ref.tolist(), sides.min(axis=1).tolist()):

@@ -35,8 +35,8 @@ from chdisc import (
 )
 from chdisc.core import ProjectivePoint, Isometry, reflection_about
 from chdisc.disc import F0, embed, triangle_vertices
-from chdisc.geometry import ComplexGeodesic, ULTRAPARALLEL
-from chdisc.core import _unitary_tangent_basis
+from chdisc.geometry import ComplexGeodesic, ULTRAPARALLEL, _negative_units
+from chdisc.core import _tangent_basis_of_units
 from chdisc.invariants import normalized_negative, tangent_project
 from chdisc.meshes import real_plane_point
 from chdisc.quadrangle import adjacency_check
@@ -201,8 +201,7 @@ def test_criterion_6_invariance_suite(rng):
     random isometries; reflections are projective involutions to 1e-12.
 
     The certificates use the default tolerances, K3 sampling included;
-    K1/K2 margins are compared at 1e-10 relative, K3 booleans for
-    stability (the K3 sampling frames are deliberately not equivariant).
+    K1, K2 and K3 margins are compared at 1e-10 relative.
     """
     q, _ = _baseline_quadrangle()
     base_cert = validate_quadrangle(q)
@@ -236,6 +235,9 @@ def test_criterion_6_invariance_suite(rng):
         for name, want_m in base_cert.k2_margins.items():
             for got, want in zip(cert.k2_margins[name], want_m):
                 assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+        for got, want in zip(cert.k3_checks, base_cert.k3_checks):
+            assert got.name == want.name
+            assert abs(got.margin - want.margin) < 1e-10 * max(1.0, abs(want.margin))
 
 
 def test_criterion_7_kaehler_machinery(rng):
@@ -244,7 +246,7 @@ def test_criterion_7_kaehler_machinery(rng):
     meshes give tau = 0 +/- 1e-8 and e snapping to -chi."""
     for k in range(100):
         x = random_negative_point(rng)
-        b1, b2 = _unitary_tangent_basis(normalized_negative(x)[None])[0]
+        b1, b2 = _tangent_basis_of_units(_negative_units(normalized_negative(x)[None]))[0]
         u = b1 if k % 2 == 0 else b1 + 0.5 * b2
         val, cls = kaehler_angle(x, u, 1j * u)
         assert abs(val + 1.0) < 1e-12 and cls == "complex"

@@ -30,7 +30,7 @@ from chdisc.core import (
     GeometryDomainError,
     _check_frames,
     _tance_rows,
-    _unitary_tangent_basis,
+    _tangent_basis_of_units,
     gram,
     herm_rows,
     min_distances,
@@ -38,6 +38,7 @@ from chdisc.core import (
     sign_classes,
 )
 from chdisc.disc import F0, embed
+from chdisc.geometry import _negative_units
 from chdisc.tolerances import TOL
 
 from conftest import random_isometry, random_negative_point, random_positive_point
@@ -285,7 +286,7 @@ def test_tance_floor_raises_geometry_domain_error():
 
 def _every_seed_tangent_basis(x):
     """Gram-Schmidt over e0, e1, e2 on every row, projecting each seed against
-    both basis slots, filled or not: the reference for ``_unitary_tangent_basis``."""
+    both basis slots, filled or not: the reference for ``_tangent_basis_of_units``."""
     xs = x / np.sqrt(-self_norms(x))[:, None]
     out = np.zeros((len(x), 2, 3), dtype=complex)
     found = np.zeros(len(x), dtype=int)
@@ -302,13 +303,13 @@ def _every_seed_tangent_basis(x):
     return out
 
 
-def test_unitary_tangent_basis_matches_every_seed_loop(rng):
+def test_tangent_basis_of_units_matches_every_seed_loop(rng):
     # generic points take e0 and e1; points of the complex geodesic f0^perp
     # skip e1, and the origin skips e0
     points = [random_negative_point(rng) for _ in range(40)]
     points += [embed(z) for z in (0.0, 0.3, -0.2 + 0.5j)] + [ProjectivePoint([2.0, 0.0, 1e-3j])]
     x = np.array([p.v for p in points])
-    basis = _unitary_tangent_basis(x)
+    basis = _tangent_basis_of_units(_negative_units(x))
     assert basis.tobytes() == _every_seed_tangent_basis(x).tobytes()
     g = np.einsum("nad,nbd->nab", basis * np.array([-1.0, 1.0, 1.0]), basis.conj())
     np.testing.assert_allclose(g, np.broadcast_to(np.eye(2), g.shape), atol=1e-13)
@@ -329,13 +330,14 @@ def _tangent_basis_stacks(rng):
     }
 
 
-def test_unitary_tangent_basis_equals_the_masked_loop(rng):
+def test_tangent_basis_of_units_equals_the_masked_loop(rng):
     """Whole-column seeds give the masked loop's bits, signs of zero included."""
     for name, x in _tangent_basis_stacks(rng).items():
-        got = _unitary_tangent_basis(x)
+        xs = _negative_units(x)
+        got = _tangent_basis_of_units(xs)
         assert got.tobytes() == masked_tangent_basis(x).tobytes(), name
         for k in range(len(x)):  # and a row's basis does not depend on its neighbours
-            assert got[k].tobytes() == _unitary_tangent_basis(x[k:k + 1])[0].tobytes(), name
+            assert got[k].tobytes() == _tangent_basis_of_units(xs[k:k + 1])[0].tobytes(), name
 
 
 def _per_pair_min_distance(x, y, tol):
@@ -386,15 +388,6 @@ def test_min_distances_raise_what_distance_matrix_raises():
             want = _raised(_per_pair_min_distance, x2, y2, TOL)
             assert _raised(min_distances, x2, y2) == want, (a, b)
             assert (want is None) == (a == b == "ok")
-
-
-@pytest.mark.parametrize("bad", [[0.1, 1.0, 0.0], [1.0, 1.0, 0.0]])
-def test_unitary_tangent_basis_rejects_a_non_negative_row(bad):
-    """A positive or null row has no tangent basis: ClassError naming the
-    row, raised before any square root of a non-negative norm is taken."""
-    x = np.array([[1.0, 0.2, 0.1], bad, [1.0, 0.0, 0.3]], dtype=complex)
-    with pytest.raises(ClassError, match="row 1 is not a negative point"):
-        _unitary_tangent_basis(x)
 
 
 # -- the signed sums against the reductions they replace ---------------------------

@@ -32,8 +32,9 @@ from chdisc import (
     toledo_via_mesh,
     turnover_section_mesh,
 )
-from chdisc.core import _unitary_tangent_basis, herm_rows
+from chdisc.core import _tangent_basis_of_units, herm_rows
 from chdisc.disc import F0, embed
+from chdisc.geometry import _negative_units
 from chdisc import invariants as invariants_module
 from chdisc.invariants import (
     COMPLEX_CLASS,
@@ -58,7 +59,7 @@ from oracles import mesh_json, orientation_determinants, symplectic_area_quadrat
 
 def test_kaehler_angle_complex_plane(rng):
     x = random_negative_point(rng)
-    b1, _ = _unitary_tangent_basis(normalized_negative(x)[None])[0]
+    b1, _ = _tangent_basis_of_units(_negative_units(normalized_negative(x)[None]))[0]
     val, cls = kaehler_angle(x, b1, 1j * b1)
     assert val == pytest.approx(-1.0, abs=1e-12)
     assert cls == COMPLEX_CLASS
@@ -113,8 +114,8 @@ def test_lagrangian_frame_check():
 
 
 def _basis_orientation_sign(xh, frames):
-    """Sign of det of the frames' real coordinates in ``_unitary_tangent_basis``."""
-    basis = _unitary_tangent_basis(xh)
+    """Sign of det of the frames' real coordinates in ``_tangent_basis_of_units``."""
+    basis = _tangent_basis_of_units(_negative_units(xh))
     a = np.einsum("nfd,nkd->nfk", frames * np.array([-1.0, 1.0, 1.0]), basis.conj())
     return np.where(np.linalg.det(np.stack([a.real, a.imag], -1).reshape(-1, 4, 4)) > 0, 1, -1)
 
@@ -154,7 +155,7 @@ def test_gram_pfaffians_have_the_sign_and_size_of_the_orientation_determinant(rn
     assert np.array_equal(orientation_sign(xh, frames), np.where(det6 > 0, 1, -1))
     assert np.array_equal(orientation_sign(xh, w), np.where(orientation_determinants(xh, w) > 0, 1, -1))
     assert np.array_equal(orientation_sign((0.5 - 2.0j) * xh, w), orientation_sign(xh, w))
-    basis = _unitary_tangent_basis(xh)
+    basis = _tangent_basis_of_units(_negative_units(xh))
     a = np.einsum("nfd,nkd->nfk", frames * np.array([-1.0, 1.0, 1.0]), basis.conj())
     det = np.linalg.det(np.stack([a.real, a.imag], -1).reshape(-1, 4, 4))
     np.testing.assert_allclose(pf, det, rtol=1e-9)

@@ -15,7 +15,6 @@ from chdisc import (
 )
 from chdisc.core import (
     ProjectivePoint,
-    _unitary_tangent_basis,
     distance,
     herm_form,
     herm_rows,
@@ -33,6 +32,7 @@ from chdisc.geometry import (
     common_perpendicular,
 )
 from chdisc import quadrangle as quadrangle_module
+from chdisc.representations import TurnoverSignature, turnover_solve
 from chdisc.quadrangle import (
     _side_gradients,
     _ring_table,
@@ -183,28 +183,16 @@ def test_validate_quadrangle_k2_failure_clockwise():
 # --- K3 kernels against loop/finite-difference references ------------------------
 
 
-def _reference_slice_samples(polar, center, n, radius=1.0):
+def _reference_slice_samples(polar, center, mid, n, radius=1.0):
     """One sample at a time: the reference for ``_slice_samples``."""
     f = polar.v / np.sqrt(polar.self_form())
     x = center.v / np.sqrt(-center.self_form())
-    xs = x / np.sqrt(-herm_form(x, x).real)
-    basis = []
-    for s in np.eye(3, dtype=complex):
-        w = s - (herm_form(s, xs) / herm_form(xs, xs).real) * xs
-        for prev in basis:
-            w = w - (herm_form(w, prev) / herm_form(prev, prev).real) * prev
-        if herm_form(w, w).real > 1e-12:
-            basis.append(w / np.sqrt(herm_form(w, w).real))
-        if len(basis) == 2:
-            break
-    w1, w2 = basis
-    for w in (w1, w2, w1 + w2):
-        if abs(herm_form(w, f)) < 1e-8:
-            d = w / np.sqrt(herm_form(w, w).real)
-            break
-    else:
-        d = w1 - herm_form(w1, f) * f
-        d = d / np.sqrt(herm_form(d, d).real)
+    # mid phase aligned to x, then the slice tangent J conj(x cross f) to mid
+    m = mid.v * (-herm_form(x, mid.v) / abs(herm_form(x, mid.v)))
+    d = np.array([-1.0, 1.0, 1.0]) * np.conj(np.cross(x, f))
+    if abs(herm_form(m, d)) >= 1e-15:
+        d = d * (-herm_form(m, d) / abs(herm_form(m, d)))
+    d = d / np.sqrt(herm_form(d, d).real)
     pts = [ProjectivePoint(x)]
     for r in np.linspace(0.15, radius, max(max(n - 1, 1) // 8, 1)):
         for phi in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
@@ -213,19 +201,31 @@ def _reference_slice_samples(polar, center, n, radius=1.0):
     return np.array([p.v for p in pts])
 
 
-def _segment_reference(seg, n_spine, n, radius=1.5):
+def _segment_reference(seg, mid, n_spine, n, radius=1.5):
     """Slice samples around n_spine spine points of a segment, one sample at a time."""
     xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, n_spine))
     polars = _slice_polars(bisector_basis(seg.bisector), xs)
-    return np.concatenate([_reference_slice_samples(ProjectivePoint(f), ProjectivePoint(x), n, radius)
+    return np.concatenate([_reference_slice_samples(ProjectivePoint(f), ProjectivePoint(x), mid, n, radius)
                            for f, x in zip(polars, xs)])
 
 
 def _side_coordinates(seg):
-    """The inverse of the basis (s1, s2, f) of a segment's bisector, f form-unit."""
+    """The inverse of the basis (s1, s2, f) of a segment's bisector, s1 and s2
+    scaled to <,> = -1 and f to <,> = 1."""
     b = seg.bisector
-    f = b.polar_f.v / np.sqrt(b.polar_f.self_form())
-    return np.linalg.inv(np.column_stack([b.spine.x.v, b.spine.y.v, f]))
+    s1, s2, f = (v / np.sqrt(abs(herm_form(v, v).real)) for v in (b.spine.x.v, b.spine.y.v, b.polar_f.v))
+    return np.linalg.inv(np.column_stack([s1, s2, f]))
+
+
+def _shared_slice_basis(x, p):
+    """The unit tangent basis (J conj(s x p), p) at each sample s of P(p^perp),
+    one sample at a time."""
+    p = p / np.sqrt(herm_form(p, p).real)
+    out = []
+    for s in x:
+        w = np.array([-1.0, 1.0, 1.0]) * np.conj(np.cross(s, p))
+        out.append([w / np.sqrt(herm_form(w, w).real), p])
+    return np.array(out)
 
 
 def _reference_adjacency_check(q, tol=TOL):
@@ -244,11 +244,12 @@ def _reference_adjacency_check(q, tol=TOL):
         return perps[i, j]
 
     n = max(tol.k3_samples // 8, 4)
+    ref = spine_point(perp(1, 3), 0.5)
     checks = []
     for shared, label in ((1, "transversal_at_C2"), (3, "transversal_at_C4")):
         seg_a, seg_b = perp(0, shared), perp(2, shared)
-        x = _reference_slice_samples(c[shared].polar, seg_a.feet[1], n)
-        w = _unitary_tangent_basis(x)
+        x = _reference_slice_samples(c[shared].polar, seg_a.feet[1], ref, n)
+        w = _shared_slice_basis(x, c[shared].polar.v)
         dirs = np.stack([w[:, 0], 1j * w[:, 0], w[:, 1], 1j * w[:, 1]], axis=1)
         ga, gb = (np.einsum("nk,nkc->nc", _side_gradients(_side_coordinates(s), x, dirs), dirs)
                   for s in (seg_a, seg_b))
@@ -257,63 +258,77 @@ def _reference_adjacency_check(q, tol=TOL):
         cosang = np.abs(herm_rows(ga, gb).real) / np.where(ok, na * nb, 1.0)
         worst = float(np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0).min())
         checks.append((label, worst >= tol.angle_floor, worst - tol.angle_floor, ""))
-    ref = spine_point(perp(1, 3), 0.5)
     for other, label in ((1, "sector_B_C1C2"), (3, "sector_B_C1C4")):
         a = _side_coordinates(perp(0, other))
         side_ref = float(_side_values(a @ ref.v))
-        x = _reference_slice_samples(p3, perp(other, 2).feet[1], n, 0.8)
+        x = _reference_slice_samples(p3, perp(other, 2).feet[1], ref, n, 0.8)
         worst = float((np.sign(side_ref) * _side_values(x @ a.T)).min())
         checks.append((label, worst > 0.0, worst, f"reference side {side_ref:+.3e}"))
     for (i, j), (k, l), label in (((0, 1), (2, 3), "disjoint_B12_B34"),
                                   ((1, 2), (3, 0), "disjoint_B23_B41")):
-        dmin = float(distance_matrix(_segment_reference(perp(i, j), 8, n),
-                                     _segment_reference(perp(k, l), 8, n), tol).min())
+        dmin = float(distance_matrix(_segment_reference(perp(i, j), ref, 8, n),
+                                     _segment_reference(perp(k, l), ref, 8, n), tol).min())
         checks.append((label, dmin >= tol.sep_floor, dmin - tol.sep_floor, ""))
     return checks
 
 
 def _moved_segments(rng):
+    """(segment, reference point) pairs: an untouched fiber configuration
+    with a reference point in its complex geodesic f0^perp (the ring
+    direction keeps the phase of its cross product) and off it, then two
+    segments and the off reference point moved by an isometry."""
     q = _baseline_quadrangle()
     g = random_isometry(rng)
     c = [ComplexGeodesic(g(p)) for p in q.polars]
-    # an untouched fiber configuration (coordinate-aligned directions) and
-    # a moved one (the generic fallback direction)
-    return [common_perpendicular(ComplexGeodesic(q.polars[0]), ComplexGeodesic(q.polars[1])),
-            common_perpendicular(c[0], c[1]), common_perpendicular(c[2], c[1])]
+    fiber = common_perpendicular(ComplexGeodesic(q.polars[0]), ComplexGeodesic(q.polars[1]))
+    off = ProjectivePoint([1.0, 0.2, 0.3j])
+    return [(fiber, embed(0.2j)), (fiber, off),
+            (common_perpendicular(c[0], c[1]), g(off)), (common_perpendicular(c[2], c[1]), g(off))]
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 20])
 def test_slice_samples_match_reference(rng, n):
-    for seg in _moved_segments(rng):
+    for k, (seg, mid) in enumerate(_moved_segments(rng)):
         # one stacked call: the foot on the second slice at radius 0.8, then
         # three spine points at radius 1.5 with their checked slice polars
         xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, 3))
-        got = _slice_samples(np.array([
+        sets = np.array([
             np.concatenate([seg.end_slices[1].polar.v[None], _slice_polars(bisector_basis(seg.bisector), xs)]),
             np.concatenate([seg.feet[1].v[None], xs]),
-        ]), _ring_table(n, (0.8, 1.5, 1.5, 1.5)))
-        ref = [_reference_slice_samples(seg.end_slices[1].polar, seg.feet[1], n, 0.8)]
+        ])
+        rings = _ring_table(n, (0.8, 1.5, 1.5, 1.5))
+        got = _slice_samples(sets, rings, mid.v)
+        ref = [_reference_slice_samples(seg.end_slices[1].polar, seg.feet[1], mid, n, 0.8)]
         for t in (0.0, 0.5, 1.0):
             x = spine_point(seg, t)
-            ref.append(_reference_slice_samples(slice_at(seg.bisector, x).polar, x, n, 1.5))
+            ref.append(_reference_slice_samples(slice_at(seg.bisector, x).polar, x, mid, n, 1.5))
         np.testing.assert_allclose(got, np.concatenate(ref), atol=1e-14)
+        if k:  # a reference point off f0^perp: the samples are functions of the points,
+            # so complex multiples of the polars, centres and reference point give
+            # other representatives of the same samples
+            scale = rng.uniform(0.2, 5.0, (2, 4, 1)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, (2, 4, 1)))
+            moved = _slice_samples(sets * scale, rings, (0.3 - 1.2j) * mid.v)
+            np.testing.assert_allclose(np.abs((moved.conj() * got).sum(axis=-1)), 1.0, rtol=0, atol=1e-13)
 
 
 def test_side_gradient_matches_central_differences(rng):
     h = 1e-6
-    segs = _moved_segments(rng)
+    pairs = _moved_segments(rng)
+    segs = [seg for seg, _ in pairs]
     stacked_a = np.linalg.inv(np.stack([bisector_basis(seg.bisector) for seg in segs]))
-    stacked_x = np.stack([_slice_samples(np.array([[seg.end_slices[1].polar.v], [seg.feet[1].v]]), _ring_table(8, (1.0,)))
-                          for seg in segs])
+    stacked_x = np.stack([_slice_samples(np.array([[seg.end_slices[1].polar.v], [seg.feet[1].v]]),
+                                         _ring_table(8, (1.0,)), mid.v)
+                          for seg, mid in pairs])
     for k, seg in enumerate(segs):
         a, x = stacked_a[k], stacked_x[k]
-        w = _unitary_tangent_basis(x)
+        # K3(a)'s basis on the slice P(p^perp) the samples lie in
+        w = _shared_slice_basis(x, seg.end_slices[1].polar.v)
         dirs = np.stack([w[:, 0], 1j * w[:, 0], w[:, 1], 1j * w[:, 1]], axis=1)
         fd = (_side_values((x[:, None] + h * dirs) @ a.T)
               - _side_values((x[:, None] - h * dirs) @ a.T)) / (2.0 * h)
         got = _side_gradients(a, x, dirs)
         np.testing.assert_allclose(got, fd, rtol=0, atol=1e-8)
-        # the same rows of a stacked call over all three bisectors
+        # the same rows of a stacked call over all the bisectors
         np.testing.assert_allclose(
             _side_gradients(stacked_a, stacked_x, np.broadcast_to(dirs, (len(segs),) + dirs.shape))[k],
             got, rtol=0, atol=1e-15)
@@ -326,8 +341,9 @@ def test_side_gradient_matches_central_differences(rng):
 def test_k3_separation_is_min_over_sampled_pairs():
     q = _baseline_quadrangle()
     c = [ComplexGeodesic(p) for p in q.polars]
-    sa = _segment_reference(common_perpendicular(c[0], c[1]), 8, 8)
-    sb = _segment_reference(common_perpendicular(c[2], c[3]), 8, 8)
+    mid = spine_point(common_perpendicular(c[1], c[3]), 0.5)
+    sa = _segment_reference(common_perpendicular(c[0], c[1]), mid, 8, 8)
+    sb = _segment_reference(common_perpendicular(c[2], c[3]), mid, 8, 8)
     dmin = min(distance(ProjectivePoint(a), ProjectivePoint(b)) for a in sa for b in sb)
     check = next(k for k in adjacency_check(q) if k.name == "disjoint_B12_B34")
     assert check.margin + TOL.sep_floor == pytest.approx(dmin, abs=1e-12)
@@ -384,6 +400,23 @@ def test_adjacency_check_raises_what_the_per_pair_reference_raises():
             staged = _raised_message(staged_adjacency_check, q, tol)
             assert staged[0] is want
             assert _raised_message(adjacency_check, q, tol) == staged
+
+
+def test_k3_margins_do_not_depend_on_the_polar_representatives():
+    """Multiplying each polar by a random unit scalar leaves every K3 margin
+    within 1e-10 relative, on the four passing baselines and on the (3,3,4)
+    quadrangles at bends 0.1 and -0.05: the ring directions and the side
+    coordinates are functions of the points, not of their representatives."""
+    rng = np.random.default_rng(2300)
+    bent = [turnover_solve(TurnoverSignature(3, 3, 4), bend)[1].config for bend in (0.1, -0.05)]
+    for q in [_baseline_quadrangle(sig) for sig in ((3, 3, 4), (3, 3, 5), (3, 4, 4), (4, 4, 4))] + bent:
+        want = adjacency_check(q)
+        for _ in range(50):
+            phases = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 4))
+            got = adjacency_check(QuadrangleConfig(tuple(ProjectivePoint(p.v * s) for p, s in zip(q.polars, phases))))
+            assert [(c.name, c.passed) for c in got] == [(c.name, c.passed) for c in want]
+            for g, w in zip(got, want):
+                assert abs(g.margin - w.margin) < 1e-10 * max(1.0, abs(w.margin)), g.name
 
 
 def test_sector_check_fails_on_a_degenerate_reference():

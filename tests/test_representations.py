@@ -3,6 +3,7 @@
 import functools
 import itertools
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -653,13 +654,16 @@ def test_lockstep_yields_rows_in_order_and_stops_when_the_caller_does():
 
 def test_turnover_solve_failure_path_message():
     """(2,3,7) at bend 0.02 converges but never certifies; the error names
-    the first converged start's residual and twists, as recorded."""
+    the first converged start's twists (0, 0) and its residual, which is
+    within the solver's bound.  The residual's digits are rounding noise
+    that follows the BLAS kernel, so only the bound is pinned."""
     with pytest.raises(InvalidSolutionError) as err:
         turnover_solve(TurnoverSignature(2, 3, 7), 0.02)
-    assert str(err.value) == (
-        "solver converged (g2-order residual 4.87e-14, twists (0, 0)) but no "
-        "stable-geodesic choice passes K1 and K2"
-    )
+    match = re.fullmatch(
+        r"solver converged \(g2-order residual (\S+), twists \(0, 0\)\) but no "
+        r"stable-geodesic choice passes K1 and K2", str(err.value))
+    assert match is not None, str(err.value)
+    assert 0.0 <= float(match[1]) <= Tolerances().solver_residual
 
 
 def test_import_does_not_load_scipy():
