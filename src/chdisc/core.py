@@ -143,7 +143,7 @@ def gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Hermitian Gram matrix G[..., i, j] = <x_i, y_j> = (X J Y^H)[i, j] of two
     stacks, or of matching stacks of stacks."""
     y = np.asarray(y, dtype=complex)
-    return (np.asarray(x, dtype=complex) * _SIGNS) @ np.swapaxes(y.conj(), -1, -2)
+    return (np.asarray(x, dtype=complex) * _SIGNS) @ y.conj().swapaxes(-1, -2)
 
 
 def _signed(q: np.ndarray) -> np.ndarray:
@@ -221,9 +221,11 @@ def _tance_rows(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarr
 
 
 def _euclidean_units(x: np.ndarray) -> np.ndarray:
-    """x / np.linalg.norm(x, axis=-1, keepdims=True) over a (..., n) stack:
-    that function's own formula, bit for bit, without its argument handling."""
-    return x / np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1, keepdims=True))
+    """x / np.linalg.norm(x, axis=-1, keepdims=True) over a (..., 3) stack:
+    that function's own formula, bit for bit, without its argument handling
+    or its reduction (numpy sums a length-3 axis left to right)."""
+    q = (x.conj() * x).real
+    return x / np.sqrt((q[..., 0:1] + q[..., 1:2]) + q[..., 2:3])
 
 
 def _py_quotients(a, b):
@@ -302,7 +304,7 @@ def min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.nda
     n = x.shape[-2]
     s, sq = _norms_and_squares(np.concatenate([x, y], axis=-2))
     # a norm strictly beyond the band is negative in any band: no zero to divide by
-    if (s < -abs(tol.null_band) * sq).all():
+    if np.count_nonzero(s < -abs(tol.null_band) * sq) == s.size:
         ta = _gram_tances(gram(x, y), s[..., :n], s[..., n:])
         low = ta.min(axis=(-2, -1))
         if low.min() >= 1.0 - _TANCE_FLOOR_SLACK:
@@ -388,7 +390,7 @@ def polar_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise ``polar_span``, unnormalized: J conj(x_i cross y_i) over (..., 3) stacks."""
     # np.cross's own formula, without its axis handling (it dominates a
     # 3-vector call): both products x[next] y[prev] and x[prev] y[next] in one
-    c = np.take(x, _NEXT_PREV, -1) * np.take(y, _PREV_NEXT, -1)
+    c = x.take(_NEXT_PREV, -1) * y.take(_PREV_NEXT, -1)
     return _SIGNS * np.conj(c[..., :3] - c[..., 3:])
 
 

@@ -63,7 +63,7 @@ def _phase_align(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     p = herm_rows(x, y)
     a = np.abs(p)
     # 1e-15 and 1e-300 guard the division by |p|; they decide no verdict
-    if (a < 1e-15).any():
+    if np.count_nonzero(a < 1e-15):
         return y * np.where(a < 1e-15, 1.0, -p / np.maximum(a, 1e-300))[..., None]
     return y * (-p / a)[..., None]
 
@@ -99,7 +99,7 @@ def _slerp_units(x: np.ndarray, xh: np.ndarray, yh: np.ndarray, t) -> np.ndarray
     d, t = d[..., None], np.asarray(t)[..., None]
     v = np.sinh((1.0 - t) * d) * xh + np.sinh(t * d) * yh
     same = d < 1e-15  # guards the division by sinh d; it decides no verdict
-    if not same.any():  # no coincident pair: nothing to divide around or replace
+    if not np.count_nonzero(same):  # no coincident pair: nothing to divide around or replace
         return v / np.sinh(d)
     return np.where(same, x, v / np.where(same, 1.0, np.sinh(d)))
 
@@ -120,17 +120,6 @@ def geodesic_interp(x: ProjectivePoint, y: ProjectivePoint, t: float) -> Project
     return ProjectivePoint(_geodesic_rows(x.v, y.v, t))
 
 
-def _bisector_basis(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(..., 3, 3) frames with columns (s1, s2, f) of the bisectors with spines
-    through the rows of x and y: s1 = x and s2 = y phase aligned to x, both
-    scaled to <,> = -1 so that a point's side function (``quadrangle``)
-    does not depend on the representatives of x and y, and the
-    Euclidean-unit polar f = J conj(x cross s2) / |.| of the complex spine."""
-    s2 = _phase_align(x, y)
-    f = polar_rows(x, s2)
-    return np.stack([_negative_units(x), _negative_units(s2), _euclidean_units(f)], axis=-1)
-
-
 @dataclass(frozen=True)
 class Bisector:
     """A bisector: real spine, unit polar f, complex spine P(f^perp)."""
@@ -149,8 +138,8 @@ class BisectorSegment:
     end_slices: tuple[ComplexGeodesic, ComplexGeodesic]
 
 
-#: The classes wanted of the feet x, y and the spine polar: -1, -1, +1.
-_FOOT_FOOT_POLAR = np.array([-1.0, -1.0, 1.0])[:, None]
+#: The classes wanted of the feet x, s2, y and the spine polar: -1, -1, -1, +1.
+_FEET_POLAR = np.array([-1.0, -1.0, -1.0, 1.0])[:, None]
 
 
 def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
@@ -159,42 +148,51 @@ def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
 
     feet is the (2, K, 3) stack of the feet x = q - (<q,p>/<p,p>) p on
     P(p^perp) and y = p - (<p,q>/<q,q>) q, Euclidean-unit, y not phase
-    aligned with x; basis = ``_bisector_basis(x, y)``.
+    aligned with x.  basis is the (K, 3, 3) stack of the bisector frames
+    with columns (s1, s2, f): s1 = x and s2 = y phase aligned to x, both
+    scaled to <,> = -1 so that a point's side function (``quadrangle``)
+    does not depend on the representatives of x and y, and the
+    Euclidean-unit polar f = J conj(x cross s2) / |.| of the complex spine.
     Raises the error of the first failing check of the first failing pair.
     One strict test accepts a stack on which no check can fail; only a stack
     that fails it is diagnosed pair by pair.
     """
     k = len(p)
-    rows = np.empty((5, k, 3), dtype=complex)  # p, q, x, y and the spine polar
+    rows = np.empty((6, k, 3), dtype=complex)  # p, q, x, s2, y and the spine polar f
     rows[0], rows[1] = p, q
     pq = herm_rows(p, q)
     s, sq = _norms_and_squares(rows[:2])
     coef = np.empty((2, k), dtype=complex)
     coef[0], coef[1] = np.conj(pq), pq
+    feet = rows[2:5:2]
+    basis = np.empty((k, 3, 3), dtype=complex)
+    cols = basis.transpose(2, 0, 1)
     # a failing pair may divide by zero here; its check below raises
     with np.errstate(divide="ignore", invalid="ignore"):
         coef /= s
         # x = q - (<q,p>/<p,p>) p and y = p - (<p,q>/<q,q>) q, both in one pass
-        rows[2:4] = _euclidean_units(rows[1::-1] - coef[..., None] * rows[:2])
-        feet = rows[2:4]
-        basis = _bisector_basis(*feet)
-    rows[4] = basis[..., 2]
-    fs, fsq = _norms_and_squares(rows[2:])
+        feet[...] = _euclidean_units(rows[1::-1] - coef[..., None] * rows[:2])
+        rows[3] = _phase_align(rows[2], rows[4])
+        rows[5] = cols[2] = _euclidean_units(polar_rows(rows[2], rows[3]))
+        # one pass of self norms: s1 and s2 scale by those of x and s2, and
+        # the checks read all four rows
+        fs, fsq = _norms_and_squares(rows[2:])
+        np.divide(rows[2:4], np.sqrt(-fs[:2])[..., None], out=cols[:2])
     # ProjectivePoint.is_parallel_to of (p, q) and of (x, y), Euclidean-unit
     # rows: parallel when | |p . conj(q)| - 1 | < _PARALLEL
-    dots = np.abs(np.abs((rows[0:3:2] * np.conj(rows[1:4:2])).sum(axis=-1)) - 1.0)
+    dots = np.abs(np.abs((rows[0:3:2] * np.conj(rows[1:5:3])).sum(axis=-1)) - 1.0)
     tances = (np.square(pq.real) + np.square(pq.imag)) / (s[0] * s[1])
-    # p and q take the null test itself; x, y and the spine polar pass when
-    # their self norm lies strictly beyond the band on the wanted side,
+    # p and q take the null test itself; x, s2, y and the spine polar pass
+    # when their self norm lies strictly beyond the band on the wanted side,
     # which gives the wanted class in any band
     if (dots.min() >= _PARALLEL and (tances - 1.0).min() >= tol.asymptotic
-            and (np.abs(s) >= tol.null_band * sq).all()
-            and (fs * _FOOT_FOOT_POLAR > abs(TOL.null_band) * fsq).all()):
+            and np.count_nonzero(np.abs(s) >= tol.null_band * sq) == s.size
+            and np.count_nonzero(fs * _FEET_POLAR > abs(TOL.null_band) * fsq) == fs.size):
         return feet, basis
     # one sign-class pass over p, q (the caller's null band) and x, y, the
     # spine polar (the default one)
     cp, cq = _sign_code(s, sq, tol.null_band)
-    cx, cy, cf = _sign_code(fs, fsq, TOL.null_band)
+    cx, _, cy, cf = _sign_code(fs, fsq, TOL.null_band)
     # per pair in this order: mutual position, feet, spine, spine polar
     checks = [
         (dots[0] < _PARALLEL, DegenerateError, "identical complex geodesics have no mutual position"),
@@ -230,7 +228,7 @@ def common_perpendicular(
 
 def _slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """Polars of the slices P(C x + C f) through spine points x, over a
-    (..., 3, 3) stack of bisector frames (``_bisector_basis``) and matching
+    (..., 3, 3) stack of bisector frames (``_perpendicular_rows``) and matching
     (..., N, 3) stacks of spine points.
 
     Raises ``ClassError`` unless every row is negative, and ``NotOnSpineError``
@@ -240,13 +238,14 @@ def _slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> n
     s, sq = _norms_and_squares(xs)
     # a norm strictly beyond the band is negative in any band; the classes
     # are formed only when some row is not
-    if not (s < -abs(tol.null_band) * sq).all() and (_sign_code(s, sq, tol.null_band) != -1).any():
+    if (np.count_nonzero(s < -abs(tol.null_band) * sq) < s.size
+            and np.count_nonzero(_sign_code(s, sq, tol.null_band) != -1)):
         raise ClassError("slice points must be negative")
-    coords = np.linalg.solve(basis, np.swapaxes(xs, -1, -2))
+    coords = np.linalg.solve(basis, xs.swapaxes(-1, -2))
     alpha, beta, gamma = coords[..., 0, :], coords[..., 1, :], coords[..., 2, :]
     # n > 0: a negative row is no multiple of the positive polar f
-    n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    n = np.square(np.abs(alpha)) + np.square(np.abs(beta))
     residual = np.abs((alpha * np.conj(beta)).imag) / n + np.abs(gamma) / np.sqrt(n)
-    if (residual > tol.on_spine).any():
+    if np.count_nonzero(residual > tol.on_spine):
         raise NotOnSpineError("point does not lie on the real spine")
     return polar_rows(xs, basis[..., None, :, 2])

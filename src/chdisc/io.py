@@ -27,13 +27,20 @@ def _f(x):
     """A number as it is written to chdisc/1 files: ints and bools as they
     are, anything else as a Python float (json writes its shortest
     round-trip digits)."""
-    if isinstance(x, bool) or isinstance(x, int):
+    if type(x) is float or isinstance(x, int):  # an int or bool, or already a float
         return x
     return float(x)
 
 
+#: The canonical encoder, built once: ``json.dumps`` with non-default
+#: arguments builds a new encoder on every call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)``
+    and a newline."""
+    return _CANONICAL_JSON.encode(obj) + "\n"
 
 
 def write_json(path, obj) -> None:

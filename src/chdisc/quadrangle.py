@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .core import (
     ProjectivePoint,
     _euclidean_units,
     _form_pairs,
+    _norms_and_squares,
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
     herm_form,
@@ -94,8 +95,11 @@ def transversality_margins(tri: TriangleInvariant) -> tuple[float, float, float]
     with the squared-eps0 factor cycling over t12, t31, t23 in the printed
     order; a margin is positive when its inequality holds strictly.
     """
-    e0 = tri.eps.real
-    t12, t23, t31 = tri.t12, tri.t23, tri.t31
+    return _transversality_margins(tri.t12, tri.t23, tri.t31, tri.eps.real)
+
+
+def _transversality_margins(t12: float, t23: float, t31: float, e0: float) -> tuple[float, float, float]:
+    """``transversality_margins`` of the side data and eps0 as Python floats."""
     rhs = 1.0 + 2.0 * t12 * t23 * t31 * e0
     return (
         rhs - (e0 ** 2 * t12 ** 2 + t23 ** 2 + t31 ** 2),
@@ -136,12 +140,17 @@ def triangle_over_complex_geodesic(
 @dataclass(frozen=True)
 class QuadrangleConfig:
     """Four positive polars C1..C4 in cyclic order; K2 reads the diagonal
-    triangles (C1, C2, C4) and (C3, C4, C2)."""
+    triangles (C1, C2, C4) and (C3, C4, C2).  ``rows`` is the read-only
+    (4, 3) stack of their representatives, which the certificate reads."""
 
     polars: tuple[ProjectivePoint, ProjectivePoint, ProjectivePoint, ProjectivePoint]
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (sign_classes(np.array([p.v for p in self.polars])) != 1).any():
+        rows = np.array([p.v for p in self.polars])
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        if (sign_classes(rows) != 1).any():
             raise ClassError("quadrangle polars must be positive points")
 
 
@@ -158,7 +167,7 @@ def _side_values(coords: np.ndarray) -> np.ndarray:
     alpha, beta = coords[..., 0], coords[..., 1]
     n = np.square(np.abs(alpha)) + np.square(np.abs(beta))
     num = (alpha * np.conj(beta)).imag
-    if n.min() > 0:  # no zero to divide around
+    if np.count_nonzero(n > 0) == n.size:  # no zero to divide around
         return num / n
     return np.divide(num, n, out=np.zeros_like(num), where=n > 0)
 
@@ -166,21 +175,25 @@ def _side_values(coords: np.ndarray) -> np.ndarray:
 def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Real directional derivatives of the side function, analytically.
 
-    ``a`` is a (..., 3, 3) stack of side coordinate matrices (the inverse of
-    ``_bisector_basis``), ``x`` a (..., N, 3) stack of points off the
+    ``a`` is a (..., 3, 3) stack of side coordinate matrices (the inverses of
+    ``_perpendicular_rows``' frames), ``x`` a (..., N, 3) stack of points off the
     bisector polars and ``dirs`` a (..., N, K, 3) stack of directions;
     entry [..., i, k] is the derivative at x_i along dirs[..., i, k] of
     P / n with P = Im(alpha conj(beta)) and n = |alpha|^2 + |beta|^2.
     """
-    at = np.swapaxes(a, -1, -2)
+    at = a.swapaxes(-1, -2)
     c = (x @ at)[..., None, :]
-    dc = dirs @ at[..., None, :, :]
+    # every direction of a frame in one product, as (..., N * K, 3) rows
+    n, k = dirs.shape[-3:-1]
+    dc = dirs.reshape(dirs.shape[:-3] + (n * k, 3)) @ at
+    dc = dc.reshape(dc.shape[:-2] + (n, k, 3))
     alpha, beta, da, db = c[..., 0], c[..., 1], dc[..., 0], dc[..., 1]
-    n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
-    p = (alpha * np.conj(beta)).imag
-    dp = (da * np.conj(beta) + alpha * np.conj(db)).imag
-    dn = 2.0 * (da * np.conj(alpha) + db * np.conj(beta)).real
-    return (dp * n - p * dn) / n ** 2
+    cb = np.conj(beta)
+    n = np.square(np.abs(alpha)) + np.square(np.abs(beta))
+    p = (alpha * cb).imag
+    dp = (da * cb + alpha * np.conj(db)).imag
+    dn = 2.0 * (da * np.conj(alpha) + db * cb).real
+    return (dp * n - p * dn) / np.square(n)
 
 
 #: The signs of <f, f> and <x, x> for a (polar, centre) pair of ``_slice_samples``.
@@ -198,15 +211,16 @@ def _ring_table(n: int, radii: tuple):
     The rings lie at distances linspace(0.15, radius, max((n-1)//8, 1)) with
     8 equally spaced phases each; a set takes their first n - 1 points, or
     all of them when they hold fewer (n = 10 and n = 20 take 8 and 16).
-    Both arrays are (len(radii), points, 1) and read-only; they depend on n
-    and the radii alone, so a K3 check reads them from this cache instead of
+    Both arrays are complex, (len(radii), points, 1) and read-only, so that
+    they multiply complex points without a cast; they depend on n and the
+    radii alone, so a K3 check reads them from this cache instead of
     forming them.
     """
     r = np.linspace(0.15, np.array(radii), max(max(n - 1, 1) // 8, 1), axis=1)[:, :, None, None]
     shape = (len(radii), -1, 1)
     ch = np.broadcast_to(np.cosh(r), r.shape[:2] + _RING_PHASES.shape).reshape(shape)
     sh = (np.sinh(r) * _RING_PHASES).reshape(shape)
-    table = tuple(np.ascontiguousarray(c[:, : max(n - 1, 0)]) for c in (ch, sh))
+    table = tuple(np.ascontiguousarray(c[:, : max(n - 1, 0)], dtype=complex) for c in (ch, sh))
     for c in table:
         c.flags.writeable = False
     return table
@@ -229,7 +243,7 @@ def _slice_samples(sets: np.ndarray, rings, mid: np.ndarray) -> np.ndarray:
     # polars scaled to <,> = 1 and centres to <,> = -1, in one pass
     f, x = sets / np.sqrt(self_norms(sets) * _POLAR_CENTRE)[..., None]
     d = _phase_align(_phase_align(x, mid), polar_rows(x, f))
-    d = d / np.sqrt(self_norms(d))[:, None]
+    d /= np.sqrt(self_norms(d))[:, None]
     pts = np.empty((len(x), 1 + ch.shape[1], 3), dtype=complex)
     pts[:, 0] = x
     np.add(ch * x[:, None], sh * d[:, None], out=pts[:, 1:])
@@ -284,19 +298,23 @@ class Certificate:
         }
 
 
+#: The digest's JSON encoder, built once: ``json.dumps`` with non-default
+#: arguments builds a new encoder on every call.
+_DIGEST_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def polars_digest(polars) -> str:
     """Hex digest of canonicalized polar representatives."""
     v = np.array([p.v for p in polars])
     # canonical phase: first component of largest modulus made real positive
-    lead = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
-    v = v * np.exp(-1j * np.angle(lead))[:, None]
+    lead = v.take(np.abs(v).argmax(axis=1) + np.arange(0, v.size, 3))
+    v = v * np.exp(-1j * np.arctan2(lead.imag, lead.real))[:, None]  # np.angle's formula
     # Python's round, not np.round (whose last digits differ); adding 0.0
     # folds IEEE negative zeros into +0.0 so the JSON blob is stable for
     # values rounding to zero from either side
     rows = [[[round(a, 12) + 0.0, round(b, 12) + 0.0] for a, b in zip(re, im)]
             for re, im in zip(v.real.tolist(), v.imag.tolist())]
-    blob = json.dumps(rows, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(_DIGEST_JSON.encode(rows).encode()).hexdigest()
 
 
 #: The ordered polar pairs (i, j), 0-based, of the K3 common perpendiculars;
@@ -307,12 +325,17 @@ _K3_PAIRS = np.array([(0, 1), (2, 1), (0, 3), (2, 3), (1, 3), (1, 2), (3, 2), (3
 #: The geodesics of one slerp pass: the spines of the segments B12, B34, B23
 #: and B41 at 8 arclength fractions each, which K3(c) samples, and the spine
 #: of B[C2,C4] at its midpoint, K3(b)'s reference point.
-_SLERP_PAIRS = [0, 3, 5, 7, 4]
+_SLERP_PAIRS = np.array([0, 3, 5, 7, 4])
 _SLERP_T = np.array([np.linspace(0.0, 1.0, 8)] * 4 + [[0.5] * 8])
 
 #: The ring radii of the 36 K3 slice sample sets: (a) around the feet on C2
 #: and C4, (b) two sets on C3, (c) the 32 spine points.
 _K3_RADII = (1.0, 1.0, 0.8, 0.8) + (1.5,) * 32
+
+#: The polars C2, C4, C3, C3 of the (a) and (b) sample sets, and the rows of
+#: ``_K3_PAIRS`` whose second feet centre them: (C1,C2), (C1,C4), (C2,C3), (C4,C3).
+_AB_POLARS = np.array([1, 3, 2, 2])
+_AB_CENTRES = np.array([0, 2, 5, 6])
 
 #: The side coordinates of K3(a), one row per side function: B[C1,Ck] and
 #: B[C3,Ck] for the shared slices k = 2, 4.
@@ -327,18 +350,26 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     condition on C3 relative to the bisectors through C1, and (c)
     disjointness of the two pairs of non-adjacent segments.
 
-    The stages run in this order, each on one stack:
-      1. the 8 common perpendiculars of ``_K3_PAIRS`` (``_perpendicular_rows``);
+    The stages run in this order, each on one stack taken from the
+    quadrangle's polar stack ``q.rows``:
+      1. the 8 common perpendiculars of ``_K3_PAIRS`` and their bisector
+         frames (``_perpendicular_rows``), then the inverses of the first
+         four frames, the side coordinates of (a) and (b);
       2. one slerp pass over the four segment spines at 8 points each and
          the spine of B[C2,C4] at its midpoint (``_slerp_units``);
       3. the slice polars through the 32 spine points (``_slice_polars``);
       4. the 36 slice sample sets (``_slice_samples``), their rings read
          from ``_ring_table``;
-      5. (a), (b) and (c) on those sets, in that order.
+      5. (a), (b) and (c) on those sets, in that order: (a) lifts both side
+         gradients at every sample and direction in one product and one
+         einsum, (b) reads its reference point and samples in one pass, and
+         (c) takes both segment pairs in one ``min_distances`` call.
     A kernel that checks its input tests the whole stack once and returns
     at once when no check can fail; only a stack that fails that test is
     diagnosed row by row, which raises the error the row-by-row checks
-    raise, in the same order.
+    raise, in the same order.  Most of a check's time is the fixed cost of
+    these few dozen numpy calls on small stacks, not arithmetic, so it
+    grows slowly with k3_samples.
 
     A slice sample set has n = max(k3_samples // 8, 4) points (8 at the
     default k3_samples = 64; ``_ring_table`` gives the caveats for larger
@@ -362,49 +393,51 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     p1, p2, p3, p4 = q.polars
     if p1.is_parallel_to(p3) or p2.is_parallel_to(p4):
         return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
-    polars = np.array([p.v for p in q.polars])
-    feet, basis = _perpendicular_rows(*polars[_K3_PAIRS.T], tol)
+    polars = q.rows
+    feet, basis = _perpendicular_rows(*polars.take(_K3_PAIRS.T, 0), tol)
     coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
-    ends = feet[:, _SLERP_PAIRS, None]
+    ends = feet.take(_SLERP_PAIRS, 1)[:, :, None]
     spine = _slerp_units(ends[0], *_negative_units(ends), _SLERP_T)
     mid, spine = spine[4, 0], spine[:4]
     # polars and centres of the sets around the feet on C2, C4 (a) and on
     # C3 (b), then of the sets around the segments' spine points (c)
     sets = np.empty((2, 36, 3), dtype=complex)
-    sets[0, :4], sets[1, :4] = polars[[1, 3, 2, 2]], feet[1, [0, 2, 5, 6]]
-    sets[0, 4:] = _slice_polars(basis[[0, 3, 5, 7]], spine, tol).reshape(-1, 3)
+    sets[0, :4], sets[1, :4] = polars.take(_AB_POLARS, 0), feet[1].take(_AB_CENTRES, 0)
+    sets[0, 4:] = _slice_polars(basis.take(_SLERP_PAIRS[:4], 0), spine, tol).reshape(-1, 3)
     sets[1, 4:] = spine.reshape(-1, 3)
     samples = _slice_samples(sets, _ring_table(max(tol.k3_samples // 8, 4), _K3_RADII), mid).reshape(36, -1, 3)
 
     # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared
     # slices P(p^perp): at a sample s, J conj(s x p) and p span s^perp
-    shared, p = samples[:2], np.broadcast_to(polars[[1, 3], None], samples[:2].shape)
-    w = np.stack([polar_rows(shared, p), p], axis=2)
+    shared = samples[:2]
+    dirs = np.empty(shared.shape[:2] + (4, 3), dtype=complex)  # w1, i w1, w2, i w2
+    w = dirs[:, :, 0::2]
+    w[:, :, 0] = polar_rows(shared, polars[1::2, None])
+    w[:, :, 1] = polars[1::2, None]
     w /= np.sqrt(self_norms(w))[..., None]
-    dirs = np.empty(w.shape[:2] + (4, 3), dtype=complex)  # w1, i w1, w2, i w2
-    dirs[:, :, 0::2] = w
     np.multiply(1j, w, out=dirs[:, :, 1::2])
     # g-gradients of both side functions in one pass, lifted into x^perp
-    g = np.einsum("psnk,snkc->psnc", _side_gradients(coords[_K3_A_SIDES], shared, dirs), dirs)
+    g = np.einsum("psnk,snkc->psnc", _side_gradients(coords.take(_K3_A_SIDES, 0), shared, dirs), dirs)
     norms = np.sqrt(self_norms(g))
     cosang = np.abs(herm_rows(g[0], g[1]).real)
     # a gradient with norm below 1e-12 has no direction: its angle counts as
     # 0 and fails the check.  The floor decides that verdict; it is not a
     # Tolerances field because InvariantReport.to_json_dict writes every field
-    # into each .report.json, whose bytes a new field would change.
+    # into each .report.json, whose bytes a new field would change.  The
+    # cosines are >= 0, so only 1 can clip them.
     if norms.min() >= 1e-12:
-        angles = np.arccos(np.clip(cosang / (norms[0] * norms[1]), 0.0, 1.0))
+        angles = np.arccos(np.minimum(cosang / (norms[0] * norms[1]), 1.0))
     else:
         ok = (norms[0] >= 1e-12) & (norms[1] >= 1e-12)
         cosang = cosang / np.where(ok, norms[0] * norms[1], 1.0)
-        angles = np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0)
+        angles = np.where(ok, np.arccos(np.minimum(cosang, 1.0)), 0.0)
     checks = [SubCheck(label, w >= tol.angle_floor, w - tol.angle_floor)
               for label, w in zip(("transversal_at_C2", "transversal_at_C4"), angles.min(axis=1).tolist())]
 
     # (b) sector test: C3 on the inner side of both bisectors through C1, as
     # seen from an interior reference point of the quadrangle
-    a = coords[[0, 2]]
-    sides = _side_values(np.concatenate([(a @ mid)[:, None], samples[2:4] @ np.swapaxes(a, -1, -2)], axis=1))
+    a = coords[0::2]
+    sides = _side_values(np.concatenate([(a @ mid)[:, None], samples[2:4] @ a.swapaxes(-1, -2)], axis=1))
     side_ref = sides[:, 0]
     sides = np.sign(side_ref)[:, None] * sides[:, 1:]
     labels = ("sector_B_C1C2", "sector_B_C1C4")
@@ -423,17 +456,20 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     return checks
 
 
-#: The six polar pairs (i, j), i < j, in K1's order.
-_K1_PAIRS = np.triu_indices(4, 1)
+#: The six polar pairs (i, j), i < j, in K1's order, as flat indices of a 4 x 4 table.
+_K1_PAIRS = np.ravel_multi_index(np.triu_indices(4, 1), (4, 4))
 
 
 def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certificate:
     """Full K1/K2/K3 certification of a quadrangle of bisectors."""
+    polars = q.rows
+    # tance's check, for all pairs at once: a row is null (sign_classes)
+    # unless |<p,p>| >= null_band |p|^2
+    s, sq = _norms_and_squares(polars)
+    if np.count_nonzero(np.abs(s) >= tol.null_band * sq) < len(s):
+        raise NullPointError("tance is undefined for null points")
     # every ordered pairing h[i, j] = <p_i, p_j> in one pass, with the bits
     # of herm_form; the tances and eps below have the bits of tance and epsilon
-    polars = np.array([p.v for p in q.polars])
-    if (sign_classes(polars, tol) == 0).any():  # tance's check, for all pairs at once
-        raise NullPointError("tance is undefined for null points")
     h = _form_pairs(polars[:, None], polars[None])
     n = h.real.diagonal()
     # |h|^2 as tance forms it: numpy's array complex multiply may round
@@ -441,7 +477,7 @@ def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certifica
     ta = (h.real * h.real + h.imag * h.imag) / (n[:, None] * n[None])
 
     # K1: all six pairwise tances strictly above 1
-    k1_margins = (ta[_K1_PAIRS] - 1.0).tolist()
+    k1_margins = (ta.take(_K1_PAIRS) - 1.0).tolist()
     k1 = all(m > tol.asymptotic for m in k1_margins)
 
     # K2: both diagonal triangles transversal and counterclockwise
@@ -449,14 +485,13 @@ def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certifica
     k2 = k1
     if k1:
         # Python floats and complexes, so that eps multiplies as epsilon does
+        # (TriangleInvariant.from_polars and is_transversal, on these floats)
         t, pair = np.sqrt(ta).tolist(), h.tolist()
         for name, (a, b, c) in (("triangle_124", (0, 1, 3)), ("triangle_342", (2, 3, 1))):
-            tri = TriangleInvariant(t[a][b], t[b][c], t[c][a],
-                                    _unit_triple(pair[a][b] * pair[b][c] * pair[c][a]))
-            ok, margins = is_transversal(tri, tol)
-            ccw = tri.eps.imag < 0.0
-            k2_margins[name] = list(margins) + [-tri.eps.imag]
-            k2 = k2 and ok and ccw
+            eps = _unit_triple(pair[a][b] * pair[b][c] * pair[c][a])
+            margins = _transversality_margins(t[a][b], t[b][c], t[c][a], eps.real)
+            k2_margins[name] = [*margins, -eps.imag]
+            k2 = k2 and all(m > tol.strict_margin for m in margins) and eps.imag < 0.0
     k3_checks = []
     k3 = False
     if k1 and k2:

@@ -41,6 +41,13 @@ class Tolerances:
     #: pairing isometries must map edge runs onto each other within this.
     mesh: float = 1e-8
 
+    def __post_init__(self):
+        # K3 sizes its sample sets from k3_samples, and every certificate
+        # records it: only a positive int has a meaning there
+        k = self.k3_samples
+        if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
+            raise ValueError(f"k3_samples must be a positive int, not {k!r}")
+
     def as_dict(self) -> dict:
         return asdict(self)
 

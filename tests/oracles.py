@@ -49,7 +49,6 @@ from chdisc.geometry import (
     BisectorSegment,
     ComplexGeodesic,
     _aligned_units,
-    _bisector_basis,
     _geodesic_rows,
     _negative_units,
     _phase_align,
@@ -58,7 +57,7 @@ from chdisc.geometry import (
 )
 from chdisc.invariants import _rotation_angle, _toledo, _triple_products, normalized_negative
 from chdisc.io import _vector_json
-from chdisc.quadrangle import SubCheck, _side_gradients, _side_values
+from chdisc.quadrangle import SubCheck, _side_values
 from chdisc.representations import _form_adjoint, _rotation_phases
 from chdisc.tolerances import TOL, Tolerances
 
@@ -352,9 +351,20 @@ def connection_total(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray) -> f
 
 # -- bisectors one point at a time ----------------------------------------------
 
+def bisector_frames(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The frames of ``_perpendicular_rows``' basis for the spines through the
+    rows of x and y, one column at a time: s1 = x and s2 = y phase aligned
+    to x, both scaled to <,> = -1, and the Euclidean-unit polar
+    f = J conj(x cross s2) / |.| of the complex spine."""
+    s2 = _phase_align(x, y)
+    f = polar_rows(x, s2)
+    f = f / np.linalg.norm(f, axis=-1, keepdims=True)
+    return np.stack([_negative_units(x), _negative_units(s2), f], axis=-1)
+
+
 def bisector_basis(b: Bisector) -> np.ndarray:
-    """The 3x3 frame (s1, s2, f) of ``_bisector_basis`` for one bisector."""
-    return _bisector_basis(b.spine.x.v, b.spine.y.v)
+    """The 3x3 frame (s1, s2, f) of ``bisector_frames`` for one bisector."""
+    return bisector_frames(b.spine.x.v, b.spine.y.v)
 
 
 def spine_point(seg: BisectorSegment, t: float) -> ProjectivePoint:
@@ -533,7 +543,7 @@ def staged_perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TO
         y = p - (pq / qq)[:, None] * q
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
         y = y / np.linalg.norm(y, axis=1, keepdims=True)
-        basis = _bisector_basis(x, y)
+        basis = bisector_frames(x, y)
     # one sign-class pass over p, q (the caller's null band) and x, y, the
     # spine polar (the default one)
     rows = np.concatenate([p, q, x, y, basis[..., 2]])
@@ -605,6 +615,20 @@ def staged_min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) ->
     return np.array(out)
 
 
+def staged_side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """``_side_gradients`` with one product per sample's directions (an
+    (..., N, K, 3) by (..., 1, 3, 3) matmul) and each term formed as written."""
+    at = np.swapaxes(a, -1, -2)
+    c = (x @ at)[..., None, :]
+    dc = dirs @ at[..., None, :, :]
+    alpha, beta, da, db = c[..., 0], c[..., 1], dc[..., 0], dc[..., 1]
+    n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+    p = (alpha * np.conj(beta)).imag
+    dp = (da * np.conj(beta) + alpha * np.conj(db)).imag
+    dn = 2.0 * (da * np.conj(alpha) + db * np.conj(beta)).real
+    return (dp * n - p * dn) / n ** 2
+
+
 #: Arclength fractions of the 8 spine points that sample each K3(c) segment.
 _SPINE_T = np.linspace(0.0, 1.0, 8)
 
@@ -642,7 +666,7 @@ def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
     dirs = np.stack([w1, 1j * w1, w2, 1j * w2], axis=-2)
     # g-gradients of both side functions, lifted into x^perp
     ga, gb = (
-        np.einsum("snk,snkc->snc", _side_gradients(coords[rows], samples[:2], dirs), dirs)
+        np.einsum("snk,snkc->snc", staged_side_gradients(coords[rows], samples[:2], dirs), dirs)
         for rows in ([0, 2], [1, 3])
     )
     na, nb = np.sqrt(self_norms(ga)), np.sqrt(self_norms(gb))

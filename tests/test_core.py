@@ -29,6 +29,7 @@ from chdisc.core import (
     POSITIVE,
     GeometryDomainError,
     _check_frames,
+    _euclidean_units,
     _tance_rows,
     _tangent_basis_of_units,
     gram,
@@ -450,3 +451,13 @@ def test_signed_sums_do_not_depend_on_the_stack_shape(rng):
     assert np.array([herm_rows(a, b) for a, b in zip(x, y)]).tobytes() == stacked_h.tobytes()
     assert np.array([self_norms(a) for a in x]).tobytes() == stacked_n.tobytes()
     assert herm_rows(x.reshape(8, 8, 3), y.reshape(8, 8, 3)).tobytes() == stacked_h.tobytes()
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES + [(36, 8, 3)])
+def test_euclidean_units_have_the_bits_of_linalg_norm(rng, shape):
+    """Rows scaled by ``np.linalg.norm(x, axis=-1, keepdims=True)``, byte for
+    byte: the explicit left-to-right sum of the three |x_k|^2 is numpy's
+    order for a length-3 axis."""
+    for _ in range(5):
+        x = _rows_with_zero_parts(rng, shape)
+        assert _euclidean_units(x).tobytes() == (x / np.linalg.norm(x, axis=-1, keepdims=True)).tobytes()

@@ -22,7 +22,6 @@ from chdisc.geometry import (
     ASYMPTOTIC,
     CONCURRENT,
     ULTRAPARALLEL,
-    _bisector_basis,
     _geodesic_rows,
     _perpendicular_rows,
     _slice_polars,
@@ -32,7 +31,14 @@ from chdisc.geometry import (
 from chdisc.quadrangle import _side_values
 
 from conftest import random_isometry, random_negative_point, scalar_geodesic_interp
-from oracles import bisector_basis, slice_at, spine_point, staged_perpendicular_rows, staged_slice_polars
+from oracles import (
+    bisector_basis,
+    bisector_frames,
+    slice_at,
+    spine_point,
+    staged_perpendicular_rows,
+    staged_slice_polars,
+)
 
 
 def _fiber(z: complex) -> ComplexGeodesic:
@@ -133,17 +139,18 @@ def test_perpendicular_rows_raise_for_the_first_failing_pair():
 
 def test_bisector_side_values_are_functions_of_the_points(rng):
     """The side function Im(alpha conj(beta)) / (|alpha|^2 + |beta|^2) read in
-    ``_bisector_basis`` frames does not change when the spine points are
-    rescaled by complex scalars or when everything is moved by an isometry:
-    the frame scales s1 and s2 to <,> = -1, not to Euclidean norm 1."""
+    the bisector frames of ``_perpendicular_rows`` (``oracles.bisector_frames``)
+    does not change when the spine points are rescaled by complex scalars or
+    when everything is moved by an isometry: the frame scales s1 and s2 to
+    <,> = -1, not to Euclidean norm 1."""
     for _ in range(20):
         x, y = (np.array([random_negative_point(rng).v for _ in range(5)]) for _ in range(2))
         z = np.array([random_negative_point(rng).v for _ in range(5)])
-        want = _side_values(np.einsum("kij,kj->ki", np.linalg.inv(_bisector_basis(x, y)), z))
+        want = _side_values(np.einsum("kij,kj->ki", np.linalg.inv(bisector_frames(x, y)), z))
         scale = rng.uniform(0.2, 5.0, (2, 5, 1)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, (2, 5, 1)))
         g = random_isometry(rng).matrix
         for a, b, c in ((scale[0] * x, scale[1] * y, z), (x @ g.T, y @ g.T, z @ g.T)):
-            got = _side_values(np.einsum("kij,kj->ki", np.linalg.inv(_bisector_basis(a, b)), c))
+            got = _side_values(np.einsum("kij,kj->ki", np.linalg.inv(bisector_frames(a, b)), c))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 

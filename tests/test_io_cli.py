@@ -22,9 +22,11 @@ from chdisc.io import (
     representation_to_json_dict,
     write_json,
 )
+from chdisc.invariants import invariant_report
+from chdisc.meshes import turnover_section_mesh
 from chdisc.representations import Representation, TurnoverSignature, fuchsian_turnover, turnover_solve
 
-from oracles import stored_point
+from oracles import mesh_json, stored_point
 
 
 def _baseline_quadrangle():
@@ -38,10 +40,28 @@ def _baseline_quadrangle():
 # -- canonical serialization ---------------------------------------------------
 
 def test_canonical_dumps_sorted_compact_newline():
+    """Sorted keys, compact separators and a newline: the bytes of the
+    reference json.dumps call on each kind of chdisc/1 document, and no NaN
+    or infinity."""
     s = canonical_dumps({"b": 1, "a": [1.5, True]})
     assert s == '{"a":[1.5,true],"b":1}\n'
-    with pytest.raises(ValueError):
-        canonical_dumps({"x": float("nan")})
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            canonical_dumps({"x": bad})
+        with pytest.raises(ValueError):
+            canonical_dumps([0.5, {"y": [bad]}])
+    rep, config = fuchsian_turnover(TurnoverSignature(3, 3, 4))
+    mesh = turnover_section_mesh(3, 3, 4, 4)
+    docs = [
+        validate_quadrangle(_baseline_quadrangle()).to_json_dict(),
+        invariant_report(Fraction(-1, 12), -1.0 / 12.0 + 1e-9, -1.0 / 24.0 - 1e-9, 24).to_json_dict(),
+        representation_to_json_dict(rep),
+        quadrangle_to_json_dict(config.config),
+        mesh_json(mesh),
+    ]
+    for doc in docs:
+        want = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        assert canonical_dumps(doc) == want
 
 
 def test_quadrangle_roundtrip(tmp_path):

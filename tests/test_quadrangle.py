@@ -1,5 +1,7 @@
 """The eps invariant, transversality inequalities, and quadrangle certificates."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from chdisc.geometry import (
     _slice_polars,
     common_perpendicular,
 )
+from chdisc.io import canonical_dumps
 from chdisc import quadrangle as quadrangle_module
 from chdisc.representations import TurnoverSignature, turnover_solve
 from chdisc.quadrangle import (
@@ -473,6 +476,65 @@ def test_adjacency_check_equals_the_staged_reference_bit_for_bit(samples):
             assert got == _k3_bits(staged_adjacency_check(q, tol))
             verdicts.add(all(c[1] for c in got))
     assert verdicts == {True, False}
+
+
+def _reference_certificate(q, tol):
+    """The canonical certificate file of ``q`` from the reference paths: K1
+    and K2 one tance and one ``TriangleInvariant`` at a time, K3 from
+    ``oracles.staged_adjacency_check`` and the digest from
+    ``oracles.polars_digest_per_component``, written by plain ``json.dumps``."""
+    p = q.polars
+    k1_margins = [tance(p[i], p[j], tol) - 1.0 for i in range(4) for j in range(i + 1, 4)]
+    k1 = all(m > tol.asymptotic for m in k1_margins)
+    k2_margins, k2 = {}, k1
+    if k1:
+        for name, tri in (("triangle_124", TriangleInvariant.from_polars(p[0], p[1], p[3])),
+                          ("triangle_342", TriangleInvariant.from_polars(p[2], p[3], p[1]))):
+            ok, margins = is_transversal(tri, tol)
+            k2_margins[name] = list(margins) + [-tri.eps.imag]
+            k2 = k2 and ok and tri.eps.imag < 0.0
+    checks = staged_adjacency_check(q, tol) if k2 else []
+    k3 = k2 and all(c.passed for c in checks)
+    doc = {
+        "format": "chdisc/1",
+        "kind": "certificate",
+        "input_digest": polars_digest_per_component(p),
+        "k1": {"pass": k1, "margins": k1_margins},
+        "k2": {"pass": k2, "margins": k2_margins},
+        "k3": {"pass": k3, "checks": [{"name": c.name, "pass": c.passed, "margin": c.margin, "detail": c.detail}
+                                      for c in checks]},
+        "pass": k3,
+        "tolerances": {"asymptotic": tol.asymptotic, "strict_margin": tol.strict_margin,
+                       "angle_floor": tol.angle_floor, "sep_floor": tol.sep_floor,
+                       "k3_samples": tol.k3_samples},
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("samples", [8, 64, 160])
+def test_certificate_file_equals_the_reference_paths_byte_for_byte(samples):
+    """The whole canonical certificate of ``validate_quadrangle`` equals the
+    one assembled from the reference paths (``_reference_certificate``), on
+    the seven certify quadrangles, each unmoved and under 100 seeded
+    isometries: every verdict, margin, detail, digest and tolerance byte."""
+    rng = np.random.default_rng(2400 + samples)
+    tol = Tolerances(k3_samples=samples)
+    verdicts = set()
+    for q0 in _certify_bases():
+        for q in _moved(rng, q0, 100):
+            cert = validate_quadrangle(q, tol)
+            assert canonical_dumps(cert.to_json_dict()) == _reference_certificate(q, tol)
+            verdicts.add((cert.k1, cert.k2, cert.k3))
+    assert verdicts == {(True, True, True), (True, False, False)}
+
+
+@pytest.mark.parametrize("value", [64.0, 0, -8, True])
+def test_k3_samples_must_be_a_positive_int(value):
+    """K3 sizes its sample sets from k3_samples and every certificate records
+    it, so a float, a count below 1 or a bool is refused when the
+    tolerances are built."""
+    with pytest.raises(ValueError, match="k3_samples must be a positive int"):
+        Tolerances(k3_samples=value)
 
 
 def test_degenerate_sector_reference_equals_the_staged_reference():

@@ -52,6 +52,11 @@ PAPER_API = {
         "invariant under isometries (criteria 1 and 6)",
     "chdisc.quadrangle.TriangleInvariant.from_polars":
         "a triangle of bisectors as its sides t_ij = sqrt(ta(p_i, p_j)) and eps (criterion 1)",
+    "chdisc.quadrangle.is_transversal":
+        "a triangle of bisectors is transversal when its three inequalities "
+        "eps0^2 t_a^2 + t_b^2 + t_c^2 < 1 + 2 t12 t23 t31 eps0 hold strictly (criterion 1)",
+    "chdisc.quadrangle.transversality_margins":
+        "the slack of each transversality inequality of a triangle of bisectors (criterion 1)",
     "chdisc.quadrangle.triangle_over_complex_geodesic":
         "a counterclockwise triangle of bisectors over a complex geodesic has "
         "arg eps = -2 area (criterion 1)",
