@@ -337,53 +337,19 @@ def _gram_tances(g, nx, ny):
 
 def _tangent_basis_of_units(xs: np.ndarray) -> np.ndarray:
     """A <,>-unitary basis (w1, w2) of x_i^perp for each row x_i of a stack
-    of negative points scaled to <,> = -1 (``geometry._negative_units``).
+    of negative points scaled to <,> = -1 (``SectionMesh.units``), an
+    (N, 2, 3) stack.
 
-    Gram-Schmidt over the coordinate vectors e0, e1, e2 in that order,
-    skipping a seed whose remainder has form norm <= 1e-12: e0 at the
-    origin, e1 on the complex line x2 = 0 (where e2 takes its slot).
-    Returns an (N, 2, 3) stack.  Every step runs on whole columns; where
-    some row skips a seed, each row's seeds are picked with ``np.where``.  A
-    row gets the bits of a masked loop over the seeds that projects each
-    remainder against both slots, filled or empty: a remainder s - c x has
-    no negative zero (negating c x and adding 1 in column k alone would make
-    some), so an empty slot changes nothing.
+    w1 = e1 + conj(x1) x is the projection of e1 into x^perp and
+    w2 = J conj(x cross w1) (``polar_rows``) is orthogonal to both; each
+    has form norm 1 + |x1|^2 >= 1 and is divided by its square root.  Read
+    off x1, that norm has no cancellation near the boundary, and w1 does
+    not change when x is multiplied by a unit scalar.  Every step is
+    elementwise, so a row's bits do not depend on the other rows.
     """
-    nx = self_norms(xs)
-    w = _seed_remainders(xs, nx)
-    nw = self_norms(w[:, :2])
-    out = np.empty((len(xs), 2, 3), dtype=complex)
-    # slot 0: e0, or e1 where e0 is skipped (np.where only if some row skips)
-    skip0 = nw[:, 0] <= 1e-12
-    if skip0.any():
-        nu0 = np.where(skip0, nw[:, 1], nw[:, 0])
-        np.divide(np.where(skip0[:, None], w[:, 1], w[:, 0]), np.sqrt(nu0)[:, None], out=out[:, 0])
-    else:
-        np.divide(w[:, 0], np.sqrt(nw[:, 0])[:, None], out=out[:, 0])
-    u = out[:, 0]
-    nu = self_norms(u)
-    # slot 1: the next seed with a remainder against slot 0: e1's, or e2's
-    # where e0 or e1 is skipped (formed only if some row skips one)
-    v = _remainders(w[:, 1], u, nu)
-    nv = self_norms(v)
-    short = skip0 | (nv <= 1e-12)
-    if short.any():
-        v2 = _remainders(w[:, 2], u, nu)
-        v, nv = np.where(short[:, None], v2, v), np.where(short, self_norms(v2), nv)
-    np.divide(v, np.sqrt(nv)[:, None], out=out[:, 1])
-    return out
-
-
-def _remainders(w: np.ndarray, u: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    # w - (<w, u>/<u, u>) u row by row, <u, u> = nu given
-    return w - (herm_rows(w, u) / nu)[:, None] * u
-
-
-def _seed_remainders(xs: np.ndarray, nx: np.ndarray) -> np.ndarray:
-    # e_s - (<e_s, xs>/<xs, xs>) xs for the seeds s = 0, 1, 2, an (N, 3, 3)
-    # stack; <e_s, xs> = sign_s conj(xs[:, s])
-    coef = _SIGNS * xs.conj() / nx[:, None]
-    return _SEEDS - coef[:, :, None] * xs[:, None]
+    w1 = xs[:, 1:2].conj() * xs + _SEEDS[1]
+    w = np.stack([w1, polar_rows(xs, w1)], axis=1)
+    return w / np.sqrt(1.0 + abs(xs[:, 1]) ** 2)[:, None, None]
 
 
 def polar_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -234,9 +234,13 @@ class SectionMesh:
 
     @cached_property
     def units(self) -> np.ndarray:
-        """The vertices scaled to <,> = -1, read-only; computed once for the
-        frame field, its tangent basis and its check."""
-        units = _negative_units(self.vertices)
+        """The canonical representative of each vertex, read-only: the one
+        with <x,x> = -1 and x0 real positive (a negative point has x0 != 0).
+        Computed once for the frame field, its tangent basis and its check.
+        The connection pass reads adjacent representatives as phase
+        aligned, which nearby canonical ones are whatever the given ones."""
+        x0 = self.vertices[:, :1]
+        units = _negative_units(self.vertices * (x0.conj() / abs(x0)))
         units.setflags(write=False)
         return units
 
@@ -580,7 +584,10 @@ def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
     tautological phase; summed over faces and divided by 2 pi this gives
     the orbifold Euler characteristic (tangent pair) and the Euler number
     of the section's normal bundle (normal pair).  Per-face holonomy
-    angles are invariant under vertex frame changes, so side pairings
+    angles are invariant under rotations of the frames at a vertex, but
+    not under a unit phase on its representative (on a Lagrangian plane
+    that mixes the tangent and normal planes), so the frames are built on
+    the canonical representatives of ``SectionMesh.units``.  Side pairings
     enter only through the mesh geometry they enforce; raw totals are
     snapped to rationals with denominator 2 * lcm(cone orders).
     """

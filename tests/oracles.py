@@ -379,34 +379,6 @@ def slice_at(b: Bisector, x: ProjectivePoint, tol: Tolerances = TOL) -> ComplexG
     return ComplexGeodesic(ProjectivePoint(_slice_polars(bisector_basis(b), x.v[None], tol)[0]))
 
 
-# -- tangent bases ---------------------------------------------------------------
-
-def masked_tangent_basis(x: np.ndarray) -> np.ndarray:
-    """``_tangent_basis_of_units(_negative_units(x))`` as a masked loop over the seeds e0, e1, e2:
-    each pass runs only on the rows still short of a basis vector, and a
-    seed is skipped where its remainder has form norm <= 1e-12."""
-    signs = np.array([-1.0, 1.0, 1.0])
-    xs = x / np.sqrt(-self_norms(x))[:, None]
-    nx = self_norms(xs)
-    out = np.zeros((len(xs), 2, 3), dtype=complex)
-    found = np.zeros(len(xs), dtype=int)
-    for k, s in enumerate(np.eye(3, dtype=complex)):
-        i = np.flatnonzero(found < 2)
-        if not i.size:
-            break
-        w = s - (signs[k] * xs[i, k].conj() / nx[i])[:, None] * xs[i]
-        for j in range(min(k, 2)):  # slot j is empty until seed j
-            prev = out[i, j]
-            pp = np.where(found[i] > j, self_norms(prev), 1.0)
-            w = w - (herm_rows(w, prev) / pp)[:, None] * prev
-        n = self_norms(w)
-        take = n > 1e-12
-        t = i[take]
-        out[t, found[t]] = w[take] / np.sqrt(n[take])[:, None]
-        found[t] += 1
-    return out
-
-
 # -- the pairing kernels as reductions -------------------------------------------
 
 def herm_rows_by_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:

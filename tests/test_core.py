@@ -47,7 +47,6 @@ from oracles import (
     distance_matrix,
     herm_rows_by_sum,
     isometry_residual,
-    masked_tangent_basis,
     projective_distance,
     self_norms_by_blas,
     tance_per_pair,
@@ -285,60 +284,53 @@ def test_tance_floor_raises_geometry_domain_error():
         distance(x, low[0])
 
 
-def _every_seed_tangent_basis(x):
-    """Gram-Schmidt over e0, e1, e2 on every row, projecting each seed against
-    both basis slots, filled or not: the reference for ``_tangent_basis_of_units``."""
-    xs = x / np.sqrt(-self_norms(x))[:, None]
-    out = np.zeros((len(x), 2, 3), dtype=complex)
-    found = np.zeros(len(x), dtype=int)
-    for s in np.eye(3, dtype=complex):
-        w = s - (gram(s[None], xs)[0] / self_norms(xs))[:, None] * xs
-        for j in range(2):
-            prev = out[:, j]
-            pp = np.where(found > j, self_norms(prev), 1.0)
-            w = w - (herm_rows(w, prev) / pp)[:, None] * prev
-        n = self_norms(w)
-        take = (n > 1e-12) & (found < 2)
-        out[take, found[take]] = w[take] / np.sqrt(n[take])[:, None]
-        found += take
-    return out
+def _tangent_basis_rows(rng):
+    """Negative points where a Gram-Schmidt over the seeds e0, e1, e2 would
+    skip one, random ones, and ones at disc radius 0.99, each at a random phase."""
+    skips = [[1.0, 0.0, 0.0], [-2.5j, 0.0, 0.0], [2.0, 0.0, 1e-3j]]  # the origin, x1 = 0
+    skips += [embed(z).v for z in (0.0, 0.3, -0.2 + 0.5j, 0.7j, 1e-7)]  # x2 = 0
+    skips += [[1.0, 0.0, z] for z in (0.4, -0.3 - 0.6j)]
+    generic = [random_negative_point(rng).v for _ in range(40)]
+    direction = rng.normal(size=(20, 2)) + 1j * rng.normal(size=(20, 2))
+    edge = np.concatenate([np.ones((20, 1)), 0.99 * direction / np.linalg.norm(direction, axis=1)[:, None]], axis=1)
+    x = np.concatenate([np.array(skips, dtype=complex), generic, edge])
+    return x * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (len(x), 1)))
 
 
-def test_tangent_basis_of_units_matches_every_seed_loop(rng):
-    # generic points take e0 and e1; points of the complex geodesic f0^perp
-    # skip e1, and the origin skips e0
-    points = [random_negative_point(rng) for _ in range(40)]
-    points += [embed(z) for z in (0.0, 0.3, -0.2 + 0.5j)] + [ProjectivePoint([2.0, 0.0, 1e-3j])]
-    x = np.array([p.v for p in points])
-    basis = _tangent_basis_of_units(_negative_units(x))
-    assert basis.tobytes() == _every_seed_tangent_basis(x).tobytes()
-    g = np.einsum("nad,nbd->nab", basis * np.array([-1.0, 1.0, 1.0]), basis.conj())
-    np.testing.assert_allclose(g, np.broadcast_to(np.eye(2), g.shape), atol=1e-13)
-    np.testing.assert_allclose(herm_rows(basis, x[:, None]), 0.0, atol=1e-12)
+def test_tangent_basis_of_units_is_a_unitary_basis_of_the_tangent_space(rng):
+    """The closed-form basis is <,>-unitary and tangent at every point, the
+    former seed-skip rows and points near the boundary included, and w1 does
+    not move under a unit rephasing of x."""
+    xs = _negative_units(_tangent_basis_rows(rng))
+    basis = _tangent_basis_of_units(xs)
+    g = herm_rows(basis[:, :, None], basis[:, None])
+    assert np.abs(g - np.eye(2)).max() < 1e-13
+    scale = np.linalg.norm(basis, axis=-1) * np.linalg.norm(xs, axis=-1)[:, None]
+    assert (np.abs(herm_rows(basis, xs[:, None])) <= 1e-12 * scale).all()
+    w1 = _tangent_basis_of_units(xs * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (len(xs), 1))))[:, 0]
+    assert (np.linalg.norm(w1 - basis[:, 0], axis=-1) <= 1e-15 * np.linalg.norm(basis[:, 0], axis=-1)).all()
 
 
-def _tangent_basis_stacks(rng):
-    """Row stacks of every seed pattern: generic rows take e0 and e1, rows on
-    the complex line x2 = 0 take e0 and e2, the origin takes e1 and e2."""
-    generic = np.array([random_negative_point(rng).v for _ in range(30)])
-    line = np.array([embed(z).v for z in (0.3, -0.2 + 0.5j, 0.7j, 1e-7)]) * np.exp(1j * rng.uniform(0, 6, (4, 1)))
-    origin = np.array([[1.0, 0.0, 0.0], [-2.5j, 0.0, 0.0]], dtype=complex)
-    mixed = np.concatenate([generic, line, origin])
-    return {
-        "origin": origin, "line": line, "generic": generic,
-        "mixed": mixed[rng.permutation(len(mixed))],
-        "one_of_each": np.array([line[0], generic[0], origin[0]]),
-    }
+def test_tangent_basis_of_units_w1_is_the_projection_of_e1(rng):
+    """w1 is e1 - <e1, x>/<x, x> x, the <,>-projection of e1 into x^perp, at
+    unit form norm; computed here on the unscaled representatives, whose
+    <x, x> cancels near the boundary (the bound is the oracle's rounding)."""
+    x = _tangent_basis_rows(rng)
+    e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
+    p = e1 - (herm_rows(e1, x) / self_norms(x))[:, None] * x
+    np.testing.assert_allclose(_tangent_basis_of_units(_negative_units(x))[:, 0],
+                               p / np.sqrt(self_norms(p))[:, None], rtol=0.0, atol=1e-12)
 
 
-def test_tangent_basis_of_units_equals_the_masked_loop(rng):
-    """Whole-column seeds give the masked loop's bits, signs of zero included."""
-    for name, x in _tangent_basis_stacks(rng).items():
-        xs = _negative_units(x)
-        got = _tangent_basis_of_units(xs)
-        assert got.tobytes() == masked_tangent_basis(x).tobytes(), name
-        for k in range(len(x)):  # and a row's basis does not depend on its neighbours
-            assert got[k].tobytes() == _tangent_basis_of_units(xs[k:k + 1])[0].tobytes(), name
+def test_tangent_basis_of_units_rows_do_not_depend_on_their_neighbours(rng):
+    """A row's bits are the same alone, in the whole stack and in a shuffled
+    stack."""
+    xs = _negative_units(_tangent_basis_rows(rng))
+    basis = _tangent_basis_of_units(xs)
+    order = rng.permutation(len(xs))
+    assert _tangent_basis_of_units(xs[order]).tobytes() == basis[order].tobytes()
+    for k in range(len(xs)):
+        assert basis[k].tobytes() == _tangent_basis_of_units(xs[k:k + 1])[0].tobytes()
 
 
 def _per_pair_min_distance(x, y, tol):

@@ -450,18 +450,30 @@ def _moved(mesh, g):
     )
 
 
+def _rescaled(mesh, rng):
+    """The mesh with each vertex representative multiplied by a random
+    nonzero complex scalar: the same points, pairings and faces."""
+    scalars = rng.normal(size=(len(mesh.vertices), 1)) + 1j * rng.normal(size=(len(mesh.vertices), 1))
+    return SectionMesh(vertices=mesh.vertices * scalars, triangles=mesh.triangles,
+                       side_pairings=mesh.side_pairings, cone_points=mesh.cone_points)
+
+
 @pytest.mark.parametrize("kind, arg, refinement, chi, e", BENCH_MESHES,
                          ids=[f"{m[0]}_{m[1]}" for m in BENCH_MESHES])
 def test_euler_via_mesh_raw_degrees_exact_and_coordinate_free(kind, arg, refinement, chi, e,
                                                               rng):
+    """Exact to rounding, and the same under an isometry and under a change
+    of the vertex representatives, unmoved and moved."""
     mesh = _bench_mesh(kind, arg, refinement)
     degrees = euler_via_mesh(mesh)
     assert abs(degrees.chi_raw - float(chi)) < 1e-12
     assert abs(degrees.euler_raw - float(e)) < 1e-12
-    g = random_isometry(rng)
-    moved = euler_via_mesh(_moved(mesh, g))
-    assert abs(moved.chi_raw - degrees.chi_raw) < 1e-12
-    assert abs(moved.euler_raw - degrees.euler_raw) < 1e-12
+    moved = _moved(mesh, random_isometry(rng))
+    for other in (moved, _rescaled(mesh, rng), _rescaled(moved, rng)):
+        d = euler_via_mesh(other)
+        assert (d.chi, d.euler) == (degrees.chi, degrees.euler)
+        assert abs(d.chi_raw - degrees.chi_raw) < 1e-12
+        assert abs(d.euler_raw - degrees.euler_raw) < 1e-12
 
 
 def test_frame_field_validate_rejects_bad_frames():
