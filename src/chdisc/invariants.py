@@ -40,7 +40,7 @@ from .core import (
     _unit_reps,
 )
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
-from .geometry import _aligned_units, _negative_units
+from .geometry import _aligned_units
 from .io import _f
 from .tolerances import TOL, Tolerances
 
@@ -210,7 +210,12 @@ class SectionMesh:
     The mesh holds read-only copies of its arrays and is checked once, on
     construction: ``MeshError`` is raised for a malformed array or an index
     outside [0, V), a non-negative vertex, or a pairing that does not map
-    its run onto the other.
+    its run onto the other.  The check also forms ``units``, read-only: the
+    canonical representative of each vertex, with <x,x> = -1 and x0 real
+    positive (x0 != 0 at a negative point), which the connection pass may
+    read as phase aligned between neighbours.  Every numeric read uses it,
+    so no invariant depends on the representatives or scale a mesh is
+    given; only the class test reads ``vertices``.
     """
 
     vertices: np.ndarray
@@ -230,19 +235,7 @@ class SectionMesh:
     def face_triples(self) -> np.ndarray:
         """<a,b><b,c><c,a> of every face (a, b, c), read-only; computed once
         for τ and the tautological phases of the bundle degrees."""
-        return _read_only(_triple_products(self.vertices, self.triangles))
-
-    @cached_property
-    def units(self) -> np.ndarray:
-        """The canonical representative of each vertex, read-only: the one
-        with <x,x> = -1 and x0 real positive (a negative point has x0 != 0).
-        Computed once for the frame field, its tangent basis and its check.
-        The connection pass reads adjacent representatives as phase
-        aligned, which nearby canonical ones are whatever the given ones."""
-        x0 = self.vertices[:, :1]
-        units = _negative_units(self.vertices * (x0.conj() / abs(x0)))
-        units.setflags(write=False)
-        return units
+        return _read_only(_triple_products(self.units, self.triangles))
 
     def cone_orders(self):
         return [n for _, n in self.cone_points]
@@ -276,22 +269,25 @@ class SectionMesh:
             bad = np.flatnonzero(_sign_code(norms, squares, TOL.null_band) != -1)
             if bad.size:
                 raise MeshError(f"embedded vertex {bad[0]} is not a negative point")
+        x0 = x[:, :1]
+        units = x * (x0.conj() / abs(x0)) / np.sqrt(-norms)[:, None]
+        units.setflags(write=False)
+        object.__setattr__(self, "units", units)
         if any(len(a) != len(b) for a, b in zip(runs[0::2], runs[1::2])):
             raise MeshError("side pairing runs have different lengths")
         if not runs:
             return
-        # every pairing's run images, one stack
-        image = np.concatenate([x[a] @ p.isometry.matrix.T
+        # every pairing's run images, one stack; <u,u> = -1 at the run_b end
+        image = np.concatenate([units[a] @ p.isometry.matrix.T
                                 for p, a in zip(self.side_pairings, runs[0::2])])
         run_b = np.concatenate(runs[1::2])
-        ta = abs(herm_rows(image, x[run_b])) ** 2 / (self_norms(image) * norms[run_b])
-        gap = abs(ta - 1.0)
-        if not (gap <= TOL.mesh).all():
-            bad = np.flatnonzero(gap > TOL.mesh)
-            if bad.size:
-                k = bad[0]
-                raise MeshError(f"pairing maps vertex {np.concatenate(runs[0::2])[k]} "
-                                f"to tance gap {gap[k]:g} from {run_b[k]}")
+        gap = abs(abs(herm_rows(image, units[run_b])) ** 2 / -self_norms(image) - 1.0)
+        # a NaN gap (a non-finite pairing matrix) fails too
+        ok = gap <= TOL.mesh
+        if not ok.all():
+            k = np.argmin(ok)
+            raise MeshError(f"pairing maps vertex {np.concatenate(runs[0::2])[k]} "
+                            f"to tance gap {gap[k]:g} from {run_b[k]}")
 
 
 # -- Toledo integrals --------------------------------------------------------

@@ -257,6 +257,33 @@ def test_mesh_validate_rejects_broken_pairing():
         replace(mesh, side_pairings=[broken, second])
 
 
+def test_section_mesh_check_rejects_a_non_finite_pairing_matrix():
+    """A NaN gap fails the pairing check rather than passing it."""
+    mesh = turnover_section_mesh(3, 3, 4, refinement=4)
+    first, *rest = mesh.side_pairings
+    matrix = first.isometry.matrix.copy()
+    matrix[1, 2] = np.nan
+    with pytest.raises(MeshError, match="pairing maps vertex .* to tance gap nan from"):
+        replace(mesh, side_pairings=[replace(first, isometry=Isometry(matrix)), *rest])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+def test_section_mesh_check_sees_a_moved_paired_vertex_at_any_scale(scale):
+    """One vertex of a paired run moved by distance 0.3 breaks its pairing,
+    whatever the scale of the representatives (|<x,y>|^2 overflows at
+    1e100, the canonical representatives do not)."""
+    mesh = turnover_section_mesh(3, 3, 4, refinement=4)
+    k = mesh.side_pairings[0].run_a[1]
+    u = mesh.units[k]
+    vertices = mesh.vertices.copy()
+    vertices[k] = np.cosh(0.3) * u + np.sinh(0.3) * _tangent_basis_of_units(u[None])[0, 0]
+    # the unmoved mesh passes at this scale
+    SectionMesh(vertices=mesh.vertices * scale, triangles=mesh.triangles,
+                side_pairings=mesh.side_pairings, cone_points=mesh.cone_points)
+    with pytest.raises(MeshError, match="pairing maps vertex"):
+        replace(mesh, vertices=vertices * scale)
+
+
 def test_mesh_validate_rejects_non_negative_vertex():
     mesh = turnover_section_mesh(3, 3, 4, refinement=2)
     with pytest.raises(ValueError, match="read-only"):
@@ -451,29 +478,41 @@ def _moved(mesh, g):
 
 
 def _rescaled(mesh, rng):
-    """The mesh with each vertex representative multiplied by a random
-    nonzero complex scalar: the same points, pairings and faces."""
-    scalars = rng.normal(size=(len(mesh.vertices), 1)) + 1j * rng.normal(size=(len(mesh.vertices), 1))
+    """The mesh with each vertex representative multiplied by its own random
+    complex scalar, of modulus 10^u with u uniform in [-60, 60] and a
+    uniform phase: the same points, pairings and faces."""
+    v = len(mesh.vertices)
+    scalars = 10.0 ** rng.uniform(-60.0, 60.0, (v, 1)) * np.exp(2j * np.pi * rng.random((v, 1)))
     return SectionMesh(vertices=mesh.vertices * scalars, triangles=mesh.triangles,
                        side_pairings=mesh.side_pairings, cone_points=mesh.cone_points)
 
 
-@pytest.mark.parametrize("kind, arg, refinement, chi, e", BENCH_MESHES,
-                         ids=[f"{m[0]}_{m[1]}" for m in BENCH_MESHES])
+@pytest.mark.parametrize("kind, arg, refinement, chi, e", [
+    *(pytest.param(*m, id=f"{m[0]}_{m[1]}") for m in BENCH_MESHES),
+    # the demos' turnover mesh; their octagons are the benchmark's
+    pytest.param("turnover", (3, 3, 4), 4, Fraction(-1, 12), Fraction(-1, 24),
+                 id="turnover_(3, 3, 4)_r4"),
+])
 def test_euler_via_mesh_raw_degrees_exact_and_coordinate_free(kind, arg, refinement, chi, e,
                                                               rng):
-    """Exact to rounding, and the same under an isometry and under a change
-    of the vertex representatives, unmoved and moved."""
+    """Exact to rounding, and τ, χ and e the same under an isometry and
+    under a change of the vertex representatives and their scales, unmoved
+    and moved."""
     mesh = _bench_mesh(kind, arg, refinement)
     degrees = euler_via_mesh(mesh)
+    tau = toledo_via_mesh(mesh)
+    den = mesh.snap_denominator()
     assert abs(degrees.chi_raw - float(chi)) < 1e-12
     assert abs(degrees.euler_raw - float(e)) < 1e-12
     moved = _moved(mesh, random_isometry(rng))
     for other in (moved, _rescaled(mesh, rng), _rescaled(moved, rng)):
         d = euler_via_mesh(other)
+        t = toledo_via_mesh(other)
         assert (d.chi, d.euler) == (degrees.chi, degrees.euler)
+        assert snap_rational(t, den) == snap_rational(tau, den)
         assert abs(d.chi_raw - degrees.chi_raw) < 1e-12
         assert abs(d.euler_raw - degrees.euler_raw) < 1e-12
+        assert abs(t - tau) < 1e-12
 
 
 def test_frame_field_validate_rejects_bad_frames():
@@ -704,9 +743,11 @@ def test_face_triples_are_computed_once_for_tau_and_the_bundle_degrees(monkeypat
     assert len(calls) == 1
     triples = mesh.face_triples
     assert triples is mesh.face_triples and not triples.flags.writeable
-    assert triples.tobytes() == original(mesh.vertices, mesh.triangles).tobytes()
-    # the cache is no dataclass field
-    assert "face_triples" not in {f.name for f in fields(mesh)}
+    assert triples.tobytes() == original(mesh.units, mesh.triangles).tobytes()
+    # neither the cache nor the canonical representatives is a dataclass
+    # field, and both are read-only
+    assert {"face_triples", "units"}.isdisjoint(f.name for f in fields(mesh))
+    assert not mesh.units.flags.writeable
     fresh = turnover_section_mesh(3, 3, 4, refinement=4)
     assert (toledo_via_mesh(fresh), euler_via_mesh(fresh)) == (tau, degrees)
 
