@@ -20,8 +20,8 @@ def main():
 
     rep0, _ = fuchsian_turnover(sig)
     print("C-Fuchsian baseline relation residuals:")
-    for word, r in rep0.relation_residuals().items():
-        print(f"  {word:>14s}  {r:.6e}")
+    for word in rep0.relations:
+        print(f"  {word:>14s}  {relation_residual(rep0, word):.6e}")
     print(f"  (the g2^3 floor is 2 sin(pi/12) = {2 * np.sin(np.pi / 12):.6f})")
     print()
 

@@ -145,17 +145,21 @@ def _so21_stack(alpha, beta) -> np.ndarray:
     [|alpha|^2 + |beta|^2, 2 Re(alpha conj(beta)), -2 Im(alpha conj(beta))],
     [2 Re(alpha beta), Re(alpha^2 + beta^2), -Im(alpha^2 - beta^2)],
     [2 Im(alpha beta), Im(alpha^2 + beta^2), Re(alpha^2 - beta^2)],
-    each entry formed elementwise from the real parts, so that a stack and
-    one pair at a time get the same bits under any BLAS kernel.
+    each entry formed from the real parts in Python floats, whose rounded
+    products and sums are numpy's elementwise ones, so that a stack and one
+    pair at a time get the same bits under any BLAS kernel.  For the few
+    pairs a mesh lifts this costs less than some twenty array operations.
     """
-    ar, ai, br, bi = alpha.real, alpha.imag, beta.real, beta.imag
-    a2, b2 = ar * ar - ai * ai, br * br - bi * bi  # Re alpha^2, Re beta^2
-    rows = [
-        [(ar * ar + ai * ai) + (br * br + bi * bi), 2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br)],
-        [2.0 * (ar * br - ai * bi), a2 + b2, 2.0 * (br * bi - ar * ai)],
-        [2.0 * (ar * bi + ai * br), 2.0 * (ar * ai + br * bi), a2 - b2],
-    ]
-    return _isometry_stack(np.moveaxis(np.array(rows, dtype=complex), -1, 0))
+    lifts = []
+    for a, b in zip(np.asarray(alpha).tolist(), np.asarray(beta).tolist()):
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+        a2, b2 = ar * ar - ai * ai, br * br - bi * bi  # Re alpha^2, Re beta^2
+        lifts.append([
+            [(ar * ar + ai * ai) + (br * br + bi * bi), 2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br)],
+            [2.0 * (ar * br - ai * bi), a2 + b2, 2.0 * (br * bi - ar * ai)],
+            [2.0 * (ar * bi + ai * br), 2.0 * (ar * ai + br * bi), a2 - b2],
+        ])
+    return _isometry_stack(np.array(lifts, dtype=complex))
 
 
 def _disc_automorphisms(z1, z2, w1, w2):

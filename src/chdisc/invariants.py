@@ -401,6 +401,11 @@ class FrameField:
         raise MeshError(f"frame at vertex {idx} {what}")
 
 
+def _pfaffians(w: np.ndarray) -> np.ndarray:
+    """Pfaffians of a (..., 4, 4) stack of real antisymmetric matrices."""
+    return (w[..., 0, 1] * w[..., 2, 3] - w[..., 0, 2] * w[..., 1, 3]) + w[..., 0, 3] * w[..., 1, 2]
+
+
 def _gram_pfaffians(g: np.ndarray) -> np.ndarray:
     """Pfaffians of Im g for a (..., 4, 4) stack of Gram matrices
     g[a, b] = <f_a, f_b> of tangent 4-frames.
@@ -411,8 +416,26 @@ def _gram_pfaffians(g: np.ndarray) -> np.ndarray:
     Pfaffian 1 (Im <b, ib> = -1 for each b), and the Pfaffian of E^T W E is
     det(E) Pf(W).
     """
-    w = g.imag
-    return (w[..., 0, 1] * w[..., 2, 3] - w[..., 0, 2] * w[..., 1, 3]) + w[..., 0, 3] * w[..., 1, 2]
+    return _pfaffians(g.imag)
+
+
+def _coordinate_pfaffians(q: np.ndarray) -> np.ndarray:
+    """``_gram_pfaffians`` of frames given by their real coordinates, the
+    rows of a (..., 4, 4) stack q in the basis (b1, ib1, b2, ib2): det q.
+
+    Im <f_a, f_b> is sum_k y_ak x_bk - x_ak y_bk, with x and y the real and
+    imaginary coordinate columns (0, 2 and 1, 3).  For an orthogonal q
+    rounding moves the Pfaffian by a few ulp of its size 1, so its sign is
+    that of any accurate determinant, LAPACK's included.
+    """
+    w = q[..., 1::2] @ q[..., 0::2].swapaxes(-1, -2)
+    return _pfaffians(w - w.swapaxes(-1, -2))
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinants a d - b c of a (..., 2, 2) stack, each within a few ulp
+    of |a d| + |b c|: their sign is LAPACK's unless they are that small."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def _log_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -483,7 +506,9 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     two span its g-orthogonal complement, the normal plane, and come out
     g-orthonormal.  u2 is flipped so that (u1, u2) agrees with the first
     ccw triangle at the vertex, and v2 so that (u1, u2, v1, v2) agrees with
-    the complex orientation.
+    the complex orientation.  Both signs are read in closed form, from
+    a d - b c (``_det2``) and from the Pfaffian of the frame's symplectic
+    Gram matrix (``_coordinate_pfaffians``), not from LAPACK determinants.
     """
     xh = mesh.units
     src, dst, degree, corner = _mesh_edges(mesh.triangles, len(xh))
@@ -492,10 +517,10 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     # eigenvector rows, descending
     q = np.linalg.eigh(_vertex_scatter(r, degree))[1].transpose(0, 2, 1)[:, ::-1]
     # orient (u1, u2) by the first ccw corner at each vertex
-    q[np.linalg.det(r[corner] @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
+    q[_det2(r[corner] @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
     frames = _from_coords(q, basis[:, None])
     # q holds coordinates in the complex-oriented real basis (b1, ib1, b2, ib2)
-    frames[np.linalg.det(q) < 0, 3] *= -1.0
+    frames[_coordinate_pfaffians(q) < 0, 3] *= -1.0
     return FrameField(tangent=frames[:, :2], normal=frames[:, 2:])
 
 
@@ -603,13 +628,42 @@ def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
 # -- rational snapping and identities ----------------------------------------
 
 def snap_rational(x: float, denominator_limit: int, tol: Tolerances = TOL) -> Fraction:
-    snapped = Fraction(x).limit_denominator(denominator_limit)
-    if abs(float(snapped) - x) > tol.snap:
+    """``Fraction(x).limit_denominator(denominator_limit)``, the rational
+    nearest x whose denominator is at most the limit; raises
+    ``ConvergenceError`` unless it lies within tol.snap of x.
+
+    The continued fraction runs on the integers of x's exact ratio, and
+    the closing choice between the last convergent and the semiconvergent
+    after it compares their distances to x by integer cross products, as
+    ``Fraction`` arithmetic would, exactly; one ``Fraction`` is formed, the
+    one returned.
+    """
+    if denominator_limit < 1:
+        raise ValueError("max_denominator should be at least 1")
+    num, den = x.as_integer_ratio()
+    p, q = num, den
+    if den > denominator_limit:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = num, den
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > denominator_limit:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (denominator_limit - q0) // q1
+        p, q = p0 + k * p1, q0 + k * q1
+        # the convergent p1/q1 on a tie, as limit_denominator chooses
+        if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+            p, q = p1, q1
+    # p / q is float(Fraction(p, q)), a correctly rounded int division
+    if abs(p / q - x) > tol.snap:
         raise ConvergenceError(
             f"value {x} does not snap within {tol.snap} "
             f"to denominator {denominator_limit}"
         )
-    return snapped
+    return Fraction(p, q)
 
 
 def _frac_str(x: Fraction | None) -> str | None:
@@ -691,11 +745,17 @@ def kalashnikov_residual(report: InvariantReport, signed: bool = True) -> float:
     """|3 tau - 2 e - 2 chi| (signed) or |-3 |tau| - 2 e - 2 chi| (unsigned).
 
     Uses snapped rationals when available, so a clean configuration gives
-    exactly zero.
+    exactly zero; three rationals are combined over the product of their
+    denominators into one ``Fraction``.
     """
     chi = report.chi
     tau = report.toledo if report.toledo is not None else report.toledo_raw
     e = report.euler if report.euler is not None else report.euler_raw
+    if isinstance(tau, Fraction) and isinstance(e, Fraction) and isinstance(chi, Fraction):
+        (t, td), (en, ed), (cn, cd) = (tau.as_integer_ratio(), e.as_integer_ratio(),
+                                       chi.as_integer_ratio())
+        t = 3 * t if signed else -3 * abs(t)
+        return Fraction(abs(t * ed * cd - 2 * en * td * cd - 2 * cn * td * ed), td * ed * cd)
     if signed:
         return abs(3 * tau - 2 * e - 2 * chi)
     return abs(-3 * abs(tau) - 2 * e - 2 * chi)

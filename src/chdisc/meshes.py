@@ -16,7 +16,6 @@ from .core import Isometry, ProjectivePoint, _euclidean_units, _unit_reps
 from .disc import _disc_automorphisms, _disc_rotations, _so21_stack, _su11_stack, triangle_vertices
 from .errors import DegenerateError
 from .geometry import (
-    _geodesic_rows,
     _negative_units,
     _slerp_units,
     geodesic_interp,  # noqa: F401  (bench/tracer.py wraps chdisc.meshes.geodesic_interp)
@@ -45,8 +44,10 @@ def _fan_lattice(center: np.ndarray, corners: np.ndarray, n: int, closed: bool):
     per = n * (n - 1) // 2  # inner points per sector
     w = n + 1
     col = np.arange(w)
-    # spokes[k, i-1] is the point at i/n from the centre to corner k
-    spokes = _geodesic_rows(center, corners[:, None], col[1:] / n)
+    # spokes[k, i-1] is the point at i/n from the centre to corner k; the
+    # centre and the corners are scaled to <,> = -1 in one pass
+    ends = _negative_units(np.concatenate([center[None], corners]))
+    spokes = _slerp_units(center, ends[0], ends[1:, None], col[1:] / n)
     spokes = _euclidean_units(spokes).reshape(-1, 3)
     # the inner points of a sector, at j/i along row i for 0 < j < i, rows
     # ascending; row i of sector k runs from spoke k to spoke k+1 (spoke 0
@@ -140,11 +141,11 @@ def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:
     if kind not in ("complex", "lagrangian"):
         raise ValueError("kind must be 'complex' or 'lagrangian'")
     r1 = _octagon_circumradius()
-    angles = [2.0 * np.pi * k / 8.0 + np.pi / 8.0 for k in range(8)]
+    angles = 2.0 * np.pi * np.arange(8) / 8.0 + np.pi / 8.0
     # the octagon in the curvature -4 disc, where intrinsic distances are
     # halved; pair k maps the side (k, k+1) onto (kp+1, kp)
     s = np.tanh(r1 / 2.0)
-    zs = np.array([s * np.exp(1j * a) for a in angles])
+    zs = s * np.exp(1j * angles)
     k, kp = np.array(_OCTAGON_PAIRS).T
     alpha, beta = _disc_automorphisms(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp])
     corners = np.zeros((8, 3), dtype=complex)
@@ -155,7 +156,7 @@ def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:
     else:
         # the Klein point 2z / (1 + |z|^2) of corner z, at curvature -1
         s = np.tanh(r1)
-        corners[:, 1:] = [(s * np.cos(a), s * np.sin(a)) for a in angles]
+        corners[:, 1], corners[:, 2] = s * np.cos(angles), s * np.sin(angles)
         pairs = _so21_stack(alpha, beta)
     corners = _unit_reps(corners)  # embed(z), or real_plane_point(a, b)
 

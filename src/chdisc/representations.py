@@ -105,7 +105,9 @@ class TurnoverSignature:
         for n in self.orders():
             if not isinstance(n, (int, np.integer)) or n < 2:
                 raise HyperbolicityError("cone orders must be integers >= 2")
-        if Fraction(1, self.n1) + Fraction(1, self.n2) + Fraction(1, self.n3) >= 1:
+        n1, n2, n3 = map(int, self.orders())
+        # 1/n1 + 1/n2 + 1/n3 >= 1, times n1 n2 n3
+        if n2 * n3 + n1 * n3 + n1 * n2 >= n1 * n2 * n3:
             raise HyperbolicityError(
                 f"signature {self.orders()} is not hyperbolic: 1/n1+1/n2+1/n3 >= 1"
             )
@@ -124,7 +126,9 @@ def orbifold_euler(data) -> Fraction:
     integer genus (closed surface), or a pair ``(genus, cone_orders)``.
     """
     if isinstance(data, TurnoverSignature):
-        return Fraction(-1) + sum(Fraction(1, n) for n in data.orders())
+        # -1 + 1/n1 + 1/n2 + 1/n3 over the common denominator n1 n2 n3
+        n1, n2, n3 = map(int, data.orders())
+        return Fraction(n2 * n3 + n1 * n3 + n1 * n2 - n1 * n2 * n3, n1 * n2 * n3)
     if isinstance(data, (int, np.integer)):
         return Fraction(2 - 2 * int(data))
     genus, cone_orders = data

@@ -23,9 +23,12 @@ from chdisc.core import (
     ProjectivePoint,
     _distance_from_tance,
     _elliptic_rows,
+    _euclidean_units,
     _gram_tances,
+    _isometry_stack,
     _norms_and_squares,
     _sign_code,
+    _tangent_basis_of_units,
     _unit_det,
     classify,
     gram,
@@ -55,8 +58,20 @@ from chdisc.geometry import (
     _slice_polars,
     geodesic_interp,
 )
-from chdisc.invariants import _rotation_angle, _toledo, _triple_products, normalized_negative
+from chdisc.invariants import (
+    FrameField,
+    _from_coords,
+    _log_directions,
+    _mesh_edges,
+    _real_coords,
+    _rotation_angle,
+    _toledo,
+    _triple_products,
+    _vertex_scatter,
+    normalized_negative,
+)
 from chdisc.io import _vector_json
+from chdisc.meshes import _octagon_circumradius
 from chdisc.quadrangle import SubCheck, _side_values
 from chdisc.representations import _form_adjoint, _rotation_phases
 from chdisc.tolerances import TOL, Tolerances
@@ -286,7 +301,63 @@ def orientation_determinants(x, frame4) -> np.ndarray:
     return np.linalg.det(rows.view(float).reshape(*rows.shape[:-2], 6, 6))
 
 
+def frame_field_by_lapack(mesh):
+    """``build_frame_field`` with both orientation signs read from LAPACK
+    determinants (the (V,2,2) first-corner test and det q), as it read them
+    before the closed forms: the reference for ``_det2`` and
+    ``_coordinate_pfaffians`` on whole meshes."""
+    xh = mesh.units
+    src, dst, degree, corner = _mesh_edges(mesh.triangles, len(xh))
+    basis = _tangent_basis_of_units(xh)
+    r = _real_coords(_log_directions(xh[src], xh[dst]), basis[src])
+    q = np.linalg.eigh(_vertex_scatter(r, degree))[1].transpose(0, 2, 1)[:, ::-1]
+    q[np.linalg.det(r[corner] @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
+    frames = _from_coords(q, basis[:, None])
+    frames[np.linalg.det(q) < 0, 3] *= -1.0
+    return FrameField(tangent=frames[:, :2], normal=frames[:, 2:])
+
+
 # -- section meshes ----------------------------------------------------------------
+
+def fan_spokes_two_passes(center: np.ndarray, corners: np.ndarray, n: int) -> np.ndarray:
+    """The spokes of ``_fan_lattice`` (the points at i/n from the centre to
+    each corner, Euclidean units) from ``_geodesic_rows``, which scales the
+    centre and the corners to <,> = -1 in two passes: the reference for its
+    one-pass scaling."""
+    spokes = _geodesic_rows(center, corners[:, None], np.arange(1, n + 1) / n)
+    return _euclidean_units(spokes).reshape(-1, 3)
+
+
+def octagon_corners_per_angle(kind: str):
+    """The disc corners zs and the unscaled corner rows of ``octagon_mesh``,
+    built by a Python loop over the corner angles, as the constructor built
+    them before it took arrays."""
+    r1 = _octagon_circumradius()
+    angles = [2.0 * np.pi * k / 8.0 + np.pi / 8.0 for k in range(8)]
+    s = np.tanh(r1 / 2.0)
+    zs = np.array([s * np.exp(1j * a) for a in angles])
+    corners = np.zeros((8, 3), dtype=complex)
+    corners[:, 0] = 1.0
+    if kind == "complex":
+        corners[:, 1] = zs
+    else:
+        s = np.tanh(r1)
+        corners[:, 1:] = [(s * np.cos(a), s * np.sin(a)) for a in angles]
+    return zs, corners
+
+
+def so21_stack_by_arrays(alpha, beta) -> np.ndarray:
+    """``_so21_stack`` with every entry formed from length-k arrays, as it
+    was built before it took the pairs one at a time in Python floats."""
+    ar, ai, br, bi = alpha.real, alpha.imag, beta.real, beta.imag
+    a2, b2 = ar * ar - ai * ai, br * br - bi * bi
+    rows = [
+        [(ar * ar + ai * ai) + (br * br + bi * bi), 2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br)],
+        [2.0 * (ar * br - ai * bi), a2 + b2, 2.0 * (br * bi - ar * ai)],
+        [2.0 * (ar * bi + ai * br), 2.0 * (ar * ai + br * bi), a2 - b2],
+    ]
+    return _isometry_stack(np.moveaxis(np.array(rows, dtype=complex), -1, 0))
+
 
 def mesh_json(mesh) -> dict:
     """A section mesh as chdisc/1 JSON numbers: every array it holds, the

@@ -1,5 +1,7 @@
 """Kaehler angles, symplectic integrals, discrete bundle degrees, identities."""
 
+import itertools
+import math
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -48,6 +50,7 @@ from chdisc.invariants import (
     tangent_project,
 )
 from chdisc.meshes import real_plane_point
+from chdisc.tolerances import TOL
 from chdisc.representations import TurnoverSignature, fuchsian_turnover, orbifold_euler
 from chdisc.representations import elliptic_fixed_point
 
@@ -159,6 +162,29 @@ def test_gram_pfaffians_have_the_sign_and_size_of_the_orientation_determinant(rn
     a = np.einsum("nfd,nkd->nfk", frames * np.array([-1.0, 1.0, 1.0]), basis.conj())
     det = np.linalg.det(np.stack([a.real, a.imag], -1).reshape(-1, 4, 4))
     np.testing.assert_allclose(pf, det, rtol=1e-9)
+
+
+def test_closed_form_orientation_signs_match_lapack_determinants(rng):
+    """The frame field reads its two orientation signs in closed form; they
+    are LAPACK's on 10^4 random orthogonal 4x4 coordinate frames (each
+    column pair a complex coordinate) and on 10^4 2x2 matrices with
+    |det| >= 1e-8, half of them near singular."""
+    q = np.linalg.qr(rng.normal(size=(10_000, 4, 4)))[0]
+    q[rng.random(10_000) < 0.5, 0] *= -1.0  # QR's factors share one determinant
+    pf, det = invariants_module._coordinate_pfaffians(q), np.linalg.det(q)
+    assert np.array_equal(pf < 0, det < 0)
+    assert 4_000 < np.count_nonzero(det < 0) < 6_000
+    np.testing.assert_allclose(pf, det, rtol=0, atol=1e-14)
+    m = rng.normal(size=(20_000, 2, 2))
+    # the second row of half of them is a multiple of the first plus a
+    # perturbation of size 10^-9 to 10^-3
+    near, t, eps = m[:10_000], rng.normal(size=(10_000, 1)), 10.0 ** rng.uniform(-9, -3, (10_000, 1))
+    near[:, 1] = t * near[:, 0] + eps * near[:, 1]
+    det = np.linalg.det(m)
+    keep = abs(det) >= 1e-8
+    m, det = m[keep][:10_000], det[keep][:10_000]
+    assert len(m) == 10_000 and np.count_nonzero(abs(det) < 1e-4) > 1_000
+    assert np.array_equal(invariants_module._det2(m) < 0, det < 0)
 
 
 # -- symplectic integrals ------------------------------------------------------
@@ -663,6 +689,43 @@ def test_snap_rational():
         snap_rational(0.123456, 24)
 
 
+def _snap_denominators():
+    """Every denominator limit a section mesh snaps to: 2 for the octagons,
+    2 lcm(n1, n2, n3) for every hyperbolic turnover with n_i <= 12."""
+    dens = {octagon_mesh("complex", 1).snap_denominator()}
+    for orders in itertools.product(range(2, 13), repeat=3):
+        if sum(Fraction(1, n) for n in orders) < 1:
+            dens.add(turnover_section_mesh(*orders, refinement=1).snap_denominator())
+    return sorted(dens)
+
+
+def test_snap_rational_is_fraction_limit_denominator(rng):
+    """The integer path is ``Fraction(x).limit_denominator(den)`` and its
+    snap verdict, for every denominator limit the meshes use, on random
+    floats, on rationals moved by 10^-17 to 10^-3, and on the midpoints
+    between neighbouring fractions, where the closing choice ties."""
+    dens = _snap_denominators()
+    assert {2, 24, 30, 84} <= set(dens) and len(dens) > 50
+    loose = Tolerances(snap=math.inf)
+    for den in dens:
+        q = rng.integers(1, den + 1, 100)
+        p = rng.integers(-4 * q, 4 * q + 1)
+        xs = [*rng.uniform(-4.0, 4.0, 100),
+              *(p / q + rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(-17, -3, 100)),
+              *((p + 0.5) / q), *(p / q)]
+        for x in map(float, xs):
+            want = Fraction(x).limit_denominator(den)
+            got = snap_rational(x, den, loose)
+            assert type(got) is Fraction and got.as_integer_ratio() == want.as_integer_ratio()
+            if abs(float(want) - x) > TOL.snap:
+                with pytest.raises(ConvergenceError):
+                    snap_rational(x, den)
+            else:
+                assert snap_rational(x, den) == want
+    with pytest.raises(ValueError):
+        snap_rational(0.5, 0)
+
+
 def test_invariant_report_clean():
     report = invariant_report(Fraction(-1, 12), -1.0 / 12.0 + 1e-9, -1.0 / 24.0 - 1e-9, 24)
     assert report.reliable
@@ -711,6 +774,21 @@ def test_kalashnikov_residual_arithmetic():
     assert kalashnikov_residual(report, signed=True) == 0
     # -3|t| - 2e - 2chi = -6 + 2 + 4 = 0
     assert kalashnikov_residual(report, signed=False) == 0
+
+
+def test_kalashnikov_residual_of_rationals_is_the_fraction_arithmetic(rng):
+    """Three snapped rationals are combined over one common denominator;
+    the result is the Fraction that the arithmetic on them gives, with the
+    same numerator and denominator."""
+    for _ in range(2_000):
+        chi, tau, e = (Fraction(int(a), int(b)) for a, b in
+                       zip(rng.integers(-60, 61, 3), rng.integers(1, 169, 3)))
+        report = InvariantReport(chi=chi, toledo_raw=float(tau), euler_raw=float(e),
+                                 toledo=tau, euler=e)
+        for signed, want in ((True, abs(3 * tau - 2 * e - 2 * chi)),
+                             (False, abs(-3 * abs(tau) - 2 * e - 2 * chi))):
+            got = kalashnikov_residual(report, signed=signed)
+            assert type(got) is Fraction and got.as_integer_ratio() == want.as_integer_ratio()
 
 
 def test_gkl_euler_values_and_errors():

@@ -2,14 +2,22 @@
 
 import importlib
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chdisc import ProjectivePoint, octagon_mesh, turnover_section_mesh
 from chdisc.cli import _refinement_for
-from chdisc.core import Isometry
-from chdisc.disc import _disc_rotations, embed, triangle_vertices
+from chdisc.core import Isometry, _unit_reps
+from chdisc.disc import (
+    _disc_automorphisms,
+    _disc_rotations,
+    _so21_stack,
+    _su11_stack,
+    embed,
+    triangle_vertices,
+)
 from chdisc.geometry import _geodesic_rows
 from chdisc.errors import MeshError
 from chdisc.invariants import (
@@ -26,28 +34,34 @@ from chdisc.invariants import (
 from chdisc.io import canonical_dumps
 from chdisc.meshes import (
     _OCTAGON_PAIRS,
+    _ORIGIN,
     _fan_lattice,
     _octagon_circumradius,
     real_plane_point,
 )
 from chdisc.representations import TurnoverSignature
 
-from conftest import scalar_slerp
+from conftest import random_isometry, scalar_slerp
 from oracles import (
     connection_total,
     connection_totals_one_pass,
     disc_automorphism_per_call,
     disc_isometry_per_call,
     disc_rotation_per_call,
+    fan_spokes_two_passes,
+    frame_field_by_lapack,
     herm_rows_by_sum,
     mesh_edges_by_unique,
     mesh_json,
+    octagon_corners_per_angle,
     projective_distance,
     real_plane_isometry_per_pair,
     real_plane_lift_per_call,
     self_norms_by_blas,
+    so21_stack_by_arrays,
 )
 from test_core import _blas_sums_in_order
+from test_invariants import _moved
 
 
 def _scalar_fan_lattice(center, corners, n, closed, geometry=True):
@@ -341,3 +355,72 @@ def test_blocked_connection_pass_has_the_bits_of_one_pass(kind, arg, n):
     got = _connection_totals(mesh.triangles, stacked, taut)
     want = connection_totals_one_pass(mesh.triangles, stacked, taut)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# -- the replaced steps of the builders and the frame field, against their oracles ----
+
+#: every mesh a shipped path builds: the benchmark's five and the bend-0
+#: scan's four turnovers (``BIT_CASES``), CI's fine (3,4,4) r24, the demo's
+#: (3,3,4) r4 (its octagons are the benchmark's) and both octagons at r8
+SHIPPED_MESHES = BIT_CASES + [("turnover", (3, 4, 4), 24), ("turnover", (3, 3, 4), 4),
+                              ("octagon", "complex", 8), ("octagon", "lagrangian", 8)]
+#: isometry-moved copies per shipped mesh: 8 each, 104 in all
+MOVES_PER_MESH = 8
+
+
+@pytest.mark.parametrize("kind, arg, n", SHIPPED_MESHES)
+def test_fan_spokes_have_the_bits_of_the_two_pass_scaling(kind, arg, n, rng):
+    """The lattice scales its centre and corners to <,> = -1 in one pass;
+    its spokes are the rows ``_geodesic_rows`` gave, which scaled them in
+    two, on each mesh's own ends and on isometry-moved copies of them."""
+    center, corners = _rows(*_fan_inputs(kind, arg)[:2])
+    closed = kind == "octagon"
+    m = len(corners)
+    for g in [np.eye(3)] + [random_isometry(rng).matrix for _ in range(MOVES_PER_MESH)]:
+        c, k = center @ g.T, corners @ g.T
+        vertices = _fan_lattice(c, k, n, closed)[0]
+        assert vertices[1:1 + m * n].tobytes() == _unit_reps(fan_spokes_two_passes(c, k, n)).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["complex", "lagrangian"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_octagon_mesh_has_the_bits_of_its_per_angle_corners(kind, n):
+    """Vertices and side pairings of ``octagon_mesh``, whose corners come
+    from arrays of angles, equal those built from the per-angle loop's
+    corners, with the Lagrangian pairings lifted by the array lift."""
+    zs, corners = octagon_corners_per_angle(kind)
+    k, kp = np.array(_OCTAGON_PAIRS).T
+    alpha, beta = _disc_automorphisms(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp])
+    pairs = _su11_stack(alpha, beta) if kind == "complex" else so21_stack_by_arrays(alpha, beta)
+    mesh = octagon_mesh(kind, refinement=n)
+    assert mesh.vertices.tobytes() == _fan_lattice(_ORIGIN, _unit_reps(corners), n, True)[0].tobytes()
+    assert [p.isometry.matrix.tobytes() for p in mesh.side_pairings] == [g.tobytes() for g in pairs]
+
+
+def test_so21_stack_has_the_bits_of_the_array_lift(rng):
+    """The per-pair Python-float lift equals the length-k array lift on 100
+    random SU(1,1) coefficient pairs, as a stack and one pair at a time."""
+    t, phi, psi = rng.uniform(0.0, 3.0, 100), *rng.uniform(-np.pi, np.pi, (2, 100))
+    alpha, beta = np.cosh(t) * np.exp(1j * phi), np.sinh(t) * np.exp(1j * psi)
+    stack = _so21_stack(alpha, beta)
+    assert stack.tobytes() == so21_stack_by_arrays(alpha, beta).tobytes()
+    assert stack.tobytes() == np.concatenate(
+        [_so21_stack(alpha[i:i + 1], beta[i:i + 1]) for i in range(100)]).tobytes()
+
+
+@pytest.mark.parametrize("kind, arg, n", SHIPPED_MESHES)
+def test_frame_field_and_degrees_have_the_bits_of_the_lapack_signs(kind, arg, n, rng):
+    """The closed-form orientation signs flip the frames LAPACK's
+    determinants flipped, on each shipped mesh and on isometry-moved
+    copies; so the raw and snapped chi and e are the same doubles."""
+    mesh = _mesh(kind, arg, n)
+    for moved in [mesh] + [_moved(mesh, random_isometry(rng)) for _ in range(MOVES_PER_MESH)]:
+        ours, ref = build_frame_field(moved), frame_field_by_lapack(moved)
+        assert ours.tangent.tobytes() == ref.tangent.tobytes()
+        assert ours.normal.tobytes() == ref.normal.tobytes()
+    degrees, ref = euler_via_mesh(mesh), frame_field_by_lapack(mesh)
+    chi, e = _connection_totals(mesh.triangles, np.stack([ref.tangent, ref.normal]), _taut_phases(mesh))
+    assert (degrees.chi_raw.hex(), degrees.euler_raw.hex()) == (chi.hex(), e.hex())
+    den = mesh.snap_denominator()
+    assert (degrees.chi, degrees.euler) == (Fraction(chi).limit_denominator(den),
+                                            Fraction(e).limit_denominator(den))

@@ -72,6 +72,26 @@ def test_signature_validation():
         TurnoverSignature(1, 5, 5)
 
 
+def test_signature_test_and_orbifold_euler_are_the_fraction_sums():
+    """The integer hyperbolicity test and the one-Fraction orbifold Euler
+    characteristic agree with the sums of unit fractions for every
+    signature with orders 2 to 12, numpy integers included."""
+    rejected = set()
+    for orders in itertools.product(range(2, 13), repeat=3):
+        total = sum(Fraction(1, n) for n in orders)
+        if total >= 1:
+            rejected.add(orders)
+            with pytest.raises(HyperbolicityError):
+                TurnoverSignature(*orders)
+            continue
+        for sig in (TurnoverSignature(*orders), TurnoverSignature(*map(np.int64, orders))):
+            chi = orbifold_euler(sig)
+            assert type(chi) is Fraction and type(chi.numerator) is int
+            assert chi.as_integer_ratio() == (total - 1).as_integer_ratio()
+    assert {(2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 2, 12)} <= rejected
+    assert (2, 3, 7) not in rejected
+
+
 def test_orbifold_euler():
     assert orbifold_euler(TurnoverSignature(3, 3, 4)) == Fraction(-1, 12)
     assert orbifold_euler(TurnoverSignature(2, 3, 7)) == Fraction(-1, 42)
