@@ -31,11 +31,12 @@ from .tolerances import TOL, Tolerances
 FORM_MATRIX = np.diag([-1.0, 1.0, 1.0])
 
 _SIGNS = np.array([-1.0, 1.0, 1.0])
+_FORM_SIGNS = np.outer(_SIGNS, _SIGNS)
 _CUBE_ROOTS = np.exp(2j * np.pi * np.arange(3) / 3)
 _NEXT_PREV, _PREV_NEXT = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 _SEEDS = np.eye(3, dtype=complex)
 #: Two Euclidean-unit representatives span one point (one complex geodesic,
-#: for polars) when | |v . conj(w)| - 1 | falls below this.  It decides the
+#: for polars) when their ``_parallel_gaps`` falls below this.  It decides the
 #: DegenerateError verdicts on identical geodesics; it is not a Tolerances
 #: field because every field is written into each invariants report, whose
 #: bytes a new field would change.
@@ -46,11 +47,10 @@ def herm_form(x, y) -> complex:
     """Hermitian pairing <x, y> of two complex 3-vectors.
 
     Linear in ``x``, conjugate-linear in ``y``; ``herm_form(y, x)`` is the
-    complex conjugate of ``herm_form(x, y)``.
+    complex conjugate of ``herm_form(x, y)``.  The one-row case of
+    ``_form_pairs``.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    return complex(np.dot(_SIGNS * x, np.conj(y)))
+    return complex(_form_pairs(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)))
 
 
 NEGATIVE = "negative"
@@ -80,16 +80,17 @@ class ProjectivePoint:
         return herm_form(self.v, self.v).real  # <x,x> is real for any x
 
     def is_parallel_to(self, other: "ProjectivePoint", tol: float = _PARALLEL) -> bool:
-        # |<v, w>_euclid| == |v||w| iff parallel; representatives are unit.
-        return abs(abs(np.vdot(other.v, self.v)) - 1.0) < tol
+        """Whether both span one point: the one-pair case of ``_parallel_gaps``."""
+        return bool(_parallel_gaps(self.v, other.v) < tol)
 
 
 def classify(x: ProjectivePoint, tol: Tolerances = TOL) -> str:
     """Sign class of <x,x>: negative points are the points of H^2_C.
 
-    The zero band is scale invariant: |<x,x>| < null_band * ||x||^2.
+    The zero band is scale invariant: |<x,x>| < null_band * ||x||^2.  The
+    one-row case of ``sign_classes``.
     """
-    return _CLASS_NAMES[_sign_code(x.self_form(), float(np.linalg.norm(x.v)) ** 2, tol.null_band)]
+    return _CLASS_NAMES[int(sign_classes(x.v[None], tol)[0])]
 
 
 def tance(x: ProjectivePoint, y: ProjectivePoint, tol: Tolerances = TOL) -> float:
@@ -115,8 +116,9 @@ class GeometryDomainError(ClassError):
 
 # --- array kernels on (N,3) complex stacks ----------------------------------
 #
-# The scalar functions above and the kernels below share their thresholds
-# through ``_sign_code`` and ``_distance_from_tance``.
+# The scalar functions above are one-row cases of the kernels below, so each
+# verdict has one formula: every sign class is ``_sign_code`` on
+# ``_norms_and_squares``, and every parallel test ``_parallel_gaps``.
 
 _CLASS_NAMES = {-1: NEGATIVE, 0: NULL, 1: POSITIVE}
 #: tance may undershoot 1 by this much for a pair of negative points.
@@ -177,7 +179,8 @@ def dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _form_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise ``herm_form`` over (..., 3) stacks, bit for bit."""
+    """Row-wise pairings <x_i, y_i> over (..., 3) stacks through np.dot's
+    BLAS kernel (``dot_rows``); ``herm_form`` is its one-row case."""
     return dot_rows(_SIGNS * x, np.conj(y))
 
 
@@ -208,14 +211,17 @@ def _points_of_units(rows) -> tuple:
 def _tance_rows(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """Row-wise ``tance`` of the points with representatives x_i and y_i, two
     (k, 3) stacks; raises ``NullPointError`` if a row of either is null
-    (``sign_classes``).
-
-    Each row has the bits of the one-pair formula: ``herm_form``'s pairings,
-    and |<x,y>|^2 as re*re + im*im, which is how the complex-scalar product
-    <x,y> conj(<x,y>) rounds it (each product alone, no FMA).
-    """
+    (``sign_classes``), else returns their ``_pair_tances``."""
     if (sign_classes(np.concatenate([x, y]), tol) == 0).any():
         raise NullPointError("tance is undefined for null points")
+    return _pair_tances(x, y)
+
+
+def _pair_tances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_tance_rows`` unchecked, with the bits of K1's table: ``_form_pairs``'
+    pairings, and |<x,y>|^2 as re*re + im*im, as the complex scalar
+    <x,y> conj(<x,y>) rounds it (no FMA).  Swapping x and y keeps every bit:
+    ``_form_pairs(y, x)`` is ``_form_pairs(x, y)``'s conjugate."""
     nx, ny, xy = _form_pairs(np.array([x, y, x]), np.array([x, y, y]))
     return (xy.real * xy.real + xy.imag * xy.imag) / (nx.real * ny.real)
 
@@ -286,6 +292,13 @@ def _norms_and_squares(x: np.ndarray):
 def sign_classes(x: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """Batch ``classify``: -1 / 0 / +1 per row for negative / null / positive."""
     return _sign_code(*_norms_and_squares(x), tol.null_band)
+
+
+def _parallel_gaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """| |x_i . conj(y_i)| - 1 | over (..., 3) stacks of Euclidean-unit rows:
+    they span one point when it falls below ``_PARALLEL``.  ``np.multiply``
+    keeps x on the left, as in ``herm_rows``."""
+    return np.abs(np.abs(np.multiply(x, np.conj(y)).sum(axis=-1)) - 1.0)
 
 
 def min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
@@ -393,13 +406,25 @@ class Isometry:
 
     def inverse(self) -> "Isometry":
         # form-preserving inverse: M^-1 = J M* J
-        return Isometry(_unit_det(FORM_MATRIX @ self.matrix.conj().T @ FORM_MATRIX))
+        return Isometry(_unit_det(_form_adjoint(self.matrix)))
 
     def apply(self, x: ProjectivePoint) -> ProjectivePoint:
         return ProjectivePoint(self.matrix @ x.v)
 
     def __call__(self, x: ProjectivePoint) -> ProjectivePoint:
         return self.apply(x)
+
+
+def _form_adjoint(u):
+    """J u* J over a ``(..., 3, 3)`` stack, with the bits of the matmuls
+    ``FORM_MATRIX @ u* @ FORM_MATRIX``: each entry is one entry of u* times
+    +-1 plus products with zero, so flipping signs gives the same bits where
+    every part is finite and nonzero; other stacks take the matmuls, whose
+    sign of zero may differ."""
+    parts = u.view(float)
+    if not np.isfinite(parts).all() or (parts == 0).any():
+        return FORM_MATRIX @ u.conj().swapaxes(-1, -2) @ FORM_MATRIX
+    return u.conj().swapaxes(-1, -2) * _FORM_SIGNS
 
 
 def _unit_det(m: np.ndarray) -> np.ndarray:
@@ -461,19 +486,18 @@ def _check_frames(frames: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
 
     Raises ``FrameError`` for the first frame with a vector of the wrong
     sign class (wanted negative, positive, positive) or, failing that, a
-    pair with |<b_i, b_j>| > tol.orthogonality.  The pairings have
-    ``herm_form``'s bits, so a frame passes or fails as its vectors would
-    one pair at a time.
+    pair with |<b_i, b_j>| > tol.orthogonality.  The classes are those of
+    ``sign_classes`` and the pairings have ``herm_form``'s bits, so a frame
+    passes or fails as its vectors would one at a time.
     """
     h = _form_pairs(frames[:, _FRAME_I], frames[:, _FRAME_J])
     norms, r = h[:, :3].real, np.abs(h[:, 3:])
-    q = frames.real ** 2 + frames.imag ** 2
-    sq = (q[..., 0] + q[..., 1]) + q[..., 2]  # _norms_and_squares' Euclidean sum
+    s, sq = _norms_and_squares(frames)
     # a signed norm strictly beyond its band has the wanted class: the stack
     # passes at once, and only a stack that may fail is classified
-    if (norms * _FRAME_CLASSES > abs(tol.null_band) * sq).all() and (r <= tol.orthogonality).all():
+    if (s * _FRAME_CLASSES > abs(tol.null_band) * sq).all() and (r <= tol.orthogonality).all():
         return norms
-    cls = _sign_code(norms, sq, tol.null_band)
+    cls = _sign_code(s, sq, tol.null_band)
     wrong, skew = cls != _FRAME_CLASSES, r > tol.orthogonality
     bad = np.flatnonzero(wrong.any(axis=1) | skew.any(axis=1))
     if not bad.size:

@@ -12,6 +12,8 @@ from .core import (
     _PARALLEL,
     _euclidean_units,
     _norms_and_squares,
+    _pair_tances,
+    _parallel_gaps,
     _sign_code,
     classify,
     herm_rows,
@@ -178,10 +180,9 @@ def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
         # the checks read all four rows
         fs, fsq = _norms_and_squares(rows[2:])
         np.divide(rows[2:4], np.sqrt(-fs[:2])[..., None], out=cols[:2])
-    # ProjectivePoint.is_parallel_to of (p, q) and of (x, y), Euclidean-unit
-    # rows: parallel when | |p . conj(q)| - 1 | < _PARALLEL
-    dots = np.abs(np.abs((rows[0:3:2] * np.conj(rows[1:5:3])).sum(axis=-1)) - 1.0)
-    tances = (np.square(pq.real) + np.square(pq.imag)) / (s[0] * s[1])
+        tances = _pair_tances(p, q)  # K1's and tance's bits, in either order
+    # ProjectivePoint.is_parallel_to of (p, q) and of (x, y)
+    dots = _parallel_gaps(rows[0:3:2], rows[1:5:3])
     # p and q take the null test itself; x, s2, y and the spine polar pass
     # when their self norm lies strictly beyond the band on the wanted side,
     # which gives the wanted class in any band

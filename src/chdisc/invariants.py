@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import (
     _SIGNS,
+    NEGATIVE,
     ProjectivePoint,
     Isometry,
     herm_form,
@@ -38,6 +39,7 @@ from .core import (
     _tance_rows,
     _tangent_basis_of_units,
     _unit_reps,
+    classify,
 )
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
 from .geometry import _aligned_units
@@ -55,10 +57,9 @@ ORIENTATION_CONVENTION = "fiberwise-counterclockwise"
 # -- tangent-space utilities --------------------------------------------------
 
 def normalized_negative(x: ProjectivePoint) -> np.ndarray:
-    s = x.self_form()
-    if s >= 0:
+    if classify(x) != NEGATIVE:
         raise ClassError("expected a negative point")
-    return x.v / np.sqrt(-s)
+    return x.v / np.sqrt(-x.self_form())
 
 
 def tangent_project(xhat: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -20,9 +20,10 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
+    _PARALLEL,
     _euclidean_units,
     _form_pairs,
-    _norms_and_squares,
+    _parallel_gaps,
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
     herm_form,
@@ -390,10 +391,10 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     (J conj(s x p), p) at each sample s of the shared slice P(p^perp), so
     no sample and no margin depends on the representatives or coordinates.
     """
-    p1, p2, p3, p4 = q.polars
-    if p1.is_parallel_to(p3) or p2.is_parallel_to(p4):
-        return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
     polars = q.rows
+    # C1 against C3 and C2 against C4, as ProjectivePoint.is_parallel_to
+    if (_parallel_gaps(polars[:2], polars[2:]) < _PARALLEL).any():
+        return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
     feet, basis = _perpendicular_rows(*polars.take(_K3_PAIRS.T, 0), tol)
     coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
     ends = feet.take(_SLERP_PAIRS, 1)[:, :, None]
@@ -463,10 +464,8 @@ _K1_PAIRS = np.ravel_multi_index(np.triu_indices(4, 1), (4, 4))
 def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certificate:
     """Full K1/K2/K3 certification of a quadrangle of bisectors."""
     polars = q.rows
-    # tance's check, for all pairs at once: a row is null (sign_classes)
-    # unless |<p,p>| >= null_band |p|^2
-    s, sq = _norms_and_squares(polars)
-    if np.count_nonzero(np.abs(s) >= tol.null_band * sq) < len(s):
+    # tance's check, for all pairs at once
+    if (sign_classes(polars, tol) == 0).any():
         raise NullPointError("tance is undefined for null points")
     # every ordered pairing h[i, j] = <p_i, p_j> in one pass, with the bits
     # of herm_form; the tances and eps below have the bits of tance and epsilon

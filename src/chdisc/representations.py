@@ -51,7 +51,6 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    FORM_MATRIX,
     _SEEDS,
     _SIGNS,
     NEGATIVE,
@@ -62,11 +61,11 @@ from .core import (
     classify,
     dot_rows,
     elliptic_from_frame,  # noqa: F401  (bench/tracer.py wraps chdisc.representations.elliptic_from_frame)
-    herm_form,
     polar_rows,
     reflection_about,
     _CUBE_ROOTS,
     _elliptic_rows,
+    _form_adjoint,
     _form_pairs,
     _norms,
     _points_of_units,
@@ -90,7 +89,6 @@ from .tolerances import TOL, Tolerances
 _CUBE_ROOT_IDENTITIES = _CUBE_ROOTS[:, None, None] * np.eye(3)  # w I
 _CUBE_ROOT_SCALARS = _CUBE_ROOT_IDENTITIES.reshape(3, 9)
 _SIGNED_E = _SIGNS * _SEEDS[1:]  # _form_pairs(e_i, x) is dot_rows(_SIGNED_E[i], conj(x))
-_FORM_SIGNS = np.outer(_SIGNS, _SIGNS)
 
 
 @dataclass(frozen=True)
@@ -378,22 +376,6 @@ def _outside_ball(params) -> bool:
     return params[0] * params[0] + params[1] * params[1] >= 0.98
 
 
-def _form_adjoint(u):
-    """J u* J over a ``(k, 3, 3)`` stack, with the bits of the matmuls
-    ``FORM_MATRIX @ u* @ FORM_MATRIX``.
-
-    Each entry of the product is one entry of u* times +-1 plus terms that
-    are products with zero, so flipping signs gives the same bits wherever
-    the real and imaginary parts are finite and nonzero.  A stack with any
-    other part, whose sign of zero the matmuls may set differently, takes
-    the matmuls.
-    """
-    parts = u.view(float)
-    if not np.isfinite(parts).all() or (parts == 0).any():
-        return FORM_MATRIX @ u.conj().swapaxes(-1, -2) @ FORM_MATRIX
-    return u.conj().swapaxes(-1, -2) * _FORM_SIGNS
-
-
 def _bent_inside(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
     """g3 and g2 = g3^-1 g1^-1 of ``_bent_generators`` for a ``(k, 4)`` stack
     of rows that all lie inside the ball.
@@ -472,7 +454,7 @@ def _quadrangle_candidates(sig, g1, g2, w1p, w2p, tol):
     with their certificates.
     """
     ev, vecs = np.linalg.eig(g2.matrix)
-    neg = [i for i in range(3) if herm_form(vecs[:, i], vecs[:, i]).real < 0]
+    neg = np.flatnonzero(_form_pairs(vecs.T, vecs.T).real < 0)
     if len(neg) != 1:
         return
     pos = [i for i in range(3) if i != neg[0]]

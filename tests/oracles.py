@@ -24,6 +24,7 @@ from chdisc.core import (
     _distance_from_tance,
     _elliptic_rows,
     _euclidean_units,
+    _form_adjoint,
     _gram_tances,
     _isometry_stack,
     _norms_and_squares,
@@ -73,7 +74,7 @@ from chdisc.invariants import (
 from chdisc.io import _vector_json
 from chdisc.meshes import _octagon_circumradius
 from chdisc.quadrangle import SubCheck, _side_values
-from chdisc.representations import _form_adjoint, _rotation_phases
+from chdisc.representations import _rotation_phases
 from chdisc.tolerances import TOL, Tolerances
 
 

@@ -17,6 +17,7 @@ from chdisc import (
     fuchsian_turnover,
     gkl_euler,
     h5_builder,
+    herm_form,
     invariant_report,
     is_transversal,
     kaehler_angle,
@@ -198,7 +199,8 @@ def test_criterion_5_group_relations(rng):
 
 def test_criterion_6_invariance_suite(rng):
     """tance / position / eps / validate_quadrangle invariant under 1000
-    random isometries; reflections are projective involutions to 1e-12.
+    random isometries; reflections are projective involutions to 1e-12 that
+    fix their mirror point; tance is |<x,y>|^2 / (<x,x><y,y>) to 1e-12.
 
     The certificates use the default tolerances, K3 sampling included;
     K1, K2 and K3 margins are compared at 1e-10 relative.
@@ -213,6 +215,7 @@ def test_criterion_6_invariance_suite(rng):
     c1 = ComplexGeodesic(polar_span(embed(0.0), F0))
     c2 = ComplexGeodesic(polar_span(embed(0.5), F0))
     ta_xy = tance(x, y)
+    assert abs(abs(herm_form(x.v, y.v)) ** 2 / (x.self_form() * y.self_form()) - ta_xy) < 1e-12 * ta_xy
     eps0 = epsilon(*q.polars[:3])
 
     for k in range(1000):
@@ -224,6 +227,7 @@ def test_criterion_6_invariance_suite(rng):
         assert abs(epsilon(*(g(pl) for pl in q.polars[:3])) - eps0) < 1e-10
         mirror = (x, p, y, pp)[k % 4]
         r = reflection_about(mirror)
+        assert r(mirror).is_parallel_to(mirror)
         gr = g @ r @ g.inverse()
         assert projective_distance(gr @ gr, ident) < 1e-12
 

@@ -30,6 +30,7 @@ from chdisc.core import (
     GeometryDomainError,
     _check_frames,
     _euclidean_units,
+    _points_of_units,
     _tance_rows,
     _tangent_basis_of_units,
     gram,
@@ -251,11 +252,28 @@ def test_batch_kernels_match_scalar(xs, ys):
     np.testing.assert_allclose(distance_matrix(x, y)[far], d[far], rtol=1e-14)
 
 
+def _near_band_units(rng, n, rel):
+    """n Euclidean-unit rows whose <x,x> / |x|^2 lies within ``rel``
+    (relative) of -null_band or +null_band, scaled as ``ProjectivePoint``
+    scales them: there the last bits of <x,x> and |x|^2 decide the class."""
+    r = TOL.null_band * rng.choice([-1.0, 1.0], n) * (1.0 + rel * rng.uniform(-1.0, 1.0, n))
+    # |x0| = 1 and |(x1, x2)|^2 = (1 + r) / (1 - r) give <x,x> / |x|^2 = r
+    u = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    u *= (np.sqrt((1.0 + r) / (1.0 - r)) / np.linalg.norm(u, axis=1))[:, None]
+    x = np.concatenate([np.exp(2j * np.pi * rng.uniform(size=(n, 1))), u], axis=1)
+    return np.array([ProjectivePoint(v).v for v in x])
+
+
 def test_batch_sign_classes_match_classify():
     rows = np.array([[1, 0.2, 0.1j], [1, 1, 0], [0, 1, 1j], [1, 1 + 1e-11, 0]])
     codes = {NEGATIVE: -1, NULL: 0, POSITIVE: 1}
     assert sign_classes(rows).tolist() == [codes[classify(ProjectivePoint(v))] for v in rows]
     assert sign_classes(rows).tolist() == [-1, 0, 1, 0]
+    # at the band's edges classify is the one-row case of sign_classes
+    near = _near_band_units(np.random.default_rng(7), 2000, 3e-6)
+    got = sign_classes(near)
+    assert set(got.tolist()) == {-1, 0, 1}
+    assert got.tolist() == [codes[classify(p)] for p in _points_of_units(near)]
 
 
 def test_distance_matrix_rejects_non_negative_rows():

@@ -63,6 +63,38 @@ def test_position_three_classes():
     assert position(c1, c3) == ASYMPTOTIC
     with pytest.raises(DegenerateError):
         position(c1, c1)
+    # polars whose gap 1 - |p . conj(q)| lies within 1e-6 (relative) of the
+    # parallel threshold 1e-9: every parallel verdict has the same bits
+    pairs = _near_parallel_polars(np.random.default_rng(3), 1000, 1e-6)
+    verdicts = [_parallel_verdicts(p, q) for p, q in pairs]
+    assert {v[0] for v in verdicts} == {True, False}
+    assert all(v[0] == v[1] == v[2] for v in verdicts)
+
+
+def _near_parallel_polars(rng, n, rel):
+    """n pairs of positive polars p, q = e^{i phi} (cos t p + sin t w) with w
+    Euclidean-orthogonal to p and 1 - cos t within ``rel`` (relative) of 1e-9."""
+    for _ in range(n):
+        p = polar_span(embed(0.6 * rng.uniform() + 0.1j * rng.normal()), F0)
+        w = rng.normal(size=3) + 1j * rng.normal(size=3)
+        w = w - np.vdot(p.v, w) * p.v
+        t = np.arccos(1.0 - 1e-9 * (1.0 + rel * rng.uniform(-1.0, 1.0)))
+        q = np.exp(2j * np.pi * rng.uniform()) * (np.cos(t) * p.v + np.sin(t) * w / np.linalg.norm(w))
+        yield p, ProjectivePoint(q)
+
+
+def _parallel_verdicts(p: ProjectivePoint, q: ProjectivePoint):
+    """(is_parallel_to, position raises DegenerateError, _perpendicular_rows
+    raises its identical-geodesics DegenerateError) for one pair of polars."""
+    verdicts = [p.is_parallel_to(q)]
+    for call in (lambda: position(ComplexGeodesic(p), ComplexGeodesic(q)),
+                 lambda: _perpendicular_rows(p.v[None], q.v[None])):
+        try:
+            call()
+            verdicts.append(False)
+        except GeometryError as e:
+            verdicts.append(isinstance(e, DegenerateError) and "identical" in str(e))
+    return verdicts
 
 
 def test_geodesic_interp_arclength(rng):

@@ -17,6 +17,7 @@ from chdisc import (
 )
 from chdisc.core import (
     ProjectivePoint,
+    _points_of_units,
     distance,
     herm_form,
     herm_rows,
@@ -606,3 +607,31 @@ def test_k2_degenerate_triple_product_raises():
     q = _baseline_quadrangle()
     with pytest.raises(DegenerateError, match="triple product vanishes"):
         validate_quadrangle(QuadrangleConfig((F0,) + q.polars[1:]), Tolerances(asymptotic=-2.0))
+
+
+#: Four polars on which K1 and K2 pass, the pairs (C1, C2) and (C2, C3) with
+#: tance - 1 one double above ``asymptotic``: a quadrangle whose diagonal
+#: triangles are thin, moved by a boost.  Pairings formed elementwise put
+#: those tances below the threshold in the last bit.
+_AT_ASYMPTOTIC = [
+    [7.05842379696453e-08 - 0.0001530928753371109j, 0.999999976562604 - 3.162158347479339e-05j,
+     7.213999753445254e-08 - 0.00014979128252927203j],
+    [0j, 1 + 0j, 0j],
+    [-7.058387302454594e-08 + 0.0001530928753371109j, 0.999999976562604 + 3.162158347479339e-05j,
+     -7.213964045973977e-08 + 0.00014979128252927203j],
+    [0.7071062108125401 + 0j, 0.14606498770037812 + 0j, 0.6918567958749989 + 0j],
+]
+
+
+def test_k3_decides_ultraparallel_with_the_k1_tances(monkeypatch):
+    q = QuadrangleConfig(_points_of_units(np.array(_AT_ASYMPTOTIC)))
+    monkeypatch.setattr(quadrangle_module, "adjacency_check", lambda q, tol: [])
+    cert = validate_quadrangle(q)
+    assert cert.k1 and cert.k2
+    assert 0.0 < min(cert.k1_margins) - TOL.asymptotic < 1e-15
+    monkeypatch.undo()
+    # K3's ultraparallel check reads the same tance bits and passes; the
+    # check after it stops K3: the feet of (C1, C2) lie about 3e-5 apart,
+    # within the parallel test's reach
+    with pytest.raises(DegenerateError, match="two distinct points"):
+        validate_quadrangle(q)

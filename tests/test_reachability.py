@@ -47,6 +47,15 @@ PACKAGE = Path(chdisc.__file__).resolve().parent
 #: Paper-level API that only ``tests/test_acceptance.py`` calls, with the
 #: statement each name implements and the acceptance criterion checking it.
 PAPER_API = {
+    "chdisc.core.herm_form":
+        "the Hermitian form <x,y> = -x0 conj(y0) + x1 conj(y1) + x2 conj(y2) of "
+        "signature (2,1), from which tances and eps are formed (criteria 1 and 6)",
+    "chdisc.core.ProjectivePoint.self_form":
+        "the square norm <x,x> of a representative: negative on the points of H^2_C, "
+        "positive on the polars of complex geodesics (criterion 6)",
+    "chdisc.core.ProjectivePoint.is_parallel_to":
+        "two representatives span one point of CP^2, one complex geodesic for polars "
+        "(criterion 6)",
     "chdisc.quadrangle.epsilon":
         "the unit invariant eps = <p1,p2><p2,p3><p3,p1> / |.| of a polar triple, "
         "invariant under isometries (criteria 1 and 6)",
