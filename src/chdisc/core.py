@@ -36,8 +36,9 @@ _CUBE_ROOTS = np.exp(2j * np.pi * np.arange(3) / 3)
 _NEXT_PREV, _PREV_NEXT = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 _SEEDS = np.eye(3, dtype=complex)
 #: Two Euclidean-unit representatives span one point (one complex geodesic,
-#: for polars) when their ``_parallel_gaps`` falls below this.  It decides the
-#: DegenerateError verdicts on identical geodesics; it is not a Tolerances
+#: for polars) when | |x . conj(y)| - 1 | falls below this
+#: (``ProjectivePoint.is_parallel_to``).  It decides the DegenerateError
+#: verdicts on identical geodesics; it is not a Tolerances
 #: field because every field is written into each invariants report, whose
 #: bytes a new field would change.
 _PARALLEL = 1e-9
@@ -80,8 +81,9 @@ class ProjectivePoint:
         return herm_form(self.v, self.v).real  # <x,x> is real for any x
 
     def is_parallel_to(self, other: "ProjectivePoint", tol: float = _PARALLEL) -> bool:
-        """Whether both span one point: the one-pair case of ``_parallel_gaps``."""
-        return bool(_parallel_gaps(self.v, other.v) < tol)
+        """Whether both span one point: | |x . conj(y)| - 1 | < tol for the
+        Euclidean-unit representatives x and y."""
+        return bool(abs(abs(np.multiply(self.v, np.conj(other.v)).sum()) - 1.0) < tol)
 
 
 def classify(x: ProjectivePoint, tol: Tolerances = TOL) -> str:
@@ -118,7 +120,7 @@ class GeometryDomainError(ClassError):
 #
 # The scalar functions above are one-row cases of the kernels below, so each
 # verdict has one formula: every sign class is ``_sign_code`` on
-# ``_norms_and_squares``, and every parallel test ``_parallel_gaps``.
+# ``_norms_and_squares``, and every parallel test ``is_parallel_to``.
 
 _CLASS_NAMES = {-1: NEGATIVE, 0: NULL, 1: POSITIVE}
 #: tance may undershoot 1 by this much for a pair of negative points.
@@ -294,13 +296,6 @@ def sign_classes(x: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     return _sign_code(*_norms_and_squares(x), tol.null_band)
 
 
-def _parallel_gaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """| |x_i . conj(y_i)| - 1 | over (..., 3) stacks of Euclidean-unit rows:
-    they span one point when it falls below ``_PARALLEL``.  ``np.multiply``
-    keeps x on the left, as in ``herm_rows``."""
-    return np.abs(np.abs(np.multiply(x, np.conj(y)).sum(axis=-1)) - 1.0)
-
-
 def min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     """The minimum distance between the rows of x[k] and those of y[k] for
     every k of two (K, N, 3) stacks, and the error of the first failing k:
@@ -376,12 +371,12 @@ def polar_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def polar_span(x: ProjectivePoint, y: ProjectivePoint) -> ProjectivePoint:
     """The point orthogonal to both x and y: z = J conj(x cross y).
 
-    The complex projective line through x and y is P(z^perp).
+    The complex projective line through x and y is P(z^perp); raises
+    ``DegenerateError`` when ``is_parallel_to`` calls x and y one point.
     """
-    z = polar_rows(x.v, y.v)
-    if np.linalg.norm(z) < 1e-12:
+    if x.is_parallel_to(y):
         raise DegenerateError("polar_span needs projectively distinct points")
-    return ProjectivePoint(z)
+    return ProjectivePoint(polar_rows(x.v, y.v))
 
 
 @dataclass(frozen=True)

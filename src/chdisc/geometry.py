@@ -9,11 +9,8 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
-    _PARALLEL,
     _euclidean_units,
     _norms_and_squares,
-    _pair_tances,
-    _parallel_gaps,
     _sign_code,
     classify,
     herm_rows,
@@ -21,13 +18,7 @@ from .core import (
     self_norms,
     tance,
 )
-from .errors import (
-    ClassError,
-    DegenerateError,
-    NotOnSpineError,
-    NotUltraparallelError,
-    NullPointError,
-)
+from .errors import ClassError, DegenerateError, NotOnSpineError, NotUltraparallelError
 from .tolerances import TOL, Tolerances
 
 ULTRAPARALLEL = "ultraparallel"
@@ -140,13 +131,9 @@ class BisectorSegment:
     end_slices: tuple[ComplexGeodesic, ComplexGeodesic]
 
 
-#: The classes wanted of the feet x, s2, y and the spine polar: -1, -1, -1, +1.
-_FEET_POLAR = np.array([-1.0, -1.0, -1.0, 1.0])[:, None]
-
-
-def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
+def _perpendicular_rows(p: np.ndarray, q: np.ndarray):
     """(feet, basis): common perpendiculars of P(p_i^perp) and P(q_i^perp) over
-    (K,3) stacks of Euclidean-unit positive polars.
+    (K,3) stacks of Euclidean-unit polars of ultraparallel pairs.
 
     feet is the (2, K, 3) stack of the feet x = q - (<q,p>/<p,p>) p on
     P(p^perp) and y = p - (<p,q>/<q,q>) q, Euclidean-unit, y not phase
@@ -155,59 +142,27 @@ def _perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TOL):
     scaled to <,> = -1 so that a point's side function (``quadrangle``)
     does not depend on the representatives of x and y, and the
     Euclidean-unit polar f = J conj(x cross s2) / |.| of the complex spine.
-    Raises the error of the first failing check of the first failing pair.
-    One strict test accepts a stack on which no check can fail; only a stack
-    that fails it is diagnosed pair by pair.
+
+    Nothing is checked: the caller has found every pair ultraparallel
+    (tance > 1, K1's test), and for such a pair the feet are distinct
+    negative points and the spine polar is positive (Goldman, Complex
+    Hyperbolic Geometry, 1999).
     """
     k = len(p)
-    rows = np.empty((6, k, 3), dtype=complex)  # p, q, x, s2, y and the spine polar f
+    rows = np.empty((5, k, 3), dtype=complex)  # p, q, x, s2, y
     rows[0], rows[1] = p, q
     pq = herm_rows(p, q)
-    s, sq = _norms_and_squares(rows[:2])
     coef = np.empty((2, k), dtype=complex)
     coef[0], coef[1] = np.conj(pq), pq
+    coef /= self_norms(rows[:2])
     feet = rows[2:5:2]
+    # x = q - (<q,p>/<p,p>) p and y = p - (<p,q>/<q,q>) q, both in one pass
+    feet[...] = _euclidean_units(rows[1::-1] - coef[..., None] * rows[:2])
+    rows[3] = _phase_align(rows[2], rows[4])
     basis = np.empty((k, 3, 3), dtype=complex)
     cols = basis.transpose(2, 0, 1)
-    # a failing pair may divide by zero here; its check below raises
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef /= s
-        # x = q - (<q,p>/<p,p>) p and y = p - (<p,q>/<q,q>) q, both in one pass
-        feet[...] = _euclidean_units(rows[1::-1] - coef[..., None] * rows[:2])
-        rows[3] = _phase_align(rows[2], rows[4])
-        rows[5] = cols[2] = _euclidean_units(polar_rows(rows[2], rows[3]))
-        # one pass of self norms: s1 and s2 scale by those of x and s2, and
-        # the checks read all four rows
-        fs, fsq = _norms_and_squares(rows[2:])
-        np.divide(rows[2:4], np.sqrt(-fs[:2])[..., None], out=cols[:2])
-        tances = _pair_tances(p, q)  # K1's and tance's bits, in either order
-    # ProjectivePoint.is_parallel_to of (p, q) and of (x, y)
-    dots = _parallel_gaps(rows[0:3:2], rows[1:5:3])
-    # p and q take the null test itself; x, s2, y and the spine polar pass
-    # when their self norm lies strictly beyond the band on the wanted side,
-    # which gives the wanted class in any band
-    if (dots.min() >= _PARALLEL and (tances - 1.0).min() >= tol.asymptotic
-            and np.count_nonzero(np.abs(s) >= tol.null_band * sq) == s.size
-            and np.count_nonzero(fs * _FEET_POLAR > abs(TOL.null_band) * fsq) == fs.size):
-        return feet, basis
-    # one sign-class pass over p, q (the caller's null band) and x, y, the
-    # spine polar (the default one)
-    cp, cq = _sign_code(s, sq, tol.null_band)
-    cx, _, cy, cf = _sign_code(fs, fsq, TOL.null_band)
-    # per pair in this order: mutual position, feet, spine, spine polar
-    checks = [
-        (dots[0] < _PARALLEL, DegenerateError, "identical complex geodesics have no mutual position"),
-        ((cp == 0) | (cq == 0), NullPointError, "tance is undefined for null points"),
-        (tances - 1.0 < tol.asymptotic,
-         NotUltraparallelError, "common perpendicular needs ultraparallel geodesics"),
-        ((cx != -1) | (cy != -1), ClassError, "feet of the common perpendicular are not negative points"),
-        (dots[1] < _PARALLEL, DegenerateError, "a geodesic needs two distinct points"),
-        (cf != 1, ClassError, "spine polar is not positive"),
-    ]
-    fails = np.array([c[0] for c in checks])
-    if fails.any():
-        _, error, message = checks[fails[:, fails.any(axis=0).argmax()].argmax()]
-        raise error(message)
+    cols[2] = _euclidean_units(polar_rows(rows[2], rows[3]))
+    np.divide(rows[2:4], np.sqrt(-self_norms(rows[2:4]))[..., None], out=cols[:2])
     return feet, basis
 
 
@@ -216,12 +171,16 @@ def common_perpendicular(
 ) -> BisectorSegment:
     """The segment B[C1,C2] along the unique common perpendicular geodesic.
 
-    One pair of ``_perpendicular_rows``: feet[0] lies on C1, feet[1] on C2,
+    Raises the error of ``position`` (identical geodesics, null polars), or
+    ``NotUltraparallelError`` unless it calls the pair ultraparallel; then
+    one pair of ``_perpendicular_rows``: feet[0] lies on C1, feet[1] on C2,
     and the spine runs from feet[0] to feet[1] phase aligned.  No library
     path calls it (K3 uses the rows directly); bench/tracer.py wraps it by
     this name.
     """
-    (x, y), basis = _perpendicular_rows(c1.polar.v[None], c2.polar.v[None], tol)
+    if position(c1, c2, tol) != ULTRAPARALLEL:
+        raise NotUltraparallelError("common perpendicular needs ultraparallel geodesics")
+    (x, y), basis = _perpendicular_rows(c1.polar.v[None], c2.polar.v[None])
     f1, f2, s2, fu = (ProjectivePoint(v) for v in (x[0], y[0], basis[0, :, 1], basis[0, :, 2]))
     bis = Bisector(spine=Geodesic(f1, s2), polar_f=fu, complex_spine=ComplexGeodesic(fu))
     return BisectorSegment(bisector=bis, feet=(f1, f2), end_slices=(c1, c2))

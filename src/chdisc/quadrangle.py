@@ -20,10 +20,9 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
-    _PARALLEL,
     _euclidean_units,
     _form_pairs,
-    _parallel_gaps,
+    _pair_tances,
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
     herm_form,
@@ -56,14 +55,18 @@ def epsilon(p1: ProjectivePoint, p2: ProjectivePoint, p3: ProjectivePoint) -> co
     positive rescaling of each argument; reversing the cyclic order
     conjugates the value.
     """
-    return _unit_triple(herm_form(p1.v, p2.v) * herm_form(p2.v, p3.v) * herm_form(p3.v, p1.v))
+    prod = herm_form(p1.v, p2.v) * herm_form(p2.v, p3.v) * herm_form(p3.v, p1.v)
+    return _unit_triple(prod, p1.self_form() * p2.self_form() * p3.self_form())
 
 
-def _unit_triple(prod: complex) -> complex:
-    """prod / |prod| for a triple product of pairings, else ``DegenerateError``."""
-    # the 1e-14 floor guards the division: the product vanishes when some
-    # pair of polars is orthogonal, and then eps has no direction
-    if abs(prod) < 1e-14:
+def _unit_triple(prod: complex, norms: float) -> complex:
+    """prod / |prod| for a triple product of pairings, else ``DegenerateError``;
+    ``norms`` is the product of the three self norms <p_i, p_i>."""
+    # the floor guards the division: the product vanishes when some pair of
+    # polars is orthogonal, and then eps has no direction.  Relative to the
+    # self norms it reads t12 t23 t31 < 1e-14, which no isometry and no
+    # rescaling moves, and which no K1-passing triple (each t > 1) meets
+    if abs(prod) < 1e-14 * abs(norms):
         raise DegenerateError("triple product vanishes (some pair of polars orthogonal)")
     return prod / abs(prod)
 
@@ -343,6 +346,10 @@ _AB_CENTRES = np.array([0, 2, 5, 6])
 _K3_A_SIDES = np.array([[0, 2], [1, 3]])
 
 
+#: The six polar pairs (i, j), i < j, in K1's order, as two index rows.
+_K1_ROWS = np.triu_indices(4, 1)
+
+
 def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck]:
     """Numerical certificate of K3 (transversal adjacency) for a quadrangle.
 
@@ -351,11 +358,15 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     condition on C3 relative to the bisectors through C1, and (c)
     disjointness of the two pairs of non-adjacent segments.
 
-    The stages run in this order, each on one stack taken from the
-    quadrangle's polar stack ``q.rows``:
+    K3 runs only on a quadrangle that passes K1's test on K1's tances
+    (and has every tance above 1 whatever ``tol.asymptotic`` is); any
+    other gets the one failing sub-check ``degenerate``.  The stages then
+    run in this order, each on one stack taken from the quadrangle's polar
+    stack ``q.rows``:
       1. the 8 common perpendiculars of ``_K3_PAIRS`` and their bisector
-         frames (``_perpendicular_rows``), then the inverses of the first
-         four frames, the side coordinates of (a) and (b);
+         frames (``_perpendicular_rows``, unchecked: ultraparallel pairs
+         have them), then the inverses of the first four frames, the side
+         coordinates of (a) and (b);
       2. one slerp pass over the four segment spines at 8 points each and
          the spine of B[C2,C4] at its midpoint (``_slerp_units``);
       3. the slice polars through the 32 spine points (``_slice_polars``);
@@ -392,10 +403,11 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     no sample and no margin depends on the representatives or coordinates.
     """
     polars = q.rows
-    # C1 against C3 and C2 against C4, as ProjectivePoint.is_parallel_to
-    if (_parallel_gaps(polars[:2], polars[2:]) < _PARALLEL).any():
-        return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
-    feet, basis = _perpendicular_rows(*polars.take(_K3_PAIRS.T, 0), tol)
+    # K1's test on K1's tance bits, and tance > 1 whatever tol.asymptotic is:
+    # the common perpendiculars of ultraparallel pairs need no check
+    if not (_pair_tances(*polars.take(_K1_ROWS, 0)) - 1.0).min() > max(tol.asymptotic, 0.0):
+        return [SubCheck("degenerate", False, -1.0, "complex geodesics not pairwise ultraparallel")]
+    feet, basis = _perpendicular_rows(*polars.take(_K3_PAIRS.T, 0))
     coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
     ends = feet.take(_SLERP_PAIRS, 1)[:, :, None]
     spine = _slerp_units(ends[0], *_negative_units(ends), _SLERP_T)
@@ -457,10 +469,6 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     return checks
 
 
-#: The six polar pairs (i, j), i < j, in K1's order, as flat indices of a 4 x 4 table.
-_K1_PAIRS = np.ravel_multi_index(np.triu_indices(4, 1), (4, 4))
-
-
 def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certificate:
     """Full K1/K2/K3 certification of a quadrangle of bisectors."""
     polars = q.rows
@@ -476,7 +484,7 @@ def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certifica
     ta = (h.real * h.real + h.imag * h.imag) / (n[:, None] * n[None])
 
     # K1: all six pairwise tances strictly above 1
-    k1_margins = (ta.take(_K1_PAIRS) - 1.0).tolist()
+    k1_margins = (ta[_K1_ROWS] - 1.0).tolist()
     k1 = all(m > tol.asymptotic for m in k1_margins)
 
     # K2: both diagonal triangles transversal and counterclockwise
@@ -485,9 +493,9 @@ def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certifica
     if k1:
         # Python floats and complexes, so that eps multiplies as epsilon does
         # (TriangleInvariant.from_polars and is_transversal, on these floats)
-        t, pair = np.sqrt(ta).tolist(), h.tolist()
+        t, pair, norms = np.sqrt(ta).tolist(), h.tolist(), n.tolist()
         for name, (a, b, c) in (("triangle_124", (0, 1, 3)), ("triangle_342", (2, 3, 1))):
-            eps = _unit_triple(pair[a][b] * pair[b][c] * pair[c][a])
+            eps = _unit_triple(pair[a][b] * pair[b][c] * pair[c][a], norms[a] * norms[b] * norms[c])
             margins = _transversality_margins(t[a][b], t[b][c], t[c][a], eps.real)
             k2_margins[name] = [*margins, -eps.imag]
             k2 = k2 and all(m > tol.strict_margin for m in margins) and eps.imag < 0.0

@@ -68,8 +68,10 @@ from .core import (
     _form_adjoint,
     _form_pairs,
     _norms,
+    _norms_and_squares,
     _points_of_units,
     _py_quotients,
+    _sign_code,
     _tance_rows,
     _unit_det,
     _unit_reps,
@@ -220,24 +222,22 @@ def _fixed_point_rows(m: np.ndarray, names) -> np.ndarray:
 
     Each is the first eigenvector of most negative square norm over its
     squared Euclidean norm, scaled as ``ProjectivePoint`` scales it.  Raises
-    ``ClassError`` for the first matrix with no such norm below -1e-10 (not
-    elliptic), naming it by ``names`` and giving its most negative norm.
+    ``ClassError`` for the first matrix whose most negative eigenvector
+    ``classify`` does not call negative (not elliptic), naming it by
+    ``names`` and giving that eigenvector's normalised square norm.
     """
     vecs = np.ascontiguousarray(np.linalg.eig(m)[1].swapaxes(-1, -2))  # eigenvector rows
-    norms = _norms(vecs)
-    s = _form_pairs(vecs, vecs).real / np.square(norms)
-    negative = np.where(s < 0.0, s, 0.0)
-    best = negative.argmin(axis=-1)
+    s, sq = _norms_and_squares(vecs)
     rows = np.arange(len(m))
-    # -1e-10 decides the "not elliptic" ClassError verdict on the most
-    # negative eigenvector's normalised square norm (not a Tolerances field,
-    # as for _outside_ball)
-    bad = np.flatnonzero(negative[rows, best] > -1e-10)
+    best = (s / sq).argmin(axis=-1)
+    s, sq = s[rows, best], sq[rows, best]
+    bad = np.flatnonzero(_sign_code(s, sq, TOL.null_band) != -1)
     if bad.size:
         k = bad[0]
         raise ClassError(f"{names[k]} has no negative eigenvector (not elliptic): its most "
-                         f"negative normalised square norm is {s[k].min():.3g}, not below -1e-10")
-    return vecs[rows, best] / norms[rows, best, None]
+                         f"negative normalised square norm is {s[k] / sq[k]:.3g}, "
+                         f"not below -{TOL.null_band:g}")
+    return vecs[rows, best] / _norms(vecs)[rows, best, None]
 
 
 def elliptic_fixed_point(g: Isometry) -> ProjectivePoint:

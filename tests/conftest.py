@@ -69,6 +69,20 @@ def random_isometry(rng, radius: float = 0.8) -> Isometry:
     return Isometry.from_matrix(m)
 
 
+def boost(rapidity: float, direction) -> Isometry:
+    """The boost of the given rapidity at the origin (1, 0, 0) along the unit
+    tangent direction (0, u), u = direction / |direction| in C^2:
+    [[cosh t, sinh t u*], [sinh t u, I + (cosh t - 1) u u*]].  The direction
+    (1, 0) moves along the standard complex geodesic P(F0^perp)."""
+    u = np.asarray(direction, dtype=complex)
+    u = u / np.linalg.norm(u)
+    m = np.eye(3, dtype=complex)
+    m[0, 0] = np.cosh(rapidity)
+    m[0, 1:], m[1:, 0] = np.sinh(rapidity) * u.conj(), np.sinh(rapidity) * u
+    m[1:, 1:] += (np.cosh(rapidity) - 1.0) * np.outer(u, u.conj())
+    return Isometry.from_matrix(m)
+
+
 def scalar_slerp(x: np.ndarray, y: np.ndarray, t: float):
     """One point at a time: the unnormalised slerp of two representatives,
     or None where they are closer than 1e-15.

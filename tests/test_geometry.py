@@ -10,6 +10,7 @@ from chdisc import (
     DegenerateError,
     NotOnSpineError,
     NotUltraparallelError,
+    NullPointError,
     ProjectivePoint,
     distance,
     herm_form,
@@ -18,10 +19,12 @@ from chdisc import (
 )
 from chdisc.disc import F0, embed
 from chdisc.tolerances import Tolerances
+from chdisc.core import _points_of_units
 from chdisc.geometry import (
     ASYMPTOTIC,
     CONCURRENT,
     ULTRAPARALLEL,
+    BisectorSegment,
     _geodesic_rows,
     _perpendicular_rows,
     _slice_polars,
@@ -64,36 +67,43 @@ def test_position_three_classes():
     with pytest.raises(DegenerateError):
         position(c1, c1)
     # polars whose gap 1 - |p . conj(q)| lies within 1e-6 (relative) of the
-    # parallel threshold 1e-9: every parallel verdict has the same bits
-    pairs = _near_parallel_polars(np.random.default_rng(3), 1000, 1e-6)
+    # parallel threshold 1e-9, and a pair at the gap 5e-13: every parallel
+    # verdict has the same bits
+    rng = np.random.default_rng(3)
+    pairs = [*_near_parallel_polars(rng, 1000, 1e-6), *_near_parallel_polars(rng, 1, 0.0, 5e-13)]
     verdicts = [_parallel_verdicts(p, q) for p, q in pairs]
     assert {v[0] for v in verdicts} == {True, False}
-    assert all(v[0] == v[1] == v[2] for v in verdicts)
+    assert all(v[0] == v[1] == v[2] == v[3] for v in verdicts)
+    assert verdicts[-1] == [True] * 4
 
 
-def _near_parallel_polars(rng, n, rel):
+def _near_parallel_polars(rng, n, rel, gap=1e-9):
     """n pairs of positive polars p, q = e^{i phi} (cos t p + sin t w) with w
-    Euclidean-orthogonal to p and 1 - cos t within ``rel`` (relative) of 1e-9."""
+    Euclidean-orthogonal to p and 1 - cos t within ``rel`` (relative) of ``gap``."""
     for _ in range(n):
         p = polar_span(embed(0.6 * rng.uniform() + 0.1j * rng.normal()), F0)
         w = rng.normal(size=3) + 1j * rng.normal(size=3)
         w = w - np.vdot(p.v, w) * p.v
-        t = np.arccos(1.0 - 1e-9 * (1.0 + rel * rng.uniform(-1.0, 1.0)))
+        t = np.arccos(1.0 - gap * (1.0 + rel * rng.uniform(-1.0, 1.0)))
         q = np.exp(2j * np.pi * rng.uniform()) * (np.cos(t) * p.v + np.sin(t) * w / np.linalg.norm(w))
         yield p, ProjectivePoint(q)
 
 
 def _parallel_verdicts(p: ProjectivePoint, q: ProjectivePoint):
-    """(is_parallel_to, position raises DegenerateError, _perpendicular_rows
-    raises its identical-geodesics DegenerateError) for one pair of polars."""
+    """(is_parallel_to, and whether position, common_perpendicular and
+    polar_span raise ``DegenerateError``) for one pair of polars."""
     verdicts = [p.is_parallel_to(q)]
-    for call in (lambda: position(ComplexGeodesic(p), ComplexGeodesic(q)),
-                 lambda: _perpendicular_rows(p.v[None], q.v[None])):
+    for call in (position, common_perpendicular):
         try:
-            call()
+            call(ComplexGeodesic(p), ComplexGeodesic(q))
             verdicts.append(False)
         except GeometryError as e:
-            verdicts.append(isinstance(e, DegenerateError) and "identical" in str(e))
+            verdicts.append(isinstance(e, DegenerateError))
+    try:
+        polar_span(p, q)
+        verdicts.append(False)
+    except DegenerateError:
+        verdicts.append(True)
     return verdicts
 
 
@@ -150,18 +160,14 @@ def test_common_perpendicular_requires_ultraparallel():
         common_perpendicular(c1, ComplexGeodesic(ProjectivePoint([0, 0, 1j])))
 
 
-def test_perpendicular_rows_raise_for_the_first_failing_pair():
+def test_common_perpendicular_raises_for_each_failing_pair():
     good = (_fiber(-0.3).polar.v, _fiber(0.4).polar.v)
     concurrent = (np.array([0, 0, 1], dtype=complex), np.array([0, 1, 0], dtype=complex))
     same = (good[0], 1j * good[0])
-    for pairs, error in (
-        ([good, concurrent, same], NotUltraparallelError),
-        ([good, same, concurrent], DegenerateError),
-    ):
-        p, q = (np.array(side) for side in zip(*pairs))
+    for (a, b), error in ((concurrent, NotUltraparallelError), (same, DegenerateError)):
         with pytest.raises(error):
-            _perpendicular_rows(p, q)
-    # a passing stack gives each pair's common_perpendicular
+            common_perpendicular(*(ComplexGeodesic(p) for p in _points_of_units(np.array([a, b]))))
+    # a stack of ultraparallel pairs gives each pair's common_perpendicular
     (x, y), basis = _perpendicular_rows(*(np.array([v, v]) for v in good))
     seg = common_perpendicular(_fiber(-0.3), _fiber(0.4))
     np.testing.assert_allclose(x[1], seg.feet[0].v, rtol=0, atol=1e-15)
@@ -193,11 +199,27 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
+def _first_failure(pairs, tol):
+    """The index of the first pair that ``staged_perpendicular_rows`` rejects
+    alone, and its error as ``_outcome`` gives it."""
+    for k, (p, q) in enumerate(pairs):
+        error = _outcome(staged_perpendicular_rows, p[None], q[None], tol)
+        if isinstance(error, tuple) and isinstance(error[0], type):
+            return k, error
+    raise AssertionError("no pair fails")
+
+
 def test_perpendicular_and_slice_rows_equal_the_staged_kernels():
-    """The lean kernels return the staged kernels' bits on stacks that pass
-    and raise their error on stacks that fail: a failing pair first, last or
-    alone, a null band that makes the polars null, and bounds that pass
-    pairs the default tolerances reject."""
+    """The lean kernels return the staged kernels' bits on stacks that pass.
+    On a stack that the staged kernel rejects (a failing pair first, last
+    or alone, a null band that makes the polars null, and bounds that pass
+    pairs the default tolerances reject), ``common_perpendicular`` taken one
+    pair at a time builds each pair before the staged kernel's first failing
+    one and raises at that pair: the staged error where it comes from the
+    mutual position (identical, null or not ultraparallel geodesics), and
+    otherwise ``NotUltraparallelError``, since the staged kernel's later
+    checks (feet, spine, spine polar) fail only on pairs that are not
+    ultraparallel."""
     good = [(_fiber(a).polar.v, _fiber(b).polar.v) for a, b in ((-0.3, 0.4), (0.1j, 0.5), (0.2, -0.6j))]
     concurrent = (np.array([0, 0, 1], dtype=complex), np.array([0, 1, 0], dtype=complex))
     asymptotic = (np.array([0, 0, 1], dtype=complex), np.array([1, 1, 1], dtype=complex) / np.sqrt(3))
@@ -209,12 +231,19 @@ def test_perpendicular_and_slice_rows_equal_the_staged_kernels():
         p, q = (np.array(side) for side in zip(*pairs))
         for tol in tols:
             want = _outcome(staged_perpendicular_rows, p, q, tol)
-            got = _outcome(_perpendicular_rows, p, q, tol)
             if isinstance(want, tuple) and isinstance(want[0], type):
-                assert got == want
-                outcomes.add(want[0].__name__)
+                k, error = _first_failure(pairs, tol)
+                assert error == want
+                got = [_outcome(common_perpendicular, *(ComplexGeodesic(c) for c in _points_of_units(np.array(pair))),
+                                tol) for pair in pairs[:k + 1]]
+                assert all(isinstance(g, BisectorSegment) for g in got[:k])
+                if "identical" in error[1] or error[0] in (NullPointError, NotUltraparallelError):
+                    assert got[k] == error
+                else:
+                    assert got[k][0] is NotUltraparallelError
+                outcomes.add(error[0].__name__)
                 continue
-            (x, y), basis = got
+            (x, y), basis = _perpendicular_rows(p, q)
             assert [a.tobytes() for a in (x, y, basis)] == [a.tobytes() for a in want]
             outcomes.add("pass")
             spine = _geodesic_rows(x[:, None], y[:, None], np.linspace(0.0, 1.0, 5))

@@ -34,7 +34,7 @@ from chdisc.geometry import (
     _slice_polars,
     common_perpendicular,
 )
-from chdisc.io import canonical_dumps
+from chdisc.io import canonical_dumps, quadrangle_to_json_dict, write_json
 from chdisc import quadrangle as quadrangle_module
 from chdisc.representations import TurnoverSignature, turnover_solve
 from chdisc.quadrangle import (
@@ -46,7 +46,8 @@ from chdisc.quadrangle import (
 )
 from chdisc.tolerances import TOL, Tolerances
 
-from conftest import random_disc_coordinate, random_isometry
+from chdisc.cli import EXIT_FAIL, main
+from conftest import boost, random_disc_coordinate, random_isometry
 from oracles import (
     bisector_basis,
     distance_matrix,
@@ -384,7 +385,11 @@ def _raised_message(check, q, tol):
     return None
 
 
-def test_adjacency_check_raises_what_the_per_pair_reference_raises():
+def test_adjacency_check_fails_degenerate_where_the_per_pair_reference_raises():
+    """Where the per-pair and staged references raise (identical, concurrent
+    or asymptotic pairs of complex geodesics), K3 fails K1's tance test and
+    returns the one failing sub-check ``degenerate``; so do coincident
+    opposite vertices, on which the references return it."""
     p = _baseline_quadrangle().polars
     concurrent = polar_span(embed(0.0), embed(0.3))  # the complex geodesic through C1's foot
     cases = [
@@ -393,17 +398,17 @@ def test_adjacency_check_raises_what_the_per_pair_reference_raises():
         (p[0], p[1], p[2], concurrent),
         (concurrent, p[1], p[2], p[3]),
     ]
+    degenerate = ("degenerate", False, -1.0)
     for polars in cases:
         q = QuadrangleConfig(polars)
-        want = _raised(_reference_adjacency_check, q)
-        assert want is not None
-        assert _raised(adjacency_check, q) is want
-        # and the staged K3 raises the same error with the same message
+        assert _raised(_reference_adjacency_check, q) is not None
         for samples in (8, 64, 80, 160):
             tol = Tolerances(k3_samples=samples)
-            staged = _raised_message(staged_adjacency_check, q, tol)
-            assert staged[0] is want
-            assert _raised_message(adjacency_check, q, tol) == staged
+            assert _raised_message(staged_adjacency_check, q, tol) is not None
+            assert [(c.name, c.passed, c.margin) for c in adjacency_check(q, tol)] == [degenerate]
+    q = QuadrangleConfig((p[0], p[1], ProjectivePoint(p[0].v * 1j), p[3]))  # C1 = C3
+    assert _reference_adjacency_check(q)[0][:3] == degenerate
+    assert [(c.name, c.passed, c.margin) for c in adjacency_check(q)] == [degenerate]
 
 
 def test_k3_margins_do_not_depend_on_the_polar_representatives():
@@ -603,10 +608,19 @@ def test_null_polar_error_survives_a_k1_failure():
 
 def test_k2_degenerate_triple_product_raises():
     # F0 is orthogonal to the other polars; a K1 bound below every margin
-    # lets K2 reach the vanishing triple product
+    # lets K2 reach the vanishing triple product, which is exactly 0
     q = _baseline_quadrangle()
     with pytest.raises(DegenerateError, match="triple product vanishes"):
         validate_quadrangle(QuadrangleConfig((F0,) + q.polars[1:]), Tolerances(asymptotic=-2.0))
+    with pytest.raises(DegenerateError, match="triple product vanishes"):
+        epsilon(F0, q.polars[1], q.polars[3])
+    # the floor is 1e-14 |n1 n2 n3|, that is t12 t23 t31 < 1e-14: moved by a
+    # rapidity-6 boost, triangle_124's product of Euclidean-unit
+    # representatives lies below 1e-14, and eps is the unmoved one
+    g = boost(6.0, [1.0, 0.0])
+    a, b, c = (g(q.polars[k]) for k in (0, 1, 3))
+    assert abs(herm_form(a.v, b.v) * herm_form(b.v, c.v) * herm_form(c.v, a.v)) < 1e-14
+    assert epsilon(a, b, c) == pytest.approx(epsilon(*(q.polars[k] for k in (0, 1, 3))), abs=1e-9)
 
 
 #: Four polars on which K1 and K2 pass, the pairs (C1, C2) and (C2, C3) with
@@ -623,15 +637,49 @@ _AT_ASYMPTOTIC = [
 ]
 
 
-def test_k3_decides_ultraparallel_with_the_k1_tances(monkeypatch):
+def test_k3_decides_ultraparallel_with_the_k1_tances(monkeypatch, tmp_path):
     q = QuadrangleConfig(_points_of_units(np.array(_AT_ASYMPTOTIC)))
     monkeypatch.setattr(quadrangle_module, "adjacency_check", lambda q, tol: [])
     cert = validate_quadrangle(q)
     assert cert.k1 and cert.k2
     assert 0.0 < min(cert.k1_margins) - TOL.asymptotic < 1e-15
     monkeypatch.undo()
-    # K3's ultraparallel check reads the same tance bits and passes; the
-    # check after it stops K3: the feet of (C1, C2) lie about 3e-5 apart,
-    # within the parallel test's reach
-    with pytest.raises(DegenerateError, match="two distinct points"):
-        validate_quadrangle(q)
+    # K3 takes K1's verdict and builds the common perpendiculars unchecked,
+    # although the feet of (C1, C2) lie about 3e-5 apart: it is evaluated,
+    # and fails on a named sub-check
+    cert = validate_quadrangle(q)
+    assert cert.k1 and cert.k2 and not cert.k3
+    assert "transversal_at_C4" in [c.name for c in cert.k3_checks if not c.passed]
+    # check-quadrangle writes that certificate and exits 2
+    path = tmp_path / "thin.quad.json"
+    write_json(path, quadrangle_to_json_dict(q))
+    assert main(["check-quadrangle", str(path)]) == EXIT_FAIL
+    assert (tmp_path / "thin.quad.cert.json").read_text() == canonical_dumps(cert.to_json_dict())
+
+
+def _margins(cert) -> list:
+    """Every K1, K2 and K3 margin of a certificate, in its JSON order."""
+    k2 = [m for name in sorted(cert.k2_margins) for m in cert.k2_margins[name]]
+    return cert.k1_margins + k2 + [c.margin for c in cert.k3_checks]
+
+
+def test_boosted_baselines_keep_their_verdicts_and_margins():
+    """The four baselines moved by boosts of rapidity 5 along 20 seeded random
+    directions, and of rapidity 5 and 6 along the standard complex geodesic,
+    keep their K1-K3 verdicts and sub-checks, and every margin within 1e-9
+    relative (|change| / max(1, |margin|)): K3 decides degeneracy by K1's
+    tances and K2's triple-product floor is relative to the self norms, so
+    neither reads a quantity that isometries move."""
+    rng = np.random.default_rng(5)
+    for sig in ((3, 3, 4), (3, 3, 5), (3, 4, 4), (4, 4, 4)):
+        q = _baseline_quadrangle(sig)
+        want = validate_quadrangle(q)
+        moves = [boost(t, [1.0, 0.0]) for t in (5.0, 6.0)]
+        moves += [boost(5.0, rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(20)]
+        for g in moves:
+            got = validate_quadrangle(QuadrangleConfig(tuple(g(p) for p in q.polars)))
+            assert (got.k1, got.k2, got.k3) == (want.k1, want.k2, want.k3) == (True, True, True)
+            assert [c.name for c in got.k3_checks] == [c.name for c in want.k3_checks]
+            a, b = np.array(_margins(got)), np.array(_margins(want))
+            assert a.shape == b.shape
+            assert (np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))).all(), sig

@@ -53,9 +53,6 @@ PAPER_API = {
     "chdisc.core.ProjectivePoint.self_form":
         "the square norm <x,x> of a representative: negative on the points of H^2_C, "
         "positive on the polars of complex geodesics (criterion 6)",
-    "chdisc.core.ProjectivePoint.is_parallel_to":
-        "two representatives span one point of CP^2, one complex geodesic for polars "
-        "(criterion 6)",
     "chdisc.quadrangle.epsilon":
         "the unit invariant eps = <p1,p2><p2,p3><p3,p1> / |.| of a polar triple, "
         "invariant under isometries (criteria 1 and 6)",
@@ -69,9 +66,6 @@ PAPER_API = {
     "chdisc.quadrangle.triangle_over_complex_geodesic":
         "a counterclockwise triangle of bisectors over a complex geodesic has "
         "arg eps = -2 area (criterion 1)",
-    "chdisc.geometry.position":
-        "two complex geodesics are ultraparallel, asymptotic or concurrent as the "
-        "tance of their polars is > 1, = 1 or < 1 (criterion 6)",
     "chdisc.core.reflection_about":
         "the reflection x -> -x + 2 <x,p>/<p,p> p in a point or a complex geodesic, "
         "a projective involution (criteria 5 and 6)",
