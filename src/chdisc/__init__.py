@@ -28,7 +28,6 @@ from .errors import (
     HyperbolicityError,
     InvalidSolutionError,
     MeshError,
-    NotOnSpineError,
     NotUltraparallelError,
     NullPointError,
     ZeroVectorError,

@@ -29,10 +29,6 @@ class NotUltraparallelError(GeometryError):
     """Two complex geodesics are not ultraparallel."""
 
 
-class NotOnSpineError(GeometryError):
-    """A point does not lie on the real spine of a bisector."""
-
-
 class HyperbolicityError(GeometryError):
     """A turnover signature fails the hyperbolicity inequality."""
 

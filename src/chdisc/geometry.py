@@ -10,15 +10,13 @@ from .core import (
     POSITIVE,
     ProjectivePoint,
     _euclidean_units,
-    _norms_and_squares,
-    _sign_code,
     classify,
     herm_rows,
     polar_rows,
     self_norms,
     tance,
 )
-from .errors import ClassError, DegenerateError, NotOnSpineError, NotUltraparallelError
+from .errors import ClassError, DegenerateError, NotUltraparallelError
 from .tolerances import TOL, Tolerances
 
 ULTRAPARALLEL = "ultraparallel"
@@ -185,27 +183,3 @@ def common_perpendicular(
     bis = Bisector(spine=Geodesic(f1, s2), polar_f=fu, complex_spine=ComplexGeodesic(fu))
     return BisectorSegment(bisector=bis, feet=(f1, f2), end_slices=(c1, c2))
 
-
-def _slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """Polars of the slices P(C x + C f) through spine points x, over a
-    (..., 3, 3) stack of bisector frames (``_perpendicular_rows``) and matching
-    (..., N, 3) stacks of spine points.
-
-    Raises ``ClassError`` unless every row is negative, and ``NotOnSpineError``
-    unless every row x = alpha s1 + beta s2 + gamma f has alpha, beta real up to
-    a common phase and gamma = 0, within ``tol.on_spine``.
-    """
-    s, sq = _norms_and_squares(xs)
-    # a norm strictly beyond the band is negative in any band; the classes
-    # are formed only when some row is not
-    if (np.count_nonzero(s < -abs(tol.null_band) * sq) < s.size
-            and np.count_nonzero(_sign_code(s, sq, tol.null_band) != -1)):
-        raise ClassError("slice points must be negative")
-    coords = np.linalg.solve(basis, xs.swapaxes(-1, -2))
-    alpha, beta, gamma = coords[..., 0, :], coords[..., 1, :], coords[..., 2, :]
-    # n > 0: a negative row is no multiple of the positive polar f
-    n = np.square(np.abs(alpha)) + np.square(np.abs(beta))
-    residual = np.abs((alpha * np.conj(beta)).imag) / n + np.abs(gamma) / np.sqrt(n)
-    if np.count_nonzero(residual > tol.on_spine):
-        raise NotOnSpineError("point does not lie on the real spine")
-    return polar_rows(xs, basis[..., None, :, 2])

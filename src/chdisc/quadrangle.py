@@ -22,7 +22,6 @@ from .core import (
     ProjectivePoint,
     _euclidean_units,
     _form_pairs,
-    _pair_tances,
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
     herm_form,
@@ -41,7 +40,6 @@ from .geometry import (
     _phase_align,
     _perpendicular_rows,
     _slerp_units,
-    _slice_polars,
     common_perpendicular,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.common_perpendicular)
 )
 from .io import _f
@@ -156,6 +154,17 @@ class QuadrangleConfig:
         object.__setattr__(self, "rows", rows)
         if (sign_classes(rows) != 1).any():
             raise ClassError("quadrangle polars must be positive points")
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(h, ta): every ordered pairing h[i, j] = <p_i, p_j> with the bits
+        of ``herm_form``, and the tances with the bits of ``tance``; formed
+        once for K1, K2 and K3's ultraparallel test."""
+        h = _form_pairs(self.rows[:, None], self.rows[None])
+        n = h.real.diagonal()
+        # |h|^2 as tance forms it: numpy's array complex multiply may round
+        # h * conj(h) differently in the last bit
+        return h, (h.real * h.real + h.imag * h.imag) / (n[:, None] * n[None])
 
 
 # --- bisector side functions and the K3 sub-checks --------------------------
@@ -359,17 +368,22 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     disjointness of the two pairs of non-adjacent segments.
 
     K3 runs only on a quadrangle that passes K1's test on K1's tances
-    (and has every tance above 1 whatever ``tol.asymptotic`` is); any
-    other gets the one failing sub-check ``degenerate``.  The stages then
-    run in this order, each on one stack taken from the quadrangle's polar
-    stack ``q.rows``:
+    (``QuadrangleConfig._tables``, and every tance above 1 whatever
+    ``tol.asymptotic`` is); any other gets the one failing sub-check
+    ``degenerate``.  The stages then run in this order, each on one stack
+    taken from the quadrangle's polar stack ``q.rows``:
       1. the 8 common perpendiculars of ``_K3_PAIRS`` and their bisector
          frames (``_perpendicular_rows``, unchecked: ultraparallel pairs
          have them), then the inverses of the first four frames, the side
          coordinates of (a) and (b);
       2. one slerp pass over the four segment spines at 8 points each and
          the spine of B[C2,C4] at its midpoint (``_slerp_units``);
-      3. the slice polars through the 32 spine points (``_slice_polars``);
+      3. the polars J conj(x cross f) of the slices through the 32 spine
+         points x, f the spine polar of the segment's frame (``polar_rows``):
+         the points are slerps of the feet, so they lie on the spines by
+         construction, and nothing is solved against the frames.  They
+         centre the (c) sample sets, whose class test in ``min_distances``
+         checks that they are negative;
       4. the 36 slice sample sets (``_slice_samples``), their rings read
          from ``_ring_table``;
       5. (a), (b) and (c) on those sets, in that order: (a) lifts both side
@@ -405,7 +419,7 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     polars = q.rows
     # K1's test on K1's tance bits, and tance > 1 whatever tol.asymptotic is:
     # the common perpendiculars of ultraparallel pairs need no check
-    if not (_pair_tances(*polars.take(_K1_ROWS, 0)) - 1.0).min() > max(tol.asymptotic, 0.0):
+    if not (q._tables[1][_K1_ROWS] - 1.0).min() > max(tol.asymptotic, 0.0):
         return [SubCheck("degenerate", False, -1.0, "complex geodesics not pairwise ultraparallel")]
     feet, basis = _perpendicular_rows(*polars.take(_K3_PAIRS.T, 0))
     coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
@@ -416,7 +430,7 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     # C3 (b), then of the sets around the segments' spine points (c)
     sets = np.empty((2, 36, 3), dtype=complex)
     sets[0, :4], sets[1, :4] = polars.take(_AB_POLARS, 0), feet[1].take(_AB_CENTRES, 0)
-    sets[0, 4:] = _slice_polars(basis.take(_SLERP_PAIRS[:4], 0), spine, tol).reshape(-1, 3)
+    sets[0, 4:] = polar_rows(spine, basis.take(_SLERP_PAIRS[:4], 0)[:, None, :, 2]).reshape(-1, 3)
     sets[1, 4:] = spine.reshape(-1, 3)
     samples = _slice_samples(sets, _ring_table(max(tol.k3_samples // 8, 4), _K3_RADII), mid).reshape(36, -1, 3)
 
@@ -471,17 +485,12 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
 
 def validate_quadrangle(q: QuadrangleConfig, tol: Tolerances = TOL) -> Certificate:
     """Full K1/K2/K3 certification of a quadrangle of bisectors."""
-    polars = q.rows
     # tance's check, for all pairs at once
-    if (sign_classes(polars, tol) == 0).any():
+    if (sign_classes(q.rows, tol) == 0).any():
         raise NullPointError("tance is undefined for null points")
-    # every ordered pairing h[i, j] = <p_i, p_j> in one pass, with the bits
-    # of herm_form; the tances and eps below have the bits of tance and epsilon
-    h = _form_pairs(polars[:, None], polars[None])
+    # the quadrangle's pairing and tance tables; eps below has the bits of epsilon
+    h, ta = q._tables
     n = h.real.diagonal()
-    # |h|^2 as tance forms it: numpy's array complex multiply may round
-    # h * conj(h) differently in the last bit
-    ta = (h.real * h.real + h.imag * h.imag) / (n[:, None] * n[None])
 
     # K1: all six pairwise tances strictly above 1
     k1_margins = (ta[_K1_ROWS] - 1.0).tolist()

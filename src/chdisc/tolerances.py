@@ -20,8 +20,6 @@ class Tolerances:
     asymptotic: float = 1e-9
     #: an inequality "passes" only if its slack exceeds this.
     strict_margin: float = 1e-9
-    #: residual bound for a point to count as lying on a real spine.
-    on_spine: float = 1e-9
     #: minimum angle between bisector tangent hyperplanes at a shared slice.
     angle_floor: float = 1e-6
     #: minimum sampled separation between non-adjacent bisector segments.

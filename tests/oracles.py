@@ -44,7 +44,7 @@ from chdisc.disc import F0, _in_plane_frames, disc_distance, embed, mobius, tria
 from chdisc.errors import (
     ClassError,
     DegenerateError,
-    NotOnSpineError,
+    GeometryError,
     NotUltraparallelError,
     NullPointError,
 )
@@ -56,7 +56,6 @@ from chdisc.geometry import (
     _geodesic_rows,
     _negative_units,
     _phase_align,
-    _slice_polars,
     geodesic_interp,
 )
 from chdisc.invariants import (
@@ -447,8 +446,9 @@ def spine_point(seg: BisectorSegment, t: float) -> ProjectivePoint:
 
 
 def slice_at(b: Bisector, x: ProjectivePoint, tol: Tolerances = TOL) -> ComplexGeodesic:
-    """The slice P(C x + C f) of the bisector through a spine point x."""
-    return ComplexGeodesic(ProjectivePoint(_slice_polars(bisector_basis(b), x.v[None], tol)[0]))
+    """The slice P(C x + C f) of the bisector through a spine point x;
+    ``OffSpineError`` for a point off the spine (``staged_slice_polars``)."""
+    return ComplexGeodesic(ProjectivePoint(staged_slice_polars(bisector_basis(b), x.v[None], tol)[0]))
 
 
 # -- the pairing kernels as reductions -------------------------------------------
@@ -610,16 +610,30 @@ def staged_perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TO
     return x, y, basis
 
 
+class OffSpineError(GeometryError):
+    """A point given to ``staged_slice_polars`` does not lie on the real
+    spine of its bisector."""
+
+
 def staged_slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """``_slice_polars`` with the class of every row formed on every call."""
+    """The polars J conj(x cross f) of the slices P(C x + C f) through
+    arbitrary points x, over a (..., 3, 3) stack of bisector frames
+    (``bisector_frames``) and matching (..., N, 3) stacks of points, each
+    point solved against its frame first.
+
+    Raises ``ClassError`` unless every row is negative, and ``OffSpineError``
+    unless every row x = alpha s1 + beta s2 + gamma f has alpha, beta real up
+    to a common phase and gamma = 0, within 1e-9.  K3 builds its
+    spine points on the spines and forms the same polars unchecked.
+    """
     if (sign_classes(xs.reshape(-1, 3), tol) != -1).any():
         raise ClassError("slice points must be negative")
     alpha, beta, gamma = np.moveaxis(np.linalg.solve(basis, np.swapaxes(xs, -1, -2)), -2, 0)
     # n > 0: a negative row is no multiple of the positive polar f
     n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
     residual = np.abs((alpha * np.conj(beta)).imag) / n + np.abs(gamma) / np.sqrt(n)
-    if (residual > tol.on_spine).any():
-        raise NotOnSpineError("point does not lie on the real spine")
+    if (residual > 1e-9).any():
+        raise OffSpineError("point does not lie on the real spine")
     return polar_rows(xs, basis[..., None, :, 2])
 
 
@@ -692,9 +706,11 @@ def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
     seg = [0, 3, 5, 7]
     spine = _geodesic_rows(x[seg, None], y[seg, None], _SPINE_T)
     mid = _geodesic_rows(x[4], y[4], 0.5)  # (b)'s reference point, which fixes every ring direction
-    # sets around the feet on C2, C4 (a) and C3 (b), then the segments' spine points (c)
+    # sets around the feet on C2, C4 (a) and C3 (b), then the segments' spine
+    # points (c), whose slice polars J conj(x cross f) need no solve: the
+    # points are slerps of the feet, on the spines by construction
     samples = staged_slice_samples(
-        np.concatenate([polars[[1, 3, 2, 2]], staged_slice_polars(basis[seg], spine, tol).reshape(-1, 3)]),
+        np.concatenate([polars[[1, 3, 2, 2]], polar_rows(spine, basis[seg][:, None, :, 2]).reshape(-1, 3)]),
         np.concatenate([y[[0, 2, 5, 6]], spine.reshape(-1, 3)]),
         mid,
         max(tol.k3_samples // 8, 4),

@@ -199,7 +199,7 @@ def test_frame_validation_rejects_wrong_classes():
 def test_frame_check_rejects_wrong_classes_in_any_null_band(band):
     """A frame of the wrong classes fails in any null band: a negative band,
     like a positive one, only moves the null class, so the accept test reads
-    its size, as ``min_distances`` and ``_slice_polars`` do."""
+    its size, as ``min_distances`` does."""
     frame = np.array([[[0, 0, 1], [1, 0, 0], [0, 1, 0]]], dtype=complex)
     tol = replace(TOL, null_band=band)
     with pytest.raises(FrameError, match="has class positive, wanted negative"):

@@ -8,7 +8,6 @@ from chdisc import (
     GeometryError,
     ComplexGeodesic,
     DegenerateError,
-    NotOnSpineError,
     NotUltraparallelError,
     NullPointError,
     ProjectivePoint,
@@ -19,7 +18,7 @@ from chdisc import (
 )
 from chdisc.disc import F0, embed
 from chdisc.tolerances import Tolerances
-from chdisc.core import _points_of_units
+from chdisc.core import _points_of_units, polar_rows
 from chdisc.geometry import (
     ASYMPTOTIC,
     CONCURRENT,
@@ -27,7 +26,6 @@ from chdisc.geometry import (
     BisectorSegment,
     _geodesic_rows,
     _perpendicular_rows,
-    _slice_polars,
     common_perpendicular,
     geodesic_interp,
 )
@@ -35,6 +33,7 @@ from chdisc.quadrangle import _side_values
 
 from conftest import random_isometry, random_negative_point, scalar_geodesic_interp
 from oracles import (
+    OffSpineError,
     bisector_basis,
     bisector_frames,
     slice_at,
@@ -246,20 +245,11 @@ def test_perpendicular_and_slice_rows_equal_the_staged_kernels():
             (x, y), basis = _perpendicular_rows(p, q)
             assert [a.tobytes() for a in (x, y, basis)] == [a.tobytes() for a in want]
             outcomes.add("pass")
+            # the slice polars as K3 forms them, unchecked, on spine points
             spine = _geodesic_rows(x[:, None], y[:, None], np.linspace(0.0, 1.0, 5))
-            off, positive = spine.copy(), spine.copy()
-            off[-1, 2] = embed(0.2 + 0.4j).v
-            positive[0, 1] = basis[0, :, 2]
-            for xs in (spine, off, positive):
-                want = _outcome(staged_slice_polars, basis, xs, tol)
-                got = _outcome(_slice_polars, basis, xs, tol)
-                if isinstance(want, tuple):
-                    assert got == want
-                    outcomes.add(want[0].__name__)
-                else:
-                    assert got.tobytes() == want.tobytes()
-    assert outcomes == {"pass", "ClassError", "DegenerateError", "NotOnSpineError",
-                        "NotUltraparallelError", "NullPointError"}
+            want = staged_slice_polars(basis, spine, tol)
+            assert polar_rows(spine, basis[:, None, :, 2]).tobytes() == want.tobytes()
+    assert outcomes == {"pass", "ClassError", "DegenerateError", "NotUltraparallelError", "NullPointError"}
 
 
 def test_bisector_slices():
@@ -277,30 +267,22 @@ def test_bisector_slices():
 
 def test_slice_at_rejects_off_spine_points():
     seg = common_perpendicular(_fiber(-0.3), _fiber(0.4))
-    with pytest.raises(NotOnSpineError):
+    with pytest.raises(OffSpineError):
         slice_at(seg.bisector, embed(0.2 + 0.4j))
 
 
 def test_slice_polars_check_every_row():
+    """Each slice polar K3 forms, polar_rows(x, f) with f the frame's third
+    column, is J conj(x cross f), and a stack of bisectors gives each
+    bisector's polars."""
     seg = common_perpendicular(_fiber(-0.3), _fiber(0.4))
     b = seg.bisector
     xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, 5))
-    # each slice polar is J conj(x cross f)
     ref = np.array([-1.0, 1.0, 1.0]) * np.conj(np.cross(xs, b.polar_f.v))
-    np.testing.assert_allclose(_slice_polars(bisector_basis(b), xs), ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(polar_rows(xs, bisector_basis(b)[:, 2]), ref, rtol=0, atol=1e-15)
     # a stack of two bisectors, each with its own spine points
     other = common_perpendicular(_fiber(0.1j), _fiber(0.5)).bisector
     ys = _geodesic_rows(other.spine.x.v, other.spine.y.v, np.linspace(0.0, 1.0, 5))
-    np.testing.assert_allclose(
-        _slice_polars(np.stack([bisector_basis(b), bisector_basis(other)]), np.stack([xs, ys]))[1],
-        _slice_polars(bisector_basis(other), ys), rtol=0, atol=1e-15)
-    off = xs.copy()
-    off[3] = embed(0.2 + 0.4j).v
-    with pytest.raises(NotOnSpineError):
-        _slice_polars(bisector_basis(b), off)
-    with pytest.raises(NotOnSpineError):
-        _slice_polars(np.stack([bisector_basis(b), bisector_basis(other)]), np.stack([ys, ys]))
-    positive = xs.copy()
-    positive[2] = b.polar_f.v
-    with pytest.raises(ClassError):
-        _slice_polars(bisector_basis(b), positive)
+    basis = np.stack([bisector_basis(b), bisector_basis(other)])
+    np.testing.assert_allclose(polar_rows(np.stack([xs, ys]), basis[:, None, :, 2])[1],
+                               polar_rows(ys, bisector_basis(other)[:, 2]), rtol=0, atol=1e-15)

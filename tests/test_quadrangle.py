@@ -22,6 +22,7 @@ from chdisc.core import (
     herm_form,
     herm_rows,
     min_distances,
+    polar_rows,
     polar_span,
     self_norms,
     tance,
@@ -31,7 +32,6 @@ from chdisc.errors import ClassError, DegenerateError, GeometryError, NullPointE
 from chdisc.geometry import (
     ComplexGeodesic,
     _geodesic_rows,
-    _slice_polars,
     common_perpendicular,
 )
 from chdisc.io import canonical_dumps, quadrangle_to_json_dict, write_json
@@ -55,6 +55,7 @@ from oracles import (
     polars_digest_per_component,
     slice_at,
     spine_point,
+    staged_slice_polars,
     triangle_area_gauss_bonnet,
 )
 
@@ -209,7 +210,7 @@ def _reference_slice_samples(polar, center, mid, n, radius=1.0):
 def _segment_reference(seg, mid, n_spine, n, radius=1.5):
     """Slice samples around n_spine spine points of a segment, one sample at a time."""
     xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, n_spine))
-    polars = _slice_polars(bisector_basis(seg.bisector), xs)
+    polars = staged_slice_polars(bisector_basis(seg.bisector), xs)
     return np.concatenate([_reference_slice_samples(ProjectivePoint(f), ProjectivePoint(x), mid, n, radius)
                            for f, x in zip(polars, xs)])
 
@@ -295,10 +296,11 @@ def _moved_segments(rng):
 def test_slice_samples_match_reference(rng, n):
     for k, (seg, mid) in enumerate(_moved_segments(rng)):
         # one stacked call: the foot on the second slice at radius 0.8, then
-        # three spine points at radius 1.5 with their checked slice polars
+        # three spine points at radius 1.5 with their slice polars as K3
+        # forms them, J conj(x cross f)
         xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, 3))
         sets = np.array([
-            np.concatenate([seg.end_slices[1].polar.v[None], _slice_polars(bisector_basis(seg.bisector), xs)]),
+            np.concatenate([seg.end_slices[1].polar.v[None], polar_rows(xs, bisector_basis(seg.bisector)[:, 2])]),
             np.concatenate([seg.feet[1].v[None], xs]),
         ])
         rings = _ring_table(n, (0.8, 1.5, 1.5, 1.5))
@@ -663,23 +665,47 @@ def _margins(cert) -> list:
     return cert.k1_margins + k2 + [c.margin for c in cert.k3_checks]
 
 
+def _random_boosts(rng, rapidity: float, bound: float, count: int = 20) -> list:
+    """(boost, margin bound) pairs: boosts of one rapidity along ``count``
+    seeded random directions."""
+    return [(boost(rapidity, rng.normal(size=2) + 1j * rng.normal(size=2)), bound) for _ in range(count)]
+
+
 def test_boosted_baselines_keep_their_verdicts_and_margins():
     """The four baselines moved by boosts of rapidity 5 along 20 seeded random
     directions, and of rapidity 5 and 6 along the standard complex geodesic,
     keep their K1-K3 verdicts and sub-checks, and every margin within 1e-9
-    relative (|change| / max(1, |margin|)): K3 decides degeneracy by K1's
-    tances and K2's triple-product floor is relative to the self norms, so
-    neither reads a quantity that isometries move."""
+    relative (|change| / max(1, |margin|)); moved by boosts of rapidity 6
+    and 7 along 20 further seeded random directions each, within 1e-7.  K3
+    decides degeneracy by K1's tances, builds its slice polars on the
+    spines without solving against the frames, and K2's triple-product
+    floor is relative to the self norms, so none of them reads a quantity
+    that isometries move; what is left is rounding, which grows with the
+    rapidity."""
     rng = np.random.default_rng(5)
     for sig in ((3, 3, 4), (3, 3, 5), (3, 4, 4), (4, 4, 4)):
         q = _baseline_quadrangle(sig)
         want = validate_quadrangle(q)
-        moves = [boost(t, [1.0, 0.0]) for t in (5.0, 6.0)]
-        moves += [boost(5.0, rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(20)]
-        for g in moves:
+        moves = [(boost(t, [1.0, 0.0]), 1e-9) for t in (5.0, 6.0)] + _random_boosts(rng, 5.0, 1e-9)
+        moves += _random_boosts(rng, 6.0, 1e-7) + _random_boosts(rng, 7.0, 1e-7)
+        for g, bound in moves:
             got = validate_quadrangle(QuadrangleConfig(tuple(g(p) for p in q.polars)))
             assert (got.k1, got.k2, got.k3) == (want.k1, want.k2, want.k3) == (True, True, True)
             assert [c.name for c in got.k3_checks] == [c.name for c in want.k3_checks]
             a, b = np.array(_margins(got)), np.array(_margins(want))
             assert a.shape == b.shape
-            assert (np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))).all(), sig
+            assert (np.abs(a - b) <= bound * np.maximum(1.0, np.abs(b))).all(), sig
+
+
+def test_check_quadrangle_certifies_a_rapidity_7_baseline(tmp_path):
+    """``check-quadrangle`` on the (3,3,4) baseline moved by a rapidity-7
+    boost along (1, i) exits 0 and writes a passing certificate, the one
+    ``validate_quadrangle`` gives."""
+    g = boost(7.0, [1.0, 1j])
+    q = QuadrangleConfig(tuple(g(p) for p in _baseline_quadrangle().polars))
+    path = tmp_path / "boosted.quad.json"
+    write_json(path, quadrangle_to_json_dict(q))
+    assert main(["check-quadrangle", str(path)]) == 0
+    cert = json.loads((tmp_path / "boosted.quad.cert.json").read_text())
+    assert cert["pass"] is True and all(c["pass"] for c in cert["k3"]["checks"])
+    assert (tmp_path / "boosted.quad.cert.json").read_text() == canonical_dumps(validate_quadrangle(q).to_json_dict())
