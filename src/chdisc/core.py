@@ -38,9 +38,7 @@ _SEEDS = np.eye(3, dtype=complex)
 #: Two Euclidean-unit representatives span one point (one complex geodesic,
 #: for polars) when | |x . conj(y)| - 1 | falls below this
 #: (``ProjectivePoint.is_parallel_to``).  It decides the DegenerateError
-#: verdicts on identical geodesics; it is not a Tolerances
-#: field because every field is written into each invariants report, whose
-#: bytes a new field would change.
+#: verdicts on identical geodesics.
 _PARALLEL = 1e-9
 
 
@@ -433,9 +431,7 @@ def _isometry_stack(m: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
     first matrix whose residual, the max-norm of M* J M - J (zero exactly on
     U(2,1)), exceeds max(tol.isometry, 1e-9 * max|m|^2).  The relative
     1e-9 lets a lift with large entries, whose residual grows with |m|^2,
-    pass at the precision its entries carry; it decides the verdict, and is
-    not a ``Tolerances`` field because every field is written into each
-    invariants report, whose bytes a new field would change.
+    pass at the precision its entries carry; it decides the verdict.
 
     M* J is M* with its columns signed, so the residual takes one product.
     Each bound is at least tol.isometry, so the per-matrix bounds are
@@ -521,8 +517,7 @@ def _elliptic_rows(frames: np.ndarray, phases, tol: Tolerances = TOL) -> np.ndar
     """
     norms = _check_frames(frames, tol)
     phases = np.asarray(phases, dtype=complex).reshape(-1, 3)
-    # 1e-12 decides the verdict on a phase; not a Tolerances field, since
-    # every field is written into each invariants report
+    # 1e-12 decides the verdict on a phase
     if np.abs(np.abs(phases) - 1.0).max() > 1e-12:
         raise FrameError("eigenphases must have unit modulus")
     proj = frames[..., :, None] * (_SIGNS * np.conj(frames))[..., None, :] / norms[..., None, None]

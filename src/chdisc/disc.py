@@ -180,8 +180,7 @@ def _disc_automorphisms(z1, z2, w1, w2):
     m = mobius(a, np.concatenate([z2, w2]))
     d = np.arctanh(np.hypot(m.real, m.imag))  # _disc_distances
     # the relative 1e-9 (equal distances up to rounding) decides the
-    # verdict; not a Tolerances field, since every field is written into
-    # each invariants report
+    # verdict
     if (abs(d[:k] - d[k:]) > 1e-9 * np.maximum(1.0, d[:k])).any():
         raise DegenerateError("point pairs are not equidistant")
     angle = np.angle(m)

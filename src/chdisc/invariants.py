@@ -121,8 +121,7 @@ def _from_coords(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 #: |Pfaffian| below which a tangent 4-frame is degenerate: it decides the
 #: DegenerateError verdict, as the Pfaffian is +-1 for an orthonormal frame
-#: and rounding noise for a dependent one.  Not a Tolerances field, since
-#: every field is written into each invariants report.
+#: and rounding noise for a dependent one.
 _DEGENERATE_FRAME = 1e-14
 
 
@@ -677,6 +676,13 @@ def _maybe_f(x):
     return None if x is None else _f(x)
 
 
+#: The ``Tolerances`` fields the invariants path reads from its ``tol``, and
+#: the only ones a report records: ``null_band`` and ``fixed_point`` (the
+#: coning tau's fixed-point test, through ``_tance_rows``), ``orthogonality``
+#: (``FrameField.validate``) and ``snap`` (``snap_rational``).
+_REPORT_TOLERANCES = ("fixed_point", "null_band", "orthogonality", "snap")
+
+
 @dataclass
 class InvariantReport:
     """chi, tau, e with raw and snapped values and the identity residual.
@@ -715,7 +721,7 @@ class InvariantReport:
                 "raw": _f(self.toledo_raw),
                 "snapped": _frac_str(self.toledo),
             },
-            "tolerances": {k: _f(v) for k, v in self.tolerances.as_dict().items()},
+            "tolerances": {k: _f(getattr(self.tolerances, k)) for k in _REPORT_TOLERANCES},
         }
 
 

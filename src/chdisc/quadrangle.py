@@ -448,10 +448,8 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     norms = np.sqrt(self_norms(g))
     cosang = np.abs(herm_rows(g[0], g[1]).real)
     # a gradient with norm below 1e-12 has no direction: its angle counts as
-    # 0 and fails the check.  The floor decides that verdict; it is not a
-    # Tolerances field because InvariantReport.to_json_dict writes every field
-    # into each .report.json, whose bytes a new field would change.  The
-    # cosines are >= 0, so only 1 can clip them.
+    # 0 and fails the check.  The floor decides that verdict.  The cosines
+    # are >= 0, so only 1 can clip them.
     if norms.min() >= 1e-12:
         angles = np.arccos(np.minimum(cosang / (norms[0] * norms[1]), 1.0))
     else:

@@ -371,8 +371,7 @@ _START_SPAN = np.array([0.9, 0.7, 1.5, np.pi]) - _START_LOW
 def _outside_ball(params) -> bool:
     # the solver's window, 0.98, decides its answer: a start that leaves it
     # gets the 1e3 residual, so it cannot converge there, and
-    # _bent_generators refuses it.  Not a Tolerances field, since every
-    # field is written into each invariants report.
+    # _bent_generators refuses it.
     return params[0] * params[0] + params[1] * params[1] >= 0.98
 
 

@@ -5,7 +5,7 @@ take an optional ``tol`` argument defaulting to the module-level ``TOL``
 instance, so a caller can tighten or relax the whole stack consistently.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,6 @@ class Tolerances:
         k = self.k3_samples
         if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
             raise ValueError(f"k3_samples must be a positive int, not {k!r}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 TOL = Tolerances()

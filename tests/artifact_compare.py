@@ -1,19 +1,17 @@
-"""Compare two directories of chdisc artifacts written under different BLAS kernels.
+"""Compare two trees of chdisc artifacts written under different BLAS kernels
+or dispatch targets (``python tests/artifacts.py compare`` runs it).
 
-    python tests/artifact_compare.py DIR_A DIR_B
-
-Both directories must hold the same file names.  In each pair of JSON files
-every leaf that is not a float must be equal (verdicts, snapped fractions,
-digests, integers, key sets and list lengths), and every float must lie
-within ``FLOAT_BUDGET`` (absolute) of its partner; any other file must be
-byte-equal.  Prints each difference and exits 1 when there is one.
+Both trees must hold the same files and directories at the same relative
+paths.  In each pair of JSON files every leaf that is not a float must be
+equal (verdicts, snapped fractions, digests, integers, key sets and list
+lengths), and every float must lie within ``FLOAT_BUDGET`` (absolute) of its
+partner; any other file must be byte-equal.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from pathlib import Path
 
 #: the absolute float budget between kernels; the bend-0 scan of the four
@@ -41,31 +39,29 @@ def leaf_differences(a, b, path: str = "$") -> list[str]:
     return [] if a == b else [f"{path}: {a!r} != {b!r}"]
 
 
+def _only_in(paths: set, others: set) -> list:
+    """The paths of ``paths`` missing from ``others``, each directory named
+    once instead of with everything under it."""
+    only = paths - others
+    return sorted(p for p in only if p.parent not in only)
+
+
 def compare_dirs(a: Path, b: Path) -> list[str]:
-    """Every difference between the artifacts of two output directories."""
-    names_a = {p.name for p in Path(a).iterdir() if p.is_file()}
-    names_b = {p.name for p in Path(b).iterdir() if p.is_file()}
-    out = [f"{name}: only in {a}" for name in sorted(names_a - names_b)]
-    out += [f"{name}: only in {b}" for name in sorted(names_b - names_a)]
-    for name in sorted(names_a & names_b):
-        fa, fb = Path(a, name), Path(b, name)
-        if name.endswith(".json"):
+    """Every difference between the artifacts of two output trees, each
+    file named by its path relative to its tree."""
+    a, b = Path(a), Path(b)
+    paths_a = {p.relative_to(a) for p in a.rglob("*")}
+    paths_b = {p.relative_to(b) for p in b.rglob("*")}
+    out = [f"{rel.as_posix()}: only in {a}" for rel in _only_in(paths_a, paths_b)]
+    out += [f"{rel.as_posix()}: only in {b}" for rel in _only_in(paths_b, paths_a)]
+    for rel in sorted(paths_a & paths_b):
+        fa, fb, name = a / rel, b / rel, rel.as_posix()
+        if fa.is_dir() or fb.is_dir():
+            if fa.is_dir() != fb.is_dir():
+                out.append(f"{name}: a directory in only one of {a} and {b}")
+        elif name.endswith(".json"):
             out += [f"{name} {d}" for d in
                     leaf_differences(json.loads(fa.read_text()), json.loads(fb.read_text()))]
         elif fa.read_bytes() != fb.read_bytes():
             out.append(f"{name}: bytes differ")
     return out
-
-
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python tests/artifact_compare.py DIR_A DIR_B", file=sys.stderr)
-        return 2
-    differences = compare_dirs(Path(argv[0]), Path(argv[1]))
-    for d in differences:
-        print(d)
-    return 1 if differences else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

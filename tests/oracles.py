@@ -44,7 +44,6 @@ from chdisc.disc import F0, _in_plane_frames, disc_distance, embed, mobius, tria
 from chdisc.errors import (
     ClassError,
     DegenerateError,
-    GeometryError,
     NotUltraparallelError,
     NullPointError,
 )
@@ -445,10 +444,10 @@ def spine_point(seg: BisectorSegment, t: float) -> ProjectivePoint:
     return geodesic_interp(seg.feet[0], seg.feet[1], t)
 
 
-def slice_at(b: Bisector, x: ProjectivePoint, tol: Tolerances = TOL) -> ComplexGeodesic:
-    """The slice P(C x + C f) of the bisector through a spine point x;
-    ``OffSpineError`` for a point off the spine (``staged_slice_polars``)."""
-    return ComplexGeodesic(ProjectivePoint(staged_slice_polars(bisector_basis(b), x.v[None], tol)[0]))
+def slice_at(b: Bisector, x: ProjectivePoint) -> ComplexGeodesic:
+    """The slice P(C x + C f) of the bisector through a spine point x, its
+    polar J conj(x cross f) from numpy's cross product."""
+    return ComplexGeodesic(ProjectivePoint(np.array([-1.0, 1.0, 1.0]) * np.conj(np.cross(x.v, b.polar_f.v))))
 
 
 # -- the pairing kernels as reductions -------------------------------------------
@@ -608,33 +607,6 @@ def staged_perpendicular_rows(p: np.ndarray, q: np.ndarray, tol: Tolerances = TO
         _, error, message = checks[fails[:, fails.any(axis=0).argmax()].argmax()]
         raise error(message)
     return x, y, basis
-
-
-class OffSpineError(GeometryError):
-    """A point given to ``staged_slice_polars`` does not lie on the real
-    spine of its bisector."""
-
-
-def staged_slice_polars(basis: np.ndarray, xs: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """The polars J conj(x cross f) of the slices P(C x + C f) through
-    arbitrary points x, over a (..., 3, 3) stack of bisector frames
-    (``bisector_frames``) and matching (..., N, 3) stacks of points, each
-    point solved against its frame first.
-
-    Raises ``ClassError`` unless every row is negative, and ``OffSpineError``
-    unless every row x = alpha s1 + beta s2 + gamma f has alpha, beta real up
-    to a common phase and gamma = 0, within 1e-9.  K3 builds its
-    spine points on the spines and forms the same polars unchecked.
-    """
-    if (sign_classes(xs.reshape(-1, 3), tol) != -1).any():
-        raise ClassError("slice points must be negative")
-    alpha, beta, gamma = np.moveaxis(np.linalg.solve(basis, np.swapaxes(xs, -1, -2)), -2, 0)
-    # n > 0: a negative row is no multiple of the positive polar f
-    n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
-    residual = np.abs((alpha * np.conj(beta)).imag) / n + np.abs(gamma) / np.sqrt(n)
-    if (residual > 1e-9).any():
-        raise OffSpineError("point does not lie on the real spine")
-    return polar_rows(xs, basis[..., None, :, 2])
 
 
 #: The 8 equally spaced phases e^{i phi} of each ``staged_slice_samples`` ring.

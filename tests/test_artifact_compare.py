@@ -5,7 +5,9 @@ import shutil
 
 from chdisc.cli import main
 
+import artifacts
 from artifact_compare import FLOAT_BUDGET, compare_dirs, leaf_differences
+from artifacts import REFERENCE
 
 
 def _edit(path, change):
@@ -43,27 +45,35 @@ def test_leaf_differences_hold_floats_to_the_budget_and_the_rest_exactly():
     assert leaf_differences(True, 1) == ["$: True != 1"]
 
 
-def test_mesh_reports_write_the_benchmark_meshes_reproducibly(tmp_path):
-    """``tests/mesh_reports.py`` writes one reliable report per benchmark
-    mesh, with τ = χ and e = χ/2 on the holomorphic sections and τ = 0,
-    e = −χ on the Lagrangian octagon, the same bytes on a second run."""
-    from mesh_reports import main as mesh_reports
-
+def test_comparer_walks_the_tree_and_fails_each_moved_bit(tmp_path):
+    """Copies of ``tests/reference/``, whose top level holds only
+    directories: a flipped verdict in a nested directory, a moved snapped
+    value and a 1e-13 float shift are each reported, and so is a file or a
+    directory on one side only."""
     a, b = tmp_path / "a", tmp_path / "b"
-    assert mesh_reports([str(a)]) == mesh_reports([str(b)]) == 0
-    expected = {
-        "turnover_3-3-4_r8": ("-1/12", "-1/12", "-1/24"),
-        "turnover_3-3-5_r8": ("-2/15", "-2/15", "-1/15"),
-        "turnover_2-3-7_r8": ("-1/42", "-1/42", "-1/84"),
-        "octagon_complex_r4": ("-2/1", "-2/1", "-1/1"),
-        "octagon_lagrangian_r4": ("-2/1", "0/1", "2/1"),
-    }
-    assert sorted(p.name for p in a.iterdir()) == sorted(f"{n}.report.json" for n in expected)
-    for name, (chi, tau, e) in expected.items():
-        path = a / f"{name}.report.json"
-        doc = json.loads(path.read_text())
-        assert (doc["chi"], doc["toledo"]["snapped"], doc["euler"]["snapped"]) == (chi, tau, e)
-        assert doc["reliable"] is True
-        assert path.read_bytes() == (b / path.name).read_bytes()
+    shutil.copytree(REFERENCE, a)
+    shutil.copytree(REFERENCE, b)
+    assert not [p for p in a.iterdir() if p.is_file()]
     assert compare_dirs(a, b) == []
-    assert mesh_reports([]) == 2
+    assert artifacts.main(["compare", str(a), str(b)]) == 0
+
+    cert = b / "scan" / "check" / "turnover_3-3-4_bend0.quad.cert.json"
+    _edit(cert, lambda d: d["k3"].update({"pass": not d["k3"]["pass"]}))
+    report = b / "meshes" / "turnover_3-3-4_r8.report.json"
+    _edit(report, lambda d: d["toledo"].update(snapped="-1/6"))
+    fine = b / "fine" / "turnover_3-4-4_bend0.report.json"
+    raw = json.loads(fine.read_text())["toledo"]["raw"]
+    _edit(fine, lambda d: d["toledo"].update(raw=raw + 1e-13))
+    moved = json.loads(fine.read_text())["toledo"]["raw"]
+    shutil.rmtree(b / "gkl")
+    (b / "figure" / "extra").mkdir()
+    assert compare_dirs(a, b) == [
+        f"gkl: only in {a}",
+        f"figure/extra: only in {b}",
+        f"fine/turnover_3-4-4_bend0.report.json $.toledo.raw: {raw!r} and {moved!r} "
+        f"differ by {abs(moved - raw):.3g}",
+        "meshes/turnover_3-3-4_r8.report.json $.toledo.snapped: '-1/12' != '-1/6'",
+        "scan/check/turnover_3-3-4_bend0.quad.cert.json $.k3.pass: True != False",
+    ]
+    assert artifacts.main(["compare", str(a), str(b)]) == 1
+    assert artifacts.main(["compare", str(a)]) == 2

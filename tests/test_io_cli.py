@@ -1,5 +1,6 @@
 """JSON schemas, canonical serialization, and the CLI exit-code contract."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from chdisc import Isometry, QuadrangleConfig, polar_span, validate_quadrangle
-from chdisc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _bend_tag, _refinement_for, main
+from chdisc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _bend_tag, _refinement_for, main, run_turnover
 from chdisc.disc import F0, embed, triangle_vertices
 from chdisc import invariants as invariants_module
 from chdisc import io as io_module
@@ -25,6 +26,7 @@ from chdisc.io import (
 from chdisc.invariants import invariant_report
 from chdisc.meshes import turnover_section_mesh
 from chdisc.representations import Representation, TurnoverSignature, fuchsian_turnover, turnover_solve
+from chdisc.tolerances import TOL, Tolerances
 
 from oracles import mesh_json, stored_point
 
@@ -314,6 +316,25 @@ def test_cli_takes_a_zero_tol(tmp_path, capsys):
     write_json(path, quadrangle_to_json_dict(_baseline_quadrangle()))
     assert main(["check-quadrangle", str(path), "--tol", "0"]) == EXIT_PASS
     assert json.loads((tmp_path / "quad.cert.json").read_text())["tolerances"]["strict_margin"] == 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class _WithASolverField(Tolerances):
+    #: a field that only a solver would read
+    solver_window: float = 0.98
+
+
+def test_a_tolerance_no_certificate_or_report_reads_changes_none_of_their_bytes(tmp_path):
+    """A report records only the four fields the invariants path reads, and
+    a certificate only the five K1-K3 read: a new field changes neither."""
+    for out, tol in ((tmp_path / "a", TOL), (tmp_path / "b", _WithASolverField())):
+        for bend in (0.0, 0.1):
+            run_turnover(TurnoverSignature(3, 3, 4), bend, 0, 0.2, out, tol=tol)
+    for tag in ("turnover_3-3-4_bend0", "turnover_3-3-4_bend0p1"):
+        for suffix in (".report.json", ".cert.json"):
+            assert (tmp_path / "a" / f"{tag}{suffix}").read_bytes() == (tmp_path / "b" / f"{tag}{suffix}").read_bytes()
+        report = json.loads((tmp_path / "a" / f"{tag}.report.json").read_text())
+        assert sorted(report["tolerances"]) == ["fixed_point", "null_band", "orthogonality", "snap"]
 
 
 def test_cli_scan_dedupes_and_summarizes(tmp_path, capsys):

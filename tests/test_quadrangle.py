@@ -55,7 +55,6 @@ from oracles import (
     polars_digest_per_component,
     slice_at,
     spine_point,
-    staged_slice_polars,
     triangle_area_gauss_bonnet,
 )
 
@@ -210,7 +209,7 @@ def _reference_slice_samples(polar, center, mid, n, radius=1.0):
 def _segment_reference(seg, mid, n_spine, n, radius=1.5):
     """Slice samples around n_spine spine points of a segment, one sample at a time."""
     xs = _geodesic_rows(seg.feet[0].v, seg.feet[1].v, np.linspace(0.0, 1.0, n_spine))
-    polars = staged_slice_polars(bisector_basis(seg.bisector), xs)
+    polars = polar_rows(xs, bisector_basis(seg.bisector)[:, 2])
     return np.concatenate([_reference_slice_samples(ProjectivePoint(f), ProjectivePoint(x), mid, n, radius)
                            for f, x in zip(polars, xs)])
 
