@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
+    _SIGNS,
     _euclidean_units,
     _form_pairs,
     classify,
@@ -188,9 +189,9 @@ def _side_values(coords: np.ndarray) -> np.ndarray:
 def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Real directional derivatives of the side function, analytically.
 
-    ``a`` is a (..., 3, 3) stack of side coordinate matrices (the inverses of
-    ``_perpendicular_rows``' frames), ``x`` a (..., N, 3) stack of points off the
-    bisector polars and ``dirs`` a (..., N, K, 3) stack of directions;
+    ``a`` is a (..., 2, 3) stack of side-coordinate rows (``_side_rows``),
+    ``x`` a (..., N, 3) stack of points off the bisector polars and ``dirs``
+    a (..., N, K, 3) stack of directions;
     entry [..., i, k] is the derivative at x_i along dirs[..., i, k] of
     P / n with P = Im(alpha conj(beta)) and n = |alpha|^2 + |beta|^2.
     """
@@ -199,7 +200,7 @@ def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarra
     # every direction of a frame in one product, as (..., N * K, 3) rows
     n, k = dirs.shape[-3:-1]
     dc = dirs.reshape(dirs.shape[:-3] + (n * k, 3)) @ at
-    dc = dc.reshape(dc.shape[:-2] + (n, k, 3))
+    dc = dc.reshape(dc.shape[:-2] + (n, k, -1))
     alpha, beta, da, db = c[..., 0], c[..., 1], dc[..., 0], dc[..., 1]
     cb = np.conj(beta)
     n = np.square(np.abs(alpha)) + np.square(np.abs(beta))
@@ -207,6 +208,26 @@ def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarra
     dp = (da * cb + alpha * np.conj(db)).imag
     dn = 2.0 * (da * np.conj(alpha) + db * cb).real
     return (dp * n - p * dn) / np.square(n)
+
+
+def _side_rows(basis: np.ndarray) -> np.ndarray:
+    """The (alpha, beta) rows of the side coordinates of a (K, 3, 3) stack of
+    bisector frames (s1, s2, f) (``_perpendicular_rows``), as a (K, 2, 3)
+    stack: row @ v gives alpha and beta of v = alpha s1 + beta s2 + gamma f
+    up to one positive factor per frame.
+
+    s1 and s2 have <,> = -1 and are orthogonal to f, so only their 2 x 2
+    Gram block [[-1, conj(r)], [r, -1]], r = <s2, s1>, needs inverting: times
+    |r|^2 - 1 > 0 (the feet are distinct), alpha = <v, s1 + conj(r) s2> and
+    beta = <v, r s1 + s2>.  The side function is scale invariant, so the
+    factor is dropped, and with it any division.
+    """
+    s1, s2 = basis[:, :, 0], basis[:, :, 1]
+    r = herm_rows(s2, s1)[:, None]
+    rows = np.empty((len(basis), 2, 3), dtype=complex)
+    rows[:, 0] = s1 + np.conj(r) * s2
+    rows[:, 1] = r * s1 + s2
+    return _SIGNS * np.conj(rows)  # <v, u> = v @ (J conj u)
 
 
 #: The signs of <f, f> and <x, x> for a (polar, centre) pair of ``_slice_samples``.
@@ -350,7 +371,7 @@ _K3_RADII = (1.0, 1.0, 0.8, 0.8) + (1.5,) * 32
 _AB_POLARS = np.array([1, 3, 2, 2])
 _AB_CENTRES = np.array([0, 2, 5, 6])
 
-#: The side coordinates of K3(a), one row per side function: B[C1,Ck] and
+#: The side-coordinate rows of K3(a), one per side function: B[C1,Ck] and
 #: B[C3,Ck] for the shared slices k = 2, 4.
 _K3_A_SIDES = np.array([[0, 2], [1, 3]])
 
@@ -374,8 +395,8 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     taken from the quadrangle's polar stack ``q.rows``:
       1. the 8 common perpendiculars of ``_K3_PAIRS`` and their bisector
          frames (``_perpendicular_rows``, unchecked: ultraparallel pairs
-         have them), then the inverses of the first four frames, the side
-         coordinates of (a) and (b);
+         have them), then the side-coordinate rows of (a) and (b) from the
+         first four frames, in closed form (``_side_rows``);
       2. one slerp pass over the four segment spines at 8 points each and
          the spine of B[C2,C4] at its midpoint (``_slerp_units``);
       3. the polars J conj(x cross f) of the slices through the 32 spine
@@ -386,10 +407,11 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
          checks that they are negative;
       4. the 36 slice sample sets (``_slice_samples``), their rings read
          from ``_ring_table``;
-      5. (a), (b) and (c) on those sets, in that order: (a) lifts both side
-         gradients at every sample and direction in one product and one
-         einsum, (b) reads its reference point and samples in one pass, and
-         (c) takes both segment pairs in one ``min_distances`` call.
+      5. (a), (b) and (c) on those sets, in that order: (a) forms both side
+         gradients at every sample in one product and reads their angles in
+         the samples' orthonormal direction frames, (b) reads its reference
+         point and samples in one pass, and (c) takes both segment pairs in
+         one ``min_distances`` call.
     A kernel that checks its input tests the whole stack once and returns
     at once when no check can fail; only a stack that fails that test is
     diagnosed row by row, which raises the error the row-by-row checks
@@ -415,6 +437,10 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     reference point (``_slice_samples``), and (a) takes the tangent basis
     (J conj(s x p), p) at each sample s of the shared slice P(p^perp), so
     no sample and no margin depends on the representatives or coordinates.
+    The directions (w1, i w1, w2, i w2) of that basis are orthonormal for
+    Re <,>, so the four derivatives of a side function along them are its
+    gradient's coordinates: (a) takes norms and cosines as sums of four
+    real products, in a fixed order.
     """
     polars = q.rows
     # K1's test on K1's tance bits, and tance > 1 whatever tol.asymptotic is:
@@ -422,7 +448,7 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     if not (q._tables[1][_K1_ROWS] - 1.0).min() > max(tol.asymptotic, 0.0):
         return [SubCheck("degenerate", False, -1.0, "complex geodesics not pairwise ultraparallel")]
     feet, basis = _perpendicular_rows(*polars.take(_K3_PAIRS.T, 0))
-    coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
+    coords = _side_rows(basis[:4])  # coords[k] @ v = (alpha, beta) of v, up to a positive factor
     ends = feet.take(_SLERP_PAIRS, 1)[:, :, None]
     spine = _slerp_units(ends[0], *_negative_units(ends), _SLERP_T)
     mid, spine = spine[4, 0], spine[:4]
@@ -443,10 +469,12 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     w[:, :, 1] = polars[1::2, None]
     w /= np.sqrt(self_norms(w))[..., None]
     np.multiply(1j, w, out=dirs[:, :, 1::2])
-    # g-gradients of both side functions in one pass, lifted into x^perp
-    g = np.einsum("psnk,snkc->psnc", _side_gradients(coords.take(_K3_A_SIDES, 0), shared, dirs), dirs)
-    norms = np.sqrt(self_norms(g))
-    cosang = np.abs(herm_rows(g[0], g[1]).real)
+    # both side gradients' coordinates in the orthonormal frame dirs, in one pass
+    g = _side_gradients(coords.take(_K3_A_SIDES, 0), shared, dirs)
+    t = g.take([0, 1, 0], 0) * g.take([0, 1, 1], 0)  # g0 g0, g1 g1, g0 g1
+    t = ((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]
+    norms = np.sqrt(t[:2])
+    cosang = np.abs(t[2])
     # a gradient with norm below 1e-12 has no direction: its angle counts as
     # 0 and fails the check.  The floor decides that verdict.  The cosines
     # are >= 0, so only 1 can clip them.

@@ -647,7 +647,7 @@ def staged_min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) ->
 
 def staged_side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """``_side_gradients`` with one product per sample's directions (an
-    (..., N, K, 3) by (..., 1, 3, 3) matmul) and each term formed as written."""
+    (..., N, K, 3) by (..., 1, 3, 2) matmul) and each term formed as written."""
     at = np.swapaxes(a, -1, -2)
     c = (x @ at)[..., None, :]
     dc = dirs @ at[..., None, :, :]
@@ -666,15 +666,16 @@ _SPINE_T = np.linspace(0.0, 1.0, 8)
 _K3_PAIRS = np.array([(0, 1), (2, 1), (0, 3), (2, 3), (1, 3), (1, 2), (3, 2), (3, 0)])
 
 
-def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
-    """``adjacency_check`` stage by stage, as it was before the lean kernels:
-    the same sub-checks, margins and details, bit for bit."""
+def staged_k3_samples(q, tol: Tolerances = TOL):
+    """The stages of ``staged_adjacency_check`` before its sub-checks:
+    (basis, mid, samples), the 8 bisector frames of ``_K3_PAIRS``, (b)'s
+    reference point and the 36 slice sample sets; None on coincident
+    opposite vertices."""
     p1, p2, p3, p4 = q.polars
     if p1.is_parallel_to(p3) or p2.is_parallel_to(p4):
-        return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
+        return None
     polars = np.array([p.v for p in q.polars])
     x, y, basis = staged_perpendicular_rows(polars[_K3_PAIRS[:, 0]], polars[_K3_PAIRS[:, 1]], tol)
-    coords = np.linalg.inv(basis[:4])  # coords[k] @ v = (alpha, beta, gamma) of v
     seg = [0, 3, 5, 7]
     spine = _geodesic_rows(x[seg, None], y[seg, None], _SPINE_T)
     mid = _geodesic_rows(x[4], y[4], 0.5)  # (b)'s reference point, which fixes every ring direction
@@ -688,23 +689,77 @@ def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
         max(tol.k3_samples // 8, 4),
         np.repeat([1.0, 0.8, 1.5], [2, 2, 32]),
     ).reshape(36, -1, 3)
+    return basis, mid, samples
+
+
+def staged_side_rows(basis: np.ndarray) -> np.ndarray:
+    """``_side_rows`` as the algebra reads: v = alpha s1 + beta s2 + gamma f
+    with <s1,s1> = <s2,s2> = -1 and f orthogonal to both gives, times
+    |r|^2 - 1 for r = <s2, s1>, alpha = <v, s1 + conj(r) s2> and
+    beta = <v, r s1 + s2>, and <v, u> = v @ (J conj u)."""
+    s1, s2 = basis[:, :, 0], basis[:, :, 1]
+    r = herm_rows(s2, s1)[:, None]
+    u = np.stack([s1 + np.conj(r) * s2, r * s1 + s2], axis=1)
+    return np.conj(u) * _SIGNS
+
+
+def side_rows_by_inverse(basis: np.ndarray) -> np.ndarray:
+    """The first two rows of each frame's inverse, from LAPACK: the side
+    coordinates (alpha, beta) that ``_side_rows`` gives up to a positive
+    factor per frame."""
+    return np.linalg.inv(basis)[:, :2]
+
+
+def staged_shared_directions(polars: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """(w1, i w1, w2, i w2) at every sample s of K3(a)'s shared slices
+    P(p^perp), p = C2, C4: w1 = J conj(s x p) and w2 = p, each scaled to
+    <,> = 1, so the four are orthonormal for Re <,>."""
+    p = polars[[1, 3], None]
+    w1 = polar_rows(shared, p)
+    w1 = w1 / np.sqrt(self_norms(w1))[..., None]
+    w2 = np.broadcast_to(p / np.sqrt(self_norms(p))[..., None], w1.shape)
+    return np.stack([w1, 1j * w1, w2, 1j * w2], axis=-2)
+
+
+def _angles(norms_a, norms_b, cosines) -> np.ndarray:
+    """The angle between two gradients from their norms and |cosine| numerator;
+    0 where either norm is below 1e-12."""
+    ok = (norms_a >= 1e-12) & (norms_b >= 1e-12)
+    return np.where(ok, np.arccos(np.clip(cosines / np.where(ok, norms_a * norms_b, 1.0), 0.0, 1.0)), 0.0)
+
+
+def staged_transversal_angles(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """The angle between two side gradients at each sample from their four
+    coordinates in the orthonormal frame (w1, i w1, w2, i w2), each sum
+    written out term by term."""
+    na = np.sqrt(ga[..., 0] ** 2 + ga[..., 1] ** 2 + ga[..., 2] ** 2 + ga[..., 3] ** 2)
+    nb = np.sqrt(gb[..., 0] ** 2 + gb[..., 1] ** 2 + gb[..., 2] ** 2 + gb[..., 3] ** 2)
+    cos = ga[..., 0] * gb[..., 0] + ga[..., 1] * gb[..., 1] + ga[..., 2] * gb[..., 2] + ga[..., 3] * gb[..., 3]
+    return _angles(na, nb, np.abs(cos))
+
+
+def lifted_transversal_angles(ga: np.ndarray, gb: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """``staged_transversal_angles`` by the complex Gram: each gradient lifted
+    into s^perp as sum_k g_k dirs_k, its norm sqrt <g, g> and the cosine
+    Re <ga, gb>."""
+    la, lb = (np.einsum("...nk,...nkc->...nc", g, dirs) for g in (ga, gb))
+    return _angles(np.sqrt(self_norms(la)), np.sqrt(self_norms(lb)), np.abs(herm_rows(la, lb).real))
+
+
+def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
+    """``adjacency_check`` stage by stage, as it was before the lean kernels:
+    the same sub-checks, margins and details, bit for bit."""
+    staged = staged_k3_samples(q, tol)
+    if staged is None:
+        return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
+    basis, mid, samples = staged
+    coords = staged_side_rows(basis[:4])  # coords[k] @ v = (alpha, beta) of v, up to a positive factor
 
     # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared
     # slices P(p^perp), in the unit tangent basis (J conj(s x p), p) at each sample s
-    p = polars[[1, 3], None]
-    w1 = polar_rows(samples[:2], p)
-    w1 = w1 / np.sqrt(self_norms(w1))[..., None]
-    w2 = np.broadcast_to(p / np.sqrt(self_norms(p))[..., None], w1.shape)
-    dirs = np.stack([w1, 1j * w1, w2, 1j * w2], axis=-2)
-    # g-gradients of both side functions, lifted into x^perp
-    ga, gb = (
-        np.einsum("snk,snkc->snc", staged_side_gradients(coords[rows], samples[:2], dirs), dirs)
-        for rows in ([0, 2], [1, 3])
-    )
-    na, nb = np.sqrt(self_norms(ga)), np.sqrt(self_norms(gb))
-    ok = (na >= 1e-12) & (nb >= 1e-12)
-    cosang = np.abs(herm_rows(ga, gb).real) / np.where(ok, na * nb, 1.0)
-    worst = np.where(ok, np.arccos(np.clip(cosang, 0.0, 1.0)), 0.0).min(axis=1).tolist()
+    dirs = staged_shared_directions(np.array([p.v for p in q.polars]), samples[:2])
+    ga, gb = (staged_side_gradients(coords[rows], samples[:2], dirs) for rows in ([0, 2], [1, 3]))
+    worst = staged_transversal_angles(ga, gb).min(axis=1).tolist()
     checks = [SubCheck(label, w >= tol.angle_floor, w - tol.angle_floor)
               for label, w in zip(("transversal_at_C2", "transversal_at_C4"), worst)]
 

@@ -40,6 +40,7 @@ from chdisc.representations import TurnoverSignature, turnover_solve
 from chdisc.quadrangle import (
     _side_gradients,
     _ring_table,
+    _side_rows,
     _side_values,
     _slice_samples,
     adjacency_check,
@@ -51,7 +52,12 @@ from conftest import boost, random_disc_coordinate, random_isometry
 from oracles import (
     bisector_basis,
     distance_matrix,
+    lifted_transversal_angles,
+    side_rows_by_inverse,
     staged_adjacency_check,
+    staged_k3_samples,
+    staged_shared_directions,
+    staged_transversal_angles,
     polars_digest_per_component,
     slice_at,
     spine_point,
@@ -553,6 +559,61 @@ def test_degenerate_sector_reference_equals_the_staged_reference():
         got = _k3_bits(adjacency_check(q, tol))
         assert got == _k3_bits(staged_adjacency_check(q, tol))
         assert [c[3].startswith("degenerate reference") for c in got[2:4]] == [True, True]
+
+
+def test_side_rows_are_the_inverse_rows_times_a_positive_factor():
+    """The closed-form side-coordinate rows of the first four K3 frames are
+    the first two rows of each frame's LAPACK inverse
+    (``oracles.side_rows_by_inverse``) times |r|^2 - 1 > 0, r = <s2, s1>,
+    within 1e-12 of the rows' largest entry, on the seven certify
+    quadrangles, each unmoved and under 25 seeded isometries."""
+    rng = np.random.default_rng(3200)
+    for q0 in _certify_bases():
+        for q in _moved(rng, q0, 25):
+            basis = staged_k3_samples(q)[0][:4]
+            factor = np.abs(herm_rows(basis[:, :, 1], basis[:, :, 0])) ** 2 - 1.0
+            assert (factor > 0.0).all()
+            got, want = _side_rows(basis), factor[:, None, None] * side_rows_by_inverse(basis)
+            scale = np.abs(got).max(axis=(1, 2))
+            assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("samples", [64, 160])
+def test_transversal_angles_equal_the_lifted_gram_angles(samples):
+    """K3(a)'s angles read from the gradients' four coordinates in the
+    orthonormal frame (w1, i w1, w2, i w2) equal those of the gradients
+    lifted into s^perp and paired by the complex form
+    (``oracles.lifted_transversal_angles``) within 1e-13, at every sample
+    of the seven certify quadrangles, each unmoved and under 25 seeded
+    isometries."""
+    rng = np.random.default_rng(3300 + samples)
+    tol = Tolerances(k3_samples=samples)
+    for q0 in _certify_bases():
+        for q in _moved(rng, q0, 25):
+            basis, _, pts = staged_k3_samples(q, tol)
+            coords = _side_rows(basis[:4])
+            dirs = staged_shared_directions(q.rows, pts[:2])
+            ga, gb = (_side_gradients(coords[rows], pts[:2], dirs) for rows in ([0, 2], [1, 3]))
+            np.testing.assert_allclose(staged_transversal_angles(ga, gb),
+                                       lifted_transversal_angles(ga, gb, dirs), rtol=0, atol=1e-13)
+
+
+def test_certificates_call_no_lapack_and_no_einsum(monkeypatch):
+    """``validate_quadrangle`` certifies the four baselines and rejects a K2
+    failure with numpy's inverse, solve, determinant, eigensolvers and
+    einsum made to raise: no LAPACK call and no einsum forms a certificate."""
+    quads = [_baseline_quadrangle(sig) for sig in ((3, 3, 4), (3, 3, 5), (3, 4, 4), (4, 4, 4))]
+    reject = _certify_bases()[5]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate path called LAPACK or einsum")
+
+    for name in ("inv", "solve", "det", "eig", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "einsum", refuse)
+    assert [validate_quadrangle(q).passed for q in quads] == [True] * 4
+    cert = validate_quadrangle(reject)
+    assert cert.k1 and not cert.k2
 
 
 def test_k1_k2_equal_the_scalar_path(rng, monkeypatch):

@@ -2,12 +2,14 @@
 README tour, or is declared.
 
 The roots run in process under the stdlib ``trace`` module, counting lines
-outside the interpreter's and numpy's directories: the CLI runs of the CI's
-reproducible-artifacts step (``turnover`` at bend 0.1, ``scan`` of four
-signatures at bend 0 and of (3,3,4) at bend 0.02, ``check-quadrangle`` on
-every quadrangle they write), ``gkl``, ``figure``, the four demos and the
-README library tour.  A function or method counts as entered when a line of
-its body ran.  Two declared sets stand in for callers the roots lack:
+outside the interpreter's and numpy's directories: five CLI runs
+(``turnover`` at bend 0.1, ``scan`` of four signatures at bend 0 and of
+(3,3,4) at bend 0.02, ``gkl`` and ``figure``), ``check-quadrangle`` on every
+quadrangle they write, the four demos and the README library tour.  The CLI
+runs are their own list, not the artifact table of ``tests/artifacts.py``,
+which CI writes and which runs more commands than these.  A function or
+method counts as entered when a line of its body ran.  Two declared sets
+stand in for callers the roots lack:
 
 * the benchmark tracer's wrap sites (``WRAP_SITES`` in ``bench/tracer.py``),
   together with every package function, method or constructor that they
