@@ -52,10 +52,9 @@ def main():
     print(f"chi as float            {float(chi):+.15f}")
 
     degrees = euler_via_mesh(mesh)
-    print(f"discrete chi degree     {degrees.chi_raw:+.15f} -> {degrees.chi}")
-    print(f"normal bundle degree    {degrees.euler_raw:+.15f} -> {degrees.euler}")
-
     report = invariant_report(chi, tau_coned, degrees.euler_raw, mesh.snap_denominator())
+    print(f"discrete chi degree     {degrees.chi_raw:+.15f} -> {degrees.chi}")
+    print(f"normal bundle degree    {degrees.euler_raw:+.15f} -> {report.euler}")
     print(f"snapped: tau={report.toledo}  e={report.euler}  reliable={report.reliable}")
     print(f"identity residual |3 tau - 2e - 2 chi| = {report.residual(signed=True)}")
 

@@ -588,10 +588,12 @@ def _connection_totals(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray):
 
 @dataclass
 class MeshDegrees:
+    """The raw degrees and the snapped chi, ``None`` when chi refuses to
+    snap; e is snapped once, by ``invariant_report``."""
+
     chi_raw: float
     euler_raw: float
-    chi: Fraction
-    euler: Fraction
+    chi: Fraction | None
 
 
 def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
@@ -609,20 +611,19 @@ def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
     not under a unit phase on its representative (on a Lagrangian plane
     that mixes the tangent and normal planes), so the frames are built on
     the canonical representatives of ``SectionMesh.units``.  Side pairings
-    enter only through the mesh geometry they enforce; raw totals are
-    snapped to rationals with denominator 2 * lcm(cone orders).
+    enter only through the mesh geometry they enforce; the raw chi is
+    snapped to a rational with denominator 2 * lcm(cone orders), or
+    reported as ``None`` when it refuses to, without raising.
     """
     frames = build_frame_field(mesh)
     frames.validate(mesh, tol)
     chi_raw, e_raw = _connection_totals(
         mesh.triangles, np.stack([frames.tangent, frames.normal]), _taut_phases(mesh))
-    den = mesh.snap_denominator()
-    return MeshDegrees(
-        chi_raw=chi_raw,
-        euler_raw=e_raw,
-        chi=snap_rational(chi_raw, den, tol),
-        euler=snap_rational(e_raw, den, tol),
-    )
+    try:
+        chi = snap_rational(chi_raw, mesh.snap_denominator(), tol)
+    except ConvergenceError:
+        chi = None
+    return MeshDegrees(chi_raw=chi_raw, euler_raw=e_raw, chi=chi)
 
 
 # -- rational snapping and identities ----------------------------------------

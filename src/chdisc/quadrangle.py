@@ -23,6 +23,7 @@ from .core import (
     _SIGNS,
     _euclidean_units,
     _form_pairs,
+    _gram_tances,
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
     herm_form,
@@ -163,9 +164,7 @@ class QuadrangleConfig:
         once for K1, K2 and K3's ultraparallel test."""
         h = _form_pairs(self.rows[:, None], self.rows[None])
         n = h.real.diagonal()
-        # |h|^2 as tance forms it: numpy's array complex multiply may round
-        # h * conj(h) differently in the last bit
-        return h, (h.real * h.real + h.imag * h.imag) / (n[:, None] * n[None])
+        return h, _gram_tances(h, n, n)
 
 
 # --- bisector side functions and the K3 sub-checks --------------------------

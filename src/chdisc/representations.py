@@ -588,10 +588,10 @@ def h5_builder(p1: ProjectivePoint, others, tol: Tolerances = TOL) -> Representa
         relations=[_word_power(f"r{i+1}", 2) for i in range(5)] + ["r5 r4 r3 r2 r1"],
         metadata={},
     )
-    rep.metadata["product_residual"] = relation_residual(rep, "r5 r4 r3 r2 r1")
+    prod = rep.word_product("r5 r4 r3 r2 r1").matrix
+    rep.metadata["product_residual"] = float(_identity_distance(prod))
     # record the sorted arguments of the product's eigenvalues, to compare
     # with those of a single reflection (eigenvalues 1, -1, -1)
-    prod = rep.word_product("r5 r4 r3 r2 r1")
-    eigs = np.linalg.eigvals(prod.matrix)
+    eigs = np.linalg.eigvals(prod)
     rep.metadata["product_eigenvalue_args"] = sorted(float(a) for a in np.angle(eigs))
     return rep

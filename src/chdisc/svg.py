@@ -21,6 +21,8 @@ from .errors import DegenerateError
 _SIZE = 500.0
 _RADIUS = 220.0
 _CENTER = 250.0
+_STROKE = "#1f3a5f"
+_MARKER_STROKE = "#a33"
 
 
 def _fmt(x: float) -> str:
@@ -68,8 +70,6 @@ class FigureSpec:
     arcs: list = field(default_factory=list)
     labels: list = field(default_factory=list)
     markers: list = field(default_factory=list)
-    stroke: str = "#1f3a5f"
-    marker_stroke: str = "#a33"
     title: str = "chdisc figure"
 
 
@@ -86,13 +86,13 @@ def render_svg(spec: FigureSpec) -> str:
     for a, b in spec.arcs:
         lines.append(
             f'  <path d="{geodesic_arc_path(complex(a), complex(b))}" '
-            f'fill="none" stroke="{spec.stroke}" stroke-width="1.5"/>'
+            f'fill="none" stroke="{_STROKE}" stroke-width="1.5"/>'
         )
     for z, r in spec.markers:
         x, y = _to_svg(complex(z))
         lines.append(
             f'  <circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r * _RADIUS)}" '
-            f'fill="none" stroke="{spec.marker_stroke}" stroke-width="1"/>'
+            f'fill="none" stroke="{_MARKER_STROKE}" stroke-width="1"/>'
         )
     for text, z in spec.labels:
         x, y = _to_svg(complex(z))

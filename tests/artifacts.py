@@ -1,4 +1,6 @@
-"""Every artifact CI writes, in one table, and the commands over it.
+"""Everything the repo runs, in one table, and the commands over it: the
+chdisc command lines, the mesh reports, the demos and the README tour.  CI
+writes the table, and ``tests/test_reachability.py`` traces it.
 
     python tests/artifacts.py write [DIR]
     python tests/artifacts.py compare DIR_A DIR_B [DIR ...]
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import runpy
 import shutil
 import sys
 from pathlib import Path
@@ -34,8 +37,10 @@ from chdisc.io import quadrangle_to_json_dict, write_json
 from artifact_compare import compare_dirs
 from conftest import boost
 
+ROOT = Path(__file__).resolve().parents[1]
+
 #: the checked-in files of the kernel-stable entries, one directory each
-REFERENCE = Path(__file__).resolve().parent / "reference"
+REFERENCE = ROOT / "tests" / "reference"
 
 #: the benchmark section meshes: turnovers at refinement 8, octagons at 4
 MESHES = (("turnover", (3, 3, 4), 8), ("turnover", (3, 3, 5), 8), ("turnover", (2, 3, 7), 8),
@@ -45,17 +50,29 @@ MESHES = (("turnover", (3, 3, 4), 8), ("turnover", (3, 3, 5), 8), ("turnover", (
 FAILING = {"turnover_2-3-7_bend0"}
 
 
+#: what the README tour prints: the baseline certificate passes, and the
+#: identity 3τ = 2e + 2χ holds exactly
+TOUR_OUTPUT = "True\n0\n"
+
+
+def _stdout(run, *args, **kwargs) -> tuple:
+    """(run(*args, **kwargs), what it printed)."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        result = run(*args, **kwargs)
+    return result, text.getvalue()
+
+
 def _run(command: str, stdout: str | None = None):
     """A writer that runs one chdisc command line, ``{out}`` in it being the
     entry's directory; ``stdout`` names the file the output goes to."""
     def write(out: Path) -> None:
-        text = io.StringIO()
-        with contextlib.redirect_stdout(text if stdout else sys.stdout):
-            code = chdisc([arg.format(out=out) for arg in command.split()])
+        argv = [arg.format(out=out) for arg in command.split()]
+        code, text = _stdout(chdisc, argv) if stdout else (chdisc(argv), None)
         if code != EXIT_PASS:
             raise RuntimeError(f"chdisc {command} exited {code}")
         if stdout:
-            (out / stdout).write_text(text.getvalue())
+            (out / stdout).write_text(text)
     return write
 
 
@@ -87,11 +104,32 @@ def _boosted(out: Path) -> None:
                quadrangle_to_json_dict(QuadrangleConfig(tuple(g(p) for p in q.polars))))
 
 
+def _demos(out: Path) -> None:
+    """Each script of ``demos/`` run in process as ``__main__``, its output
+    written to ``<stem>.txt``."""
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        _, text = _stdout(runpy.run_path, str(demo), run_name="__main__")
+        (out / f"{demo.stem}.txt").write_text(text)
+
+
+def _tour(out: Path) -> None:
+    """The first python block of README.md, the library tour, run in process
+    into ``tour.txt``; raises unless it prints ``TOUR_OUTPUT``."""
+    readme = ROOT / "README.md"
+    code = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("\n```", 1)[0]
+    _, text = _stdout(exec, compile(code, str(readme), "exec"), {"__name__": "__main__"})
+    if text != TOUR_OUTPUT:
+        raise RuntimeError(f"the README tour printed {text!r}, not {TOUR_OUTPUT!r}")
+    (out / "tour.txt").write_text(text)
+
+
 #: name: (writer, kernel-stable).  The bend 0.02 and -0.05 turnovers (the
 #: latter the multistart case) and the (2,3,7) failure row follow the
 #: kernel's last bits (ROADMAP item 3); the boosted certificate's margins move
 #: by up to 9.9e-10 across BLAS kernels and 1.9e-8 across dispatch targets.
 #: ``--mesh 0.02`` runs (3,4,4) at refinement 24 (1152 faces) with a note.
+#: The demos are not kernel-stable: ``bent_turnover`` prints the bend-0.02
+#: answer.
 ARTIFACTS = {
     "turnover": (_run("turnover --n 3 3 4 --out {out}"), True),
     "scan": (_run("scan --n 3 3 4 --n 3 3 5 --n 3 4 4 --n 2 3 7 --out {out}"), True),
@@ -104,6 +142,8 @@ ARTIFACTS = {
     "gkl": (_run("gkl --genus 7", stdout="gkl_genus7.txt"), True),
     "figure": (_run("figure --n 3 3 4 --draw polygon quadrangle --out {out}/figure_3-3-4.svg"), True),
     "boosted": (_boosted, False),
+    "demos": (_demos, False),
+    "tour": (_tour, True),
 }
 
 STABLE = tuple(name for name, (_, stable) in ARTIFACTS.items() if stable)

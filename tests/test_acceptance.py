@@ -272,10 +272,13 @@ def test_criterion_7_kaehler_machinery(rng):
     assert passes == 100
 
     mesh = octagon_mesh("lagrangian", refinement=3)
-    assert abs(toledo_via_mesh(mesh)) < 1e-8
+    tau = toledo_via_mesh(mesh)
+    assert abs(tau) < 1e-8
     degrees = euler_via_mesh(mesh)
-    assert degrees.chi == Fraction(-2)
-    assert degrees.euler == -degrees.chi  # e(N) = -chi for Lagrangian sections
+    chi = Fraction(-2)
+    assert degrees.chi == chi
+    report = invariant_report(chi, tau, degrees.euler_raw, mesh.snap_denominator())
+    assert report.euler == -chi  # e(N) = -chi for Lagrangian sections
 
 
 def test_criterion_8_solver_continuation():

@@ -448,7 +448,7 @@ def test_euler_via_mesh_turnover_baseline():
     mesh = turnover_section_mesh(3, 3, 4, refinement=3)
     degrees = euler_via_mesh(mesh)
     assert degrees.chi == Fraction(-1, 12)
-    assert degrees.euler == Fraction(-1, 24)
+    assert snap_rational(degrees.euler_raw, mesh.snap_denominator()) == Fraction(-1, 24)
     # discrete holonomy totals are exact to rounding, not just snappable
     assert degrees.chi_raw == pytest.approx(-1.0 / 12.0, abs=1e-10)
     assert degrees.euler_raw == pytest.approx(-1.0 / 24.0, abs=1e-10)
@@ -459,14 +459,14 @@ def test_euler_via_mesh_complex_octagon():
     assert mesh.snap_denominator() == 2
     degrees = euler_via_mesh(mesh)
     assert degrees.chi == Fraction(-2)
-    assert degrees.euler == Fraction(-1)  # holomorphic section: e = chi/2
+    assert snap_rational(degrees.euler_raw, 2) == Fraction(-1)  # holomorphic section: e = chi/2
 
 
 def test_euler_via_mesh_lagrangian_octagon():
     mesh = octagon_mesh("lagrangian", refinement=3)
     degrees = euler_via_mesh(mesh)
     assert degrees.chi == Fraction(-2)
-    assert degrees.euler == Fraction(2)  # Lagrangian section: e = -chi
+    assert snap_rational(degrees.euler_raw, 2) == Fraction(2)  # Lagrangian section: e = -chi
     tau = toledo_via_mesh(mesh)
     assert tau == pytest.approx(0.0, abs=1e-10)
     assert not np.signbit(tau)  # prints as +0.0
@@ -534,11 +534,25 @@ def test_euler_via_mesh_raw_degrees_exact_and_coordinate_free(kind, arg, refinem
     for other in (moved, _rescaled(mesh, rng), _rescaled(moved, rng)):
         d = euler_via_mesh(other)
         t = toledo_via_mesh(other)
-        assert (d.chi, d.euler) == (degrees.chi, degrees.euler)
+        assert d.chi == degrees.chi
+        assert snap_rational(d.euler_raw, den) == snap_rational(degrees.euler_raw, den)
         assert snap_rational(t, den) == snap_rational(tau, den)
         assert abs(d.chi_raw - degrees.chi_raw) < 1e-12
         assert abs(d.euler_raw - degrees.euler_raw) < 1e-12
         assert abs(t - tau) < 1e-12
+
+
+def test_euler_via_mesh_reports_a_refused_snap():
+    """Under a snap tolerance below the rounding of the (3,3,4) mesh's
+    degrees, chi comes back as None instead of raising, and the report
+    built from the same degrees is marked unreliable."""
+    mesh = turnover_section_mesh(3, 3, 4, refinement=8)
+    tol = Tolerances(snap=1e-17)
+    degrees = euler_via_mesh(mesh, tol)
+    assert degrees.chi is None
+    report = invariant_report(orbifold_euler(TurnoverSignature(3, 3, 4)), toledo_via_mesh(mesh),
+                              degrees.euler_raw, mesh.snap_denominator(), tol)
+    assert report.to_json_dict()["reliable"] is False
 
 
 def test_frame_field_validate_rejects_bad_frames():
