@@ -111,17 +111,16 @@ def _unconverged_row(orders, bend: float, error=None) -> dict:
 
 def run_turnover(sig: TurnoverSignature, bend: float, seed: int, mesh_h: float,
                  out_dir: Path, tol=TOL) -> dict:
-    """Full turnover pipeline; returns a summary row and writes artifacts."""
+    """Full turnover pipeline; returns a summary row and writes artifacts.
+
+    A solver failure (``ConvergenceError``, ``InvalidSolutionError``) is
+    raised: ``cmd_scan`` records it as an unconverged row."""
     row = _unconverged_row(sig.orders(), bend)
     tag = f"turnover_{sig.n1}-{sig.n2}-{sig.n3}_bend{_bend_tag(bend)}"
-    try:
-        if bend == 0.0:
-            rep, quad = fuchsian_turnover(sig, tol=tol)
-        else:
-            rep, quad = turnover_solve(sig, bend, SolverSeed(seed=seed), tol=tol)
-    except (ConvergenceError, InvalidSolutionError) as exc:
-        row["error"] = str(exc)
-        return row
+    if bend == 0.0:
+        rep, quad = fuchsian_turnover(sig, tol=tol)
+    else:
+        rep, quad = turnover_solve(sig, bend, SolverSeed(seed=seed), tol=tol)
     row["converged"] = True
     cert = quad.certificate
     row["certificate_passed"] = cert.passed
@@ -188,10 +187,13 @@ def cmd_turnover(args) -> int:
     except GeometryError as exc:
         print(f"invalid signature: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    row = run_turnover(sig, args.bend, args.seed, args.mesh,
-                       Path(args.out), tol=_tolerances(args))
-    if not row["converged"]:
-        print(f"solver failed: {row['error']}", file=sys.stderr)
+    try:
+        row = run_turnover(sig, args.bend, args.seed, args.mesh,
+                           Path(args.out), tol=_tolerances(args))
+    except (ConvergenceError, InvalidSolutionError) as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        if isinstance(exc, InvalidSolutionError):
+            print(f"g2-order residual {exc.residual:.2e}", file=sys.stderr)
         return EXIT_FAIL
     print(
         f"signature {tuple(sig.orders())} bend {args.bend}: "

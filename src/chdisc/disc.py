@@ -13,7 +13,6 @@ import numpy as np
 from .core import (
     ProjectivePoint,
     _SEEDS,
-    _elliptic_rows,
     _form_pairs,
     _isometry_stack,
     _py_products,
@@ -109,19 +108,26 @@ def _in_plane_frames(z) -> np.ndarray:
     return frames
 
 
-def _disc_rotations(centers, angles) -> np.ndarray:
-    """Det-1 matrices of the rotations by ``angles[i]`` about the disc points
-    ``centers[i]``, extended to H^2_C, as a (k, 3, 3) stack, with one frame
-    check and one projector sum.
+def _disc_rotations(centers, angles):
+    """SU(1,1) coefficients (alpha, beta) of the rotations by ``angles[i]``
+    about the disc points ``centers[i]``, two length-k arrays, as
+    ``_disc_automorphisms`` gives them; ``_su11_stack`` lifts them to
+    C-Fuchsian isometries of H^2_C.
 
     A positive angle rotates counterclockwise with respect to the complex
-    orientation of the disc; the polar direction f0 is left untouched
-    (eigenphase 1), so each map is C-Fuchsian.
+    orientation of the disc.  With e = exp(i angle / 2) and r = |c|^2,
+    alpha = (e - r conj(e)) / (1 - r) and beta = c (conj(e) - e) / (1 - r)
+    (Goldman, Complex Hyperbolic Geometry, 1999): elementwise, with the bits
+    of the complex-scalar computation (hypot for |c|, libm ``pow`` for
+    |c|^2, CPython's complex products and quotients).
     """
-    angles = np.asarray(angles, dtype=float).reshape(-1)
-    phases = np.ones((len(angles), 3), dtype=complex)
-    phases[:, 1] = np.exp(1j * angles)
-    return _elliptic_rows(_in_plane_frames(centers), phases)
+    c = np.asarray(centers, dtype=complex).reshape(-1)
+    r = np.float_power(np.hypot(c.real, c.imag), 2)
+    if (r >= 1.0).any():
+        raise DegenerateError("disc coordinate must satisfy |z| < 1")
+    e = np.exp(0.5j * np.asarray(angles, dtype=float).reshape(-1))
+    d = 1.0 - r
+    return _py_quotients(e - r * e.conj(), d), _py_quotients(_py_products(c, e.conj() - e), d)
 
 
 def _su11_stack(alpha, beta) -> np.ndarray:

@@ -38,7 +38,15 @@ class ConvergenceError(GeometryError):
 
 
 class InvalidSolutionError(GeometryError):
-    """A solver converged, but the resulting quadrangle failed certification."""
+    """A solver converged, but the resulting quadrangle failed certification.
+
+    ``residual`` is the converged solution's g2-order residual: its last
+    digits follow the BLAS kernel, so the message names only its bound.
+    """
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class MeshError(GeometryError):

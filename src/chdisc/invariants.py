@@ -477,22 +477,33 @@ def _mesh_edges(tri: np.ndarray, n: int):
     return src, dst, degree, np.searchsorted(keys, (np.arange(n) * n)[:, None] + bc)
 
 
-def _vertex_scatter(r: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    """Sum r_e r_e^T over each vertex's edges, for rows ``r`` grouped by
-    vertex (``degree[v]`` rows each), with the bits of ``np.add.at`` into
-    zeros: each vertex adds its rows left to right.
+#: the 10 entries of a symmetric 4x4 matrix that ``np.linalg.eigh`` reads
+_TRIL = np.tril_indices(4)
 
-    The (V, slots, 4, 4) table, padded with zero rows at the end, is summed
-    over its slot axis, which numpy adds one slot at a time while the 4x4
-    blocks are innermost.  A reduction that started from the first slot
+
+def _vertex_scatter(r: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """The lower triangle of sum r_e r_e^T over each vertex's edges, for
+    rows ``r`` grouped by vertex (``degree[v]`` rows each), with the bits of
+    ``np.add.at`` into zeros: each vertex adds its rows left to right.
+
+    ``np.linalg.eigh`` (``UPLO='L'``) reads only the lower triangle, so only
+    its 10 products per edge are formed and the upper triangle is left at
+    zero: the eigenpairs are those of the full matrix, bit for bit.
+
+    The (V, slots, 10) table, padded with zero rows at the end, is summed
+    over its slot axis, which numpy adds one slot at a time while the 10
+    entries are innermost.  A reduction that started from the first slot
     would keep a sum of -0.0 entries at -0.0; + 0.0 gives it the +0.0 that
     adding to a zero start gives.
     """
-    rr = np.concatenate([r[:, :, None] * r[:, None, :], np.zeros((1, 4, 4))])
+    i, j = _TRIL
+    rr = np.concatenate([r[:, i] * r[:, j], np.zeros((1, len(i)))])
     slot = np.arange(degree.max())
     start = np.cumsum(degree) - degree
     edge = np.where(slot < degree[:, None], start[:, None] + slot, len(r))
-    return rr[edge].sum(axis=1) + 0.0
+    out = np.zeros((len(degree), 4, 4))
+    out[:, i, j] = rr[edge].sum(axis=1) + 0.0
+    return out
 
 
 def build_frame_field(mesh: SectionMesh) -> FrameField:

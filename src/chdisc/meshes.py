@@ -12,7 +12,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import Isometry, ProjectivePoint, _euclidean_units, _unit_reps
+from .core import Isometry, ProjectivePoint, _euclidean_units
 from .disc import _disc_automorphisms, _disc_rotations, _so21_stack, _su11_stack, triangle_vertices
 from .errors import DegenerateError
 from .geometry import (
@@ -27,7 +27,7 @@ def _fan_lattice(center: np.ndarray, corners: np.ndarray, n: int, closed: bool):
     """Coned lattice over a polygon; returns (vertices, faces, outer, radial).
 
     ``center`` is a (3,) and ``corners`` an (m, 3) stack of Euclidean-unit
-    representatives (as ``ProjectivePoint`` stores them).  ``vertices`` is
+    representatives (``_euclidean_units`` rows).  ``vertices`` is
     the (V,3) stack of unit representatives, centre first, then the spokes
     corner by corner, then the inner points sector by sector; ``faces`` is
     an (F,3) int array.  ``outer[k]`` indexes the arclength-uniform run
@@ -59,7 +59,7 @@ def _fan_lattice(center: np.ndarray, corners: np.ndarray, n: int, closed: bool):
     vertices = np.empty((1 + m * n + sectors * per, 3), dtype=complex)
     vertices[0] = center
     vertices[1:1 + m * n], vertices[1 + m * n:] = spokes, inner.reshape(-1, 3)
-    vertices[1:] = _unit_reps(vertices[1:])
+    vertices[1:] = _euclidean_units(vertices[1:])
 
     # lat[k, i, j], 0 <= j <= i <= n: the vertex at j/i along row i of
     # sector k.  The inner numbering is written over every entry, then the
@@ -92,13 +92,15 @@ def turnover_section_mesh(n1: int, n2: int, n3: int, refinement: int = 8) -> Sec
     pairings: c1-c2 to c1-c2' by g1^-1 and c3-c2 to c3-c2' by g3.
     """
     z1, z2, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
-    rotations = _disc_rotations([z1, z3], [2.0 * np.pi / n1, -2.0 * np.pi / n3])
-    g1_inv, g3 = (Isometry(m) for m in rotations)
-    # embed(z1), embed(z2), embed(z3), then c2' = g1^-1 c2 as Isometry.__call__ maps it
+    alpha, beta = _disc_rotations([z1, z3], [2.0 * np.pi / n1, -2.0 * np.pi / n3])
+    g1_inv, g3 = (Isometry(m) for m in _su11_stack(alpha, beta))
+    # c2' = g1^-1 c2 in the disc, in complex scalars
+    a, b = complex(alpha[0]), complex(beta[0])
+    z2m = (a * z2 + b) / (b.conjugate() * z2 + a.conjugate())
+    # embed(z1), embed(z2), embed(z3) and embed(c2'), Euclidean units
     points = np.zeros((4, 3), dtype=complex)
-    points[:3, 0], points[:3, 1] = 1.0, (z1, z2, z3)
-    points[:3] = _unit_reps(points[:3])
-    points[3] = _unit_reps(rotations[0] @ points[1])
+    points[:, 0], points[:, 1] = 1.0, (z1, z2, z3, z2m)
+    points = _euclidean_units(points)
     vertices, faces, outer, radial = _fan_lattice(points[0], points[1:], refinement, closed=False)
     pairings = [
         SidePairing(run_a=radial[0], run_b=radial[2], isometry=g1_inv),
@@ -158,7 +160,7 @@ def octagon_mesh(kind: str = "complex", refinement: int = 8) -> SectionMesh:
         s = np.tanh(r1)
         corners[:, 1], corners[:, 2] = s * np.cos(angles), s * np.sin(angles)
         pairs = _so21_stack(alpha, beta)
-    corners = _unit_reps(corners)  # embed(z), or real_plane_point(a, b)
+    corners = _euclidean_units(corners)  # embed(z), or real_plane_point(a, b)
 
     vertices, faces, outer, _ = _fan_lattice(_ORIGIN, corners, refinement, closed=True)
     pairings = [

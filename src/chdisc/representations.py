@@ -554,9 +554,10 @@ def turnover_solve(
                     if first_invalid is None:
                         first_invalid = ((k1, k3), residual)
     if first_invalid is not None:
+        twists, residual = first_invalid
         raise InvalidSolutionError(
-            f"solver converged (g2-order residual {first_invalid[1]:.2e}, twists "
-            f"{first_invalid[0]}) but no stable-geodesic choice passes K1 and K2"
+            f"solver converged (g2-order residual within {tol.solver_residual:g}, twists "
+            f"{twists}) but no stable-geodesic choice passes K1 and K2", residual=residual
         )
     raise ConvergenceError(
         f"no order-{sig.n2} solution found at bend {bend}; "

@@ -28,6 +28,7 @@ from chdisc.core import (
     _gram_tances,
     _isometry_stack,
     _norms_and_squares,
+    _points_of_units,
     _sign_code,
     _tangent_basis_of_units,
     _unit_det,
@@ -300,6 +301,17 @@ def orientation_determinants(x, frame4) -> np.ndarray:
     return np.linalg.det(rows.view(float).reshape(*rows.shape[:-2], 6, 6))
 
 
+def vertex_scatter_full(r: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Sum r_e r_e^T over each vertex's edges, all 16 entries of each 4x4
+    block, with the bits of ``np.add.at`` into zeros: the reference for
+    ``_vertex_scatter``, which forms the lower triangle alone."""
+    rr = np.concatenate([r[:, :, None] * r[:, None, :], np.zeros((1, 4, 4))])
+    slot = np.arange(degree.max())
+    start = np.cumsum(degree) - degree
+    edge = np.where(slot < degree[:, None], start[:, None] + slot, len(r))
+    return rr[edge].sum(axis=1) + 0.0
+
+
 def frame_field_by_lapack(mesh):
     """``build_frame_field`` with both orientation signs read from LAPACK
     determinants (the (V,2,2) first-corner test and det q), as it read them
@@ -317,6 +329,14 @@ def frame_field_by_lapack(mesh):
 
 
 # -- section meshes ----------------------------------------------------------------
+
+def euclidean_point(rep) -> ProjectivePoint:
+    """The point whose stored representative is rep scaled by
+    ``np.linalg.norm(rep, axis=-1, keepdims=True)``, one row at a time: the
+    reference for the rows ``_euclidean_units`` scales."""
+    v = np.asarray(rep, dtype=complex).reshape(3)
+    return _points_of_units([v / np.linalg.norm(v, axis=-1, keepdims=True)])[0]
+
 
 def fan_spokes_two_passes(center: np.ndarray, corners: np.ndarray, n: int) -> np.ndarray:
     """The spokes of ``_fan_lattice`` (the points at i/n from the centre to
@@ -483,14 +503,21 @@ def in_plane_frame(center: complex) -> OrthogonalFrame:
     return OrthogonalFrame(b0, ProjectivePoint(e1 - (herm_form(e1, b0.v) / b0.self_form()) * b0.v), F0)
 
 
-def disc_rotation_per_call(center: complex, angle: float) -> np.ndarray:
-    """The matrix of one rotation of ``_disc_rotations`` from
-    ``in_plane_frame`` and the one-frame projector sum."""
-    phases = np.asarray([1.0, np.exp(1j * angle), 1.0], dtype=complex).reshape(1, 3)
-    m = 0
-    for mu, b in zip(phases.T, in_plane_frame(center).vectors()):
-        m = m + mu[:, None, None] * projector(b)
-    return _unit_det(m)[0]
+def disc_rotation_per_call(center: complex, angle: float):
+    """The SU(1,1) coefficients (alpha, beta) of one rotation of
+    ``_disc_rotations``, in complex scalars: alpha = (e - r conj(e)) / (1 - r)
+    and beta = c (conj(e) - e) / (1 - r), with e = exp(i angle / 2) and
+    r = |c|^2."""
+    c = complex(center)
+    r = abs(c) ** 2
+    e = complex(np.exp(0.5j * angle))
+    return (e - r * e.conjugate()) / (1.0 - r), c * (e.conjugate() - e) / (1.0 - r)
+
+
+def su11_lift_per_call(alpha: complex, beta: complex) -> np.ndarray:
+    """The C-Fuchsian matrix of one pair of SU(1,1) coefficients, as
+    ``_su11_stack`` lifts it."""
+    return checked_isometry([[np.conj(alpha), np.conj(beta), 0.0], [beta, alpha, 0.0], [0.0, 0.0, 1.0]])
 
 
 def disc_automorphism_per_call(z1: complex, z2: complex, w1: complex, w2: complex):
@@ -517,8 +544,7 @@ def disc_automorphism_per_call(z1: complex, z2: complex, w1: complex, w2: comple
 def disc_isometry_per_call(z1: complex, z2: complex, w1: complex, w2: complex) -> np.ndarray:
     """The C-Fuchsian matrix of one map of ``_disc_automorphisms``, as
     ``_su11_stack`` lifts it."""
-    a, b = disc_automorphism_per_call(z1, z2, w1, w2)
-    return checked_isometry([[np.conj(a), np.conj(b), 0.0], [b, a, 0.0], [0.0, 0.0, 1.0]])
+    return su11_lift_per_call(*disc_automorphism_per_call(z1, z2, w1, w2))
 
 
 def real_plane_lift_per_call(alpha: complex, beta: complex) -> np.ndarray:

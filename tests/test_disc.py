@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chdisc import DegenerateError, Isometry, tance
+from chdisc.core import _elliptic_rows
 from chdisc.disc import (
     F0,
     _disc_automorphisms,
     _disc_rotations,
+    _in_plane_frames,
     _so21_stack,
     _su11_stack,
     disc_distance,
@@ -27,6 +29,7 @@ from oracles import (
     angles_from_sides,
     disc_isometry_per_call,
     disc_rotation_per_call,
+    su11_lift_per_call,
     isometry_residual,
     coordinate,
     disc_angle,
@@ -121,7 +124,7 @@ def test_triangle_area_angle_defect_oracle():
 
 def test_disc_rotation_is_c_fuchsian(rng):
     center = random_disc_coordinate(rng)
-    g = Isometry(_disc_rotations([center], [2.0 * np.pi / 5.0])[0])
+    g = Isometry(_su11_stack(*_disc_rotations([center], [2.0 * np.pi / 5.0]))[0])
     assert tance(g(F0), F0) == pytest.approx(1.0, abs=1e-12)
     assert tance(g(embed(center)), embed(center)) == pytest.approx(1.0, abs=1e-12)
     z = random_disc_coordinate(rng)
@@ -179,21 +182,42 @@ def test_real_plane_lift_maps_klein_points_as_the_disc_map_maps_disc_points(rng)
 
 
 def test_disc_rotations_have_the_bits_of_one_call_each(rng):
-    """The stacked rotations, of many centres or of one, give each matrix the
-    bits of the one-frame construction from ``ProjectivePoint`` objects."""
+    """The stacked SU(1,1) coefficients, of many centres or of one, have the
+    bits of the closed form in complex scalars, and their lifts those of
+    the one-matrix lift."""
     centers = [random_disc_coordinate(rng) for _ in range(50)] + [0.0, 0.3, -0.2j]
     angles = rng.uniform(-7.0, 7.0, len(centers))
-    stacked = _disc_rotations(centers, angles)
-    for c, a, m in zip(centers, angles, stacked):
-        expected = disc_rotation_per_call(c, a)
-        assert m.tobytes() == expected.tobytes()
-        assert _disc_rotations([c], [a])[0].tobytes() == expected.tobytes()
+    alpha, beta = _disc_rotations(centers, angles)
+    lifts = _su11_stack(alpha, beta)
+    for c, t, a, b, m in zip(centers, angles, alpha, beta, lifts):
+        expected = np.array(disc_rotation_per_call(c, t))
+        assert np.array([a, b]).tobytes() == expected.tobytes()
+        assert np.array(_disc_rotations([c], [t]))[:, 0].tobytes() == expected.tobytes()
+        assert m.tobytes() == su11_lift_per_call(*expected).tobytes()
     # the turnover centres, as numpy scalars
     for n1, n2, n3 in [(3, 3, 4), (3, 3, 5), (2, 3, 7), (3, 4, 4)]:
         z1, _, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
-        g1_inv, g3 = _disc_rotations([z1, z3], [2.0 * np.pi / n1, -2.0 * np.pi / n3])
-        assert g1_inv.tobytes() == disc_rotation_per_call(z1, 2.0 * np.pi / n1).tobytes()
-        assert g3.tobytes() == disc_rotation_per_call(z3, -2.0 * np.pi / n3).tobytes()
+        alpha, beta = _disc_rotations([z1, z3], [2.0 * np.pi / n1, -2.0 * np.pi / n3])
+        assert np.array([alpha[0], beta[0]]).tobytes() == np.array(
+            disc_rotation_per_call(z1, 2.0 * np.pi / n1)).tobytes()
+        assert np.array([alpha[1], beta[1]]).tobytes() == np.array(
+            disc_rotation_per_call(z3, -2.0 * np.pi / n3)).tobytes()
+    with pytest.raises(DegenerateError, match=r"\|z\| < 1"):
+        _disc_rotations([0.6 + 0.8j], [1.0])
+
+
+def test_disc_rotation_lift_is_the_frame_rotation_up_to_a_rotation_about_the_geodesic(rng):
+    """The SU(1,1) lift and the elliptic built on the frame (point, in-plane
+    direction, polar) with eigenphases (1, e^{i angle}, 1) agree on the
+    complex geodesic: they map every embedded disc point alike, and differ
+    only in their phase on the polar F0."""
+    for _ in range(20):
+        center, z = random_disc_coordinate(rng), random_disc_coordinate(rng)
+        angle = rng.uniform(-7.0, 7.0)
+        g = Isometry(_su11_stack(*_disc_rotations([center], [angle]))[0])
+        h = Isometry(_elliptic_rows(_in_plane_frames([center]), [[1.0, np.exp(1j * angle), 1.0]])[0])
+        assert tance(g(embed(z)), h(embed(z))) == pytest.approx(1.0, abs=1e-12)
+        assert tance(g(F0), F0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_disc_isometries_have_the_bits_of_complex_scalars(rng):

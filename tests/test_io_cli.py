@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chdisc import Isometry, QuadrangleConfig, polar_span, validate_quadrangle
+from chdisc import Isometry, InvalidSolutionError, QuadrangleConfig, polar_span, validate_quadrangle
+from chdisc import cli as cli_module
 from chdisc.cli import EXIT_FAIL, EXIT_INVALID, EXIT_PASS, _bend_tag, _refinement_for, main, run_turnover
 from chdisc.disc import F0, embed, triangle_vertices
 from chdisc import invariants as invariants_module
@@ -350,6 +351,25 @@ def test_cli_scan_dedupes_and_summarizes(tmp_path, capsys):
     assert row["converged"] is True and row["certificate_passed"] is True
     rep_doc = json.loads((tmp_path / "turnover_3-3-4_bend0.rep.json").read_text())
     assert row["worst_relation_residual"] == max(rep_doc["relation_residuals"].values())
+
+
+def test_a_solver_failure_keeps_its_residual_out_of_the_scan_summary(tmp_path, capsys, monkeypatch):
+    """``chdisc turnover`` prints the failure's message and, on its own
+    stderr line, the residual; the scan summary's ``error`` is the message
+    alone, whose digits do not follow the BLAS kernel."""
+    message = ("solver converged (g2-order residual within 1e-09, twists (0, 0)) but no "
+               "stable-geodesic choice passes K1 and K2")
+
+    def failing(*args, **kwargs):
+        raise InvalidSolutionError(message, residual=4.87e-14)
+
+    monkeypatch.setattr(cli_module, "turnover_solve", failing)
+    assert main(["turnover", "--n", "2", "3", "7", "--bend", "0.02", "--out", str(tmp_path)]) == EXIT_FAIL
+    assert capsys.readouterr().err == f"solver failed: {message}\ng2-order residual 4.87e-14\n"
+    assert main(["scan", "--n", "2", "3", "7", "--bend", "0.02", "--out", str(tmp_path)]) == EXIT_PASS
+    assert json.loads((tmp_path / "summary.json").read_text())["rows"] == [
+        {"signature": [2, 3, 7], "bend": 0.02, "converged": False, "certificate_passed": None,
+         "worst_relation_residual": None, "error": message}]
 
 
 def test_bend_tags_are_distinct_and_keep_the_short_ones():

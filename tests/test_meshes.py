@@ -1,6 +1,11 @@
 """Section-mesh constructors: the geodesic-fan lattice and its arguments."""
 
 import importlib
+import json
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,17 +14,11 @@ import pytest
 
 from chdisc import ProjectivePoint, octagon_mesh, turnover_section_mesh
 from chdisc.cli import _refinement_for
-from chdisc.core import Isometry, _unit_reps
-from chdisc.disc import (
-    _disc_automorphisms,
-    _disc_rotations,
-    _so21_stack,
-    _su11_stack,
-    embed,
-    triangle_vertices,
-)
+from chdisc.core import Isometry, _euclidean_units
+from chdisc.disc import _disc_automorphisms, _so21_stack, _su11_stack, triangle_vertices
 from chdisc.geometry import _geodesic_rows
 from chdisc.errors import MeshError
+from chdisc import invariants as invariants_module
 from chdisc.invariants import (
     SectionMesh,
     SidePairing,
@@ -37,7 +36,6 @@ from chdisc.meshes import (
     _ORIGIN,
     _fan_lattice,
     _octagon_circumradius,
-    real_plane_point,
 )
 from chdisc.representations import TurnoverSignature
 
@@ -48,6 +46,7 @@ from oracles import (
     disc_automorphism_per_call,
     disc_isometry_per_call,
     disc_rotation_per_call,
+    euclidean_point,
     fan_spokes_two_passes,
     frame_field_by_lapack,
     herm_rows_by_sum,
@@ -59,6 +58,8 @@ from oracles import (
     real_plane_lift_per_call,
     self_norms_by_blas,
     so21_stack_by_arrays,
+    su11_lift_per_call,
+    vertex_scatter_full,
 )
 from test_core import _blas_sums_in_order
 from test_invariants import _moved
@@ -123,20 +124,26 @@ def _rows(center, corners):
 
 
 def _fan_inputs(kind, arg):
-    """(centre, corners, closed) as the mesh constructors build them."""
+    """(centre, corners, closed) as the mesh constructors build them, one
+    point at a time in complex scalars: the turnover's c2' = g1^-1 c2 as
+    the Mobius image (alpha z2 + beta) / (conj(beta) z2 + conj(alpha)), and
+    every point embedded as (1, z, 0) or (1, a, b) and scaled by its own
+    ``np.linalg.norm``."""
     if kind == "turnover":
         n1, n2, n3 = arg
         z1, z2, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
-        c2m = Isometry(_disc_rotations([z1], [2.0 * np.pi / n1])[0])(embed(z2))
-        return embed(z1), [embed(z2), embed(z3), c2m], False
+        a, b = disc_rotation_per_call(z1, 2.0 * np.pi / n1)
+        z2m = (a * z2 + b) / (b.conjugate() * z2 + a.conjugate())
+        return euclidean_point([1.0, z1, 0.0]), [euclidean_point([1.0, z, 0.0]) for z in (z2, z3, z2m)], False
     r1 = _octagon_circumradius()
     angles = [2.0 * np.pi * k / 8.0 + np.pi / 8.0 for k in range(8)]
     if arg == "complex":
         s = np.tanh(r1 / 2.0)
-        return embed(0.0), [embed(s * np.exp(1j * a)) for a in angles], True
+        return euclidean_point([1.0, 0.0, 0.0]), [euclidean_point([1.0, s * np.exp(1j * a), 0.0])
+                                                  for a in angles], True
     s = np.tanh(r1)
-    return (real_plane_point(0.0, 0.0),
-            [real_plane_point(s * np.cos(a), s * np.sin(a)) for a in angles], True)
+    return (euclidean_point([1.0, 0.0, 0.0]),
+            [euclidean_point([1.0, s * np.cos(a), s * np.sin(a)]) for a in angles], True)
 
 
 FAN_CASES = [
@@ -180,9 +187,9 @@ def test_fan_lattice_topology_matches_the_scalar_loop_at_every_refinement(kind, 
     assert (radial == np.array(ref_radial)).all()
 
 
-def _wrapped_fan_vertices(center, corners, n, closed):
-    """The lattice rows wrapped one at a time in ``ProjectivePoint``, as the
-    mesh stored them when it held one point object per vertex."""
+def _scaled_fan_vertices(center, corners, n, closed):
+    """The lattice rows scaled one at a time by their own ``np.linalg.norm``
+    (``euclidean_point``)."""
     m = len(corners)
     sectors = m if closed else m - 1
     spokes = _geodesic_rows(center.v, np.array([v.v for v in corners])[:, None],
@@ -192,15 +199,15 @@ def _wrapped_fan_vertices(center, corners, n, closed):
     sec = np.repeat(np.arange(sectors), n * (n - 1) // 2)
     inner = _geodesic_rows(spokes[sec, i - 1], spokes[(sec + 1) % m, i - 1], j / i)
     rows = np.concatenate([spokes.reshape(-1, 3), inner])
-    return np.array([center.v] + [ProjectivePoint(v).v for v in rows])
+    return np.array([center.v] + [euclidean_point(v).v for v in rows])
 
 
 @pytest.mark.parametrize("kind, arg, n", FAN_CASES)
-def test_mesh_vertices_have_projective_point_bits(kind, arg, n):
+def test_mesh_vertices_have_the_bits_of_one_row_scaling(kind, arg, n):
     center, corners, closed = _fan_inputs(kind, arg)
     mesh = (turnover_section_mesh(*arg, refinement=n) if kind == "turnover"
             else octagon_mesh(arg, refinement=n))
-    ref = _wrapped_fan_vertices(center, corners, n, closed)
+    ref = _scaled_fan_vertices(center, corners, n, closed)
     # tobytes also tells the two zeros apart
     assert mesh.vertices.shape == ref.shape
     assert mesh.vertices.tobytes() == ref.tobytes()
@@ -251,8 +258,8 @@ def _per_pair_isometries(kind, arg):
     if kind == "turnover":
         n1, n2, n3 = arg
         z1, _, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
-        return [disc_rotation_per_call(z1, 2.0 * np.pi / n1),
-                disc_rotation_per_call(z3, -2.0 * np.pi / n3)]
+        return [su11_lift_per_call(*disc_rotation_per_call(z1, 2.0 * np.pi / n1)),
+                su11_lift_per_call(*disc_rotation_per_call(z3, -2.0 * np.pi / n3))]
     zs = _octagon_disc_corners()
     ends = [(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp]) for k, kp in _OCTAGON_PAIRS]
     if arg == "complex":
@@ -379,7 +386,7 @@ def test_fan_spokes_have_the_bits_of_the_two_pass_scaling(kind, arg, n, rng):
     for g in [np.eye(3)] + [random_isometry(rng).matrix for _ in range(MOVES_PER_MESH)]:
         c, k = center @ g.T, corners @ g.T
         vertices = _fan_lattice(c, k, n, closed)[0]
-        assert vertices[1:1 + m * n].tobytes() == _unit_reps(fan_spokes_two_passes(c, k, n)).tobytes()
+        assert vertices[1:1 + m * n].tobytes() == _euclidean_units(fan_spokes_two_passes(c, k, n)).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["complex", "lagrangian"])
@@ -393,7 +400,8 @@ def test_octagon_mesh_has_the_bits_of_its_per_angle_corners(kind, n):
     alpha, beta = _disc_automorphisms(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp])
     pairs = _su11_stack(alpha, beta) if kind == "complex" else so21_stack_by_arrays(alpha, beta)
     mesh = octagon_mesh(kind, refinement=n)
-    assert mesh.vertices.tobytes() == _fan_lattice(_ORIGIN, _unit_reps(corners), n, True)[0].tobytes()
+    units = np.array([euclidean_point(c).v for c in corners])
+    assert mesh.vertices.tobytes() == _fan_lattice(_ORIGIN, units, n, True)[0].tobytes()
     assert [p.isometry.matrix.tobytes() for p in mesh.side_pairings] == [g.tobytes() for g in pairs]
 
 
@@ -424,3 +432,60 @@ def test_frame_field_and_degrees_have_the_bits_of_the_lapack_signs(kind, arg, n,
     assert (degrees.chi_raw.hex(), degrees.euler_raw.hex()) == (chi.hex(), e.hex())
     den = mesh.snap_denominator()
     assert degrees.chi == Fraction(chi).limit_denominator(den)
+
+
+@pytest.mark.parametrize("kind, arg, n", SHIPPED_MESHES)
+def test_frame_field_has_the_bits_of_the_full_scatter(monkeypatch, kind, arg, n):
+    """``eigh`` reads only the lower triangle that ``_vertex_scatter`` forms:
+    the frames are those built on all 16 entries of each vertex's scatter."""
+    mesh = _mesh(kind, arg, n)
+    ours = build_frame_field(mesh)
+    monkeypatch.setattr(invariants_module, "_vertex_scatter", vertex_scatter_full)
+    ref = build_frame_field(mesh)
+    assert ours.tangent.tobytes() == ref.tangent.tobytes()
+    assert ours.normal.tobytes() == ref.normal.tobytes()
+
+
+# -- mesh vertices across BLAS kernels -----------------------------------------------
+
+#: the benchmark's five meshes, the bend-0 scan's four turnovers at their
+#: ``--mesh 0.05`` refinements and the fine (3,4,4) r24
+KERNEL_MESHES = BIT_CASES + [("turnover", (3, 4, 4), 24)]
+
+_VERTEX_BYTES = """
+import hashlib, json, sys
+from chdisc import octagon_mesh, turnover_section_mesh
+print(json.dumps([hashlib.sha256((turnover_section_mesh(*arg, refinement=n) if kind == "turnover"
+                                  else octagon_mesh(arg, refinement=n)).vertices.tobytes()).hexdigest()
+                  for kind, arg, n in json.loads(sys.argv[1])]))
+"""
+
+
+def _cpu_has(feature: str) -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    return bool(features.get(feature))
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_mesh_vertices_do_not_depend_on_the_blas_kernel():
+    """Every section-mesh vertex comes from elementwise numpy, so the
+    vertices have the same bytes under the default OpenBLAS kernel and under
+    Prescott (SSE3), and Haswell (AVX2) where the CPU has it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    cases = json.dumps([[kind, arg, int(n)] for kind, arg, n in KERNEL_MESHES])
+
+    def digests(kernel):
+        extra = {"OPENBLAS_CORETYPE": kernel} if kernel else {}
+        out = subprocess.run([sys.executable, "-c", _VERTEX_BYTES, cases], capture_output=True,
+                             text=True, check=True, env={**env, **extra})
+        return json.loads(out.stdout)
+
+    default = digests(None)
+    assert len(default) == len(KERNEL_MESHES)
+    for kernel in ["Prescott"] + (["Haswell"] if _cpu_has("AVX2") else []):
+        assert digests(kernel) == default, kernel

@@ -3,7 +3,6 @@
 import functools
 import itertools
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -112,7 +111,7 @@ def test_triangle_from_angles_geometry():
 
 
 def test_relation_residual_word_algebra():
-    g = Isometry(_disc_rotations([0.1 + 0.2j], [0.7])[0])
+    g = Isometry(_su11_stack(*_disc_rotations([0.1 + 0.2j], [0.7]))[0])
     rep = Representation(kind="test", generators={"g": g}, relations=[])
     assert relation_residual(rep, "g g^-1") < 1e-12
     assert relation_residual(rep, "g") > 1e-3
@@ -122,7 +121,7 @@ def test_relation_residual_word_algebra():
 
 def test_elliptic_fixed_point():
     center = 0.3 - 0.1j
-    g = Isometry(_disc_rotations([center], [2.0 * np.pi / 5.0])[0])
+    g = Isometry(_su11_stack(*_disc_rotations([center], [2.0 * np.pi / 5.0]))[0])
     x = elliptic_fixed_point(g)
     assert tance(x, embed(center)) == pytest.approx(1.0, abs=1e-10)
     # a loxodromic-free check: translations along a geodesic have no
@@ -324,7 +323,7 @@ def test_elliptic_rows_keep_the_checks_of_elliptic_from_frame():
 
 
 def test_isometry_power():
-    g = Isometry(_disc_rotations([0.0], [2.0 * np.pi / 7.0])[0])
+    g = elliptic_from_frame(in_plane_frame(0.0), [1.0, np.exp(2j * np.pi / 7.0), 1.0])
     assert projective_distance(isometry_power(g, 7), Isometry.identity()) < 1e-12
 
 
@@ -674,16 +673,15 @@ def test_lockstep_yields_rows_in_order_and_stops_when_the_caller_does():
 
 def test_turnover_solve_failure_path_message():
     """(2,3,7) at bend 0.02 converges but never certifies; the error names
-    the first converged start's twists (0, 0) and its residual, which is
-    within the solver's bound.  The residual's digits are rounding noise
-    that follows the BLAS kernel, so only the bound is pinned."""
+    the first converged start's twists (0, 0) and the bound its residual
+    met.  The residual's digits are rounding noise that follows the BLAS
+    kernel, so they ride on the exception, not in its message."""
     with pytest.raises(InvalidSolutionError) as err:
         turnover_solve(TurnoverSignature(2, 3, 7), 0.02)
-    match = re.fullmatch(
-        r"solver converged \(g2-order residual (\S+), twists \(0, 0\)\) but no "
-        r"stable-geodesic choice passes K1 and K2", str(err.value))
-    assert match is not None, str(err.value)
-    assert 0.0 <= float(match[1]) <= Tolerances().solver_residual
+    assert str(err.value) == (
+        "solver converged (g2-order residual within 1e-09, twists (0, 0)) but no "
+        "stable-geodesic choice passes K1 and K2")
+    assert 0.0 <= err.value.residual <= Tolerances().solver_residual
 
 
 def test_import_does_not_load_scipy():
