@@ -426,12 +426,12 @@ def _unit_det(m: np.ndarray) -> np.ndarray:
     return m * (np.linalg.det(m) ** (-1.0 / 3.0))[..., None, None]
 
 
-def _isometry_stack(m: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
-    """Det-1 lifts of a (k, 3, 3) complex stack; raises ``FrameError`` for the
-    first matrix whose residual, the max-norm of M* J M - J (zero exactly on
-    U(2,1)), exceeds max(tol.isometry, 1e-9 * max|m|^2).  The relative
-    1e-9 lets a lift with large entries, whose residual grows with |m|^2,
-    pass at the precision its entries carry; it decides the verdict.
+def _check_isometries(m: np.ndarray, tol: Tolerances = TOL) -> None:
+    """Raise ``FrameError`` for the first matrix of a (k, 3, 3) complex stack
+    whose residual, the max-norm of M* J M - J (zero exactly on U(2,1)),
+    exceeds max(tol.isometry, 1e-9 * max|m|^2).  The relative 1e-9 lets a
+    lift with large entries, whose residual grows with |m|^2, pass at the
+    precision its entries carry; it decides the verdict.
 
     M* J is M* with its columns signed, so the residual takes one product.
     Each bound is at least tol.isometry, so the per-matrix bounds are
@@ -443,6 +443,12 @@ def _isometry_stack(m: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
         bad = np.flatnonzero(r > np.maximum(tol.isometry, 1e-9 * np.abs(m).max(axis=(-2, -1)) ** 2))
         if bad.size:
             raise FrameError(f"matrix is not an isometry of the form (residual {r[bad[0]]:g})")
+
+
+def _isometry_stack(m: np.ndarray, tol: Tolerances = TOL) -> np.ndarray:
+    """Det-1 lifts of a (k, 3, 3) complex stack, checked by
+    ``_check_isometries``."""
+    _check_isometries(m, tol)
     return _unit_det(m)
 
 

@@ -13,8 +13,8 @@ import numpy as np
 from .core import (
     ProjectivePoint,
     _SEEDS,
+    _check_isometries,
     _form_pairs,
-    _isometry_stack,
     _py_products,
     _py_quotients,
     _unit_reps,
@@ -133,12 +133,24 @@ def _disc_rotations(centers, angles):
 def _su11_stack(alpha, beta) -> np.ndarray:
     """The disc Mobius maps z -> (alpha z + beta)/(conj(beta) z + conj(alpha))
     over arrays of coefficients with |alpha|^2 - |beta|^2 = 1, extended to
-    H^2_C with a trivial action on the polar direction: a (k, 3, 3) stack."""
+    H^2_C with a trivial action on the polar direction: a (k, 3, 3) stack.
+
+    Each matrix is checked by ``_check_isometries`` and scaled to
+    determinant 1 by D^(-1/3), D = |alpha|^2 - |beta|^2 being its
+    determinant in closed form, formed as complex scalars form it (libm
+    ``pow``, as ``np.float_power`` takes it)."""
     alpha, beta = (np.asarray(c, dtype=complex).reshape(-1) for c in (alpha, beta))
     m = np.zeros((len(alpha), 3, 3), dtype=complex)
     m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = np.conj(alpha), np.conj(beta), beta, alpha
     m[:, 2, 2] = 1.0
-    return _isometry_stack(m)
+    _check_isometries(m)
+    return m * np.float_power(_su11_dets(alpha, beta), -1.0 / 3.0)[:, None, None]
+
+
+def _su11_dets(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """|alpha|^2 - |beta|^2 over arrays of coefficients, as
+    (re re + im im) - (re re + im im)."""
+    return (alpha.real * alpha.real + alpha.imag * alpha.imag) - (beta.real * beta.real + beta.imag * beta.imag)
 
 
 def _so21_stack(alpha, beta) -> np.ndarray:
@@ -155,9 +167,17 @@ def _so21_stack(alpha, beta) -> np.ndarray:
     products and sums are numpy's elementwise ones, so that a stack and one
     pair at a time get the same bits under any BLAS kernel.  For the few
     pairs a mesh lifts this costs less than some twenty array operations.
+
+    The action is X -> g X g* on Hermitian 2x2 matrices, quadratic in
+    (alpha, beta): scaling them by s > 0 scales the matrix by s^2 and its
+    determinant by s^6, and an SU(1,1) pair gives determinant 1.  So the
+    determinant is D^3, with D = |alpha|^2 - |beta|^2 = s^2 (``_su11_dets``),
+    and each checked matrix (``_check_isometries``) is divided by D for
+    determinant 1.
     """
+    alpha, beta = (np.asarray(c, dtype=complex).reshape(-1) for c in (alpha, beta))
     lifts = []
-    for a, b in zip(np.asarray(alpha).tolist(), np.asarray(beta).tolist()):
+    for a, b in zip(alpha.tolist(), beta.tolist()):
         ar, ai, br, bi = a.real, a.imag, b.real, b.imag
         a2, b2 = ar * ar - ai * ai, br * br - bi * bi  # Re alpha^2, Re beta^2
         lifts.append([
@@ -165,7 +185,9 @@ def _so21_stack(alpha, beta) -> np.ndarray:
             [2.0 * (ar * br - ai * bi), a2 + b2, 2.0 * (br * bi - ar * ai)],
             [2.0 * (ar * bi + ai * br), 2.0 * (ar * ai + br * bi), a2 - b2],
         ])
-    return _isometry_stack(np.array(lifts, dtype=complex))
+    m = np.array(lifts, dtype=float).reshape(-1, 3, 3)
+    _check_isometries(m)
+    return (m / _su11_dets(alpha, beta)[:, None, None]).astype(complex)
 
 
 def _disc_automorphisms(z1, z2, w1, w2):
@@ -177,7 +199,7 @@ def _disc_automorphisms(z1, z2, w1, w2):
     The pairs must be equidistant (else ``DegenerateError``); each map is
     the unique orientation-preserving one, with the bits of the
     complex-scalar computation (``mobius``, hypot for |z|, libm ``pow`` for
-    |z|^2).
+    |z|^2, CPython's complex products).
     """
     z1, z2, w1, w2 = (np.asarray(v, dtype=complex).reshape(-1) for v in (z1, z2, w1, w2))
     k = len(z1)
@@ -191,13 +213,12 @@ def _disc_automorphisms(z1, z2, w1, w2):
         raise DegenerateError("point pairs are not equidistant")
     angle = np.angle(m)
     n = 1.0 / np.sqrt(1.0 - np.float_power(np.hypot(a.real, a.imag), 2))
-    # g = m_{w1}^{-1} o rot(phi) o m_{z1}, assembled in SU(1,1): factor i of
-    # the (3, k, 2, 2) stack is [[alpha_i, beta_i], [conj(beta_i), conj(alpha_i)]]
-    alpha = np.array([n[k:], np.exp(1j * (angle[k:] - angle[:k]) / 2.0), n[:k]], dtype=complex)
-    beta = np.zeros((3, k), dtype=complex)
-    beta[0], beta[2] = n[k:] * w1, -n[:k] * z1
-    su = np.empty((3, k, 2, 2), dtype=complex)
-    su[..., 0, 0], su[..., 0, 1] = alpha, beta
-    su[..., 1, 0], su[..., 1, 1] = beta.conj(), alpha.conj()
-    g = su[0] @ su[1] @ su[2]
-    return g[:, 0, 0], g[:, 0, 1]
+    # g = m_{w1}^{-1} o rot(phi) o m_{z1}, the SU(1,1) product
+    # (n_w, n_w w1)(e, 0)(n_z, -n_z z1) with e = exp(i phi / 2), in closed
+    # form: alpha = n (e - w1 conj(z1) conj(e)), beta = n (w1 conj(e) - e z1)
+    # with n = n_w n_z
+    e = np.exp(1j * (angle[k:] - angle[:k]) / 2.0)
+    nn = n[k:] * n[:k]
+    alpha = nn * (e - _py_products(_py_products(w1, z1.conj()), e.conj()))
+    beta = nn * (_py_products(w1, e.conj()) - _py_products(e, z1))
+    return alpha, beta

@@ -42,7 +42,6 @@ from .core import (
     classify,
 )
 from .errors import ClassError, ConvergenceError, DegenerateError, MeshError
-from .geometry import _aligned_units
 from .io import _f
 from .tolerances import TOL, Tolerances
 
@@ -101,22 +100,6 @@ def kaehler_angle(x: ProjectivePoint, u1, u2, tol: Tolerances = TOL):
     else:
         cls = GENERIC_CLASS
     return val, cls
-
-
-def _real_coords(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Coordinates of tangent vectors in the real basis (b1, ib1, b2, ib2).
-
-    ``w`` is a (..., 3) stack and ``basis`` a (..., 2, 3) stack of unitary
-    pairs broadcasting against it; returns (..., 4).  The map is a
-    g-isometry, since the basis is unitary for h.
-    """
-    a = herm_rows(np.asarray(w, dtype=complex)[..., None, :], basis)
-    return np.stack([a.real, a.imag], axis=-1).reshape(*a.shape[:-1], 4)
-
-
-def _from_coords(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Inverse of ``_real_coords``: (..., 4) coordinates to (..., 3) vectors."""
-    return np.einsum("...k,...kd->...d", c[..., 0::2] + 1j * c[..., 1::2], basis)
 
 
 #: |Pfaffian| below which a tangent 4-frame is degenerate: it decides the
@@ -419,119 +402,94 @@ def _gram_pfaffians(g: np.ndarray) -> np.ndarray:
     return _pfaffians(g.imag)
 
 
-def _coordinate_pfaffians(q: np.ndarray) -> np.ndarray:
-    """``_gram_pfaffians`` of frames given by their real coordinates, the
-    rows of a (..., 4, 4) stack q in the basis (b1, ib1, b2, ib2): det q.
-
-    Im <f_a, f_b> is sum_k y_ak x_bk - x_ak y_bk, with x and y the real and
-    imaginary coordinate columns (0, 2 and 1, 3).  For an orthogonal q
-    rounding moves the Pfaffian by a few ulp of its size 1, so its sign is
-    that of any accurate determinant, LAPACK's included.
-    """
-    w = q[..., 1::2] @ q[..., 0::2].swapaxes(-1, -2)
-    return _pfaffians(w - w.swapaxes(-1, -2))
-
-
-def _det2(m: np.ndarray) -> np.ndarray:
-    """Determinants a d - b c of a (..., 2, 2) stack, each within a few ulp
-    of |a d| + |b c|: their sign is LAPACK's unless they are that small."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+#: sin of the angle between a first corner's two directions below which the
+#: corner is flat: a division guard on u2 = t / |t|, whose rounding error
+#: is about 1e-16 / sin, so that u2 stays g-orthogonal to u1 far within
+#: ``Tolerances.orthogonality``.  A corner this flat spans no tangent plane,
+#: and ``MeshError`` names its vertex.
+_FLAT_CORNER = 1e-6
+#: the Hodge dual Q = *(u1 ^ u2) in R^4, row-major: Q[k, l] is
+#: u1_i u2_j - u1_j u2_i for the pair (i, j) that makes (k, l, i, j) an even
+#: permutation, and 0 on the diagonal (i = j = k)
+_HODGE_I = np.array([0, 2, 3, 1, 3, 1, 0, 2, 1, 3, 2, 0, 2, 0, 1, 3])
+_HODGE_J = np.array([0, 3, 1, 2, 2, 1, 3, 0, 3, 0, 2, 1, 1, 2, 0, 3])
 
 
-def _log_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Log map d (y - c x) / sinh d at each x_i toward y_i, for rows scaled to
-    <,> = -1, on the aligned pair (c = cosh d)."""
-    y, c, d = _aligned_units(x, y)
-    scale = np.divide(d, np.sinh(d), out=np.zeros_like(d), where=d >= 1e-15)
-    return scale[:, None] * (y - c[:, None] * x)
+def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis of (..., 4) stacks, summed left to right."""
+    t = a * b
+    return ((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]
 
 
-#: a face's six directed edges, as column pairs (p, q): every ordered pair of
-#: its corners, which are the edges a -> b and a -> c of its three corners (a, b, c)
-_EDGE_FROM, _EDGE_TO = np.array([[0, 0, 1, 1, 2, 2], [1, 2, 2, 0, 0, 1]])
-#: the columns of the corners that follow column k counterclockwise in a face
-_NEXT_TWO = np.array([[1, 2], [2, 0], [0, 1]])
-
-
-def _mesh_edges(tri: np.ndarray, n: int):
-    """The directed edges of a mesh with n vertices and (F, 3) faces ``tri``.
-
-    Returns ``(src, dst, degree, corner)``: the edges a -> b sorted by
-    (a, b), each vertex's edge count, and the (n, 2) indices of the edges
-    a -> b and a -> c of the first counterclockwise corner (a, b, c) at
-    each vertex a, the one at a's first place in the flat face array.
-    Raises ``MeshError`` for a vertex with fewer than two neighbours.
-    """
-    keys = np.sort(tri[:, _EDGE_FROM] * n + tri[:, _EDGE_TO], axis=None)  # a*n + b
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    src, dst = np.divmod(keys, n)
-    degree = np.bincount(src, minlength=n)
-    few = np.flatnonzero(degree < 2)
-    if few.size:
-        raise MeshError(f"vertex {few[0]} has fewer than two neighbours")
+def _first_corners(tri: np.ndarray, n: int) -> np.ndarray:
+    """The other two vertices (b, c) of the first counterclockwise corner
+    (a, b, c) at each vertex a of a mesh with n vertices and (F, 3) faces
+    ``tri``, the corner at a's first place in the flat face array: an
+    (n, 2) array.  Raises ``MeshError`` for a vertex in no face."""
     flat = tri.ravel()
     first = np.full(n, flat.size)
     np.minimum.at(first, flat, np.arange(flat.size))
-    k = first % 3
-    bc = flat[(first - k)[:, None] + _NEXT_TWO[k]]
-    return src, dst, degree, np.searchsorted(keys, (np.arange(n) * n)[:, None] + bc)
-
-
-#: the 10 entries of a symmetric 4x4 matrix that ``np.linalg.eigh`` reads
-_TRIL = np.tril_indices(4)
-
-
-def _vertex_scatter(r: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    """The lower triangle of sum r_e r_e^T over each vertex's edges, for
-    rows ``r`` grouped by vertex (``degree[v]`` rows each), with the bits of
-    ``np.add.at`` into zeros: each vertex adds its rows left to right.
-
-    ``np.linalg.eigh`` (``UPLO='L'``) reads only the lower triangle, so only
-    its 10 products per edge are formed and the upper triangle is left at
-    zero: the eigenpairs are those of the full matrix, bit for bit.
-
-    The (V, slots, 10) table, padded with zero rows at the end, is summed
-    over its slot axis, which numpy adds one slot at a time while the 10
-    entries are innermost.  A reduction that started from the first slot
-    would keep a sum of -0.0 entries at -0.0; + 0.0 gives it the +0.0 that
-    adding to a zero start gives.
-    """
-    i, j = _TRIL
-    rr = np.concatenate([r[:, i] * r[:, j], np.zeros((1, len(i)))])
-    slot = np.arange(degree.max())
-    start = np.cumsum(degree) - degree
-    edge = np.where(slot < degree[:, None], start[:, None] + slot, len(r))
-    out = np.zeros((len(degree), 4, 4))
-    out[:, i, j] = rr[edge].sum(axis=1) + 0.0
-    return out
+    unused = np.flatnonzero(first == flat.size)
+    if unused.size:
+        raise MeshError(f"vertex {unused[0]} has fewer than two neighbours")
+    # the columns after a's, counterclockwise, in its face
+    k = (first % 3)[:, None]
+    return flat[first[:, None] - k + (k + [1, 2]) % 3]
 
 
 def build_frame_field(mesh: SectionMesh) -> FrameField:
-    """Tangent/normal frames from the embedded mesh geometry, in one pass.
+    """Tangent/normal frames at each vertex from its first counterclockwise
+    corner (a, b, c), the one at a's first place in the face array.
 
-    At each vertex the log-map directions to its mesh neighbours are taken
-    in real coordinates of a unitary basis of x^perp (a g-isometry to R^4),
-    and the 4x4 scatter matrix sum r r^T is diagonalised.  The top two
-    eigenvectors span the tangent plane, the dominant real 2-plane of the
-    neighbour directions (exact for totally geodesic sections); the bottom
-    two span its g-orthogonal complement, the normal plane, and come out
-    g-orthonormal.  u2 is flipped so that (u1, u2) agrees with the first
-    ccw triangle at the vertex, and v2 so that (u1, u2, v1, v2) agrees with
-    the complex orientation.  Both signs are read in closed form, from
-    a d - b c (``_det2``) and from the Pfaffian of the frame's symplectic
-    Gram matrix (``_coordinate_pfaffians``), not from LAPACK determinants.
+    The directions a -> b and a -> c are taken in the real coordinates
+    (b1, ib1, b2, ib2) of the unitary basis of a^perp that
+    ``_tangent_basis_of_units`` builds, a g-isometry to R^4 whose
+    orientation is the complex one.  The direction toward y is the
+    projection into a^perp of y phase aligned so that <a, y> is real
+    negative; its complex coordinates are -<a,y> <y, b_k>, up to a
+    positive scale.  u1 is the unit direction a -> b and u2 the direction
+    a -> c Gram-Schmidt orthogonalised against it, so (u1, u2) follows the
+    corner's orientation.  The Hodge dual Q = *(u1 ^ u2) is v1 ^ v2 for
+    any positively oriented orthonormal basis (v1, v2) of the g-orthogonal
+    complement: v1 is Q's largest column, normalised (its squared norm is
+    at least 1/2), and v2 = Q^T v1.
+
+    On a totally geodesic section, which every chdisc mesh is, the corner
+    spans the tangent plane up to rounding.  On any other section it is the
+    plane of one face, not a fit to all the neighbours.  Every step is
+    elementwise with sums in a fixed order: no BLAS or LAPACK call forms a
+    frame.  Raises ``MeshError`` for a vertex with fewer than two
+    neighbours, or whose first corner is flat (``_FLAT_CORNER``).
     """
-    xh = mesh.units
-    src, dst, degree, corner = _mesh_edges(mesh.triangles, len(xh))
+    xh, tri = mesh.units, mesh.triangles
+    n = len(xh)
     basis = _tangent_basis_of_units(xh)
-    r = _real_coords(_log_directions(xh[src], xh[dst]), basis[src])
-    # eigenvector rows, descending
-    q = np.linalg.eigh(_vertex_scatter(r, degree))[1].transpose(0, 2, 1)[:, ::-1]
-    # orient (u1, u2) by the first ccw corner at each vertex
-    q[_det2(r[corner] @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
-    frames = _from_coords(q, basis[:, None])
-    # q holds coordinates in the complex-oriented real basis (b1, ib1, b2, ib2)
-    frames[_coordinate_pfaffians(q) < 0, 3] *= -1.0
+    y = xh[_first_corners(tri, n)]
+    # -<a,y> <y, b_k> for y = b, c and k = 1, 2: (V, 2, 2) complex, viewed
+    # as the real coordinates (V, 2, 4)
+    r = np.multiply(-herm_rows(xh[:, None], y)[..., None], herm_rows(y[:, :, None], basis[:, None])).view(float)
+    rb, rc = r[:, 0], r[:, 1]
+    # a zero direction (a coincident or repeated vertex) divides 0 by 0;
+    # its NaN fails the flatness test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u1 = rb / np.sqrt(_dot4(rb, rb))[:, None]
+        t = rc - _dot4(rc, u1)[:, None] * u1
+        nt = np.sqrt(_dot4(t, t))
+        flat = ~(nt > _FLAT_CORNER * np.sqrt(_dot4(rc, rc)))
+        u2 = t / nt[:, None]
+    if flat.any():
+        k = int(np.flatnonzero(flat)[0])
+        if len(np.setdiff1d(tri[(tri == k).any(axis=1)], [k])) < 2:
+            raise MeshError(f"vertex {k} has fewer than two neighbours")
+        raise MeshError(f"vertex {k} has a flat first corner")
+    q = (u1[:, _HODGE_I] * u2[:, _HODGE_J] - u1[:, _HODGE_J] * u2[:, _HODGE_I]).reshape(n, 4, 4)
+    sq = q * q
+    v1 = q[np.arange(n), :, np.argmax(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3], axis=1)]
+    v1 = v1 / np.sqrt(_dot4(v1, v1))[:, None]
+    v2 = ((q[:, 0] * v1[:, 0:1] + q[:, 1] * v1[:, 1:2]) + q[:, 2] * v1[:, 2:3]) + q[:, 3] * v1[:, 3:4]
+    # back to vectors: (c1 + i c2) b1 + (c3 + i c4) b2 for each coordinate row
+    z = np.stack([u1, u2, v1, v2], axis=1).view(complex)
+    frames = np.multiply(z[..., 0:1], basis[:, None, 0]) + np.multiply(z[..., 1:2], basis[:, None, 1])
     return FrameField(tangent=frames[:, :2], normal=frames[:, 2:])
 
 
@@ -610,18 +568,23 @@ class MeshDegrees:
 def euler_via_mesh(mesh: SectionMesh, tol: Tolerances = TOL) -> MeshDegrees:
     """Tangent and normal bundle degrees by discrete-connection holonomy.
 
-    Builds the frame field of :func:`build_frame_field` and, per directed
-    face edge, the angle of the rotation nearest to the projection
-    transport of frames, atan2(M10 - M01, M00 + M11), for the tangent and
-    normal pairs in one ``_connection_totals`` pass.  Each face's
-    holonomy is the wrapped sum of its three edge angles minus the
+    Builds the frame field of :func:`build_frame_field`, each vertex's
+    tangent and normal planes read from its first counterclockwise corner,
+    and, per directed face edge, the angle of the rotation nearest to the
+    projection transport of frames, atan2(M10 - M01, M00 + M11), for the
+    tangent and normal pairs in one ``_connection_totals`` pass.  Each
+    face's holonomy is the wrapped sum of its three edge angles minus the
     tautological phase; summed over faces and divided by 2 pi this gives
     the orbifold Euler characteristic (tangent pair) and the Euler number
     of the section's normal bundle (normal pair).  Per-face holonomy
-    angles are invariant under rotations of the frames at a vertex, but
-    not under a unit phase on its representative (on a Lagrangian plane
-    that mixes the tangent and normal planes), so the frames are built on
-    the canonical representatives of ``SectionMesh.units``.  Side pairings
+    angles are invariant under rotations of the frames at a vertex within
+    their planes, so on a totally geodesic mesh no choice of corner moves
+    chi or e beyond rounding; off such a section the planes are those of
+    the first corners.  They are not invariant under a unit phase on a
+    vertex's representative (on a Lagrangian plane that mixes the tangent
+    and normal planes), so the frames are built on the canonical
+    representatives of ``SectionMesh.units``.  No BLAS or LAPACK call
+    forms a frame or a degree.  Side pairings
     enter only through the mesh geometry they enforce; the raw chi is
     snapped to a rational with denominator 2 * lcm(cone orders), or
     reported as ``None`` when it refuses to, without raising.

@@ -21,12 +21,12 @@ from chdisc.core import (
     Isometry,
     OrthogonalFrame,
     ProjectivePoint,
+    _check_isometries,
     _distance_from_tance,
     _elliptic_rows,
     _euclidean_units,
     _form_adjoint,
     _gram_tances,
-    _isometry_stack,
     _norms_and_squares,
     _points_of_units,
     _sign_code,
@@ -60,14 +60,9 @@ from chdisc.geometry import (
 )
 from chdisc.invariants import (
     FrameField,
-    _from_coords,
-    _log_directions,
-    _mesh_edges,
-    _real_coords,
     _rotation_angle,
     _toledo,
     _triple_products,
-    _vertex_scatter,
     normalized_negative,
 )
 from chdisc.io import _vector_json
@@ -301,30 +296,53 @@ def orientation_determinants(x, frame4) -> np.ndarray:
     return np.linalg.det(rows.view(float).reshape(*rows.shape[:-2], 6, 6))
 
 
-def vertex_scatter_full(r: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    """Sum r_e r_e^T over each vertex's edges, all 16 entries of each 4x4
-    block, with the bits of ``np.add.at`` into zeros: the reference for
-    ``_vertex_scatter``, which forms the lower triangle alone."""
-    rr = np.concatenate([r[:, :, None] * r[:, None, :], np.zeros((1, 4, 4))])
-    slot = np.arange(degree.max())
-    start = np.cumsum(degree) - degree
-    edge = np.where(slot < degree[:, None], start[:, None] + slot, len(r))
-    return rr[edge].sum(axis=1) + 0.0
+def mesh_corners(tri: np.ndarray) -> np.ndarray:
+    """Every corner (a, b, c) of an (F, 3) face array, in face-array order:
+    row 3 f + j has a = tri[f, j], whose neighbours in face f are b and c."""
+    return np.stack([tri, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
 
 
-def frame_field_by_lapack(mesh):
-    """``build_frame_field`` with both orientation signs read from LAPACK
-    determinants (the (V,2,2) first-corner test and det q), as it read them
-    before the closed forms: the reference for ``_det2`` and
-    ``_coordinate_pfaffians`` on whole meshes."""
-    xh = mesh.units
-    src, dst, degree, corner = _mesh_edges(mesh.triangles, len(xh))
+def first_corners_by_unique(tri: np.ndarray) -> np.ndarray:
+    """The first corner of each vertex in ``mesh_corners``' order, from
+    ``np.unique``: the reference for ``_first_corners`` on meshes whose
+    every vertex lies in a face."""
+    corners = mesh_corners(tri)
+    _, first = np.unique(corners[:, 0], return_index=True)
+    return corners[first]
+
+
+def frame_field_by_eigen_fit(mesh) -> FrameField:
+    """The frame field as a least-squares fit to every neighbour: the
+    reference for ``build_frame_field``'s first corners.
+
+    At each vertex the log-map directions to all its mesh neighbours (the
+    directed edges of every corner, from ``np.unique``) are taken in the
+    real coordinates of ``_tangent_basis_of_units``, and the 4x4 scatter
+    sum r r^T (``np.add.at``) is diagonalised by ``np.linalg.eigh``: the
+    top two eigenvectors span the dominant real 2-plane of the directions,
+    the tangent plane of a totally geodesic section, and the bottom two its
+    g-orthogonal complement.  u2 is flipped when the first corner's
+    directions have a negative determinant against (u1, u2), and v2 when
+    det q is negative, both from LAPACK.
+    """
+    xh, n = mesh.units, len(mesh.units)
+    corners = mesh_corners(mesh.triangles)
+    keys = np.unique(corners[:, [0, 0]] * n + corners[:, 1:])
+    src, dst = np.divmod(keys, n)
+    a, b, c = first_corners_by_unique(mesh.triangles).T
+    corner = np.searchsorted(keys, np.stack([a * n + b, a * n + c], axis=1))
     basis = _tangent_basis_of_units(xh)
-    r = _real_coords(_log_directions(xh[src], xh[dst]), basis[src])
-    q = np.linalg.eigh(_vertex_scatter(r, degree))[1].transpose(0, 2, 1)[:, ::-1]
+    # the log map d (y - cosh(d) x) / sinh d toward each phase-aligned neighbour
+    y, ch, d = _aligned_units(xh[src], xh[dst])
+    w = (d / np.sinh(d))[:, None] * (y - ch[:, None] * xh[src])
+    z = herm_rows(w[:, None, :], basis[src])
+    r = np.stack([z.real, z.imag], axis=-1).reshape(-1, 4)
+    scatter = np.zeros((n, 4, 4))
+    np.add.at(scatter, src, r[:, :, None] * r[:, None, :])
+    q = np.linalg.eigh(scatter)[1].transpose(0, 2, 1)[:, ::-1]  # eigenvector rows, descending
     q[np.linalg.det(r[corner] @ q[:, :2].transpose(0, 2, 1)) < 0, 1] *= -1.0
-    frames = _from_coords(q, basis[:, None])
-    frames[np.linalg.det(q) < 0, 3] *= -1.0
+    q[np.linalg.det(q) < 0, 3] *= -1.0
+    frames = np.einsum("nfk,nkd->nfd", q[..., 0::2] + 1j * q[..., 1::2], basis)
     return FrameField(tangent=frames[:, :2], normal=frames[:, 2:])
 
 
@@ -367,7 +385,8 @@ def octagon_corners_per_angle(kind: str):
 
 def so21_stack_by_arrays(alpha, beta) -> np.ndarray:
     """``_so21_stack`` with every entry formed from length-k arrays, as it
-    was built before it took the pairs one at a time in Python floats."""
+    was built before it took the pairs one at a time in Python floats, each
+    matrix divided by its |alpha|^2 - |beta|^2."""
     ar, ai, br, bi = alpha.real, alpha.imag, beta.real, beta.imag
     a2, b2 = ar * ar - ai * ai, br * br - bi * bi
     rows = [
@@ -375,7 +394,9 @@ def so21_stack_by_arrays(alpha, beta) -> np.ndarray:
         [2.0 * (ar * br - ai * bi), a2 + b2, 2.0 * (br * bi - ar * ai)],
         [2.0 * (ar * bi + ai * br), 2.0 * (ar * ai + br * bi), a2 - b2],
     ]
-    return _isometry_stack(np.moveaxis(np.array(rows, dtype=complex), -1, 0))
+    m = np.moveaxis(np.array(rows), -1, 0)
+    _check_isometries(m)
+    return (m / ((ar * ar + ai * ai) - (br * br + bi * bi))[:, None, None]).astype(complex)
 
 
 def mesh_json(mesh) -> dict:
@@ -394,19 +415,6 @@ def mesh_json(mesh) -> dict:
         "triangles": [[int(a), int(b), int(c)] for a, b, c in mesh.triangles],
         "vertices": [_vector_json(v) for v in mesh.vertices],
     }
-
-
-def mesh_edges_by_unique(tri: np.ndarray, n: int):
-    """The directed edges of a mesh from its corner list, with ``np.unique``
-    for each vertex's first corner: the reference for ``_mesh_edges``."""
-    # corners (a, b, c) in triangle order: a's neighbours are b and c
-    corners = np.stack([tri, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=1).reshape(-1, 3)
-    keys = np.unique(corners[:, [0, 0]] * n + corners[:, 1:])
-    src, dst = np.divmod(keys, n)
-    _, first = np.unique(corners[:, 0], return_index=True)
-    a, b, c = corners[first].T
-    corner = np.searchsorted(keys, np.stack([a * n + b, a * n + c], axis=1))
-    return src, dst, np.bincount(src, minlength=n), corner
 
 
 def connection_totals_one_pass(tri: np.ndarray, frames: np.ndarray, taut: np.ndarray) -> list:
@@ -486,13 +494,25 @@ def self_norms_by_blas(x: np.ndarray) -> np.ndarray:
 # -- isometries one call at a time -----------------------------------------------
 
 def checked_isometry(m) -> np.ndarray:
-    """``Isometry.from_matrix`` for one matrix: the residual test on it alone,
-    then the det-1 lift from the scalar determinant."""
-    m = np.asarray(m, dtype=complex).reshape(3, 3)
+    """``Isometry.from_matrix`` for one matrix: the residual test on it alone
+    (``check_residual``), then the det-1 lift from the scalar determinant."""
+    return _unit_det(check_residual(m))
+
+
+def check_residual(m) -> np.ndarray:
+    """One matrix as a (3, 3) array, after ``_check_isometries``' residual
+    test on it alone."""
+    m = np.asarray(m).reshape(3, 3)
     r = float(np.abs(m.conj().T @ FORM_MATRIX @ m - FORM_MATRIX).max())
     if r > max(TOL.isometry, 1e-9 * float(np.abs(m).max()) ** 2):
         raise AssertionError(f"not an isometry (residual {r:g})")
-    return _unit_det(m)
+    return m
+
+
+def su11_det(alpha: complex, beta: complex) -> float:
+    """|alpha|^2 - |beta|^2 in Python floats, (re re + im im) - (re re + im im)."""
+    ar, ai, br, bi = (float(v) for v in (alpha.real, alpha.imag, beta.real, beta.imag))
+    return (ar * ar + ai * ai) - (br * br + bi * bi)
 
 
 def in_plane_frame(center: complex) -> OrthogonalFrame:
@@ -516,8 +536,11 @@ def disc_rotation_per_call(center: complex, angle: float):
 
 def su11_lift_per_call(alpha: complex, beta: complex) -> np.ndarray:
     """The C-Fuchsian matrix of one pair of SU(1,1) coefficients, as
-    ``_su11_stack`` lifts it."""
-    return checked_isometry([[np.conj(alpha), np.conj(beta), 0.0], [beta, alpha, 0.0], [0.0, 0.0, 1.0]])
+    ``_su11_stack`` lifts it: checked, then scaled by the closed-form
+    determinant's libm cube root."""
+    m = check_residual(np.array([[np.conj(alpha), np.conj(beta), 0.0], [beta, alpha, 0.0], [0.0, 0.0, 1.0]],
+                                dtype=complex))
+    return m * su11_det(alpha, beta) ** (-1.0 / 3.0)
 
 
 def disc_automorphism_per_call(z1: complex, z2: complex, w1: complex, w2: complex):
@@ -532,13 +555,12 @@ def disc_automorphism_per_call(z1: complex, z2: complex, w1: complex, w2: comple
         raise DegenerateError("point pairs are not equidistant")
     phi = np.angle(scalar_mobius(w1, w2)) - np.angle(scalar_mobius(z1, z2))
 
-    def su(a, b):
-        return np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=complex)
-
+    # the product (nw, nw w1)(e, 0)(n1, -n1 z1) of SU(1,1) pairs, expanded
     n1 = 1.0 / np.sqrt(1.0 - abs(z1) ** 2)
     nw = 1.0 / np.sqrt(1.0 - abs(w1) ** 2)
-    g = su(nw, nw * w1) @ su(np.exp(1j * phi / 2.0), 0.0) @ su(n1, -n1 * z1)
-    return g[0, 0], g[0, 1]
+    e = np.exp(1j * phi / 2.0)
+    n = nw * n1
+    return n * (e - w1 * np.conj(z1) * np.conj(e)), n * (w1 * np.conj(e) - e * z1)
 
 
 def disc_isometry_per_call(z1: complex, z2: complex, w1: complex, w2: complex) -> np.ndarray:
@@ -552,11 +574,15 @@ def real_plane_lift_per_call(alpha: complex, beta: complex) -> np.ndarray:
     ``_so21_stack`` lifts it, in Python floats."""
     ar, ai, br, bi = (float(v) for v in (alpha.real, alpha.imag, beta.real, beta.imag))
     a2, b2 = ar * ar - ai * ai, br * br - bi * bi
-    return checked_isometry([
+    rows = [
         [(ar * ar + ai * ai) + (br * br + bi * bi), 2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br)],
         [2.0 * (ar * br - ai * bi), a2 + b2, 2.0 * (br * bi - ar * ai)],
         [2.0 * (ar * bi + ai * br), 2.0 * (ar * ai + br * bi), a2 - b2],
-    ])
+    ]
+    check_residual(np.array(rows))
+    # its determinant is su11_det ** 3
+    d = su11_det(alpha, beta)
+    return np.array([[v / d for v in row] for row in rows], dtype=complex)
 
 
 def real_frame(p: ProjectivePoint, q: ProjectivePoint) -> np.ndarray:

@@ -43,7 +43,6 @@ from chdisc.invariants import (
     GENERIC_CLASS,
     LAGRANGIAN_CLASS,
     _rotation_angle,
-    _vertex_scatter,
     normalized_negative,
     orientation_sign,
     symplectic_area_triangle,
@@ -162,29 +161,6 @@ def test_gram_pfaffians_have_the_sign_and_size_of_the_orientation_determinant(rn
     a = np.einsum("nfd,nkd->nfk", frames * np.array([-1.0, 1.0, 1.0]), basis.conj())
     det = np.linalg.det(np.stack([a.real, a.imag], -1).reshape(-1, 4, 4))
     np.testing.assert_allclose(pf, det, rtol=1e-9)
-
-
-def test_closed_form_orientation_signs_match_lapack_determinants(rng):
-    """The frame field reads its two orientation signs in closed form; they
-    are LAPACK's on 10^4 random orthogonal 4x4 coordinate frames (each
-    column pair a complex coordinate) and on 10^4 2x2 matrices with
-    |det| >= 1e-8, half of them near singular."""
-    q = np.linalg.qr(rng.normal(size=(10_000, 4, 4)))[0]
-    q[rng.random(10_000) < 0.5, 0] *= -1.0  # QR's factors share one determinant
-    pf, det = invariants_module._coordinate_pfaffians(q), np.linalg.det(q)
-    assert np.array_equal(pf < 0, det < 0)
-    assert 4_000 < np.count_nonzero(det < 0) < 6_000
-    np.testing.assert_allclose(pf, det, rtol=0, atol=1e-14)
-    m = rng.normal(size=(20_000, 2, 2))
-    # the second row of half of them is a multiple of the first plus a
-    # perturbation of size 10^-9 to 10^-3
-    near, t, eps = m[:10_000], rng.normal(size=(10_000, 1)), 10.0 ** rng.uniform(-9, -3, (10_000, 1))
-    near[:, 1] = t * near[:, 0] + eps * near[:, 1]
-    det = np.linalg.det(m)
-    keep = abs(det) >= 1e-8
-    m, det = m[keep][:10_000], det[keep][:10_000]
-    assert len(m) == 10_000 and np.count_nonzero(abs(det) < 1e-4) > 1_000
-    assert np.array_equal(invariants_module._det2(m) < 0, det < 0)
 
 
 # -- symplectic integrals ------------------------------------------------------
@@ -842,19 +818,3 @@ def test_face_triples_are_computed_once_for_tau_and_the_bundle_degrees(monkeypat
     assert not mesh.units.flags.writeable
     fresh = turnover_section_mesh(3, 3, 4, refinement=4)
     assert (toledo_via_mesh(fresh), euler_via_mesh(fresh)) == (tau, degrees)
-
-
-def test_vertex_scatter_has_the_bits_of_add_at(rng):
-    """Each vertex adds its edges' r r^T left to right from zero, as
-    ``np.add.at`` does, signed zeros included; the upper triangle, which
-    ``eigh`` does not read, is +0.0."""
-    degree = rng.integers(2, 9, size=60)
-    degree[0] = degree.max()
-    r = rng.normal(size=(degree.sum(), 4)) * np.exp(4.0 * rng.normal(size=(degree.sum(), 4)))
-    r[rng.random(r.shape) < 0.2] = -0.0
-    r[rng.random(r.shape) < 0.1] = 0.0
-    # vertex 0 has no padding, and its entry (0, 1) sums only -0.0 products
-    r[:degree[0], 0], r[:degree[0], 1] = -0.0, np.abs(r[:degree[0], 1]) + 1.0
-    expected = np.zeros((len(degree), 4, 4))
-    np.add.at(expected, np.repeat(np.arange(len(degree)), degree), r[:, :, None] * r[:, None, :])
-    assert _vertex_scatter(r, degree).tobytes() == np.tril(expected).tobytes()
