@@ -242,3 +242,35 @@ def test_disc_isometries_have_the_bits_of_complex_scalars(rng):
             assert _disc_isometries(*z)[0].tobytes() == expected.tobytes()
     with pytest.raises(DegenerateError, match="not equidistant"):
         _disc_isometries([0.0, 0.0], [0.5, 0.5], [0.0, 0.0], [0.5, 0.9])
+
+
+def test_disc_automorphisms_are_the_product_of_their_three_su11_factors(rng):
+    """The closed-form (alpha, beta) of each two-point map equal, to
+    rounding, the SU(1,1) product m_{w1}^{-1} rot(phi) m_{z1} formed as
+    three 2x2 matrices, with phi the angle between the Mobius images of z2
+    and w2."""
+    for _ in range(60):
+        z1, z2, w1 = (random_disc_coordinate(rng) for _ in range(3))
+        w2 = mobius_inv(w1, radius_for_distance(disc_distance(z1, z2)) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        alpha, beta = _disc_automorphisms(z1, z2, w1, w2)
+        e = np.exp(0.5j * (np.angle(mobius(w1, w2)) - np.angle(mobius(z1, z2))))
+        nz, nw = 1.0 / np.sqrt(1.0 - abs(z1) ** 2), 1.0 / np.sqrt(1.0 - abs(w1) ** 2)
+        g = (np.array([[nw, nw * w1], [nw * np.conj(w1), nw]])
+             @ np.array([[e, 0.0], [0.0, np.conj(e)]])
+             @ np.array([[nz, -nz * z1], [-nz * np.conj(z1), nz]]))
+        assert abs(alpha[0] - g[0, 0]) <= 1e-13 * abs(g).max()
+        assert abs(beta[0] - g[0, 1]) <= 1e-13 * abs(g).max()
+
+
+@pytest.mark.parametrize("lift", [_su11_stack, _so21_stack])
+def test_disc_lifts_have_determinant_one_from_the_closed_form(lift, rng):
+    """Scaled by D = |alpha|^2 - |beta|^2 in closed form (D^(-1/3) for the
+    SU(1,1) block, whose determinant is D, and D^-1 for the SO(2,1) lift,
+    whose determinant is D^3), each lift of 200 random pairs has
+    determinant 1.  The pairs are SU(1,1) pairs scaled so that D is off 1
+    by up to 5e-10, which the isometry check accepts; a wrong power of D
+    leaves the determinant off 1 by more than the 1e-11 allowed."""
+    t, phi, psi = rng.uniform(0.0, 1.5, 200), *rng.uniform(-np.pi, np.pi, (2, 200))
+    s = np.sqrt(1.0 + 5e-10 * rng.uniform(-1.0, 1.0, 200))
+    lifts = lift(s * np.cosh(t) * np.exp(1j * phi), s * np.sinh(t) * np.exp(1j * psi))
+    np.testing.assert_allclose(np.linalg.det(lifts), 1.0, rtol=0, atol=1e-11)
