@@ -90,9 +90,11 @@ def _tol_error(tol: float | None) -> str | None:
 
 
 def _refinement_for(sig: TurnoverSignature, h: float) -> int:
-    """The section-mesh refinement for edge length h: the longest side of
+    """The section-mesh refinement for mean step h: the longest side of
     the signature's triangle over h, rounded up, and moved into [2, 24]; a
-    one-line stderr note names a refinement so moved and the one used."""
+    one-line stderr note names a refinement so moved and the one used.
+    The lattice steps evenly in weight (``meshes``), so a side's longest
+    step may exceed h, by at most 1.064 times on the turnover sides."""
     z1, z2, z3 = triangle_vertices(*sig.angles())
     side = max(disc_distance(z1, z2), disc_distance(z2, z3), disc_distance(z3, z1))
     wanted = np.ceil(side / h)
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, nargs=3, required=True, metavar=("N1", "N2", "N3"))
     p.add_argument("--bend", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mesh", type=float, default=0.05, help="target mesh edge length")
+    p.add_argument("--mesh", type=float, default=0.05, help="mean mesh step along the longest side")
     p.add_argument("--tol", type=float, help="strict-margin tolerance override")
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_turnover)

@@ -265,16 +265,6 @@ def _py_quotients(a, b):
     return out
 
 
-def _py_products(a, b):
-    """Elementwise a * b as Python and numpy complex scalars multiply: each
-    part from two rounded products.  numpy's array loop fuses them (FMA),
-    so its last bits differ."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def self_norms(x: np.ndarray) -> np.ndarray:
     """<x_i, x_i> for every row of a (..., 3) stack; real."""
     x = np.asarray(x, dtype=complex)

@@ -8,6 +8,9 @@ construction) is done at curvature -1 and distances are halved.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from .core import (
@@ -15,7 +18,6 @@ from .core import (
     _SEEDS,
     _check_isometries,
     _form_pairs,
-    _py_products,
     _py_quotients,
     _unit_reps,
 )
@@ -32,27 +34,20 @@ def embed(z: complex) -> ProjectivePoint:
 
 
 def mobius(a: complex, z: complex) -> complex:
-    """Disc automorphism sending a to 0: (z - a) / (1 - conj(a) z).
-
-    Elementwise on arrays, each entry with the bits of complex scalars.
-    """
-    return (z - a) / (1.0 - _py_products(np.conj(a), z))
-
-
-def _disc_distances(z1, z2):
-    # |.| as hypot, which complex scalars use and numpy's array abs does not
-    w = mobius(z1, z2)
-    return np.arctanh(np.hypot(w.real, w.imag))
+    """Disc automorphism sending a to 0: (z - a) / (1 - conj(a) z), in
+    complex scalars."""
+    return (z - a) / (1.0 - a.conjugate() * z)
 
 
 def disc_distance(z1: complex, z2: complex) -> float:
-    """Distance at curvature -4: half the classical Poincare distance."""
-    return float(_disc_distances(z1, z2))
+    """Distance at curvature -4: half the classical Poincare distance, in
+    libm scalars (|.| as hypot)."""
+    return math.atanh(abs(mobius(z1, z2)))
 
 
 def radius_for_distance(d: float) -> float:
     """Euclidean radius of the circle at curvature -4 distance d from 0."""
-    return float(np.tanh(d))
+    return math.tanh(d)
 
 
 # -- hyperbolic trigonometry at curvature -1 ---------------------------------
@@ -61,11 +56,10 @@ def side_from_angles(alpha: float, beta: float, gamma: float) -> float:
     """Curvature -1 length of the side joining the alpha and beta vertices.
 
     Angle law of cosines: cosh c = (cos gamma + cos alpha cos beta) /
-    (sin alpha sin beta), with c the side opposite gamma.
+    (sin alpha sin beta), with c the side opposite gamma, in libm scalars.
     """
-    num = np.cos(gamma) + np.cos(alpha) * np.cos(beta)
-    den = np.sin(alpha) * np.sin(beta)
-    return float(np.arccosh(num / den))
+    num = math.cos(gamma) + math.cos(alpha) * math.cos(beta)
+    return math.acosh(num / (math.sin(alpha) * math.sin(beta)))
 
 
 def triangle_vertices(alpha1: float, alpha2: float, alpha3: float) -> tuple[complex, complex, complex]:
@@ -73,17 +67,15 @@ def triangle_vertices(alpha1: float, alpha2: float, alpha3: float) -> tuple[comp
 
     Vertex i carries interior angle alpha_i; c1 sits at the disc centre, c2
     on the positive real axis, c3 at argument alpha1, so the loop
-    c1 -> c2 -> c3 runs counterclockwise.
+    c1 -> c2 -> c3 runs counterclockwise.  Every step is a libm or Python
+    complex scalar, so no numpy dispatch target moves a bit.
     """
     if alpha1 + alpha2 + alpha3 >= np.pi:
         raise DegenerateError("angle sum must be below pi for a hyperbolic triangle")
     # curvature -1 sides, halved for the curvature -4 disc
     s12 = 0.5 * side_from_angles(alpha1, alpha2, alpha3)
     s13 = 0.5 * side_from_angles(alpha1, alpha3, alpha2)
-    c1 = 0.0 + 0.0j
-    c2 = complex(radius_for_distance(s12))
-    c3 = radius_for_distance(s13) * np.exp(1j * alpha1)
-    return c1, c2, complex(c3)
+    return 0j, complex(radius_for_distance(s12)), radius_for_distance(s13) * cmath.exp(1j * alpha1)
 
 
 # -- isometries of the standard complex geodesic -----------------------------
@@ -117,17 +109,23 @@ def _disc_rotations(centers, angles):
     A positive angle rotates counterclockwise with respect to the complex
     orientation of the disc.  With e = exp(i angle / 2) and r = |c|^2,
     alpha = (e - r conj(e)) / (1 - r) and beta = c (conj(e) - e) / (1 - r)
-    (Goldman, Complex Hyperbolic Geometry, 1999): elementwise, with the bits
-    of the complex-scalar computation (hypot for |c|, libm ``pow`` for
-    |c|^2, CPython's complex products and quotients).
+    (Goldman, Complex Hyperbolic Geometry, 1999): one pair at a time in
+    Python complex scalars (hypot for |c|, libm ``pow`` for |c|^2, ``cmath``
+    for e), which for the two rotations of a mesh is faster than arrays.
     """
-    c = np.asarray(centers, dtype=complex).reshape(-1)
-    r = np.float_power(np.hypot(c.real, c.imag), 2)
-    if (r >= 1.0).any():
-        raise DegenerateError("disc coordinate must satisfy |z| < 1")
-    e = np.exp(0.5j * np.asarray(angles, dtype=float).reshape(-1))
-    d = 1.0 - r
-    return _py_quotients(e - r * e.conj(), d), _py_quotients(_py_products(c, e.conj() - e), d)
+    pairs = []
+    for c, angle in zip(_scalars(centers), _scalars(angles)):
+        r = abs(c) ** 2
+        if r >= 1.0:
+            raise DegenerateError("disc coordinate must satisfy |z| < 1")
+        e = cmath.exp(0.5j * angle.real)
+        pairs.append(((e - r * e.conjugate()) / (1.0 - r), c * (e.conjugate() - e) / (1.0 - r)))
+    return tuple(np.array(pairs, dtype=complex).reshape(-1, 2).T)
+
+
+def _scalars(values) -> list:
+    """An array-like of numbers as a list of Python complex scalars."""
+    return np.asarray(values, dtype=complex).reshape(-1).tolist()
 
 
 def _su11_stack(alpha, beta) -> np.ndarray:
@@ -197,28 +195,24 @@ def _disc_automorphisms(z1, z2, w1, w2):
     ``_so21_stack`` to R-Fuchsian isometries of H^2_C.
 
     The pairs must be equidistant (else ``DegenerateError``); each map is
-    the unique orientation-preserving one, with the bits of the
-    complex-scalar computation (``mobius``, hypot for |z|, libm ``pow`` for
-    |z|^2, CPython's complex products).
+    the unique orientation-preserving one, formed one map at a time in
+    Python complex scalars and libm (``math``, ``cmath``), so no numpy
+    dispatch target moves a bit.
     """
-    z1, z2, w1, w2 = (np.asarray(v, dtype=complex).reshape(-1) for v in (z1, z2, w1, w2))
-    k = len(z1)
-    # both pairs in one pass: rows [:k] are (z1, z2), rows [k:] are (w1, w2)
-    a = np.concatenate([z1, w1])
-    m = mobius(a, np.concatenate([z2, w2]))
-    d = np.arctanh(np.hypot(m.real, m.imag))  # _disc_distances
-    # the relative 1e-9 (equal distances up to rounding) decides the
-    # verdict
-    if (abs(d[:k] - d[k:]) > 1e-9 * np.maximum(1.0, d[:k])).any():
-        raise DegenerateError("point pairs are not equidistant")
-    angle = np.angle(m)
-    n = 1.0 / np.sqrt(1.0 - np.float_power(np.hypot(a.real, a.imag), 2))
-    # g = m_{w1}^{-1} o rot(phi) o m_{z1}, the SU(1,1) product
-    # (n_w, n_w w1)(e, 0)(n_z, -n_z z1) with e = exp(i phi / 2), in closed
-    # form: alpha = n (e - w1 conj(z1) conj(e)), beta = n (w1 conj(e) - e z1)
-    # with n = n_w n_z
-    e = np.exp(1j * (angle[k:] - angle[:k]) / 2.0)
-    nn = n[k:] * n[:k]
-    alpha = nn * (e - _py_products(_py_products(w1, z1.conj()), e.conj()))
-    beta = nn * (_py_products(w1, e.conj()) - _py_products(e, z1))
-    return alpha, beta
+    pairs = []
+    for a, b, c, d in zip(*map(_scalars, (z1, z2, w1, w2))):
+        # the Mobius images m_a(b) and m_c(d), whose moduli are tanh of the
+        # two distances; the relative 1e-9 (equal distances up to
+        # rounding) decides the verdict
+        u, v = mobius(a, b), mobius(c, d)
+        du = math.atanh(abs(u))
+        if abs(du - math.atanh(abs(v))) > 1e-9 * max(1.0, du):
+            raise DegenerateError("point pairs are not equidistant")
+        # g = m_c^{-1} o rot(phi) o m_a, the SU(1,1) product
+        # (n_c, n_c c)(e, 0)(n_a, -n_a a) with e = exp(i phi / 2), in closed
+        # form: alpha = n (e - c conj(a) conj(e)), beta = n (c conj(e) - e a)
+        # with n = n_c n_a
+        e = cmath.exp(0.5j * (cmath.phase(v) - cmath.phase(u)))
+        n = (1.0 / math.sqrt(1.0 - abs(c) ** 2)) * (1.0 / math.sqrt(1.0 - abs(a) ** 2))
+        pairs.append((n * (e - c * a.conjugate() * e.conjugate()), n * (c * e.conjugate() - e * a)))
+    return tuple(np.array(pairs, dtype=complex).reshape(-1, 2).T)

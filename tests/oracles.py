@@ -8,8 +8,10 @@ the command line, the demos or the benchmark.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -356,30 +358,57 @@ def euclidean_point(rep) -> ProjectivePoint:
     return _points_of_units([v / np.linalg.norm(v, axis=-1, keepdims=True)])[0]
 
 
+def weighted_point(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """(1 - t) a + t b for two (3,) complex rows, part by part in Python
+    floats: two rounded products and a sum each."""
+    return np.array([complex((1.0 - t) * u.real + t * v.real, (1.0 - t) * u.imag + t * v.imag)
+                     for u, v in zip(a.tolist(), b.tolist())])
+
+
+def aligned_unit_pair(x: np.ndarray, y: np.ndarray):
+    """Two negative (3,) rows scaled to <,> = -1, one pass each, y phase
+    aligned so that <x, y> is real and negative, as a one-row stack."""
+    xh, yh = _negative_units(x), _negative_units(y)
+    return xh, _phase_align(xh[None], yh[None])[0]
+
+
 def fan_spokes_two_passes(center: np.ndarray, corners: np.ndarray, n: int) -> np.ndarray:
-    """The spokes of ``_fan_lattice`` (the points at i/n from the centre to
-    each corner, Euclidean units) from ``_geodesic_rows``, which scales the
-    centre and the corners to <,> = -1 in two passes: the reference for its
-    one-pass scaling."""
-    spokes = _geodesic_rows(center, corners[:, None], np.arange(1, n + 1) / n)
-    return _euclidean_units(spokes).reshape(-1, 3)
+    """The spokes of ``_fan_lattice`` (the points at weight i/n from the
+    centre to each corner, Euclidean units) with the centre and the corners
+    scaled to <,> = -1 in two passes: the reference for its one-pass
+    scaling."""
+    xh = _negative_units(center)
+    yh = _phase_align(xh, _negative_units(corners))
+    spokes = [[weighted_point(xh, y, i / n) for i in range(1, n + 1)] for y in yh]
+    return _euclidean_units(np.array(spokes)).reshape(-1, 3)
+
+
+def slerp_fan_vertices(center: np.ndarray, corners: np.ndarray, n: int, closed: bool) -> np.ndarray:
+    """The vertices of ``_fan_lattice`` in its order with every lattice point
+    at its arclength fraction (hyperbolic slerp, ``_geodesic_rows``): the
+    point at i/n of the distance from the centre to each corner, then the
+    point at j/i of the distance along row i between two spokes."""
+    m = len(corners)
+    sectors = m if closed else m - 1
+    spokes = _euclidean_units(_geodesic_rows(center, corners[:, None], np.arange(1, n + 1) / n))
+    i, j = (np.tile(a + 1, sectors) for a in np.tril_indices(n, -1))
+    sec = np.repeat(np.arange(sectors), n * (n - 1) // 2)
+    inner = _geodesic_rows(spokes[sec, i - 1], spokes[(sec + 1) % m, i - 1], j / i)
+    return np.concatenate([center[None], spokes.reshape(-1, 3), _euclidean_units(inner)])
 
 
 def octagon_corners_per_angle(kind: str):
     """The disc corners zs and the unscaled corner rows of ``octagon_mesh``,
-    built by a Python loop over the corner angles, as the constructor built
-    them before it took arrays."""
+    one corner angle at a time in libm scalars (``math``, ``cmath``)."""
     r1 = _octagon_circumradius()
-    angles = [2.0 * np.pi * k / 8.0 + np.pi / 8.0 for k in range(8)]
-    s = np.tanh(r1 / 2.0)
-    zs = np.array([s * np.exp(1j * a) for a in angles])
+    angles = [2.0 * math.pi * k / 8.0 + math.pi / 8.0 for k in range(8)]
+    zs = np.array([math.tanh(r1 / 2.0) * cmath.exp(1j * a) for a in angles])
     corners = np.zeros((8, 3), dtype=complex)
     corners[:, 0] = 1.0
     if kind == "complex":
         corners[:, 1] = zs
     else:
-        s = np.tanh(r1)
-        corners[:, 1:] = [(s * np.cos(a), s * np.sin(a)) for a in angles]
+        corners[:, 1:] = [(math.tanh(r1) * math.cos(a), math.tanh(r1) * math.sin(a)) for a in angles]
     return zs, corners
 
 
@@ -527,10 +556,10 @@ def disc_rotation_per_call(center: complex, angle: float):
     """The SU(1,1) coefficients (alpha, beta) of one rotation of
     ``_disc_rotations``, in complex scalars: alpha = (e - r conj(e)) / (1 - r)
     and beta = c (conj(e) - e) / (1 - r), with e = exp(i angle / 2) and
-    r = |c|^2."""
+    r = |c|^2, e from ``cmath``."""
     c = complex(center)
     r = abs(c) ** 2
-    e = complex(np.exp(0.5j * angle))
+    e = cmath.exp(0.5j * float(angle))
     return (e - r * e.conjugate()) / (1.0 - r), c * (e.conjugate() - e) / (1.0 - r)
 
 
@@ -545,22 +574,25 @@ def su11_lift_per_call(alpha: complex, beta: complex) -> np.ndarray:
 
 def disc_automorphism_per_call(z1: complex, z2: complex, w1: complex, w2: complex):
     """The SU(1,1) coefficients (alpha, beta) of one map of
-    ``_disc_automorphisms`` in complex scalars."""
-    def scalar_mobius(a, z):
-        return (z - a) / (1.0 - np.conj(a) * z)
+    ``_disc_automorphisms`` in Python complex scalars and libm (``math``,
+    ``cmath``), whatever scalar type the points come in."""
+    z1, z2, w1, w2 = (complex(v) for v in (z1, z2, w1, w2))
 
-    d1 = float(np.arctanh(abs(scalar_mobius(z1, z2))))
-    d2 = float(np.arctanh(abs(scalar_mobius(w1, w2))))
+    def scalar_mobius(a, z):
+        return (z - a) / (1.0 - a.conjugate() * z)
+
+    d1 = math.atanh(abs(scalar_mobius(z1, z2)))
+    d2 = math.atanh(abs(scalar_mobius(w1, w2)))
     if abs(d1 - d2) > 1e-9 * max(1.0, d1):
         raise DegenerateError("point pairs are not equidistant")
-    phi = np.angle(scalar_mobius(w1, w2)) - np.angle(scalar_mobius(z1, z2))
+    phi = cmath.phase(scalar_mobius(w1, w2)) - cmath.phase(scalar_mobius(z1, z2))
 
     # the product (nw, nw w1)(e, 0)(n1, -n1 z1) of SU(1,1) pairs, expanded
-    n1 = 1.0 / np.sqrt(1.0 - abs(z1) ** 2)
-    nw = 1.0 / np.sqrt(1.0 - abs(w1) ** 2)
-    e = np.exp(1j * phi / 2.0)
+    n1 = 1.0 / math.sqrt(1.0 - abs(z1) ** 2)
+    nw = 1.0 / math.sqrt(1.0 - abs(w1) ** 2)
+    e = cmath.exp(1j * phi / 2.0)
     n = nw * n1
-    return n * (e - w1 * np.conj(z1) * np.conj(e)), n * (w1 * np.conj(e) - e * z1)
+    return n * (e - w1 * z1.conjugate() * e.conjugate()), n * (w1 * e.conjugate() - e * z1)
 
 
 def disc_isometry_per_call(z1: complex, z2: complex, w1: complex, w2: complex) -> np.ndarray:

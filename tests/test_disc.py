@@ -221,8 +221,10 @@ def test_disc_rotation_lift_is_the_frame_rotation_up_to_a_rotation_about_the_geo
 
 
 def test_disc_isometries_have_the_bits_of_complex_scalars(rng):
-    """The stacked two-point maps keep the bits of the scalar path, whose
-    products, |z| and |z|^2 numpy's array loops round differently."""
+    """The stacked two-point maps keep the bits of the libm scalar path
+    (``math``, ``cmath`` and Python complex products), from Python or numpy
+    complex points; numpy's array loops would round the products, |z|,
+    |z|^2, ``arctanh``, ``angle`` and ``exp`` by dispatch target."""
     rows = []
     while len(rows) < 60:
         z1, z2, w1 = (random_disc_coordinate(rng) for _ in range(3))

@@ -439,8 +439,17 @@ def test_scan_artifacts_are_unchanged_by_the_number_writer(tmp_path, monkeypatch
         assert (tmp_path / "now" / name).read_bytes() == (tmp_path / "then" / name).read_bytes()
 
 
+@pytest.mark.parametrize("h, refinements", [(0.05, [9, 12, 14, 7]), (0.02, [22, 24, 24, 16])])
+def test_mesh_step_gives_the_scan_signatures_their_refinements(h, refinements):
+    """--mesh h is the mean step along the turnover triangle's longest
+    side: the refinements of the four scan signatures at the default 0.05
+    and at 0.02, as the arclength lattice had them."""
+    sigs = [(3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 3, 7)]
+    assert [_refinement_for(TurnoverSignature(*sig), h) for sig in sigs] == refinements
+
+
 def test_a_refinement_outside_its_range_is_noted_on_stderr(capsys, tmp_path):
-    """--mesh asks a refinement by edge length; one outside [2, 24] is moved
+    """--mesh asks a refinement by mean step; one outside [2, 24] is moved
     into it with a one-line note naming both, and one inside gets none."""
     sig = TurnoverSignature(3, 4, 4)
     assert _refinement_for(sig, 0.02) == 24

@@ -11,11 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chdisc import ProjectivePoint, octagon_mesh, turnover_section_mesh
+from chdisc import meshes, octagon_mesh, turnover_section_mesh
 from chdisc.cli import _refinement_for
-from chdisc.core import Isometry, _euclidean_units, herm_rows
+from chdisc.core import Isometry, _euclidean_units, herm_rows, self_norms
 from chdisc.disc import _disc_automorphisms, _so21_stack, _su11_stack, triangle_vertices
-from chdisc.geometry import _geodesic_rows
+from chdisc.geometry import _geodesic_rows, _negative_units, _phase_align
 from chdisc.errors import MeshError
 from chdisc.invariants import (
     SectionMesh,
@@ -34,12 +34,13 @@ from chdisc.meshes import (
     _OCTAGON_PAIRS,
     _ORIGIN,
     _fan_lattice,
-    _octagon_circumradius,
 )
 from chdisc.representations import TurnoverSignature
 
-from conftest import random_isometry, scalar_slerp
+from artifacts import targets
+from conftest import random_isometry
 from oracles import (
+    aligned_unit_pair,
     connection_total,
     connection_totals_one_pass,
     disc_automorphism_per_call,
@@ -56,8 +57,10 @@ from oracles import (
     real_plane_isometry_per_pair,
     real_plane_lift_per_call,
     self_norms_by_blas,
+    slerp_fan_vertices,
     so21_stack_by_arrays,
     su11_lift_per_call,
+    weighted_point,
 )
 from test_core import _blas_sums_in_order
 from test_invariants import _moved
@@ -67,24 +70,27 @@ def _scalar_fan_lattice(center, corners, n, closed, geometry=True):
     """One point at a time: the reference for ``_fan_lattice``.  Without
     ``geometry`` the points list holds the vertex numbers alone.
 
-    Each point is reduced as the lattice reduces it: a spoke point is
-    scaled by ``np.linalg.norm`` along its axis and the rows between spokes
-    start from those scaled spokes; every stored point then gets the
-    ``ProjectivePoint`` scaling."""
+    Each point is (1 - t) x + t y in Python floats (``weighted_point``) on
+    the ends x and y scaled to <,> = -1 and phase aligned
+    (``aligned_unit_pair``): a spoke point on the centre and its corner, a
+    row point on the two spoke points that end its row, taken before they
+    are scaled for storing.  Every stored point then gets the
+    ``np.linalg.norm`` scaling (``euclidean_point``)."""
     m = len(corners)
     points = [center]
     radial = []
-    spokes = {}  # vertex number -> the scaled spoke row the inner rows start from
+    spokes = {}  # vertex number -> the unscaled spoke row the inner rows start from
 
     def spoke(v, t):
         if not geometry:
             return len(points)
-        row = scalar_slerp(center.v, v.v, t)
-        spokes[len(points)] = row = row / np.linalg.norm(row, axis=-1)
-        return ProjectivePoint(row)
+        spokes[len(points)] = row = weighted_point(*aligned_unit_pair(center.v, v.v), t)
+        return euclidean_point(row)
 
     def point(a, b, t):
-        return ProjectivePoint(scalar_slerp(spokes[a], spokes[b], t)) if geometry else len(points)
+        if not geometry:
+            return len(points)
+        return euclidean_point(weighted_point(*aligned_unit_pair(spokes[a], spokes[b]), t))
 
     for v in corners:
         chain = [0]
@@ -126,22 +132,15 @@ def _fan_inputs(kind, arg):
     point at a time in complex scalars: the turnover's c2' = g1^-1 c2 as
     the Mobius image (alpha z2 + beta) / (conj(beta) z2 + conj(alpha)), and
     every point embedded as (1, z, 0) or (1, a, b) and scaled by its own
-    ``np.linalg.norm``."""
+    ``np.linalg.norm``; the octagon's corners from libm, one angle at a
+    time (``octagon_corners_per_angle``)."""
     if kind == "turnover":
         n1, n2, n3 = arg
         z1, z2, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
         a, b = disc_rotation_per_call(z1, 2.0 * np.pi / n1)
         z2m = (a * z2 + b) / (b.conjugate() * z2 + a.conjugate())
         return euclidean_point([1.0, z1, 0.0]), [euclidean_point([1.0, z, 0.0]) for z in (z2, z3, z2m)], False
-    r1 = _octagon_circumradius()
-    angles = [2.0 * np.pi * k / 8.0 + np.pi / 8.0 for k in range(8)]
-    if arg == "complex":
-        s = np.tanh(r1 / 2.0)
-        return euclidean_point([1.0, 0.0, 0.0]), [euclidean_point([1.0, s * np.exp(1j * a), 0.0])
-                                                  for a in angles], True
-    s = np.tanh(r1)
-    return (euclidean_point([1.0, 0.0, 0.0]),
-            [euclidean_point([1.0, s * np.cos(a), s * np.sin(a)]) for a in angles], True)
+    return euclidean_point(_ORIGIN), [euclidean_point(c) for c in octagon_corners_per_angle(arg)[1]], True
 
 
 FAN_CASES = [
@@ -160,7 +159,8 @@ def test_fan_lattice_matches_scalar_loop(kind, arg, n):
     assert faces.dtype.kind == outer.dtype.kind == radial.dtype.kind == "i"
     assert (faces.tolist(), outer.tolist(), radial.tolist()) == (
         [list(f) for f in ref_faces], ref_outer, ref_radial)
-    np.testing.assert_allclose(vertices, np.array([p.v for p in ref_points]), rtol=0, atol=1e-15)
+    # tobytes also tells the two zeros apart
+    assert vertices.tobytes() == np.array([p.v for p in ref_points]).tobytes()
     # the inputs above are the constructor's own
     mesh = (turnover_section_mesh(*arg, refinement=n) if kind == "turnover"
             else octagon_mesh(arg, refinement=n))
@@ -186,17 +186,22 @@ def test_fan_lattice_topology_matches_the_scalar_loop_at_every_refinement(kind, 
 
 
 def _scaled_fan_vertices(center, corners, n, closed):
-    """The lattice rows scaled one at a time by their own ``np.linalg.norm``
-    (``euclidean_point``)."""
+    """The lattice from arrays in complex arithmetic, (1 - t) x + t y with
+    real t, each stored row scaled by its own ``np.linalg.norm``
+    (``euclidean_point``).  A real factor is a complex one with a zero
+    imaginary part, so fused or not each part is one rounded product."""
     m = len(corners)
     sectors = m if closed else m - 1
-    spokes = _geodesic_rows(center.v, np.array([v.v for v in corners])[:, None],
-                            np.arange(1, n + 1) / n)
-    spokes = spokes / np.linalg.norm(spokes, axis=-1, keepdims=True)
+    xh = _negative_units(center.v)
+    yh = _phase_align(xh, _negative_units(np.array([v.v for v in corners])))
+    t = (np.arange(1, n + 1) / n)[:, None]
+    spokes = (1.0 - t) * xh + t * yh[:, None]
     i, j = (np.tile(a + 1, sectors) for a in np.tril_indices(n, -1))
     sec = np.repeat(np.arange(sectors), n * (n - 1) // 2)
-    inner = _geodesic_rows(spokes[sec, i - 1], spokes[(sec + 1) % m, i - 1], j / i)
-    rows = np.concatenate([spokes.reshape(-1, 3), inner])
+    a = _negative_units(spokes[sec, i - 1])
+    b = _phase_align(a, _negative_units(spokes[(sec + 1) % m, i - 1]))
+    t = (j / i)[:, None]
+    rows = np.concatenate([spokes.reshape(-1, 3), (1.0 - t) * a + t * b])
     return np.array([center.v] + [euclidean_point(v).v for v in rows])
 
 
@@ -245,12 +250,6 @@ def _mesh(kind, arg, n):
             else octagon_mesh(arg, refinement=n))
 
 
-def _octagon_disc_corners():
-    """The octagon's corners in the curvature -4 disc, one complex scalar each."""
-    r1 = _octagon_circumradius()
-    return [np.tanh(r1 / 2.0) * np.exp(1j * (2.0 * np.pi * k / 8.0 + np.pi / 8.0)) for k in range(8)]
-
-
 def _per_pair_isometries(kind, arg):
     """The side-pairing matrices, each from its own one-pair construction."""
     if kind == "turnover":
@@ -258,7 +257,7 @@ def _per_pair_isometries(kind, arg):
         z1, _, z3 = triangle_vertices(np.pi / n1, np.pi / n2, np.pi / n3)
         return [su11_lift_per_call(*disc_rotation_per_call(z1, 2.0 * np.pi / n1)),
                 su11_lift_per_call(*disc_rotation_per_call(z3, -2.0 * np.pi / n3))]
-    zs = _octagon_disc_corners()
+    zs = octagon_corners_per_angle("complex")[0]
     ends = [(zs[k], zs[(k + 1) % 8], zs[(kp + 1) % 8], zs[kp]) for k, kp in _OCTAGON_PAIRS]
     if arg == "complex":
         return [disc_isometry_per_call(*z) for z in ends]
@@ -384,15 +383,60 @@ MOVES_PER_MESH = 8
 @pytest.mark.parametrize("kind, arg, n", SHIPPED_MESHES)
 def test_fan_spokes_have_the_bits_of_the_two_pass_scaling(kind, arg, n, rng):
     """The lattice scales its centre and corners to <,> = -1 in one pass;
-    its spokes are the rows ``_geodesic_rows`` gave, which scaled them in
-    two, on each mesh's own ends and on isometry-moved copies of them."""
+    its spokes are the points the two-pass scaling and the per-point linear
+    combination give, on each mesh's own ends and on isometry-moved copies
+    of them."""
     center, corners = _rows(*_fan_inputs(kind, arg)[:2])
     closed = kind == "octagon"
     m = len(corners)
     for g in [np.eye(3)] + [random_isometry(rng).matrix for _ in range(MOVES_PER_MESH)]:
         c, k = center @ g.T, corners @ g.T
         vertices = _fan_lattice(c, k, n, closed)[0]
-        assert vertices[1:1 + m * n].tobytes() == _euclidean_units(fan_spokes_two_passes(c, k, n)).tobytes()
+        assert vertices[1:1 + m * n].tobytes() == fan_spokes_two_passes(c, k, n).tobytes()
+
+
+def _tance_gaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|tance - 1| between the rows of two stacks, as ``SectionMesh`` checks
+    its side pairings against ``TOL.mesh``."""
+    return abs(abs(herm_rows(x, y)) ** 2 / (self_norms(x) * self_norms(y)) - 1.0)
+
+
+@pytest.mark.parametrize("kind, arg, n", SHIPPED_MESHES)
+def test_side_pairings_map_runs_onto_their_partners_on_moved_lattices(kind, arg, n, rng):
+    """The lattice built on a mesh's centre and corners moved by g
+    (``random_isometry``, radius 0.8), or unmoved, is carried into itself
+    by the conjugated pairings g p g^-1: each run maps onto its partner
+    within tance gap 1e-12, far below ``TOL.mesh`` (1e-8).  The worst gap
+    measured is 7.2e-14, on the Lagrangian octagon r4."""
+    center, corners = _rows(*_fan_inputs(kind, arg)[:2])
+    pairings = _mesh(kind, arg, n).side_pairings
+    for g in [np.eye(3)] + [random_isometry(rng).matrix for _ in range(MOVES_PER_MESH)]:
+        vertices = _fan_lattice(center @ g.T, corners @ g.T, n, kind == "octagon")[0]
+        for p in pairings:
+            h = g @ p.isometry.matrix @ np.linalg.inv(g)
+            assert _tance_gaps(vertices[p.run_a] @ h.T, vertices[p.run_b]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind, arg, n", SHIPPED_MESHES)
+def test_slerp_lattice_gives_the_same_snapped_invariants(monkeypatch, kind, arg, n):
+    """The arclength lattice (``slerp_fan_vertices``, hyperbolic slerp) on
+    the constructor's own centre and corners gives other vertices and the
+    same snapped tau, chi and e as the linear weights; raw, they lie within
+    1e-13 (measured: 1.3e-15)."""
+    mesh = _mesh(kind, arg, n)
+    linear = meshes._fan_lattice
+
+    def slerp_lattice(center, corners, n, closed):
+        _, faces, outer, radial = linear(center, corners, n, closed)
+        return slerp_fan_vertices(center, corners, n, closed), faces, outer, radial
+
+    monkeypatch.setattr(meshes, "_fan_lattice", slerp_lattice)
+    slerp = _mesh(kind, arg, n)
+    assert slerp.vertices.shape == mesh.vertices.shape
+    assert not np.array_equal(slerp.vertices, mesh.vertices)
+    got, want = _invariants(mesh), _invariants(slerp)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13
+    assert _snapped(mesh, got) == _snapped(mesh, want)
 
 
 @pytest.mark.parametrize("kind", ["complex", "lagrangian"])
@@ -534,7 +578,8 @@ def digests(mesh):
     degrees = euler_via_mesh(mesh)
     pairings = b"".join(p.isometry.matrix.tobytes() for p in mesh.side_pairings)
     return [hashlib.sha256(mesh.vertices.tobytes()).hexdigest(), hashlib.sha256(pairings).hexdigest(),
-            toledo_via_mesh(mesh).hex(), degrees.chi_raw.hex(), degrees.euler_raw.hex()]
+            toledo_via_mesh(mesh).hex(), degrees.chi_raw.hex(), degrees.euler_raw.hex(),
+            hashlib.sha256(mesh.triangles.tobytes()).hexdigest()]
 
 print(json.dumps([digests(turnover_section_mesh(*arg, refinement=n) if kind == "turnover"
                           else octagon_mesh(arg, refinement=n))
@@ -550,24 +595,45 @@ def _cpu_has(feature: str) -> bool:
     return bool(features.get(feature))
 
 
+def _kernel_digests(**extra) -> list:
+    """The digests of ``_KERNEL_BYTES`` for every ``KERNEL_MESHES`` entry,
+    from a new process with neither OPENBLAS_CORETYPE nor
+    NPY_DISABLE_CPU_FEATURES set, but for ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    cases = json.dumps([[kind, arg, int(n)] for kind, arg, n in KERNEL_MESHES])
+    out = subprocess.run([sys.executable, "-c", _KERNEL_BYTES, cases], capture_output=True,
+                         text=True, check=True, env={**env, **extra})
+    digests = json.loads(out.stdout)
+    assert len(digests) == len(KERNEL_MESHES)
+    return digests
+
+
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="OPENBLAS_CORETYPE names x86-64 kernels")
 def test_mesh_vertices_pairings_and_raw_invariants_do_not_depend_on_the_blas_kernel():
     """Every section-mesh vertex, side-pairing matrix and frame comes from
-    elementwise numpy, so the vertices and pairings have the same bytes, and
-    raw tau, chi and e the same doubles, under the default OpenBLAS kernel
-    and under Prescott (SSE3), and Haswell (AVX2) where the CPU has it."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    cases = json.dumps([[kind, arg, int(n)] for kind, arg, n in KERNEL_MESHES])
-
-    def digests(kernel):
-        extra = {"OPENBLAS_CORETYPE": kernel} if kernel else {}
-        out = subprocess.run([sys.executable, "-c", _KERNEL_BYTES, cases], capture_output=True,
-                             text=True, check=True, env={**env, **extra})
-        return json.loads(out.stdout)
-
-    default = digests(None)
-    assert len(default) == len(KERNEL_MESHES)
+    elementwise numpy, so the vertices, faces and pairings have the same
+    bytes, and raw tau, chi and e the same doubles, under the default
+    OpenBLAS kernel and under Prescott (SSE3), and Haswell (AVX2) where the
+    CPU has it."""
+    default = _kernel_digests()
     for kernel in ["Prescott"] + (["Haswell"] if _cpu_has("AVX2") else []):
-        assert digests(kernel) == default, kernel
+        assert _kernel_digests(OPENBLAS_CORETYPE=kernel) == default, kernel
+
+
+@pytest.mark.skipif(not _cpu_has("AVX512F"), reason="the CPU has no AVX-512 to turn off")
+def test_mesh_vertices_faces_and_raw_tau_do_not_depend_on_avx512():
+    """The kernel test's other half, across numpy's dispatch targets: with
+    every AVX-512 target off (``tests/artifacts.py targets X86_V4``), the
+    vertices, faces and side pairings have the same bytes and raw tau the
+    same double.
+    The lattice weights its rows part by part, and its constants
+    (``triangle_vertices``, the octagon's corners, the pairings' SU(1,1)
+    coefficients) come from libm scalars, so no vectorised ``tanh``, ``exp``
+    or fused product moves a bit.  Raw chi and e are not compared: the
+    connection pass's ``arctan2`` follows the target."""
+    off = " ".join(targets(["X86_V4"]))
+    pick = [0, 5, 1, 2]  # vertices, faces, pairings, raw tau
+    default = [[d[k] for k in pick] for d in _kernel_digests()]
+    assert [[d[k] for k in pick] for d in _kernel_digests(NPY_DISABLE_CPU_FEATURES=off)] == default
