@@ -446,10 +446,14 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     ``_tangent_basis_of_units`` builds, a g-isometry to R^4 whose
     orientation is the complex one.  The direction toward y is the
     projection into a^perp of y phase aligned so that <a, y> is real
-    negative; its complex coordinates are -<a,y> <y, b_k>, up to a
-    positive scale.  u1 is the unit direction a -> b and u2 the direction
-    a -> c Gram-Schmidt orthogonalised against it, so (u1, u2) follows the
-    corner's orientation.  The Hodge dual Q = *(u1 ^ u2) is v1 ^ v2 for
+    negative: Y - |p|^2 a with p = <a, y> and Y = -p y, whose coordinates
+    are its pairings with b_1, b_2.  Formed as that difference of nearby
+    points, not as -p <y, b_k> (the same in exact arithmetic), it keeps
+    the digits that the pairing of a far point y with b_k would cancel,
+    and any part of a rounded b_k along a drops out.  u1 is the unit
+    direction a -> b and u2 the direction a -> c Gram-Schmidt
+    orthogonalised against it, so (u1, u2) follows the corner's
+    orientation.  The Hodge dual Q = *(u1 ^ u2) is v1 ^ v2 for
     any positively oriented orthonormal basis (v1, v2) of the g-orthogonal
     complement: v1 is Q's largest column, normalised (its squared norm is
     at least 1/2), and v2 = Q^T v1.
@@ -465,9 +469,11 @@ def build_frame_field(mesh: SectionMesh) -> FrameField:
     n = len(xh)
     basis = _tangent_basis_of_units(xh)
     y = xh[_first_corners(tri, n)]
-    # -<a,y> <y, b_k> for y = b, c and k = 1, 2: (V, 2, 2) complex, viewed
-    # as the real coordinates (V, 2, 4)
-    r = np.multiply(-herm_rows(xh[:, None], y)[..., None], herm_rows(y[:, :, None], basis[:, None])).view(float)
+    p = herm_rows(xh[:, None], y)
+    d = np.multiply(-p[..., None], y) - (p.real * p.real + p.imag * p.imag)[..., None] * xh[:, None]
+    # <d, b_k> for y = b, c and k = 1, 2: (V, 2, 2) complex, viewed as the
+    # real coordinates (V, 2, 4)
+    r = herm_rows(d[:, :, None], basis[:, None]).view(float)
     rb, rc = r[:, 0], r[:, 1]
     # a zero direction (a coincident or repeated vertex) divides 0 by 0;
     # its NaN fails the flatness test

@@ -13,7 +13,7 @@ import pytest
 
 from chdisc import meshes, octagon_mesh, turnover_section_mesh
 from chdisc.cli import _refinement_for
-from chdisc.core import Isometry, _euclidean_units, herm_rows, self_norms
+from chdisc.core import Isometry, _euclidean_units, _pair_tances, herm_rows
 from chdisc.disc import _disc_automorphisms, _so21_stack, _su11_stack, triangle_vertices
 from chdisc.geometry import _geodesic_rows, _negative_units, _phase_align
 from chdisc.errors import MeshError
@@ -395,26 +395,20 @@ def test_fan_spokes_have_the_bits_of_the_two_pass_scaling(kind, arg, n, rng):
         assert vertices[1:1 + m * n].tobytes() == fan_spokes_two_passes(c, k, n).tobytes()
 
 
-def _tance_gaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|tance - 1| between the rows of two stacks, as ``SectionMesh`` checks
-    its side pairings against ``TOL.mesh``."""
-    return abs(abs(herm_rows(x, y)) ** 2 / (self_norms(x) * self_norms(y)) - 1.0)
-
-
 @pytest.mark.parametrize("kind, arg, n", SHIPPED_MESHES)
 def test_side_pairings_map_runs_onto_their_partners_on_moved_lattices(kind, arg, n, rng):
     """The lattice built on a mesh's centre and corners moved by g
     (``random_isometry``, radius 0.8), or unmoved, is carried into itself
     by the conjugated pairings g p g^-1: each run maps onto its partner
     within tance gap 1e-12, far below ``TOL.mesh`` (1e-8).  The worst gap
-    measured is 7.2e-14, on the Lagrangian octagon r4."""
+    measured is 5.5e-14, on the Lagrangian octagon r4."""
     center, corners = _rows(*_fan_inputs(kind, arg)[:2])
     pairings = _mesh(kind, arg, n).side_pairings
     for g in [np.eye(3)] + [random_isometry(rng).matrix for _ in range(MOVES_PER_MESH)]:
         vertices = _fan_lattice(center @ g.T, corners @ g.T, n, kind == "octagon")[0]
         for p in pairings:
             h = g @ p.isometry.matrix @ np.linalg.inv(g)
-            assert _tance_gaps(vertices[p.run_a] @ h.T, vertices[p.run_b]).max() <= 1e-12
+            assert abs(_pair_tances(vertices[p.run_a] @ h.T, vertices[p.run_b]) - 1.0).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind, arg, n", SHIPPED_MESHES)
