@@ -84,8 +84,8 @@ def _in_plane_frames(z) -> np.ndarray:
     """Orthogonal frames (point, in-plane direction, polar) at each of an
     array of disc points: a (k, 3, 3) stack whose rows are the frame
     vectors, each with the bits of the one-point construction
-    (``herm_form`` pairings, a Python complex quotient, ``ProjectivePoint``
-    normalisation)."""
+    (np.dot pairings as ``_form_pairs`` takes them, a Python complex
+    quotient, ``ProjectivePoint`` normalisation)."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     if (np.abs(z) >= 1.0).any():
         raise DegenerateError("disc coordinate must satisfy |z| < 1")

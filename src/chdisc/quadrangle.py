@@ -20,9 +20,7 @@ import numpy as np
 from .core import (
     POSITIVE,
     ProjectivePoint,
-    _SIGNS,
     _euclidean_units,
-    _form_pairs,
     _gram_tances,
     classify,
     distance,  # noqa: F401  (bench/tracer.py wraps chdisc.quadrangle.distance)
@@ -162,7 +160,7 @@ class QuadrangleConfig:
         """(h, ta): every ordered pairing h[i, j] = <p_i, p_j> with the bits
         of ``herm_form``, and the tances with the bits of ``tance``; formed
         once for K1, K2 and K3's ultraparallel test."""
-        h = _form_pairs(self.rows[:, None], self.rows[None])
+        h = herm_rows(self.rows[:, None], self.rows[None])
         n = h.real.diagonal()
         return h, _gram_tances(h, n, n)
 
@@ -194,13 +192,8 @@ def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarra
     entry [..., i, k] is the derivative at x_i along dirs[..., i, k] of
     P / n with P = Im(alpha conj(beta)) and n = |alpha|^2 + |beta|^2.
     """
-    at = a.swapaxes(-1, -2)
-    c = (x @ at)[..., None, :]
-    # every direction of a frame in one product, as (..., N * K, 3) rows
-    n, k = dirs.shape[-3:-1]
-    dc = dirs.reshape(dirs.shape[:-3] + (n * k, 3)) @ at
-    dc = dc.reshape(dc.shape[:-2] + (n, k, -1))
-    alpha, beta, da, db = c[..., 0], c[..., 1], dc[..., 0], dc[..., 1]
+    c = herm_rows(np.concatenate([x[..., None, :], dirs], axis=-2)[..., None, :], a[..., None, None, :, :])
+    alpha, beta, da, db = c[..., :1, 0], c[..., :1, 1], c[..., 1:, 0], c[..., 1:, 1]
     cb = np.conj(beta)
     n = np.square(np.abs(alpha)) + np.square(np.abs(beta))
     p = (alpha * cb).imag
@@ -212,8 +205,8 @@ def _side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarra
 def _side_rows(basis: np.ndarray) -> np.ndarray:
     """The (alpha, beta) rows of the side coordinates of a (K, 3, 3) stack of
     bisector frames (s1, s2, f) (``_perpendicular_rows``), as a (K, 2, 3)
-    stack: row @ v gives alpha and beta of v = alpha s1 + beta s2 + gamma f
-    up to one positive factor per frame.
+    stack of rows u: <v, u> gives alpha and beta of v = alpha s1 + beta s2 +
+    gamma f up to one positive factor per frame.
 
     s1 and s2 have <,> = -1 and are orthogonal to f, so only their 2 x 2
     Gram block [[-1, conj(r)], [r, -1]], r = <s2, s1>, needs inverting: times
@@ -226,7 +219,7 @@ def _side_rows(basis: np.ndarray) -> np.ndarray:
     rows = np.empty((len(basis), 2, 3), dtype=complex)
     rows[:, 0] = s1 + np.conj(r) * s2
     rows[:, 1] = r * s1 + s2
-    return _SIGNS * np.conj(rows)  # <v, u> = v @ (J conj u)
+    return rows
 
 
 #: The signs of <f, f> and <x, x> for a (polar, centre) pair of ``_slice_samples``.
@@ -407,10 +400,10 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
       4. the 36 slice sample sets (``_slice_samples``), their rings read
          from ``_ring_table``;
       5. (a), (b) and (c) on those sets, in that order: (a) forms both side
-         gradients at every sample in one product and reads their angles in
-         the samples' orthonormal direction frames, (b) reads its reference
-         point and samples in one pass, and (c) takes both segment pairs in
-         one ``min_distances`` call.
+         gradients at every sample from ``herm_rows`` pairings and reads
+         their angles in the samples' orthonormal direction frames, (b)
+         pairs its reference point and samples in one pass, and (c) takes
+         both segment pairs in one ``min_distances`` call (``gram``'s zgemm).
     A kernel that checks its input tests the whole stack once and returns
     at once when no check can fail; only a stack that fails that test is
     diagnosed row by row, which raises the error the row-by-row checks
@@ -447,7 +440,7 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
     if not (q._tables[1][_K1_ROWS] - 1.0).min() > max(tol.asymptotic, 0.0):
         return [SubCheck("degenerate", False, -1.0, "complex geodesics not pairwise ultraparallel")]
     feet, basis = _perpendicular_rows(*polars.take(_K3_PAIRS.T, 0))
-    coords = _side_rows(basis[:4])  # coords[k] @ v = (alpha, beta) of v, up to a positive factor
+    coords = _side_rows(basis[:4])  # <v, coords[k]> = (alpha, beta) of v, up to a positive factor
     ends = feet.take(_SLERP_PAIRS, 1)[:, :, None]
     spine = _slerp_units(ends[0], *_negative_units(ends), _SLERP_T)
     mid, spine = spine[4, 0], spine[:4]
@@ -488,8 +481,9 @@ def adjacency_check(q: QuadrangleConfig, tol: Tolerances = TOL) -> list[SubCheck
 
     # (b) sector test: C3 on the inner side of both bisectors through C1, as
     # seen from an interior reference point of the quadrangle
-    a = coords[0::2]
-    sides = _side_values(np.concatenate([(a @ mid)[:, None], samples[2:4] @ a.swapaxes(-1, -2)], axis=1))
+    pts = np.empty((2, 1 + samples.shape[1], 3), dtype=complex)
+    pts[:, 0], pts[:, 1:] = mid, samples[2:4]
+    sides = _side_values(herm_rows(pts[:, :, None], coords[0::2, None]))
     side_ref = sides[:, 0]
     sides = np.sign(side_ref)[:, None] * sides[:, 1:]
     labels = ("sector_B_C1C2", "sector_B_C1C4")

@@ -382,8 +382,8 @@ def _bent_inside(params, g1_inv: np.ndarray, phases: np.ndarray, n2: int):
     Returns per row the frame vectors (x3, w1, w2) as built, g3 before its
     det normalization (m3), the det-1 g2, and the real residual vector
     ``(k, 18)`` of g2^{n2} - w I for the cube root w nearest to it.  Each
-    row has the bits of the one-row scalar computation (pairings through
-    ``herm_form`` and Python complex quotients), sign of zero included:
+    row has the bits of the one-row scalar computation (np.dot pairings and
+    Python complex quotients), sign of zero included:
     pairings and norms go through ``dot_rows``, the quotients through
     ``_py_quotients``.
     """

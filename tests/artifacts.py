@@ -127,9 +127,10 @@ def _tour(out: Path) -> None:
 #: latter the multistart case) follow the kernel's last bits (ROADMAP item
 #: 3), and so may whether the (2,3,7) bend-0.02 solve converges, although
 #: its failure row, which names the residual's bound and not its digits,
-#: reads the same under every kernel and target CI runs; the boosted
-#: certificate's margins move by up to 9.9e-10 across BLAS kernels and
-#: 1.9e-8 across dispatch targets.
+#: reads the same under every kernel and target CI runs; across BLAS
+#: kernels only the boosted certificate's K3(c) margins move (by up to
+#: 1.6e-10 relative), and across dispatch targets its margins move by up to
+#: 3.8e-9 relative.
 #: ``--mesh 0.02`` runs (3,4,4) at refinement 24 (1152 faces) with a note.
 #: The demos are not kernel-stable: ``bent_turnover`` prints the bend-0.02
 #: answer.

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +18,35 @@ from chdisc.core import herm_rows, self_norms
 _TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
+#: the solve workload's bend ladder (``SOLVE_LADDER`` in bench/workloads.py)
+SOLVE_LADDER = [((3, 3, 4), 0.10), ((3, 3, 4), 0.08), ((3, 3, 4), 0.06), ((3, 3, 4), 0.04),
+                ((3, 3, 4), 0.03), ((3, 3, 4), -0.05), ((3, 3, 5), 0.10), ((3, 3, 5), 0.05)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def cpu_has(feature: str) -> bool:
+    """Whether numpy's dispatcher found ``feature`` on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    return bool(features.get(feature))
+
+
+def fresh_process_json(code: str, arg: str, **extra):
+    """The JSON that the Python source ``code`` prints when run with the one
+    argument ``arg`` in a new process, with neither OPENBLAS_CORETYPE nor
+    NPY_DISABLE_CPU_FEATURES set but for ``extra``: the way to run chdisc
+    under another BLAS kernel or numpy dispatch target."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run([sys.executable, "-c", code, arg], capture_output=True,
+                         text=True, check=True, env={**env, **extra})
+    return json.loads(out.stdout)
 
 
 def tracer_wrap_sites():
@@ -90,10 +120,9 @@ def scalar_slerp(x: np.ndarray, y: np.ndarray, t: float):
     Representatives scaled to <x,x> = <y,y> = -1, y phase aligned so that
     <x,y> = -cosh d, then (x sinh((1-t)d) + y sinh(td)) / sinh d.  The
     pairings are the one-vector case of the library's signed sums
-    (``herm_rows``, ``self_norms``), not ``herm_form``'s BLAS dot, whose
-    summation order depends on the BLAS kernel, and the phase is divided in
-    numpy, not as a Python complex: the oracle and the kernel then reduce
-    alike on every machine.
+    (``herm_rows``, ``self_norms``), and the phase is divided in numpy, not
+    as a Python complex: the oracle and the kernel then reduce alike on
+    every machine.
     """
     xv = x / np.sqrt(-self_norms(x))
     yv = y / np.sqrt(-self_norms(y))

@@ -28,6 +28,7 @@ from chdisc.core import (
     _elliptic_rows,
     _euclidean_units,
     _form_adjoint,
+    _form_pairs,
     _gram_tances,
     _norms_and_squares,
     _points_of_units,
@@ -87,9 +88,16 @@ def projective_distance(g: Isometry, h: Isometry) -> float:
     return min(float(np.abs(g.matrix - w * h.matrix).max()) for w in _CUBE_ROOTS)
 
 
+def form_pair(x, y) -> complex:
+    """<x, y> of two 3-vectors through np.dot, the one-row ``_form_pairs``:
+    the pairing of the solver side's one-object paths, whose bits the
+    solver's stacked kernels keep."""
+    return complex(_form_pairs(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)))
+
+
 def projector(b: np.ndarray) -> np.ndarray:
     """The form-orthogonal projection onto C b, P(x) = (<x,b>/<b,b>) b."""
-    return np.outer(b, _SIGNS * np.conj(b)) / herm_form(b, b).real
+    return np.outer(b, _SIGNS * np.conj(b)) / form_pair(b, b).real
 
 
 # -- distances between stacks -----------------------------------------------------
@@ -549,7 +557,7 @@ def in_plane_frame(center: complex) -> OrthogonalFrame:
     ``_in_plane_frames`` stacks, from ``ProjectivePoint`` objects."""
     b0 = ProjectivePoint([1.0, center, 0.0])
     e1 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    return OrthogonalFrame(b0, ProjectivePoint(e1 - (herm_form(e1, b0.v) / b0.self_form()) * b0.v), F0)
+    return OrthogonalFrame(b0, ProjectivePoint(e1 - (form_pair(e1, b0.v) / form_pair(b0.v, b0.v).real) * b0.v), F0)
 
 
 def disc_rotation_per_call(center: complex, angle: float):
@@ -730,11 +738,10 @@ def staged_min_distances(x: np.ndarray, y: np.ndarray, tol: Tolerances = TOL) ->
 
 
 def staged_side_gradients(a: np.ndarray, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """``_side_gradients`` with one product per sample's directions (an
-    (..., N, K, 3) by (..., 1, 3, 2) matmul) and each term formed as written."""
-    at = np.swapaxes(a, -1, -2)
-    c = (x @ at)[..., None, :]
-    dc = dirs @ at[..., None, :, :]
+    """``_side_gradients`` with (alpha, beta) paired one side row at a time
+    and each term formed as written."""
+    c = np.stack([herm_rows(x, u[..., None, :]) for u in np.moveaxis(a, -2, 0)], axis=-1)[..., None, :]
+    dc = np.stack([herm_rows(dirs, u[..., None, None, :]) for u in np.moveaxis(a, -2, 0)], axis=-1)
     alpha, beta, da, db = c[..., 0], c[..., 1], dc[..., 0], dc[..., 1]
     n = np.abs(alpha) ** 2 + np.abs(beta) ** 2
     p = (alpha * np.conj(beta)).imag
@@ -780,18 +787,22 @@ def staged_side_rows(basis: np.ndarray) -> np.ndarray:
     """``_side_rows`` as the algebra reads: v = alpha s1 + beta s2 + gamma f
     with <s1,s1> = <s2,s2> = -1 and f orthogonal to both gives, times
     |r|^2 - 1 for r = <s2, s1>, alpha = <v, s1 + conj(r) s2> and
-    beta = <v, r s1 + s2>, and <v, u> = v @ (J conj u)."""
+    beta = <v, r s1 + s2>."""
     s1, s2 = basis[:, :, 0], basis[:, :, 1]
     r = herm_rows(s2, s1)[:, None]
-    u = np.stack([s1 + np.conj(r) * s2, r * s1 + s2], axis=1)
-    return np.conj(u) * _SIGNS
+    return np.stack([s1 + np.conj(r) * s2, r * s1 + s2], axis=1)
 
 
 def side_rows_by_inverse(basis: np.ndarray) -> np.ndarray:
-    """The first two rows of each frame's inverse, from LAPACK: the side
-    coordinates (alpha, beta) that ``_side_rows`` gives up to a positive
-    factor per frame."""
+    """The first two rows w of each frame's inverse, from LAPACK: alpha and
+    beta are w @ v, and J conj(w) are the rows that ``_side_rows`` gives up
+    to a positive factor per frame (<v, u> = v @ (J conj u))."""
     return np.linalg.inv(basis)[:, :2]
+
+
+def form_rows(w: np.ndarray) -> np.ndarray:
+    """J conj(w) for rows w: the rows u with <v, u> = w @ v, and back."""
+    return np.conj(w) * _SIGNS
 
 
 def staged_shared_directions(polars: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -837,7 +848,7 @@ def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
     if staged is None:
         return [SubCheck("degenerate", False, -1.0, "coincident opposite vertices")]
     basis, mid, samples = staged
-    coords = staged_side_rows(basis[:4])  # coords[k] @ v = (alpha, beta) of v, up to a positive factor
+    coords = staged_side_rows(basis[:4])  # <v, coords[k]> = (alpha, beta) of v, up to a positive factor
 
     # (a) tangent-hyperplane angles of B[C1,Ck] and B[C3,Ck] along the shared
     # slices P(p^perp), in the unit tangent basis (J conj(s x p), p) at each sample s
@@ -850,8 +861,8 @@ def staged_adjacency_check(q, tol: Tolerances = TOL) -> list:
     # (b) sector test: C3 on the inner side of both bisectors through C1, as
     # seen from an interior reference point of the quadrangle
     a = coords[[0, 2]]
-    side_ref = _side_values(a @ mid)
-    sides = np.sign(side_ref)[:, None] * _side_values(samples[2:4] @ np.swapaxes(a, -1, -2))
+    side_ref = _side_values(herm_rows(mid, a))
+    sides = np.sign(side_ref)[:, None] * _side_values(herm_rows(samples[2:4, :, None], a[:, None]))
     labels = ("sector_B_C1C2", "sector_B_C1C4")
     for label, ref, w in zip(labels, side_ref.tolist(), sides.min(axis=1).tolist()):
         if abs(ref) <= tol.strict_margin:

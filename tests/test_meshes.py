@@ -2,10 +2,7 @@
 
 import importlib
 import json
-import os
 import platform
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +35,7 @@ from chdisc.meshes import (
 from chdisc.representations import TurnoverSignature
 
 from artifacts import targets
-from conftest import random_isometry
+from conftest import cpu_has, fresh_process_json, random_isometry
 from oracles import (
     aligned_unit_pair,
     connection_total,
@@ -581,24 +578,12 @@ print(json.dumps([digests(turnover_section_mesh(*arg, refinement=n) if kind == "
 """
 
 
-def _cpu_has(feature: str) -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as features
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__ as features
-    return bool(features.get(feature))
-
-
 def _kernel_digests(**extra) -> list:
     """The digests of ``_KERNEL_BYTES`` for every ``KERNEL_MESHES`` entry,
     from a new process with neither OPENBLAS_CORETYPE nor
     NPY_DISABLE_CPU_FEATURES set, but for ``extra``."""
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
-    env["PYTHONPATH"] = os.pathsep.join(sys.path)
     cases = json.dumps([[kind, arg, int(n)] for kind, arg, n in KERNEL_MESHES])
-    out = subprocess.run([sys.executable, "-c", _KERNEL_BYTES, cases], capture_output=True,
-                         text=True, check=True, env={**env, **extra})
-    digests = json.loads(out.stdout)
+    digests = fresh_process_json(_KERNEL_BYTES, cases, **extra)
     assert len(digests) == len(KERNEL_MESHES)
     return digests
 
@@ -612,11 +597,11 @@ def test_mesh_vertices_pairings_and_raw_invariants_do_not_depend_on_the_blas_ker
     OpenBLAS kernel and under Prescott (SSE3), and Haswell (AVX2) where the
     CPU has it."""
     default = _kernel_digests()
-    for kernel in ["Prescott"] + (["Haswell"] if _cpu_has("AVX2") else []):
+    for kernel in ["Prescott"] + (["Haswell"] if cpu_has("AVX2") else []):
         assert _kernel_digests(OPENBLAS_CORETYPE=kernel) == default, kernel
 
 
-@pytest.mark.skipif(not _cpu_has("AVX512F"), reason="the CPU has no AVX-512 to turn off")
+@pytest.mark.skipif(not cpu_has("AVX512F"), reason="the CPU has no AVX-512 to turn off")
 def test_mesh_vertices_faces_and_raw_tau_do_not_depend_on_avx512():
     """The kernel test's other half, across numpy's dispatch targets: with
     every AVX-512 target off (``tests/artifacts.py targets X86_V4``), the

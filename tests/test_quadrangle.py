@@ -1,6 +1,7 @@
 """The eps invariant, transversality inequalities, and quadrangle certificates."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -48,10 +49,12 @@ from chdisc.quadrangle import (
 from chdisc.tolerances import TOL, Tolerances
 
 from chdisc.cli import EXIT_FAIL, main
-from conftest import boost, random_disc_coordinate, random_isometry
+import artifacts
+from conftest import SOLVE_LADDER, boost, cpu_has, fresh_process_json, random_isometry
 from oracles import (
     bisector_basis,
     distance_matrix,
+    form_rows,
     lifted_transversal_angles,
     side_rows_by_inverse,
     staged_adjacency_check,
@@ -262,7 +265,7 @@ def _reference_adjacency_check(q, tol=TOL):
         x = _reference_slice_samples(c[shared].polar, seg_a.feet[1], ref, n)
         w = _shared_slice_basis(x, c[shared].polar.v)
         dirs = np.stack([w[:, 0], 1j * w[:, 0], w[:, 1], 1j * w[:, 1]], axis=1)
-        ga, gb = (np.einsum("nk,nkc->nc", _side_gradients(_side_coordinates(s), x, dirs), dirs)
+        ga, gb = (np.einsum("nk,nkc->nc", _side_gradients(form_rows(_side_coordinates(s)), x, dirs), dirs)
                   for s in (seg_a, seg_b))
         na, nb = np.sqrt(self_norms(ga)), np.sqrt(self_norms(gb))
         ok = (na >= 1e-12) & (nb >= 1e-12)
@@ -338,11 +341,11 @@ def test_side_gradient_matches_central_differences(rng):
         dirs = np.stack([w[:, 0], 1j * w[:, 0], w[:, 1], 1j * w[:, 1]], axis=1)
         fd = (_side_values((x[:, None] + h * dirs) @ a.T)
               - _side_values((x[:, None] - h * dirs) @ a.T)) / (2.0 * h)
-        got = _side_gradients(a, x, dirs)
+        got = _side_gradients(form_rows(a), x, dirs)
         np.testing.assert_allclose(got, fd, rtol=0, atol=1e-8)
         # the same rows of a stacked call over all the bisectors
         np.testing.assert_allclose(
-            _side_gradients(stacked_a, stacked_x, np.broadcast_to(dirs, (len(segs),) + dirs.shape))[k],
+            _side_gradients(form_rows(stacked_a), stacked_x, np.broadcast_to(dirs, (len(segs),) + dirs.shape))[k],
             got, rtol=0, atol=1e-15)
         # the tangent basis is <,>-unitary and orthogonal to each sample
         np.testing.assert_allclose(self_norms(w[:, 0]), 1.0, atol=1e-12)
@@ -562,9 +565,10 @@ def test_degenerate_sector_reference_equals_the_staged_reference():
 
 
 def test_side_rows_are_the_inverse_rows_times_a_positive_factor():
-    """The closed-form side-coordinate rows of the first four K3 frames are
-    the first two rows of each frame's LAPACK inverse
-    (``oracles.side_rows_by_inverse``) times |r|^2 - 1 > 0, r = <s2, s1>,
+    """The closed-form side-coordinate rows u of the first four K3 frames,
+    read as J conj(u) (``oracles.form_rows``), are the first two rows of
+    each frame's LAPACK inverse (``oracles.side_rows_by_inverse``) times
+    |r|^2 - 1 > 0, r = <s2, s1>,
     within 1e-12 of the rows' largest entry, on the seven certify
     quadrangles, each unmoved and under 25 seeded isometries."""
     rng = np.random.default_rng(3200)
@@ -573,7 +577,7 @@ def test_side_rows_are_the_inverse_rows_times_a_positive_factor():
             basis = staged_k3_samples(q)[0][:4]
             factor = np.abs(herm_rows(basis[:, :, 1], basis[:, :, 0])) ** 2 - 1.0
             assert (factor > 0.0).all()
-            got, want = _side_rows(basis), factor[:, None, None] * side_rows_by_inverse(basis)
+            got, want = form_rows(_side_rows(basis)), factor[:, None, None] * side_rows_by_inverse(basis)
             scale = np.abs(got).max(axis=(1, 2))
             assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
 
@@ -687,15 +691,21 @@ def test_k2_degenerate_triple_product_raises():
 
 #: Four polars on which K1 and K2 pass, the pairs (C1, C2) and (C2, C3) with
 #: tance - 1 one double above ``asymptotic``: a quadrangle whose diagonal
-#: triangles are thin, moved by a boost.  Pairings formed elementwise put
-#: those tances below the threshold in the last bit.
+#: triangles are thin, moved by a boost.  Built as C2 = e1,
+#: C4 = (sinh r, cosh r, 0) with cosh r = 206.1, C1 with
+#: <C1, C2> = sqrt(1 + a), a = 1e-9 - 2.2e-17, and <C1, C4> = cosh r e^{i psi}
+#: for a small psi, C3 = conj(C1); then moved by a boost of rapidity 0.41
+#: and scaled to Euclidean-unit rows.  Pairings through np.dot
+#: (``_form_pairs``) put (C2, C3)'s tance below the threshold in the last bit.
 _AT_ASYMPTOTIC = [
-    [7.05842379696453e-08 - 0.0001530928753371109j, 0.999999976562604 - 3.162158347479339e-05j,
-     7.213999753445254e-08 - 0.00014979128252927203j],
-    [0j, 1 + 0j, 0j],
-    [-7.058387302454594e-08 + 0.0001530928753371109j, 0.999999976562604 + 3.162158347479339e-05j,
-     -7.213964045973977e-08 + 0.00014979128252927203j],
-    [0.7071062108125401 + 0j, 0.14606498770037812 + 0j, 0.6918567958749989 + 0j],
+    [-0.10803218915945266 - 0.18722711555429922j, 0.9756559358074864 + 3.416485446484924e-06j,
+     0.027366353301134228 - 0.02493252746065053j],
+    [-0.10803351269205895 - 0.18719671227283494j, 0.9756619593704026 - 5.60284994339988e-20j,
+     0.027356181466861394 - 0.02493053193807674j],
+    [-0.10803483398186475 - 0.18716630864049652j, 0.9756679821162392 - 3.416153741701347e-06j,
+     0.027346011166401625 - 0.024928535681913833j],
+    [0.6930780183452343 - 0.14013165499637362j, 0.649489977022084 + 0.14013000552928112j,
+     0.07494866721407578 + 0.2300326679749438j],
 ]
 
 
@@ -769,3 +779,60 @@ def test_check_quadrangle_certifies_a_rapidity_7_baseline(tmp_path):
     cert = json.loads((tmp_path / "boosted.quad.cert.json").read_text())
     assert cert["pass"] is True and all(c["pass"] for c in cert["k3"]["checks"])
     assert (tmp_path / "boosted.quad.cert.json").read_text() == canonical_dumps(validate_quadrangle(q).to_json_dict())
+
+
+# -- certificates across BLAS kernels --------------------------------------------
+
+#: K3(c)'s sub-checks, the one certificate field formed through BLAS: their
+#: minimum distances read ``gram``'s zgemm, so their last bits follow the
+#: OpenBLAS kernel
+_K3_ZGEMM = ("disjoint_B12_B34", "disjoint_B23_B41")
+
+_KERNEL_MARGINS = """
+import json, sys
+from chdisc.io import load_quadrangle
+from chdisc.quadrangle import validate_quadrangle
+
+def margins(cert):
+    return {"k1": [m.hex() for m in cert.k1_margins],
+            "k2": {name: [m.hex() for m in v] for name, v in cert.k2_margins.items()},
+            "k3": {c.name: c.margin.hex() for c in cert.k3_checks}}
+
+print(json.dumps([margins(validate_quadrangle(load_quadrangle(p))) for p in json.loads(sys.argv[1])]))
+"""
+
+
+def _kernel_margins(paths, **extra) -> list:
+    """Every K1, K2 and K3 margin, as its exact bits, of the certificate of
+    each quadrangle file, from a new process (``fresh_process_json``)."""
+    margins = fresh_process_json(_KERNEL_MARGINS, json.dumps(paths), **extra)
+    assert len(margins) == len(paths)
+    return margins
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_certificate_margins_do_not_depend_on_the_blas_kernel(tmp_path):
+    """K1, K2, K3(a) and K3(b) pair through ``herm_rows``, elementwise, so
+    their margins have the same bytes under the default OpenBLAS kernel and
+    under Prescott (SSE3), and Haswell (AVX2) where the CPU has it.  The
+    quadrangles: the reference ones, the (3,3,4) baseline moved by the
+    rapidity-7 boost of ``tests/artifacts.py`` and the quadrangles of the 8
+    bent answers of the solve ladder, each written once and read back by
+    every process.  K3(c) (``_K3_ZGEMM``) is left out: it reads a zgemm."""
+    paths = sorted(str(p) for p in artifacts.REFERENCE.rglob("*.quad.json"))
+    artifacts._boosted(tmp_path)
+    for (n1, n2, n3), bend in SOLVE_LADDER:
+        path = tmp_path / f"ladder_{n1}-{n2}-{n3}_{bend}.quad.json"
+        write_json(path, quadrangle_to_json_dict(turnover_solve(TurnoverSignature(n1, n2, n3), bend)[1].config))
+    paths += sorted(str(p) for p in tmp_path.glob("*.quad.json"))
+    assert len(paths) == 7 + 1 + 8
+
+    def without_k3c(margins):
+        return [{**m, "k3": {k: v for k, v in m["k3"].items() if k not in _K3_ZGEMM}} for m in margins]
+
+    default = _kernel_margins(paths)
+    # every quadrangle but the failing (2,3,7) one reaches K3(a) and (b)
+    assert sum("sector_B_C1C4" in m["k3"] for m in default) == len(paths) - 1
+    for kernel in ["Prescott"] + (["Haswell"] if cpu_has("AVX2") else []):
+        assert without_k3c(_kernel_margins(paths, OPENBLAS_CORETYPE=kernel)) == without_k3c(default), kernel

@@ -46,9 +46,10 @@ from chdisc.disc import F0, _disc_rotations, _su11_stack, disc_distance, embed, 
 from chdisc import core, lsq, representations
 from chdisc.representations import SOLVER_STOPPING, _identity_distance
 
-from conftest import random_negative_point
+from conftest import SOLVE_LADDER, random_negative_point
 from oracles import (
     fixed_point_per_call,
+    form_pair,
     in_plane_frame,
     projective_distance,
     projector,
@@ -356,13 +357,13 @@ def _object_path_objective(sig, bend, x, k1, k3):
     x3v = np.array([1.0, a, b], dtype=complex)
 
     def off(w, c):
-        return w - (herm_form(w, c) / herm_form(c, c)) * c
+        return w - (form_pair(w, c) / form_pair(c, c)) * c
 
     e1, e2 = np.eye(3, dtype=complex)[1:]
     u = off(e1, x3v)
-    u = u / np.sqrt(herm_form(u, u).real)
+    u = u / np.sqrt(form_pair(u, u).real)
     v = off(off(e2, x3v), u)
-    v = v / np.sqrt(herm_form(v, v).real)
+    v = v / np.sqrt(form_pair(v, v).real)
     w1 = np.cos(psi) * u + np.sin(psi) * np.exp(1j * phi) * v
     w2 = -np.sin(psi) * np.exp(-1j * phi) * u + np.cos(psi) * v
     frame = OrthogonalFrame(ProjectivePoint(x3v), ProjectivePoint(w1), ProjectivePoint(w2))
@@ -417,18 +418,18 @@ def test_solver_objective_bit_identical_to_object_path(monkeypatch, orders, bend
 
 def _bent_arrays(params, g1_inv, phases, n2):
     """Oracle: the scalar one-row computation that _bent_inside stacks, with
-    pairings through herm_form and its Python complex quotients."""
+    pairings through np.dot (``oracles.form_pair``) and Python complex quotients."""
     a, b, psi, phi = params
     x3 = np.array([1.0, a, b], dtype=complex)
 
     def off(w, c):
-        return w - (herm_form(w, c) / herm_form(c, c)) * c
+        return w - (form_pair(w, c) / form_pair(c, c)) * c
 
     e1, e2 = np.eye(3, dtype=complex)[1:]
     u = off(e1, x3)
-    u = u / np.sqrt(herm_form(u, u).real)
+    u = u / np.sqrt(form_pair(u, u).real)
     v = off(off(e2, x3), u)
-    v = v / np.sqrt(herm_form(v, v).real)
+    v = v / np.sqrt(form_pair(v, v).real)
     cos, sin = np.cos(psi), np.sin(psi)
     w1 = cos * u + sin * np.exp(1j * phi) * v
     w2 = -sin * np.exp(-1j * phi) * u + cos * v
@@ -724,9 +725,6 @@ def test_turnover_solve_propagates_unexpected_errors(monkeypatch):
 # -- the bend-0 turnover path as stacks, against the object path ---------------------
 
 SCAN_SIGNATURES = [(3, 3, 4), (3, 3, 5), (3, 4, 4), (2, 3, 7)]
-#: the solve workload's bend ladder (``SOLVE_LADDER`` in bench/workloads.py)
-SOLVE_LADDER = [((3, 3, 4), 0.10), ((3, 3, 4), 0.08), ((3, 3, 4), 0.06), ((3, 3, 4), 0.04),
-                ((3, 3, 4), 0.03), ((3, 3, 4), -0.05), ((3, 3, 5), 0.10), ((3, 3, 5), 0.05)]
 
 
 @pytest.fixture(scope="module")
