@@ -175,9 +175,10 @@ def dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise x_i . y_i (no conjugation) over matching ``(..., n)`` stacks.
 
     matmul's vector-vector path runs np.dot's BLAS kernel, so each row has
-    the bits of the scalar ``np.dot``; ``einsum`` and ``sum`` do not.  Only
-    the solver side calls it, so that each start keeps the bits of scipy's
-    ``least_squares``, which forms these sums with np.dot.
+    the bits of the scalar ``np.dot``; ``einsum`` and ``sum`` do not.  The
+    solver side calls it, so that each start keeps the bits of scipy's
+    ``least_squares``, and so does ``_norms``, to keep those of
+    ``np.linalg.norm``.
     """
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
